@@ -4,55 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use tms_bench::calibrate::{store_with_thresholds, synthetic_trace as trace, WarmStatement};
 use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
-use tms_storage::{DayType, StatRecord, TableStore, ThresholdStore};
-use tms_traffic::{Attribute, BusTrace, EnrichedTrace};
-
-fn store_with(locations: usize) -> (ThresholdStore, Vec<String>) {
-    let store = ThresholdStore::new(TableStore::new());
-    let names: Vec<String> = (0..locations).map(|i| format!("L{i}")).collect();
-    let mut records = Vec::new();
-    for n in &names {
-        for hour in 0..24u8 {
-            for day in [DayType::Weekday, DayType::Weekend] {
-                records.push(StatRecord {
-                    area_id: n.clone(),
-                    hour,
-                    day_type: day,
-                    mean: 1e9,
-                    stdv: 0.0,
-                    count: 10,
-                });
-            }
-        }
-    }
-    store.publish("delay", &records).unwrap();
-    (store, names)
-}
-
-fn trace(i: usize, location: &str) -> EnrichedTrace {
-    EnrichedTrace {
-        trace: BusTrace {
-            timestamp_ms: 8 * tms_traffic::HOUR_MS + i as u64 * 50,
-            line_id: 1,
-            direction: true,
-            position: tms_geo::GeoPoint::new_unchecked(53.33, -6.26),
-            delay_s: (i % 300) as f64,
-            congestion: false,
-            reported_stop: None,
-            at_stop: false,
-            vehicle_id: 1,
-        },
-        speed_kmh: Some(20.0),
-        actual_delay_s: Some(1.0),
-        areas: vec![location.to_string()],
-        bus_stop: None,
-    }
-}
+use tms_traffic::Attribute;
 
 fn engine_with(windows: &[usize], locations: usize) -> (RuleEngine, Vec<String>) {
-    let (store, names) = store_with(locations);
+    let (store, names) = store_with_thresholds(locations * 48);
     let mut engine = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
     for (i, &l) in windows.iter().enumerate() {
         let mut spec = rule_spec(i, l);
@@ -128,26 +86,6 @@ fn bench_rule_count(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the version-cached join index vs rebuilding per event. The
-/// threshold `keepall` stream is what the cache exists for; with 50
-/// locations (2400 threshold rows) the uncached engine pays O(t) per
-/// tuple.
-fn bench_join_cache_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cep/join_cache_ablation");
-    for (name, enabled) in [("cached", true), ("uncached", false)] {
-        let (mut engine, names) = engine_with(&[100], 50);
-        engine.set_join_cache_enabled(enabled);
-        let mut i = 0usize;
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                i += 1;
-                engine.send_trace(black_box(&trace(i, &names[i % names.len()]))).unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Ablation: the delta-maintained incremental evaluation path vs the
 /// full-window rescan. A single grouped avg+stddev statement over
 /// `win:length(100)` — the rescan arm walks all 100 window events and
@@ -156,55 +94,8 @@ fn bench_join_cache_ablation(c: &mut Criterion) {
 fn bench_incremental_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("cep/incremental_ablation");
     for (name, enabled) in [("incremental", true), ("rescan", false)] {
-        let mut engine = tms_cep::Engine::new();
-        engine
-            .register_type(
-                tms_cep::EventType::with_fields(
-                    "bus",
-                    &[
-                        ("location", tms_cep::FieldType::Str),
-                        ("delay", tms_cep::FieldType::Float),
-                    ],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        engine.set_incremental_enabled(enabled).unwrap();
-        engine
-            .create_statement(
-                "SELECT w.location AS loc, avg(w.delay) AS m, stddev(w.delay) AS sd \
-                 FROM bus.win:length(100) AS w GROUP BY w.location",
-                Box::new(|_, rows| {
-                    black_box(rows.len());
-                }),
-            )
-            .unwrap();
-        let locations: Vec<String> = (0..10).map(|i| format!("L{i}")).collect();
-        let mut i = 0usize;
-        let send = |engine: &mut tms_cep::Engine, i: usize| {
-            let ev = engine
-                .make_event(
-                    "bus",
-                    i as u64 * 50,
-                    &[
-                        ("location", locations[i % locations.len()].as_str().into()),
-                        ("delay", ((i % 300) as f64).into()),
-                    ],
-                )
-                .unwrap();
-            engine.send_event(ev).unwrap();
-        };
-        // Fill the window so eviction deltas flow from the first sample.
-        for _ in 0..200 {
-            i += 1;
-            send(&mut engine, i);
-        }
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                i += 1;
-                send(&mut engine, black_box(i));
-            })
-        });
+        let mut statement = WarmStatement::new(enabled);
+        group.bench_function(name, |b| b.iter(|| statement.send()));
     }
     group.finish();
 }
@@ -220,6 +111,6 @@ fn bench_statement_compile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_window_length, bench_threshold_count, bench_rule_count, bench_join_cache_ablation, bench_incremental_ablation, bench_statement_compile
+    targets = bench_window_length, bench_threshold_count, bench_rule_count, bench_incremental_ablation, bench_statement_compile
 }
 criterion_main!(benches);

@@ -2,76 +2,26 @@
 //! two-stage topology for each grouping, with and without the acker, in
 //! per-tuple and micro-batched delivery modes.
 //!
-//! The matching experiment snapshot (`experiments -- bench_snapshot`)
-//! writes `BENCH_dsps_throughput.json`; this bench is the
-//! statistically-sampled view of the same pipeline.
+//! The matching experiment snapshot (`experiments -- dsps_throughput`)
+//! writes `BENCH_dsps_throughput.json`; this bench is criterion's view
+//! of the same pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use tms_dsps::runtime::{BatchConfig, LocalCluster, ReliabilityConfig, RuntimeConfig};
-use tms_dsps::scheduler::ClusterSpec;
-use tms_dsps::topology::{Parallelism, TopologyBuilder};
-use tms_dsps::{Bolt, Emitter, Grouping, Spout};
+use tms_bench::dataplane::sink_topology_secs;
+use tms_dsps::runtime::{BatchConfig, ReliabilityConfig, RuntimeConfig};
 
 const TUPLES: u64 = 4000;
-
-#[derive(Clone)]
-struct Msg {
-    key: u64,
-    value: u64,
-}
-
-struct RangeSpout {
-    next: u64,
-    end: u64,
-}
-impl Spout<Msg> for RangeSpout {
-    fn next(&mut self) -> Option<Msg> {
-        if self.next >= self.end {
-            return None;
-        }
-        let v = self.next;
-        self.next += 1;
-        Some(Msg { key: v % 13, value: v })
-    }
-}
-
-struct NullSink;
-impl Bolt<Msg> for NullSink {
-    fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
-        std::hint::black_box(msg.value);
-    }
-}
-
-fn grouping(name: &str) -> Grouping<Msg> {
-    match name {
-        "shuffle" => Grouping::Shuffle,
-        "fields" => Grouping::fields_hashed(|m: &Msg| m.key),
-        "all" => Grouping::All,
-        other => panic!("unknown grouping {other}"),
-    }
-}
 
 /// One spout task fanning into four sink tasks; returns after the
 /// topology drains all [`TUPLES`] emissions.
 fn run_once(g: &str, reliable: bool, batch: Option<BatchConfig>) {
-    let t = TopologyBuilder::new("bench")
-        .add_spout("src", Parallelism::of(1), |_| {
-            Box::new(RangeSpout { next: 0, end: TUPLES })
-        })
-        .add_bolt("sink", Parallelism::of(4), vec![("src", grouping(g))], |_| {
-            Box::new(NullSink)
-        })
-        .build()
-        .unwrap();
-    let cluster =
-        LocalCluster::new(ClusterSpec { nodes: 2, slots_per_node: 2, cores_per_node: 4 }).unwrap();
     let cfg = RuntimeConfig {
         batch,
         reliability: reliable.then(ReliabilityConfig::default),
         ..RuntimeConfig::default()
     };
-    cluster.submit(t, cfg).unwrap().join().unwrap();
+    sink_topology_secs(TUPLES, g, cfg);
 }
 
 fn bench_emit_throughput(c: &mut Criterion) {

@@ -1,22 +1,31 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper's evaluation (Section 5).
+//! paper's evaluation (Section 5), and takes and guards the committed
+//! `BENCH_<name>.json` snapshots.
 //!
 //! ```text
 //! cargo run --release -p tms-bench --bin experiments -- all
 //! cargo run --release -p tms-bench --bin experiments -- fig11
+//! cargo run --release -p tms-bench --bin experiments -- staleness
+//! cargo run --release -p tms-bench --bin experiments -- guard all
 //! ```
 //!
-//! Results print as aligned tables and are saved as JSON under
+//! Tables and figures print as aligned tables and are saved as JSON under
 //! `results/`. Absolute numbers differ from the paper (its testbed was 7
 //! VMs running Storm/Esper/Hadoop; ours is a from-scratch re-implementation
 //! plus a calibrated simulator) — the *shapes* are the reproduction
-//! target, as recorded in EXPERIMENTS.md.
+//! target, as recorded in EXPERIMENTS.md. Snapshots are written to the
+//! repository root under the one schema of `tms_bench::snapshot`.
 
-use std::path::PathBuf;
+use std::time::{Duration, Instant};
 use tms_bench::calibrate::{
-    measure_engine_latency, measure_engine_latency_in_mode, measure_rule_latency, EngineMode,
+    measure_engine_latency, measure_rule_latency, store_with_thresholds, synthetic_trace,
+    EngineMode, WarmEngine, WarmStatement,
 };
+use tms_bench::dataplane::{sink_topology_secs, CountSpout, SinkBolt};
 use tms_bench::report::{format_num, print_series, print_table, ExperimentResult, Series};
+use tms_bench::snapshot::{
+    check, fold_trials, results_dir, timed_trials, trial_size, Bar, Row, Sample, Side, Size, Stat,
+};
 use tms_core::allocation::{allocate, round_robin, Grouping};
 use tms_core::latency::{EstimationModel, PolyModel};
 use tms_core::partitioning::RegionRate;
@@ -24,15 +33,105 @@ use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::system::SystemConfig;
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
 use tms_core::TrafficSystem;
-use tms_sim::{
-    simulate, ChaosSpec, KappaSpec, MonitorSpec, PartitioningApproach, ScaleoutSpec,
-    ScenarioBuilder, SimConfig,
-};
-use tms_storage::{DayType, RemoteDb, StatRecord, TableStore, ThresholdStore};
-use tms_traffic::{Attribute, FleetConfig, FleetGenerator};
+use tms_dsps::runtime::{BatchConfig, ReliabilityConfig, RuntimeConfig};
+use tms_dsps::{LineageConfig, MonitorConfig};
+use tms_sim::{light_chaos, simulate, PartitioningApproach, ScenarioBuilder, SimConfig};
+use tms_storage::RemoteDb;
+use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator};
 
-fn results_dir() -> PathBuf {
-    PathBuf::from("results")
+/// One `experiments -- <name>` subcommand.
+struct Experiment {
+    name: &'static str,
+    run: Run,
+}
+
+enum Run {
+    /// A table or figure of the paper, regenerated into `results/`;
+    /// `all` runs these.
+    Paper(fn()),
+    /// A committed `BENCH_<name>.json`: `experiments -- <name>` measures
+    /// it at `full` size and writes it.
+    Snapshot { measure: fn(Size) -> ExperimentResult, full: Size, guard: Option<Guard> },
+}
+
+/// What `guard <name>` holds a snapshot to: the acceptance bars written
+/// onto it, and the size of the live re-run the live-side bars judge.
+struct Guard {
+    smoke: Size,
+    bars: fn() -> Vec<Bar>,
+}
+
+/// The bars a snapshot must carry: its guard's, or none.
+fn bars_of(guard: &Option<Guard>) -> Vec<Bar> {
+    guard.as_ref().map_or(Vec::new(), |g| (g.bars)())
+}
+
+const fn paper(name: &'static str, figure: fn()) -> Experiment {
+    Experiment { name, run: Run::Paper(figure) }
+}
+
+const fn snapshot(
+    name: &'static str,
+    measure: fn(Size) -> ExperimentResult,
+    full: Size,
+    guard: Option<Guard>,
+) -> Experiment {
+    Experiment { name, run: Run::Snapshot { measure, full, guard } }
+}
+
+/// Every subcommand but `all` and `guard`; `main`, `guard` and the usage
+/// message all read this table. Full and smoke sizes are operations per
+/// trial (replay scenarios: live-stream tuples).
+const REGISTRY: &[Experiment] = &[
+    paper("table1", table1),
+    paper("table2", table2),
+    paper("table6", table6),
+    paper("fig9", fig9),
+    paper("fig10", fig10),
+    paper("fig11", fig11),
+    paper("fig12_13", fig12_13),
+    paper("fig14_15", fig14_15),
+    paper("fig16_17", fig16_17),
+    snapshot(
+        "cep_throughput",
+        cep_throughput,
+        Size::full(40_000),
+        Some(Guard { smoke: Size::smoke(20_000, 3), bars: cep_throughput_bars }),
+    ),
+    snapshot("dsps_throughput", dsps_throughput, Size::full(500_000), None),
+    snapshot(
+        "trace_overhead",
+        trace_overhead,
+        // The gated rows are differences of noisy rates, hence the rounds.
+        Size { trials: 15, ..Size::full(1_000_000) },
+        Some(Guard { smoke: Size::smoke(100_000, 5), bars: trace_overhead_bars }),
+    ),
+    snapshot(
+        "rebalance",
+        rebalance,
+        Size::full(REPLAY_TUPLES),
+        Some(Guard { smoke: Size::smoke(MORNING_TUPLES, 1), bars: rebalance_bars }),
+    ),
+    // The light chaos scenario's restart budget is sized for the morning stream.
+    snapshot("latency_drift", latency_drift, Size::full(MORNING_TUPLES), None),
+    snapshot("cep_profile", cep_profile, Size::full(REPLAY_TUPLES), None),
+    snapshot(
+        "staleness",
+        staleness,
+        Size::full(REPLAY_TUPLES),
+        Some(Guard { smoke: Size::smoke(MORNING_TUPLES, 1), bars: staleness_bars }),
+    ),
+    snapshot(
+        "scaleout",
+        scaleout,
+        Size::full(30_000),
+        Some(Guard { smoke: Size::smoke(4_000, 1), bars: scaleout_bars }),
+    ),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+    format!("expected one of: {} all guard (`guard <snapshot>|all`)", names.join(" "))
 }
 
 fn main() {
@@ -44,51 +143,114 @@ fn main() {
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
-    let t0 = std::time::Instant::now();
-    match which {
-        "table1" => table1(),
-        "table2" => table2(),
-        "table6" => table6(),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
-        "fig12_13" => fig12_13(),
-        "fig14_15" => fig14_15(),
-        "fig16_17" => fig16_17(),
-        "bench_snapshot" | "--bench-snapshot" => bench_snapshot(),
-        "bench_guard" => bench_guard(),
-        "lineage" => lineage(),
-        "lineage_guard" => lineage_guard(),
-        "rebalance" => rebalance(),
-        "rebalance_guard" => rebalance_guard(),
-        "drift" => drift(),
-        "profile" => profile(),
-        "staleness" => staleness(),
-        "staleness_guard" => staleness_guard(),
-        "scaleout" => scaleout(),
-        "scaleout_guard" => scaleout_guard(),
-        "all" => {
-            table1();
-            table2();
-            table6();
-            fig9();
-            fig10();
-            fig11();
-            fig12_13();
-            fig14_15();
-            fig16_17();
+    let t0 = Instant::now();
+    let ok = match which {
+        "all" => REGISTRY.iter().filter(|e| matches!(e.run, Run::Paper(_))).all(run),
+        "guard" => guard(args.get(1).map(String::as_str).unwrap_or("all")),
+        name => match REGISTRY.iter().find(|e| e.name == name) {
+            Some(e) => run(e),
+            None => {
+                eprintln!("unknown experiment {name:?}; {}", usage());
+                std::process::exit(2);
+            }
+        },
+    };
+    println!("\n(done in {:.1}s)", t0.elapsed().as_secs_f64());
+    if !ok {
+        std::process::exit(1);
+    }
+}
+
+/// Runs one experiment; a snapshot is measured at full size, written, and
+/// held to its own committed-side bars. False when a bar fails.
+fn run(e: &Experiment) -> bool {
+    match &e.run {
+        Run::Paper(figure) => {
+            figure();
+            true
         }
-        other => {
-            eprintln!(
-                "unknown experiment {other:?}; expected one of: table1 table2 table6 \
-                 fig9 fig10 fig11 fig12_13 fig14_15 fig16_17 bench_snapshot bench_guard \
-                 lineage lineage_guard rebalance rebalance_guard drift profile staleness \
-                 staleness_guard scaleout scaleout_guard all"
-            );
-            std::process::exit(2);
+        Run::Snapshot { measure, full, guard } => {
+            println!("\n== {} ==", e.name);
+            let mut result = measure(*full);
+            result.bars = bars_of(guard);
+            print_rows(&result);
+            match result.save_snapshot() {
+                Ok(path) => println!("(wrote {})", path.display()),
+                Err(err) => {
+                    eprintln!("{} FAILED: writing the snapshot: {err}", e.name);
+                    return false;
+                }
+            }
+            report(e.name, &check(&result, None))
         }
     }
-    println!("\n(done in {:.1}s; JSON in {:?})", t0.elapsed().as_secs_f64(), results_dir());
+}
+
+/// `guard <name>|all`: each named snapshot must parse under the schema
+/// and carry exactly the registry's bars; one with bars is then re-measured
+/// at its smoke size and every bar judged. False when anything fails.
+fn guard(which: &str) -> bool {
+    let mut matched = false;
+    let mut ok = true;
+    for e in REGISTRY {
+        let Run::Snapshot { measure, guard, .. } = &e.run else { continue };
+        if which != "all" && which != e.name {
+            continue;
+        }
+        matched = true;
+        println!("\n== guard {} ==", e.name);
+        let committed = match ExperimentResult::load_snapshot(e.name) {
+            Ok(committed) => committed,
+            Err(err) => {
+                eprintln!("guard {} FAILED: {err}", e.name);
+                ok = false;
+                continue;
+            }
+        };
+        if committed.bars != bars_of(guard) {
+            eprintln!("guard {} FAILED: the committed bars are not the registry's", e.name);
+            ok = false;
+        } else if let Some(g) = guard {
+            let live = measure(g.smoke);
+            print_rows(&live);
+            ok &= report(e.name, &check(&committed, Some(&live)));
+        } else {
+            println!("guard {} OK (parses under the schema; no bars)", e.name);
+        }
+    }
+    if !matched {
+        eprintln!("guard: {which:?} is not a snapshot; {}", usage());
+        std::process::exit(2);
+    }
+    ok
+}
+
+fn report(name: &str, verdicts: &[(bool, String)]) -> bool {
+    for (ok, line) in verdicts {
+        println!("  {} {line}", if *ok { "ok  " } else { "FAIL" });
+    }
+    let ok = verdicts.iter().all(|(ok, _)| *ok);
+    if ok {
+        println!("{name} OK");
+    } else {
+        eprintln!("{name} FAILED: a bar above does not hold");
+    }
+    ok
+}
+
+fn print_rows(result: &ExperimentResult) {
+    let rows: Vec<Vec<String>> = result
+        .rows
+        .iter()
+        .map(|r| {
+            let (value, spread) = match r.stat {
+                Stat::Median { median, mad } => (format_num(median), format!("±{}", format_num(mad))),
+                Stat::Worst(worst) => (format_num(worst), "worst".into()),
+            };
+            vec![r.key.clone(), value, spread, r.unit.clone(), r.n.to_string(), r.trials.to_string()]
+        })
+        .collect();
+    print_table(&result.title, &["row", "value", "mad", "unit", "n", "trials"], &rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,24 +462,7 @@ fn fig10() {
 
     // Statistics: `locations` areas × 48 cells, thresholds high enough
     // that rules rarely fire (the retrieval cost is what is measured).
-    let store = ThresholdStore::new(TableStore::new());
-    let mut records = Vec::new();
-    let names: Vec<String> = (0..locations).map(|i| format!("L{i}")).collect();
-    for name in &names {
-        for hour in 0..24u8 {
-            for day in [DayType::Weekday, DayType::Weekend] {
-                records.push(StatRecord {
-                    area_id: name.clone(),
-                    hour,
-                    day_type: day,
-                    mean: 1e9,
-                    stdv: 0.0,
-                    count: 100,
-                });
-            }
-        }
-    }
-    store.publish("delay", &records).expect("publishing thresholds");
+    let (store, names) = store_with_thresholds(locations * 48);
 
     let methods: Vec<(&str, RetrievalMethod)> = vec![
         ("Join With SQL", RetrievalMethod::JoinWithDatabase),
@@ -370,521 +515,261 @@ fn fig10() {
     result.save_json(&results_dir()).expect("writing results");
 }
 
-fn synthetic_trace(i: usize, location: &str) -> tms_traffic::EnrichedTrace {
-    tms_traffic::EnrichedTrace {
-        trace: tms_traffic::BusTrace {
-            timestamp_ms: 8 * tms_traffic::HOUR_MS + i as u64 * 50,
-            line_id: 1,
-            direction: true,
-            position: tms_geo::GeoPoint::new_unchecked(53.33, -6.26),
-            delay_s: (i % 400) as f64,
-            congestion: false,
-            reported_stop: None,
-            at_stop: false,
-            vehicle_id: 1,
-        },
-        speed_kmh: Some(20.0),
-        actual_delay_s: Some(1.0),
-        areas: vec![location.to_string()],
-        bus_stop: None,
+// ---------------------------------------------------------------------------
+// Snapshot helpers
+// ---------------------------------------------------------------------------
+
+/// Per-trial rates (operations per second) from per-trial seconds.
+fn rates(n: u64, secs: &[f64]) -> Vec<f64> {
+    secs.iter().map(|s| n as f64 / s).collect()
+}
+
+/// Element-wise `f` over two per-trial vectors: a derived row keeps the
+/// trial pairing, so its MAD is the spread of the derived quantity.
+fn paired(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+    a.iter().zip(b).map(|(&a, &b)| f(a, b)).collect()
+}
+
+/// The small fleet's 06:00–09:00 live stream: what a smoke replay runs.
+const MORNING_TUPLES: u64 = 21_600;
+
+/// Live-stream tuples a full-size replay scenario runs, so one trial
+/// lasts a second or more and samples tens of monitor windows.
+const REPLAY_TUPLES: u64 = 120_000;
+
+/// The small-fleet replay the live scenarios share: day 0 up to 09:00 as
+/// history, then the first `tuples` traces of day 1 as the live stream.
+struct Replay {
+    seeds: Vec<tms_geo::GeoPoint>,
+    history: Vec<BusTrace>,
+    live: Vec<BusTrace>,
+}
+
+impl Replay {
+    fn new(tuples: u64) -> Replay {
+        let day = |d| FleetGenerator::new(FleetConfig::small(17), d).expect("fleet config is valid");
+        let gen = day(0);
+        Replay {
+            seeds: gen.route_seed_points(),
+            history: gen.take_while(|t| t.timestamp_ms < 9 * tms_traffic::HOUR_MS).collect(),
+            live: day(1).take(tuples as usize).collect(),
+        }
+    }
+
+    fn bootstrap(&self, config: SystemConfig) -> TrafficSystem {
+        TrafficSystem::bootstrap(tms_geo::DUBLIN_BBOX, &self.seeds, &self.history, config)
+            .expect("bootstrap")
+    }
+}
+
+/// One Delay rule over the quadtree leaves and one over the bus stops.
+fn delay_rules(tag: &str) -> Vec<RuleSpec> {
+    [("leaves", LocationSelector::QuadtreeLeaves), ("stops", LocationSelector::BusStops)]
+        .into_iter()
+        .map(|(name, loc)| {
+            let mut r = RuleSpec::new(format!("{tag}-{name}"), Attribute::Delay, loc, 10);
+            r.s = 0.5;
+            r
+        })
+        .collect()
+}
+
+/// A monitor sampling every `window_ms` with end-to-end tracing on.
+fn traced_monitor(window_ms: u64, profiling: bool) -> MonitorConfig {
+    MonitorConfig {
+        window: Duration::from_millis(window_ms),
+        tracing: true,
+        profiling,
+        ..MonitorConfig::default()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Throughput snapshot (BENCH_cep_throughput.json)
+// cep_throughput
 // ---------------------------------------------------------------------------
 
-/// Headline engine throughput: one engine running ten Table 6 rules
-/// (the window grid cycled, threshold-stream retrieval) measured under
-/// all three evaluation modes, plus one incremental-eligible
-/// grouped-aggregate statement isolating the delta-maintenance win.
-/// `shared` runs the sharing planner (batch-installed rules collapse into
-/// one cluster served from shared accumulator banks and the keyed
-/// threshold index); `incremental` and `rescan` run each rule privately,
-/// bracketing the pre-sharing mode switch's effect. Results land in
-/// `BENCH_cep_throughput.json` at the repository root.
-fn bench_snapshot() {
-    println!("\n== Bench snapshot: engine throughput (events/sec) ==");
+/// One engine running ten Table 6 rules (the window grid cycled,
+/// threshold-stream retrieval) under all three evaluation modes, plus one
+/// incremental-eligible grouped-aggregate statement isolating the
+/// delta-maintenance win. `shared` runs the sharing planner
+/// (batch-installed rules collapse into one cluster served from shared
+/// accumulator banks and the keyed threshold index); `incremental` and
+/// `rescan` run each rule privately.
+fn cep_throughput(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "cep_throughput",
+        "one engine, 10 Table-6 rules (windows 1/10/100/1000 cycled), 480 thresholds, \
+         threshold-stream retrieval; single = one grouped avg+stddev win:length(100) statement",
+    );
     let windows: Vec<usize> = (0..10).map(|i| [1usize, 10, 100, 1000][i % 4]).collect();
-    let t = 480;
-    let tuples = 2_000;
-    let mut headline = Vec::new();
-    for (name, mode) in [
-        ("shared", EngineMode::Shared),
-        ("incremental", EngineMode::Incremental),
-        ("rescan", EngineMode::Rescan),
-    ] {
-        let ms = measure_engine_latency_in_mode(&windows, t, tuples, mode);
-        let eps = 1000.0 / ms;
-        println!(
-            "  10 Table-6 rules, {name:>11}: {} events/s ({} ms/tuple)",
-            format_num(eps),
-            format_num(ms)
-        );
-        headline.push((ms, eps));
+    // The private modes cost ~200x the shared one per tuple, and no live
+    // bar reads them.
+    let modes = [
+        ("shared", EngineMode::Shared, 1),
+        ("incremental", EngineMode::Incremental, 100),
+        ("rescan", EngineMode::Rescan, 100),
+    ];
+    let mut eps = Vec::new();
+    for (name, mode, slowdown) in &modes[..if size.full { 3 } else { 1 }] {
+        let mut engine = WarmEngine::new(&windows, 480, *mode);
+        let (n, secs) = timed_trials(size, size.n / slowdown, |n| engine.run(n as usize));
+        let ms: Vec<f64> = secs.iter().map(|s| s * 1000.0 / n as f64).collect();
+        result.rows.push(Row::timed(format!("{name}.ms_per_tuple"), "ms", n, &ms));
+        let per_sec = rates(n, &secs);
+        result.rows.push(Row::timed(format!("{name}.events_per_sec"), "1/s", n, &per_sec));
+        eps.push((n, per_sec));
     }
-    let sharing_speedup = headline[0].1 / headline[1].1;
-    println!("  sharing speedup over incremental: {:.1}x", sharing_speedup);
-    let single_inc = single_statement_events_per_sec(true);
-    let single_scan = single_statement_events_per_sec(false);
-    println!(
-        "  grouped avg+stddev win:length(100): incremental {} events/s, \
-         rescan {} events/s ({:.1}x)",
-        format_num(single_inc),
-        format_num(single_scan),
-        single_inc / single_scan
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"cep_engine_throughput\",\n  \
-         \"workload\": \"one engine, 10 Table-6 rules (windows 1/10/100/1000 cycled), \
-         480 thresholds, threshold-stream retrieval\",\n  \
-         \"tuples_measured\": {tuples},\n  \
-         \"ten_table6_rules\": {{\n    \
-         \"shared\": {{ \"ms_per_tuple\": {:.6}, \"events_per_sec\": {:.1} }},\n    \
-         \"incremental\": {{ \"ms_per_tuple\": {:.6}, \"events_per_sec\": {:.1} }},\n    \
-         \"rescan\": {{ \"ms_per_tuple\": {:.6}, \"events_per_sec\": {:.1} }}\n  }},\n  \
-         \"sharing_speedup_over_incremental\": {:.2},\n  \
-         \"single_grouped_avg_stddev_len100\": {{\n    \
-         \"incremental_events_per_sec\": {:.1},\n    \
-         \"rescan_events_per_sec\": {:.1},\n    \
-         \"speedup\": {:.2}\n  }}\n}}\n",
-        headline[0].0, headline[0].1, headline[1].0, headline[1].1,
-        headline[2].0, headline[2].1, sharing_speedup,
-        single_inc, single_scan, single_inc / single_scan,
-    );
-    std::fs::write("BENCH_cep_throughput.json", json)
-        .expect("writing BENCH_cep_throughput.json");
-    println!("(wrote BENCH_cep_throughput.json)");
-    dsps_snapshot();
+    if size.full {
+        let speedup = paired(&eps[0].1, &eps[1].1, |shared, inc| shared / inc);
+        result.rows.push(Row::timed("sharing_speedup_over_incremental", "ratio", eps[0].0, &speedup));
+        let mut single = Vec::new();
+        for (name, incremental, slowdown) in [("incremental", true, 1), ("rescan", false, 20)] {
+            let mut statement = WarmStatement::new(incremental);
+            let (n, secs) =
+                timed_trials(size, size.n * 25 / slowdown, |n| statement.run(n as usize));
+            let per_sec = rates(n, &secs);
+            let key = format!("single.{name}.events_per_sec");
+            result.rows.push(Row::timed(key, "1/s", n, &per_sec));
+            single.push((n, per_sec));
+        }
+        let speedup = paired(&single[0].1, &single[1].1, |inc, scan| inc / scan);
+        result.rows.push(Row::timed("single.speedup", "ratio", single[0].0, &speedup));
+    }
+    result
 }
 
-/// `bench_guard`: smoke-mode regression guard for the shared evaluation
-/// path. Re-measures the 10-rule Table 6 workload in Shared mode with a
-/// reduced tuple budget and exits non-zero if ms/tuple regresses more
-/// than 2x over the committed snapshot's shared entry.
-fn bench_guard() {
-    println!("\n== Bench guard: shared-mode smoke check ==");
-    let committed = std::fs::read_to_string("BENCH_cep_throughput.json")
-        .expect("reading committed BENCH_cep_throughput.json");
-    let baseline = extract_shared_ms(&committed)
-        .expect("committed snapshot carries ten_table6_rules.shared.ms_per_tuple");
-    let windows: Vec<usize> = (0..10).map(|i| [1usize, 10, 100, 1000][i % 4]).collect();
-    let ms = measure_engine_latency_in_mode(&windows, 480, 500, EngineMode::Shared);
-    println!(
-        "  shared mode: measured {} ms/tuple vs committed {} ms/tuple (limit 2x)",
-        format_num(ms),
-        format_num(baseline)
-    );
-    if ms > baseline * 2.0 {
-        eprintln!(
-            "bench_guard FAILED: shared-mode ms/tuple ({ms:.6}) is more than 2x the \
-             committed snapshot ({baseline:.6})"
-        );
-        std::process::exit(1);
-    }
-    println!("bench_guard OK");
-}
-
-/// Pulls `ten_table6_rules.shared.ms_per_tuple` out of the committed
-/// snapshot without a JSON dependency (the file is machine-written by
-/// `bench_snapshot`, so shape drift shows up here as a hard failure).
-fn extract_shared_ms(json: &str) -> Option<f64> {
-    let shared = json.split("\"shared\"").nth(1)?;
-    let val = shared.split("\"ms_per_tuple\":").nth(1)?;
-    let end = val.find([',', '}'])?;
-    val[..end].trim().parse().ok()
+/// The shared path must stay within 2x of the committed ms/tuple.
+fn cep_throughput_bars() -> Vec<Bar> {
+    vec![Bar::max("shared.ms_per_tuple", 2.0, Side::LiveOverCommitted)]
 }
 
 // ---------------------------------------------------------------------------
-// Data-plane throughput snapshot (BENCH_dsps_throughput.json)
+// dsps_throughput
 // ---------------------------------------------------------------------------
 
 /// Source tuples/second through a 1-spout → 4-sink topology, one row per
 /// grouping × delivery mode × reliability setting. The all-grouping rows
 /// are the headline: broadcast amplifies every emission 4×, so per-edge
-/// buffering and `Arc`-shared fan-out pay off most there. Best-of-three
-/// wall-clock runs; results land in `BENCH_dsps_throughput.json` at the
-/// repository root.
-fn dsps_snapshot() {
-    use std::time::Duration;
-    use tms_dsps::runtime::{BatchConfig, LocalCluster, ReliabilityConfig, RuntimeConfig};
-    use tms_dsps::scheduler::ClusterSpec;
-    use tms_dsps::topology::{Parallelism, TopologyBuilder};
-    use tms_dsps::{Bolt, Emitter, Grouping, Spout};
-
-    const TUPLES: u64 = 20_000;
-
-    #[derive(Clone)]
-    struct Msg {
-        key: u64,
-        value: u64,
-    }
-    struct RangeSpout {
-        next: u64,
-        end: u64,
-    }
-    impl Spout<Msg> for RangeSpout {
-        fn next(&mut self) -> Option<Msg> {
-            if self.next >= self.end {
-                return None;
-            }
-            let v = self.next;
-            self.next += 1;
-            Some(Msg { key: v % 13, value: v })
-        }
-    }
-    struct NullSink;
-    impl Bolt<Msg> for NullSink {
-        fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
-            std::hint::black_box(msg.value);
-        }
-    }
-
-    let grouping = |name: &str| -> Grouping<Msg> {
-        match name {
-            "shuffle" => Grouping::Shuffle,
-            "fields" => Grouping::fields_hashed(|m: &Msg| m.key),
-            "all" => Grouping::All,
-            other => unreachable!("unknown grouping {other}"),
-        }
-    };
-    let run = |g: &str, reliable: bool, batch: Option<BatchConfig>| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = TopologyBuilder::new("bench")
-                .add_spout("src", Parallelism::of(1), |_| {
-                    Box::new(RangeSpout { next: 0, end: TUPLES })
-                })
-                .add_bolt("sink", Parallelism::of(4), vec![("src", grouping(g))], |_| {
-                    Box::new(NullSink)
-                })
-                .build()
-                .unwrap();
-            let cluster = LocalCluster::new(ClusterSpec {
-                nodes: 2,
-                slots_per_node: 2,
-                cores_per_node: 4,
-            })
-            .unwrap();
-            let cfg = RuntimeConfig {
-                batch,
-                reliability: reliable.then(ReliabilityConfig::default),
-                ..RuntimeConfig::default()
-            };
-            let t0 = std::time::Instant::now();
-            cluster.submit(t, cfg).unwrap().join().unwrap();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        TUPLES as f64 / best
-    };
-
-    println!("\n== Bench snapshot: data-plane throughput (source tuples/sec) ==");
+/// buffering and `Arc`-shared fan-out pay off most there.
+fn dsps_throughput(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "dsps_throughput",
+        "1 spout task -> 4 sink tasks; batched = max_batch 128 / max_linger 1ms",
+    );
     let batch = BatchConfig { max_batch: 128, max_linger: Duration::from_millis(1) };
-    let mut rows = String::new();
-    let mut all_speedup = 0.0;
     for g in ["shuffle", "fields", "all"] {
-        for (rel_name, reliable) in [("at_most_once", false), ("at_least_once", true)] {
-            let per_tuple = run(g, reliable, None);
-            let batched = run(g, reliable, Some(batch));
-            let speedup = batched / per_tuple;
-            if g == "all" && !reliable {
-                all_speedup = speedup;
+        for (rel, reliability) in
+            [("at_most_once", None), ("at_least_once", Some(ReliabilityConfig::default()))]
+        {
+            let mut arms = Vec::new();
+            for (arm, batch) in [("per_tuple", None), ("batched", Some(batch))] {
+                let cfg = RuntimeConfig { batch, reliability, ..RuntimeConfig::default() };
+                let (n, secs) =
+                    timed_trials(size, size.n, |n| sink_topology_secs(n, g, cfg.clone()));
+                let per_sec = rates(n, &secs);
+                let key = format!("{g}.{rel}.{arm}.tuples_per_sec");
+                result.rows.push(Row::timed(key, "1/s", n, &per_sec));
+                arms.push((n, per_sec));
             }
-            println!(
-                "  {g:>7}/{rel_name:<13} per_tuple {:>9} t/s, batched {:>9} t/s ({speedup:.2}x)",
-                format_num(per_tuple),
-                format_num(batched)
-            );
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{ \"grouping\": \"{g}\", \"reliability\": \"{rel_name}\", \
-                 \"per_tuple_tuples_per_sec\": {per_tuple:.1}, \
-                 \"batched_tuples_per_sec\": {batched:.1}, \"speedup\": {speedup:.2} }}"
-            ));
+            let speedup = paired(&arms[1].1, &arms[0].1, |batched, per_tuple| batched / per_tuple);
+            let key = format!("{g}.{rel}.batched_speedup");
+            result.rows.push(Row::timed(key, "ratio", arms[1].0, &speedup));
         }
     }
-    let json = format!(
-        "{{\n  \"benchmark\": \"dsps_data_plane_throughput\",\n  \
-         \"workload\": \"1 spout task -> 4 sink tasks, {TUPLES} source tuples, \
-         best of 3 runs; batched = max_batch 128 / max_linger 1ms\",\n  \
-         \"rows\": [\n{rows}\n  ],\n  \
-         \"all_grouping_at_most_once_speedup\": {all_speedup:.2}\n}}\n"
-    );
-    std::fs::write("BENCH_dsps_throughput.json", json)
-        .expect("writing BENCH_dsps_throughput.json");
-    println!("(wrote BENCH_dsps_throughput.json)");
+    result
 }
 
 // ---------------------------------------------------------------------------
-// Lineage tracing overhead snapshot (BENCH_trace_overhead.json)
+// trace_overhead
 // ---------------------------------------------------------------------------
 
-/// Source tuples/second through the `dsps_snapshot` shuffle workload with
-/// the monitor off entirely (the PR-8-era configuration), or on with
-/// lineage tracing off, sampled at `sample_rate`, or capturing every tree.
-fn lineage_run(
-    tuples: u64,
-    monitor: bool,
-    lineage: Option<tms_dsps::LineageConfig>,
-    runs: usize,
-) -> f64 {
-    use std::time::Duration;
-    use tms_dsps::runtime::{LocalCluster, RuntimeConfig};
-    use tms_dsps::scheduler::ClusterSpec;
-    use tms_dsps::topology::{Parallelism, TopologyBuilder};
-    use tms_dsps::{Bolt, Emitter, Grouping as DspsGrouping, MonitorConfig, Spout};
-
-    #[derive(Clone)]
-    struct Msg {
-        value: u64,
-    }
-    struct RangeSpout {
-        next: u64,
-        end: u64,
-    }
-    impl Spout<Msg> for RangeSpout {
-        fn next(&mut self) -> Option<Msg> {
-            if self.next >= self.end {
-                return None;
-            }
-            let v = self.next;
-            self.next += 1;
-            Some(Msg { value: v })
-        }
-    }
-    struct NullSink;
-    impl Bolt<Msg> for NullSink {
-        fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
-            std::hint::black_box(msg.value);
-        }
-    }
-
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t = TopologyBuilder::new("lineage-bench")
-            .add_spout("src", Parallelism::of(1), move |_| {
-                Box::new(RangeSpout { next: 0, end: tuples })
-            })
-            .add_bolt("sink", Parallelism::of(4), vec![("src", DspsGrouping::Shuffle)], |_| {
-                Box::new(NullSink)
-            })
-            .build()
-            .unwrap();
-        let cluster = LocalCluster::new(ClusterSpec {
-            nodes: 2,
-            slots_per_node: 2,
-            cores_per_node: 4,
+/// The tuple-lineage tracing tax on the `dsps_throughput` shuffle
+/// workload. Four modes: the monitor off entirely (the exact pre-lineage
+/// configuration — the baseline), the monitor on with lineage off (must
+/// sit within noise of the baseline: the feature is free unless enabled),
+/// the default 1% sample, and sample-everything.
+fn trace_overhead(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "trace_overhead",
+        "1 spout task -> 4 sink tasks, shuffle, at-most-once, modes interleaved per trial; \
+         baseline = monitor off, other modes run the monitor thread",
+    );
+    let monitor = |lineage| {
+        Some(MonitorConfig {
+            // A window far longer than the run: the monitor thread is
+            // alive (draining span rings) but never samples mid-run.
+            window: Duration::from_secs(3600),
+            lineage,
+            ..MonitorConfig::default()
         })
-        .unwrap();
-        let cfg = RuntimeConfig {
-            monitor: monitor.then(|| MonitorConfig {
-                // A window far longer than the run: the monitor thread is
-                // alive (draining span rings) but never samples mid-run.
-                window: Duration::from_secs(3600),
-                lineage,
-                ..MonitorConfig::default()
-            }),
-            ..RuntimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        cluster.submit(t, cfg).unwrap().join().unwrap();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    tuples as f64 / best
-}
-
-/// `lineage`: measures the tuple-lineage tracing tax on the data plane and
-/// writes `BENCH_trace_overhead.json`. Four modes over the same workload:
-/// the monitor off entirely (the exact pre-lineage configuration — the
-/// baseline), the monitor on with lineage off (must sit within noise of
-/// the baseline: the feature is free unless enabled), the default 1%
-/// sample, and sample-everything.
-fn lineage() {
-    use tms_dsps::LineageConfig;
-    // Large enough that the monitor thread's shutdown quantum (≤20 ms) is
-    // amortized into noise: the lineage-off run takes over half a second.
-    const TUPLES: u64 = 1_000_000;
-
-    println!("\n== Bench snapshot: lineage tracing overhead (source tuples/sec) ==");
-    // Interleave the modes round-robin and keep each mode's best round:
-    // scheduler noise (this often runs on a heavily shared box) then hits
-    // every mode alike instead of biasing whichever ran during a spike.
-    let (mut bare, mut off, mut sampled, mut full) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for _ in 0..5 {
-        bare = bare.max(lineage_run(TUPLES, false, None, 1));
-        off = off.max(lineage_run(TUPLES, true, None, 1));
-        sampled = sampled.max(lineage_run(TUPLES, true, Some(LineageConfig::default()), 1));
-        full = full.max(lineage_run(
-            TUPLES,
-            true,
-            // Big rings: sample-everything at full throughput outruns the
-            // monitor's drain cadence with the default 4096 slots.
-            Some(LineageConfig { ring_capacity: 1 << 16, ..LineageConfig::full() }),
-            1,
-        ));
-    }
-    let overhead = |with: f64| (off / with - 1.0) * 100.0;
-    let (sampled_pct, full_pct) = (overhead(sampled), overhead(full));
-    let off_vs_baseline = (off / bare - 1.0) * 100.0;
-    println!("  no monitor        : {:>9} t/s (pre-lineage baseline)", format_num(bare));
-    println!("  lineage off       : {:>9} t/s ({off_vs_baseline:+.1}% vs baseline)", format_num(off));
-    println!("  sampled (1%)      : {:>9} t/s ({sampled_pct:+.1}% overhead)", format_num(sampled));
-    println!("  full (100%)       : {:>9} t/s ({full_pct:+.1}% overhead)", format_num(full));
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"dsps_trace_overhead\",\n  \
-         \"workload\": \"1 spout task -> 4 sink tasks, shuffle, at-most-once, {TUPLES} source \
-         tuples, best of 5 interleaved rounds; baseline = monitor off, other modes run the \
-         monitor thread\",\n  \
-         \"baseline_tuples_per_sec\": {bare:.1},\n  \
-         \"off_tuples_per_sec\": {off:.1},\n  \
-         \"sampled_1pct_tuples_per_sec\": {sampled:.1},\n  \
-         \"full_tuples_per_sec\": {full:.1},\n  \
-         \"off_vs_baseline_pct\": {off_vs_baseline:.1},\n  \
-         \"sampled_overhead_pct\": {sampled_pct:.1},\n  \
-         \"full_overhead_pct\": {full_pct:.1}\n}}\n"
-    );
-    std::fs::write("BENCH_trace_overhead.json", json)
-        .expect("writing BENCH_trace_overhead.json");
-    println!("(wrote BENCH_trace_overhead.json)");
-}
-
-/// `lineage_guard`: CI gate over the committed lineage-overhead snapshot
-/// plus a reduced live smoke run. Fails (exit 1) if the committed numbers
-/// claim more than a 10% sampled tax or a lineage-off data plane outside
-/// noise of the pre-lineage baseline, or if a live re-measure shows the
-/// default sample rate costing more than half the lineage-off throughput.
-fn lineage_guard() {
-    use tms_dsps::LineageConfig;
-    println!("\n== Bench guard: lineage overhead check ==");
-    let committed = std::fs::read_to_string("BENCH_trace_overhead.json")
-        .expect("reading committed BENCH_trace_overhead.json");
-    let committed_off = extract_json_number(&committed, "off_tuples_per_sec")
-        .expect("committed snapshot carries off_tuples_per_sec");
-    let committed_sampled_pct = extract_json_number(&committed, "sampled_overhead_pct")
-        .expect("committed snapshot carries sampled_overhead_pct");
-    if committed_sampled_pct > 10.0 {
-        eprintln!(
-            "lineage_guard FAILED: committed sampled overhead {committed_sampled_pct:.1}% \
-             exceeds the 10% budget"
-        );
-        std::process::exit(1);
-    }
-    if let Some(delta) = extract_json_number(&committed, "off_vs_baseline_pct") {
-        if delta.abs() > 10.0 {
-            eprintln!(
-                "lineage_guard FAILED: committed lineage-off throughput is {delta:+.1}% off \
-                 the pre-lineage baseline (|noise| budget 10%)"
-            );
-            std::process::exit(1);
+    };
+    let modes = [
+        ("off", monitor(None)),
+        ("sampled", monitor(Some(LineageConfig::default()))),
+        ("baseline", None),
+        // Big rings: sample-everything at full throughput outruns the
+        // monitor's drain cadence with the default 4096 slots.
+        ("full", monitor(Some(LineageConfig { ring_capacity: 1 << 16, ..LineageConfig::full() }))),
+    ];
+    // No live bar reads the baseline or sample-everything.
+    let modes = &modes[..if size.full { 4 } else { 2 }];
+    let run = |n, monitor| {
+        sink_topology_secs(n, "shuffle", RuntimeConfig { monitor, ..RuntimeConfig::default() })
+    };
+    let n = trial_size(size, size.n, |n| run(n, modes[0].1));
+    // Interleave the modes round-robin: scheduler noise (this often runs
+    // on a heavily shared box) then hits every mode alike instead of
+    // biasing whichever ran during a spike.
+    let mut tps = vec![Vec::new(); modes.len()];
+    for _ in 0..size.trials {
+        for (i, (_, monitor)) in modes.iter().enumerate() {
+            tps[i].push(n as f64 / run(n, *monitor));
         }
     }
-
-    // Live smoke with a reduced budget: catch a hot-path regression that
-    // makes the default sample rate expensive, with generous slack for CI.
-    let off = lineage_run(100_000, true, None, 2);
-    let sampled = lineage_run(100_000, true, Some(LineageConfig::default()), 2);
-    println!(
-        "  live smoke: off {} t/s, sampled {} t/s (committed off {} t/s)",
-        format_num(off),
-        format_num(sampled),
-        format_num(committed_off)
-    );
-    if sampled < off * 0.5 {
-        eprintln!(
-            "lineage_guard FAILED: live sampled throughput ({sampled:.0} t/s) is less than \
-             half the live lineage-off throughput ({off:.0} t/s)"
-        );
-        std::process::exit(1);
+    for ((name, _), tps) in modes.iter().zip(&tps) {
+        result.rows.push(Row::timed(format!("{name}.tuples_per_sec"), "1/s", n, tps));
     }
-    if off * 2.0 < committed_off {
-        eprintln!(
-            "lineage_guard FAILED: live lineage-off throughput ({off:.0} t/s) regressed more \
-             than 2x against the committed snapshot ({committed_off:.0} t/s)"
-        );
-        std::process::exit(1);
+    let overhead_pct = |with: &[f64]| paired(&tps[0], with, |off, with| (off / with - 1.0) * 100.0);
+    result.rows.push(Row::timed("sampled.overhead_pct", "%", n, &overhead_pct(&tps[1])));
+    let sampled_over_off = paired(&tps[1], &tps[0], |sampled, off| sampled / off);
+    result.rows.push(Row::timed("sampled_over_off", "ratio", n, &sampled_over_off));
+    if size.full {
+        result.rows.push(Row::timed("full.overhead_pct", "%", n, &overhead_pct(&tps[3])));
+        let off_vs_baseline = paired(&tps[0], &tps[2], |off, bare| (off / bare - 1.0) * 100.0);
+        result.rows.push(Row::timed("off_vs_baseline_pct", "%", n, &off_vs_baseline));
     }
-    println!("lineage_guard OK");
+    result
 }
 
-/// Events/sec through a bare CEP engine running one grouped avg+stddev
-/// statement over `win:length(100)` — the statement shape the incremental
-/// path accelerates.
-fn single_statement_events_per_sec(incremental: bool) -> f64 {
-    let mut engine = tms_cep::Engine::new();
-    engine
-        .register_type(
-            tms_cep::EventType::with_fields(
-                "bus",
-                &[
-                    ("location", tms_cep::FieldType::Str),
-                    ("delay", tms_cep::FieldType::Float),
-                ],
-            )
-            .expect("bus type is valid"),
-        )
-        .expect("registering bus type");
-    engine.set_incremental_enabled(incremental).expect("selecting evaluation mode");
-    engine
-        .create_statement(
-            "SELECT w.location AS loc, avg(w.delay) AS m, stddev(w.delay) AS sd \
-             FROM bus.win:length(100) AS w GROUP BY w.location",
-            Box::new(|_, _| {}),
-        )
-        .expect("creating benchmark statement");
-    let locations: Vec<String> = (0..10).map(|i| format!("L{i}")).collect();
-    let send = |engine: &mut tms_cep::Engine, i: usize| {
-        let ev = engine
-            .make_event(
-                "bus",
-                i as u64 * 50,
-                &[
-                    ("location", locations[i % locations.len()].as_str().into()),
-                    ("delay", ((i % 300) as f64).into()),
-                ],
-            )
-            .expect("benchmark event");
-        engine.send_event(ev).expect("benchmark event accepted");
-    };
-    // Fill the window so evictions flow from the first measured sample.
-    let warmup = 1_500;
-    for i in 0..warmup {
-        send(&mut engine, i);
-    }
-    let n = 30_000;
-    let start = std::time::Instant::now();
-    for i in 0..n {
-        send(&mut engine, warmup + i);
-    }
-    n as f64 / start.elapsed().as_secs_f64()
+/// The committed numbers must show a <=10% tax for the default sample and
+/// a lineage-off data plane within 10% of the monitor-off baseline; live,
+/// the sampled hot path must stay above half the lineage-off throughput
+/// and lineage-off above half its committed throughput.
+fn trace_overhead_bars() -> Vec<Bar> {
+    vec![
+        Bar::max("sampled.overhead_pct", 10.0, Side::Committed),
+        Bar::max("off_vs_baseline_pct", 10.0, Side::Committed),
+        Bar::min("off_vs_baseline_pct", -10.0, Side::Committed),
+        Bar::min("sampled_over_off", 0.5, Side::Live),
+        Bar::min("off.tuples_per_sec", 0.5, Side::LiveOverCommitted),
+    ]
 }
 
 // ---------------------------------------------------------------------------
-// Elastic rebalance acceptance (BENCH_rebalance.json)
+// rebalance
 // ---------------------------------------------------------------------------
 
-/// One elastic hotspot run's headline numbers.
-struct RebalanceOutcome {
-    stats: tms_dsps::MigrationStats,
-    /// Theoretical imbalance the hotspot induces under the start-up table.
-    pre_imbalance: f64,
-    bound: f64,
-    detections: usize,
-}
+/// Post-rebalance imbalance the elastic acceptance scenario plans under.
+const IMBALANCE_BOUND: f64 = 1.5;
 
 /// The elastic acceptance scenario: a start-up plan balanced against a
 /// uniform history, then a live stream concentrating 80% of the traffic
 /// on regions the plan routed to engine 0. The rebalancer must migrate
 /// partitions between the two live engines and plan the load back under
-/// `bound` (see `crates/dsps/tests/elastic.rs` for the test twin).
-fn hotspot_rebalance_run(bound: f64) -> RebalanceOutcome {
+/// [`IMBALANCE_BOUND`] (see `crates/dsps/tests/elastic.rs` for the test
+/// twin). One trial's samples.
+fn hotspot_rebalance_run(replay: &Replay) -> Vec<Sample> {
     use tms_core::topology::TopologyParallelism;
-    let gen = FleetGenerator::new(FleetConfig::small(17), 0).expect("fleet config is valid");
-    let seeds = gen.route_seed_points();
-    let history: Vec<tms_traffic::BusTrace> =
-        gen.take_while(|t| t.timestamp_ms < 9 * tms_traffic::HOUR_MS).collect();
     let config = SystemConfig {
         parallelism: TopologyParallelism {
             spout_tasks: 1,
@@ -895,20 +780,19 @@ fn hotspot_rebalance_run(bound: f64) -> RebalanceOutcome {
         },
         elastic: Some(tms_core::ElasticConfig {
             // A tight cadence relative to the replay speed: the stream
-            // drains in a few hundred ms under the release build, and
+            // drains in about a second under the release build, and
             // convergence is only recorded by a post-migration cycle that
             // still sees live traffic.
-            imbalance_bound: bound,
-            check_interval: std::time::Duration::from_millis(15),
-            cooldown: std::time::Duration::from_millis(45),
-            drain_timeout: std::time::Duration::from_secs(2),
+            imbalance_bound: IMBALANCE_BOUND,
+            check_interval: Duration::from_millis(15),
+            cooldown: Duration::from_millis(45),
+            drain_timeout: Duration::from_secs(2),
             max_moves_per_cycle: 8,
             min_observed: 100,
         }),
         ..SystemConfig::default()
     };
-    let sys = TrafficSystem::bootstrap(tms_geo::DUBLIN_BBOX, &seeds, &history, config)
-        .expect("bootstrap");
+    let sys = replay.bootstrap(config);
     let mut rule = RuleSpec::new(
         "rebalance-leaves",
         Attribute::Delay,
@@ -961,11 +845,11 @@ fn hotspot_rebalance_run(bound: f64) -> RebalanceOutcome {
     .imbalance();
 
     let slots = targets.len() + 1; // the extra slot keeps the original position
-    let live: Vec<tms_traffic::BusTrace> = FleetGenerator::new(FleetConfig::small(17), 1)
-        .expect("fleet config is valid")
-        .take_while(|t| t.timestamp_ms < tms_traffic::DAY_MS + 9 * tms_traffic::HOUR_MS)
+    let live: Vec<BusTrace> = replay
+        .live
+        .iter()
         .enumerate()
-        .map(|(i, mut t)| {
+        .map(|(i, &(mut t))| {
             let slot = spec.pick(i, slots);
             if slot < targets.len() {
                 t.position = targets[slot];
@@ -973,406 +857,182 @@ fn hotspot_rebalance_run(bound: f64) -> RebalanceOutcome {
             t
         })
         .collect();
+    let n = live.len() as u64;
+    let t0 = Instant::now();
     let report = sys.run(live, &plan, None).expect("elastic run");
-    RebalanceOutcome {
-        stats: report.elastic.expect("elastic runs report migration stats"),
-        pre_imbalance,
-        bound,
-        detections: report.detections.len(),
-    }
-}
-
-/// `rebalance`: the elastic acceptance run, written to
-/// `BENCH_rebalance.json` at the repository root. Exits non-zero when no
-/// migration completes or the re-planned imbalance stays above the bound.
-fn rebalance() {
-    println!("\n== Rebalance: elastic hotspot acceptance ==");
-    let out = hotspot_rebalance_run(1.5);
-    let s = &out.stats;
-    let cycles = s
-        .cycles_to_converge
-        .map(|c| c.to_string())
-        .unwrap_or_else(|| "null".into());
-    print_table(
-        "Elastic rebalance outcome",
-        &["metric", "value"],
-        &[
-            vec!["rebalance decisions".into(), s.decisions.to_string()],
-            vec!["migrations completed".into(), s.completed.to_string()],
-            vec!["migrations aborted".into(), s.aborted.to_string()],
-            vec!["pause last (ms)".into(), format_num(s.last_pause_ms)],
-            vec!["pause max (ms)".into(), format_num(s.max_pause_ms)],
-            vec!["pre imbalance (theoretical)".into(), format_num(out.pre_imbalance)],
-            vec!["post imbalance (planned)".into(), format_num(s.post_imbalance)],
-            vec!["observed imbalance (final)".into(), format_num(s.observed_imbalance)],
-            vec!["cycles to converge".into(), cycles.clone()],
-            vec!["detections".into(), out.detections.to_string()],
-        ],
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"elastic_rebalance\",\n  \
-         \"workload\": \"small fleet, 1 QuadtreeLeaves rule on 2 engines, 80% of the live \
-         stream on up to 4 engine-0 regions; rebalancer at 15ms cadence\",\n  \
-         \"imbalance_bound\": {:.2},\n  \
-         \"pre_imbalance\": {:.4},\n  \
-         \"post_imbalance\": {:.4},\n  \
-         \"observed_imbalance\": {:.4},\n  \
-         \"rebalance_decisions\": {},\n  \
-         \"migrations_completed\": {},\n  \
-         \"migrations_aborted\": {},\n  \
-         \"pause_last_ms\": {:.3},\n  \
-         \"pause_max_ms\": {:.3},\n  \
-         \"windows_to_convergence\": {cycles}\n}}\n",
-        out.bound,
-        out.pre_imbalance,
-        s.post_imbalance,
-        s.observed_imbalance,
-        s.decisions,
-        s.completed,
-        s.aborted,
-        s.last_pause_ms,
-        s.max_pause_ms,
-    );
-    std::fs::write("BENCH_rebalance.json", json).expect("writing BENCH_rebalance.json");
-    println!("(wrote BENCH_rebalance.json)");
-    if s.completed == 0 {
-        eprintln!("rebalance FAILED: no migration completed");
-        std::process::exit(1);
-    }
-    if s.post_imbalance.is_nan() || s.post_imbalance > out.bound {
-        eprintln!(
-            "rebalance FAILED: post imbalance {:.4} above the bound {:.2}",
-            s.post_imbalance, out.bound
-        );
-        std::process::exit(1);
-    }
-    println!("rebalance OK");
-}
-
-/// `rebalance_guard`: regression guard over the committed
-/// `BENCH_rebalance.json`, then a live re-run of the acceptance scenario.
-/// Fails when the committed snapshot records no migration or an
-/// over-bound post imbalance, or when the re-run does.
-fn rebalance_guard() {
-    println!("\n== Rebalance guard: elastic acceptance check ==");
-    let committed = std::fs::read_to_string("BENCH_rebalance.json")
-        .expect("reading committed BENCH_rebalance.json");
-    let bound = extract_json_number(&committed, "imbalance_bound")
-        .expect("committed snapshot carries imbalance_bound");
-    let post = extract_json_number(&committed, "post_imbalance")
-        .expect("committed snapshot carries post_imbalance");
-    let completed = extract_json_number(&committed, "migrations_completed")
-        .expect("committed snapshot carries migrations_completed");
-    println!(
-        "  committed: {completed} migrations, post imbalance {} (bound {})",
-        format_num(post),
-        format_num(bound)
-    );
-    if completed < 1.0 || post.is_nan() || post > bound {
-        eprintln!("rebalance_guard FAILED: committed snapshot violates the acceptance bar");
-        std::process::exit(1);
-    }
-    let out = hotspot_rebalance_run(bound);
-    println!(
-        "  re-run: {} migrations, post imbalance {} (bound {})",
-        out.stats.completed,
-        format_num(out.stats.post_imbalance),
-        format_num(bound)
-    );
-    if out.stats.completed == 0 || out.stats.post_imbalance.is_nan() || out.stats.post_imbalance > bound {
-        eprintln!("rebalance_guard FAILED: live re-run violates the acceptance bar");
-        std::process::exit(1);
-    }
-    println!("rebalance_guard OK");
-}
-
-/// Pulls a top-level numeric field out of a machine-written snapshot
-/// without a JSON dependency (shape drift shows up as a hard failure).
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let val = json.split(&format!("\"{key}\":")).nth(1)?;
-    let end = val.find([',', '}'])?;
-    val[..end].trim().parse().ok()
-}
-
-// ---------------------------------------------------------------------------
-// Latency drift: chaos run with end-to-end tracing (BENCH_latency_drift.jsonl)
-// ---------------------------------------------------------------------------
-
-/// A chaos-enabled live run (the `ChaosSpec::light` acceptance scenario)
-/// with end-to-end tracing on: per-component completion-latency
-/// percentiles, queue-depth gauges, and the per-window predicted-vs-
-/// observed Esper latency drift (the Figure 7 model against the real
-/// engines). The drift series is exported as JSON Lines to
-/// `BENCH_latency_drift.jsonl` at the repository root. The same workload
-/// runs once more with tracing off to measure the instrumentation
-/// overhead (budget: <5%).
-fn drift() {
-    println!("\n== Latency drift: chaos run with end-to-end tracing ==");
-    let chaos = ChaosSpec::light();
-    chaos.validate().expect("light preset is valid");
-    let monitor = MonitorSpec::traced(500);
-    monitor.validate().expect("traced spec is valid");
-
-    let gen = FleetGenerator::new(FleetConfig::small(17), 0).expect("fleet config is valid");
-    let seeds = gen.route_seed_points();
-    let history: Vec<tms_traffic::BusTrace> =
-        gen.take_while(|t| t.timestamp_ms < 9 * tms_traffic::HOUR_MS).collect();
-    let live: Vec<tms_traffic::BusTrace> = FleetGenerator::new(FleetConfig::small(17), 1)
-        .expect("fleet config is valid")
-        .take_while(|t| t.timestamp_ms < tms_traffic::DAY_MS + 9 * tms_traffic::HOUR_MS)
-        .collect();
-    let rules: Vec<RuleSpec> = [
-        ("drift-leaves", LocationSelector::QuadtreeLeaves),
-        ("drift-stops", LocationSelector::BusStops),
+    let wall_s = t0.elapsed().as_secs_f64();
+    let s = report.elastic.expect("elastic runs report migration stats");
+    let cycles = s.cycles_to_converge.map_or(f64::NAN, |c| c as f64);
+    vec![
+        Sample::at_least("migrations_completed", "count", n, s.completed as f64),
+        Sample::at_most("migrations_aborted", "count", n, s.aborted as f64),
+        Sample::at_least("rebalance_decisions", "count", n, s.decisions as f64),
+        Sample::at_most("post_imbalance", "ratio", n, s.post_imbalance),
+        Sample::timed("pre_imbalance", "ratio", n, pre_imbalance),
+        Sample::timed("observed_imbalance", "ratio", n, s.observed_imbalance),
+        Sample::timed("pause_last_ms", "ms", s.completed, s.last_pause_ms),
+        Sample::timed("pause_max_ms", "ms", s.completed, s.max_pause_ms),
+        Sample::at_most("cycles_to_converge", "count", n, cycles),
+        Sample::at_least("detections", "count", n, report.detections.len() as f64),
+        Sample::timed("wall_s", "s", n, wall_s),
     ]
-    .into_iter()
-    .map(|(name, loc)| {
-        let mut r = RuleSpec::new(name, Attribute::Delay, loc, 10);
-        r.s = 0.5;
-        r
-    })
-    .collect();
-    let config = |m: Option<tms_dsps::MonitorConfig>| SystemConfig {
-        monitor: m,
-        reliability: Some(chaos.reliability_config()),
-        chaos: Some(chaos.fault_config()),
-        ..SystemConfig::default()
-    };
-
-    // Tracing-off baseline: identical workload and chaos schedule, so the
-    // wall-clock delta is the instrumentation cost.
-    let sys = TrafficSystem::bootstrap(tms_geo::DUBLIN_BBOX, &seeds, &history, config(None))
-        .expect("bootstrap");
-    let t = std::time::Instant::now();
-    sys.plan_and_run(live.clone(), &rules, 3).expect("baseline run");
-    let base_s = t.elapsed().as_secs_f64();
-
-    let sys = TrafficSystem::bootstrap(
-        tms_geo::DUBLIN_BBOX,
-        &seeds,
-        &history,
-        config(Some(monitor.monitor_config())),
-    )
-    .expect("bootstrap");
-    let t = std::time::Instant::now();
-    let (_, report) = sys.plan_and_run(live, &rules, 3).expect("traced run");
-    let traced_s = t.elapsed().as_secs_f64();
-    let overhead_pct = (traced_s - base_s) / base_s * 100.0;
-
-    let ms = |d: Option<std::time::Duration>| {
-        d.map(|d| format_num(d.as_secs_f64() * 1e3)).unwrap_or_else(|| "-".into())
-    };
-    let rows: Vec<Vec<String>> = report
-        .metrics
-        .iter()
-        .map(|w| {
-            let peak = report
-                .history
-                .iter()
-                .filter(|h| h.component == w.component)
-                .map(|h| h.queue_depth_max)
-                .max()
-                .unwrap_or(0);
-            vec![
-                w.component.clone(),
-                w.e2e.count().to_string(),
-                ms(w.e2e.p50()),
-                ms(w.e2e.p95()),
-                ms(w.e2e.p99()),
-                peak.to_string(),
-                w.queue_capacity.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Per-component end-to-end completion latency and queue gauges",
-        &["component", "e2e count", "p50 (ms)", "p95 (ms)", "p99 (ms)", "peak queue", "capacity"],
-        &rows,
-    );
-
-    let mean_ratio = if report.drift.is_empty() {
-        f64::NAN
-    } else {
-        report.drift.iter().map(|d| d.ratio).sum::<f64>() / report.drift.len() as f64
-    };
-    println!(
-        "drift: {} windows, mean observed/predicted ratio {}",
-        report.drift.len(),
-        format_num(mean_ratio)
-    );
-    println!(
-        "tracing overhead: baseline {}s vs traced {}s ({}%)",
-        format_num(base_s),
-        format_num(traced_s),
-        format_num(overhead_pct)
-    );
-    std::fs::write("BENCH_latency_drift.jsonl", report.drift_jsonl())
-        .expect("writing BENCH_latency_drift.jsonl");
-    println!("(wrote BENCH_latency_drift.jsonl, one JSON object per sampled Esper window)");
-
-    let mut result =
-        ExperimentResult::new("drift", "Predicted-vs-observed Esper latency drift under chaos");
-    result.fact("drift_windows", report.drift.len());
-    result.fact("mean_ratio", format_num(mean_ratio));
-    result.fact("baseline_s", format_num(base_s));
-    result.fact("traced_s", format_num(traced_s));
-    result.fact("tracing_overhead_pct", format_num(overhead_pct));
-    result.save_json(&results_dir()).expect("writing results");
 }
 
-/// `profile`: a profiled quickstart-style run — per-rule CEP cost table,
-/// planner drift against Algorithm 1 and the estimation model, and the
-/// online-recalibration error deltas, written to `BENCH_cep_profile.json`.
-fn profile() {
-    println!("\n== Rule-level CEP profile and planner drift ==");
-    let monitor = MonitorSpec::profiled(500);
-    monitor.validate().expect("profiled spec is valid");
-
-    let gen = FleetGenerator::new(FleetConfig::small(17), 0).expect("fleet config is valid");
-    let seeds = gen.route_seed_points();
-    let history: Vec<tms_traffic::BusTrace> =
-        gen.take_while(|t| t.timestamp_ms < 9 * tms_traffic::HOUR_MS).collect();
-    let live: Vec<tms_traffic::BusTrace> = FleetGenerator::new(FleetConfig::small(17), 1)
-        .expect("fleet config is valid")
-        .take_while(|t| t.timestamp_ms < tms_traffic::DAY_MS + 9 * tms_traffic::HOUR_MS)
-        .collect();
-    let rules: Vec<RuleSpec> = [
-        ("profile-leaves", LocationSelector::QuadtreeLeaves),
-        ("profile-stops", LocationSelector::BusStops),
-    ]
-    .into_iter()
-    .map(|(name, loc)| {
-        let mut r = RuleSpec::new(name, Attribute::Delay, loc, 10);
-        r.s = 0.5;
-        r
-    })
-    .collect();
-    let config = SystemConfig {
-        monitor: Some(monitor.monitor_config()),
-        ..SystemConfig::default()
-    };
-    let sys = TrafficSystem::bootstrap(tms_geo::DUBLIN_BBOX, &seeds, &history, config)
-        .expect("bootstrap");
-    let (_, report) = sys.plan_and_run(live, &rules, 3).expect("profiled run");
-
-    // The per-rule cost table, from the lifetime cumulative profiles.
-    let esper = report
-        .metrics
-        .iter()
-        .find(|w| w.component == "esper")
-        .expect("esper totals present");
-    let us = |d: Option<std::time::Duration>| {
-        d.map(|d| format_num(d.as_secs_f64() * 1e6)).unwrap_or_else(|| "-".into())
-    };
-    let rows: Vec<Vec<String>> = esper
-        .rules
-        .iter()
-        .map(|r| {
-            vec![
-                r.rule.clone(),
-                r.engine.to_string(),
-                r.events_in.to_string(),
-                r.evals.to_string(),
-                r.firings.to_string(),
-                us(r.eval.mean()),
-                us(r.eval.p95()),
-                format!(
-                    "{}/{}/{}/{}",
-                    r.path_shared, r.path_incremental, r.path_anchor, r.path_rescan
-                ),
-                r.window_len.to_string(),
-                r.threshold_age
-                    .map(|a| format_num(a.as_secs_f64()))
-                    .unwrap_or_else(|| "-".into()),
-            ]
-        })
-        .collect();
-    print_table(
-        "Per-rule CEP cost (shared/inc/anchor/rescan are evaluation-path counts)",
-        &[
-            "rule", "engine", "events in", "evals", "firings", "mean eval (µs)",
-            "p95 eval (µs)", "paths", "window", "thr age (s)",
-        ],
-        &rows,
-    );
-
-    let planner = report.planner.as_ref().expect("profiling runs produce a planner report");
-    let drift_rows: Vec<Vec<String>> = planner
-        .engines
-        .iter()
-        .map(|e| {
-            vec![
-                e.engine.to_string(),
-                format_num(e.planned_rate),
-                format_num(e.observed_rate),
-                format_num(e.predicted_latency_ms),
-                format_num(e.observed_latency_ms),
-            ]
-        })
-        .collect();
-    print_table(
-        "Planner drift: Algorithm 1 planned vs observed per engine",
-        &["engine", "planned rate/s", "observed rate/s", "pred lat (ms)", "obs lat (ms)"],
-        &drift_rows,
-    );
-    println!(
-        "input-rate imbalance (max/min): planned {} vs observed {}",
-        format_num(planner.imbalance_planned),
-        format_num(planner.imbalance_observed)
-    );
-    match &planner.calibration {
-        Some(c) => println!(
-            "online recalibration: {} samples, MAE {} ms -> {} ms",
-            c.samples,
-            format_num(c.mae_before_ms),
-            format_num(c.mae_after_ms)
-        ),
-        None => println!("online recalibration: not enough samples"),
-    }
-
-    let profiled_windows = report
-        .history
-        .iter()
-        .filter(|w| w.component == "esper" && !w.rules.is_empty())
-        .count();
-    let json = format!(
-        "{{\"profiled_windows\":{},\"planner\":{}}}\n",
-        profiled_windows,
-        planner.to_json()
-    );
-    std::fs::write("BENCH_cep_profile.json", &json).expect("writing BENCH_cep_profile.json");
-    println!("(wrote BENCH_cep_profile.json)");
-
+fn rebalance(size: Size) -> ExperimentResult {
     let mut result = ExperimentResult::new(
-        "profile",
-        "Per-rule CEP profile, planner drift, and online recalibration",
+        "rebalance",
+        "small fleet, 1 QuadtreeLeaves rule on 2 engines, 80% of the live stream on up to 4 \
+         engine-0 regions; rebalancer at 15ms cadence",
     );
-    result.fact("profiled_windows", profiled_windows);
-    result.fact("rules", esper.rules.len());
-    result.fact("imbalance_planned", format_num(planner.imbalance_planned));
-    result.fact("imbalance_observed", format_num(planner.imbalance_observed));
-    if let Some(c) = &planner.calibration {
-        result.fact("calibration_samples", c.samples);
-        result.fact("mae_before_ms", format_num(c.mae_before_ms));
-        result.fact("mae_after_ms", format_num(c.mae_after_ms));
+    let replay = Replay::new(size.n);
+    let trials: Vec<_> = (0..size.trials).map(|_| hotspot_rebalance_run(&replay)).collect();
+    result.rows = fold_trials(&trials);
+    result
+}
+
+/// Committed and live: at least one migration completes and the
+/// re-planned imbalance lands under the bound (NaN fails).
+fn rebalance_bars() -> Vec<Bar> {
+    vec![
+        Bar::min("migrations_completed", 1.0, Side::Both),
+        Bar::max("post_imbalance", IMBALANCE_BOUND, Side::Both),
+    ]
+}
+
+// ---------------------------------------------------------------------------
+// latency_drift
+// ---------------------------------------------------------------------------
+
+/// A chaos-enabled live run (the `light_chaos` acceptance scenario) with
+/// end-to-end tracing on: completion-latency percentiles at the spout and
+/// the per-window predicted-vs-observed Esper latency drift (the Figure 7
+/// model against the real engines; the last trial's windows are kept as
+/// series). Every trial also runs the same workload with tracing off, so
+/// the wall-clock delta is the instrumentation cost.
+fn latency_drift(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "latency_drift",
+        "small fleet, 2 Delay rules on 3 engines under 1% panics + 1% drops with at-least-once \
+         recovery; traced = monitor sampling 500ms windows with e2e tracing",
+    );
+    let replay = Replay::new(size.n);
+    let rules = delay_rules("drift");
+    let (fault, recovery) = light_chaos();
+    let run = |monitor: Option<MonitorConfig>| {
+        let sys = replay.bootstrap(SystemConfig {
+            monitor,
+            reliability: Some(recovery),
+            chaos: Some(fault),
+            ..SystemConfig::default()
+        });
+        let t = Instant::now();
+        let (_, report) = sys.plan_and_run(replay.live.clone(), &rules, 3).expect("chaos run");
+        (t.elapsed().as_secs_f64(), report)
+    };
+    let n = replay.live.len() as u64;
+    let mut trials = Vec::new();
+    for _ in 0..size.trials {
+        let (base_s, _) = run(None);
+        let (traced_s, report) = run(Some(traced_monitor(500, false)));
+        let windows = report.drift.len() as u64;
+        let mean = |f: fn(&tms_core::system::DriftSample) -> f64| {
+            report.drift.iter().map(f).sum::<f64>() / windows as f64
+        };
+        let mut samples = vec![
+            Sample::timed("baseline.wall_s", "s", n, base_s),
+            Sample::timed("traced.wall_s", "s", n, traced_s),
+            Sample::timed("tracing_overhead_pct", "%", n, (traced_s / base_s - 1.0) * 100.0),
+            Sample::at_least("drift.windows", "count", n, windows as f64),
+            Sample::timed("drift.observed_ms", "ms", windows, mean(|d| d.observed_ms)),
+            Sample::timed("drift.predicted_ms", "ms", windows, mean(|d| d.predicted_ms)),
+            Sample::timed("drift.ratio", "ratio", windows, mean(|d| d.ratio)),
+        ];
+        let reader = report.metrics.iter().find(|w| w.component == "busReader");
+        let e2e = reader.expect("spout totals present").e2e.clone();
+        for (p, d) in [("p50", e2e.p50()), ("p95", e2e.p95()), ("p99", e2e.p99())] {
+            let ms = d.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
+            samples.push(Sample::timed(format!("e2e.{p}_ms"), "ms", e2e.count(), ms));
+        }
+        trials.push(samples);
+        result.series = ["observed_ms", "predicted_ms"].map(Series::new).into();
+        for d in &report.drift {
+            result.series[0].push(d.at_ms, d.observed_ms);
+            result.series[1].push(d.at_ms, d.predicted_ms);
+        }
     }
-    result.save_json(&results_dir()).expect("writing results");
+    result.rows = fold_trials(&trials);
+    result
 }
 
 // ---------------------------------------------------------------------------
-// Threshold staleness: kappa path vs batch ablation (BENCH_staleness.json)
+// cep_profile
 // ---------------------------------------------------------------------------
 
-/// One profiled live run's threshold-age evidence: every per-rule
-/// `threshold_age` gauge the monitor sampled (wall-clock ms), plus the
-/// wall-to-stream compression so ablation ages can be projected onto
-/// deployment time.
-struct StalenessRun {
-    ages_ms: Vec<f64>,
-    wall_s: f64,
-    stream_span_ms: u64,
-    detections: usize,
+/// A profiled quickstart-style run: the per-rule CEP cost, planner drift
+/// against Algorithm 1 and the estimation model, and the
+/// online-recalibration error deltas.
+fn cep_profile(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "cep_profile",
+        "small fleet, 2 Delay rules on 3 engines, profiled at 500ms; per-rule cost from the \
+         lifetime cumulative profiles, planner drift vs Algorithm 1 and the estimation model",
+    );
+    let replay = Replay::new(size.n);
+    let rules = delay_rules("profile");
+    let mut trials = Vec::new();
+    for _ in 0..size.trials {
+        let sys = replay.bootstrap(SystemConfig {
+            monitor: Some(traced_monitor(500, true)),
+            ..SystemConfig::default()
+        });
+        let (_, report) = sys.plan_and_run(replay.live.clone(), &rules, 3).expect("profiled run");
+        let esper = report
+            .metrics
+            .iter()
+            .find(|w| w.component == "esper")
+            .expect("esper totals present");
+        let planner = report.planner.as_ref().expect("profiling runs produce a planner report");
+        let profiled_windows = report
+            .history
+            .iter()
+            .filter(|w| w.component == "esper" && !w.rules.is_empty())
+            .count();
+        let n = replay.live.len() as u64;
+        let mut samples = vec![
+            Sample::at_least("profiled_windows", "count", n, profiled_windows as f64),
+            Sample::timed("imbalance_planned", "ratio", n, planner.imbalance_planned),
+            Sample::timed("imbalance_observed", "ratio", n, planner.imbalance_observed),
+        ];
+        for r in &esper.rules {
+            let key = |what: &str| format!("{}.e{}.{what}", r.rule, r.engine);
+            let us = |d: Option<Duration>| d.map_or(f64::NAN, |d| d.as_secs_f64() * 1e6);
+            samples.push(Sample::timed(key("mean_eval_us"), "us", r.evals, us(r.eval.mean())));
+            samples.push(Sample::timed(key("p95_eval_us"), "us", r.evals, us(r.eval.p95())));
+            samples.push(Sample::at_least(key("firings"), "count", r.evals, r.firings as f64));
+            let off_shared = r.path_incremental + r.path_anchor + r.path_rescan;
+            samples.push(Sample::at_most(key("evals_off_shared_path"), "count", r.evals, off_shared as f64));
+        }
+        for e in &planner.engines {
+            let key = |what: &str| format!("engine{}.{what}", e.engine);
+            samples.push(Sample::timed(key("planned_rate"), "1/s", n, e.planned_rate));
+            samples.push(Sample::timed(key("observed_rate"), "1/s", n, e.observed_rate));
+            samples.push(Sample::timed(key("predicted_latency_ms"), "ms", n, e.predicted_latency_ms));
+            samples.push(Sample::timed(key("observed_latency_ms"), "ms", n, e.observed_latency_ms));
+        }
+        if let Some(c) = &planner.calibration {
+            let n = c.samples as u64;
+            samples.push(Sample::timed("calibration.mae_before_ms", "ms", n, c.mae_before_ms));
+            samples.push(Sample::timed("calibration.mae_after_ms", "ms", n, c.mae_after_ms));
+        }
+        trials.push(samples);
+    }
+    result.rows = fold_trials(&trials);
+    result
 }
+
+// ---------------------------------------------------------------------------
+// staleness
+// ---------------------------------------------------------------------------
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -1383,43 +1043,24 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Runs the quickstart workload with profiling on and harvests the
-/// sampled per-rule threshold ages. `kappa` switches between the
-/// in-stream StatsBolt path and the batch ablation (thresholds computed
-/// once by the offline job at bootstrap, never refreshed mid-run —
-/// exactly the Lambda deployment between two batch rounds).
-fn staleness_run(kappa: Option<tms_core::kappa::KappaConfig>) -> StalenessRun {
-    let monitor = MonitorSpec::profiled(100);
-    monitor.validate().expect("profiled spec is valid");
-    let gen = FleetGenerator::new(FleetConfig::small(17), 0).expect("fleet config is valid");
-    let seeds = gen.route_seed_points();
-    let history: Vec<tms_traffic::BusTrace> =
-        gen.take_while(|t| t.timestamp_ms < 9 * tms_traffic::HOUR_MS).collect();
-    let live: Vec<tms_traffic::BusTrace> = FleetGenerator::new(FleetConfig::small(17), 1)
-        .expect("fleet config is valid")
-        .take_while(|t| t.timestamp_ms < tms_traffic::DAY_MS + 9 * tms_traffic::HOUR_MS)
-        .collect();
-    let stream_span_ms = live.last().map(|t| t.timestamp_ms).unwrap_or(0)
-        - live.first().map(|t| t.timestamp_ms).unwrap_or(0);
-    let rules: Vec<RuleSpec> = [
-        ("stale-leaves", LocationSelector::QuadtreeLeaves),
-        ("stale-stops", LocationSelector::BusStops),
-    ]
-    .into_iter()
-    .map(|(name, loc)| {
-        let mut r = RuleSpec::new(name, Attribute::Delay, loc, 10);
-        r.s = 0.5;
-        r
-    })
-    .collect();
-    let config = SystemConfig {
-        monitor: Some(monitor.monitor_config()),
+/// sampled per-rule threshold ages (wall-clock ms). `kappa` switches
+/// between the in-stream StatsBolt path and the batch ablation
+/// (thresholds computed once by the offline job at bootstrap, never
+/// refreshed mid-run — exactly the Lambda deployment between two batch
+/// rounds). One trial's samples, keyed under `path`.
+fn staleness_run(
+    replay: &Replay,
+    path: &str,
+    kappa: Option<tms_core::kappa::KappaConfig>,
+) -> Vec<Sample> {
+    let sys = replay.bootstrap(SystemConfig {
+        monitor: Some(traced_monitor(100, true)),
         kappa,
         ..SystemConfig::default()
-    };
-    let sys = TrafficSystem::bootstrap(tms_geo::DUBLIN_BBOX, &seeds, &history, config)
-        .expect("bootstrap");
-    let t0 = std::time::Instant::now();
-    let (_, report) = sys.plan_and_run(live, &rules, 2).expect("profiled run");
+    });
+    let t0 = Instant::now();
+    let (_, report) =
+        sys.plan_and_run(replay.live.clone(), &delay_rules("stale"), 2).expect("profiled run");
     let wall_s = t0.elapsed().as_secs_f64();
     let mut ages_ms: Vec<f64> = report
         .history
@@ -1430,132 +1071,70 @@ fn staleness_run(kappa: Option<tms_core::kappa::KappaConfig>) -> StalenessRun {
         .map(|a| a.as_secs_f64() * 1e3)
         .collect();
     ages_ms.sort_by(f64::total_cmp);
-    StalenessRun { ages_ms, wall_s, stream_span_ms, detections: report.detections.len() }
+    let n = ages_ms.len() as u64;
+    let p99 = percentile(&ages_ms, 99.0);
+    let mut samples = vec![
+        Sample::at_least(format!("{path}.samples"), "count", n, n as f64),
+        Sample::timed(format!("{path}.p50_ms"), "ms", n, percentile(&ages_ms, 50.0)),
+        Sample::timed(format!("{path}.p99_ms"), "ms", n, p99),
+        Sample::at_least(format!("{path}.detections"), "count", n, report.detections.len() as f64),
+    ];
+    if kappa.is_none() {
+        // The replay compresses hours of stream into `wall_s` seconds; in
+        // deployment the ablation accrues age at stream speed.
+        let stream_span_ms = replay.live.last().map_or(0, |t| t.timestamp_ms)
+            - replay.live.first().map_or(0, |t| t.timestamp_ms);
+        let compression = stream_span_ms as f64 / (wall_s * 1e3);
+        samples.push(Sample::timed(format!("{path}.wall_to_stream_compression"), "ratio", n, compression));
+        let minutes = p99 * compression / 60_000.0;
+        samples.push(Sample::timed(format!("{path}.p99_stream_minutes"), "min", n, minutes));
+    }
+    samples
 }
 
-/// `staleness`: the kappa acceptance snapshot. The same profiled live run
-/// twice — in-stream StatsBolt refreshes vs the batch ablation — with the
-/// sampled `threshold_age` percentiles side by side. The ablation's ages
-/// only ever grow between batch rounds, so they are also projected onto
-/// stream (deployment) time via the replay's compression factor; the
-/// kappa ages are genuine wall-clock staleness, bounded by the refresh
-/// cadence at any replay speed. Written to `BENCH_staleness.json` at the
-/// repository root; exits non-zero when the kappa p99 exceeds 100 ms.
-fn staleness() {
-    println!("\n== Staleness: in-stream kappa thresholds vs the batch ablation ==");
-    let spec = KappaSpec::fast_refresh(256);
-    spec.validate().expect("kappa spec is valid");
-    let kappa = staleness_run(Some(spec.kappa_config()));
-    let batch = staleness_run(None);
-    assert!(!kappa.ages_ms.is_empty(), "profiled windows must sample threshold ages");
-    assert!(!batch.ages_ms.is_empty(), "the ablation must sample threshold ages too");
-    assert!(kappa.detections > 0 && batch.detections > 0, "both runs must keep detecting");
-
-    let kappa_p50 = percentile(&kappa.ages_ms, 50.0);
-    let kappa_p99 = percentile(&kappa.ages_ms, 99.0);
-    let batch_p50 = percentile(&batch.ages_ms, 50.0);
-    let batch_p99 = percentile(&batch.ages_ms, 99.0);
-    // The ablation replays ~27 h of stream in `wall_s` seconds; in
-    // deployment the same architecture accrues age at stream speed.
-    let compression = batch.stream_span_ms as f64 / (batch.wall_s * 1e3);
-    let batch_p99_stream_min = batch_p99 * compression / 60_000.0;
-    print_table(
-        "Sampled per-rule threshold_age (wall-clock ms)",
-        &["path", "samples", "p50 (ms)", "p99 (ms)", "deployment p99"],
-        &[
-            vec![
-                "kappa (in-stream)".into(),
-                kappa.ages_ms.len().to_string(),
-                format_num(kappa_p50),
-                format_num(kappa_p99),
-                format!("{} ms (refresh-bounded)", format_num(kappa_p99)),
-            ],
-            vec![
-                "batch ablation".into(),
-                batch.ages_ms.len().to_string(),
-                format_num(batch_p50),
-                format_num(batch_p99),
-                format!("{batch_p99_stream_min:.1} min (grows to the batch period)"),
-            ],
-        ],
+/// The same profiled live run twice — in-stream StatsBolt refreshes vs
+/// the batch ablation — with the sampled `threshold_age` percentiles side
+/// by side. The ablation's ages only ever grow between batch rounds, so
+/// they are also projected onto stream (deployment) time via the replay's
+/// compression factor; the kappa ages are genuine wall-clock staleness,
+/// bounded by the refresh cadence at any replay speed.
+fn staleness(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "staleness",
+        "small fleet, 2 Delay rules on 2 engines, profiled at 100ms; kappa = StatsBolt refresh \
+         every 256 samples, batch_ablation = offline thresholds never refreshed mid-run",
     );
-    let json = format!(
-        "{{\n  \"benchmark\": \"threshold_staleness\",\n  \
-         \"workload\": \"small fleet, 2 Delay rules on 2 engines, profiled at 100ms; \
-         kappa = StatsBolt refresh every 256 samples, ablation = offline thresholds \
-         never refreshed mid-run\",\n  \
-         \"kappa\": {{\n    \
-         \"refresh_every\": 256,\n    \
-         \"samples\": {},\n    \
-         \"p50_ms\": {kappa_p50:.3},\n    \
-         \"p99_ms\": {kappa_p99:.3}\n  }},\n  \
-         \"batch_ablation\": {{\n    \
-         \"samples\": {},\n    \
-         \"p50_ms\": {batch_p50:.3},\n    \
-         \"p99_ms\": {batch_p99:.3},\n    \
-         \"wall_to_stream_compression\": {compression:.1},\n    \
-         \"p99_stream_minutes\": {batch_p99_stream_min:.2}\n  }},\n  \
-         \"note\": \"kappa ages are wall-clock and bounded by the refresh cadence at any \
-         replay speed; ablation ages grow linearly until the next batch round, so their \
-         deployment-time staleness is the batch period itself\"\n}}\n",
-        kappa.ages_ms.len(),
-        batch.ages_ms.len(),
-    );
-    std::fs::write("BENCH_staleness.json", json).expect("writing BENCH_staleness.json");
-    println!("(wrote BENCH_staleness.json)");
-    if kappa_p99.is_nan() || kappa_p99 > 100.0 {
-        eprintln!("staleness FAILED: kappa p99 threshold age {kappa_p99:.1} ms above 100 ms");
-        std::process::exit(1);
+    let replay = Replay::new(size.n);
+    let kappa = tms_core::kappa::KappaConfig { refresh_every: 256, ..Default::default() };
+    let mut trials = Vec::new();
+    for _ in 0..size.trials {
+        let mut samples = staleness_run(&replay, "kappa", Some(kappa));
+        // No live bar reads the ablation.
+        if size.full {
+            samples.extend(staleness_run(&replay, "batch_ablation", None));
+        }
+        trials.push(samples);
     }
-    if batch_p99_stream_min.is_nan() || batch_p99_stream_min < 1.0 {
-        eprintln!(
-            "staleness FAILED: the ablation's projected staleness \
-             ({batch_p99_stream_min:.2} min) must reach batch-period minutes"
-        );
-        std::process::exit(1);
-    }
-    println!("staleness OK");
+    result.rows = fold_trials(&trials);
+    result
 }
 
-/// `staleness_guard`: regression guard over the committed
-/// `BENCH_staleness.json`, then a live kappa re-run. Fails when the
-/// committed snapshot breaks the 100 ms p99 acceptance bar (or the
-/// ablation fails to show batch-period staleness), or when a fresh kappa
-/// run regresses past 2x the bar.
-fn staleness_guard() {
-    println!("\n== Staleness guard: kappa threshold-age check ==");
-    let committed = std::fs::read_to_string("BENCH_staleness.json")
-        .expect("reading committed BENCH_staleness.json");
-    let kappa_section = committed.split("\"kappa\"").nth(1).expect("kappa section present");
-    let committed_p99 = extract_json_number(kappa_section, "p99_ms")
-        .expect("committed snapshot carries kappa.p99_ms");
-    let batch_min = extract_json_number(&committed, "p99_stream_minutes")
-        .expect("committed snapshot carries batch_ablation.p99_stream_minutes");
-    println!(
-        "  committed: kappa p99 {} ms (bar 100 ms), ablation {} stream-min",
-        format_num(committed_p99),
-        format_num(batch_min)
-    );
-    if committed_p99.is_nan() || committed_p99 > 100.0 || batch_min.is_nan() || batch_min < 1.0 {
-        eprintln!("staleness_guard FAILED: committed snapshot violates the acceptance bar");
-        std::process::exit(1);
-    }
-    let spec = KappaSpec::fast_refresh(256);
-    let run = staleness_run(Some(spec.kappa_config()));
-    let p99 = percentile(&run.ages_ms, 99.0);
-    println!("  re-run: kappa p99 {} ms over {} samples", format_num(p99), run.ages_ms.len());
-    // 2x headroom on the live re-run: CI machines are noisier than the
-    // machine that wrote the snapshot, but a kappa path that lost its
-    // in-stream refresh altogether overshoots this by orders of magnitude.
-    if run.ages_ms.is_empty() || p99.is_nan() || p99 > 200.0 {
-        eprintln!("staleness_guard FAILED: live kappa p99 {p99:.1} ms above the 200 ms ceiling");
-        std::process::exit(1);
-    }
-    println!("staleness_guard OK");
+/// The committed kappa p99 threshold age stays under 100 ms while the
+/// ablation's projected staleness reaches batch-period minutes; a live
+/// kappa re-run gets 2x headroom (CI machines are noisier than the box
+/// that wrote the snapshot, but a kappa path that lost its in-stream
+/// refresh overshoots this by orders of magnitude).
+fn staleness_bars() -> Vec<Bar> {
+    vec![
+        Bar::max("kappa.p99_ms", 100.0, Side::Committed),
+        Bar::min("batch_ablation.p99_stream_minutes", 1.0, Side::Committed),
+        Bar::max("kappa.p99_ms", 200.0, Side::Live),
+        Bar::min("kappa.samples", 1.0, Side::Both),
+    ]
 }
 
 // ---------------------------------------------------------------------------
-// Multi-process scale-out (BENCH_scaleout.json)
+// scaleout
 // ---------------------------------------------------------------------------
 
 #[derive(Clone)]
@@ -1572,7 +1151,6 @@ impl tms_dsps::WireCodec for ScaleMsg {
     }
 }
 
-const SCALEOUT_TUPLES: u64 = 30_000;
 const SCALEOUT_TASKS: usize = 8;
 
 /// Fixed CPU cost per tuple (~tens of µs of integer mixing), heavy enough
@@ -1593,32 +1171,14 @@ fn scaleout_spin(value: u64) -> u64 {
 /// uses, so the same topology measures 1, 2, and 4 processes.
 fn scaleout_topology(tuples: u64) -> tms_dsps::Topology<ScaleMsg> {
     use tms_dsps::topology::{Parallelism, TopologyBuilder};
-    use tms_dsps::{Bolt, Emitter, Grouping, Spout};
+    use tms_dsps::Grouping;
 
-    struct Src {
-        next: u64,
-        end: u64,
-    }
-    impl Spout<ScaleMsg> for Src {
-        fn next(&mut self) -> Option<ScaleMsg> {
-            if self.next >= self.end {
-                return None;
-            }
-            let v = self.next;
-            self.next += 1;
-            Some(ScaleMsg { value: v })
-        }
-    }
-    struct Work;
-    impl Bolt<ScaleMsg> for Work {
-        fn process(&mut self, msg: ScaleMsg, _e: &mut dyn Emitter<ScaleMsg>) {
-            std::hint::black_box(scaleout_spin(msg.value));
-        }
-    }
     TopologyBuilder::new("scaleout")
-        .add_spout("src", Parallelism::of(1), move |_| Box::new(Src { next: 0, end: tuples }))
+        .add_spout("src", Parallelism::of(1), move |_| {
+            Box::new(CountSpout { next: 0, end: tuples, make: |value| ScaleMsg { value } })
+        })
         .add_bolt("work", Parallelism::of(SCALEOUT_TASKS), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(Work)
+            Box::new(SinkBolt(|m: ScaleMsg| scaleout_spin(m.value)))
         })
         .build()
         .expect("scaleout topology builds")
@@ -1627,156 +1187,85 @@ fn scaleout_topology(tuples: u64) -> tms_dsps::Topology<ScaleMsg> {
 /// Entry point for a spawned scale-out worker process (reached from
 /// `main` before argument parsing). Only the bolt slice assigned by the
 /// coordinator runs here; the spout factory is never invoked, so the
-/// tuple count baked into the worker's copy of the topology is inert.
+/// worker's copy of the topology needs no tuple count.
 fn scaleout_worker() {
-    tms_dsps::net::run_worker(|_hooks| scaleout_topology(SCALEOUT_TUPLES))
+    tms_dsps::net::run_worker(|_hooks| scaleout_topology(0))
         .expect("worker slice drains cleanly");
 }
 
-/// One timed scale-out run: returns (best tuples/sec over `runs`, bolt
-/// tuples counted by the merged metrics on the *worst* run). The count
-/// comes from the coordinator's whole-topology view, so it doubles as the
-/// tuple-conservation check across process boundaries.
-fn scaleout_run(workers: usize, tuples: u64, runs: usize) -> (f64, u64) {
-    let spec = ScaleoutSpec::of(workers);
-    spec.validate().expect("scaleout spec is valid");
-    let mut best = f64::INFINITY;
-    let mut processed = u64::MAX;
-    for _ in 0..runs {
-        let t = scaleout_topology(tuples);
-        let cluster = tms_dsps::DistributedCluster::new(spec.cluster_spec(), workers)
-            .expect("cluster spec fits the worker count")
-            .with_worker_args(Vec::new());
-        let t0 = std::time::Instant::now();
-        let hub = cluster
-            .submit("scaleout", t, tms_dsps::RuntimeConfig::default())
-            .expect("submit")
-            .join()
-            .expect("scaleout run completes");
-        best = best.min(t0.elapsed().as_secs_f64());
-        let counted: u64 = hub
-            .merged_totals()
-            .iter()
-            .filter(|(_, c)| c.component == "work")
-            .map(|(_, c)| c.throughput)
-            .sum();
-        processed = processed.min(counted);
-    }
-    (tuples as f64 / best, processed)
+/// One scale-out run: the elapsed seconds and the bolt tuples counted by
+/// the merged metrics. The count comes from the coordinator's
+/// whole-topology view, so it doubles as the tuple-conservation check
+/// across process boundaries.
+fn scaleout_run(workers: usize, tuples: u64) -> (f64, u64) {
+    // One slot per worker, spread over at most four nodes.
+    let nodes = workers.min(4);
+    let spec = tms_dsps::scheduler::ClusterSpec {
+        nodes,
+        slots_per_node: workers.div_ceil(nodes),
+        cores_per_node: 1,
+    };
+    let cluster = tms_dsps::DistributedCluster::new(spec, workers)
+        .expect("cluster spec fits the worker count")
+        .with_worker_args(Vec::new());
+    let t0 = Instant::now();
+    let hub = cluster
+        .submit("scaleout", scaleout_topology(tuples), RuntimeConfig::default())
+        .expect("submit")
+        .join()
+        .expect("scaleout run completes");
+    let secs = t0.elapsed().as_secs_f64();
+    let totals = hub.merged_totals();
+    let counted = totals.iter().filter(|(_, c)| c.component == "work").map(|(_, c)| c.throughput);
+    (secs, counted.sum())
 }
 
-/// `scaleout`: the multi-process scale-out snapshot, written to
-/// `BENCH_scaleout.json` at the repository root. The same CPU-bound
-/// workload runs in 1, 2, and 4 worker processes over loopback TCP;
-/// every run must conserve tuples across the process boundaries. The
-/// recorded `cores` field tells the guard whether the ≥3x-at-4-workers
-/// bar is meaningful for this snapshot (a 1-core box cannot scale out,
-/// and honestly records that).
-fn scaleout() {
-    println!("\n== Scale-out: multi-process workers over loopback TCP ==");
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut rows = Vec::new();
-    let mut table = Vec::new();
-    let mut base_tps = 0.0f64;
-    let mut speedup_at_4 = 0.0f64;
-    let mut conserved = true;
-    for workers in [1usize, 2, 4] {
-        let (tps, processed) = scaleout_run(workers, SCALEOUT_TUPLES, 3);
-        if base_tps == 0.0 {
-            base_tps = tps;
-        }
-        let speedup = tps / base_tps;
-        if workers == 4 {
-            speedup_at_4 = speedup;
-        }
-        let ok = processed == SCALEOUT_TUPLES;
-        conserved &= ok;
-        table.push(vec![
-            workers.to_string(),
-            format_num(tps),
-            format!("{speedup:.2}x"),
-            format!("{processed}/{SCALEOUT_TUPLES}{}", if ok { "" } else { "  <-- LOST TUPLES" }),
-        ]);
-        rows.push(format!(
-            "    {{ \"workers\": {workers}, \"tuples_per_sec\": {tps:.1}, \
-             \"speedup_vs_1\": {speedup:.3}, \"tuples_conserved\": {ok} }}"
-        ));
-    }
-    print_table(
-        "Scale-out: source tuples/sec by worker-process count (best of 3)",
-        &["workers", "tuples/sec", "speedup vs 1", "conservation"],
-        &table,
+/// The same CPU-bound workload in 1, 2, and 4 worker processes over
+/// loopback TCP, worker counts interleaved per trial; every run must
+/// conserve tuples across the process boundaries. `env.cores` tells the
+/// guard whether the >=3x-at-4-workers bar binds this snapshot (a 1-core
+/// box cannot scale out, and honestly records that).
+fn scaleout(size: Size) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        "scaleout",
+        "1 spout task -> 8 CPU-bound bolt tasks (25k-round integer mix per tuple), shuffle, \
+         at-most-once; workers communicate over loopback TCP with length-prefixed frames",
     );
-    println!("  ({cores} cores visible to this run)");
-    let json = format!(
-        "{{\n  \"benchmark\": \"dsps_multiprocess_scaleout\",\n  \
-         \"workload\": \"1 spout task -> {SCALEOUT_TASKS} CPU-bound bolt tasks \
-         (25k-round integer mix per tuple), {SCALEOUT_TUPLES} source tuples, shuffle, \
-         at-most-once, best of 3 runs per worker count; workers communicate over \
-         loopback TCP with length-prefixed frames\",\n  \
-         \"cores\": {cores},\n  \
-         \"tuples\": {SCALEOUT_TUPLES},\n  \
-         \"rows\": [\n{}\n  ],\n  \
-         \"speedup_at_4_workers\": {speedup_at_4:.3}\n}}\n",
-        rows.join(",\n"),
-    );
-    std::fs::write("BENCH_scaleout.json", json).expect("writing BENCH_scaleout.json");
-    println!("(wrote BENCH_scaleout.json)");
-    if !conserved {
-        eprintln!("scaleout FAILED: tuples were lost crossing the process boundary");
-        std::process::exit(1);
+    // A live run only has to prove the process boundary delivers every tuple.
+    let workers: &[usize] = if size.full { &[1, 2, 4] } else { &[2] };
+    let n = trial_size(size, size.n, |n| scaleout_run(workers[0], n).0);
+    let mut tps = vec![Vec::new(); workers.len()];
+    let mut unaccounted = tps.clone();
+    for _ in 0..size.trials {
+        for (i, &w) in workers.iter().enumerate() {
+            let (secs, processed) = scaleout_run(w, n);
+            tps[i].push(n as f64 / secs);
+            unaccounted[i].push(n.abs_diff(processed) as f64);
+        }
     }
-    if cores >= 4 && speedup_at_4 < 3.0 {
-        eprintln!(
-            "scaleout FAILED: {speedup_at_4:.2}x at 4 workers on a {cores}-core box \
-             (the acceptance bar is 3x)"
-        );
-        std::process::exit(1);
+    for (i, &w) in workers.iter().enumerate() {
+        result.rows.push(Row::timed(format!("w{w}.tuples_per_sec"), "1/s", n, &tps[i]));
+        let key = format!("w{w}.tuples_unaccounted");
+        result.rows.push(Row::worst(key, "count", n, &unaccounted[i], f64::max));
+        if size.full {
+            let speedup = paired(&tps[i], &tps[0], |scaled, single| scaled / single);
+            result.rows.push(Row::timed(format!("w{w}.speedup_vs_1"), "ratio", n, &speedup));
+        }
     }
-    println!("scaleout OK");
+    result
 }
 
-/// `scaleout_guard`: CI gate over the committed `BENCH_scaleout.json`
-/// plus a live 2-worker smoke run. The schema and conservation invariants
-/// are checked unconditionally; the ≥3x-at-4-workers bar applies only
-/// when the snapshot was taken on a box with at least 4 cores — a 1-core
-/// CI runner cannot re-measure scale-out, but it can still prove the
-/// multi-process path delivers every tuple.
-fn scaleout_guard() {
-    println!("\n== Scale-out guard: multi-process invariants ==");
-    let committed = std::fs::read_to_string("BENCH_scaleout.json")
-        .expect("reading committed BENCH_scaleout.json");
-    let cores = extract_json_number(&committed, "cores")
-        .expect("committed snapshot carries cores");
-    let speedup_at_4 = extract_json_number(&committed, "speedup_at_4_workers")
-        .expect("committed snapshot carries speedup_at_4_workers");
-    for workers in [1, 2, 4] {
-        assert!(
-            committed.contains(&format!("\"workers\": {workers}")),
-            "committed snapshot carries a row for {workers} workers"
-        );
-    }
-    if committed.contains("\"tuples_conserved\": false") {
-        eprintln!("scaleout_guard FAILED: committed snapshot records lost tuples");
-        std::process::exit(1);
-    }
-    println!("  committed: {speedup_at_4:.2}x at 4 workers on a {cores:.0}-core box");
-    if cores >= 4.0 && speedup_at_4 < 3.0 {
-        eprintln!(
-            "scaleout_guard FAILED: committed snapshot shows {speedup_at_4:.2}x at 4 \
-             workers on a {cores:.0}-core box (bar: 3x)"
-        );
-        std::process::exit(1);
-    }
-    // Live smoke: a short 2-worker run must complete and conserve tuples
-    // regardless of the box's core count.
-    let (tps, processed) = scaleout_run(2, 4_000, 1);
-    println!("  live smoke: 2 workers, {} t/s, {processed}/4000 tuples", format_num(tps));
-    if processed != 4_000 {
-        eprintln!("scaleout_guard FAILED: live 2-worker run lost tuples ({processed}/4000)");
-        std::process::exit(1);
-    }
-    println!("scaleout_guard OK");
+/// The committed snapshot carries rows for 1/2/4 workers, every one
+/// conserving tuples, and at least 3x at 4 workers when it was taken on
+/// four cores or more; a live 2-worker run delivers every tuple across
+/// the process boundary regardless of the box's core count.
+fn scaleout_bars() -> Vec<Bar> {
+    vec![
+        Bar::max("w1.tuples_unaccounted", 0.0, Side::Committed),
+        Bar::max("w2.tuples_unaccounted", 0.0, Side::Both),
+        Bar::max("w4.tuples_unaccounted", 0.0, Side::Committed),
+        Bar::min("w4.speedup_vs_1", 3.0, Side::Committed).on_cores(4),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -2004,9 +1493,60 @@ fn fig11() {
     result.save_json(&results_dir()).expect("writing results");
 }
 
+/// The partitioning experiments' scenario: the stream spread evenly over
+/// 64 regions, 48 threshold cells per location.
+fn uniform_scenario() -> ScenarioBuilder {
+    ScenarioBuilder {
+        model: calibrated_model(),
+        regions: (0..64)
+            .map(|i| RegionRate { region: format!("R{i}"), rate: STREAM_RATE / 64.0 })
+            .collect(),
+        threshold_cells_per_location: 48,
+    }
+}
+
+/// Latency (ms) and useful throughput (tuples / 40 s window) over 1..=15
+/// engines on `nodes` single-core VMs, as two series called `name`.
+fn sweep_engines(
+    name: &str,
+    builder: &ScenarioBuilder,
+    approach: PartitioningApproach,
+    rules: &[RuleSpec],
+    nodes: usize,
+) -> (Series, Series) {
+    let (mut lat, mut tp) = (Series::new(name), Series::new(name));
+    for n in 1..=15usize {
+        let engines = builder.partitioning(approach, rules, n).expect("scenario");
+        let report =
+            simulate(&engines, SimConfig { nodes, cores_per_node: 1, ..SimConfig::default() })
+                .expect("simulation");
+        // All-grouping processes each tuple n times: its useful
+        // throughput divides by n.
+        let copies = if approach == PartitioningApproach::AllGrouping { n as f64 } else { 1.0 };
+        lat.push(n as f64, report.avg_latency_ms);
+        tp.push(n as f64, report.window_throughput / copies);
+    }
+    (lat, tp)
+}
+
+/// Prints and saves a latency figure and its throughput twin.
+fn save_figure_pair(id: &str, title: &str, figures: (u32, u32), pairs: Vec<(Series, Series)>) {
+    let (latency, throughput): (Vec<Series>, Vec<Series>) = pairs.into_iter().unzip();
+    print_series(&format!("Figure {}: observed latency (ms)", figures.0), "engines", &latency);
+    let heading = format!("Figure {}: throughput (tuples / 40 s window)", figures.1);
+    print_series(&heading, "engines", &throughput);
+    let mut result = ExperimentResult::new(id, title);
+    for (kind, series) in [("latency", latency), ("throughput", throughput)] {
+        result.series.extend(series.into_iter().map(|mut s| {
+            s.name = format!("{kind}: {}", s.name);
+            s
+        }));
+    }
+    result.save_json(&results_dir()).expect("writing results");
+}
+
 fn fig12_13() {
     println!("\n== Figures 12/13: partitioning approaches ==");
-    let model = calibrated_model();
     // 10 rules with window length 100 (5 bus-stop + 5 quadtree in the
     // paper; the routing policies are what differ here).
     let rules: Vec<RuleSpec> = (0..10)
@@ -2019,183 +1559,114 @@ fn fig12_13() {
             )
         })
         .collect();
-    let builder = ScenarioBuilder {
-        model: model.clone(),
-        regions: (0..64)
-            .map(|i| RegionRate { region: format!("R{i}"), rate: STREAM_RATE / 64.0 })
-            .collect(),
-        threshold_cells_per_location: 48,
-    };
-    let approaches = [
+    let builder = uniform_scenario();
+    let pairs = [
         ("our approach", PartitioningApproach::Proposed),
         ("all grouping", PartitioningApproach::AllGrouping),
         ("all rules", PartitioningApproach::AllRules),
-    ];
-    let mut latency_series = Vec::new();
-    let mut throughput_series = Vec::new();
-    for (name, approach) in approaches {
-        let mut lat = Series::new(name);
-        let mut tp = Series::new(name);
-        for n in 1..=15usize {
-            let engines = builder.partitioning(approach, &rules, n).expect("scenario");
-            let report = simulate(
-                &engines,
-                SimConfig { nodes: 7, cores_per_node: 1, ..SimConfig::default() },
-            )
-            .expect("simulation");
-            // All-grouping processes each tuple n times: its useful
-            // throughput divides by n.
-            let useful = match approach {
-                PartitioningApproach::AllGrouping => report.total_throughput / n as f64,
-                _ => report.total_throughput,
-            };
-            lat.push(n as f64, report.avg_latency_ms);
-            tp.push(n as f64, useful * 40.0);
-        }
-        latency_series.push(lat);
-        throughput_series.push(tp);
-    }
-    print_series("Figure 12: observed latency (ms)", "engines", &latency_series);
-    print_series("Figure 13: throughput (tuples / 40 s window)", "engines", &throughput_series);
-    let mut result = ExperimentResult::new("fig12_13", "Figures 12/13: partitioning approaches");
-    result.series.extend(latency_series.into_iter().map(|mut s| {
-        s.name = format!("latency: {}", s.name);
-        s
-    }));
-    result.series.extend(throughput_series.into_iter().map(|mut s| {
-        s.name = format!("throughput: {}", s.name);
-        s
-    }));
-    result.save_json(&results_dir()).expect("writing results");
+    ]
+    .into_iter()
+    .map(|(name, approach)| sweep_engines(name, &builder, approach, &rules, 7))
+    .collect();
+    save_figure_pair("fig12_13", "Figures 12/13: partitioning approaches", (12, 13), pairs);
 }
 
 fn workload_rules(windows: &[usize]) -> Vec<RuleSpec> {
     // Ten rules per workload: five on bus stops, five on quadtree leaves
     // (Section 5.5), cycling over the given window lengths.
     let mut out = Vec::new();
-    for i in 0..5 {
-        let w = windows[i % windows.len()];
-        out.push(RuleSpec::new(
-            format!("wl-stops-{i}"),
-            Attribute::Delay,
-            LocationSelector::BusStops,
-            w,
-        ));
-    }
-    for i in 0..5 {
-        let w = windows[i % windows.len()];
-        out.push(RuleSpec::new(
-            format!("wl-leaves-{i}"),
-            Attribute::Delay,
-            LocationSelector::QuadtreeLeaves,
-            w,
-        ));
+    for (tag, loc) in [("stops", LocationSelector::BusStops), ("leaves", LocationSelector::QuadtreeLeaves)] {
+        for i in 0..5 {
+            let w = windows[i % windows.len()];
+            out.push(RuleSpec::new(format!("wl-{tag}-{i}"), Attribute::Delay, loc.clone(), w));
+        }
     }
     out
 }
 
 fn fig14_15() {
     println!("\n== Figures 14/15: different workloads ==");
-    let model = calibrated_model();
-    let workloads: Vec<(&str, Vec<usize>)> = vec![
-        ("last event", vec![1]),
-        ("last 10 values", vec![10]),
-        ("last 100 values", vec![100]),
-        ("last event + last 10", vec![1, 10]),
-        ("last event + last 100", vec![1, 100]),
-        ("last 10 and 100", vec![10, 100]),
-        ("all the rules", vec![1, 10, 100]),
+    let workloads: [(&str, &[usize]); 7] = [
+        ("last event", &[1]),
+        ("last 10 values", &[10]),
+        ("last 100 values", &[100]),
+        ("last event + last 10", &[1, 10]),
+        ("last event + last 100", &[1, 100]),
+        ("last 10 and 100", &[10, 100]),
+        ("all the rules", &[1, 10, 100]),
     ];
-    let mut latency_series = Vec::new();
-    let mut throughput_series = Vec::new();
-    for (name, windows) in &workloads {
-        let rules = workload_rules(windows);
-        let builder = ScenarioBuilder {
-            model: model.clone(),
-            regions: (0..64)
-                .map(|i| RegionRate { region: format!("R{i}"), rate: STREAM_RATE / 64.0 })
-                .collect(),
-            threshold_cells_per_location: 48,
-        };
-        let mut lat = Series::new(*name);
-        let mut tp = Series::new(*name);
-        for n in 1..=15usize {
-            let engines = builder
-                .partitioning(PartitioningApproach::Proposed, &rules, n)
-                .expect("scenario");
-            let report = simulate(
-                &engines,
-                SimConfig { nodes: 7, cores_per_node: 1, ..SimConfig::default() },
-            )
-            .expect("simulation");
-            lat.push(n as f64, report.avg_latency_ms);
-            tp.push(n as f64, report.window_throughput);
-        }
-        latency_series.push(lat);
-        throughput_series.push(tp);
-    }
-    print_series("Figure 14: observed latency (ms)", "engines", &latency_series);
-    print_series("Figure 15: throughput (tuples / 40 s window)", "engines", &throughput_series);
-    let mut result = ExperimentResult::new("fig14_15", "Figures 14/15: workload mixes");
-    result.series.extend(latency_series.into_iter().map(|mut s| {
-        s.name = format!("latency: {}", s.name);
-        s
-    }));
-    result.series.extend(throughput_series.into_iter().map(|mut s| {
-        s.name = format!("throughput: {}", s.name);
-        s
-    }));
-    result.save_json(&results_dir()).expect("writing results");
+    let builder = uniform_scenario();
+    let pairs = workloads
+        .into_iter()
+        .map(|(name, windows)| {
+            let rules = workload_rules(windows);
+            sweep_engines(name, &builder, PartitioningApproach::Proposed, &rules, 7)
+        })
+        .collect();
+    save_figure_pair("fig14_15", "Figures 14/15: workload mixes", (14, 15), pairs);
 }
 
 fn fig16_17() {
     println!("\n== Figures 16/17: scalability with 3/5/7 VMs ==");
-    let model = calibrated_model();
     let rules = workload_rules(&[1, 10, 100]);
-    let builder = ScenarioBuilder {
-        model: model.clone(),
-        regions: (0..64)
-            .map(|i| RegionRate { region: format!("R{i}"), rate: STREAM_RATE / 64.0 })
-            .collect(),
-        threshold_cells_per_location: 48,
-    };
-    let mut latency_series = Vec::new();
-    let mut throughput_series = Vec::new();
-    for nodes in [3usize, 5, 7] {
-        let mut lat = Series::new(format!("VMs {nodes}"));
-        let mut tp = Series::new(format!("VMs {nodes}"));
-        for n in 1..=15usize {
-            let engines = builder
-                .partitioning(PartitioningApproach::Proposed, &rules, n)
-                .expect("scenario");
-            let report = simulate(
-                &engines,
-                SimConfig { nodes, cores_per_node: 1, ..SimConfig::default() },
-            )
-            .expect("simulation");
-            lat.push(n as f64, report.avg_latency_ms);
-            tp.push(n as f64, report.window_throughput);
-        }
-        latency_series.push(lat);
-        throughput_series.push(tp);
-    }
-    print_series("Figure 16: observed latency (ms)", "engines", &latency_series);
-    print_series("Figure 17: throughput (tuples / 40 s window)", "engines", &throughput_series);
-    let mut result = ExperimentResult::new("fig16_17", "Figures 16/17: VM scalability");
-    result.series.extend(latency_series.into_iter().map(|mut s| {
-        s.name = format!("latency: {}", s.name);
-        s
-    }));
-    result.series.extend(throughput_series.into_iter().map(|mut s| {
-        s.name = format!("throughput: {}", s.name);
-        s
-    }));
-    result.save_json(&results_dir()).expect("writing results");
+    let builder = uniform_scenario();
+    let pairs = [3usize, 5, 7]
+        .into_iter()
+        .map(|nodes| {
+            let name = format!("VMs {nodes}");
+            sweep_engines(&name, &builder, PartitioningApproach::Proposed, &rules, nodes)
+        })
+        .collect();
+    save_figure_pair("fig16_17", "Figures 16/17: VM scalability", (16, 17), pairs);
 }
 
-// fig11 uses `allocate` indirectly through best_grouping_allocation; keep
-// the direct import exercised for API stability.
-#[allow(dead_code)]
-fn _api_stability(model: &EstimationModel, groupings: &[Grouping]) {
-    let _ = allocate(model, groupings, groupings.len());
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_names_are_unique_and_the_usage_lists_exactly_them() {
+        let mut names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        names.extend(["all", "guard"]);
+        let usage = usage();
+        let listed: Vec<&str> = usage
+            .strip_prefix("expected one of: ")
+            .and_then(|rest| rest.strip_suffix(" (`guard <snapshot>|all`)"))
+            .expect("usage shape")
+            .split(' ')
+            .collect();
+        assert_eq!(listed, names, "the usage text is the registry");
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), REGISTRY.len() + 2, "registry names are unique");
+    }
+
+    #[test]
+    fn every_snapshot_entry_has_a_committed_file_under_the_schema() {
+        let mut envs = Vec::new();
+        for e in REGISTRY {
+            let Run::Snapshot { guard, .. } = &e.run else { continue };
+            let committed = ExperimentResult::load_snapshot(e.name).expect("committed snapshot");
+            assert_eq!(committed.id, e.name);
+            let text = std::fs::read_to_string(tms_bench::snapshot::snapshot_path(e.name)).unwrap();
+            let rewritten = serde_json::to_string_pretty(&committed).unwrap() + "\n";
+            assert_eq!(text, rewritten, "{} is byte-for-byte what the one writer emits", e.name);
+            assert!(!committed.rows.is_empty(), "{} has rows", e.name);
+            assert_eq!(committed.bars, bars_of(guard), "{} carries the registry's bars", e.name);
+            for (ok, line) in check(&committed, None) {
+                assert!(ok, "{}: {line}", e.name);
+            }
+            for r in &committed.rows {
+                if matches!(r.stat, Stat::Median { .. }) {
+                    assert!(r.trials >= 5, "{}: {} has {} trials", e.name, r.key, r.trials);
+                }
+            }
+            envs.push((e.name, committed.env));
+        }
+        assert_eq!(envs.len(), 8);
+        for (name, env) in &envs {
+            assert_eq!(env, &envs[0].1, "{name} was taken in the same environment as {}", envs[0].0);
+        }
+    }
 }

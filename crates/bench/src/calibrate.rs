@@ -13,27 +13,9 @@ use tms_core::thresholds::{RetrievalMethod, RuleEngine};
 use tms_storage::{DayType, StatRecord, TableStore, ThresholdStore};
 use tms_traffic::{Attribute, BusTrace, EnrichedTrace};
 
-/// The measurement grid for Function 1 (window lengths × threshold
-/// counts, per Tables 3 and 6).
-#[derive(Debug, Clone)]
-pub struct CalibrationGrid {
-    pub windows: Vec<usize>,
-    pub threshold_counts: Vec<usize>,
-    /// Tuples replayed per measurement (after warm-up).
-    pub tuples: usize,
-}
-
-impl Default for CalibrationGrid {
-    fn default() -> Self {
-        CalibrationGrid {
-            windows: vec![1, 10, 100, 1000],
-            threshold_counts: vec![48, 480, 2400],
-            tuples: 2_000,
-        }
-    }
-}
-
-fn synthetic_trace(i: usize, location: &str) -> EnrichedTrace {
+/// A synthetic enriched trace at `location`: 50 ms apart from 08:00,
+/// delays cycling over 0..400 s.
+pub fn synthetic_trace(i: usize, location: &str) -> EnrichedTrace {
     EnrichedTrace {
         trace: BusTrace {
             timestamp_ms: 8 * tms_traffic::HOUR_MS + i as u64 * 50,
@@ -55,7 +37,7 @@ fn synthetic_trace(i: usize, location: &str) -> EnrichedTrace {
 
 /// Builds a threshold store with `t` cells spread over `t / 48` locations
 /// (48 = 24 hours × 2 day types, the paper's statistics granularity).
-fn store_with_thresholds(t: usize) -> (ThresholdStore, Vec<String>) {
+pub fn store_with_thresholds(t: usize) -> (ThresholdStore, Vec<String>) {
     let locations = (t / 48).max(1);
     let store = ThresholdStore::new(TableStore::new());
     let mut records = Vec::with_capacity(t);
@@ -122,97 +104,142 @@ pub fn measure_rule_latency(l: usize, t: usize, tuples: usize) -> f64 {
 /// *per-rule, window-length-dependent* cost, so calibration keeps the
 /// sharing planner (which flattens exactly that dependence) off.
 ///
-/// Takes the **median of three runs**: one descheduling hiccup would
-/// otherwise poison the regression fit (and, through the sequential F2
+/// Takes the **median of three timed runs** on one warmed engine: one
+/// descheduling hiccup would otherwise poison the regression fit (and, through the sequential F2
 /// fold, everything downstream).
 pub fn measure_engine_latency(windows: &[usize], t: usize, tuples: usize) -> f64 {
-    measure_engine_latency_in_mode(windows, t, tuples, EngineMode::Incremental)
-}
-
-/// Like [`measure_engine_latency`], but selecting the engine's evaluation
-/// mode: `incremental = false` forces full-window rescans, so the latency
-/// model can be recalibrated under either ablation arm.
-pub fn measure_engine_latency_with_mode(
-    windows: &[usize],
-    t: usize,
-    tuples: usize,
-    incremental: bool,
-) -> f64 {
-    let mode = if incremental { EngineMode::Incremental } else { EngineMode::Rescan };
-    measure_engine_latency_in_mode(windows, t, tuples, mode)
-}
-
-/// Like [`measure_engine_latency`], but under an explicit [`EngineMode`]
-/// (median of three runs).
-pub fn measure_engine_latency_in_mode(
-    windows: &[usize],
-    t: usize,
-    tuples: usize,
-    mode: EngineMode,
-) -> f64 {
-    let mut runs = [
-        measure_engine_latency_once(windows, t, tuples, mode),
-        measure_engine_latency_once(windows, t, tuples, mode),
-        measure_engine_latency_once(windows, t, tuples, mode),
-    ];
+    let mut engine = WarmEngine::new(windows, t, EngineMode::Incremental);
+    let mut runs = [0.0; 3].map(|_| engine.run(tuples) * 1000.0 / tuples as f64);
     runs.sort_by(f64::total_cmp);
     runs[1]
 }
 
-fn measure_engine_latency_once(
-    windows: &[usize],
-    t: usize,
-    tuples: usize,
-    mode: EngineMode,
-) -> f64 {
-    let (store, locations) = store_with_thresholds(t);
-    let mut engine = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
-    engine
-        .set_sharing_enabled(mode == EngineMode::Shared)
-        .expect("selecting sharing mode");
-    engine
-        .set_incremental_enabled(mode != EngineMode::Rescan)
-        .expect("selecting evaluation mode");
-    let specs: Vec<RuleSpec> = windows
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| {
-            let mut spec = rule(l);
-            spec.name = format!("cal-{i}-l{l}");
-            spec
-        })
-        .collect();
-    if mode == EngineMode::Shared {
-        // Batch install: all statements stand before the first threshold
-        // event, so their windows are pristine and the planner can share.
+/// A [`RuleEngine`] running one rule per window length over `t`
+/// thresholds, warmed to its steady state, that timed runs replay
+/// synthetic traces through.
+pub struct WarmEngine {
+    engine: RuleEngine,
+    locations: Vec<String>,
+    sent: usize,
+}
+
+impl WarmEngine {
+    pub fn new(windows: &[usize], t: usize, mode: EngineMode) -> WarmEngine {
+        let (store, locations) = store_with_thresholds(t);
+        let mut engine = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
         engine
-            .install_rules(&specs, locations.iter().cloned())
-            .expect("installing calibration rules");
-    } else {
-        // Sequential install — the exact conditions the committed private
-        // baselines were measured under.
-        for spec in &specs {
+            .set_sharing_enabled(mode == EngineMode::Shared)
+            .expect("selecting sharing mode");
+        engine
+            .set_incremental_enabled(mode != EngineMode::Rescan)
+            .expect("selecting evaluation mode");
+        let specs: Vec<RuleSpec> = windows
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| {
+                let mut spec = rule(l);
+                spec.name = format!("cal-{i}-l{l}");
+                spec
+            })
+            .collect();
+        if mode == EngineMode::Shared {
+            // Batch install: all statements stand before the first threshold
+            // event, so their windows are pristine and the planner can share.
             engine
-                .install_rule(spec, locations.iter().cloned())
-                .expect("installing calibration rule");
+                .install_rules(&specs, locations.iter().cloned())
+                .expect("installing calibration rules");
+        } else {
+            // Sequential install — the exact conditions the committed private
+            // baselines were measured under.
+            for spec in &specs {
+                engine
+                    .install_rule(spec, locations.iter().cloned())
+                    .expect("installing calibration rule");
+            }
         }
+        let mut warm = WarmEngine { engine, locations, sent: 0 };
+        // Warm-up: fill every location's groupwin pane to its window length,
+        // so the steady-state per-tuple cost is what gets measured (capped to
+        // keep calibration runs short; panes at the cap are representative).
+        let max_window = windows.iter().copied().max().unwrap_or(1);
+        warm.run((max_window * warm.locations.len()).min(60_000));
+        warm
     }
-    // Warm-up: fill every location's groupwin pane to its window length,
-    // so the steady-state per-tuple cost is what gets measured (capped to
-    // keep calibration runs short; panes at the cap are representative).
-    let max_window = windows.iter().copied().max().unwrap_or(1);
-    let warmup = (max_window * locations.len()).min(60_000);
-    for i in 0..warmup {
-        let loc = &locations[i % locations.len()];
-        engine.send_trace(&synthetic_trace(i, loc)).expect("warm-up trace");
+
+    /// Sends the next `tuples` traces; returns the elapsed seconds.
+    pub fn run(&mut self, tuples: usize) -> f64 {
+        let start = Instant::now();
+        for i in self.sent..self.sent + tuples {
+            let loc = &self.locations[i % self.locations.len()];
+            self.engine.send_trace(&synthetic_trace(i, loc)).expect("trace accepted");
+        }
+        self.sent += tuples;
+        start.elapsed().as_secs_f64()
     }
-    let start = Instant::now();
-    for i in 0..tuples {
-        let loc = &locations[i % locations.len()];
-        engine.send_trace(&synthetic_trace(warmup + i, loc)).expect("measured trace");
+}
+
+/// A bare CEP engine running one grouped avg+stddev statement over
+/// `win:length(100)` — the statement shape the incremental path
+/// accelerates — warmed so eviction deltas flow from the first measured
+/// event.
+pub struct WarmStatement {
+    engine: tms_cep::Engine,
+    locations: Vec<String>,
+    sent: usize,
+}
+
+impl WarmStatement {
+    /// `incremental = false` forces the full-window rescan.
+    pub fn new(incremental: bool) -> WarmStatement {
+        let mut engine = tms_cep::Engine::new();
+        engine
+            .register_type(
+                tms_cep::EventType::with_fields(
+                    "bus",
+                    &[
+                        ("location", tms_cep::FieldType::Str),
+                        ("delay", tms_cep::FieldType::Float),
+                    ],
+                )
+                .expect("bus type is valid"),
+            )
+            .expect("registering bus type");
+        engine.set_incremental_enabled(incremental).expect("selecting evaluation mode");
+        engine
+            .create_statement(
+                "SELECT w.location AS loc, avg(w.delay) AS m, stddev(w.delay) AS sd \
+                 FROM bus.win:length(100) AS w GROUP BY w.location",
+                Box::new(|_, rows| {
+                    std::hint::black_box(rows.len());
+                }),
+            )
+            .expect("creating benchmark statement");
+        let locations = (0..10).map(|i| format!("L{i}")).collect();
+        let mut warm = WarmStatement { engine, locations, sent: 0 };
+        warm.run(1_500);
+        warm
     }
-    let elapsed = start.elapsed();
-    elapsed.as_secs_f64() * 1000.0 / tuples as f64
+
+    /// Sends the next event.
+    pub fn send(&mut self) {
+        let i = self.sent;
+        self.sent += 1;
+        let fields = [
+            ("location", self.locations[i % self.locations.len()].as_str().into()),
+            ("delay", ((i % 300) as f64).into()),
+        ];
+        let ev = self.engine.make_event("bus", i as u64 * 50, &fields).expect("benchmark event");
+        self.engine.send_event(ev).expect("benchmark event accepted");
+    }
+
+    /// Sends the next `events` events; returns the elapsed seconds.
+    pub fn run(&mut self, events: usize) -> f64 {
+        let start = Instant::now();
+        for _ in 0..events {
+            self.send();
+        }
+        start.elapsed().as_secs_f64()
+    }
 }
 
 #[cfg(test)]

@@ -2,12 +2,13 @@
 //! tables and figures report) plus machine-readable JSON dumps so
 //! EXPERIMENTS.md numbers can be regenerated and diffed.
 
+use crate::snapshot::{Bar, Env, Row};
 use serde::Serialize;
 use std::io::Write;
 use std::path::Path;
 
 /// One named data series (a figure line): x values with y values.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     pub name: String,
     pub x: Vec<f64>,
@@ -25,23 +26,37 @@ impl Series {
     }
 }
 
-/// A complete experiment result: identifies the paper artifact it
-/// regenerates and carries its series/rows.
-#[derive(Debug, Clone, Serialize)]
+/// A complete experiment result: identifies the paper artifact or
+/// `BENCH_<id>.json` snapshot it regenerates and carries its data.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentResult {
-    /// e.g. `fig11`, `table2`.
+    /// e.g. `fig11`, `table2`, `cep_throughput`.
     pub id: String,
-    /// Human description.
+    /// Human description (for a snapshot: the workload).
     pub title: String,
+    /// Where and how the result was taken.
+    pub env: Env,
     /// Data series (figures).
     pub series: Vec<Series>,
     /// Key/value facts (tables).
     pub facts: Vec<(String, String)>,
+    /// Measured quantities (snapshots).
+    pub rows: Vec<Row>,
+    /// Acceptance criteria over `rows` (snapshots).
+    pub bars: Vec<Bar>,
 }
 
 impl ExperimentResult {
     pub fn new(id: impl Into<String>, title: impl Into<String>) -> Self {
-        ExperimentResult { id: id.into(), title: title.into(), series: Vec::new(), facts: Vec::new() }
+        ExperimentResult {
+            id: id.into(),
+            title: title.into(),
+            env: Env::capture(),
+            series: Vec::new(),
+            facts: Vec::new(),
+            rows: Vec::new(),
+            bars: Vec::new(),
+        }
     }
 
     pub fn fact(&mut self, key: impl Into<String>, value: impl ToString) {

@@ -542,15 +542,6 @@ impl Engine {
         self.stats
     }
 
-    /// Ablation switch: disables the per-statement join-index cache so
-    /// every evaluation rebuilds its hash indexes (the pre-optimization
-    /// behaviour). Used by benchmarks to quantify the cache's effect.
-    pub fn set_join_cache_enabled(&mut self, enabled: bool) {
-        for rt in &mut self.statements {
-            rt.cache.set_disabled(!enabled);
-        }
-    }
-
     /// Ablation switch: enables/disables incremental evaluation
     /// (delta-maintained aggregates and the anchor fast path). Disabled,
     /// every arrival rescans the full window state — the

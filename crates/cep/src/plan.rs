@@ -687,7 +687,6 @@ pub struct SourceIndexCache {
 pub struct JoinCache {
     per_source: Vec<SourceIndexCache>,
     scratch: Vec<JoinKey>,
-    disabled: bool,
 }
 
 impl JoinCache {
@@ -696,20 +695,6 @@ impl JoinCache {
         JoinCache {
             per_source: (0..stmt.sources.len()).map(|_| SourceIndexCache::default()).collect(),
             scratch: Vec::new(),
-            disabled: false,
-        }
-    }
-
-    /// Disables memoization (ablation switch): every evaluation rebuilds
-    /// its hash indexes from scratch, the pre-optimization behaviour.
-    pub fn set_disabled(&mut self, disabled: bool) {
-        self.disabled = disabled;
-        if disabled {
-            for slot in &mut self.per_source {
-                slot.version = None;
-                slot.index.clear();
-                slot.single.clear();
-            }
         }
     }
 }
@@ -813,11 +798,7 @@ impl CompiledStatement {
             } else {
                 // (Re)build the hash index only when the window changed.
                 let single_key = step.right_keys.len() == 1;
-                let disabled = cache.disabled;
                 let slot = &mut cache.per_source[src];
-                if disabled {
-                    slot.version = None;
-                }
                 if slot.version != Some(windows[src].version()) {
                     slot.index.clear();
                     slot.single.clear();
@@ -842,7 +823,7 @@ impl CompiledStatement {
                 // Probe without allocating a fresh key per row: single-key
                 // joins hash the bare key, composite joins reuse the cache's
                 // scratch buffer (`Vec<JoinKey>: Borrow<[JoinKey]>`).
-                let JoinCache { per_source, scratch, .. } = &mut *cache;
+                let JoinCache { per_source, scratch } = &mut *cache;
                 let slot = &per_source[src];
                 for row in &rows {
                     let matches = if single_key {

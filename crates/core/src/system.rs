@@ -316,84 +316,6 @@ pub struct PlannerDriftReport {
     pub calibration: Option<CalibrationReport>,
 }
 
-/// `null` for non-finite values (JSON has no Infinity).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-impl PlannerDriftReport {
-    /// The report as one JSON object (the shape the bench harness embeds
-    /// in its `BENCH_*` snapshots).
-    pub fn to_json(&self) -> String {
-        let engines: Vec<String> = self
-            .engines
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"engine\":{},\"planned_rate\":{},\"observed_rate\":{},\"predicted_latency_ms\":{},\"observed_latency_ms\":{}}}",
-                    e.engine,
-                    json_f64(e.planned_rate),
-                    json_f64(e.observed_rate),
-                    json_f64(e.predicted_latency_ms),
-                    json_f64(e.observed_latency_ms),
-                )
-            })
-            .collect();
-        let rules: Vec<String> = self
-            .rules
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"rule\":{},\"engine\":{},\"window\":{},\"thresholds\":{},\"observed_window\":{},\"observed_latency_ms\":{},\"events_in\":{}}}",
-                    json_str(&r.rule),
-                    r.engine,
-                    r.load.window,
-                    r.load.thresholds,
-                    r.observed_window,
-                    json_f64(r.observed_latency_ms),
-                    r.events_in,
-                )
-            })
-            .collect();
-        let calibration = match &self.calibration {
-            Some(c) => format!(
-                "{{\"samples\":{},\"mae_before_ms\":{},\"mae_after_ms\":{}}}",
-                c.samples,
-                json_f64(c.mae_before_ms),
-                json_f64(c.mae_after_ms),
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"imbalance_planned\":{},\"imbalance_observed\":{},\"engines\":[{}],\"rules\":[{}],\"calibration\":{}}}",
-            json_f64(self.imbalance_planned),
-            json_f64(self.imbalance_observed),
-            engines.join(","),
-            rules.join(","),
-            calibration,
-        )
-    }
-}
-
 /// The outcome of an on-line run.
 #[derive(Debug)]
 pub struct RunReport {
@@ -1853,18 +1775,6 @@ mod tests {
             cal.mae_after_ms,
             cal.mae_before_ms
         );
-
-        // The JSON export is well-formed enough to embed in a snapshot.
-        let json = planner.to_json();
-        for key in [
-            "\"imbalance_planned\":",
-            "\"engines\":[",
-            "\"rules\":[",
-            "\"calibration\":{",
-            "\"mae_before_ms\":",
-        ] {
-            assert!(json.contains(key), "{key} missing from {json}");
-        }
     }
 
     #[test]

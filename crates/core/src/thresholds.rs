@@ -150,12 +150,6 @@ impl RuleEngine {
         self.engine.statement_count()
     }
 
-    /// Ablation switch for the underlying engine's join-index cache (see
-    /// [`tms_cep::Engine::set_join_cache_enabled`]).
-    pub fn set_join_cache_enabled(&mut self, enabled: bool) {
-        self.engine.set_join_cache_enabled(enabled);
-    }
-
     /// Ablation switch for the underlying engine's incremental evaluation
     /// path (see [`tms_cep::Engine::set_incremental_enabled`]). On by
     /// default; switching it off forces full-window rescans.

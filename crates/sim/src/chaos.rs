@@ -1,676 +1,27 @@
-//! Chaos scenarios: declarative fault/recovery setups for live DSPS runs.
+//! The named chaos scenario for live DSPS runs.
 //!
 //! The fluid simulator in this crate models *capacity*; it cannot model
-//! partial failure. Chaos scenarios instead drive the real threaded
-//! runtime in `tms-dsps`: a [`ChaosSpec`] declares seeded fault
-//! probabilities and the recovery budget, and converts into the runtime's
-//! [`FaultConfig`] / [`ReliabilityConfig`] pair. Because everything is
-//! seeded, a chaos experiment is as reproducible as a fluid one.
+//! partial failure. The chaos scenario instead drives the real threaded
+//! runtime in `tms-dsps`: seeded fault probabilities plus the recovery
+//! budget that must absorb them. Because everything is seeded, a chaos
+//! experiment is as reproducible as a fluid one.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
-use tms_dsps::runtime::{BatchConfig, ReliabilityConfig};
-use tms_dsps::{FaultConfig, LineageConfig, MonitorConfig};
-
-/// A declarative chaos scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChaosSpec {
-    /// Probability a wrapped bolt panics before processing a tuple.
-    pub panic_p: f64,
-    /// Probability the transport drops a delivery in transit.
-    pub drop_p: f64,
-    /// Extra per-tuple latency injected into wrapped bolts, milliseconds.
-    pub delay_ms: f64,
-    /// RNG seed; fixed seed ⇒ reproducible fault schedule.
-    pub seed: u64,
-    /// Ack timeout before a tuple tree is replayed, milliseconds.
-    pub ack_timeout_ms: u64,
-    /// Replays per tuple before it is abandoned as failed.
-    pub max_retries: u32,
-    /// Supervised restarts per bolt task before the topology fails.
-    pub max_task_restarts: u32,
-    /// Max in-flight roots per spout task (throttle).
-    pub max_pending: usize,
-}
-
-impl Default for ChaosSpec {
-    fn default() -> Self {
-        ChaosSpec::light()
-    }
-}
-
-impl ChaosSpec {
-    /// The acceptance scenario: 1% panics + 1% drops, generous recovery.
-    pub fn light() -> Self {
-        ChaosSpec {
-            panic_p: 0.01,
-            drop_p: 0.01,
-            delay_ms: 0.0,
-            seed: 0x7EA_5EED,
-            ack_timeout_ms: 250,
-            max_retries: 20,
-            max_task_restarts: 200,
-            max_pending: 256,
-        }
-    }
-
-    /// A harsher scenario: 5% panics + 5% drops with added latency.
-    pub fn heavy() -> Self {
-        ChaosSpec {
-            panic_p: 0.05,
-            drop_p: 0.05,
-            delay_ms: 1.0,
-            seed: 0x7EA_5EED,
-            ack_timeout_ms: 500,
-            max_retries: 40,
-            max_task_restarts: 1000,
-            max_pending: 128,
-        }
-    }
-
-    /// Validates probabilities and budgets.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, p) in [("panic_p", self.panic_p), ("drop_p", self.drop_p)] {
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(format!("{name} must be a probability in [0, 1], got {p}"));
-            }
-        }
-        if !(self.delay_ms >= 0.0) || !self.delay_ms.is_finite() {
-            return Err(format!("delay_ms must be non-negative, got {}", self.delay_ms));
-        }
-        if self.ack_timeout_ms == 0 {
-            return Err("ack_timeout_ms must be at least 1".into());
-        }
-        if self.max_pending == 0 {
-            return Err("max_pending must be at least 1".into());
-        }
-        Ok(())
-    }
-
-    /// The fault half: feed to `RuntimeConfig::fault` and
-    /// [`tms_dsps::chaos_wrap`].
-    pub fn fault_config(&self) -> FaultConfig {
-        FaultConfig {
-            panic_p: self.panic_p,
-            drop_p: self.drop_p,
-            delay: (self.delay_ms > 0.0)
-                .then(|| Duration::from_secs_f64(self.delay_ms / 1000.0)),
-            seed: self.seed,
-        }
-    }
-
-    /// The recovery half: feed to `RuntimeConfig::reliability`.
-    pub fn reliability_config(&self) -> ReliabilityConfig {
-        ReliabilityConfig {
-            ack_timeout: Duration::from_millis(self.ack_timeout_ms),
-            max_retries: self.max_retries,
-            backoff: 1.5,
-            max_pending: self.max_pending,
-            max_task_restarts: self.max_task_restarts,
-        }
-    }
-}
-
-/// A declarative monitor/tracing scenario: the serializable face of the
-/// runtime's [`MonitorConfig`], so an experiment file can pin the sampling
-/// window and opt into end-to-end tracing the same way [`ChaosSpec`] pins
-/// the fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MonitorSpec {
-    /// Sampling window length, milliseconds (the paper uses 40 000).
-    pub window_ms: u64,
-    /// Enable end-to-end latency histograms and queue-depth gauges.
-    pub tracing: bool,
-    /// Sampled windows retained per run before the oldest are evicted.
-    pub retention: usize,
-    /// Enable per-rule CEP profiling (eval-time histograms, path
-    /// counters, threshold-staleness gauges in every sampled window).
-    pub profiling: bool,
-    /// Expose a Prometheus/JSON scrape endpoint on this loopback port
-    /// (`0` = ephemeral); `None` binds nothing.
-    pub expose: Option<u16>,
-    /// Sampled tuple-lineage tracing; `None` keeps lineage off (the
-    /// default, and absent from older experiment files).
-    pub lineage: Option<LineageSpec>,
-}
-
-impl Default for MonitorSpec {
-    fn default() -> Self {
-        let mc = MonitorConfig::default();
-        MonitorSpec {
-            window_ms: mc.window.as_millis() as u64,
-            tracing: mc.tracing,
-            retention: mc.retention,
-            profiling: mc.profiling,
-            expose: mc.expose,
-            lineage: None,
-        }
-    }
-}
-
-impl MonitorSpec {
-    /// A tracing-enabled spec with the given sampling window.
-    pub fn traced(window_ms: u64) -> Self {
-        MonitorSpec { window_ms, tracing: true, ..MonitorSpec::default() }
-    }
-
-    /// A tracing + profiling spec with the given sampling window.
-    pub fn profiled(window_ms: u64) -> Self {
-        MonitorSpec { window_ms, tracing: true, profiling: true, ..MonitorSpec::default() }
-    }
-
-    /// A tracing + sample-everything-lineage spec: what the acceptance
-    /// tests run to assert trace completeness under adversity.
-    pub fn lineage_full(window_ms: u64) -> Self {
-        MonitorSpec {
-            window_ms,
-            tracing: true,
-            lineage: Some(LineageSpec::full()),
-            ..MonitorSpec::default()
-        }
-    }
-
-    /// Validates the window, retention budget and lineage knobs.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window_ms == 0 {
-            return Err("window_ms must be at least 1".into());
-        }
-        if self.retention == 0 {
-            return Err("retention must be at least 1".into());
-        }
-        if let Some(l) = &self.lineage {
-            l.validate()?;
-        }
-        Ok(())
-    }
-
-    /// Converts into the runtime's config: feed to `RuntimeConfig::monitor`.
-    pub fn monitor_config(&self) -> MonitorConfig {
-        MonitorConfig {
-            window: Duration::from_millis(self.window_ms),
-            tracing: self.tracing,
-            retention: self.retention,
-            profiling: self.profiling,
-            expose: self.expose,
-            lineage: self.lineage.as_ref().map(|l| l.lineage_config()),
-        }
-    }
-}
-
-/// A declarative lineage-tracing scenario: the serializable face of the
-/// runtime's [`LineageConfig`], so an experiment file can pin the sampling
-/// fraction the same way [`MonitorSpec`] pins the window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LineageSpec {
-    /// Fraction of tuple trees to sample, `0.0..=1.0`.
-    pub sample_rate: f64,
-    /// Retain drained spans for export (`/trace`, `take_traces`); `false`
-    /// folds them into the critical-path report only.
-    pub export: bool,
-    /// Per-task span-ring capacity (rounded up to a power of two).
-    pub ring_capacity: usize,
-}
-
-impl Default for LineageSpec {
-    fn default() -> Self {
-        let lc = LineageConfig::default();
-        LineageSpec {
-            sample_rate: lc.sample_rate,
-            export: lc.export,
-            ring_capacity: lc.ring_capacity,
-        }
-    }
-}
-
-impl LineageSpec {
-    /// Sample everything — the acceptance/completeness preset.
-    pub fn full() -> Self {
-        LineageSpec { sample_rate: 1.0, ..LineageSpec::default() }
-    }
-
-    /// Validates the sampling fraction and ring capacity.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.sample_rate) || !self.sample_rate.is_finite() {
-            return Err(format!(
-                "sample_rate must be a fraction in [0, 1], got {}",
-                self.sample_rate
-            ));
-        }
-        if self.ring_capacity == 0 {
-            return Err("ring_capacity must be at least 1".into());
-        }
-        Ok(())
-    }
-
-    /// Converts into the runtime's config: feed to `MonitorConfig::lineage`.
-    pub fn lineage_config(&self) -> LineageConfig {
-        LineageConfig {
-            sample_rate: self.sample_rate,
-            export: self.export,
-            ring_capacity: self.ring_capacity,
-        }
-    }
-}
-
-/// A declarative data-plane batching scenario: the serializable face of
-/// the runtime's [`BatchConfig`], so an experiment file can pin the batch
-/// size and linger the same way [`ChaosSpec`] pins the fault schedule and
-/// [`MonitorSpec`] pins the sampling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchSpec {
-    /// Tuples buffered per (route, task) edge before a size flush.
-    pub max_batch: usize,
-    /// Longest a partial batch may linger before a deadline flush,
-    /// milliseconds.
-    pub max_linger_ms: u64,
-}
-
-impl Default for BatchSpec {
-    fn default() -> Self {
-        let bc = BatchConfig::default();
-        BatchSpec {
-            max_batch: bc.max_batch,
-            max_linger_ms: bc.max_linger.as_millis() as u64,
-        }
-    }
-}
-
-impl BatchSpec {
-    /// A spec with the given batch size and the default linger.
-    pub fn of(max_batch: usize) -> Self {
-        BatchSpec { max_batch, ..BatchSpec::default() }
-    }
-
-    /// Validates the batch size and linger.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_batch == 0 {
-            return Err("max_batch must be at least 1".into());
-        }
-        if self.max_linger_ms == 0 {
-            return Err("max_linger_ms must be at least 1".into());
-        }
-        Ok(())
-    }
-
-    /// Converts into the runtime's config: feed to `RuntimeConfig::batch`.
-    pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            max_batch: self.max_batch,
-            max_linger: Duration::from_millis(self.max_linger_ms),
-        }
-    }
-}
-
-/// A declarative kappa scenario: the serializable face of the in-stream
-/// statistics branch ([`tms_core::KappaConfig`]) and the engines' durable
-/// state ([`tms_dsps::DurabilityConfig`]), so an experiment file can pin
-/// the refresh cadence and snapshot policy the same way [`ChaosSpec`]
-/// pins the fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KappaSpec {
-    /// Samples the StatsBolt folds in between republications.
-    pub refresh_every: u64,
-    /// Cells thinner than this stay unpublished (the offline bootstrap
-    /// value, if any, keeps serving).
-    pub min_samples: u64,
-    /// Durable-state root directory; `None` runs the engines in-memory.
-    pub durability_dir: Option<String>,
-    /// Changelog records between runtime snapshots (replay bound).
-    pub snapshot_every: u64,
-    /// Fsync snapshot data (appends are CRC-framed either way).
-    pub fsync: bool,
-}
-
-impl Default for KappaSpec {
-    fn default() -> Self {
-        let kc = tms_core::kappa::KappaConfig::default();
-        KappaSpec {
-            refresh_every: kc.refresh_every,
-            min_samples: kc.min_samples,
-            durability_dir: None,
-            snapshot_every: 1024,
-            fsync: false,
-        }
-    }
-}
-
-impl KappaSpec {
-    /// An aggressive-refresh spec for staleness experiments.
-    pub fn fast_refresh(refresh_every: u64) -> Self {
-        KappaSpec { refresh_every, ..KappaSpec::default() }
-    }
-
-    /// A spec persisting engine state under `dir`.
-    pub fn durable(dir: impl Into<String>) -> Self {
-        KappaSpec { durability_dir: Some(dir.into()), ..KappaSpec::default() }
-    }
-
-    /// Validates the refresh cadence and snapshot policy.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.refresh_every == 0 {
-            return Err("refresh_every must be at least 1".into());
-        }
-        if let Some(dir) = &self.durability_dir {
-            if dir.is_empty() {
-                return Err("durability_dir must not be empty when set".into());
-            }
-            if self.snapshot_every == 0 {
-                return Err("snapshot_every must be at least 1".into());
-            }
-        }
-        Ok(())
-    }
-
-    /// The in-stream half: feed to `SystemConfig::kappa`.
-    pub fn kappa_config(&self) -> tms_core::kappa::KappaConfig {
-        tms_core::kappa::KappaConfig {
-            refresh_every: self.refresh_every,
-            min_samples: self.min_samples,
-        }
-    }
-
-    /// The durable half: feed to `SystemConfig::durability` /
-    /// `RuntimeConfig::durability`. `None` when the spec is in-memory.
-    pub fn durability_config(&self) -> Option<tms_dsps::DurabilityConfig> {
-        self.durability_dir.as_ref().map(|dir| tms_dsps::DurabilityConfig {
-            dir: dir.into(),
-            snapshot_every: self.snapshot_every,
-            fsync: self.fsync,
-        })
-    }
-}
-
-/// A declarative multi-process scale-out scenario: the serializable face
-/// of the worker-process split (`SystemConfig::workers` plus the cluster
-/// shape [`tms_dsps::DistributedCluster`] spawns against), so an
-/// experiment file can pin the process count the same way [`ChaosSpec`]
-/// pins the fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScaleoutSpec {
-    /// Worker processes the topology spans (1 = stay in-process).
-    pub workers: usize,
-    /// Cluster nodes the scheduler models.
-    pub nodes: usize,
-    /// Worker slots per node.
-    pub slots_per_node: usize,
-}
-
-impl Default for ScaleoutSpec {
-    fn default() -> Self {
-        ScaleoutSpec::of(1)
-    }
-}
-
-impl ScaleoutSpec {
-    /// A spec spanning `workers` processes, one slot per worker spread
-    /// over min(workers, 4) nodes — the `experiments -- scaleout` shape.
-    pub fn of(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let nodes = workers.min(4);
-        ScaleoutSpec { workers, nodes, slots_per_node: workers.div_ceil(nodes) }
-    }
-
-    /// Validates the process count against the cluster shape.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("workers must be at least 1".into());
-        }
-        if self.nodes == 0 || self.slots_per_node == 0 {
-            return Err("nodes and slots_per_node must be at least 1".into());
-        }
-        if self.workers > self.nodes * self.slots_per_node {
-            return Err(format!(
-                "{} workers exceed the {} available slots",
-                self.workers,
-                self.nodes * self.slots_per_node
-            ));
-        }
-        Ok(())
-    }
-
-    /// The cluster shape: feed to `SystemConfig::cluster` or
-    /// [`tms_dsps::DistributedCluster::new`].
-    pub fn cluster_spec(&self) -> tms_dsps::scheduler::ClusterSpec {
-        tms_dsps::scheduler::ClusterSpec {
-            nodes: self.nodes,
-            slots_per_node: self.slots_per_node,
-            cores_per_node: 1,
-        }
-    }
-
-    /// The scheduler's worker override: feed to `SystemConfig::workers` /
-    /// `RuntimeConfig::workers`. `None` for a single-process run so the
-    /// in-process default path stays untouched.
-    pub fn workers_config(&self) -> Option<usize> {
-        (self.workers > 1).then_some(self.workers)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn presets_validate_and_convert() {
-        for spec in [ChaosSpec::light(), ChaosSpec::heavy(), ChaosSpec::default()] {
-            spec.validate().unwrap();
-            let f = spec.fault_config();
-            assert_eq!(f.panic_p, spec.panic_p);
-            assert_eq!(f.drop_p, spec.drop_p);
-            assert_eq!(f.seed, spec.seed);
-            let r = spec.reliability_config();
-            assert_eq!(r.ack_timeout, Duration::from_millis(spec.ack_timeout_ms));
-            assert_eq!(r.max_task_restarts, spec.max_task_restarts);
-        }
-        // Light injects no latency; heavy injects 1 ms.
-        assert_eq!(ChaosSpec::light().fault_config().delay, None);
-        assert_eq!(
-            ChaosSpec::heavy().fault_config().delay,
-            Some(Duration::from_millis(1))
-        );
-    }
-
-    #[test]
-    fn invalid_specs_rejected() {
-        let mut s = ChaosSpec::light();
-        s.panic_p = 1.5;
-        assert!(s.validate().is_err());
-        let mut s = ChaosSpec::light();
-        s.drop_p = -0.1;
-        assert!(s.validate().is_err());
-        let mut s = ChaosSpec::light();
-        s.delay_ms = f64::NAN;
-        assert!(s.validate().is_err());
-        let mut s = ChaosSpec::light();
-        s.ack_timeout_ms = 0;
-        assert!(s.validate().is_err());
-        let mut s = ChaosSpec::light();
-        s.max_pending = 0;
-        assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn monitor_specs_default_match_the_runtime_and_convert() {
-        let spec = MonitorSpec::default();
-        spec.validate().unwrap();
-        assert_eq!(spec.monitor_config(), MonitorConfig::default());
-        assert!(!spec.tracing, "tracing stays opt-in");
-
-        let traced = MonitorSpec::traced(500);
-        traced.validate().unwrap();
-        let mc = traced.monitor_config();
-        assert_eq!(mc.window, Duration::from_millis(500));
-        assert!(mc.tracing);
-        assert_eq!(mc.retention, MonitorConfig::default().retention);
-        assert!(!mc.profiling, "profiling stays opt-in under plain tracing");
-        assert_eq!(mc.expose, None, "the scrape endpoint stays opt-in");
-
-        let profiled = MonitorSpec::profiled(500);
-        profiled.validate().unwrap();
-        let mc = profiled.monitor_config();
-        assert!(mc.tracing && mc.profiling);
-        assert_eq!(mc.expose, None);
-
-        let mut bad = MonitorSpec::default();
-        bad.window_ms = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = MonitorSpec::default();
-        bad.retention = 0;
-        assert!(bad.validate().is_err());
-
-        let json = serde_json::to_string(&traced).unwrap();
-        assert!(json.contains("\"window_ms\":500"), "{json}");
-        assert!(json.contains("\"tracing\":true"), "{json}");
-    }
-
-    #[test]
-    fn lineage_specs_default_match_the_runtime_and_convert() {
-        let spec = LineageSpec::default();
-        spec.validate().unwrap();
-        assert_eq!(spec.lineage_config(), LineageConfig::default());
-
-        let full = LineageSpec::full();
-        full.validate().unwrap();
-        assert_eq!(full.lineage_config(), LineageConfig::full());
-
-        let traced = MonitorSpec::lineage_full(500);
-        traced.validate().unwrap();
-        let mc = traced.monitor_config();
-        assert!(mc.tracing);
-        assert_eq!(mc.lineage, Some(LineageConfig::full()));
-        assert_eq!(
-            MonitorSpec::default().monitor_config().lineage,
-            None,
-            "lineage stays opt-in"
-        );
-
-        let mut bad = LineageSpec::default();
-        bad.sample_rate = 1.5;
-        assert!(bad.validate().is_err());
-        let mut bad = LineageSpec::default();
-        bad.sample_rate = f64::NAN;
-        assert!(bad.validate().is_err());
-        let mut bad = LineageSpec::default();
-        bad.ring_capacity = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = MonitorSpec::lineage_full(500);
-        bad.lineage.as_mut().unwrap().sample_rate = -0.1;
-        assert!(bad.validate().is_err(), "monitor spec validates nested lineage");
-
-        let json = serde_json::to_string(&traced).unwrap();
-        assert!(json.contains("\"sample_rate\":1"), "{json}");
-        assert!(json.contains("\"ring_capacity\":4096"), "{json}");
-    }
-
-    #[test]
-    fn batch_specs_default_match_the_runtime_and_convert() {
-        let spec = BatchSpec::default();
-        spec.validate().unwrap();
-        assert_eq!(spec.batch_config(), BatchConfig::default());
-
-        let sized = BatchSpec::of(32);
-        sized.validate().unwrap();
-        let bc = sized.batch_config();
-        assert_eq!(bc.max_batch, 32);
-        assert_eq!(bc.max_linger, BatchConfig::default().max_linger);
-
-        let mut bad = BatchSpec::default();
-        bad.max_batch = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = BatchSpec::default();
-        bad.max_linger_ms = 0;
-        assert!(bad.validate().is_err());
-
-        let json = serde_json::to_string(&BatchSpec { max_batch: 64, max_linger_ms: 2 }).unwrap();
-        assert!(json.contains("\"max_batch\":64"), "{json}");
-        assert!(json.contains("\"max_linger_ms\":2"), "{json}");
-    }
-
-    #[test]
-    fn kappa_specs_default_match_the_runtime_and_convert() {
-        let spec = KappaSpec::default();
-        spec.validate().unwrap();
-        assert_eq!(spec.kappa_config(), tms_core::kappa::KappaConfig::default());
-        assert_eq!(spec.durability_config(), None, "durability stays opt-in");
-
-        let fast = KappaSpec::fast_refresh(64);
-        fast.validate().unwrap();
-        assert_eq!(fast.kappa_config().refresh_every, 64);
-        assert_eq!(
-            fast.kappa_config().min_samples,
-            tms_core::kappa::KappaConfig::default().min_samples
-        );
-
-        let durable = KappaSpec::durable("/tmp/tms-state");
-        durable.validate().unwrap();
-        let dc = durable.durability_config().expect("durable spec converts");
-        assert_eq!(dc.dir, std::path::PathBuf::from("/tmp/tms-state"));
-        assert_eq!(dc.snapshot_every, 1024);
-        assert!(!dc.fsync, "fsync stays opt-in");
-
-        let mut bad = KappaSpec::default();
-        bad.refresh_every = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = KappaSpec::durable("");
-        assert!(bad.validate().is_err());
-        bad = KappaSpec::durable("/tmp/x");
-        bad.snapshot_every = 0;
-        assert!(bad.validate().is_err());
-
-        let json = serde_json::to_string(&durable).unwrap();
-        for field in [
-            "\"refresh_every\":",
-            "\"min_samples\":",
-            "\"durability_dir\":\"/tmp/tms-state\"",
-            "\"snapshot_every\":1024",
-            "\"fsync\":false",
-        ] {
-            assert!(json.contains(field), "{field} missing from {json}");
-        }
-    }
-
-    #[test]
-    fn scaleout_specs_validate_and_convert() {
-        let single = ScaleoutSpec::default();
-        single.validate().unwrap();
-        assert_eq!(single.workers, 1);
-        assert_eq!(single.workers_config(), None, "1 worker keeps the in-process default");
-
-        let four = ScaleoutSpec::of(4);
-        four.validate().unwrap();
-        assert_eq!(four.workers_config(), Some(4));
-        let cs = four.cluster_spec();
-        assert!(cs.nodes * cs.slots_per_node >= 4, "spec fits its own cluster");
-        assert_eq!(cs.cores_per_node, 1);
-
-        let mut bad = ScaleoutSpec::of(2);
-        bad.workers = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = ScaleoutSpec::of(2);
-        bad.nodes = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = ScaleoutSpec::of(2);
-        bad.workers = 99;
-        assert!(bad.validate().is_err(), "workers must fit the slots");
-
-        let json = serde_json::to_string(&four).unwrap();
-        assert!(json.contains("\"workers\":4"), "{json}");
-    }
-
-    #[test]
-    fn specs_serialize_with_every_knob_visible() {
-        let spec = ChaosSpec::heavy();
-        let json = serde_json::to_string(&spec).unwrap();
-        for field in [
-            "\"panic_p\":0.05",
-            "\"drop_p\":0.05",
-            "\"delay_ms\":1",
-            "\"ack_timeout_ms\":500",
-            "\"max_retries\":40",
-            "\"max_task_restarts\":1000",
-            "\"max_pending\":128",
-        ] {
-            assert!(json.contains(field), "{field} missing from {json}");
-        }
-    }
+use tms_dsps::runtime::ReliabilityConfig;
+use tms_dsps::FaultConfig;
+
+/// The acceptance scenario: 1% panics + 1% drops, no added latency, and
+/// a generous at-least-once recovery budget. Feed the halves to
+/// `SystemConfig::{chaos, reliability}` (or `RuntimeConfig::{fault,
+/// reliability}`).
+pub fn light_chaos() -> (FaultConfig, ReliabilityConfig) {
+    let fault = FaultConfig { panic_p: 0.01, drop_p: 0.01, delay: None, seed: 0x7EA_5EED };
+    let recovery = ReliabilityConfig {
+        ack_timeout: Duration::from_millis(250),
+        max_retries: 20,
+        backoff: 1.5,
+        max_pending: 256,
+        max_task_restarts: 200,
+    };
+    (fault, recovery)
 }

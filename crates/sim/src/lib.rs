@@ -24,10 +24,10 @@
 //! reproducible: no randomness anywhere.
 //!
 //! The fluid model covers capacity, not failure. The [`chaos`] module
-//! covers the other half: declarative, seeded fault scenarios
-//! ([`ChaosSpec`]) that configure the *real* threaded runtime in
-//! `tms-dsps` — probabilistic panics, message drops and added latency —
-//! together with the at-least-once recovery budget that must absorb them.
+//! covers the other half: the named, seeded fault scenario
+//! ([`light_chaos`]) that configures the *real* threaded runtime in
+//! `tms-dsps` — probabilistic panics and message drops — together with
+//! the at-least-once recovery budget that must absorb them.
 
 // `!(x > 0.0)` is used deliberately in validations: unlike `x <= 0.0`
 // it also rejects NaN.
@@ -38,7 +38,7 @@ pub mod hotspot;
 pub mod placement;
 pub mod scenario;
 
-pub use chaos::{BatchSpec, ChaosSpec, KappaSpec, LineageSpec, MonitorSpec, ScaleoutSpec};
+pub use chaos::light_chaos;
 pub use hotspot::HotspotSpec;
 pub use placement::round_robin_nodes;
 pub use scenario::{PartitioningApproach, ScenarioBuilder};

@@ -1,81 +1,14 @@
 #!/usr/bin/env bash
-# Full local gate: release build, workspace tests, strict clippy.
+# Full local gate: release build, every crate's tests, the snapshot
+# guards, the pipeline benchmark's own tests and smoke run, strict clippy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-# --workspace: with a root [package] present, a bare `cargo test` would
-# only run the root crate's suites.
-cargo test -q --workspace
-# The chaos integration suite is the reliability layer's acceptance bar:
-# seeded panics + drops with recovery on must reproduce the failure-free
-# output after dedup (see crates/dsps/tests/reliability.rs).
-cargo test -p tms-dsps --test reliability
-# The observability suite is the tracing layer's acceptance bar: e2e
-# completion histograms in both delivery modes, queue gauges under
-# backlog, and prompt monitor shutdown (see crates/dsps/tests/observability.rs).
-cargo test -p tms-dsps --test observability
-# The profiling suite is the profiler/exposition layer's acceptance bar:
-# profile sources flowing into sampled windows as deltas, and the loopback
-# scrape endpoint serving Prometheus text + JSON mid-run
-# (see crates/dsps/tests/profiling.rs).
-cargo test -p tms-dsps --test profiling
-# The batching suite is the micro-batched data plane's acceptance bar:
-# batched delivery must reproduce per-tuple output exactly across every
-# grouping, compose with chaos recovery, keep tuple-granular metrics, and
-# drain unconditionally at EOS (see crates/dsps/tests/batching.rs).
-cargo test -p tms-dsps --test batching
-# The sharing suite is the shared-evaluation planner's acceptance bar:
-# cluster formation, rule churn against shared state, cost rejections,
-# profile accounting, and mid-stream toggles (see crates/cep/tests/sharing.rs),
-# plus the differential property that shared ≡ unshared ≡ rescan.
-cargo test -p tms-cep --test sharing --test differential
-# The elastic suite is the re-partitioning control loop's acceptance bar:
-# a hotspot stream must trigger live migrations without a restart, a
-# migrated run must equal a never-migrated one exactly, and chaos-mode
-# migrations must recover under at-least-once (see crates/dsps/tests/elastic.rs).
-cargo test -p tms-dsps --test elastic
-# The recovery suite is the durability layer's acceptance bar: CRC-framed
-# snapshot+changelog round-trips, torn-tail truncation, compaction at
-# snapshot, and a killed-and-restarted topology resuming byte-identical
-# to an uninterrupted run (see crates/dsps/tests/recovery.rs).
-cargo test -p tms-dsps --test recovery
-# The lineage suite is the causal observability layer's acceptance bar:
-# critical-path attribution naming a deliberately throttled bolt, tuple
-# trees staying connected across restart+replay, concurrent scrapes of
-# every route surviving hanging clients, and a dark /trace when lineage
-# is off (see crates/dsps/tests/lineage.rs).
-cargo test -p tms-dsps --test lineage
-# The distributed suite is the multi-process runtime's acceptance bar:
-# 2-worker batched == per-tuple parity across every grouping, at-least-once
-# recovery over a lossy TCP link, supervised restart and migration installs
-# crossing the process boundary, a 3-worker mesh chain, and remote counters
-# in the merged scrape (see crates/dsps/tests/distributed.rs).
-cargo test -p tms-dsps --test distributed
-# The kappa/determinism bar lives in tms-core: in-stream statistics
-# matching the batch job, batched == per-tuple detection parity under
-# multi-task parallelism, resequencer ordering, and threshold ages
-# surviving supervised restarts under chaos.
-cargo test -p tms-core -- kappa resequencer batched_run_detects durable_restarts
-# Smoke-mode perf guard: the 10-rule Table 6 workload in shared mode must
-# stay within 2x of the committed snapshot's ms/tuple.
-cargo run --release -p tms-bench --bin experiments -- bench_guard
-# Staleness guard: the committed BENCH_staleness.json must show kappa-path
-# threshold staleness <=100ms p99 against batch-period minutes on the
-# ablation, and a live kappa re-run must stay refresh-bounded.
-cargo run --release -p tms-bench --bin experiments -- staleness_guard
-# Elastic acceptance guard: the committed BENCH_rebalance.json must record
-# >=1 completed migration with post-rebalance imbalance under the bound,
-# and a live re-run must reproduce both.
-cargo run --release -p tms-bench --bin experiments -- rebalance_guard
-# Lineage overhead guard: the committed BENCH_trace_overhead.json must
-# show a <=10% tax for the default 1% sample and a lineage-off data plane
-# within noise of the monitor-off baseline; a live smoke re-run must keep
-# the sampled hot path cheap.
-cargo run --release -p tms-bench --bin experiments -- lineage_guard
-# Scale-out guard: the committed BENCH_scaleout.json must carry rows for
-# 1/2/4 workers with tuples conserved at every scale (and >=3x at 4
-# workers when it was taken on a >=4-core box); a live 2-worker smoke run
-# must deliver every tuple across the process boundary.
-cargo run --release -p tms-bench --bin experiments -- scaleout_guard
+cargo test -q
+# Every committed BENCH_*.json must parse under the one schema and hold
+# its own acceptance bars; a live smoke re-run must hold the live ones.
+cargo run --release -p tms-bench --bin experiments -- guard all
+cargo test --release --locked --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
 cargo clippy --workspace -- -D warnings

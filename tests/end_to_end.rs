@@ -96,15 +96,19 @@ fn incident_detections_flow_to_storage() {
 /// drift ratio exportable as JSON Lines.
 #[test]
 fn chaos_run_with_tracing_reports_latency_and_drift() {
-    use traffic_insight::sim::{ChaosSpec, MonitorSpec};
+    use std::time::Duration;
+    use traffic_insight::dsps::MonitorConfig;
 
-    let chaos = ChaosSpec::light();
-    let monitor = MonitorSpec::traced(500);
+    let (fault, recovery) = traffic_insight::sim::light_chaos();
     let (history, seeds) = history();
     let config = SystemConfig {
-        monitor: Some(monitor.monitor_config()),
-        reliability: Some(chaos.reliability_config()),
-        chaos: Some(chaos.fault_config()),
+        monitor: Some(MonitorConfig {
+            window: Duration::from_millis(500),
+            tracing: true,
+            ..MonitorConfig::default()
+        }),
+        reliability: Some(recovery),
+        chaos: Some(fault),
         ..SystemConfig::default()
     };
     let system = TrafficSystem::bootstrap(DUBLIN_BBOX, &seeds, &history, config).unwrap();
