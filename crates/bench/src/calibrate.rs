@@ -78,8 +78,9 @@ fn rule(l: usize) -> RuleSpec {
 /// Which engine configuration a measurement runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Sharing planner on (clusters served from shared bank/index state),
-    /// incremental paths on — the engine's default configuration.
+    /// Sharing planner on (every rule served from pane-bank/index state,
+    /// same-shape rules clustered), incremental paths on — the engine's
+    /// default configuration.
     Shared,
     /// Sharing off, per-statement incremental evaluation on — the
     /// configuration the latency regression model (Function 1) is
@@ -108,15 +109,16 @@ pub fn measure_rule_latency(l: usize, t: usize, tuples: usize) -> f64 {
 /// descheduling hiccup would otherwise poison the regression fit (and, through the sequential F2
 /// fold, everything downstream).
 pub fn measure_engine_latency(windows: &[usize], t: usize, tuples: usize) -> f64 {
-    let mut engine = WarmEngine::new(windows, t, EngineMode::Incremental);
+    let mut engine =
+        WarmEngine::new(windows, t, RetrievalMethod::ThresholdStream, EngineMode::Incremental);
     let mut runs = [0.0; 3].map(|_| engine.run(tuples) * 1000.0 / tuples as f64);
     runs.sort_by(f64::total_cmp);
     runs[1]
 }
 
 /// A [`RuleEngine`] running one rule per window length over `t`
-/// thresholds, warmed to its steady state, that timed runs replay
-/// synthetic traces through.
+/// thresholds under one retrieval method, warmed to its steady state,
+/// that timed runs replay synthetic traces through.
 pub struct WarmEngine {
     engine: RuleEngine,
     locations: Vec<String>,
@@ -124,9 +126,14 @@ pub struct WarmEngine {
 }
 
 impl WarmEngine {
-    pub fn new(windows: &[usize], t: usize, mode: EngineMode) -> WarmEngine {
+    pub fn new(
+        windows: &[usize],
+        t: usize,
+        method: RetrievalMethod,
+        mode: EngineMode,
+    ) -> WarmEngine {
         let (store, locations) = store_with_thresholds(t);
-        let mut engine = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
+        let mut engine = RuleEngine::new(method, store, None);
         engine
             .set_sharing_enabled(mode == EngineMode::Shared)
             .expect("selecting sharing mode");

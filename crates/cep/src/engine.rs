@@ -13,7 +13,7 @@ use crate::event::{Event, EventType, FieldValue};
 use crate::parser::parse_statement;
 use crate::plan::{compile, AggCall, CompiledStatement, IncrementalState, JoinCache, OutputRow};
 use crate::share::{
-    self, cost, AggSrc, ClusterInfo, PaneBank, SharedAnchor, SharedJoinShape, SharingReport,
+    self, AggSrc, ClusterInfo, PaneBank, SharedAnchor, SharedJoinShape, SharingReport,
     ThresholdIndex, WindowKey,
 };
 use crate::window::{InsertOutcome, SourceWindow, WindowDelta, WindowSpec};
@@ -44,8 +44,8 @@ struct WindowSlot {
     delta: WindowDelta,
     /// Outcome of the latest insert into this slot.
     last_outcome: InsertOutcome,
-    /// Per-group accumulator bank over this window — the shared cluster
-    /// state when the slot serves shared-join statements as their pane.
+    /// Per-group accumulator bank over this window — the cluster state
+    /// when the slot serves shared-join statements as their pane.
     pane_bank: Option<PaneBank>,
     /// Keyed hash indexes over this window — one per distinct join-key
     /// shape probing it as a threshold stream.
@@ -66,14 +66,16 @@ impl WindowSlot {
 
 /// How a statement's evaluations are served.
 enum Exec {
-    /// Shared-join path: O(1) fan-out from the pane bank and threshold
-    /// index of the statement's cluster.
+    /// Shared-join path: O(1) fan-out from the pane bank and (for
+    /// three-source statements) the threshold index of the statement's
+    /// cluster — a cluster of one when no other statement shares them.
     Join {
         shape: SharedJoinShape,
         /// Per aggregate call: which shared accumulator serves it.
         aggs: Vec<AggSrc>,
-        /// Index into the threshold slot's `tindexes`.
-        tindex: usize,
+        /// Index into the threshold slot's `tindexes`; `Some` exactly
+        /// when the shape has a threshold side.
+        tindex: Option<usize>,
     },
     /// Private delta-maintained incremental state (`Runtime::inc`).
     Incremental,
@@ -93,9 +95,6 @@ struct Runtime {
     inc: Option<IncrementalState>,
     /// The chosen evaluation path.
     exec: Exec,
-    /// Cost-model estimates `(private, shared)` for shape-eligible
-    /// statements, whichever path was chosen.
-    cost_est: Option<(f64, f64)>,
     listener: Option<Listener>,
     fired: u64,
     /// Cumulative profiling counters; `Some` only while profiling is
@@ -189,7 +188,8 @@ pub struct StatementProfile {
     /// Log₂ eval wall-time histogram: bucket *i* counts evals in
     /// `[2^i, 2^(i+1))` ns (bucket 0 also absorbs sub-1 ns evals).
     pub eval_ns_buckets: [u64; PROFILE_BUCKETS],
-    /// Evaluations served from a shared cluster's bank/index state.
+    /// Evaluations served from a pane bank (a cluster of any size, one
+    /// included).
     pub path_shared: u64,
     /// Evaluations served by the delta-maintained incremental path.
     pub path_incremental: u64,
@@ -265,13 +265,13 @@ pub struct Engine {
     /// aggregates / the anchor fast path instead of a window rescan.
     incremental_enabled: bool,
     /// Whether the install-time sharing planner may merge compatible
-    /// windows and serve clusters from shared bank/index state.
+    /// windows and serve Listing-1-family statements from bank/index state.
     sharing_enabled: bool,
     /// Whether per-statement profiles are collected (off by default: the
     /// hot path then takes no timestamps and touches no extra counters).
     profiling_enabled: bool,
-    /// Evaluations actually served from shared cluster state (kept even
-    /// with profiling off — feeds the sharing report's realized columns).
+    /// Evaluations actually served from a pane bank (kept even with
+    /// profiling off — feeds the sharing report's realized columns).
     realized_shared_evals: u64,
     /// Evaluations served by the private paths.
     realized_private_evals: u64,
@@ -418,7 +418,6 @@ impl Engine {
             cache,
             inc: None,
             exec: Exec::Generic,
-            cost_est: None,
             listener,
             fired: 0,
             profile: self.profiling_enabled.then(ProfileState::default),
@@ -429,38 +428,25 @@ impl Engine {
         Ok(StatementHandle { id })
     }
 
-    /// Chooses a statement's evaluation path from the current switches
-    /// and the cost model, building whatever state the path needs.
+    /// Chooses a statement's evaluation path from the current switches,
+    /// building whatever state the path needs. With sharing on, every
+    /// statement of the Listing-1 family is served from its pane's bank,
+    /// whether or not another statement shares it.
     fn plan_statement(&mut self, rt: &mut Runtime) -> Result<(), CepError> {
         rt.inc = None;
         rt.exec = Exec::Generic;
-        rt.cost_est = None;
         if self.incremental_enabled && rt.compiled.incremental_eligible() {
             rt.inc = Some(rt.compiled.build_incremental(&self.slots[rt.slots[0]].window)?);
             rt.exec = Exec::Incremental;
             return Ok(());
         }
-        let Some(shape) = share::shared_join_shape(&rt.compiled) else { return Ok(()) };
-        // Cost decision: marginal fields are the aggregate inputs this
-        // statement would add to its cluster's existing bank/index unions.
-        let (s1, s2) = (rt.slots[1], rt.slots[2]);
-        let bank_fields: &[usize] =
-            self.slots[s1].pane_bank.as_ref().map_or(&[], |b| b.fields.as_slice());
-        let index_fields: &[usize] = self.slots[s2]
-            .tindexes
-            .iter()
-            .find(|t| t.key_fields == shape.threshold_right_fields)
-            .map_or(&[], |t| t.value_fields.as_slice());
-        let marginal = shape.pane_agg_fields.iter().filter(|f| !bank_fields.contains(f)).count()
-            + shape.threshold_agg_fields.iter().filter(|f| !index_fields.contains(f)).count();
-        let est_private = cost::private_estimate(rt.compiled.sources[1].window);
-        let est_shared = cost::shared_estimate(marginal);
-        rt.cost_est = Some((est_private, est_shared));
-        if self.sharing_enabled && est_shared < est_private {
-            let (aggs, tindex) =
-                ensure_join_state(&mut self.slots, s1, s2, &shape, &rt.compiled.agg_calls)?;
-            rt.exec = Exec::Join { shape, aggs, tindex };
+        if !self.sharing_enabled {
+            return Ok(());
         }
+        let Some(shape) = share::shared_join_shape(&rt.compiled) else { return Ok(()) };
+        let (aggs, tindex) =
+            ensure_join_state(&mut self.slots, &rt.slots, &shape, &rt.compiled.agg_calls)?;
+        rt.exec = Exec::Join { shape, aggs, tindex };
         Ok(())
     }
 
@@ -643,43 +629,31 @@ impl Engine {
     }
 
     /// The chosen sharing plan plus realized counters: shared vs private
-    /// window counts, the clusters with their bank/index occupancy, and
-    /// the cost model's estimate of the plan against the all-private
-    /// alternative.
+    /// window counts and the clusters with their bank/index occupancy.
     pub fn sharing_report(&self) -> SharingReport {
         let shared_windows = self.slots.iter().filter(|s| s.refs > 1).count();
         let private_windows = self.slots.iter().filter(|s| s.refs == 1).count();
-        let mut clusters: Vec<((usize, usize, usize), ClusterInfo)> = Vec::new();
+        /// Pane slot and, for three-source statements, the threshold slot
+        /// and index.
+        type ClusterKey = (usize, Option<(usize, usize)>);
+        let mut clusters: Vec<(ClusterKey, ClusterInfo)> = Vec::new();
         let mut shared_statements = 0;
-        let mut cost_rejected_statements = 0;
-        let mut est_private_cost = 0.0;
-        let mut est_shared_cost = 0.0;
         for rt in &self.statements {
-            if let Some((est_p, est_s)) = rt.cost_est {
-                est_private_cost += est_p;
-                if let Exec::Join { .. } = rt.exec {
-                    est_shared_cost += est_s;
-                } else {
-                    est_shared_cost += est_p;
-                    if self.sharing_enabled {
-                        cost_rejected_statements += 1;
-                    }
-                }
-            }
             let Exec::Join { tindex, .. } = &rt.exec else { continue };
             shared_statements += 1;
-            let key = (rt.slots[1], rt.slots[2], *tindex);
+            let key = (rt.slots[1], tindex.map(|t| (rt.slots[2], t)));
             let info = match clusters.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, info)) => info,
                 None => {
                     let bank = self.slots[rt.slots[1]].pane_bank.as_ref();
-                    let ti = &self.slots[rt.slots[2]].tindexes[*tindex];
+                    let threshold_entries =
+                        key.1.map_or(0, |(s2, t)| self.slots[s2].tindexes[t].entry_count());
                     clusters.push((
                         key,
                         ClusterInfo {
                             statements: Vec::new(),
                             bank_fields: bank.map_or(0, |b| b.fields.len()),
-                            threshold_entries: ti.entry_count(),
+                            threshold_entries,
                             bank_groups: bank.map_or(0, |b| b.group_count()),
                         },
                     ));
@@ -693,10 +667,7 @@ impl Engine {
             shared_windows,
             private_windows,
             shared_statements,
-            cost_rejected_statements,
             clusters: clusters.into_iter().map(|(_, info)| info).collect(),
-            est_private_cost,
-            est_shared_cost,
             realized_shared_evals: self.realized_shared_evals,
             realized_private_evals: self.realized_private_evals,
         }
@@ -775,8 +746,8 @@ impl Engine {
         // per distinct window, however many statements read it — folding
         // the change into the slot's bank/index state. The outcome and
         // delta stay on the slot for phase 2's consumers.
-        let stream = event.event_type().to_string();
-        if let Some(slot_ids) = self.slots_by_stream.get(&stream) {
+        let stream = event.event_type();
+        if let Some(slot_ids) = self.slots_by_stream.get(stream) {
             for &sid in slot_ids {
                 let slot = &mut self.slots[sid];
                 slot.last_outcome = slot.window.insert_with_delta(&event, &mut slot.delta);
@@ -800,22 +771,23 @@ impl Engine {
         // observationally equivalent to the per-statement interleaving:
         // statements only read their *own* slots, each of which received
         // exactly this one arrival since the last evaluation.
-        let Some(subscribers) = self.by_stream.get(&stream).cloned() else {
-            return Ok(());
-        };
         let mut fed_back: Vec<Event> = Vec::new();
         {
             let Engine {
                 statements,
                 slots,
                 types,
+                by_stream,
                 stats,
                 incremental_enabled,
                 realized_shared_evals,
                 realized_private_evals,
                 ..
             } = self;
-            for idx in subscribers {
+            let Some(subscribers) = by_stream.get(stream) else {
+                return Ok(());
+            };
+            for &idx in subscribers {
                 let rt = &mut statements[idx];
                 if let Some(p) = rt.profile.as_mut() {
                     // Counted once per arrival, however many of the
@@ -854,9 +826,8 @@ impl Engine {
                 let (rows, path) = if let Exec::Join { shape, aggs, tindex } = &rt.exec {
                     let s0 = &slots[rt.slots[0]];
                     let s1 = &slots[rt.slots[1]];
-                    let s2 = &slots[rt.slots[2]];
                     let bank = s1.pane_bank.as_ref().expect("join exec keeps a bank");
-                    let ti = &s2.tindexes[*tindex];
+                    let ti = tindex.map(|t| &slots[rt.slots[2]].tindexes[t]);
                     let sa = if rt.compiled.sources[0].stream == stream {
                         SharedAnchor::Source0(&event)
                     } else {
@@ -1109,20 +1080,20 @@ fn push_slot(slots: &mut Vec<WindowSlot>, slot: WindowSlot) -> usize {
     }
 }
 
-/// Ensures the pane bank on `s1` and a threshold index on `s2` cover one
-/// statement's aggregate fields, rebuilding from window contents when the
-/// unions widen over non-empty windows. Returns the statement's resolved
-/// aggregate sources and the index position.
+/// Ensures the pane bank on the statement's pane slot and — when the shape
+/// has a threshold side — a threshold index on its threshold slot cover
+/// one statement's aggregate fields, rebuilding from window contents when
+/// the unions widen over non-empty windows. Returns the statement's
+/// resolved aggregate sources and the index position.
 fn ensure_join_state(
     slots: &mut [WindowSlot],
-    s1: usize,
-    s2: usize,
+    stmt_slots: &[usize],
     shape: &SharedJoinShape,
     agg_calls: &[AggCall],
-) -> Result<(Vec<AggSrc>, usize), CepError> {
+) -> Result<(Vec<AggSrc>, Option<usize>), CepError> {
     let mut pane_pos: HashMap<usize, usize> = HashMap::new();
     {
-        let WindowSlot { window, pane_bank, .. } = &mut slots[s1];
+        let WindowSlot { window, pane_bank, .. } = &mut slots[stmt_slots[1]];
         let bank = pane_bank.get_or_insert_with(PaneBank::default);
         let mut widened = false;
         for &f in &shape.pane_agg_fields {
@@ -1138,31 +1109,33 @@ fn ensure_join_state(
         }
     }
     let mut thr_pos: HashMap<usize, usize> = HashMap::new();
-    let tindex = {
-        let WindowSlot { window, tindexes, .. } = &mut slots[s2];
-        let tpos = match tindexes.iter().position(|t| t.key_fields == shape.threshold_right_fields)
-        {
-            Some(p) => p,
-            None => {
-                tindexes.push(ThresholdIndex::new(shape.threshold_right_fields.clone()));
-                let p = tindexes.len() - 1;
-                if !window.is_empty() {
-                    tindexes[p].rebuild(window)?;
+    let tindex = match &shape.threshold {
+        None => None,
+        Some(join) => {
+            let WindowSlot { window, tindexes, .. } = &mut slots[stmt_slots[2]];
+            let tpos = match tindexes.iter().position(|t| t.key_fields == join.right_fields) {
+                Some(p) => p,
+                None => {
+                    tindexes.push(ThresholdIndex::new(join.right_fields.clone()));
+                    let p = tindexes.len() - 1;
+                    if !window.is_empty() {
+                        tindexes[p].rebuild(window)?;
+                    }
+                    p
                 }
-                p
+            };
+            let ti = &mut tindexes[tpos];
+            let mut widened = false;
+            for &f in &join.agg_fields {
+                let (pos, w) = ti.ensure_field(f);
+                thr_pos.insert(f, pos);
+                widened |= w;
             }
-        };
-        let ti = &mut tindexes[tpos];
-        let mut widened = false;
-        for &f in &shape.threshold_agg_fields {
-            let (pos, w) = ti.ensure_field(f);
-            thr_pos.insert(f, pos);
-            widened |= w;
+            if widened && !window.is_empty() {
+                ti.rebuild(window)?;
+            }
+            Some(tpos)
         }
-        if widened && !window.is_empty() {
-            ti.rebuild(window)?;
-        }
-        tpos
     };
     let aggs = agg_calls
         .iter()

@@ -12,24 +12,24 @@
 //!   ([`SourceWindow::content_eq`]), which makes sharing semantically
 //!   invisible: every statement observes exactly the window state it
 //!   would have owned privately.
-//! * [`SharedJoinShape`] — recognition of the threshold-join shape
-//!   (`lastevent` anchor × grouped pane × `keepall` threshold stream)
-//!   that covers the paper's generated rules.
+//! * [`SharedJoinShape`] — recognition of the Listing-1 family
+//!   (`lastevent` anchor × grouped pane, optionally × `keepall`
+//!   threshold stream) that covers every rule form the paper generates.
 //! * [`PaneBank`] / [`ThresholdIndex`] — one per-group accumulator bank
 //!   over a shared pane window (a superset of the cluster's aggregate
 //!   fields) and one keyed hash index over a threshold stream, both
 //!   delta-maintained. With these, evaluating one arrival is O(groups
 //!   touched): a bank lookup, an index probe and a per-statement
 //!   HAVING/projection fan-out — instead of O(rules × window × probe).
-//! * [`cost`] — the estimator deciding, per statement, whether the
-//!   shared path beats a private rescan (small panes are cheaper to
-//!   rescan than to fan out).
+//!   A lone statement is a cluster of one on the same state.
 //!
 //! Exactness: the bank finalizes a pane accumulator under the join
 //! multiplicity via [`Accumulator::scaled`]; for integer-valued samples
 //! the result is bit-identical to the rescan path (the same contract the
 //! incremental path of PR 1 relies on, enforced by the differential
-//! suite).
+//! suite). On non-integer samples subtract-on-evict drifts; the bank
+//! bounds that by recomputing a group from its pane once the group's
+//! evictions since the last recompute reach its row count.
 
 use crate::agg::Accumulator;
 use crate::error::CepError;
@@ -60,33 +60,43 @@ impl WindowKey {
     }
 }
 
-/// The recognized threshold-join shape (the Listing-1 pattern):
+/// The recognized Listing-1 family:
 ///
 /// ```text
 /// FROM A.std:lastevent()                    AS anchor,   -- source 0
-///      A.std:groupwin(g).<non-batch window> AS pane,     -- source 1
-///      B.win:keepall()                      AS thresholds -- source 2
-/// WHERE anchor.k0 = pane.g  AND  anchor.t* = thresholds.t*
+///      A.std:groupwin(g).<non-batch window> AS pane      -- source 1
+///   [, B.win:keepall()                      AS thresholds -- source 2]
+/// WHERE anchor.k0 = pane.g  [AND  anchor.t* = thresholds.t*]
 /// GROUP BY pane.g
 /// ```
 ///
 /// For one arrival, every joined row lands in a single group (the
 /// anchor's), with multiplicity pane-rows × matching-threshold-rows —
 /// which is exactly what a bank lookup plus an index probe reconstructs.
+/// Without a threshold source (the static, per-location-literal and
+/// database-attached forms of the rule) the multiplicity is 1 and there
+/// is no probe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedJoinShape {
     /// Source-0 field joined against the pane's groupwin field.
     pub group_key_field: usize,
     /// Groupwin field of the pane source.
     pub pane_group_field: usize,
-    /// Source-0 fields forming the threshold probe key, in join order.
-    pub threshold_left_fields: Vec<usize>,
-    /// Source-2 fields forming the threshold index key, in join order.
-    pub threshold_right_fields: Vec<usize>,
     /// Distinct pane (source 1) fields the statement aggregates.
     pub pane_agg_fields: Vec<usize>,
+    /// The threshold side of a three-source statement.
+    pub threshold: Option<ThresholdJoin>,
+}
+
+/// How a shared-join statement joins its threshold stream (source 2).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThresholdJoin {
+    /// Source-0 fields forming the threshold probe key, in join order.
+    pub left_fields: Vec<usize>,
+    /// Source-2 fields forming the threshold index key, in join order.
+    pub right_fields: Vec<usize>,
     /// Distinct threshold (source 2) fields the statement aggregates.
-    pub threshold_agg_fields: Vec<usize>,
+    pub agg_fields: Vec<usize>,
 }
 
 /// Where each of a statement's aggregate calls is served from on the
@@ -105,10 +115,14 @@ pub enum AggSrc {
 /// Detects the shared-join shape. `None` means the statement falls back
 /// to the generic evaluation paths.
 pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
-    if stmt.sources.len() != 3 || !stmt.is_aggregated() {
+    if !stmt.is_aggregated() {
         return None;
     }
-    let [anchor, pane, thresholds] = &stmt.sources[..] else { return None };
+    let (anchor, pane, thresholds) = match &stmt.sources[..] {
+        [anchor, pane] => (anchor, pane, None),
+        [anchor, pane, thresholds] => (anchor, pane, Some(thresholds)),
+        _ => return None,
+    };
     // Anchor: bare lastevent over the same stream as the pane.
     if anchor.window != WindowSpec::LastEvent
         || anchor.group_field.is_some()
@@ -122,14 +136,6 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     if !matches!(pane.window, WindowSpec::Length(_) | WindowSpec::TimeMs(_) | WindowSpec::KeepAll) {
         return None;
     }
-    // Thresholds: ungrouped keepall over a *different* stream (insert-only,
-    // so the index never needs eviction handling).
-    if thresholds.window != WindowSpec::KeepAll
-        || thresholds.group_field.is_some()
-        || thresholds.stream == anchor.stream
-    {
-        return None;
-    }
     // Join step 1: the pane joined purely through its groupwin panes on a
     // single anchor field.
     let step1 = &stmt.join_steps[0];
@@ -140,18 +146,36 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     if ls != 0 {
         return None;
     }
-    // Join step 2: pure equi keys, all probing source-0 fields.
-    let step2 = &stmt.join_steps[1];
-    if step2.right_keys.is_empty() || !step2.residual.is_empty() {
-        return None;
-    }
-    let mut threshold_left_fields = Vec::with_capacity(step2.left_keys.len());
-    for &(s, f) in &step2.left_keys {
-        if s != 0 {
-            return None;
+    let mut threshold = match thresholds {
+        None => None,
+        Some(thresholds) => {
+            // Thresholds: ungrouped keepall over a *different* stream
+            // (insert-only, so the index never needs eviction handling).
+            if thresholds.window != WindowSpec::KeepAll
+                || thresholds.group_field.is_some()
+                || thresholds.stream == anchor.stream
+            {
+                return None;
+            }
+            // Join step 2: pure equi keys, all probing source-0 fields.
+            let step2 = &stmt.join_steps[1];
+            if step2.right_keys.is_empty() || !step2.residual.is_empty() {
+                return None;
+            }
+            let mut left_fields = Vec::with_capacity(step2.left_keys.len());
+            for &(s, f) in &step2.left_keys {
+                if s != 0 {
+                    return None;
+                }
+                left_fields.push(f);
+            }
+            Some(ThresholdJoin {
+                left_fields,
+                right_fields: step2.right_keys.clone(),
+                agg_fields: Vec::new(),
+            })
         }
-        threshold_left_fields.push(f);
-    }
+    };
     // Grouping must be exactly the pane's groupwin field, so every joined
     // row of one arrival falls in the anchor's group.
     if stmt.group_by != [(1, pane_group_field)] {
@@ -159,25 +183,18 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     }
     // Aggregate arguments must live on the pane or the threshold stream.
     let mut pane_agg_fields = Vec::new();
-    let mut threshold_agg_fields = Vec::new();
     for call in &stmt.agg_calls {
-        match call.arg {
-            None => {}
-            Some((1, f)) if !pane_agg_fields.contains(&f) => pane_agg_fields.push(f),
-            Some((1, _)) => {}
-            Some((2, f)) if !threshold_agg_fields.contains(&f) => threshold_agg_fields.push(f),
-            Some((2, _)) => {}
-            Some(_) => return None,
+        let Some((source, f)) = call.arg else { continue };
+        let fields = match (source, &mut threshold) {
+            (1, _) => &mut pane_agg_fields,
+            (2, Some(t)) => &mut t.agg_fields,
+            _ => return None,
+        };
+        if !fields.contains(&f) {
+            fields.push(f);
         }
     }
-    Some(SharedJoinShape {
-        group_key_field,
-        pane_group_field,
-        threshold_left_fields,
-        threshold_right_fields: step2.right_keys.clone(),
-        pane_agg_fields,
-        threshold_agg_fields,
-    })
+    Some(SharedJoinShape { group_key_field, pane_group_field, pane_agg_fields, threshold })
 }
 
 /// One group's running accumulators within a [`PaneBank`].
@@ -187,12 +204,24 @@ pub struct BankGroup {
     pub accs: Vec<Accumulator>,
     /// Retained rows of the group (also the pane occupancy).
     pub rows: u64,
+    /// Rows subtracted from `accs` since they were last computed from the
+    /// pane itself.
+    evicted: u64,
 }
 
 /// The per-group accumulator bank of one shared pane window: a superset
 /// of every cluster member's aggregated fields, delta-maintained from
 /// the window's mutations. Unfiltered — the pane join has no residual
 /// predicates, so every retained row contributes.
+///
+/// Subtract-on-evict leaves rounding residue in `sum`/`sum_sq` on
+/// non-integer samples, and cannot repair an evicted `min`/`max`. Both are
+/// handled by recomputing a group from its pane, in pane order (the
+/// rescan's summation order): when an evicted value sat at an extremum,
+/// and once the group's evictions since the last recompute reach its row
+/// count. The second rule costs one extra row visit per eviction,
+/// amortised, and means the accumulators of a `win:length(L)` group only
+/// ever carry the rounding of its last 2L samples.
 #[derive(Debug, Default)]
 pub struct PaneBank {
     /// Aggregated field indices; append-only so member positions stay
@@ -244,11 +273,17 @@ impl PaneBank {
         delta: &WindowDelta,
     ) -> Result<(), CepError> {
         let group_field = window.group_field().expect("pane banks require grouped windows");
+        // Recomputes wait until the insertions are folded in: `window`
+        // already holds them, so an earlier recompute would count them twice.
+        let mut due: Vec<JoinKey> = Vec::new();
         for e in &delta.evicted {
-            self.remove(e, group_field, window)?;
+            due.extend(self.remove(e, group_field)?);
         }
         for e in &delta.inserted {
             self.add(e, group_field)?;
+        }
+        for key in &due {
+            self.recompute_group(key, window)?;
         }
         Ok(())
     }
@@ -259,6 +294,7 @@ impl PaneBank {
         let group = self.groups.entry(key).or_insert_with(|| BankGroup {
             accs: vec![Accumulator::new(); nfields],
             rows: 0,
+            evicted: 0,
         });
         for (acc, &f) in group.accs.iter_mut().zip(&self.fields) {
             acc.add(e.value_at(f).expect("validated index").as_f64()?);
@@ -267,37 +303,42 @@ impl PaneBank {
         Ok(())
     }
 
-    fn remove(
-        &mut self,
-        e: &Event,
-        group_field: usize,
-        window: &SourceWindow,
-    ) -> Result<(), CepError> {
+    /// Subtracts one evicted row, returning its group's key when the group
+    /// is due for [`PaneBank::recompute_group`].
+    fn remove(&mut self, e: &Event, group_field: usize) -> Result<Option<JoinKey>, CepError> {
         let key = e.value_at(group_field).expect("validated index").join_key();
         let Some(group) = self.groups.get_mut(&key) else {
             debug_assert!(false, "eviction for a group the bank never saw");
-            return Ok(());
+            return Ok(None);
         };
         group.rows -= 1;
         if group.rows == 0 {
             self.groups.remove(&key);
+            return Ok(None);
+        }
+        let mut stale_extremum = false;
+        for (acc, &f) in group.accs.iter_mut().zip(&self.fields) {
+            stale_extremum |= acc.remove(e.value_at(f).expect("validated index").as_f64()?);
+        }
+        group.evicted += 1;
+        Ok((stale_extremum || group.evicted >= group.rows).then_some(key))
+    }
+
+    /// Replaces one group's accumulators by a fresh pass over its pane.
+    fn recompute_group(&mut self, key: &JoinKey, window: &SourceWindow) -> Result<(), CepError> {
+        // A later eviction of the same delta may have emptied the group, or
+        // an earlier one already had it recomputed.
+        let Some(group) = self.groups.get_mut(key).filter(|g| g.evicted > 0) else {
             return Ok(());
-        }
-        let mut stale: Vec<usize> = Vec::new();
-        for (i, (acc, &f)) in group.accs.iter_mut().zip(&self.fields).enumerate() {
-            if acc.remove(e.value_at(f).expect("validated index").as_f64()?) {
-                stale.push(i);
+        };
+        group.accs.fill(Accumulator::new());
+        for e in window.iter_group(key) {
+            for (acc, &f) in group.accs.iter_mut().zip(&self.fields) {
+                acc.add(e.value_at(f).expect("validated index").as_f64()?);
             }
         }
-        // Lazy extrema repair from the surviving pane rows.
-        for i in stale {
-            let f = self.fields[i];
-            let mut values = Vec::new();
-            for w in window.iter_group(&key) {
-                values.push(w.value_at(f).expect("validated index").as_f64()?);
-            }
-            group.accs[i].rebuild_extrema(values.into_iter());
-        }
+        debug_assert_eq!(group.rows, window.group_len(key) as u64);
+        group.evicted = 0;
         Ok(())
     }
 }
@@ -397,9 +438,11 @@ pub enum SharedAnchor<'a> {
 }
 
 /// Evaluates one shared-join statement for one arrival in O(1): a bank
-/// lookup, an index probe and the statement's HAVING/projection fan-out.
-/// Byte-identical to [`CompiledStatement::evaluate`] for eligible
-/// statements under integer-valued samples.
+/// lookup, an index probe (three-source statements only) and the
+/// statement's HAVING/projection fan-out. Byte-identical to
+/// [`CompiledStatement::evaluate`] for eligible statements under
+/// integer-valued samples. `tindex` is `Some` exactly when the shape has
+/// a threshold side.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_shared_join(
     stmt: &CompiledStatement,
@@ -408,7 +451,7 @@ pub fn evaluate_shared_join(
     source0: &SourceWindow,
     pane: &SourceWindow,
     bank: &PaneBank,
-    tindex: &ThresholdIndex,
+    tindex: Option<&ThresholdIndex>,
     anchor: SharedAnchor<'_>,
 ) -> Result<Vec<OutputRow>, CepError> {
     // Resolve the source-0 binding: the arriving event, or — for a
@@ -428,36 +471,46 @@ pub fn evaluate_shared_join(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let tkey: Vec<JoinKey> = shape
-        .threshold_left_fields
-        .iter()
-        .map(|&f| a.value_at(f).expect("validated index").join_key())
-        .collect();
-    if let Some(t) = arriving_threshold {
-        // istream restriction: a threshold arrival only emits when it
-        // itself participates in the joined group, i.e. its key matches
-        // the probe key of the standing anchor event.
-        let participates = shape
-            .threshold_right_fields
-            .iter()
-            .zip(&tkey)
-            .all(|(&f, k)| t.value_at(f).expect("validated index").join_key() == *k);
-        if !participates {
-            return Ok(Vec::new());
+    let entry = match shape.threshold.as_ref().zip(tindex) {
+        Some((join, tindex)) => {
+            let tkey: Vec<JoinKey> = join
+                .left_fields
+                .iter()
+                .map(|&f| a.value_at(f).expect("validated index").join_key())
+                .collect();
+            if let Some(t) = arriving_threshold {
+                // istream restriction: a threshold arrival only emits when
+                // it itself participates in the joined group, i.e. its key
+                // matches the probe key of the standing anchor event.
+                let participates = join
+                    .right_fields
+                    .iter()
+                    .zip(&tkey)
+                    .all(|(&f, k)| t.value_at(f).expect("validated index").join_key() == *k);
+                if !participates {
+                    return Ok(Vec::new());
+                }
+            }
+            let Some(entry) = tindex.entry(&tkey) else { return Ok(Vec::new()) };
+            Some(entry)
         }
-    }
-    let Some(entry) = tindex.entry(&tkey) else { return Ok(Vec::new()) };
-    let m = entry.rows;
+        None => None,
+    };
+    // Join multiplicity of each pane row.
+    let m = entry.map_or(1, |en| en.rows);
     let Some(bg) = bank.group(&gkey) else {
         debug_assert!(false, "bank group missing despite non-empty pane");
         return Ok(Vec::new());
     };
     let mut agg_values = Vec::with_capacity(stmt.agg_calls.len());
     for (src, call) in aggs.iter().zip(&stmt.agg_calls) {
-        let v = match src {
-            AggSrc::CountStar => Ok((n * m) as f64),
-            AggSrc::Pane(pos) => bg.accs[*pos].scaled(m).finish(call.func),
-            AggSrc::Threshold(pos) => entry.accs[*pos].scaled(n).finish(call.func),
+        let v = match (src, entry) {
+            (AggSrc::CountStar, _) => Ok((n * m) as f64),
+            (AggSrc::Pane(pos), _) => bg.accs[*pos].scaled(m).finish(call.func),
+            (AggSrc::Threshold(pos), Some(en)) => en.accs[*pos].scaled(n).finish(call.func),
+            (AggSrc::Threshold(_), None) => {
+                unreachable!("shape detection rejects threshold aggregates without a threshold")
+            }
         };
         match v {
             Ok(v) => agg_values.push(v),
@@ -465,74 +518,33 @@ pub fn evaluate_shared_join(
             Err(e) => return Err(e),
         }
     }
-    // The group's last joined row: (anchor, newest pane row, latest
-    // matching threshold) — the binding bare fields resolve against.
+    // The group's last joined row: (anchor, newest pane row[, latest
+    // matching threshold]) — the binding bare fields resolve against.
     let pane_last = pane.group_back(&gkey).expect("n > 0").clone();
-    let binding = [a.clone(), pane_last, entry.last.clone()];
-    stmt.emit_shared_group(&binding, &agg_values)
-}
-
-/// The cost model: per-event work estimates deciding shared vs private
-/// evaluation, in abstract row-visit units (the "To Share, or not to
-/// Share" framing: share when the superset bank plus fan-out beats the
-/// per-statement rescan).
-pub mod cost {
-    use crate::window::WindowSpec;
-
-    /// Fixed per-statement fan-out overhead of the shared path (bank
-    /// lookup + index probe + finalization).
-    pub const FANOUT: f64 = 2.0;
-    /// Marginal per-event cost of one extra accumulator field in the
-    /// shared bank (only fields this statement adds to the union count).
-    pub const FIELD: f64 = 0.25;
-    /// Pane-length estimate for time-bounded windows.
-    pub const TIME_PANE_EST: f64 = 64.0;
-    /// Pane-length estimate for unbounded windows.
-    pub const UNBOUNDED_PANE_EST: f64 = 1024.0;
-    /// Expected threshold rows matching one probe key.
-    pub const MATCHES_EST: f64 = 1.0;
-
-    /// Expected per-group row count of a pane window.
-    pub fn pane_len_estimate(spec: WindowSpec) -> f64 {
-        match spec {
-            WindowSpec::LastEvent => 1.0,
-            WindowSpec::Length(n) | WindowSpec::LengthBatch(n) => n as f64,
-            WindowSpec::TimeMs(_) | WindowSpec::TimeBatchMs(_) => TIME_PANE_EST,
-            WindowSpec::KeepAll => UNBOUNDED_PANE_EST,
-        }
-    }
-
-    /// Estimated per-event cost of the private rescan path: every pane
-    /// row re-joined against the (index-cached) threshold stream and
-    /// re-aggregated.
-    pub fn private_estimate(pane_spec: WindowSpec) -> f64 {
-        pane_len_estimate(pane_spec) * MATCHES_EST + 1.0
-    }
-
-    /// Estimated per-event cost of the shared path for a statement that
-    /// adds `marginal_fields` new fields to the cluster's bank union.
-    pub fn shared_estimate(marginal_fields: usize) -> f64 {
-        FANOUT + marginal_fields as f64 * FIELD
+    match entry {
+        Some(en) => stmt.emit_shared_group(&[a.clone(), pane_last, en.last.clone()], &agg_values),
+        None => stmt.emit_shared_group(&[a.clone(), pane_last], &agg_values),
     }
 }
 
-/// One shared-evaluation cluster in the chosen plan: the statements fanned
-/// out from one pane bank + threshold index pair.
+/// One cluster in the chosen plan: the statements (one or more) fanned
+/// out from one pane bank and, for three-source rules, one threshold index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterInfo {
     /// Member statements, in registration order.
     pub statements: Vec<crate::engine::StatementId>,
     /// Width of the cluster's bank field union.
     pub bank_fields: usize,
-    /// Distinct keys currently in the cluster's threshold index.
+    /// Distinct keys currently in the cluster's threshold index (0 for a
+    /// cluster of two-source statements, which has none).
     pub threshold_entries: usize,
     /// Live groups in the cluster's accumulator bank.
     pub bank_groups: usize,
 }
 
 /// The sharing plan the engine chose, plus realized counters — exposed
-/// via `Engine::sharing_report` so benchmarks and operators can compare
-/// the planner's estimate against what actually ran.
+/// via `Engine::sharing_report` so benchmarks and operators can see which
+/// statements are bank-served and how many evaluations actually were.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharingReport {
     /// Whether the sharing planner is enabled.
@@ -541,18 +553,14 @@ pub struct SharingReport {
     pub shared_windows: usize,
     /// Window slots referenced by exactly one statement source.
     pub private_windows: usize,
-    /// Statements evaluated on the shared-join path.
+    /// Statements served from a pane bank (a cluster of any size, one
+    /// included).
     pub shared_statements: usize,
-    /// Shape-eligible statements the cost model kept on private paths.
-    pub cost_rejected_statements: usize,
-    /// The shared clusters of the chosen plan.
+    /// The clusters of the chosen plan.
     pub clusters: Vec<ClusterInfo>,
-    /// Estimated per-event cost had every statement run privately.
-    pub est_private_cost: f64,
-    /// Estimated per-event cost of the chosen plan.
-    pub est_shared_cost: f64,
-    /// Evaluations actually served from shared state.
+    /// Evaluations actually served from a pane bank (a cluster of any
+    /// size, one included).
     pub realized_shared_evals: u64,
-    /// Evaluations served by the private paths.
+    /// Evaluations served by the other paths (incremental, anchor, rescan).
     pub realized_private_evals: u64,
 }

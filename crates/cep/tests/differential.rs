@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
 use tms_cep::engine::Listener;
-use tms_cep::{Engine, EventType, FieldType, OutputRow};
+use tms_cep::{Engine, EventType, FieldType, FieldValue, OutputRow};
 
 const LOCATIONS: [&str; 3] = ["R1", "R2", "R3"];
 
@@ -144,22 +144,29 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Shared-evaluation differential: shared ≡ unshared ≡ rescan on randomized
-// multi-rule Listing-1 join workloads
+// multi-rule workloads over the Listing-1 family (three- and two-source)
 // ---------------------------------------------------------------------------
 
 /// Pane views for the grouped source of a Listing-1 join. `length(1)` is
-/// deliberate: the cost model keeps it on private paths, so random rule
-/// sets mix shared clusters with cost-rejected private statements.
+/// deliberate: every arrival empties and refills its group, the bank's
+/// drop-and-recreate edge.
 const JOIN_VIEWS: [&str; 5] =
     ["win:length(1)", "win:length(3)", "win:length(5)", "win:time(2)", "win:keepall()"];
 
 const DAYS: [&str; 2] = ["weekday", "weekend"];
 
-/// One randomized Listing-1 rule: pane view × group key × select list ×
-/// HAVING shape. Same (view, group) pairs cluster; different pairs keep
-/// private panes but still share the lastevent and keepall slots.
+/// One randomized rule of the Listing-1 family: form × pane view × group
+/// key × select list × HAVING shape. Same (view, group) pairs cluster;
+/// different pairs keep private panes but still share the lastevent (and
+/// keepall) slots.
+///
+/// `form` picks the sources: 0 is the three-source threshold join; 1–3
+/// are the two-source forms `RuleSpec` generates for the other retrieval
+/// methods — no HAVING, a literal HAVING (`to_epl_global`), and a literal
+/// HAVING behind source-0 filters on location/hour/day (`to_epl_static`).
 #[derive(Debug, Clone)]
 struct JoinRule {
+    form: usize,
     view: usize,
     group: usize,
     sel: usize,
@@ -167,8 +174,9 @@ struct JoinRule {
 }
 
 fn join_rule_strategy() -> impl Strategy<Value = JoinRule> {
-    (0usize..JOIN_VIEWS.len(), 0usize..2, 0usize..4, 0usize..3)
-        .prop_map(|(view, group, sel, having)| JoinRule { view, group, sel, having })
+    (0usize..4, 0usize..JOIN_VIEWS.len(), 0usize..2, 0usize..4, 0usize..3).prop_map(
+        |(form, view, group, sel, having)| JoinRule { form, view, group, sel, having },
+    )
 }
 
 fn join_epl(r: &JoinRule) -> String {
@@ -180,6 +188,23 @@ fn join_epl(r: &JoinRule) -> String {
         2 => "avg(bd2.delay) AS m, sum(bd2.delay) AS s, min(bd2.delay) AS lo",
         _ => "avg(bd2.delay) AS m, max(bd2.delay) AS hi, stddev(bd2.delay) AS sd",
     };
+    if r.form > 0 {
+        let filters = if r.form == 3 {
+            format!(
+                "bd.location = '{}' AND bd.hour = 8 AND bd.day = '{}' AND ",
+                LOCATIONS[r.having],
+                DAYS[r.sel % 2]
+            )
+        } else {
+            String::new()
+        };
+        let having = if r.form == 1 { "" } else { " HAVING avg(bd2.delay) > 4" };
+        return format!(
+            "SELECT bd2.{g} AS k, {sel} \
+             FROM bus.std:lastevent() AS bd, bus.std:groupwin({g}).{view} AS bd2 \
+             WHERE {filters}bd.{g} = bd2.{g} GROUP BY bd2.{g}{having}"
+        );
+    }
     let having = match r.having {
         0 => "",
         1 => " HAVING avg(bd2.delay) > avg(thresholds.attribute)",
@@ -205,20 +230,24 @@ fn join_epl(r: &JoinRule) -> String {
 }
 
 /// A join-workload step: a bus arrival, a mid-stream threshold arrival,
-/// or a time advance (drains `win:time` panes).
+/// a time advance (drains `win:time` panes), or a `set_sharing_enabled`
+/// flip of the shared engine (banks rebuilt from, or dropped over, live
+/// windows).
 #[derive(Debug, Clone)]
 enum JoinStep {
     Bus { loc: usize, day: usize, delay: i64, dt_ms: u64 },
     Threshold { loc: usize, day: usize, attr: i64, dt_ms: u64 },
     Advance { jump_ms: u64 },
+    FlipSharing,
 }
 
 fn join_step_strategy() -> impl Strategy<Value = JoinStep> {
-    (0usize..6, 0usize..3, 0usize..2, 0i64..12, 0u64..900).prop_map(
+    (0usize..13, 0usize..3, 0usize..2, 0i64..12, 0u64..900).prop_map(
         |(kind, loc, day, val, dt)| match kind {
-            0..=2 => JoinStep::Bus { loc, day, delay: val, dt_ms: dt },
-            3 | 4 => JoinStep::Threshold { loc, day, attr: val, dt_ms: dt },
-            _ => JoinStep::Advance { jump_ms: 500 + dt * 4 },
+            0..=5 => JoinStep::Bus { loc, day, delay: val, dt_ms: dt },
+            6..=9 => JoinStep::Threshold { loc, day, attr: val, dt_ms: dt },
+            10 | 11 => JoinStep::Advance { jump_ms: 500 + dt * 4 },
+            _ => JoinStep::FlipSharing,
         },
     )
 }
@@ -323,6 +352,10 @@ fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
                     eng.advance_time(now);
                 }
             }
+            JoinStep::FlipSharing => {
+                let shared = &mut engines[0].0;
+                shared.set_sharing_enabled(!shared.sharing_enabled()).unwrap();
+            }
         }
     }
     let (_, shared_sinks) = &engines[0];
@@ -340,7 +373,7 @@ fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn shared_matches_unshared_and_rescan(
@@ -357,10 +390,10 @@ fn overlapping_and_disjoint_rules_agree_across_modes() {
     // only, one is fully disjoint — a fixed regression script on top of
     // the randomized property.
     let rules = [
-        JoinRule { view: 1, group: 0, sel: 0, having: 1 },
-        JoinRule { view: 1, group: 0, sel: 2, having: 0 },
-        JoinRule { view: 2, group: 0, sel: 1, having: 2 },
-        JoinRule { view: 4, group: 1, sel: 3, having: 1 },
+        JoinRule { form: 0, view: 1, group: 0, sel: 0, having: 1 },
+        JoinRule { form: 0, view: 1, group: 0, sel: 2, having: 0 },
+        JoinRule { form: 0, view: 2, group: 0, sel: 1, having: 2 },
+        JoinRule { form: 0, view: 4, group: 1, sel: 3, having: 1 },
     ];
     let steps = [
         JoinStep::Threshold { loc: 0, day: 0, attr: 3, dt_ms: 5 },
@@ -371,6 +404,36 @@ fn overlapping_and_disjoint_rules_agree_across_modes() {
         JoinStep::Bus { loc: 0, day: 0, delay: 11, dt_ms: 5 },
         JoinStep::Advance { jump_ms: 5_000 },
         JoinStep::Bus { loc: 0, day: 0, delay: 4, dt_ms: 5 },
+    ];
+    run_join_script(&rules, &steps);
+}
+
+#[test]
+fn two_source_forms_agree_across_modes_and_sharing_flips() {
+    // The three two-source forms next to a three-source rule on the same
+    // pane: one bank serves all four, through a flip off and back on with
+    // the pane mid-eviction.
+    let rules = [
+        JoinRule { form: 1, view: 1, group: 0, sel: 3, having: 0 },
+        JoinRule { form: 2, view: 1, group: 0, sel: 2, having: 0 },
+        JoinRule { form: 3, view: 1, group: 0, sel: 1, having: 0 },
+        JoinRule { form: 0, view: 1, group: 0, sel: 0, having: 1 },
+        JoinRule { form: 2, view: 0, group: 1, sel: 1, having: 0 },
+    ];
+    let steps = [
+        JoinStep::Threshold { loc: 0, day: 0, attr: 3, dt_ms: 5 },
+        JoinStep::Bus { loc: 0, day: 0, delay: 7, dt_ms: 5 },
+        JoinStep::Bus { loc: 0, day: 1, delay: 2, dt_ms: 5 },
+        JoinStep::Bus { loc: 1, day: 1, delay: 9, dt_ms: 5 },
+        JoinStep::Bus { loc: 0, day: 1, delay: 11, dt_ms: 5 },
+        JoinStep::FlipSharing,
+        JoinStep::Bus { loc: 0, day: 0, delay: 6, dt_ms: 5 },
+        JoinStep::Bus { loc: 0, day: 1, delay: 1, dt_ms: 5 },
+        JoinStep::FlipSharing,
+        JoinStep::Bus { loc: 0, day: 0, delay: 8, dt_ms: 5 },
+        JoinStep::Advance { jump_ms: 5_000 },
+        JoinStep::Bus { loc: 0, day: 0, delay: 3, dt_ms: 5 },
+        JoinStep::Bus { loc: 1, day: 1, delay: 5, dt_ms: 5 },
     ];
     run_join_script(&rules, &steps);
 }
@@ -406,4 +469,154 @@ fn extremum_eviction_repairs_min_max() {
         Step::Event { loc: 0, delay: 4, dt_ms: 1 }, // evicts 2 (the min)
     ];
     run_script("win:length(3)", &steps);
+}
+
+// ---------------------------------------------------------------------------
+// Drift bound: bank-served ≈ rescan on non-integer samples
+// ---------------------------------------------------------------------------
+
+/// A bank-served and a rescan engine holding one three-source rule over
+/// `win:length(len)` without HAVING, and one matching threshold row (join
+/// multiplicity 1 — the same bank arithmetic as the two-source forms).
+fn drift_engines(len: usize) -> [(Engine, Arc<Mutex<Vec<OutputRow>>>); 2] {
+    let epl = format!(
+        "SELECT sum(bd2.delay) AS s, avg(bd2.delay) AS m, stddev(bd2.delay) AS sd \
+         FROM bus.std:lastevent() AS bd, \
+              bus.std:groupwin(location).win:length({len}) AS bd2, \
+              thresholdLocation.win:keepall() AS thresholds \
+         WHERE bd.location = thresholds.location AND bd.location = bd2.location \
+         GROUP BY bd2.location"
+    );
+    [true, false].map(|banked| {
+        let mut eng = Engine::new();
+        eng.register_type(join_bus_type()).unwrap();
+        eng.register_type(threshold_type()).unwrap();
+        eng.set_sharing_enabled(banked).unwrap();
+        eng.set_incremental_enabled(banked).unwrap();
+        let (sink, l) = capture();
+        eng.create_statement(&epl, l).unwrap();
+        let threshold = eng
+            .make_event(
+                "thresholdLocation",
+                0,
+                &[
+                    ("location", "R1".into()),
+                    ("hour", 8i64.into()),
+                    ("day", "weekday".into()),
+                    ("attribute", 1.0.into()),
+                ],
+            )
+            .unwrap();
+        eng.send_event(threshold).unwrap();
+        (eng, sink)
+    })
+}
+
+fn send_delay(eng: &mut Engine, ts: u64, delay: f64) {
+    let ev = eng
+        .make_event(
+            "bus",
+            ts,
+            &[
+                ("vehicle", 1i64.into()),
+                ("location", "R1".into()),
+                ("delay", delay.into()),
+                ("hour", 8i64.into()),
+                ("day", "weekday".into()),
+            ],
+        )
+        .unwrap();
+    eng.send_event(ev).unwrap();
+}
+
+fn float_column(row: &OutputRow, col: &str) -> f64 {
+    match row.get(col) {
+        Some(FieldValue::Float(v)) => *v,
+        other => panic!("{col} is not a float: {other:?}"),
+    }
+}
+
+/// Feeds one group's non-integer delays through both engines and checks
+/// every fired row against the bound below.
+///
+/// Let ε = `f64::EPSILON`, L the pane length and M the largest |sample|
+/// among the group's last 2L arrivals. The bank recomputes a group from
+/// its pane once its evictions since the last recompute reach its row
+/// count, so its `sum` is the result of fewer than 3L additions and
+/// subtractions (≤ L for the recompute, < L evictions and as many
+/// insertions since) over partial sums of at most (L+1)·M, all on samples
+/// from those 2L arrivals: it is within 3L(L+1)·M·ε/2 of the exact sum.
+/// The rescan's L−1 additions put it within (L−1)L·M·ε/2. Hence, with
+/// E = 4L²ε:
+///
+/// * |Δsum| ≤ E·M, and |Δavg| ≤ E·M (one more division, n ≥ 2);
+/// * `sum_sq` likewise within E·M², so the variance numerator
+///   `sum_sq − sum²/n` differs by at most E·M² + 2E·M² + the formula's own
+///   roundings (< E·M²), the variance by < 5E·M², and — since
+///   |√a − √b| ≤ √|a − b| — |Δstddev| ≤ M·√(5E).
+///
+/// Without a recompute the residue of a sample that left the pane long
+/// ago stays in `sum`/`sum_sq` until the group empties, and the bound
+/// (which only knows the last 2L samples) fails after the first spike.
+fn run_drift_script(len: usize, samples: &[f64]) {
+    let [(mut banked, got), (mut rescan, want)] = drift_engines(len);
+    let e = 4.0 * (len * len) as f64 * f64::EPSILON;
+    for (i, &delay) in samples.iter().enumerate() {
+        send_delay(&mut banked, i as u64, delay);
+        send_delay(&mut rescan, i as u64, delay);
+        let (got, want) = (got.lock(), want.lock());
+        assert_eq!(got.len(), want.len(), "fired-row counts diverged at arrival {i}");
+        let (Some(got), Some(want)) = (got.last(), want.last()) else { continue };
+        let recent = &samples[(i + 1).saturating_sub(2 * len)..=i];
+        let m = recent.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        for (col, bound) in [("s", e * m), ("m", e * m), ("sd", m * (5.0 * e).sqrt())] {
+            let delta = (float_column(got, col) - float_column(want, col)).abs();
+            assert!(
+                delta <= bound,
+                "arrival {i}, {col}: |bank − rescan| = {delta} > {bound} (L={len}, M={m})"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn bank_drift_on_non_integer_samples_stays_within_the_stated_bound(
+        len in 2usize..9,
+        raw in proptest::collection::vec((0u32..1_000_000, 0usize..12), 0..200),
+    ) {
+        // Non-representable fractions in [0, 127); one sample in twelve is
+        // a spike nine orders of magnitude above the rest.
+        let samples: Vec<f64> = raw
+            .iter()
+            .map(|&(x, spike)| x as f64 / 7919.0 * if spike == 0 { 1e9 } else { 1.0 })
+            .collect();
+        run_drift_script(len, &samples);
+    }
+}
+
+#[test]
+fn bank_is_exact_again_after_every_eviction_count_recompute() {
+    // Alternating signs with growing amplitude: the evicted sample is
+    // never the pane's min or max, so only the eviction count can trigger
+    // a recompute. With L = 4 that is every third eviction, after which
+    // the bank's sums are the rescan's bit for bit — so no three
+    // consecutive arrivals may all differ.
+    const LEN: usize = 4;
+    let [(mut banked, got), (mut rescan, want)] = drift_engines(LEN);
+    let mut differing_run = 0;
+    for i in 0..400u64 {
+        let delay = (0.1 + 0.37 * i as f64) * if i % 2 == 0 { 1.0 } else { -1.0 };
+        send_delay(&mut banked, i, delay);
+        send_delay(&mut rescan, i, delay);
+        let (got, want) = (got.lock(), want.lock());
+        if got.last() == want.last() {
+            differing_run = 0;
+        } else {
+            differing_run += 1;
+        }
+        assert!(differing_run < LEN - 1, "no recompute in the {} arrivals up to {i}", LEN - 1);
+    }
 }

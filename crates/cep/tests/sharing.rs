@@ -1,6 +1,6 @@
-//! Acceptance tests for the sharing planner: cluster formation, dynamic
-//! rule churn against shared state, cost-model rejections, per-statement
-//! profile accounting, and mid-stream enable/disable toggles.
+//! Acceptance tests for the sharing planner: cluster formation (clusters
+//! of one included), dynamic rule churn against shared state,
+//! per-statement profile accounting, and mid-stream enable/disable toggles.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -113,10 +113,6 @@ fn batch_installed_same_shape_rules_form_one_cluster() {
     // lastevent + pane + keepall, each referenced by both statements.
     assert_eq!(report.shared_windows, 3);
     assert_eq!(report.private_windows, 0);
-    assert!(
-        report.est_shared_cost < report.est_private_cost,
-        "the planner must only share when the model predicts a win"
-    );
 
     send_threshold(&mut e, 0, "R1", 3.0);
     send_bus(&mut e, 10, "R1", 5.0);
@@ -208,21 +204,78 @@ fn cluster_members_count_events_in_once() {
 }
 
 #[test]
-fn cost_model_keeps_length_one_panes_private() {
+fn lone_length_one_rule_is_a_bank_served_cluster_of_one() {
     let mut e = engine(true);
+    let mut reference = engine(false);
     let (sink, l) = capture();
-    e.create_statement(&epl(1), l).unwrap();
+    let (ref_sink, rl) = capture();
+    let id = e.create_statement(&epl(1), l).unwrap().id;
+    reference.create_statement(&epl(1), rl).unwrap();
 
     let report = e.sharing_report();
-    assert_eq!(report.shared_statements, 0);
-    assert_eq!(report.cost_rejected_statements, 1, "length(1) predicts no win");
+    assert_eq!(report.shared_statements, 1, "nothing to share with, still bank-served");
+    assert_eq!(report.clusters.len(), 1);
+    assert_eq!(report.clusters[0].statements, vec![id]);
+    assert_eq!(report.shared_windows, 0, "a cluster of one owns all three windows");
 
-    send_threshold(&mut e, 0, "R1", 3.0);
-    send_bus(&mut e, 10, "R1", 5.0);
-    assert_eq!(sink.lock().len(), 1);
+    for eng in [&mut e, &mut reference] {
+        send_threshold(eng, 0, "R1", 3.0);
+        send_bus(eng, 10, "R1", 5.0);
+        send_bus(eng, 20, "R1", 2.0);
+        send_bus(eng, 30, "R2", 9.0);
+        send_threshold(eng, 40, "R2", 4.0);
+        send_bus(eng, 50, "R1", 7.0);
+    }
+    assert_eq!(sink.lock().len(), 3, "5 > 3, the R2 threshold arriving under 9, 7 > 3");
+    assert_eq!(*sink.lock(), *ref_sink.lock(), "bank-served ≡ the sharing-off rescan");
+
     let p = &e.profile()[0];
-    assert_eq!(p.path_shared, 0, "rejected statements stay on private paths");
-    assert!(p.path_rescan > 0);
+    assert_eq!(p.path_shared, p.evals);
+    assert_eq!(p.path_rescan, 0);
+    assert!(reference.profile()[0].path_rescan > 0, "sharing off still selects the rescan");
+    assert_eq!(e.sharing_report().realized_private_evals, 0);
+}
+
+#[test]
+fn two_source_rules_cluster_on_their_pane_bank() {
+    // The static-threshold and per-location-literal forms of the rule have
+    // no threshold stream: anchor × pane, served from the pane's bank.
+    let global = "SELECT bd2.location AS loc, avg(bd2.delay) AS m \
+         FROM bus.std:lastevent() AS bd, bus.std:groupwin(location).win:length(3) AS bd2 \
+         WHERE bd.location = bd2.location GROUP BY bd2.location HAVING avg(bd2.delay) > 4";
+    let literal = "SELECT bd2.location AS loc, avg(bd2.delay) AS m \
+         FROM bus.std:lastevent() AS bd, bus.std:groupwin(location).win:length(3) AS bd2 \
+         WHERE bd.location = 'R1' AND bd.hour = 8 AND bd.day = 'weekday' \
+           AND bd.location = bd2.location GROUP BY bd2.location HAVING avg(bd2.delay) > 6";
+    let mut e = engine(true);
+    let mut reference = engine(false);
+    let mut sinks = Vec::new();
+    for eng in [&mut e, &mut reference] {
+        for epl in [global, literal] {
+            let (sink, l) = capture();
+            eng.create_statement(epl, l).unwrap();
+            sinks.push(sink);
+        }
+    }
+    let report = e.sharing_report();
+    assert_eq!(report.shared_statements, 2);
+    assert_eq!(report.clusters.len(), 1, "same pane, one bank");
+    assert_eq!(report.clusters[0].threshold_entries, 0, "no threshold index to probe");
+
+    for eng in [&mut e, &mut reference] {
+        for (ts, loc, delay) in
+            [(10, "R1", 5.0), (20, "R2", 9.0), (30, "R1", 9.0), (40, "R1", 1.0), (50, "R1", 2.0)]
+        {
+            send_bus(eng, ts, loc, delay);
+        }
+    }
+    assert_eq!(sinks[0].lock().len(), 4, "avg 5, 9 (R2), 7, 5 pass > 4; the last avg is 4");
+    assert_eq!(sinks[1].lock().len(), 1, "only R1's avg 7 passes > 6");
+    assert_eq!(*sinks[0].lock(), *sinks[2].lock());
+    assert_eq!(*sinks[1].lock(), *sinks[3].lock());
+    for p in e.profile() {
+        assert_eq!((p.path_shared, p.path_rescan), (5, 0));
+    }
 }
 
 #[test]

@@ -55,10 +55,11 @@ pub struct SystemConfig {
     /// Whether the Esper engines use the incremental evaluation path
     /// (delta-maintained aggregates); `false` forces full-window rescans.
     pub incremental: bool,
-    /// Whether the Esper engines run the cost-based sharing planner:
-    /// same-shape rules collapse into clusters served from one shared
-    /// window, accumulator bank, and keyed threshold index. `false`
-    /// keeps every statement on private state (the pre-sharing layout).
+    /// Whether the Esper engines run the sharing planner: every
+    /// Listing-1-family rule is served from its pane's accumulator bank
+    /// (and keyed threshold index), and same-shape rules collapse into
+    /// clusters on one window, bank and index. `false` keeps every
+    /// statement on private state and the rescan path.
     pub sharing: bool,
     /// At-least-once delivery (acker + replay + supervised restarts).
     /// `None` keeps the default fail-fast, at-most-once runtime.

@@ -947,6 +947,49 @@ mod tests {
     }
 
     #[test]
+    fn every_method_is_bank_served_and_matches_the_sharing_off_engine() {
+        let mut all = methods();
+        all.push(RetrievalMethod::StaticOptimal(120.0));
+        // Integer delays: the bank's sums are then exact, so the two
+        // engines must agree to the bit. R1 crosses 100 and back, R2 stays
+        // under 1000 (but over the static 120), windows 1 and 3.
+        let delays = [150.0, 170.0, 40.0, 20.0, 90.0, 400.0, 10.0, 130.0];
+        for method in all {
+            let [(shared, shared_profiles), (unshared, unshared_profiles)] =
+                [true, false].map(|sharing| {
+                let mut re = RuleEngine::new(method.clone(), store_with_stats(), None);
+                re.set_sharing_enabled(sharing).unwrap();
+                re.set_profiling_enabled(true);
+                for window in [1, 3] {
+                    let mut spec = rule(window);
+                    spec.name = format!("delay-{window}");
+                    re.install_rule(&spec, monitored()).unwrap();
+                }
+                for (i, delay) in delays.iter().enumerate() {
+                    let area = if i % 3 == 2 { "R2" } else { "R1" };
+                    re.send_trace(&trace(1000 * i as u64, area, *delay)).unwrap();
+                }
+                let detections = re.detections().lock().clone();
+                (detections, re.rule_profiles(0))
+            });
+            assert!(!shared.is_empty(), "{method:?}: the trace must fire");
+            assert_eq!(shared, unshared, "{method:?}: sharing changed the detections");
+            for p in shared_profiles {
+                assert!(p.evals > 0, "{method:?}");
+                assert_eq!(
+                    (p.path_shared, p.path_rescan),
+                    (p.evals, 0),
+                    "{method:?}: rule {} must be served from its pane bank",
+                    p.rule
+                );
+            }
+            for p in unshared_profiles {
+                assert_eq!(p.path_rescan, p.evals, "{method:?}: sharing off selects the rescan");
+            }
+        }
+    }
+
+    #[test]
     fn static_optimal_uses_the_literal() {
         let mut re =
             RuleEngine::new(RetrievalMethod::StaticOptimal(50.0), store_with_stats(), None);

@@ -703,9 +703,10 @@ impl EsperBolt {
         self
     }
 
-    /// Selects whether the sharing planner may serve same-shape rules
-    /// from shared cluster state (on by default; `false` keeps every
-    /// statement on private windows).
+    /// Selects whether the sharing planner serves Listing-1-family rules
+    /// from pane-bank state, shared between same-shape rules (on by
+    /// default; `false` keeps every statement on private windows and the
+    /// rescan path).
     pub fn with_sharing(mut self, enabled: bool) -> Self {
         self.sharing = enabled;
         self

@@ -430,7 +430,8 @@ pub struct RuleProfile {
     pub rows_out: u64,
     /// Eval wall-time distribution (same 48-bucket log₂ shape as `e2e`).
     pub eval: LatencyHistogram,
-    /// Evaluations served from a shared cluster's bank/index state.
+    /// Evaluations served from a pane bank (a cluster of any size, one
+    /// included).
     pub path_shared: u64,
     /// Evaluations served by the delta-maintained incremental path.
     pub path_incremental: u64,
@@ -969,9 +970,11 @@ impl MetricsHub {
             ("tms_rule_evals_total", "Condition evaluations performed", |r| r.evals),
             ("tms_rule_firings_total", "Evaluations that produced output rows", |r| r.firings),
             ("tms_rule_rows_out_total", "Output rows produced", |r| r.rows_out),
-            ("tms_rule_path_shared_total", "Evals served from shared cluster state", |r| {
-                r.path_shared
-            }),
+            (
+                "tms_rule_path_shared_total",
+                "Evals served from a pane bank (cluster of any size, one included)",
+                |r| r.path_shared,
+            ),
             ("tms_rule_path_incremental_total", "Evals on the incremental path", |r| {
                 r.path_incremental
             }),
