@@ -67,8 +67,8 @@ pub struct SystemConfig {
     /// Fault injection: wraps the Esper bolts in chaos wrappers and arms
     /// transport drops. `None` (the default) injects nothing.
     pub chaos: Option<FaultConfig>,
-    /// Data-plane micro-batching for the live topology. `None` (the
-    /// default) keeps per-tuple delivery.
+    /// Lets the live topology's edge buffers fill and linger across
+    /// executor turns. `None` (the default) flushes them every turn.
     pub batch: Option<BatchConfig>,
     /// Elastic rule re-partitioning: a rebalancer watches the splitter's
     /// observed per-region load and migrates rule partitions between live
@@ -1480,6 +1480,48 @@ mod tests {
         let batched = run(&sys);
         assert!(!per_tuple.is_empty(), "the incident must trigger detections");
         assert_eq!(batched, per_tuple, "batching must not change what the system detects");
+    }
+
+    #[test]
+    fn long_batched_replay_detects_what_the_default_plane_detects_on_every_repeat() {
+        // Long enough for a stage to run a resequencer window
+        // (`Resequencer::MAX_PENDING` = 65 536) ahead of its sibling task
+        // if the queues between them let it: when channel capacity counted
+        // packets, 1024 batches of 128 did, the splitter skipped the "gap"
+        // and every repeat detected a different multiset.
+        const TUPLES: usize = 150_000;
+        let (history, seeds) = small_history();
+        let live: Vec<BusTrace> = (1u32..)
+            .flat_map(|day| {
+                let end_ms = u64::from(day) * tms_traffic::DAY_MS + 9 * HOUR_MS;
+                FleetGenerator::new(FleetConfig::small(17), day)
+                    .unwrap()
+                    .take_while(move |t| t.timestamp_ms < end_ms)
+            })
+            .take(TUPLES)
+            .collect();
+        assert_eq!(live.len(), TUPLES);
+        let mut sys =
+            TrafficSystem::bootstrap(DUBLIN_BBOX, &seeds, &history, SystemConfig::default())
+                .unwrap();
+        let plan = sys.startup_plan(&rules(), 2).unwrap();
+        let run = |sys: &TrafficSystem| {
+            let mut detections: Vec<(String, String, u64)> = sys
+                .run(live.clone(), &plan, None)
+                .unwrap()
+                .detections
+                .into_iter()
+                .map(|d| (d.rule, d.location, d.timestamp_ms))
+                .collect();
+            detections.sort();
+            detections
+        };
+        let default_plane = run(&sys);
+        assert!(!default_plane.is_empty());
+        sys.config.batch = Some(tms_dsps::BatchConfig::default());
+        for repeat in 0..3 {
+            assert!(run(&sys) == default_plane, "batched repeat {repeat} detected another multiset");
+        }
     }
 
     #[test]

@@ -465,6 +465,9 @@ impl SplitterBolt {
         while let Some(req) = h.coordinator.begin_next() {
             let started = Instant::now();
             emitter.emit_direct(req.from, TrafficMessage::Barrier { id: req.id });
+            // The source can only deposit once the barrier has left this
+            // task's edge buffer.
+            emitter.flush();
             let Some(payload) = h.coordinator.await_deposit(req.id, h.drain_timeout) else {
                 continue; // aborted; the coordinator counted it
             };

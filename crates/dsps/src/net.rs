@@ -860,18 +860,14 @@ impl<T: WireCodec + Clone + Send + Sync + 'static> NetPlane<T> {
             });
         };
         let tx = entry.tx.clone();
+        let tuples = packet.tuples();
         if entry.tracing {
-            let n = match &packet {
-                Packet::Data(_) => 1,
-                Packet::Batch(envs) => envs.len() as i64,
-                Packet::Eos => 0,
-            };
-            entry.depth.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+            entry.depth.fetch_add(tuples as i64, std::sync::atomic::Ordering::Relaxed);
         }
         drop(ingress);
         // A send into a finished task's closed channel is the same
         // benign race as a local cross-task send after EOS: dropped.
-        let _ = tx.send(packet);
+        let _ = tx.send_weighted(packet, tuples);
         Ok(())
     }
 
@@ -975,7 +971,6 @@ where
 
 mod ack_op {
     pub const REGISTER: u8 = 0;
-    pub const XOR: u8 = 1;
     pub const XOR_BATCH: u8 = 2;
     pub const SEAL: u8 = 3;
     pub const ABANDON: u8 = 4;
@@ -1003,13 +998,6 @@ impl AckSink for AckForwarder {
             buf.put_u8(ack_op::REGISTER);
             root.encode(buf);
             spout.encode(buf);
-        });
-    }
-    fn xor(&self, root: u64, id: u64) {
-        self.send(|buf| {
-            buf.put_u8(ack_op::XOR);
-            root.encode(buf);
-            id.encode(buf);
         });
     }
     fn xor_batch(&self, pairs: &[(u64, u64)]) {
@@ -1044,7 +1032,6 @@ fn apply_ack_frame(payload: &[u8], acker: &Acker) -> Result<(), DspsError> {
     let mut r = WireReader::new(payload);
     match r.u8()? {
         ack_op::REGISTER => acker.register(u64::decode(&mut r)?, usize::decode(&mut r)?),
-        ack_op::XOR => acker.xor(u64::decode(&mut r)?, u64::decode(&mut r)?),
         ack_op::XOR_BATCH => {
             let n = r.u32_le()? as usize;
             if n > r.remaining() {
@@ -1896,7 +1883,7 @@ mod tests {
         let (done_tx, done_rx) = crossbeam::channel::unbounded();
         let acker = Acker::new(vec![done_tx]);
         fwd.register(100, 0);
-        fwd.xor(100, 5);
+        fwd.xor_batch(&[(100, 5)]);
         fwd.seal(100);
         fwd.xor_batch(&[(100, 5)]);
         drop(fwd);

@@ -140,13 +140,38 @@ impl<T> Envelope<T> {
     }
 }
 
-/// A message, a micro-batch of messages, or an end-of-stream marker.
+/// One flushed edge buffer — a lone delivery or several — or an
+/// end-of-stream marker.
 pub(crate) enum Packet<T> {
     Data(Envelope<T>),
-    /// Deliveries that accumulated in one edge buffer ([`BatchConfig`]).
     Batch(Vec<Envelope<T>>),
     Eos,
 }
+
+impl<T> Packet<T> {
+    /// Tuples carried: what the packet holds against its channel's
+    /// capacity and adds to the occupancy gauge.
+    pub(crate) fn tuples(&self) -> usize {
+        match self {
+            Packet::Data(_) => 1,
+            Packet::Batch(envs) => envs.len(),
+            Packet::Eos => 0,
+        }
+    }
+
+    fn into_envelopes(self) -> impl Iterator<Item = Envelope<T>> {
+        let (one, many) = match self {
+            Packet::Data(env) => (Some(env), Vec::new()),
+            Packet::Batch(envs) => (None, envs),
+            Packet::Eos => (None, Vec::new()),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
+/// Most tuples an edge buffer holds on the turn-scoped plane before it is
+/// sent mid-turn; with `channel_capacity` it bounds a task's queued tuples.
+const TURN_FLUSH_CAP: usize = 64;
 
 /// The interface bolts and spout drivers use to send messages downstream.
 pub trait Emitter<T> {
@@ -162,6 +187,12 @@ pub trait Emitter<T> {
     /// error the validator cannot see, so we keep the semantics strict
     /// and simple.
     fn emit_direct(&mut self, task: usize, msg: T);
+
+    /// Hands everything emitted so far to the receiving tasks' channels.
+    /// The runtime does this by itself when the executor's turn ends; a
+    /// bolt only needs it before it *waits*, inside `process`, on something
+    /// a receiver does with what was just emitted.
+    fn flush(&mut self) {}
 }
 
 /// One outgoing edge of a component.
@@ -217,13 +248,15 @@ struct TaskEmitter<T> {
     /// Root emit time to stamp on outgoing envelopes (tracing +
     /// at-most-once only); inherited from the input being processed.
     t0: Option<Instant>,
-    /// Micro-batching parameters; `None` = the per-tuple data plane.
-    batch: Option<BatchConfig>,
-    /// Per-(route, task) edge buffers, `buffers[ri][ti]`; allocated only
-    /// when batching is on.
+    /// Tuples an edge buffer holds before it is sent mid-turn.
+    flush_cap: usize,
+    /// How long a tuple may stay buffered across executor turns; zero on
+    /// the turn-scoped plane, [`BatchConfig::max_linger`] otherwise.
+    linger: Duration,
+    /// Per-(route, task) edge buffers, `buffers[ri][ti]`.
     buffers: Vec<Vec<Vec<Envelope<T>>>>,
     /// When the oldest currently-buffered tuple entered a buffer; `None`
-    /// while every buffer is empty. Drives the `max_linger` flush clock.
+    /// while every buffer is empty.
     buffered_since: Option<Instant>,
     /// Sampled-lineage recording; `None` = lineage off.
     lineage: Option<LineageState>,
@@ -251,28 +284,29 @@ impl<T> TaskEmitter<T> {
         self.flush_all();
         for route in &mut self.routes {
             for s in &route.senders {
-                let _ = s.send(Packet::Eos);
+                let _ = s.send_weighted(Packet::Eos, 0);
             }
         }
     }
 
-    /// Sends one edge buffer as a [`Packet::Batch`]. Queue-depth gauges
-    /// and the dropped counter stay *tuple*-granular: a batch of n that
-    /// enters (or misses) a channel accounts for n tuples.
+    /// Sends one edge buffer: a lone delivery as [`Packet::Data`] (the
+    /// idle plane allocates nothing), several as one [`Packet::Batch`].
+    /// The channel's capacity, the queue-depth gauges and the dropped
+    /// counter are all *tuple*-granular: a batch of n that enters (or
+    /// misses) a channel accounts for n tuples.
     fn flush_edge(&mut self, ri: usize, ti: usize) {
         let buf = &mut self.buffers[ri][ti];
-        if buf.is_empty() {
+        let n = buf.len();
+        if n == 0 {
             return;
         }
-        let n = buf.len();
-        let mut batch = std::mem::take(buf);
         if let Some(l) = &mut self.lineage {
             // Buffer residency becomes a `BatchFlush` span per sampled
             // tuple, and the hop re-parents onto it so the downstream
             // queue span measures channel wait only.
             let now = l.sink.now_ns();
             let dest = self.routes[ri].globals[ti];
-            for env in &mut batch {
+            for env in buf.iter_mut() {
                 if let Some(hop) = env.hop.as_deref_mut() {
                     let sid = l.sink.record(
                         hop.trace,
@@ -287,12 +321,20 @@ impl<T> TaskEmitter<T> {
                 }
             }
         }
-        if self.routes[ri].senders[ti].send(Packet::Batch(batch)).is_err() {
-            // The receiving task died: every tuple of the batch is lost.
+        let packet = if n == 1 {
+            Packet::Data(buf.pop().expect("n counted one buffered delivery"))
+        } else {
+            // A backlogged edge tends to fill to the same size again.
+            Packet::Batch(std::mem::replace(buf, Vec::with_capacity(n)))
+        };
+        if self.routes[ri].senders[ti].send_weighted(packet, n).is_err() {
+            // The receiving task died (its channel tore down): the tuples
+            // are lost — count them instead of vanishing silently.
             for _ in 0..n {
                 self.counters.record_dropped();
             }
         } else if self.tracing {
+            // Only deliveries that actually entered the channel occupy it.
             self.routes[ri].depths[ti].fetch_add(n as i64, Ordering::Relaxed);
         }
     }
@@ -309,12 +351,14 @@ impl<T> TaskEmitter<T> {
         }
     }
 
-    /// Flushes all buffers once the oldest buffered tuple has lingered
-    /// past `max_linger`. Executor loop turns and spout idle ticks call
-    /// this — the flush clock needs no extra threads.
-    fn flush_if_expired(&mut self, now: Instant) {
-        if let (Some(b), Some(since)) = (self.batch, self.buffered_since) {
-            if now.saturating_duration_since(since) >= b.max_linger {
+    /// Ends an executor turn — the task's input ran dry, its step budget
+    /// is spent, or its spout returned from `next` — by flushing all
+    /// buffers once the oldest buffered tuple has waited out `linger`:
+    /// always on the turn-scoped plane, so no executor blocks and no spout
+    /// sleeps inside `next` while holding tuples.
+    fn end_turn(&mut self) {
+        if let Some(since) = self.buffered_since {
+            if self.linger.is_zero() || since.elapsed() >= self.linger {
                 self.flush_all();
             }
         }
@@ -323,10 +367,7 @@ impl<T> TaskEmitter<T> {
     /// The instant by which the executor must next service the linger
     /// clock; `None` when nothing is buffered.
     fn next_flush_deadline(&self) -> Option<Instant> {
-        match (self.batch, self.buffered_since) {
-            (Some(b), Some(since)) => Some(since + b.max_linger),
-            _ => None,
-        }
+        self.buffered_since.map(|since| since + self.linger)
     }
 }
 
@@ -389,11 +430,12 @@ impl<T: Clone> TaskEmitter<T> {
         self.targets = targets; // hand the scratch buffer back
     }
 
-    /// Sends (or buffers) one delivery whose id `dispatch` already
-    /// registered with the acker. Transport fault injection applies here,
-    /// after registration — an injected loss looks exactly like a network
-    /// drop the replay machinery must heal, and chaos drops act on
-    /// individual tuples even when batching is on.
+    /// Buffers one delivery whose id `dispatch` already registered with
+    /// the acker on its edge; the edge is sent once it holds `flush_cap`
+    /// tuples, else when the turn ends. Transport fault injection applies
+    /// here, after registration — an injected loss looks exactly like a
+    /// network drop the replay machinery must heal, and chaos drops act on
+    /// individual tuples, never on whole batches.
     fn send_one(&mut self, ri: usize, ti: usize, msg: Payload<T>, tid: u64) {
         // `mix_id` is a bijection and raw ids start at 1, so 0 is minted
         // exactly for untracked deliveries.
@@ -417,30 +459,13 @@ impl<T: Clone> TaskEmitter<T> {
             }),
             None => None,
         };
-        let envelope = Envelope { msg, tid, roots, t0: self.t0, hop };
-        match self.batch {
-            None => {
-                if self.routes[ri].senders[ti].send(Packet::Data(envelope)).is_err() {
-                    // The receiving task died (its channel tore down): the
-                    // delivery is lost — count it instead of vanishing
-                    // silently.
-                    self.counters.record_dropped();
-                } else if self.tracing {
-                    // Only deliveries that actually entered the channel
-                    // occupy it.
-                    self.routes[ri].depths[ti].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Some(b) => {
-                if self.buffered_since.is_none() {
-                    self.buffered_since = Some(Instant::now());
-                }
-                let buf = &mut self.buffers[ri][ti];
-                buf.push(envelope);
-                if buf.len() >= b.max_batch.max(1) {
-                    self.flush_edge(ri, ti);
-                }
-            }
+        if self.buffered_since.is_none() {
+            self.buffered_since = Some(Instant::now());
+        }
+        let buf = &mut self.buffers[ri][ti];
+        buf.push(Envelope { msg, tid, roots, t0: self.t0, hop });
+        if buf.len() >= self.flush_cap {
+            self.flush_edge(ri, ti);
         }
     }
 }
@@ -500,6 +525,10 @@ impl<T: Clone> Emitter<T> for TaskEmitter<T> {
         }
         self.dispatch(msg);
     }
+
+    fn flush(&mut self) {
+        self.flush_all();
+    }
 }
 
 /// At-least-once delivery and supervised recovery parameters.
@@ -532,23 +561,27 @@ impl Default for ReliabilityConfig {
     }
 }
 
-/// Micro-batching parameters for the data plane, opt-in via
+/// Lets edge buffers outlive the executor turn, opt-in via
 /// [`RuntimeConfig::batch`].
 ///
-/// When set, every emitter accumulates deliveries in per-(route, task)
-/// edge buffers and ships them as one [`Packet::Batch`], amortizing the
-/// per-delivery channel send, acker lock and wakeup. A buffer flushes
+/// Every emitter accumulates deliveries in per-(route, task) edge buffers
+/// and ships each as one packet, amortizing the per-delivery channel send
+/// and wakeup. By default a buffer lives for one executor turn (see
+/// `TaskEmitter::end_turn`), so tuples batch exactly as far as a backlog
+/// already queued them and an idle plane stays per-tuple. With a
+/// `BatchConfig` a buffer instead flushes
 ///
-/// * when it reaches `max_batch` tuples,
+/// * when it reaches `max_batch` tuples (turn-scoped: 64),
 /// * when its oldest buffered tuple has waited `max_linger` (the flush
 ///   clock is driven by spout idle ticks and executor loop turns — no
 ///   extra threads), and
-/// * unconditionally before any EOS marker (spout exhaustion, `finish`,
-///   failure paths), so no tuple is ever stranded.
+/// * unconditionally on [`Emitter::flush`] and before any EOS marker
+///   (spout exhaustion, `finish`, failure paths), so no tuple is ever
+///   stranded.
 ///
-/// Semantics are unchanged from the per-tuple data plane: same tuples in
-/// the same per-edge order, tuple-granular metrics, and full composition
-/// with reliability, tracing, chaos and profiling.
+/// Either way the same tuples travel in the same per-edge order, metrics
+/// and channel capacity are tuple-granular, and the plane composes with
+/// reliability, tracing, chaos and profiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Tuples per edge buffer before a size flush (≥ 1; 0 behaves as 1).
@@ -566,7 +599,9 @@ impl Default for BatchConfig {
 /// Runtime configuration for [`LocalCluster::submit`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Capacity of each task's input channel.
+    /// Capacity of each task's input channel, in tuples: a send is
+    /// admitted while fewer are queued, so a channel holds less than this
+    /// plus one edge buffer.
     pub channel_capacity: usize,
     /// Number of worker processes to model; defaults to one per node.
     pub workers: Option<usize>,
@@ -580,8 +615,8 @@ pub struct RuntimeConfig {
     /// latency injection wrap individual bolts via
     /// [`chaos_wrap`](crate::fault::chaos_wrap) instead.
     pub fault: Option<FaultConfig>,
-    /// Micro-batched data plane; `None` keeps today's per-tuple sends
-    /// byte-for-byte.
+    /// `None` flushes edge buffers at the end of every executor turn;
+    /// `Some` lets them fill and linger across turns.
     pub batch: Option<BatchConfig>,
     /// Durable bolt state (snapshot + changelog per task, see
     /// [`durability`](crate::durability)); `None` keeps tasks ephemeral —
@@ -931,19 +966,17 @@ impl LocalCluster {
             }
             routes
         };
-        let batch = config.batch;
+        let (flush_cap, linger) = match config.batch {
+            Some(b) => (b.max_batch.max(1), b.max_linger),
+            None => (TURN_FLUSH_CAP, Duration::ZERO),
+        };
         let make_emitter = |source: &str, global: usize, counters: Arc<TaskCounters>| {
             let routes = make_routes(source);
-            // Edge buffers only exist on the batched data plane; sized to
-            // the route fan-out so `buffers[ri][ti]` mirrors `senders`.
-            let buffers = if batch.is_some() {
-                routes
-                    .iter()
-                    .map(|r| (0..r.senders.len()).map(|_| Vec::new()).collect())
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            // Sized to the route fan-out: `buffers[ri][ti]` mirrors `senders`.
+            let buffers = routes
+                .iter()
+                .map(|r| (0..r.senders.len()).map(|_| Vec::new()).collect())
+                .collect();
             TaskEmitter {
                 routes,
                 counters,
@@ -959,7 +992,8 @@ impl LocalCluster {
                 xor_scratch: Vec::new(),
                 tracing,
                 t0: None,
-                batch,
+                flush_cap,
+                linger,
                 buffers,
                 buffered_since: None,
                 lineage: collector.as_ref().map(|c| LineageState {
@@ -1032,7 +1066,7 @@ impl LocalCluster {
                 }
                 let component = s.name.clone();
                 let thread_acker = acker.clone();
-                threads.push(std::thread::spawn(move || {
+                threads.push(spawn_executor(&s.name, task_ids[0], move || {
                     run_spout_executor(tasks, task_ids, component, thread_acker, reliability, tracing)
                 }));
             }
@@ -1088,7 +1122,7 @@ impl LocalCluster {
                 let expected = expected_eos[bi];
                 let factory = b.factory.clone();
                 let thread_acker = acker.clone();
-                threads.push(std::thread::spawn(move || {
+                threads.push(spawn_executor(&b.name, task_ids[0], move || {
                     run_bolt_executor(
                         tasks,
                         component,
@@ -1187,6 +1221,19 @@ impl LocalCluster {
             flight,
         })
     }
+}
+
+/// Spawns an executor thread named `<component>#<first task>`, so a panic
+/// message and `/proc/<pid>/task/*/comm` attribute to a component.
+fn spawn_executor(
+    component: &str,
+    first_task: usize,
+    run: impl FnOnce() -> Result<(), DspsError> + Send + 'static,
+) -> std::thread::JoinHandle<Result<(), DspsError>> {
+    std::thread::Builder::new()
+        .name(format!("{component}#{first_task}"))
+        .spawn(run)
+        .expect("failed to spawn executor thread")
 }
 
 /// Accepts and answers every scrape connection currently queued on the
@@ -1523,11 +1570,12 @@ fn run_spout_executor<T: Clone + Send + Sync>(
                 finished += 1;
                 progressed = true;
             }
-            // 5. Linger clock: ship batched edges whose oldest tuple has
-            //    waited out `max_linger`. Loop turns and the idle tick
-            //    below bound the flush granularity to ~1ms.
+            // 5. A spout's turn is one `next`: it may sleep inside the
+            //    following call, so nothing emitted above outlives this
+            //    one (bar `BatchConfig::max_linger`, which loop turns and
+            //    the idle tick below service at ~1ms granularity).
             if !t.eos_sent {
-                t.emitter.flush_if_expired(Instant::now());
+                t.emitter.end_turn();
             }
         }
         if !progressed {
@@ -1600,7 +1648,7 @@ fn run_bolt_executor<T: Clone + Send + Sync>(
     let single = tasks.len() == 1;
     let mut remaining = tasks.len();
     let mut failure: Option<DspsError> = None;
-    // Per-batch (root, combined-id) ack accumulation, reused across batches.
+    // Per-packet (root, combined-id) ack accumulation, reused across packets.
     let mut acks: Vec<(u64, u64)> = Vec::new();
     'outer: while remaining > 0 {
         let mut progressed = false;
@@ -1640,56 +1688,6 @@ fn run_bolt_executor<T: Clone + Send + Sync>(
                 let Some(packet) = packet else { break };
                 progressed = true;
                 match packet {
-                    Packet::Data(env) => {
-                        if tracing {
-                            t.depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                        if let Err(e) = process_envelope(
-                            t,
-                            env,
-                            &component,
-                            &factory,
-                            &acker,
-                            reliability,
-                            None,
-                        ) {
-                            failure = Some(e);
-                            break 'outer;
-                        }
-                    }
-                    Packet::Batch(batch) => {
-                        if tracing {
-                            // The gauge counts tuples, not batches: the
-                            // whole batch just left the queue.
-                            t.depth.fetch_sub(batch.len() as i64, Ordering::Relaxed);
-                        }
-                        acks.clear();
-                        let mut fatal = None;
-                        for env in batch {
-                            if let Err(e) = process_envelope(
-                                t,
-                                env,
-                                &component,
-                                &factory,
-                                &acker,
-                                reliability,
-                                Some(&mut acks),
-                            ) {
-                                fatal = Some(e);
-                                break;
-                            }
-                        }
-                        // One acker call for the whole batch, ids combined
-                        // per root. Flushed even when a later tuple was
-                        // fatal: the earlier ones really were processed.
-                        if let Some(acker) = &acker {
-                            acker.xor_batch(&acks);
-                        }
-                        if let Some(e) = fatal {
-                            failure = Some(e);
-                            break 'outer;
-                        }
-                    }
                     Packet::Eos => {
                         t.eos_seen += 1;
                         if t.eos_seen >= expected {
@@ -1721,10 +1719,38 @@ fn run_bolt_executor<T: Clone + Send + Sync>(
                             break;
                         }
                     }
+                    data => {
+                        if tracing {
+                            // The gauge counts tuples, not packets.
+                            t.depth.fetch_sub(data.tuples() as i64, Ordering::Relaxed);
+                        }
+                        acks.clear();
+                        let mut fatal = None;
+                        for env in data.into_envelopes() {
+                            let r = process_envelope(
+                                t, env, &component, &factory, &acker, reliability, &mut acks,
+                            );
+                            if let Err(e) = r {
+                                fatal = Some(e);
+                                break;
+                            }
+                        }
+                        // One acker call for the whole packet, ids combined
+                        // per root. Flushed even when a later tuple was
+                        // fatal: the earlier ones really were processed.
+                        if let Some(acker) = &acker {
+                            acker.xor_batch(&acks);
+                        }
+                        if let Some(e) = fatal {
+                            failure = Some(e);
+                            break 'outer;
+                        }
+                    }
                 }
             }
-            // Linger clock for this task's own output buffers.
-            t.emitter.flush_if_expired(Instant::now());
+            // The drain turn is over: everything it emitted goes out before
+            // this executor can block again.
+            t.emitter.end_turn();
         }
         if !progressed && !single {
             // Every channel ran dry: block on a select across the live
@@ -1775,12 +1801,11 @@ fn run_bolt_executor<T: Clone + Send + Sync>(
 /// containment around `process`, latency and terminal-completion
 /// recording, auto-ack, and supervised restart on panic.
 ///
-/// `deferred` selects the ack path: `Some` collects this batch's acks as
-/// per-root combined ids (the caller applies them in one
-/// [`Acker::xor_batch`] call after the batch); `None` acks directly, the
-/// unchanged per-tuple path. A fatal error is returned for the caller to
-/// surface; a supervised restart is absorbed here and processing
-/// continues with the next delivery.
+/// The input's ack is folded into `acks` as per-root combined ids; the
+/// caller applies them in one [`Acker::xor_batch`] call after the packet.
+/// A fatal error is returned for the caller to surface; a supervised
+/// restart is absorbed here and processing continues with the next
+/// delivery.
 fn process_envelope<T: Clone + Send + Sync>(
     t: &mut BoltTask<T>,
     env: Envelope<T>,
@@ -1788,7 +1813,7 @@ fn process_envelope<T: Clone + Send + Sync>(
     factory: &crate::topology::BoltFactory<T>,
     acker: &Option<Arc<dyn AckSink>>,
     reliability: Option<ReliabilityConfig>,
-    deferred: Option<&mut Vec<(u64, u64)>>,
+    acks: &mut Vec<(u64, u64)>,
 ) -> Result<(), DspsError> {
     let Envelope { msg, tid, roots, t0, hop } = env;
     t.emitter.anchors = roots;
@@ -1871,18 +1896,9 @@ fn process_envelope<T: Clone + Send + Sync>(
             // registration happens at emit time even when they sit in
             // edge buffers), so acking the input now can only complete a
             // genuinely finished tree.
-            if let Some(acker) = acker {
-                match deferred {
-                    Some(pairs) => {
-                        for &root in &t.emitter.anchors {
-                            push_combined(pairs, root, tid);
-                        }
-                    }
-                    None => {
-                        for &root in &t.emitter.anchors {
-                            acker.xor(root, tid);
-                        }
-                    }
+            if acker.is_some() {
+                for &root in &t.emitter.anchors {
+                    push_combined(acks, root, tid);
                 }
             }
             t.emitter.anchors.clear();
@@ -2298,46 +2314,6 @@ mod tests {
         let router = totals.iter().find(|c| c.component == "router").unwrap();
         assert_eq!(router.misrouted, 10, "each out-of-range direct emission is counted");
         assert_eq!(router.emitted, 60, "misrouted deliveries are not emissions");
-    }
-
-    #[test]
-    fn batched_pipeline_delivers_everything_in_edge_order() {
-        // The micro-batched data plane must deliver the same tuples in the
-        // same per-edge order as the per-tuple plane (shuffle keeps a
-        // deterministic round-robin, so with one sink task the full
-        // sequence is reproducible).
-        let run = |batch: Option<BatchConfig>| {
-            let collected = Arc::new(Mutex::new(Vec::new()));
-            let t = TopologyBuilder::new("t")
-                .add_spout("src", Parallelism::of(1), |_| {
-                    Box::new(RangeSpout { next: 0, end: 500 })
-                })
-                .add_map_bolt(
-                    "double",
-                    Parallelism::of(1),
-                    vec![("src", Grouping::Shuffle)],
-                    |m: Msg| Some(Msg { key: m.key, value: m.value * 2 }),
-                )
-                .add_bolt(
-                    "sink",
-                    Parallelism::of(1),
-                    vec![("double", Grouping::Shuffle)],
-                    sink_bolt(collected.clone()),
-                )
-                .build()
-                .unwrap();
-            small_cluster()
-                .submit(t, RuntimeConfig { batch, ..RuntimeConfig::default() })
-                .unwrap()
-                .join()
-                .unwrap();
-            let got: Vec<u64> = collected.lock().iter().map(|&(_, v)| v).collect();
-            got
-        };
-        let per_tuple = run(None);
-        let batched = run(Some(BatchConfig::default()));
-        assert_eq!(per_tuple, batched, "batching must not reorder or lose tuples");
-        assert_eq!(batched.len(), 500);
     }
 
     #[test]

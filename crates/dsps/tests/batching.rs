@@ -1,13 +1,19 @@
-//! Acceptance suite for the micro-batched data plane.
+//! Acceptance suite for the buffered data plane.
 //!
-//! The contract under test: enabling [`BatchConfig`] changes *when* tuples
-//! move, never *which* tuples move or in what per-edge order. Batching must
-//! compose with every other runtime layer — reliability/chaos recovery,
-//! tracing gauges and histograms (which stay tuple-granular), and the
-//! EOS/finish flush that makes draining unconditional.
+//! Every emitter buffers per edge. By default a buffer lives for one
+//! executor turn; [`BatchConfig`] lets it fill and linger across turns.
+//! The contract under test: either way only *when* tuples move changes,
+//! never *which* tuples move or in what per-edge order; nothing is held
+//! while an executor blocks or a spout sleeps; a task's queue is bounded
+//! in tuples. Batching must compose with every other runtime layer —
+//! reliability/chaos recovery, tracing gauges and histograms (which stay
+//! tuple-granular), and the EOS/finish flush that makes draining
+//! unconditional.
 
 use parking_lot::Mutex;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_dsps::runtime::{BatchConfig, LocalCluster, ReliabilityConfig, RuntimeConfig};
@@ -76,23 +82,64 @@ fn recorder(
     move |task| Box::new(Recorder { name, task, log: log.clone() }) as Box<dyn Bolt<Msg>>
 }
 
-/// One spout fans out to a sink per grouping; a router bolt covers Direct.
+/// Passes tuples on (`direct`: to task `value % 4`), but holds its first
+/// one until the spout is exhausted: every later turn of its executor
+/// finds a backlog and drains a full step budget, so its edge buffers
+/// fill — to the mid-turn cap on a single-target edge.
+struct Backlogged {
+    spout_done: Arc<AtomicBool>,
+    direct: bool,
+}
+impl Bolt<Msg> for Backlogged {
+    fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
+        while !self.spout_done.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        if self.direct {
+            e.emit_direct((msg.value % 4) as usize, msg);
+        } else {
+            e.emit(msg);
+        }
+    }
+}
+
+/// One spout fans out to a sink per grouping; a router bolt covers Direct
+/// and a forwarder a second shuffle hop, both behind a backlog.
 /// Every producer is a single task, so each (producer task → consumer task)
 /// edge has a deterministic tuple order and the whole edge log must be
 /// byte-identical between delivery modes.
 fn run_all_groupings(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize), Vec<u64>> {
-    const TUPLES: u64 = 300;
-    struct Router;
-    impl Bolt<Msg> for Router {
-        fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
-            let task = (msg.value % 4) as usize;
-            e.emit_direct(task, msg);
+    // Below the default channel capacity: the spout must be able to finish
+    // while the backlogged bolts hold their first tuple.
+    const TUPLES: u64 = 600;
+    struct FlaggingSpout {
+        inner: RangeSpout,
+        done: Arc<AtomicBool>,
+    }
+    impl Spout<Msg> for FlaggingSpout {
+        fn next(&mut self) -> Option<Msg> {
+            let msg = self.inner.next();
+            if msg.is_none() {
+                self.done.store(true, Ordering::Release);
+            }
+            msg
         }
     }
+    let spout_done = Arc::new(AtomicBool::new(false));
+    let backlogged = |direct: bool| {
+        let spout_done = spout_done.clone();
+        move |_: usize| Box::new(Backlogged { spout_done: spout_done.clone(), direct }) as Box<dyn Bolt<Msg>>
+    };
 
     let log: EdgeLog = Arc::new(Mutex::new(HashMap::new()));
+    let done = spout_done.clone();
     let t = TopologyBuilder::new("groupings")
-        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: TUPLES }))
+        .add_spout("src", Parallelism::of(1), move |_| {
+            Box::new(FlaggingSpout {
+                inner: RangeSpout { next: 0, end: TUPLES },
+                done: done.clone(),
+            })
+        })
         .add_bolt("shuf", Parallelism::of(1), vec![("src", Grouping::Shuffle)], recorder("shuf", &log))
         .add_bolt(
             "flds",
@@ -101,10 +148,10 @@ fn run_all_groupings(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize
             recorder("flds", &log),
         )
         .add_bolt("all", Parallelism::of(2), vec![("src", Grouping::All)], recorder("all", &log))
-        .add_bolt("router", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(Router) as Box<dyn Bolt<Msg>>
-        })
+        .add_bolt("router", Parallelism::of(1), vec![("src", Grouping::Shuffle)], backlogged(true))
         .add_bolt("dir", Parallelism::of(4), vec![("router", Grouping::Direct)], recorder("dir", &log))
+        .add_bolt("fwd", Parallelism::of(1), vec![("src", Grouping::Shuffle)], backlogged(false))
+        .add_bolt("hop2", Parallelism::of(1), vec![("fwd", Grouping::Shuffle)], recorder("hop2", &log))
         .build()
         .unwrap();
     let cfg = RuntimeConfig { batch, ..RuntimeConfig::default() };
@@ -114,26 +161,237 @@ fn run_all_groupings(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize
 
 #[test]
 fn batched_delivery_matches_per_tuple_for_every_grouping() {
-    let per_tuple = run_all_groupings(None);
+    let turn_flushed = run_all_groupings(None);
     let batched = run_all_groupings(Some(batch_small()));
 
-    // Sanity on the per-tuple baseline before comparing against it.
-    assert_eq!(per_tuple[&("shuf", 0)].len(), 300);
-    assert_eq!(per_tuple[&("all", 0)].len(), 300, "All grouping broadcasts to task 0");
-    assert_eq!(per_tuple[&("all", 1)].len(), 300, "All grouping broadcasts to task 1");
-    let fields: usize = (0..2).map(|ti| per_tuple[&("flds", ti)].len()).sum();
-    assert_eq!(fields, 300);
+    // Sanity on the turn-flushed baseline before comparing against it.
+    assert_eq!(turn_flushed[&("shuf", 0)].len(), 600);
+    assert_eq!(turn_flushed[&("hop2", 0)].len(), 600);
+    assert_eq!(turn_flushed[&("all", 0)].len(), 600, "All grouping broadcasts to task 0");
+    assert_eq!(turn_flushed[&("all", 1)].len(), 600, "All grouping broadcasts to task 1");
+    let fields: usize = (0..2).map(|ti| turn_flushed[&("flds", ti)].len()).sum();
+    assert_eq!(fields, 600);
     for ti in 0..4 {
         assert!(
-            per_tuple[&("dir", ti)].iter().all(|v| (v % 4) as usize == ti),
+            turn_flushed[&("dir", ti)].iter().all(|v| (v % 4) as usize == ti),
             "direct routing honors the named task"
         );
     }
+    // Per-edge FIFO: the one producer of every edge emits ascending values.
+    for (edge, values) in &turn_flushed {
+        assert!(values.windows(2).all(|w| w[0] < w[1]), "edge {edge:?} was reordered");
+    }
 
     assert_eq!(
-        batched, per_tuple,
+        batched, turn_flushed,
         "batching must preserve exactly the per-edge tuple sequences"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Flush rules: nothing is held while an executor blocks or a spout sleeps
+// ---------------------------------------------------------------------------
+
+/// How long a test waits for something that must happen before it calls
+/// the plane stuck.
+const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// Emits tuple k+1 only once the sink confirmed tuple k, waiting for the
+/// confirmation *inside* `next` — alive but silent, like a paced source
+/// sleeping out its schedule.
+struct LockstepSpout {
+    next: u64,
+    end: u64,
+    confirmed: Receiver<u64>,
+}
+impl Spout<Msg> for LockstepSpout {
+    fn next(&mut self) -> Option<Msg> {
+        if self.next > 0 {
+            let seen = self.confirmed.recv_timeout(WATCHDOG).expect("a tuple was stranded");
+            assert_eq!(seen, self.next - 1);
+        }
+        if self.next >= self.end {
+            return None;
+        }
+        let v = self.next;
+        self.next += 1;
+        Some(Msg { key: v, value: v })
+    }
+}
+
+struct Forward;
+impl Bolt<Msg> for Forward {
+    fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
+        e.emit(msg);
+    }
+}
+
+struct ConfirmingSink(Sender<u64>);
+impl Bolt<Msg> for ConfirmingSink {
+    fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
+        self.0.send(msg.value).unwrap();
+    }
+}
+
+/// Low load: each tuple must cross spout → two bolts → sink with no
+/// further input behind it to push it along, while the spout sits in
+/// `next` and every bolt executor sits in its blocking receive (`middle`
+/// 1:1) or its `Select` (`middle` two tasks on one executor).
+fn run_lockstep(middle: Parallelism) {
+    const TUPLES: u64 = 40;
+    let (confirm_tx, confirm_rx) = bounded::<u64>(1);
+    let t = TopologyBuilder::new("lockstep")
+        .add_spout("src", Parallelism::of(1), move |_| {
+            Box::new(LockstepSpout { next: 0, end: TUPLES, confirmed: confirm_rx.clone() })
+        })
+        .add_bolt("a", middle, vec![("src", Grouping::Shuffle)], |_| Box::new(Forward))
+        .add_bolt("b", middle, vec![("a", Grouping::Shuffle)], |_| Box::new(Forward))
+        .add_bolt("sink", Parallelism::of(1), vec![("b", Grouping::Shuffle)], move |_| {
+            Box::new(ConfirmingSink(confirm_tx.clone()))
+        })
+        .build()
+        .unwrap();
+    let metrics = cluster().submit(t, RuntimeConfig::default()).unwrap().join().unwrap();
+    let sink = metrics.totals().into_iter().find(|c| c.component == "sink").unwrap();
+    assert_eq!(sink.throughput, TUPLES);
+}
+
+#[test]
+fn a_lone_tuple_reaches_the_sink_while_the_spout_sleeps_in_next() {
+    run_lockstep(Parallelism::of(1));
+}
+
+#[test]
+fn a_lone_tuple_reaches_the_sink_through_shared_executors() {
+    run_lockstep(Parallelism { tasks: 2, executors: 1 });
+}
+
+/// Emits, optionally flushes, then waits inside `process` for the sink to
+/// have seen the tuple — the shape of the elastic drain barrier.
+struct EmitThenWait {
+    flush: bool,
+    seen: Receiver<u64>,
+    outcome: Sender<bool>,
+}
+impl Bolt<Msg> for EmitThenWait {
+    fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
+        e.emit(msg);
+        let wait = if self.flush {
+            e.flush();
+            WATCHDOG
+        } else {
+            Duration::from_millis(200)
+        };
+        self.outcome.send(self.seen.recv_timeout(wait).is_ok()).unwrap();
+    }
+}
+
+fn sink_sees_the_tuple_mid_process(flush: bool) -> bool {
+    let (seen_tx, seen_rx) = bounded::<u64>(1);
+    // Outlives the waiter, so a sink that runs after it still has a peer.
+    let seen_kept = seen_rx.clone();
+    let (outcome_tx, outcome_rx) = bounded::<bool>(1);
+    let t = TopologyBuilder::new("emit-then-wait")
+        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 1 }))
+        .add_bolt("waiter", Parallelism::of(1), vec![("src", Grouping::Shuffle)], move |_| {
+            Box::new(EmitThenWait { flush, seen: seen_rx.clone(), outcome: outcome_tx.clone() })
+        })
+        .add_bolt("sink", Parallelism::of(1), vec![("waiter", Grouping::Shuffle)], move |_| {
+            Box::new(ConfirmingSink(seen_tx.clone()))
+        })
+        .build()
+        .unwrap();
+    cluster().submit(t, RuntimeConfig::default()).unwrap().join().unwrap();
+    drop(seen_kept);
+    outcome_rx.try_recv().expect("the waiter processed its tuple")
+}
+
+#[test]
+fn flush_hands_the_emitted_tuple_over_before_the_bolt_waits_on_its_receiver() {
+    assert!(sink_sees_the_tuple_mid_process(true), "flush() must send what was emitted");
+    // Why `SplitterBolt::run_migrations` flushes behind its drain barrier:
+    // an emit alone stays in the edge buffer until `process` returns.
+    assert!(!sink_sees_the_tuple_mid_process(false), "emit() alone sends at the end of the turn");
+}
+
+// ---------------------------------------------------------------------------
+// Backpressure: a task's queue is bounded in tuples, not packets
+// ---------------------------------------------------------------------------
+
+/// A stalled sink behind a forwarder: the forwarder's edge buffers carry up
+/// to `cap` tuples per packet, and the sink's channel must stop admitting
+/// them once it holds `CAPACITY` *tuples*. (Counted in packets it took
+/// `CAPACITY` × `cap` — every tuple of this run — which is how the
+/// resequencer's window overran.)
+fn deepest_queue_under_a_stalled_consumer(batch: Option<BatchConfig>) -> u64 {
+    const TUPLES: u64 = 20_000;
+    const CAPACITY: usize = 100;
+    struct StalledSink(Arc<AtomicBool>);
+    impl Bolt<Msg> for StalledSink {
+        fn process(&mut self, _msg: Msg, _e: &mut dyn Emitter<Msg>) {
+            while !self.0.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+    let release = Arc::new(AtomicBool::new(false));
+    let gate = release.clone();
+    let t = TopologyBuilder::new("stalled")
+        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: TUPLES }))
+        .add_bolt("fwd", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| Box::new(Forward))
+        .add_bolt("sink", Parallelism::of(1), vec![("fwd", Grouping::Shuffle)], move |_| {
+            Box::new(StalledSink(gate.clone()))
+        })
+        .build()
+        .unwrap();
+    let cfg = RuntimeConfig {
+        channel_capacity: CAPACITY,
+        batch,
+        monitor: Some(MonitorConfig {
+            window: Duration::from_secs(3600),
+            tracing: true,
+            ..MonitorConfig::default()
+        }),
+        ..RuntimeConfig::default()
+    };
+    let handle = cluster().submit(t, cfg).unwrap();
+    let metrics = handle.metrics().clone();
+    // The pipeline is wedged once the spout stops emitting: sample until
+    // its counter holds still, then read the gauges at rest.
+    let emitted = || metrics.totals().iter().find(|c| c.component == "src").unwrap().emitted;
+    let deadline = Instant::now() + WATCHDOG;
+    let (mut last, mut still) = (0, 0);
+    while still < 50 {
+        assert!(Instant::now() < deadline, "the spout never backed up");
+        std::thread::sleep(Duration::from_millis(2));
+        let now = emitted();
+        still = if now == last && now > 0 { still + 1 } else { 0 };
+        last = now;
+    }
+    assert!(last < TUPLES, "backpressure must reach the spout, which emitted all {last}");
+    let deepest = metrics
+        .sample()
+        .iter()
+        .filter(|w| w.component == "sink" || w.component == "fwd")
+        .map(|w| w.queue_depth)
+        .max()
+        .unwrap();
+    release.store(true, Ordering::Release);
+    let metrics = handle.join().unwrap();
+    let sink = metrics.totals().into_iter().find(|c| c.component == "sink").unwrap();
+    assert_eq!(sink.throughput, TUPLES);
+    deepest
+}
+
+#[test]
+fn a_stalled_consumer_queues_at_most_capacity_plus_one_edge_buffer() {
+    // An edge is sent at 64 tuples on the turn-scoped plane, at `max_batch`
+    // under a `BatchConfig`; a send is admitted below 100 queued tuples.
+    for (batch, cap) in [(None, 64), (Some(BatchConfig::default()), 128)] {
+        let deepest = deepest_queue_under_a_stalled_consumer(batch);
+        assert!(deepest >= 100, "{batch:?}: the channel never filled: {deepest}");
+        assert!(deepest < 100 + cap, "{batch:?}: {deepest} tuples queued on one task");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -240,9 +498,9 @@ fn tracing_under_batching_stays_tuple_granular() {
     let handle = cluster().submit(t, cfg).unwrap();
     let metrics = handle.metrics().clone();
 
-    // The channel holds up to CAPACITY *packets*; a full batch carries 16
-    // tuples, so a tuple-granular gauge must climb past the packet count
-    // while the slow sink backlogs.
+    // The channel admits a packet while it holds fewer than CAPACITY
+    // tuples; a full batch carries 16, so a tuple-granular gauge must climb
+    // past CAPACITY while the slow sink backlogs.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut deepest = 0u64;
     while Instant::now() < deadline {
@@ -286,12 +544,6 @@ fn eos_flushes_batches_that_would_otherwise_never_fill() {
         }
     }
     let sink_collected = collected.clone();
-    struct Forward;
-    impl Bolt<Msg> for Forward {
-        fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
-            e.emit(msg);
-        }
-    }
     let t = TopologyBuilder::new("eos-flush")
         .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 50 }))
         .add_bolt("mid", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {

@@ -8,6 +8,10 @@
 //! imbalance, re-run the partitioning on observed rates, and migrate rule
 //! partitions between live engines — no topology restart, and (without
 //! faults) exactly the detections a never-migrated run produces.
+//!
+//! The rebalancer is a wall-clock loop, so every run is paced ([`paced`])
+//! to outlast a fixed number of its cycles however fast the data plane
+//! and the build profile are.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -30,6 +34,21 @@ fn aggressive_elastic() -> ElasticConfig {
         max_moves_per_cycle: 8,
         min_observed: 100,
     }
+}
+
+/// Rebalancer cycles every run must outlast: a few to observe the skew
+/// and decide, the drain, then a few to observe the imbalance back under
+/// the bound.
+const MIN_CYCLES: u32 = 25;
+
+/// Engine-side latency that makes a replay of `live` last at least
+/// [`MIN_CYCLES`] rebalancer cycles: the busier of the two engines sees at
+/// least half the tuples and sleeps this long on each, and backpressure
+/// holds the rest of the pipeline to its pace. Probabilities stay zero,
+/// so nothing but time is injected.
+fn paced(live: &[BusTrace], faults: tms_dsps::FaultConfig) -> tms_dsps::FaultConfig {
+    let run = aggressive_elastic().check_interval * MIN_CYCLES;
+    tms_dsps::FaultConfig { delay: Some(run * 2 / live.len() as u32), ..faults }
 }
 
 fn multi_task_parallelism() -> TopologyParallelism {
@@ -140,11 +159,12 @@ fn hotspot_skew_triggers_rebalance_without_restart() {
         elastic: Some(aggressive_elastic()),
         ..Default::default()
     };
-    let sys = TrafficSystem::bootstrap(DUBLIN_BBOX, &seeds, &history, config).unwrap();
+    let mut sys = TrafficSystem::bootstrap(DUBLIN_BBOX, &seeds, &history, config).unwrap();
     let plan = sys.startup_plan(&leaves_rule(), 2).unwrap();
     let targets = hotspot_targets(&sys, &plan, 4);
     assert!(targets.len() >= 2, "need at least two movable hot regions, got {}", targets.len());
     let live = skew_stream(live_stream(), &targets);
+    sys.config.chaos = Some(paced(&live, tms_dsps::FaultConfig::default()));
 
     let report = sys.run(live, &plan, None).unwrap();
     let stats = report.elastic.expect("elastic run reports migration stats");
@@ -186,6 +206,7 @@ fn forced_migration_matches_never_migrated_run() {
     assert!(baseline.elastic.is_none(), "baseline runs without the rebalancer");
 
     sys.config.elastic = Some(aggressive_elastic());
+    sys.config.chaos = Some(paced(&live, tms_dsps::FaultConfig::default()));
     let migrated = sys.run(live, &plan, None).unwrap();
     let stats = migrated.elastic.expect("elastic stats");
     assert!(stats.completed >= 1, "the hotspot must force at least one migration: {stats:?}");
@@ -215,6 +236,7 @@ fn chaos_migration_run_recovers_and_matches_after_dedup() {
     let targets = hotspot_targets(&sys, &plan, 4);
     let live = skew_stream(live_stream(), &targets);
 
+    sys.config.chaos = Some(paced(&live, tms_dsps::FaultConfig::default()));
     let clean = sys.run(live.clone(), &plan, None).unwrap();
     assert!(clean.elastic.expect("elastic stats").completed >= 1);
 
@@ -225,12 +247,10 @@ fn chaos_migration_run_recovers_and_matches_after_dedup() {
         max_pending: 256,
         max_task_restarts: 1000,
     });
-    sys.config.chaos = Some(tms_dsps::FaultConfig {
-        panic_p: 0.01,
-        drop_p: 0.01,
-        delay: None,
-        seed: 0x7EA_5EED,
-    });
+    sys.config.chaos = Some(paced(
+        &live,
+        tms_dsps::FaultConfig { panic_p: 0.01, drop_p: 0.01, delay: None, seed: 0x7EA_5EED },
+    ));
     // Sample every tuple tree: the chaos run must yield complete lineage
     // traces even across restarts, replays and live migrations.
     sys.config.monitor = Some(tms_dsps::MonitorConfig {

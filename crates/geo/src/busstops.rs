@@ -200,26 +200,33 @@ impl BusStopIndex {
     /// to the globally closest stop if the line/direction was never seen
     /// (new routes appear over time).
     pub fn closest_stop(&self, line_id: u32, direction: bool, position: &GeoPoint) -> Option<&BusStop> {
-        let scoped = self.by_line_dir.get(&(line_id, direction));
-        let candidates: Box<dyn Iterator<Item = &BusStop>> = match scoped {
-            Some(ids) => Box::new(ids.iter().map(|&i| &self.stops[i as usize])),
-            None => Box::new(self.stops.iter()),
-        };
-        candidates.min_by(|a, b| {
-            position
-                .approx_dist2(&a.location)
-                .total_cmp(&position.approx_dist2(&b.location))
-        })
+        match self.by_line_dir.get(&(line_id, direction)) {
+            Some(ids) => closest(ids.iter().map(|&i| &self.stops[i as usize]), position),
+            None => self.closest_stop_any(position),
+        }
     }
 
     /// The globally closest stop regardless of line/direction.
     pub fn closest_stop_any(&self, position: &GeoPoint) -> Option<&BusStop> {
-        self.stops.iter().min_by(|a, b| {
-            position
-                .approx_dist2(&a.location)
-                .total_cmp(&position.approx_dist2(&b.location))
-        })
+        closest(self.stops.iter(), position)
     }
+}
+
+/// The candidate nearest to `position`; the first one on a tie, like
+/// `Iterator::min_by`. Each candidate's distance (one `cos`) is computed
+/// once, not once per comparison.
+fn closest<'a>(
+    candidates: impl Iterator<Item = &'a BusStop>,
+    position: &GeoPoint,
+) -> Option<&'a BusStop> {
+    let mut best: Option<(&BusStop, f64)> = None;
+    for stop in candidates {
+        let d = position.approx_dist2(&stop.location);
+        if best.is_none_or(|(_, b)| d.total_cmp(&b).is_lt()) {
+            best = Some((stop, d));
+        }
+    }
+    best.map(|(stop, _)| stop)
 }
 
 #[cfg(test)]
@@ -350,6 +357,58 @@ mod tests {
         for (i, s) in idx.stops().iter().enumerate() {
             assert_eq!(s.id as usize, i);
             assert_eq!(idx.stop(s.id).unwrap().id, s.id);
+        }
+    }
+
+    /// `closest_stop` as it was before the single-pass loop: `min_by` over
+    /// the scoped candidates, both distances recomputed per comparison.
+    fn closest_stop_by_min_by<'a>(
+        idx: &'a BusStopIndex,
+        line_id: u32,
+        direction: bool,
+        position: &GeoPoint,
+    ) -> Option<&'a BusStop> {
+        let candidates: Box<dyn Iterator<Item = &BusStop>> =
+            match idx.by_line_dir.get(&(line_id, direction)) {
+                Some(ids) => Box::new(ids.iter().map(|&i| &idx.stops[i as usize])),
+                None => Box::new(idx.stops.iter()),
+            };
+        candidates.min_by(|a, b| {
+            position.approx_dist2(&a.location).total_cmp(&position.approx_dist2(&b.location))
+        })
+    }
+
+    proptest::proptest! {
+        /// Same stop id as the old expression on random (line, direction,
+        /// position). Stops sit on a coarse grid, several per cell, and the
+        /// queries sit on cells and cell midpoints, so exact distance ties
+        /// (first candidate wins) occur in most cases; lines 0..6 hit the
+        /// scoped list, line 6 the global fallback.
+        #[test]
+        fn closest_stop_picks_the_stop_min_by_picked(
+            cells in proptest::collection::vec((0u32..6, 0u32..6, 0u32..6, proptest::prelude::any::<bool>()), 1..40),
+            line in 0u32..7,
+            direction in proptest::prelude::any::<bool>(),
+            half_lat in 0u32..12,
+            half_lon in 0u32..12,
+        ) {
+            let at = |lat: f64, lon: f64| GeoPoint::new_unchecked(53.30 + 0.01 * lat, -6.30 + 0.01 * lon);
+            let mut idx = BusStopIndex { stops: Vec::new(), by_line_dir: HashMap::new() };
+            for (i, &(lat, lon, l, d)) in cells.iter().enumerate() {
+                idx.stops.push(BusStop {
+                    id: i as u32,
+                    cluster_id: 0,
+                    location: at(lat as f64, lon as f64),
+                    mean_bearing_deg: 0.0,
+                    serving: vec![(l, d)],
+                    observation_count: 1,
+                });
+                idx.by_line_dir.entry((l, d)).or_default().push(i as u32);
+            }
+            let position = at(half_lat as f64 * 0.5, half_lon as f64 * 0.5);
+            let got = idx.closest_stop(line, direction, &position).map(|s| s.id);
+            let want = closest_stop_by_min_by(&idx, line, direction, &position).map(|s| s.id);
+            proptest::prop_assert_eq!(got, want);
         }
     }
 }
