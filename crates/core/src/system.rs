@@ -15,10 +15,10 @@ use crate::topology::{
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tms_dsps::runtime::{BatchConfig, ReliabilityConfig, RuntimeConfig};
+use tms_dsps::runtime::{ReliabilityConfig, RuntimeConfig};
 use tms_dsps::scheduler::{Assignment, ClusterSpec};
 use tms_dsps::{
     CriticalPathReport, FaultConfig, FlightEvent, FlightKind, FlightRecorder, LocalCluster,
@@ -67,9 +67,6 @@ pub struct SystemConfig {
     /// Fault injection: wraps the Esper bolts in chaos wrappers and arms
     /// transport drops. `None` (the default) injects nothing.
     pub chaos: Option<FaultConfig>,
-    /// Lets the live topology's edge buffers fill and linger across
-    /// executor turns. `None` (the default) flushes them every turn.
-    pub batch: Option<BatchConfig>,
     /// Elastic rule re-partitioning: a rebalancer watches the splitter's
     /// observed per-region load and migrates rule partitions between live
     /// engines when the imbalance crosses the bound. `None` (the default)
@@ -167,7 +164,6 @@ impl Default for SystemConfig {
             sharing: true,
             reliability: None,
             chaos: None,
-            batch: None,
             elastic: None,
             kappa: None,
             durability: None,
@@ -340,6 +336,10 @@ pub struct RunReport {
     /// snapshots, migrations, rebalance cycles, statistics refreshes —
     /// always populated (the recorder is always on).
     pub events: Vec<FlightEvent>,
+    /// Sequence gaps the splitter's resequencer gave up on. Tuples lost
+    /// to injected faults cause them; in any other run they are an error
+    /// ([`CoreError::SequenceGap`]) and no report is returned.
+    pub gap_skips: u64,
     /// Critical-path attribution over the sampled tuple trees (only
     /// populated when [`MonitorConfig::lineage`] was set).
     pub critical_path: Option<CriticalPathReport>,
@@ -760,6 +760,7 @@ impl TrafficSystem {
         // runtime) so the coordinator, the StatsBolt and the rebalancer
         // all share one event log with the runtime's own events.
         let flight = Arc::new(FlightRecorder::default());
+        let gap_skips = Arc::new(AtomicU64::new(0));
         let mut parallelism = self.config.parallelism;
         parallelism.esper_tasks = plan.engine_plan.engines().max(1);
         let elastic = match &self.config.elastic {
@@ -811,6 +812,7 @@ impl TrafficSystem {
             elastic.clone(),
             self.config.kappa,
             Some(flight.clone()),
+            gap_skips.clone(),
         )?;
         let cluster = LocalCluster::new(self.config.cluster)?;
         let handle = cluster.submit(
@@ -819,7 +821,6 @@ impl TrafficSystem {
                 monitor: self.config.monitor,
                 reliability: self.config.reliability,
                 fault: self.config.chaos,
-                batch: self.config.batch,
                 durability: self.config.durability.clone(),
                 flight: Some(flight.clone()),
                 workers: self.config.workers,
@@ -877,6 +878,12 @@ impl TrafficSystem {
             let _ = t.join();
         }
         let metrics = metrics?;
+        let gap_skips = gap_skips.load(Ordering::Relaxed);
+        if gap_skips > 0 && self.config.chaos.is_none() && self.config.reliability.is_none() {
+            let e = CoreError::SequenceGap { skipped: gap_skips };
+            flight.dump(&format!("run failed: {e}"));
+            return Err(e);
+        }
         let history = metrics.history();
         let drift = self.drift_samples(plan, &assignment, &history);
         let planner = registry
@@ -891,6 +898,7 @@ impl TrafficSystem {
             planner,
             elastic: elastic.map(|h| h.coordinator.stats()),
             events: flight.events(),
+            gap_skips,
             critical_path: collector.as_ref().map(|c| c.critical_path()),
             traces: collector.as_ref().map(|c| c.take_spans()).unwrap_or_default(),
             trace_components: collector.as_ref().map(|c| c.components()).unwrap_or_default(),
@@ -1435,55 +1443,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_detects_exactly_what_the_per_tuple_run_detects() {
-        use std::time::Duration;
-        // The same bootstrap artifacts, live traffic and rules, run once
-        // per delivery mode: micro-batching may only change when tuples
-        // move, so the detection sets must match exactly.
-        let (history, seeds) = small_history();
-        let cfg = FleetConfig::small(17);
-        let probe = FleetGenerator::new(cfg.clone(), 1).unwrap();
-        let center = probe.routes()[0].points[probe.routes()[0].points.len() / 2];
-        let incident = tms_traffic::Incident {
-            center,
-            radius_m: 1500.0,
-            start_ms: tms_traffic::DAY_MS + 7 * HOUR_MS,
-            end_ms: tms_traffic::DAY_MS + 9 * HOUR_MS,
-            severity: 0.03,
-        };
-        let live: Vec<BusTrace> = FleetGenerator::with_incidents(cfg, 1, vec![incident])
-            .unwrap()
-            .take_while(|t| t.timestamp_ms < tms_traffic::DAY_MS + 9 * HOUR_MS)
-            .collect();
-
-        // One bootstrap shared by both runs, at the default multi-task
-        // parallelism: the offline stats job now reduces per-cell partials
-        // in canonical partition order, so thresholds are byte-identical
-        // regardless of how many tasks computed them (this used to need
-        // an all-single-task workaround).
-        let config = SystemConfig::default();
-        let mut sys = TrafficSystem::bootstrap(DUBLIN_BBOX, &seeds, &history, config).unwrap();
-        let run = |sys: &TrafficSystem| {
-            let (_, report) = sys.plan_and_run(live.clone(), &rules(), 1).unwrap();
-            let mut detections = report.detections;
-            detections.sort_by(|a, b| {
-                (&a.rule, &a.location, a.timestamp_ms)
-                    .cmp(&(&b.rule, &b.location, b.timestamp_ms))
-            });
-            detections
-        };
-        let per_tuple = run(&sys);
-        sys.config.batch = Some(tms_dsps::BatchConfig {
-            max_batch: 32,
-            max_linger: Duration::from_millis(1),
-        });
-        let batched = run(&sys);
-        assert!(!per_tuple.is_empty(), "the incident must trigger detections");
-        assert_eq!(batched, per_tuple, "batching must not change what the system detects");
-    }
-
-    #[test]
-    fn long_batched_replay_detects_what_the_default_plane_detects_on_every_repeat() {
+    fn long_replay_detects_the_same_multiset_on_every_repeat() {
         // Long enough for a stage to run a resequencer window
         // (`Resequencer::MAX_PENDING` = 65 536) ahead of its sibling task
         // if the queues between them let it: when channel capacity counted
@@ -1506,9 +1466,9 @@ mod tests {
                 .unwrap();
         let plan = sys.startup_plan(&rules(), 2).unwrap();
         let run = |sys: &TrafficSystem| {
-            let mut detections: Vec<(String, String, u64)> = sys
-                .run(live.clone(), &plan, None)
-                .unwrap()
+            let report = sys.run(live.clone(), &plan, None).unwrap();
+            assert_eq!(report.gap_skips, 0, "the resequencer gave up on a tuple that was not lost");
+            let mut detections: Vec<(String, String, u64)> = report
                 .detections
                 .into_iter()
                 .map(|d| (d.rule, d.location, d.timestamp_ms))
@@ -1516,11 +1476,19 @@ mod tests {
             detections.sort();
             detections
         };
-        let default_plane = run(&sys);
-        assert!(!default_plane.is_empty());
-        sys.config.batch = Some(tms_dsps::BatchConfig::default());
-        for repeat in 0..3 {
-            assert!(run(&sys) == default_plane, "batched repeat {repeat} detected another multiset");
+        let first = run(&sys);
+        assert!(!first.is_empty());
+        for repeat in 1..3 {
+            assert!(run(&sys) == first, "repeat {repeat} detected another multiset");
+        }
+
+        // Two splitter tasks each see half the sequence numbers: once one
+        // holds a full window of tuples behind a gap it skips it, and the
+        // run must say so instead of returning detections.
+        sys.config.parallelism.splitter_tasks = 2;
+        match sys.run(live.clone(), &plan, None) {
+            Err(CoreError::SequenceGap { skipped }) => assert!(skipped > 0),
+            other => panic!("expected SequenceGap, got {:?}", other.map(|r| r.gap_skips)),
         }
     }
 

@@ -6,12 +6,13 @@ use crate::rules::{RuleSpec, SpatialContext};
 use crate::thresholds::{Detection, RetrievalMethod, RuleEngine, RuleMigration};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_cep::CepError;
 use tms_dsps::{
-    chaos_wrap, Bolt, BoltContext, Emitter, FaultConfig, Grouping, MigrationCoordinator,
-    Parallelism, RuleProfile, Spout, Topology, TopologyBuilder,
+    chaos_wrap, Bolt, BoltContext, Emitter, FaultConfig, FlightKind, FlightRecorder, Grouping,
+    MigrationCoordinator, Parallelism, RuleProfile, Spout, Topology, TopologyBuilder,
 };
 use tms_geo::{BusStopIndex, RegionQuadtree};
 use tms_storage::{RemoteDb, TableStore, ThresholdStore};
@@ -382,10 +383,15 @@ impl std::fmt::Debug for ElasticHandle {
 /// released pass straight through — holding them back could lose a tuple
 /// the engines never saw. If a sequence number never arrives (a tuple
 /// dropped upstream by fault injection), the buffer caps at
-/// [`Resequencer::MAX_PENDING`] and skips the gap rather than deadlock.
+/// [`Resequencer::MAX_PENDING`] and skips the gap rather than deadlock,
+/// counting it: a skip in a run that lost nothing means a tuple was
+/// overtaken by more than the window and the released order is no longer
+/// the canonical one.
 struct Resequencer {
     next_seq: u64,
     pending: BTreeMap<u64, Arc<EnrichedTrace>>,
+    /// Gaps given up on so far.
+    gap_skips: u64,
 }
 
 impl Resequencer {
@@ -394,7 +400,7 @@ impl Resequencer {
     const MAX_PENDING: usize = 1 << 16;
 
     fn new() -> Self {
-        Resequencer { next_seq: 0, pending: BTreeMap::new() }
+        Resequencer { next_seq: 0, pending: BTreeMap::new(), gap_skips: 0 }
     }
 
     /// Accepts one arrival and returns every tuple now ready, in order.
@@ -412,6 +418,9 @@ impl Resequencer {
                 // survivor rather than wait forever.
                 Some(entry) if *entry.key() == self.next_seq || over_capacity => {
                     let head = *entry.key();
+                    if head != self.next_seq {
+                        self.gap_skips += 1;
+                    }
                     self.next_seq = head + 1;
                     ready.push((head, entry.remove()));
                 }
@@ -441,12 +450,22 @@ pub struct SplitterBolt {
     plan: Arc<SplitPlan>,
     elastic: Option<Arc<ElasticHandle>>,
     reseq: Resequencer,
+    /// Where gap skips are reported: the flight recorder (this task's
+    /// first skip becomes an event) and the run's skip count.
+    gap_report: Option<(Arc<FlightRecorder>, Arc<AtomicU64>)>,
 }
 
 impl SplitterBolt {
     /// Creates a splitter task sharing the routing plan.
     pub fn new(plan: Arc<SplitPlan>) -> Self {
-        SplitterBolt { plan, elastic: None, reseq: Resequencer::new() }
+        SplitterBolt { plan, elastic: None, reseq: Resequencer::new(), gap_report: None }
+    }
+
+    /// Attaches the control-plane flight recorder and the counter the
+    /// run's splitter tasks add their resequencer gap skips to.
+    pub fn with_gap_report(mut self, flight: Arc<FlightRecorder>, skips: Arc<AtomicU64>) -> Self {
+        self.gap_report = Some((flight, skips));
+        self
     }
 
     /// Attaches the elastic control loop (single-splitter topologies only:
@@ -525,8 +544,27 @@ impl Bolt<TrafficMessage> for SplitterBolt {
             self.run_migrations(&h, emitter);
         }
         if let TrafficMessage::Enriched { seq, trace } = msg {
+            let (awaited, skips_before) = (self.reseq.next_seq, self.reseq.gap_skips);
             for (seq, e) in self.reseq.push(seq, trace) {
                 self.route(seq, e, emitter);
+            }
+            let skipped = self.reseq.gap_skips - skips_before;
+            if skipped > 0 {
+                if let Some((flight, total)) = &self.gap_report {
+                    if skips_before == 0 {
+                        flight.record(
+                            FlightKind::Custom,
+                            "splitter",
+                            -1,
+                            format!(
+                                "resequencer gap skip: seq {awaited} had not arrived after {} \
+                                 later tuples",
+                                Resequencer::MAX_PENDING
+                            ),
+                        );
+                    }
+                    total.fetch_add(skipped, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -1047,7 +1085,8 @@ pub fn build_traffic_topology(
     profiling: Option<Arc<EsperProfileRegistry>>,
     elastic: Option<Arc<ElasticHandle>>,
     kappa: Option<crate::kappa::KappaConfig>,
-    flight: Option<Arc<tms_dsps::FlightRecorder>>,
+    flight: Option<Arc<FlightRecorder>>,
+    gap_skips: Arc<AtomicU64>,
 ) -> Result<Topology<TrafficMessage>, tms_dsps::DspsError> {
     let threshold_store = ThresholdStore::new(store.clone());
     // The attributes the planned rules monitor, in `Attribute::ALL` order
@@ -1116,13 +1155,20 @@ pub fn build_traffic_topology(
             "splitter",
             Parallelism::of(parallelism.splitter_tasks.max(1)),
             vec![("busStopsTracker", Grouping::Shuffle)],
-            move |_| {
-                let bolt = SplitterBolt::new(split_plan.clone());
-                let bolt = match &elastic {
-                    Some(handle) => bolt.with_elastic(handle.clone()),
-                    None => bolt,
-                };
-                Box::new(bolt)
+            {
+                let flight = flight.clone();
+                move |_| {
+                    let bolt = SplitterBolt::new(split_plan.clone());
+                    let bolt = match &elastic {
+                        Some(handle) => bolt.with_elastic(handle.clone()),
+                        None => bolt,
+                    };
+                    let bolt = match &flight {
+                        Some(recorder) => bolt.with_gap_report(recorder.clone(), gap_skips.clone()),
+                        None => bolt,
+                    };
+                    Box::new(bolt)
+                }
             },
         );
     // The kappa side branch: single-task (its BTreeMap of cells is the
@@ -1271,6 +1317,67 @@ mod tests {
         assert_eq!(released(r.push(6, mk(6))), Vec::<u64>::new());
         assert_eq!(released(r.drain()), vec![6, 7]);
         assert_eq!(released(r.push(8, mk(8))), vec![8], "drain advanced the cursor");
+    }
+
+    #[test]
+    fn resequencer_counts_the_gaps_it_gives_up_on() {
+        let trace = Arc::new(enriched(vec!["R0"], None));
+        let window = Resequencer::MAX_PENDING as u64;
+        // In order, however long: nothing to skip.
+        let mut r = Resequencer::new();
+        for seq in 0..window + 10 {
+            assert_eq!(r.push(seq, trace.clone()).len(), 1);
+        }
+        assert_eq!(r.gap_skips, 0);
+        // Seq 1 never arrives: a full window queues behind it, the next
+        // arrival overflows it and everything held is released past the gap.
+        let mut r = Resequencer::new();
+        assert_eq!(r.push(0, trace.clone()).len(), 1);
+        for seq in 2..window + 2 {
+            assert!(r.push(seq, trace.clone()).is_empty(), "seq {seq} waits for seq 1");
+        }
+        assert_eq!(r.gap_skips, 0, "a gap inside the window is still awaited");
+        let released = r.push(window + 2, trace.clone());
+        assert_eq!(released.len(), Resequencer::MAX_PENDING + 1);
+        assert_eq!(released[0].0, 2, "released from the oldest survivor on");
+        assert_eq!(r.gap_skips, 1);
+        assert_eq!(r.push(1, trace).len(), 1, "the straggler passes through like a replay");
+        assert_eq!(r.gap_skips, 1);
+    }
+
+    #[test]
+    fn splitter_counts_gap_skips_and_logs_the_first() {
+        /// Swallows routed tuples.
+        struct Discard;
+        impl Emitter<TrafficMessage> for Discard {
+            fn emit(&mut self, _msg: TrafficMessage) {}
+            fn emit_direct(&mut self, _task: usize, _msg: TrafficMessage) {}
+        }
+        let flight = Arc::new(FlightRecorder::default());
+        let skips = Arc::new(AtomicU64::new(0));
+        let mut splitter = SplitterBolt::new(Arc::new(SplitPlan { routes: Vec::new() }))
+            .with_gap_report(flight.clone(), skips.clone());
+        let trace = Arc::new(enriched(vec!["R0"], None));
+        let mut feed = |seqs: std::ops::Range<u64>| {
+            for seq in seqs {
+                splitter.process(TrafficMessage::Enriched { seq, trace: trace.clone() }, &mut Discard);
+            }
+        };
+        let window = Resequencer::MAX_PENDING as u64;
+        // Seq 0 is dropped; a full window behind it is still only waiting.
+        feed(1..window + 1);
+        assert_eq!(skips.load(Ordering::Relaxed), 0);
+        assert!(flight.events_of(FlightKind::Custom).is_empty());
+        feed(window + 1..window + 2);
+        assert_eq!(skips.load(Ordering::Relaxed), 1);
+        let logged = flight.events_of(FlightKind::Custom);
+        assert_eq!(logged.len(), 1);
+        assert_eq!(logged[0].component, "splitter");
+        assert!(logged[0].detail.contains("seq 0"), "names the awaited seq: {}", logged[0].detail);
+        // A second gap is counted; the log already says where order broke.
+        feed(window + 3..2 * window + 5);
+        assert_eq!(skips.load(Ordering::Relaxed), 2);
+        assert_eq!(flight.events_of(FlightKind::Custom).len(), 1);
     }
 
     /// Collects emitted detections for bolt-level tests.

@@ -67,9 +67,7 @@ pub use metrics::{
     RuleProfile,
 };
 pub use net::DistributedCluster;
-pub use runtime::{
-    BatchConfig, Emitter, LocalCluster, ReliabilityConfig, RuntimeConfig, TopologyHandle,
-};
+pub use runtime::{Emitter, LocalCluster, ReliabilityConfig, RuntimeConfig, TopologyHandle};
 pub use topology::{Bolt, BoltContext, Parallelism, Spout, Topology, TopologyBuilder};
 pub use transport::{FrameDecoder, WireCodec, WireReader};
 pub use xml::{parse_topology_xml, TopologySpec};

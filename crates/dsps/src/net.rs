@@ -68,8 +68,8 @@ use crate::flight::{FlightKind, FlightRecorder};
 use crate::lineage::{LineageConfig, Span, SpanKind, TraceCollector};
 use crate::metrics::{ComponentWindow, LatencyHistogram, MetricsHub, MonitorConfig, RuleProfile};
 use crate::runtime::{
-    BatchConfig, DistCtx, Envelope, LocalCluster, LocalIngress, Packet, ReliabilityConfig,
-    RemoteDataPlane, RuntimeConfig, TopologyHandle,
+    DistCtx, Envelope, LocalCluster, LocalIngress, Packet, ReliabilityConfig, RemoteDataPlane,
+    RuntimeConfig, TopologyHandle,
 };
 use crate::scheduler::{assign_pinned, Assignment, ClusterSpec, ExecutorPlacement};
 use crate::topology::Topology;
@@ -202,16 +202,6 @@ impl WireCodec for FaultConfig {
             delay: Option::decode(r)?,
             seed: u64::decode(r)?,
         })
-    }
-}
-
-impl WireCodec for BatchConfig {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.max_batch.encode(buf);
-        self.max_linger.encode(buf);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        Ok(BatchConfig { max_batch: usize::decode(r)?, max_linger: Duration::decode(r)? })
     }
 }
 
@@ -438,7 +428,6 @@ struct WireConfig {
     channel_capacity: usize,
     reliability: Option<ReliabilityConfig>,
     fault: Option<FaultConfig>,
-    batch: Option<BatchConfig>,
     monitor: Option<MonitorConfig>,
     durability: Option<(String, (u64, bool))>,
 }
@@ -449,7 +438,6 @@ impl WireConfig {
             channel_capacity: config.channel_capacity,
             reliability: config.reliability,
             fault: config.fault,
-            batch: config.batch,
             monitor: config.monitor,
             durability: config
                 .durability
@@ -468,7 +456,6 @@ impl WireConfig {
             }),
             reliability: self.reliability,
             fault: self.fault,
-            batch: self.batch,
             durability: self.durability.map(|(dir, (snapshot_every, fsync))| {
                 crate::durability::DurabilityConfig {
                     dir: std::path::PathBuf::from(dir),
@@ -486,7 +473,6 @@ impl WireCodec for WireConfig {
         self.channel_capacity.encode(buf);
         self.reliability.encode(buf);
         self.fault.encode(buf);
-        self.batch.encode(buf);
         self.monitor.encode(buf);
         self.durability.encode(buf);
     }
@@ -495,7 +481,6 @@ impl WireCodec for WireConfig {
             channel_capacity: usize::decode(r)?,
             reliability: Option::decode(r)?,
             fault: Option::decode(r)?,
-            batch: Option::decode(r)?,
             monitor: Option::decode(r)?,
             durability: Option::decode(r)?,
         })
@@ -1913,7 +1898,6 @@ mod tests {
             }),
             reliability: Some(ReliabilityConfig::default()),
             fault: Some(FaultConfig { drop_p: 0.25, ..Default::default() }),
-            batch: Some(BatchConfig::default()),
             durability: None,
             flight: None,
         };

@@ -42,7 +42,7 @@ use crate::lineage::{SpanKind, TraceCollector};
 use crate::metrics::{MetricsHub, MonitorConfig, TaskCounters};
 use crate::scheduler::{assign, Assignment, ClusterSpec};
 use crate::topology::{Bolt, BoltContext, Spout, Topology};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -169,8 +169,8 @@ impl<T> Packet<T> {
     }
 }
 
-/// Most tuples an edge buffer holds on the turn-scoped plane before it is
-/// sent mid-turn; with `channel_capacity` it bounds a task's queued tuples.
+/// Most tuples an edge buffer holds before it is sent mid-turn; with
+/// `channel_capacity` it bounds a task's queued tuples.
 const TURN_FLUSH_CAP: usize = 64;
 
 /// The interface bolts and spout drivers use to send messages downstream.
@@ -248,16 +248,10 @@ struct TaskEmitter<T> {
     /// Root emit time to stamp on outgoing envelopes (tracing +
     /// at-most-once only); inherited from the input being processed.
     t0: Option<Instant>,
-    /// Tuples an edge buffer holds before it is sent mid-turn.
-    flush_cap: usize,
-    /// How long a tuple may stay buffered across executor turns; zero on
-    /// the turn-scoped plane, [`BatchConfig::max_linger`] otherwise.
-    linger: Duration,
     /// Per-(route, task) edge buffers, `buffers[ri][ti]`.
     buffers: Vec<Vec<Vec<Envelope<T>>>>,
-    /// When the oldest currently-buffered tuple entered a buffer; `None`
-    /// while every buffer is empty.
-    buffered_since: Option<Instant>,
+    /// Whether any edge buffer holds a tuple.
+    buffered: bool,
     /// Sampled-lineage recording; `None` = lineage off.
     lineage: Option<LineageState>,
     /// This task's global index (identifies span producers and flight
@@ -339,9 +333,13 @@ impl<T> TaskEmitter<T> {
         }
     }
 
-    /// Flushes every edge buffer (no-op when nothing is buffered).
+    /// Flushes every edge buffer (no-op when nothing is buffered). The
+    /// executor calls it when a turn ends — the task's input ran dry, its
+    /// step budget is spent, or its spout returned from `next` — so no
+    /// executor blocks and no spout sleeps inside `next` while holding
+    /// tuples.
     fn flush_all(&mut self) {
-        if self.buffered_since.take().is_none() {
+        if !std::mem::take(&mut self.buffered) {
             return;
         }
         for ri in 0..self.routes.len() {
@@ -349,25 +347,6 @@ impl<T> TaskEmitter<T> {
                 self.flush_edge(ri, ti);
             }
         }
-    }
-
-    /// Ends an executor turn — the task's input ran dry, its step budget
-    /// is spent, or its spout returned from `next` — by flushing all
-    /// buffers once the oldest buffered tuple has waited out `linger`:
-    /// always on the turn-scoped plane, so no executor blocks and no spout
-    /// sleeps inside `next` while holding tuples.
-    fn end_turn(&mut self) {
-        if let Some(since) = self.buffered_since {
-            if self.linger.is_zero() || since.elapsed() >= self.linger {
-                self.flush_all();
-            }
-        }
-    }
-
-    /// The instant by which the executor must next service the linger
-    /// clock; `None` when nothing is buffered.
-    fn next_flush_deadline(&self) -> Option<Instant> {
-        self.buffered_since.map(|since| since + self.linger)
     }
 }
 
@@ -431,8 +410,8 @@ impl<T: Clone> TaskEmitter<T> {
     }
 
     /// Buffers one delivery whose id `dispatch` already registered with
-    /// the acker on its edge; the edge is sent once it holds `flush_cap`
-    /// tuples, else when the turn ends. Transport fault injection applies
+    /// the acker on its edge; the edge is sent once it holds
+    /// [`TURN_FLUSH_CAP`] tuples, else when the turn ends. Transport fault injection applies
     /// here, after registration — an injected loss looks exactly like a
     /// network drop the replay machinery must heal, and chaos drops act on
     /// individual tuples, never on whole batches.
@@ -459,12 +438,10 @@ impl<T: Clone> TaskEmitter<T> {
             }),
             None => None,
         };
-        if self.buffered_since.is_none() {
-            self.buffered_since = Some(Instant::now());
-        }
+        self.buffered = true;
         let buf = &mut self.buffers[ri][ti];
         buf.push(Envelope { msg, tid, roots, t0: self.t0, hop });
-        if buf.len() >= self.flush_cap {
+        if buf.len() >= TURN_FLUSH_CAP {
             self.flush_edge(ri, ti);
         }
     }
@@ -561,41 +538,6 @@ impl Default for ReliabilityConfig {
     }
 }
 
-/// Lets edge buffers outlive the executor turn, opt-in via
-/// [`RuntimeConfig::batch`].
-///
-/// Every emitter accumulates deliveries in per-(route, task) edge buffers
-/// and ships each as one packet, amortizing the per-delivery channel send
-/// and wakeup. By default a buffer lives for one executor turn (see
-/// `TaskEmitter::end_turn`), so tuples batch exactly as far as a backlog
-/// already queued them and an idle plane stays per-tuple. With a
-/// `BatchConfig` a buffer instead flushes
-///
-/// * when it reaches `max_batch` tuples (turn-scoped: 64),
-/// * when its oldest buffered tuple has waited `max_linger` (the flush
-///   clock is driven by spout idle ticks and executor loop turns — no
-///   extra threads), and
-/// * unconditionally on [`Emitter::flush`] and before any EOS marker
-///   (spout exhaustion, `finish`, failure paths), so no tuple is ever
-///   stranded.
-///
-/// Either way the same tuples travel in the same per-edge order, metrics
-/// and channel capacity are tuple-granular, and the plane composes with
-/// reliability, tracing, chaos and profiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Tuples per edge buffer before a size flush (≥ 1; 0 behaves as 1).
-    pub max_batch: usize,
-    /// Longest a tuple may wait in an edge buffer before a flush.
-    pub max_linger: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig { max_batch: 128, max_linger: Duration::from_millis(1) }
-    }
-}
-
 /// Runtime configuration for [`LocalCluster::submit`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -615,9 +557,6 @@ pub struct RuntimeConfig {
     /// latency injection wrap individual bolts via
     /// [`chaos_wrap`](crate::fault::chaos_wrap) instead.
     pub fault: Option<FaultConfig>,
-    /// `None` flushes edge buffers at the end of every executor turn;
-    /// `Some` lets them fill and linger across turns.
-    pub batch: Option<BatchConfig>,
     /// Durable bolt state (snapshot + changelog per task, see
     /// [`durability`](crate::durability)); `None` keeps tasks ephemeral —
     /// a restarted task (supervised or resubmitted) starts empty.
@@ -637,7 +576,6 @@ impl Default for RuntimeConfig {
             monitor: None,
             reliability: None,
             fault: None,
-            batch: None,
             durability: None,
             flight: None,
         }
@@ -966,10 +904,6 @@ impl LocalCluster {
             }
             routes
         };
-        let (flush_cap, linger) = match config.batch {
-            Some(b) => (b.max_batch.max(1), b.max_linger),
-            None => (TURN_FLUSH_CAP, Duration::ZERO),
-        };
         let make_emitter = |source: &str, global: usize, counters: Arc<TaskCounters>| {
             let routes = make_routes(source);
             // Sized to the route fan-out: `buffers[ri][ti]` mirrors `senders`.
@@ -992,10 +926,8 @@ impl LocalCluster {
                 xor_scratch: Vec::new(),
                 tracing,
                 t0: None,
-                flush_cap,
-                linger,
                 buffers,
-                buffered_since: None,
+                buffered: false,
                 lineage: collector.as_ref().map(|c| LineageState {
                     sink: c.register_task(global as u32, source),
                     active: None,
@@ -1572,11 +1504,8 @@ fn run_spout_executor<T: Clone + Send + Sync>(
             }
             // 5. A spout's turn is one `next`: it may sleep inside the
             //    following call, so nothing emitted above outlives this
-            //    one (bar `BatchConfig::max_linger`, which loop turns and
-            //    the idle tick below service at ~1ms granularity).
-            if !t.eos_sent {
-                t.emitter.end_turn();
-            }
+            //    one.
+            t.emitter.flush_all();
         }
         if !progressed {
             // Only waiting on acks: don't spin.
@@ -1663,12 +1592,9 @@ fn run_bolt_executor<T: Clone + Send + Sync>(
             let budget = 64;
             for step in 0..budget {
                 let packet = if single && step == 0 {
-                    // Block, but wake in time to service the linger clock
-                    // when this task's own output buffers hold tuples.
-                    match t.rx.recv_timeout(recv_wait(t.emitter.next_flush_deadline())) {
+                    match t.rx.recv() {
                         Ok(p) => Some(p),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
+                        Err(crossbeam::channel::RecvError) => {
                             // Upstream died without EOS (hard panic);
                             // terminate the task.
                             t.eos_seen = expected;
@@ -1750,29 +1676,16 @@ fn run_bolt_executor<T: Clone + Send + Sync>(
             }
             // The drain turn is over: everything it emitted goes out before
             // this executor can block again.
-            t.emitter.end_turn();
+            t.emitter.flush_all();
         }
         if !progressed && !single {
             // Every channel ran dry: block on a select across the live
-            // tasks until a send or upstream disconnect arrives — or until
-            // the earliest output-buffer linger deadline needs service —
-            // instead of the old 200µs poll-and-yield spin.
-            let now = Instant::now();
-            let mut wait = Duration::from_millis(50);
+            // tasks until a send or upstream disconnect arrives.
             let mut sel = crossbeam::channel::Select::new();
-            let mut watched = 0usize;
-            for t in tasks.iter() {
-                if !t.done {
-                    sel.recv(&t.rx);
-                    watched += 1;
-                }
-                if let Some(d) = t.emitter.next_flush_deadline() {
-                    wait = wait.min(d.saturating_duration_since(now));
-                }
+            for t in tasks.iter().filter(|t| !t.done) {
+                sel.recv(&t.rx);
             }
-            if watched > 0 && !wait.is_zero() {
-                let _ = sel.ready_timeout(wait);
-            }
+            let _ = sel.ready_timeout(Duration::from_millis(50));
         }
     }
     // On failure, EOS every unfinished task so downstream components
@@ -2014,18 +1927,6 @@ fn push_combined(pairs: &mut Vec<(u64, u64)>, root: u64, id: u64) {
         p.1 ^= id;
     } else {
         pairs.push((root, id));
-    }
-}
-
-/// How long a blocking single-task executor may sleep on its input
-/// channel before it must service the emitter's linger clock — the time
-/// to the flush deadline, capped at the 50ms heartbeat the runtime always
-/// used for shutdown responsiveness.
-fn recv_wait(flush_deadline: Option<Instant>) -> Duration {
-    const HEARTBEAT: Duration = Duration::from_millis(50);
-    match flush_deadline {
-        Some(d) => d.saturating_duration_since(Instant::now()).min(HEARTBEAT),
-        None => HEARTBEAT,
     }
 }
 
@@ -2314,57 +2215,6 @@ mod tests {
         let router = totals.iter().find(|c| c.component == "router").unwrap();
         assert_eq!(router.misrouted, 10, "each out-of-range direct emission is counted");
         assert_eq!(router.emitted, 60, "misrouted deliveries are not emissions");
-    }
-
-    #[test]
-    fn linger_flushes_partial_batches() {
-        // max_batch 1000 never fills, so only the linger clock can ship
-        // the first two tuples. max_pending = 2 throttles the spout until
-        // they are acked — acks that can only arrive after a flush — so a
-        // broken linger clock would stall the run into its 2s ack-timeout
-        // replay path and blow the timing assertion.
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let t = TopologyBuilder::new("t")
-            .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 4 }))
-            .add_bolt(
-                "sink",
-                Parallelism::of(1),
-                vec![("src", Grouping::Shuffle)],
-                sink_bolt(collected.clone()),
-            )
-            .build()
-            .unwrap();
-        let started = Instant::now();
-        let metrics = small_cluster()
-            .submit(
-                t,
-                RuntimeConfig {
-                    batch: Some(BatchConfig {
-                        max_batch: 1000,
-                        max_linger: Duration::from_millis(5),
-                    }),
-                    reliability: Some(ReliabilityConfig {
-                        ack_timeout: Duration::from_secs(2),
-                        max_pending: 2,
-                        ..ReliabilityConfig::default()
-                    }),
-                    ..RuntimeConfig::default()
-                },
-            )
-            .unwrap()
-            .join()
-            .unwrap();
-        let elapsed = started.elapsed();
-        let mut values: Vec<u64> = collected.lock().iter().map(|&(_, v)| v).collect();
-        values.sort_unstable();
-        assert_eq!(values, vec![0, 1, 2, 3]);
-        let src = metrics.totals().into_iter().find(|c| c.component == "src").unwrap();
-        assert_eq!(src.acked, 4);
-        assert_eq!(src.replayed, 0, "linger flush must beat the ack timeout");
-        assert!(
-            elapsed < Duration::from_millis(1500),
-            "partial batches should flush on linger, not on replay; took {elapsed:?}"
-        );
     }
 
     #[test]

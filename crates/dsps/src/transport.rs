@@ -42,10 +42,10 @@ pub use bytes::BufferPool;
 
 /// Upper bound on the body (`tag + payload`) of a single frame: 64 MiB.
 ///
-/// Large enough for any micro-batch the runtime ships (batches are
-/// bounded by `BatchConfig::max_batch`), small enough that a corrupt
-/// length field cannot make the decoder buffer gigabytes before the CRC
-/// exposes the corruption.
+/// Large enough for any packet the runtime ships (an edge buffer is
+/// sent at `TURN_FLUSH_CAP` tuples, see `emitter.rs`), small enough that
+/// a corrupt length field cannot make the decoder buffer gigabytes before
+/// the CRC exposes the corruption.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Bytes of frame header preceding the body: `len` + `crc`.

@@ -1,26 +1,26 @@
 //! Acceptance suite for the buffered data plane.
 //!
-//! Every emitter buffers per edge. By default a buffer lives for one
-//! executor turn; [`BatchConfig`] lets it fill and linger across turns.
-//! The contract under test: either way only *when* tuples move changes,
-//! never *which* tuples move or in what per-edge order; nothing is held
-//! while an executor blocks or a spout sleeps; a task's queue is bounded
-//! in tuples. Batching must compose with every other runtime layer —
-//! reliability/chaos recovery, tracing gauges and histograms (which stay
-//! tuple-granular), and the EOS/finish flush that makes draining
-//! unconditional.
+//! Every emitter buffers per edge and a buffer lives for one executor
+//! turn, so a backlog travels as batches and an idle plane tuple by tuple.
+//! The contract under test: how tuples are packed never changes *which*
+//! tuples move or their per-edge order; nothing is held while an executor
+//! blocks or a spout sleeps; a task's queue is bounded in tuples. Batches
+//! must compose with every other runtime layer — reliability/chaos
+//! recovery, and tracing gauges and histograms (which stay
+//! tuple-granular).
 
 use parking_lot::Mutex;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tms_dsps::runtime::{BatchConfig, LocalCluster, ReliabilityConfig, RuntimeConfig};
+use tms_dsps::runtime::{LocalCluster, ReliabilityConfig, RuntimeConfig};
 use tms_dsps::scheduler::ClusterSpec;
 use tms_dsps::topology::{Parallelism, TopologyBuilder};
 use tms_dsps::{
-    chaos_wrap, Bolt, BoltContext, Emitter, FaultConfig, Grouping, MonitorConfig, Spout,
+    chaos_wrap, Bolt, BoltContext, ComponentWindow, Emitter, FaultConfig, Grouping, MonitorConfig,
+    Spout,
 };
 
 #[derive(Clone)]
@@ -48,14 +48,8 @@ fn cluster() -> LocalCluster {
     LocalCluster::new(ClusterSpec { nodes: 2, slots_per_node: 2, cores_per_node: 4 }).unwrap()
 }
 
-/// Small batches with a long linger: size-triggered flushes dominate and
-/// the EOS flush drains the non-divisor tail.
-fn batch_small() -> BatchConfig {
-    BatchConfig { max_batch: 7, max_linger: Duration::from_millis(100) }
-}
-
 // ---------------------------------------------------------------------------
-// Differential: batched ≡ per-tuple across every grouping
+// Batches behind a backlog deliver what a per-tuple oracle predicts
 // ---------------------------------------------------------------------------
 
 type EdgeLog = Arc<Mutex<HashMap<(&'static str, usize), Vec<u64>>>>;
@@ -103,15 +97,15 @@ impl Bolt<Msg> for Backlogged {
     }
 }
 
+/// Below the default channel capacity: the spout must be able to finish
+/// while the backlogged bolts hold their first tuple.
+const GROUPING_TUPLES: u64 = 600;
+
 /// One spout fans out to a sink per grouping; a router bolt covers Direct
 /// and a forwarder a second shuffle hop, both behind a backlog.
 /// Every producer is a single task, so each (producer task → consumer task)
-/// edge has a deterministic tuple order and the whole edge log must be
-/// byte-identical between delivery modes.
-fn run_all_groupings(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize), Vec<u64>> {
-    // Below the default channel capacity: the spout must be able to finish
-    // while the backlogged bolts hold their first tuple.
-    const TUPLES: u64 = 600;
+/// edge has a deterministic tuple order.
+fn run_all_groupings() -> HashMap<(&'static str, usize), Vec<u64>> {
     struct FlaggingSpout {
         inner: RangeSpout,
         done: Arc<AtomicBool>,
@@ -136,7 +130,7 @@ fn run_all_groupings(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize
     let t = TopologyBuilder::new("groupings")
         .add_spout("src", Parallelism::of(1), move |_| {
             Box::new(FlaggingSpout {
-                inner: RangeSpout { next: 0, end: TUPLES },
+                inner: RangeSpout { next: 0, end: GROUPING_TUPLES },
                 done: done.clone(),
             })
         })
@@ -154,38 +148,24 @@ fn run_all_groupings(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize
         .add_bolt("hop2", Parallelism::of(1), vec![("fwd", Grouping::Shuffle)], recorder("hop2", &log))
         .build()
         .unwrap();
-    let cfg = RuntimeConfig { batch, ..RuntimeConfig::default() };
-    cluster().submit(t, cfg).unwrap().join().unwrap();
+    cluster().submit(t, RuntimeConfig::default()).unwrap().join().unwrap();
     Arc::try_unwrap(log).expect("all tasks joined").into_inner()
 }
 
 #[test]
 fn batched_delivery_matches_per_tuple_for_every_grouping() {
-    let turn_flushed = run_all_groupings(None);
-    let batched = run_all_groupings(Some(batch_small()));
-
-    // Sanity on the turn-flushed baseline before comparing against it.
-    assert_eq!(turn_flushed[&("shuf", 0)].len(), 600);
-    assert_eq!(turn_flushed[&("hop2", 0)].len(), 600);
-    assert_eq!(turn_flushed[&("all", 0)].len(), 600, "All grouping broadcasts to task 0");
-    assert_eq!(turn_flushed[&("all", 1)].len(), 600, "All grouping broadcasts to task 1");
-    let fields: usize = (0..2).map(|ti| turn_flushed[&("flds", ti)].len()).sum();
-    assert_eq!(fields, 600);
-    for ti in 0..4 {
-        assert!(
-            turn_flushed[&("dir", ti)].iter().all(|v| (v % 4) as usize == ti),
-            "direct routing honors the named task"
-        );
+    // The oracle routes tuple by tuple: what each grouping hands each task,
+    // in emission order. Every edge has one producer task, so the delivered
+    // sequences must equal it exactly, however the backlog was packed.
+    let mut oracle: HashMap<(&'static str, usize), Vec<u64>> = HashMap::new();
+    for v in 0..GROUPING_TUPLES {
+        for edge in [("shuf", 0), ("hop2", 0), ("all", 0), ("all", 1)] {
+            oracle.entry(edge).or_default().push(v);
+        }
+        oracle.entry(("flds", (v % 13 % 2) as usize)).or_default().push(v);
+        oracle.entry(("dir", (v % 4) as usize)).or_default().push(v);
     }
-    // Per-edge FIFO: the one producer of every edge emits ascending values.
-    for (edge, values) in &turn_flushed {
-        assert!(values.windows(2).all(|w| w[0] < w[1]), "edge {edge:?} was reordered");
-    }
-
-    assert_eq!(
-        batched, turn_flushed,
-        "batching must preserve exactly the per-edge tuple sequences"
-    );
+    assert_eq!(run_all_groupings(), oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,14 +298,16 @@ fn flush_hands_the_emitted_tuple_over_before_the_bolt_waits_on_its_receiver() {
 // Backpressure: a task's queue is bounded in tuples, not packets
 // ---------------------------------------------------------------------------
 
-/// A stalled sink behind a forwarder: the forwarder's edge buffers carry up
-/// to `cap` tuples per packet, and the sink's channel must stop admitting
-/// them once it holds `CAPACITY` *tuples*. (Counted in packets it took
-/// `CAPACITY` × `cap` — every tuple of this run — which is how the
-/// resequencer's window overran.)
-fn deepest_queue_under_a_stalled_consumer(batch: Option<BatchConfig>) -> u64 {
-    const TUPLES: u64 = 20_000;
-    const CAPACITY: usize = 100;
+const STALLED_TUPLES: u64 = 20_000;
+const STALLED_CAPACITY: usize = 100;
+
+/// A stalled sink behind a forwarder, traced: the forwarder's edge buffer
+/// carries up to 64 tuples per packet, and the sink's channel must stop
+/// admitting them once it holds `STALLED_CAPACITY` *tuples*. (Counted in
+/// packets it took `STALLED_CAPACITY` × 64 tuples, which is how the
+/// resequencer's window overran.) Returns the deepest queue seen on one
+/// task while the pipeline was wedged, and the run's totals.
+fn run_behind_a_stalled_consumer() -> (u64, Vec<ComponentWindow>) {
     struct StalledSink(Arc<AtomicBool>);
     impl Bolt<Msg> for StalledSink {
         fn process(&mut self, _msg: Msg, _e: &mut dyn Emitter<Msg>) {
@@ -337,7 +319,9 @@ fn deepest_queue_under_a_stalled_consumer(batch: Option<BatchConfig>) -> u64 {
     let release = Arc::new(AtomicBool::new(false));
     let gate = release.clone();
     let t = TopologyBuilder::new("stalled")
-        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: TUPLES }))
+        .add_spout("src", Parallelism::of(1), |_| {
+            Box::new(RangeSpout { next: 0, end: STALLED_TUPLES })
+        })
         .add_bolt("fwd", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| Box::new(Forward))
         .add_bolt("sink", Parallelism::of(1), vec![("fwd", Grouping::Shuffle)], move |_| {
             Box::new(StalledSink(gate.clone()))
@@ -345,8 +329,7 @@ fn deepest_queue_under_a_stalled_consumer(batch: Option<BatchConfig>) -> u64 {
         .build()
         .unwrap();
     let cfg = RuntimeConfig {
-        channel_capacity: CAPACITY,
-        batch,
+        channel_capacity: STALLED_CAPACITY,
         monitor: Some(MonitorConfig {
             window: Duration::from_secs(3600),
             tracing: true,
@@ -368,7 +351,7 @@ fn deepest_queue_under_a_stalled_consumer(batch: Option<BatchConfig>) -> u64 {
         still = if now == last && now > 0 { still + 1 } else { 0 };
         last = now;
     }
-    assert!(last < TUPLES, "backpressure must reach the spout, which emitted all {last}");
+    assert!(last < STALLED_TUPLES, "backpressure must reach the spout, which emitted all {last}");
     let deepest = metrics
         .sample()
         .iter()
@@ -377,25 +360,19 @@ fn deepest_queue_under_a_stalled_consumer(batch: Option<BatchConfig>) -> u64 {
         .max()
         .unwrap();
     release.store(true, Ordering::Release);
-    let metrics = handle.join().unwrap();
-    let sink = metrics.totals().into_iter().find(|c| c.component == "sink").unwrap();
-    assert_eq!(sink.throughput, TUPLES);
-    deepest
+    (deepest, handle.join().unwrap().totals())
 }
 
 #[test]
 fn a_stalled_consumer_queues_at_most_capacity_plus_one_edge_buffer() {
-    // An edge is sent at 64 tuples on the turn-scoped plane, at `max_batch`
-    // under a `BatchConfig`; a send is admitted below 100 queued tuples.
-    for (batch, cap) in [(None, 64), (Some(BatchConfig::default()), 128)] {
-        let deepest = deepest_queue_under_a_stalled_consumer(batch);
-        assert!(deepest >= 100, "{batch:?}: the channel never filled: {deepest}");
-        assert!(deepest < 100 + cap, "{batch:?}: {deepest} tuples queued on one task");
-    }
+    // A send is admitted below 100 queued tuples; an edge is sent at 64.
+    let (deepest, _) = run_behind_a_stalled_consumer();
+    assert!(deepest >= 100, "the channel never filled: {deepest}");
+    assert!(deepest < 100 + 64, "{deepest} tuples queued on one task");
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: recovery under batching heals injected faults
+// Chaos: recovery heals faults injected into batches
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -410,15 +387,35 @@ fn chaos_run_with_batching_matches_failure_free_run_after_dedup() {
             self.collected.lock().push(msg.value);
         }
     }
-    let transform = |_: usize| -> Box<dyn Bolt<Msg>> {
-        struct Triple;
-        impl Bolt<Msg> for Triple {
-            fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
-                e.emit(Msg { key: msg.key, value: msg.value * 3 });
+    // The `triple` tasks hold their input until the spouts have queued a
+    // backlog behind it (`max_pending` lets each of the two run 256 ahead),
+    // so they drain full turns and their outputs travel as batches.
+    const BACKLOG: u64 = 300;
+    struct CountingSpout {
+        inner: RangeSpout,
+        emitted: Arc<AtomicU64>,
+    }
+    impl Spout<Msg> for CountingSpout {
+        fn next(&mut self) -> Option<Msg> {
+            let msg = self.inner.next();
+            if msg.is_some() {
+                self.emitted.fetch_add(1, Ordering::Release);
             }
+            msg
         }
-        Box::new(Triple)
-    };
+    }
+    struct Triple(Arc<AtomicU64>);
+    impl Bolt<Msg> for Triple {
+        fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
+            while self.0.load(Ordering::Acquire) < BACKLOG {
+                std::thread::yield_now();
+            }
+            e.emit(Msg { key: msg.key, value: msg.value * 3 });
+        }
+    }
+    let emitted = Arc::new(AtomicU64::new(0));
+    let seen = emitted.clone();
+    let transform = move |_: usize| Box::new(Triple(seen.clone())) as Box<dyn Bolt<Msg>>;
     let faults = FaultConfig { panic_p: 0.01, drop_p: 0.01, delay: None, seed: 0xBA7C_5EED };
     let chaotic = chaos_wrap(transform, faults);
 
@@ -426,7 +423,10 @@ fn chaos_run_with_batching_matches_failure_free_run_after_dedup() {
     let half = TUPLES / 2;
     let t = TopologyBuilder::new("chaos-batched")
         .add_spout("src", Parallelism::of(2), move |ti| {
-            Box::new(RangeSpout { next: ti as u64 * half, end: (ti as u64 + 1) * half })
+            Box::new(CountingSpout {
+                inner: RangeSpout { next: ti as u64 * half, end: (ti as u64 + 1) * half },
+                emitted: emitted.clone(),
+            })
         })
         .add_bolt("triple", Parallelism::of(2), vec![("src", Grouping::Shuffle)], chaotic)
         .add_bolt("sink", Parallelism::of(1), vec![("triple", Grouping::Shuffle)], move |_| {
@@ -435,7 +435,6 @@ fn chaos_run_with_batching_matches_failure_free_run_after_dedup() {
         .build()
         .unwrap();
     let cfg = RuntimeConfig {
-        batch: Some(batch_small()),
         fault: Some(faults),
         reliability: Some(ReliabilityConfig {
             ack_timeout: Duration::from_millis(250),
@@ -448,11 +447,11 @@ fn chaos_run_with_batching_matches_failure_free_run_after_dedup() {
     };
     let handle = cluster().submit(t, cfg).unwrap();
     let metrics = handle.metrics().clone();
-    handle.join().expect("recovery must absorb injected faults under batching");
+    handle.join().expect("recovery must absorb injected faults");
 
     let deduped: BTreeSet<u64> = collected.lock().iter().copied().collect();
     let expected: BTreeSet<u64> = (0..TUPLES).map(|v| v * 3).collect();
-    assert_eq!(deduped, expected, "after dedup, chaos + batching equals the failure-free run");
+    assert_eq!(deduped, expected, "after dedup, the chaos run equals the failure-free run");
     assert!(collected.lock().len() as u64 >= TUPLES, "at-least-once: no losses");
 
     let totals = metrics.totals();
@@ -470,101 +469,17 @@ fn chaos_run_with_batching_matches_failure_free_run_after_dedup() {
 
 #[test]
 fn tracing_under_batching_stays_tuple_granular() {
-    const TUPLES: u64 = 2000;
-    const CAPACITY: usize = 8;
-    struct SlowSink;
-    impl Bolt<Msg> for SlowSink {
-        fn process(&mut self, _msg: Msg, _e: &mut dyn Emitter<Msg>) {
-            std::thread::sleep(Duration::from_micros(300));
-        }
-    }
-    let t = TopologyBuilder::new("traced-batched")
-        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: TUPLES }))
-        .add_bolt("sink", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(SlowSink)
-        })
-        .build()
-        .unwrap();
-    let cfg = RuntimeConfig {
-        channel_capacity: CAPACITY,
-        batch: Some(BatchConfig { max_batch: 16, max_linger: Duration::from_millis(1) }),
-        monitor: Some(MonitorConfig {
-            window: Duration::from_secs(3600),
-            tracing: true,
-            ..MonitorConfig::default()
-        }),
-        ..RuntimeConfig::default()
-    };
-    let handle = cluster().submit(t, cfg).unwrap();
-    let metrics = handle.metrics().clone();
-
-    // The channel admits a packet while it holds fewer than CAPACITY
-    // tuples; a full batch carries 16, so a tuple-granular gauge must climb
-    // past CAPACITY while the slow sink backlogs.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut deepest = 0u64;
-    while Instant::now() < deadline {
-        if let Some(sink) = metrics.sample().iter().find(|w| w.component == "sink") {
-            deepest = deepest.max(sink.queue_depth);
-            if deepest > CAPACITY as u64 {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let metrics = handle.join().unwrap();
+    let (deepest, totals) = run_behind_a_stalled_consumer();
+    // The wedged sink channel held a few packets of up to 64 tuples.
     assert!(
-        deepest > CAPACITY as u64,
-        "queue gauge counts tuples, not packets: deepest observed {deepest} <= {CAPACITY}"
+        deepest >= STALLED_CAPACITY as u64,
+        "queue gauge counts tuples, not packets: deepest observed {deepest}"
     );
-
-    let totals = metrics.totals();
     let sink = totals.iter().find(|c| c.component == "sink").unwrap();
-    assert_eq!(sink.e2e.count(), TUPLES, "one end-to-end sample per tuple, not per batch");
-    assert_eq!(sink.throughput, TUPLES, "processed counters are per tuple");
+    assert_eq!(sink.e2e.count(), STALLED_TUPLES, "one end-to-end sample per tuple, not per batch");
+    assert_eq!(sink.throughput, STALLED_TUPLES, "processed counters are per tuple");
     let src = totals.iter().find(|c| c.component == "src").unwrap();
-    assert_eq!(src.emitted, TUPLES, "emit counters are per tuple");
-}
-
-// ---------------------------------------------------------------------------
-// EOS/finish flush: draining is unconditional
-// ---------------------------------------------------------------------------
-
-#[test]
-fn eos_flushes_batches_that_would_otherwise_never_fill() {
-    // Neither flush trigger can fire: the batch never fills and the linger
-    // outlives the run. Only the unconditional EOS flush delivers.
-    let collected: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    struct Sink {
-        collected: Arc<Mutex<Vec<u64>>>,
-    }
-    impl Bolt<Msg> for Sink {
-        fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
-            self.collected.lock().push(msg.value);
-        }
-    }
-    let sink_collected = collected.clone();
-    let t = TopologyBuilder::new("eos-flush")
-        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 50 }))
-        .add_bolt("mid", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(Forward) as Box<dyn Bolt<Msg>>
-        })
-        .add_bolt("sink", Parallelism::of(1), vec![("mid", Grouping::Shuffle)], move |_| {
-            Box::new(Sink { collected: sink_collected.clone() }) as Box<dyn Bolt<Msg>>
-        })
-        .build()
-        .unwrap();
-    let cfg = RuntimeConfig {
-        batch: Some(BatchConfig { max_batch: 100_000, max_linger: Duration::from_secs(3600) }),
-        ..RuntimeConfig::default()
-    };
-    let started = Instant::now();
-    cluster().submit(t, cfg).unwrap().join().unwrap();
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "the EOS flush must not wait out the linger"
-    );
-    let mut values = collected.lock().clone();
-    values.sort_unstable();
-    assert_eq!(values, (0..50).collect::<Vec<u64>>());
+    assert_eq!(src.emitted, STALLED_TUPLES, "emit counters are per tuple");
+    let fwd = totals.iter().find(|c| c.component == "fwd").unwrap();
+    assert_eq!(fwd.emitted, STALLED_TUPLES, "emit counters are per tuple behind the backlog");
 }

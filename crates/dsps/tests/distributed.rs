@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_dsps::net::{run_worker, worker_scenario, WorkerHooks};
-use tms_dsps::runtime::{BatchConfig, LocalCluster, ReliabilityConfig, RuntimeConfig};
+use tms_dsps::runtime::{LocalCluster, ReliabilityConfig, RuntimeConfig};
 use tms_dsps::scheduler::ClusterSpec;
 use tms_dsps::topology::{Parallelism, Topology, TopologyBuilder};
 use tms_dsps::{
@@ -126,7 +126,7 @@ fn worker_entry() {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: batched ≡ per-tuple across every grouping, spanning 2 workers
+// Parity: 2 workers ≡ one process across every grouping, batches on the wire
 // ---------------------------------------------------------------------------
 
 type EdgeLog = Arc<Mutex<HashMap<(&'static str, usize), Vec<u64>>>>;
@@ -156,12 +156,20 @@ const PARITY_TUPLES: u64 = 300;
 
 /// src (worker 0) → relay (worker 1) fanning out over every grouping to
 /// recorder sinks pinned back on worker 0, so each tuple crosses the TCP
-/// link twice. A router on worker 1 covers Direct.
+/// link twice. A router on worker 1 covers Direct. The relay holds the
+/// stream until its last tuple arrives and emits all of it in one turn, so
+/// its edge buffers fill to the mid-turn cap and cross the link as batches.
 fn parity_topology(log: &EdgeLog) -> Topology<Msg> {
-    struct Forward;
-    impl Bolt<Msg> for Forward {
+    struct HoldThenForward(Vec<Msg>);
+    impl Bolt<Msg> for HoldThenForward {
         fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
-            e.emit(msg);
+            let last = msg.value == PARITY_TUPLES - 1;
+            self.0.push(msg);
+            if last {
+                for held in self.0.drain(..) {
+                    e.emit(held);
+                }
+            }
         }
     }
     struct Router;
@@ -176,7 +184,7 @@ fn parity_topology(log: &EdgeLog) -> Topology<Msg> {
             Box::new(RangeSpout { next: 0, end: PARITY_TUPLES })
         })
         .add_bolt("relay", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(Forward) as Box<dyn Bolt<Msg>>
+            Box::new(HoldThenForward(Vec::new())) as Box<dyn Bolt<Msg>>
         })
         .add_bolt(
             "shuf",
@@ -204,9 +212,9 @@ fn parity_topology(log: &EdgeLog) -> Topology<Msg> {
         .unwrap()
 }
 
-fn run_parity(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize), Vec<u64>> {
+#[test]
+fn batched_delivery_matches_per_tuple_across_processes() {
     let log: EdgeLog = Arc::new(Mutex::new(HashMap::new()));
-    let t = parity_topology(&log);
     let cluster = two_workers()
         .pin("relay", 1)
         .pin("router", 1)
@@ -214,41 +222,43 @@ fn run_parity(batch: Option<BatchConfig>) -> HashMap<(&'static str, usize), Vec<
         .pin("flds", 0)
         .pin("all", 0)
         .pin("dir", 0);
-    let cfg = RuntimeConfig { batch, ..RuntimeConfig::default() };
-    cluster.submit("parity", t, cfg).unwrap().join().unwrap();
-    let out = log.lock().clone();
-    out
-}
+    cluster
+        .submit("parity", parity_topology(&log), RuntimeConfig::default())
+        .unwrap()
+        .join()
+        .unwrap();
+    let distributed = log.lock().clone();
 
-#[test]
-fn batched_delivery_matches_per_tuple_across_processes() {
-    let per_tuple = run_parity(None);
-    let batched = run_parity(Some(BatchConfig {
-        max_batch: 7,
-        max_linger: Duration::from_millis(100),
-    }));
+    let local_log: EdgeLog = Arc::new(Mutex::new(HashMap::new()));
+    LocalCluster::new(spec())
+        .unwrap()
+        .submit(parity_topology(&local_log), RuntimeConfig::default())
+        .unwrap()
+        .join()
+        .unwrap();
+    let local = local_log.lock().clone();
 
-    // Sanity on the per-tuple baseline before comparing against it.
-    assert_eq!(per_tuple[&("shuf", 0)].len(), PARITY_TUPLES as usize);
+    // Sanity on the single-process baseline before comparing against it.
+    assert_eq!(local[&("shuf", 0)].len(), PARITY_TUPLES as usize);
     for ti in 0..2 {
         assert_eq!(
-            per_tuple[&("all", ti)].len(),
+            local[&("all", ti)].len(),
             PARITY_TUPLES as usize,
-            "All grouping broadcasts across the link to task {ti}"
+            "All grouping broadcasts to task {ti}"
         );
     }
-    let fields: usize = (0..2).map(|ti| per_tuple[&("flds", ti)].len()).sum();
+    let fields: usize = (0..2).map(|ti| local[&("flds", ti)].len()).sum();
     assert_eq!(fields, PARITY_TUPLES as usize);
     for ti in 0..4 {
         assert!(
-            per_tuple[&("dir", ti)].iter().all(|v| (v % 4) as usize == ti),
-            "direct routing honors the named task across the link"
+            local[&("dir", ti)].iter().all(|v| (v % 4) as usize == ti),
+            "direct routing honors the named task"
         );
     }
 
     assert_eq!(
-        batched, per_tuple,
-        "batching must preserve exactly the per-edge tuple sequences over TCP"
+        distributed, local,
+        "crossing TCP must preserve exactly the per-edge tuple sequences"
     );
 }
 

@@ -3,11 +3,10 @@
 //! The acceptance bar: a topology killed and resubmitted against the same
 //! durability directory must resume from its persisted state and end
 //! *byte-identical* to an uninterrupted run — in both delivery modes
-//! (at-most-once and at-least-once), with and without the micro-batched
-//! data plane. A supervised post-panic restart must restore the task's
-//! persisted state instead of rebuilding it empty. And the changelog must
-//! survive torn tails and corrupt records by truncating to the longest
-//! valid prefix (property-tested).
+//! (at-most-once and at-least-once). A supervised post-panic restart must
+//! restore the task's persisted state instead of rebuilding it empty. And
+//! the changelog must survive torn tails and corrupt records by truncating
+//! to the longest valid prefix (property-tested).
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -15,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tms_dsps::durability::{read_frames, DurabilityConfig, StateStore};
-use tms_dsps::runtime::{BatchConfig, LocalCluster, ReliabilityConfig, RuntimeConfig};
+use tms_dsps::runtime::{LocalCluster, ReliabilityConfig, RuntimeConfig};
 use tms_dsps::scheduler::ClusterSpec;
 use tms_dsps::topology::{Parallelism, TopologyBuilder};
 use tms_dsps::{Bolt, Emitter, Grouping, Spout};
@@ -128,7 +127,6 @@ fn run_segment(
     range: std::ops::Range<u64>,
     dir: &PathBuf,
     reliability: Option<ReliabilityConfig>,
-    batch: Option<BatchConfig>,
 ) {
     let (start, end) = (range.start, range.end);
     let t = TopologyBuilder::new("recovery")
@@ -143,7 +141,6 @@ fn run_segment(
         .unwrap();
     let cfg = RuntimeConfig {
         reliability,
-        batch,
         durability: Some(DurabilityConfig {
             dir: dir.clone(),
             // Small enough that snapshots and compaction actually happen
@@ -168,24 +165,17 @@ fn final_state(dir: &PathBuf) -> Vec<u8> {
 
 /// Tentpole acceptance: kill-and-restart (here: drain, then resubmit the
 /// rest of the stream against the same durability directory) ends in
-/// state byte-identical to the uninterrupted run — across both delivery
-/// modes and both data planes.
+/// state byte-identical to the uninterrupted run — in both delivery modes.
 #[test]
 fn resumed_run_is_byte_identical_to_uninterrupted() {
-    let combos: [(&str, Option<ReliabilityConfig>, Option<BatchConfig>); 4] = [
-        ("amo", None, None),
-        ("amo-batched", None, Some(BatchConfig::default())),
-        ("alo", Some(fast_reliability()), None),
-        ("alo-batched", Some(fast_reliability()), Some(BatchConfig::default())),
-    ];
-    for (tag, reliability, batch) in combos {
+    for (tag, reliability) in [("amo", None), ("alo", Some(fast_reliability()))] {
         let full_dir = tmp_dir(&format!("full-{tag}"));
-        run_segment(0..1000, &full_dir, reliability, batch);
+        run_segment(0..1000, &full_dir, reliability);
         let expected = final_state(&full_dir);
 
         let split_dir = tmp_dir(&format!("split-{tag}"));
-        run_segment(0..400, &split_dir, reliability, batch);
-        run_segment(400..1000, &split_dir, reliability, batch);
+        run_segment(0..400, &split_dir, reliability);
+        run_segment(400..1000, &split_dir, reliability);
         let resumed = final_state(&split_dir);
 
         assert_eq!(
@@ -213,11 +203,11 @@ fn changelog_tail_replays_into_restored_state() {
         }
     }
     // Resume: the bolt must fold the replayed tail before new tuples.
-    run_segment(300..1000, &dir, None, None);
+    run_segment(300..1000, &dir, None);
     let got = final_state(&dir);
 
     let full_dir = tmp_dir("tail-full");
-    run_segment(0..1000, &full_dir, None, None);
+    run_segment(0..1000, &full_dir, None);
     let expected = final_state(&full_dir);
 
     assert_eq!(got, expected, "changelog replay must reconstruct the pre-crash state exactly");
