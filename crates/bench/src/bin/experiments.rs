@@ -704,7 +704,7 @@ const DSPS_GUARDED_ROWS: [&str; 2] =
 
 /// Live, each guarded row must stay above half its committed rate.
 fn dsps_throughput_bars() -> Vec<Bar> {
-    DSPS_GUARDED_ROWS.iter().map(|row| Bar::min(*row, 0.5, Side::LiveOverCommitted)).collect()
+    DSPS_GUARDED_ROWS.iter().map(|row| Bar::min(row, 0.5, Side::LiveOverCommitted)).collect()
 }
 
 // ---------------------------------------------------------------------------

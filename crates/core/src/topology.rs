@@ -1360,7 +1360,8 @@ mod tests {
         let trace = Arc::new(enriched(vec!["R0"], None));
         let mut feed = |seqs: std::ops::Range<u64>| {
             for seq in seqs {
-                splitter.process(TrafficMessage::Enriched { seq, trace: trace.clone() }, &mut Discard);
+                let msg = TrafficMessage::Enriched { seq, trace: trace.clone() };
+                splitter.process(msg, &mut Discard);
             }
         };
         let window = Resequencer::MAX_PENDING as u64;
