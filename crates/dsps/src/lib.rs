@@ -36,7 +36,9 @@
 mod ack;
 pub mod durability;
 pub mod elastic;
+mod emitter;
 pub mod error;
+mod executor;
 pub mod fault;
 pub mod flight;
 pub mod grouping;

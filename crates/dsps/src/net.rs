@@ -67,9 +67,10 @@ use crate::fault::FaultConfig;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::lineage::{LineageConfig, Span, SpanKind, TraceCollector};
 use crate::metrics::{ComponentWindow, LatencyHistogram, MetricsHub, MonitorConfig, RuleProfile};
+use crate::emitter::{Envelope, Packet};
 use crate::runtime::{
-    DistCtx, Envelope, LocalCluster, LocalIngress, Packet, ReliabilityConfig, RemoteDataPlane,
-    RuntimeConfig, TopologyHandle,
+    DistCtx, LocalCluster, LocalIngress, ReliabilityConfig, RemoteDataPlane, RuntimeConfig,
+    TopologyHandle,
 };
 use crate::scheduler::{assign_pinned, Assignment, ClusterSpec, ExecutorPlacement};
 use crate::topology::Topology;

@@ -1,12 +1,19 @@
 //! The local execution runtime: executor threads, channels, routing,
 //! end-of-stream termination and panic containment.
 //!
+//! This module holds the configuration, [`LocalCluster::submit`] (which
+//! wires channels, routes and executors), the monitor thread and the
+//! [`TopologyHandle`]. What a task sends and when is the data plane
+//! (`emitter.rs`); what an executor thread does with its tasks is the loop
+//! (`executor.rs`).
+//!
 //! Every task owns a bounded input channel; emitting to a full channel
 //! blocks, which gives the same backpressure a saturated Storm deployment
 //! exhibits. When all spout tasks are exhausted, end-of-stream markers
 //! propagate edge-by-edge: a bolt task finishes once it has received one
 //! marker from every upstream task on every incoming edge, flushes via
-//! [`Bolt::finish`], forwards its own markers, and exits.
+//! [`Bolt::finish`](crate::topology::Bolt::finish), forwards its own markers,
+//! and exits.
 //!
 //! # Reliability (at-least-once delivery)
 //!
@@ -18,7 +25,8 @@
 //!   XOR [`Acker`]; the runtime registers each downstream delivery before
 //!   sending it and acks it after the receiving bolt's `process` returns
 //!   (outputs are anchored to the input's roots automatically — Storm's
-//!   `BasicBolt` discipline, so the [`Bolt`] trait is unchanged);
+//!   `BasicBolt` discipline, so the [`Bolt`](crate::topology::Bolt) trait
+//!   is unchanged);
 //! * each spout task keeps a **pending buffer** of unacked tuples; a tree
 //!   that does not complete within `ack_timeout` is abandoned and the
 //!   tuple replayed under a fresh root with exponential backoff, up to
@@ -34,479 +42,21 @@
 
 use crate::ack::{AckSink, Acker};
 use crate::durability::{DurabilityConfig, StateStore};
+pub use crate::emitter::Emitter;
+use crate::emitter::{Packet, Route, TaskEmitter};
 use crate::error::DspsError;
+use crate::executor::{panic_text, run_bolt_executor, run_spout_executor, BoltTask, SpoutTask};
 use crate::fault::FaultConfig;
 use crate::flight::{FlightKind, FlightRecorder};
-use crate::grouping::Grouping;
-use crate::lineage::{SpanKind, TraceCollector};
+use crate::lineage::TraceCollector;
 use crate::metrics::{MetricsHub, MonitorConfig, TaskCounters};
 use crate::scheduler::{assign, Assignment, ClusterSpec};
-use crate::topology::{Bolt, BoltContext, Spout, Topology};
+use crate::topology::{BoltContext, Topology};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Bits of a tuple id reserved for the per-task sequence number; the high
-/// bits carry the global task id, so every task mints from a disjoint
-/// namespace without coordination.
-const ID_SEQ_BITS: u32 = 40;
-
-/// SplitMix64 finalizer: a bijection on `u64` scattering our sequential
-/// ids. Distinct inputs stay distinct (no collisions), but the XOR of a
-/// small set of live ids is no longer accidentally zero — with raw
-/// sequential ids `1 ^ 2 ^ 3 == 0` would complete a tuple tree early.
-/// This is the same argument Storm makes for its random 64-bit ids.
-fn mix_id(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A delivery's payload: owned for single-target sends, `Arc`-shared for
-/// fan-out (`All` grouping, multi-edge emits) so a broadcast to N tasks
-/// costs N refcount bumps instead of N deep clones. The consuming bolt
-/// takes ownership at its boundary via [`Payload::into_owned`]:
-/// clone-on-write, and the last receiver unwraps the `Arc` for free.
-pub(crate) enum Payload<T> {
-    Owned(T),
-    Shared(Arc<T>),
-}
-
-impl<T: Clone> Payload<T> {
-    fn into_owned(self) -> T {
-        match self {
-            Payload::Owned(t) => t,
-            Payload::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
-impl<T> Payload<T> {
-    /// Borrows the message (wire encoding reads it in place).
-    pub(crate) fn as_inner(&self) -> &T {
-        match self {
-            Payload::Owned(t) => t,
-            Payload::Shared(a) => a,
-        }
-    }
-}
-
-/// The lineage hop a sampled delivery carries: which trace it belongs to,
-/// which span emitted it, and when it was sent (for queue-wait spans).
-/// Boxed on the envelope so unsampled (and lineage-off) deliveries pay one
-/// `None` pointer, not the full struct.
-#[derive(Clone, Copy)]
-struct TraceHop {
-    /// Tuple-tree id (the sampled root delivery id).
-    trace: u64,
-    /// The span that emitted this delivery.
-    parent: u64,
-    /// Global task that sent it.
-    src: u32,
-    /// Send time, nanoseconds since the collector epoch.
-    sent_ns: u64,
-}
-
-/// One delivery: the message plus its reliability lineage.
-///
-/// Crate-visible so the wire layer ([`net`](crate::net)) can encode and
-/// reconstruct deliveries. The `t0`/`hop` observability fields do not
-/// cross the wire: `Instant` is process-local and lineage spans do not
-/// link across the boundary (each process's spans still flow back to the
-/// coordinator at the end of the run).
-pub(crate) struct Envelope<T> {
-    pub(crate) msg: Payload<T>,
-    /// This delivery's id, registered with the acker (0 when untracked).
-    pub(crate) tid: u64,
-    /// Spout roots this delivery descends from (empty when untracked).
-    pub(crate) roots: Vec<u64>,
-    /// Spout emit time of the root tuple this delivery descends from.
-    /// Only stamped in tracing + at-most-once mode, where end-to-end
-    /// latency is recorded at the terminal bolt (reliability mode records
-    /// it spout-side from the acker's completion instant instead).
-    pub(crate) t0: Option<Instant>,
-    /// Lineage context when this delivery belongs to a sampled trace.
-    hop: Option<Box<TraceHop>>,
-}
-
-impl<T> Envelope<T> {
-    /// A delivery reconstructed from the wire (no local-only context).
-    pub(crate) fn from_wire(msg: T, tid: u64, roots: Vec<u64>) -> Self {
-        Envelope { msg: Payload::Owned(msg), tid, roots, t0: None, hop: None }
-    }
-}
-
-/// One flushed edge buffer — a lone delivery or several — or an
-/// end-of-stream marker.
-pub(crate) enum Packet<T> {
-    Data(Envelope<T>),
-    Batch(Vec<Envelope<T>>),
-    Eos,
-}
-
-impl<T> Packet<T> {
-    /// Tuples carried: what the packet holds against its channel's
-    /// capacity and adds to the occupancy gauge.
-    pub(crate) fn tuples(&self) -> usize {
-        match self {
-            Packet::Data(_) => 1,
-            Packet::Batch(envs) => envs.len(),
-            Packet::Eos => 0,
-        }
-    }
-
-    fn into_envelopes(self) -> impl Iterator<Item = Envelope<T>> {
-        let (one, many) = match self {
-            Packet::Data(env) => (Some(env), Vec::new()),
-            Packet::Batch(envs) => (None, envs),
-            Packet::Eos => (None, Vec::new()),
-        };
-        one.into_iter().chain(many)
-    }
-}
-
-/// Most tuples an edge buffer holds before it is sent mid-turn; with
-/// `channel_capacity` it bounds a task's queued tuples.
-const TURN_FLUSH_CAP: usize = 64;
-
-/// The interface bolts and spout drivers use to send messages downstream.
-pub trait Emitter<T> {
-    /// Emits under each outgoing edge's grouping.
-    fn emit(&mut self, msg: T);
-
-    /// Emits on *direct*-grouped edges only, to the task with the given
-    /// index. An out-of-range index is a routing bug in the emitting bolt:
-    /// the delivery is counted under the `misrouted` metric and dropped on
-    /// that edge (it used to alias onto `task % count`, silently handing
-    /// the tuple to another task). Non-direct edges ignore direct
-    /// emissions — mixing disciplines on one component is an authoring
-    /// error the validator cannot see, so we keep the semantics strict
-    /// and simple.
-    fn emit_direct(&mut self, task: usize, msg: T);
-
-    /// Hands everything emitted so far to the receiving tasks' channels.
-    /// The runtime does this by itself when the executor's turn ends; a
-    /// bolt only needs it before it *waits*, inside `process`, on something
-    /// a receiver does with what was just emitted.
-    fn flush(&mut self) {}
-}
-
-/// One outgoing edge of a component.
-struct Route<T> {
-    grouping: Grouping<T>,
-    /// Input channels of every downstream task.
-    senders: Vec<Sender<Packet<T>>>,
-    /// Occupancy gauges parallel to `senders` (bumped only when tracing).
-    depths: Vec<Arc<AtomicI64>>,
-    /// Global task ids parallel to `senders` (lineage span attribution).
-    globals: Vec<u32>,
-    /// Round-robin cursor for shuffle grouping.
-    rr: usize,
-}
-
-/// Per-task lineage recording state ([`MonitorConfig::lineage`]); absent
-/// entirely when lineage is off, so the hot path only ever checks `None`.
-struct LineageState {
-    /// This task's span producer (ring handle + id minting + sampler).
-    sink: crate::lineage::SpanSink,
-    /// `(trace, parent span)` of the tuple currently being processed or
-    /// emitted; outgoing envelopes are stamped from it. `None` while
-    /// handling an unsampled tuple.
-    active: Option<(u64, u64)>,
-}
-
-/// The per-task emitter: owns this task's copy of each outgoing edge.
-struct TaskEmitter<T> {
-    routes: Vec<Route<T>>,
-    counters: Arc<TaskCounters>,
-    /// Shared tuple-tree tracker; `None` = at-most-once mode. A trait
-    /// object so workers of a multi-process topology can substitute a
-    /// forwarder to the coordinator's acker.
-    acker: Option<Arc<dyn AckSink>>,
-    /// High bits of every id this task mints: global task id << 40.
-    id_hi: u64,
-    /// Next id sequence number; starts at 1 so `id_hi | id_seq` (and its
-    /// bijective mix) is never 0, the "untracked" sentinel.
-    id_seq: u64,
-    /// Roots of the input currently being processed; every output emitted
-    /// while processing it is anchored to them.
-    anchors: Vec<u64>,
-    /// Seeded transport-level drop injection, when faults are enabled.
-    drop_fault: Option<(f64, StdRng)>,
-    /// Scratch for resolved (route, task) targets, reused across emits.
-    targets: Vec<(usize, usize)>,
-    /// Scratch for the fan-out delivery ids minted per emit.
-    tids: Vec<u64>,
-    /// Scratch for per-root combined XOR registrations per emit.
-    xor_scratch: Vec<(u64, u64)>,
-    /// Per-tuple tracing enabled: stamp envelopes and bump queue gauges.
-    tracing: bool,
-    /// Root emit time to stamp on outgoing envelopes (tracing +
-    /// at-most-once only); inherited from the input being processed.
-    t0: Option<Instant>,
-    /// Per-(route, task) edge buffers, `buffers[ri][ti]`.
-    buffers: Vec<Vec<Vec<Envelope<T>>>>,
-    /// Whether any edge buffer holds a tuple.
-    buffered: bool,
-    /// Sampled-lineage recording; `None` = lineage off.
-    lineage: Option<LineageState>,
-    /// This task's global index (identifies span producers and flight
-    /// events).
-    global: u32,
-    /// The always-on control-plane flight recorder.
-    flight: Arc<FlightRecorder>,
-    /// Component name, for flight events recorded from executor context.
-    component: Arc<str>,
-}
-
-impl<T> TaskEmitter<T> {
-    /// Mints a fresh tuple/root id from this task's namespace.
-    fn next_id(&mut self) -> u64 {
-        let id = mix_id(self.id_hi | self.id_seq);
-        self.id_seq += 1;
-        id
-    }
-
-    fn send_eos(&mut self) {
-        // No tuple may be stranded behind an EOS marker: the buffers drain
-        // before the markers go out (covers spout exhaustion, `finish`
-        // emissions and the failure-path EOS sweeps alike).
-        self.flush_all();
-        for route in &mut self.routes {
-            for s in &route.senders {
-                let _ = s.send_weighted(Packet::Eos, 0);
-            }
-        }
-    }
-
-    /// Sends one edge buffer: a lone delivery as [`Packet::Data`] (the
-    /// idle plane allocates nothing), several as one [`Packet::Batch`].
-    /// The channel's capacity, the queue-depth gauges and the dropped
-    /// counter are all *tuple*-granular: a batch of n that enters (or
-    /// misses) a channel accounts for n tuples.
-    fn flush_edge(&mut self, ri: usize, ti: usize) {
-        let buf = &mut self.buffers[ri][ti];
-        let n = buf.len();
-        if n == 0 {
-            return;
-        }
-        if let Some(l) = &mut self.lineage {
-            // Buffer residency becomes a `BatchFlush` span per sampled
-            // tuple, and the hop re-parents onto it so the downstream
-            // queue span measures channel wait only.
-            let now = l.sink.now_ns();
-            let dest = self.routes[ri].globals[ti];
-            for env in buf.iter_mut() {
-                if let Some(hop) = env.hop.as_deref_mut() {
-                    let sid = l.sink.record(
-                        hop.trace,
-                        hop.parent,
-                        SpanKind::BatchFlush,
-                        dest,
-                        hop.sent_ns,
-                        now.saturating_sub(hop.sent_ns),
-                    );
-                    hop.parent = sid;
-                    hop.sent_ns = now;
-                }
-            }
-        }
-        let packet = if n == 1 {
-            Packet::Data(buf.pop().expect("n counted one buffered delivery"))
-        } else {
-            // A backlogged edge tends to fill to the same size again.
-            Packet::Batch(std::mem::replace(buf, Vec::with_capacity(n)))
-        };
-        if self.routes[ri].senders[ti].send_weighted(packet, n).is_err() {
-            // The receiving task died (its channel tore down): the tuples
-            // are lost — count them instead of vanishing silently.
-            for _ in 0..n {
-                self.counters.record_dropped();
-            }
-        } else if self.tracing {
-            // Only deliveries that actually entered the channel occupy it.
-            self.routes[ri].depths[ti].fetch_add(n as i64, Ordering::Relaxed);
-        }
-    }
-
-    /// Flushes every edge buffer (no-op when nothing is buffered). The
-    /// executor calls it when a turn ends — the task's input ran dry, its
-    /// step budget is spent, or its spout returned from `next` — so no
-    /// executor blocks and no spout sleeps inside `next` while holding
-    /// tuples.
-    fn flush_all(&mut self) {
-        if !std::mem::take(&mut self.buffered) {
-            return;
-        }
-        for ri in 0..self.routes.len() {
-            for ti in 0..self.routes[ri].senders.len() {
-                self.flush_edge(ri, ti);
-            }
-        }
-    }
-}
-
-impl<T: Clone> TaskEmitter<T> {
-    /// Delivers `msg` to every target resolved into `self.targets`.
-    ///
-    /// A single-subscriber edge — the common topology — moves the message
-    /// without cloning. Fan-out (`All` grouping, multiple edges) wraps it
-    /// in an `Arc` once, so every extra target is a refcount bump.
-    ///
-    /// All delivery ids are minted and registered with the acker *before*
-    /// anything is sent (or buffered): the whole fan-out folds into one
-    /// combined XOR per root applied under a single acker lock. Since
-    /// registration precedes buffering, a batched output can never trail
-    /// its input's ack, and a spout's `seal` directly after `emit` stays
-    /// correct even while its outputs sit in edge buffers.
-    fn dispatch(&mut self, msg: T) {
-        if self.targets.is_empty() {
-            // Nothing routed (terminal bolt, or direct emit without a
-            // direct edge): not an emission, and nothing to track.
-            return;
-        }
-        self.counters.record_emit();
-        let n = self.targets.len();
-        let targets = std::mem::take(&mut self.targets);
-        let tracked = self.acker.is_some() && !self.anchors.is_empty();
-        self.tids.clear();
-        if tracked {
-            let mut combined = 0u64;
-            for _ in 0..n {
-                let tid = self.next_id();
-                combined ^= tid;
-                self.tids.push(tid);
-            }
-            self.xor_scratch.clear();
-            for &root in &self.anchors {
-                self.xor_scratch.push((root, combined));
-            }
-            let acker = self.acker.as_ref().expect("tracked implies acker");
-            acker.xor_batch(&self.xor_scratch);
-        } else {
-            self.tids.resize(n, 0);
-        }
-        if n == 1 {
-            let (ri, ti) = targets[0];
-            let tid = self.tids[0];
-            self.send_one(ri, ti, Payload::Owned(msg), tid);
-        } else {
-            let mut shared = Some(Arc::new(msg));
-            for (i, &(ri, ti)) in targets.iter().enumerate() {
-                let payload = if i + 1 == n {
-                    Payload::Shared(shared.take().expect("arc moved before final send"))
-                } else {
-                    Payload::Shared(shared.as_ref().expect("arc moved before final send").clone())
-                };
-                let tid = self.tids[i];
-                self.send_one(ri, ti, payload, tid);
-            }
-        }
-        self.targets = targets; // hand the scratch buffer back
-    }
-
-    /// Buffers one delivery whose id `dispatch` already registered with
-    /// the acker on its edge; the edge is sent once it holds
-    /// [`TURN_FLUSH_CAP`] tuples, else when the turn ends. Transport fault injection applies
-    /// here, after registration — an injected loss looks exactly like a
-    /// network drop the replay machinery must heal, and chaos drops act on
-    /// individual tuples, never on whole batches.
-    fn send_one(&mut self, ri: usize, ti: usize, msg: Payload<T>, tid: u64) {
-        // `mix_id` is a bijection and raw ids start at 1, so 0 is minted
-        // exactly for untracked deliveries.
-        let tracked = tid != 0;
-        if let Some((p, rng)) = &mut self.drop_fault {
-            if rng.random_bool(*p) {
-                self.counters.record_dropped();
-                self.counters.record_injected_drop();
-                return;
-            }
-        }
-        let roots = if tracked { self.anchors.clone() } else { Vec::new() };
-        let hop = match &self.lineage {
-            Some(l) => l.active.map(|(trace, parent)| {
-                Box::new(TraceHop {
-                    trace,
-                    parent,
-                    src: self.global,
-                    sent_ns: l.sink.now_ns(),
-                })
-            }),
-            None => None,
-        };
-        self.buffered = true;
-        let buf = &mut self.buffers[ri][ti];
-        buf.push(Envelope { msg, tid, roots, t0: self.t0, hop });
-        if buf.len() >= TURN_FLUSH_CAP {
-            self.flush_edge(ri, ti);
-        }
-    }
-}
-
-impl<T: Clone> Emitter<T> for TaskEmitter<T> {
-    fn emit(&mut self, msg: T) {
-        // Resolve every (route, task) target before counting or sending:
-        // the emitted counter and the acker must reflect deliveries that
-        // actually route somewhere.
-        self.targets.clear();
-        for (ri, route) in self.routes.iter_mut().enumerate() {
-            if route.senders.is_empty() {
-                continue;
-            }
-            match &route.grouping {
-                Grouping::Shuffle => {
-                    let target = route.rr % route.senders.len();
-                    route.rr = route.rr.wrapping_add(1);
-                    self.targets.push((ri, target));
-                }
-                Grouping::Fields(key) => {
-                    let n = route.senders.len() as u64;
-                    self.targets.push((ri, (key(&msg) % n) as usize));
-                }
-                Grouping::All => {
-                    for si in 0..route.senders.len() {
-                        self.targets.push((ri, si));
-                    }
-                }
-                Grouping::Direct => {
-                    // Ignored: direct edges deliver via emit_direct only.
-                }
-            }
-        }
-        self.dispatch(msg);
-    }
-
-    fn emit_direct(&mut self, task: usize, msg: T) {
-        self.targets.clear();
-        let mut misrouted = 0u64;
-        for (ri, route) in self.routes.iter().enumerate() {
-            if matches!(route.grouping, Grouping::Direct) && !route.senders.is_empty() {
-                if task < route.senders.len() {
-                    self.targets.push((ri, task));
-                } else {
-                    // Out-of-range target: a routing bug in the emitting
-                    // bolt. The old `task % len` wraparound silently handed
-                    // the tuple to another task (another Esper engine's
-                    // partition in the splitter topology) — count it and
-                    // drop the delivery on this edge instead.
-                    misrouted += 1;
-                }
-            }
-        }
-        for _ in 0..misrouted {
-            self.counters.record_misrouted();
-        }
-        self.dispatch(msg);
-    }
-
-    fn flush(&mut self) {
-        self.flush_all();
-    }
-}
 
 /// At-least-once delivery and supervised recovery parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -580,62 +130,6 @@ impl Default for RuntimeConfig {
             flight: None,
         }
     }
-}
-
-/// A spout tuple awaiting the completion of its tree.
-struct PendingRoot<T> {
-    msg: T,
-    deadline: Instant,
-    retries: u32,
-    /// When the tuple was first emitted; preserved across replays so
-    /// end-to-end latency covers the full retry history.
-    first_emit: Instant,
-    /// `(trace id, emit span id)` when the tree is lineage-sampled;
-    /// preserved across replays so replay and completion spans attach to
-    /// the original tree instead of forming orphans.
-    trace: Option<(u64, u64)>,
-}
-
-/// One spout task's state inside its executor thread.
-struct SpoutTask<T> {
-    spout: Box<dyn Spout<T>>,
-    emitter: TaskEmitter<T>,
-    /// Global task id — indexes this task's completion channel.
-    global: usize,
-    /// Completion notifications `(root, completed_at)` from the acker
-    /// (reliability mode only).
-    completions: Option<Receiver<(u64, Instant)>>,
-    /// In-flight roots awaiting completion.
-    pending: HashMap<u64, PendingRoot<T>>,
-    /// Next time the pending buffer is scanned for timeouts.
-    next_scan: Instant,
-    /// Source not yet exhausted.
-    live: bool,
-    /// EOS forwarded (after the source drained *and* pending emptied).
-    eos_sent: bool,
-}
-
-/// One bolt task's state inside its executor thread.
-struct BoltTask<T> {
-    bolt: Box<dyn Bolt<T>>,
-    emitter: TaskEmitter<T>,
-    rx: Receiver<Packet<T>>,
-    /// Task index within the component (what errors must report).
-    index: usize,
-    /// Context handed to `prepare`, kept for supervised restarts.
-    ctx: BoltContext,
-    /// This task's input-channel occupancy gauge (tracing mode).
-    depth: Arc<AtomicI64>,
-    /// Durable snapshot+changelog state store; `None` = ephemeral task.
-    store: Option<StateStore>,
-    /// Scratch for changelog records drained per tuple.
-    log_scratch: Vec<Vec<u8>>,
-    /// Tuples processed since the last snapshot — drives the snapshot
-    /// cadence for bolts that snapshot without writing changelog records.
-    since_snapshot: u64,
-    eos_seen: usize,
-    restarts: u32,
-    done: bool,
 }
 
 /// A local task's wire ingress point: where the net layer injects
@@ -905,37 +399,17 @@ impl LocalCluster {
             routes
         };
         let make_emitter = |source: &str, global: usize, counters: Arc<TaskCounters>| {
-            let routes = make_routes(source);
-            // Sized to the route fan-out: `buffers[ri][ti]` mirrors `senders`.
-            let buffers = routes
-                .iter()
-                .map(|r| (0..r.senders.len()).map(|_| Vec::new()).collect())
-                .collect();
-            TaskEmitter {
-                routes,
+            TaskEmitter::new(
+                source,
+                global,
+                make_routes(source),
                 counters,
-                acker: acker.clone(),
-                id_hi: (global as u64) << ID_SEQ_BITS,
-                id_seq: 1,
-                anchors: Vec::new(),
-                drop_fault: fault
-                    .filter(|f| f.drop_p > 0.0)
-                    .map(|f| (f.drop_p, f.rng_for(global as u64 | (1 << 48)))),
-                targets: Vec::new(),
-                tids: Vec::new(),
-                xor_scratch: Vec::new(),
+                acker.clone(),
+                fault,
                 tracing,
-                t0: None,
-                buffers,
-                buffered: false,
-                lineage: collector.as_ref().map(|c| LineageState {
-                    sink: c.register_task(global as u32, source),
-                    active: None,
-                }),
-                global: global as u32,
-                flight: flight.clone(),
-                component: Arc::from(source),
-            }
+                collector.as_ref().map(|c| c.register_task(global as u32, source)),
+                flight.clone(),
+            )
         };
 
         // Upstream task count per bolt: one EOS arrives per upstream task
@@ -981,20 +455,16 @@ impl LocalCluster {
                 for &ti in &task_ids {
                     let counters = metrics.register_task(&s.name);
                     let global = global_base[s.name.as_str()] + ti;
-                    tasks.push(SpoutTask {
-                        spout: (*s.factory)(ti),
-                        emitter: make_emitter(&s.name, global, counters),
+                    tasks.push(SpoutTask::new(
+                        (*s.factory)(ti),
+                        make_emitter(&s.name, global, counters),
                         global,
-                        completions: reliability.map(|_| {
+                        reliability.map(|_| {
                             completion_rxs[global]
                                 .take()
                                 .expect("each completion receiver is claimed exactly once")
                         }),
-                        pending: HashMap::new(),
-                        next_scan: Instant::now(),
-                        live: true,
-                        eos_sent: false,
-                    });
+                    ));
                 }
                 let component = s.name.clone();
                 let thread_acker = acker.clone();
@@ -1035,20 +505,14 @@ impl LocalCluster {
                         }
                         None => None,
                     };
-                    tasks.push(BoltTask {
-                        bolt: (*b.factory)(ti),
-                        emitter: make_emitter(&b.name, global, counters),
+                    tasks.push(BoltTask::new(
+                        (*b.factory)(ti),
+                        make_emitter(&b.name, global, counters),
                         rx,
-                        index: ti,
-                        ctx: BoltContext { task_index: ti, task_count },
-                        depth: depths_by_bolt[bi][ti].clone(),
+                        BoltContext { task_index: ti, task_count },
+                        depths_by_bolt[bi][ti].clone(),
                         store,
-                        log_scratch: Vec::new(),
-                        since_snapshot: 0,
-                        eos_seen: 0,
-                        restarts: 0,
-                        done: false,
-                    });
+                    ));
                 }
                 let component = b.name.clone();
                 let expected = expected_eos[bi];
@@ -1250,696 +714,6 @@ fn next_window_deadline(elapsed: Duration, window: Duration) -> Duration {
     Duration::from_nanos((k * w).min(u64::MAX as u128) as u64)
 }
 
-/// Drives one spout executor: round-robins its tasks, each pulling from
-/// its source, draining acker completions and replaying timed-out trees
-/// until the source is exhausted *and* every in-flight tuple resolved.
-fn run_spout_executor<T: Clone + Send + Sync>(
-    mut tasks: Vec<SpoutTask<T>>,
-    task_ids: Vec<usize>,
-    component: String,
-    acker: Option<Arc<dyn AckSink>>,
-    reliability: Option<ReliabilityConfig>,
-    tracing: bool,
-) -> Result<(), DspsError> {
-    let mut finished = 0usize;
-    let mut failure: Option<DspsError> = None;
-    'outer: while finished < tasks.len() {
-        let mut progressed = false;
-        for (i, t) in tasks.iter_mut().enumerate() {
-            if t.eos_sent {
-                continue;
-            }
-            // 1. Completions: fully-acked trees leave the pending buffer.
-            //    End-to-end latency runs from the *first* emit (replays
-            //    included) to the acker's completion instant — not to the
-            //    moment this drain loop got around to the notification.
-            if let Some(rx) = &t.completions {
-                while let Ok((root, completed_at)) = rx.try_recv() {
-                    if let Some(p) = t.pending.remove(&root) {
-                        t.emitter.counters.record_acked();
-                        if tracing {
-                            t.emitter
-                                .counters
-                                .record_completion(completed_at.saturating_duration_since(p.first_emit));
-                        }
-                        if let Some(l) = &mut t.emitter.lineage {
-                            if let Some((trace, parent)) = p.trace {
-                                // The tree is done at the acker's completion
-                                // instant, not when this drain got to it.
-                                let at = l.sink.at_ns(completed_at);
-                                l.sink.record(
-                                    trace,
-                                    parent,
-                                    SpanKind::Completion,
-                                    p.retries,
-                                    at,
-                                    0,
-                                );
-                            }
-                        }
-                        progressed = true;
-                    }
-                }
-            }
-            // 2. Timed-out trees: abandon the old root (late acks become
-            //    no-ops) and replay under a fresh one with exponential
-            //    backoff; an exhausted budget fails the tuple instead, so
-            //    the topology still terminates.
-            if let Some(rel) = &reliability {
-                let now = Instant::now();
-                if t.next_scan <= now && !t.pending.is_empty() {
-                    t.next_scan = now + Duration::from_millis(10).min(rel.ack_timeout / 4);
-                    let acker = acker.as_ref().expect("reliability implies acker");
-                    let due: Vec<u64> = t
-                        .pending
-                        .iter()
-                        .filter(|(_, p)| p.deadline <= now)
-                        .map(|(&root, _)| root)
-                        .collect();
-                    for root in due {
-                        let p = t.pending.remove(&root).expect("key drawn from this map");
-                        acker.abandon(root);
-                        if p.retries >= rel.max_retries {
-                            t.emitter.counters.record_failed();
-                            continue;
-                        }
-                        let retries = p.retries + 1;
-                        let new_root = t.emitter.next_id();
-                        acker.register(new_root, t.global);
-                        let timeout = rel.ack_timeout.mul_f64(rel.backoff.powi(retries as i32));
-                        // A sampled tree's replay gets its own span, parented
-                        // into the original tree (stored on the pending root)
-                        // so re-emitted hops stay connected to it; the new
-                        // pending root carries the replay span forward for
-                        // any further retries and the completion.
-                        let mut replay_ctx = None;
-                        if let Some(l) = &mut t.emitter.lineage {
-                            if let Some((trace, parent)) = p.trace {
-                                let sid = l.sink.next_id();
-                                replay_ctx = Some((trace, parent, sid, l.sink.now_ns()));
-                                l.active = Some((trace, sid));
-                            }
-                        }
-                        t.pending.insert(
-                            new_root,
-                            PendingRoot {
-                                msg: p.msg.clone(),
-                                deadline: now + timeout,
-                                retries,
-                                first_emit: p.first_emit,
-                                trace: replay_ctx.map(|(trace, _, sid, _)| (trace, sid)),
-                            },
-                        );
-                        t.emitter.anchors.clear();
-                        t.emitter.anchors.push(new_root);
-                        t.emitter.emit(p.msg);
-                        t.emitter.anchors.clear();
-                        if let Some(l) = &mut t.emitter.lineage {
-                            if let Some((trace, parent, sid, start)) = replay_ctx {
-                                let end = l.sink.now_ns();
-                                l.sink.record_with_id(
-                                    sid,
-                                    trace,
-                                    parent,
-                                    SpanKind::Replay,
-                                    retries,
-                                    start,
-                                    end.saturating_sub(start),
-                                );
-                            }
-                            l.active = None;
-                        }
-                        acker.seal(new_root);
-                        t.emitter.counters.record_replayed();
-                        progressed = true;
-                    }
-                }
-            }
-            // 3. Pull from the source, unless the pending buffer is full.
-            let throttled =
-                reliability.is_some_and(|rel| t.pending.len() >= rel.max_pending);
-            if t.live && !throttled {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    t.spout.next()
-                }));
-                match result {
-                    Ok(Some(msg)) => {
-                        // Spout emission is accounted under `emitted` (by
-                        // the emitter); `processed`/`busy_ns` stay bolt-only
-                        // so spout windows don't fake a processing latency.
-                        progressed = true;
-                        if let Some(rel) = &reliability {
-                            let acker = acker.as_ref().expect("reliability implies acker");
-                            let root = t.emitter.next_id();
-                            acker.register(root, t.global);
-                            // Deterministic sampling: the root id is already
-                            // a SplitMix64-mixed uniform u64, so a threshold
-                            // compare picks `sample_rate` of trees with no
-                            // RNG. The emit span id is reserved up front so
-                            // outgoing envelopes can parent onto it.
-                            let mut emit_ctx = None;
-                            if let Some(l) = &mut t.emitter.lineage {
-                                if l.sink.sampled(root) {
-                                    let sid = l.sink.next_id();
-                                    emit_ctx = Some((root, sid, l.sink.now_ns()));
-                                    l.active = Some((root, sid));
-                                }
-                            }
-                            let now = Instant::now();
-                            t.pending.insert(
-                                root,
-                                PendingRoot {
-                                    msg: msg.clone(),
-                                    deadline: now + rel.ack_timeout,
-                                    retries: 0,
-                                    first_emit: now,
-                                    trace: emit_ctx.map(|(trace, sid, _)| (trace, sid)),
-                                },
-                            );
-                            t.emitter.anchors.clear();
-                            t.emitter.anchors.push(root);
-                            t.emitter.emit(msg);
-                            t.emitter.anchors.clear();
-                            if let Some(l) = &mut t.emitter.lineage {
-                                if let Some((trace, sid, start)) = emit_ctx {
-                                    let end = l.sink.now_ns();
-                                    l.sink.record_with_id(
-                                        sid,
-                                        trace,
-                                        0,
-                                        SpanKind::SpoutEmit,
-                                        0,
-                                        start,
-                                        end.saturating_sub(start),
-                                    );
-                                }
-                                l.active = None;
-                            }
-                            // Completes roots whose emit found no route.
-                            acker.seal(root);
-                        } else {
-                            // At-most-once has no acker root: mint a probe id
-                            // from the same mixed namespace for the sampling
-                            // decision and the trace id.
-                            let probe = match t.emitter.lineage {
-                                Some(_) => Some(t.emitter.next_id()),
-                                None => None,
-                            };
-                            let mut emit_ctx = None;
-                            if let (Some(l), Some(root)) = (&mut t.emitter.lineage, probe) {
-                                if l.sink.sampled(root) {
-                                    let sid = l.sink.next_id();
-                                    emit_ctx = Some((root, sid, l.sink.now_ns()));
-                                    l.active = Some((root, sid));
-                                }
-                            }
-                            if tracing {
-                                t.emitter.t0 = Some(Instant::now());
-                            }
-                            t.emitter.emit(msg);
-                            t.emitter.t0 = None;
-                            if let Some(l) = &mut t.emitter.lineage {
-                                if let Some((trace, sid, start)) = emit_ctx {
-                                    let end = l.sink.now_ns();
-                                    l.sink.record_with_id(
-                                        sid,
-                                        trace,
-                                        0,
-                                        SpanKind::SpoutEmit,
-                                        0,
-                                        start,
-                                        end.saturating_sub(start),
-                                    );
-                                }
-                                l.active = None;
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        t.live = false;
-                        progressed = true;
-                    }
-                    Err(e) => {
-                        failure = Some(DspsError::TaskPanicked {
-                            component: component.clone(),
-                            task: task_ids[i],
-                            reason: panic_text(e.as_ref()),
-                        });
-                        break 'outer;
-                    }
-                }
-            }
-            // 4. EOS once drained: source exhausted, nothing in flight.
-            if !t.live && t.pending.is_empty() && !t.eos_sent {
-                t.emitter.send_eos();
-                t.emitter.flight.record(
-                    FlightKind::Eos,
-                    &t.emitter.component,
-                    t.emitter.global as i64,
-                    "source drained, in-flight empty",
-                );
-                t.eos_sent = true;
-                finished += 1;
-                progressed = true;
-            }
-            // 5. A spout's turn is one `next`: it may sleep inside the
-            //    following call, so nothing emitted above outlives this
-            //    one.
-            t.emitter.flush_all();
-        }
-        if !progressed {
-            // Only waiting on acks: don't spin.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    // EOS every task this executor still owes, so downstream terminates
-    // even when this executor failed mid-stream.
-    for t in tasks.iter_mut() {
-        if !t.eos_sent {
-            if let Some(acker) = &acker {
-                for &root in t.pending.keys() {
-                    acker.abandon(root);
-                }
-            }
-            t.emitter.send_eos();
-            t.eos_sent = true;
-        }
-    }
-    match failure {
-        Some(e) => {
-            // Fatal executor death: dump the control-plane history around
-            // the failure to stderr before it is lost to the join.
-            if let Some(t) = tasks.first() {
-                t.emitter.flight.dump(&format!("spout executor '{component}' failed: {e}"));
-            }
-            Err(e)
-        }
-        None => Ok(()),
-    }
-}
-
-/// Drives one bolt executor: consumes each task's input channel, acks
-/// processed tuples, supervises panics (restarting the task from its
-/// factory when reliability allows) and terminates on EOS quorum.
-fn run_bolt_executor<T: Clone + Send + Sync>(
-    mut tasks: Vec<BoltTask<T>>,
-    component: String,
-    expected: usize,
-    factory: crate::topology::BoltFactory<T>,
-    acker: Option<Arc<dyn AckSink>>,
-    reliability: Option<ReliabilityConfig>,
-    tracing: bool,
-) -> Result<(), DspsError> {
-    // Storm calls prepare() on the worker, not the submitting client;
-    // per-task state must live on the executor thread. With durability
-    // on, state found on disk (a prior run's snapshot + changelog) is
-    // restored before the first tuple — stateful recovery rather than a
-    // cold start.
-    for t in tasks.iter_mut() {
-        t.bolt.prepare(t.ctx);
-        if let Some(store) = t.store.as_mut() {
-            if let Some((snapshot, changelog)) = store.take_recovered() {
-                let detail = format!(
-                    "snapshot={} bytes, changelog={} records",
-                    snapshot.as_ref().map_or(0, |s| s.len()),
-                    changelog.len()
-                );
-                t.bolt.restore_state(snapshot.as_deref(), &changelog);
-                t.emitter.flight.record(
-                    FlightKind::Restore,
-                    &t.emitter.component,
-                    t.emitter.global as i64,
-                    detail,
-                );
-            }
-        }
-    }
-    let single = tasks.len() == 1;
-    let mut remaining = tasks.len();
-    let mut failure: Option<DspsError> = None;
-    // Per-packet (root, combined-id) ack accumulation, reused across packets.
-    let mut acks: Vec<(u64, u64)> = Vec::new();
-    'outer: while remaining > 0 {
-        let mut progressed = false;
-        for t in tasks.iter_mut() {
-            if t.done {
-                continue;
-            }
-            // Single-task executors block on their channel (the common
-            // 1:1 configuration); shared executors drain their tasks
-            // pseudo-parallelly and block on a select below when every
-            // channel runs dry.
-            let budget = 64;
-            for step in 0..budget {
-                let packet = if single && step == 0 {
-                    match t.rx.recv() {
-                        Ok(p) => Some(p),
-                        Err(crossbeam::channel::RecvError) => {
-                            // Upstream died without EOS (hard panic);
-                            // terminate the task.
-                            t.eos_seen = expected;
-                            Some(Packet::Eos)
-                        }
-                    }
-                } else {
-                    match t.rx.try_recv() {
-                        Ok(p) => Some(p),
-                        Err(crossbeam::channel::TryRecvError::Empty) => None,
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                            t.eos_seen = expected;
-                            Some(Packet::Eos)
-                        }
-                    }
-                };
-                let Some(packet) = packet else { break };
-                progressed = true;
-                match packet {
-                    Packet::Eos => {
-                        t.eos_seen += 1;
-                        if t.eos_seen >= expected {
-                            let r = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| t.bolt.finish(&mut t.emitter)),
-                            );
-                            // Final snapshot: a cleanly drained task leaves
-                            // its complete end-of-stream state on disk, so
-                            // a resubmitted topology resumes from it.
-                            if r.is_ok() {
-                                if let Err(e) = persist_bolt_state(t, true) {
-                                    failure = Some(e);
-                                }
-                            }
-                            t.emitter.send_eos();
-                            t.done = true;
-                            remaining -= 1;
-                            if let Err(e) = r {
-                                failure = Some(DspsError::TaskPanicked {
-                                    component: component.clone(),
-                                    task: t.index,
-                                    reason: panic_text(e.as_ref()),
-                                });
-                                break 'outer;
-                            }
-                            if failure.is_some() {
-                                break 'outer;
-                            }
-                            break;
-                        }
-                    }
-                    data => {
-                        if tracing {
-                            // The gauge counts tuples, not packets.
-                            t.depth.fetch_sub(data.tuples() as i64, Ordering::Relaxed);
-                        }
-                        acks.clear();
-                        let mut fatal = None;
-                        for env in data.into_envelopes() {
-                            let r = process_envelope(
-                                t, env, &component, &factory, &acker, reliability, &mut acks,
-                            );
-                            if let Err(e) = r {
-                                fatal = Some(e);
-                                break;
-                            }
-                        }
-                        // One acker call for the whole packet, ids combined
-                        // per root. Flushed even when a later tuple was
-                        // fatal: the earlier ones really were processed.
-                        if let Some(acker) = &acker {
-                            acker.xor_batch(&acks);
-                        }
-                        if let Some(e) = fatal {
-                            failure = Some(e);
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            // The drain turn is over: everything it emitted goes out before
-            // this executor can block again.
-            t.emitter.flush_all();
-        }
-        if !progressed && !single {
-            // Every channel ran dry: block on a select across the live
-            // tasks until a send or upstream disconnect arrives.
-            let mut sel = crossbeam::channel::Select::new();
-            for t in tasks.iter().filter(|t| !t.done) {
-                sel.recv(&t.rx);
-            }
-            let _ = sel.ready_timeout(Duration::from_millis(50));
-        }
-    }
-    // On failure, EOS every unfinished task so downstream components
-    // terminate instead of waiting forever.
-    if failure.is_some() {
-        for t in tasks.iter_mut() {
-            if !t.done {
-                t.emitter.send_eos();
-            }
-        }
-    }
-    match failure {
-        Some(e) => {
-            // Fatal executor death: dump the control-plane history around
-            // the failure to stderr before it is lost to the join.
-            if let Some(t) = tasks.first() {
-                t.emitter.flight.dump(&format!("bolt executor '{component}' failed: {e}"));
-            }
-            Err(e)
-        }
-        None => Ok(()),
-    }
-}
-
-/// Runs one delivery through a bolt task: anchor inheritance, panic
-/// containment around `process`, latency and terminal-completion
-/// recording, auto-ack, and supervised restart on panic.
-///
-/// The input's ack is folded into `acks` as per-root combined ids; the
-/// caller applies them in one [`Acker::xor_batch`] call after the packet.
-/// A fatal error is returned for the caller to surface; a supervised
-/// restart is absorbed here and processing continues with the next
-/// delivery.
-fn process_envelope<T: Clone + Send + Sync>(
-    t: &mut BoltTask<T>,
-    env: Envelope<T>,
-    component: &str,
-    factory: &crate::topology::BoltFactory<T>,
-    acker: &Option<Arc<dyn AckSink>>,
-    reliability: Option<ReliabilityConfig>,
-    acks: &mut Vec<(u64, u64)>,
-) -> Result<(), DspsError> {
-    let Envelope { msg, tid, roots, t0, hop } = env;
-    t.emitter.anchors = roots;
-    // Outputs inherit the input's root emit time, so the stamp survives
-    // multi-hop pipelines.
-    t.emitter.t0 = t0;
-    // A sampled input yields two spans: the queue wait (send → here,
-    // charged against the sender via `other`) and the `process` call. The
-    // process span id is reserved before the call so emitted outputs can
-    // parent onto it.
-    let mut proc_ctx = None;
-    if let Some(l) = &mut t.emitter.lineage {
-        if let Some(hop) = hop.as_deref() {
-            let now = l.sink.now_ns();
-            let q = l.sink.record(
-                hop.trace,
-                hop.parent,
-                SpanKind::Queue,
-                hop.src,
-                hop.sent_ns,
-                now.saturating_sub(hop.sent_ns),
-            );
-            let pid = l.sink.next_id();
-            l.active = Some((hop.trace, pid));
-            proc_ctx = Some((hop.trace, q, pid, now));
-        }
-    }
-    let start = Instant::now();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        t.bolt.process(msg.into_owned(), &mut t.emitter)
-    }));
-    t.emitter.counters.record(start.elapsed());
-    // Chaos injections fired inside process() (the ChaosBolt wrapper
-    // cannot reach the counters): drain the executor-thread tallies.
-    let (injected_panics, injected_latency) = crate::fault::take_injections();
-    if injected_panics > 0 {
-        t.emitter.counters.record_injected_panics(injected_panics);
-        t.emitter.flight.record(
-            FlightKind::ChaosPanic,
-            &t.emitter.component,
-            t.emitter.global as i64,
-            "injected panic fired in process()",
-        );
-    }
-    if injected_latency > 0 {
-        t.emitter.counters.record_injected_latency(injected_latency);
-    }
-    if r.is_ok() && t.emitter.routes.is_empty() {
-        // A terminal bolt ends the tuple's path: in at-most-once tracing
-        // mode this is where the end-to-end latency is known (reliability
-        // mode records it spout-side on tree completion).
-        if let Some(t0) = t.emitter.t0 {
-            t.emitter.counters.record_completion(t0.elapsed());
-        }
-    }
-    t.emitter.t0 = None;
-    if let Some(l) = &mut t.emitter.lineage {
-        if let Some((trace, q, pid, start_ns)) = proc_ctx {
-            let end = l.sink.now_ns();
-            l.sink.record_with_id(
-                pid,
-                trace,
-                q,
-                SpanKind::Process,
-                0,
-                start_ns,
-                end.saturating_sub(start_ns),
-            );
-            if r.is_ok() && t.emitter.routes.is_empty() && acker.is_none() {
-                // Terminal bolt in at-most-once mode: the tree completes
-                // here (reliability completes spout-side off the acker).
-                l.sink.record(trace, pid, SpanKind::Completion, 0, end, 0);
-            }
-        }
-        l.active = None;
-    }
-    match r {
-        Ok(()) => {
-            // Auto-ack: outputs were registered during process() (and
-            // registration happens at emit time even when they sit in
-            // edge buffers), so acking the input now can only complete a
-            // genuinely finished tree.
-            if acker.is_some() {
-                for &root in &t.emitter.anchors {
-                    push_combined(acks, root, tid);
-                }
-            }
-            t.emitter.anchors.clear();
-            persist_bolt_state(t, false)
-        }
-        Err(e) => {
-            // Never ack a failed input: its tree stays incomplete and the
-            // spout replays it.
-            t.emitter.anchors.clear();
-            let budget = reliability.map_or(0, |rel| rel.max_task_restarts);
-            if t.restarts < budget {
-                // Supervisor: rebuild the task from its factory and keep
-                // consuming. Replay covers the lost tuple. With durability
-                // on, the rebuilt task restores its last persisted state
-                // (snapshot + changelog since) instead of starting empty —
-                // the poisoned tuple's own changes were never drained, so
-                // the restored state is exactly as of the last good tuple.
-                let ctx = t.ctx;
-                let index = t.index;
-                let recovered = match t.store.as_mut() {
-                    Some(store) => match store.read_current() {
-                        Ok(r) => Some(r),
-                        Err(e) => return Err(e),
-                    },
-                    None => None,
-                };
-                let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut bolt = (*factory)(index);
-                    bolt.prepare(ctx);
-                    if let Some((snapshot, changelog)) = &recovered {
-                        bolt.restore_state(snapshot.as_deref(), changelog);
-                    }
-                    bolt
-                }));
-                match rebuilt {
-                    Ok(bolt) => {
-                        t.bolt = bolt;
-                        t.restarts += 1;
-                        t.emitter.counters.record_restarted();
-                        t.emitter.flight.record(
-                            FlightKind::TaskRestart,
-                            &t.emitter.component,
-                            t.emitter.global as i64,
-                            format!(
-                                "restart {}/{} after panic: {}{}",
-                                t.restarts,
-                                budget,
-                                panic_text(e.as_ref()),
-                                if recovered.is_some() { " (state restored)" } else { "" }
-                            ),
-                        );
-                        Ok(())
-                    }
-                    Err(e2) => Err(DspsError::TaskPanicked {
-                        component: component.to_string(),
-                        task: t.index,
-                        reason: format!("restart failed: {}", panic_text(e2.as_ref())),
-                    }),
-                }
-            } else if reliability.is_some() {
-                Err(DspsError::TaskRestartsExhausted {
-                    component: component.to_string(),
-                    task: t.index,
-                    restarts: t.restarts,
-                    reason: panic_text(e.as_ref()),
-                })
-            } else {
-                Err(DspsError::TaskPanicked {
-                    component: component.to_string(),
-                    task: t.index,
-                    reason: panic_text(e.as_ref()),
-                })
-            }
-        }
-    }
-}
-
-/// Persists a bolt task's state changes: drains the bolt's changelog
-/// records into the store, then snapshots (and compacts) when the cadence
-/// is due — counted both in changelog records and in processed tuples, so
-/// snapshot-only bolts (empty changelogs) still checkpoint periodically.
-/// `force_snapshot` is the end-of-stream path: always leave a complete
-/// final snapshot behind. No-op without a store.
-fn persist_bolt_state<T>(t: &mut BoltTask<T>, force_snapshot: bool) -> Result<(), DspsError> {
-    let Some(store) = t.store.as_mut() else { return Ok(()) };
-    t.log_scratch.clear();
-    t.bolt.drain_changelog(&mut t.log_scratch);
-    for record in &t.log_scratch {
-        store.append(record)?;
-    }
-    t.since_snapshot += 1;
-    if force_snapshot || store.snapshot_due() || t.since_snapshot >= store.snapshot_every() {
-        if let Some(state) = t.bolt.snapshot_state() {
-            store.snapshot(&state)?;
-            t.emitter.flight.record(
-                FlightKind::Snapshot,
-                &t.emitter.component,
-                t.emitter.global as i64,
-                format!("{} bytes{}", state.len(), if force_snapshot { " (final)" } else { "" }),
-            );
-        }
-        t.since_snapshot = 0;
-    }
-    Ok(())
-}
-
-/// Folds `(root, id)` into a batch's ack accumulation, XOR-combining ids
-/// that share a root so the batch resolves to one acker entry per root.
-/// XOR associativity makes the combined application equivalent to the
-/// per-tuple sequence (see [`Acker::xor_batch`]).
-fn push_combined(pairs: &mut Vec<(u64, u64)>, root: u64, id: u64) {
-    if let Some(p) = pairs.iter_mut().find(|p| p.0 == root) {
-        p.1 ^= id;
-    } else {
-        pairs.push((root, id));
-    }
-}
-
-fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
 /// Handle to a running topology.
 pub struct TopologyHandle {
     threads: Vec<std::thread::JoinHandle<Result<(), DspsError>>>,
@@ -2023,8 +797,8 @@ impl TopologyHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouping::hash_key;
-    use crate::topology::{Parallelism, TopologyBuilder};
+    use crate::grouping::{hash_key, Grouping};
+    use crate::topology::{Bolt, Parallelism, Spout, TopologyBuilder};
     use parking_lot::Mutex;
 
     #[derive(Clone)]
