@@ -17,7 +17,7 @@ use crate::flight::FlightKind;
 use crate::lineage::SpanKind;
 use crate::runtime::ReliabilityConfig;
 use crate::topology::{Bolt, BoltContext, BoltFactory, Spout};
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, TryRecvError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -456,27 +456,21 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
             // channel runs dry.
             let budget = 64;
             for step in 0..budget {
-                let packet = if single && step == 0 {
-                    match t.rx.recv() {
-                        Ok(p) => Some(p),
-                        Err(crossbeam::channel::RecvError) => {
-                            // Upstream died without EOS (hard panic);
-                            // terminate the task.
-                            t.eos_seen = expected;
-                            Some(Packet::Eos)
-                        }
-                    }
+                let received = if single && step == 0 {
+                    t.rx.recv().map_err(|_| TryRecvError::Disconnected)
                 } else {
-                    match t.rx.try_recv() {
-                        Ok(p) => Some(p),
-                        Err(crossbeam::channel::TryRecvError::Empty) => None,
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                            t.eos_seen = expected;
-                            Some(Packet::Eos)
-                        }
+                    t.rx.try_recv()
+                };
+                let packet = match received {
+                    Ok(packet) => packet,
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        // Upstream died without EOS (hard panic);
+                        // terminate the task.
+                        t.eos_seen = expected;
+                        Packet::Eos
                     }
                 };
-                let Some(packet) = packet else { break };
                 progressed = true;
                 match packet {
                     Packet::Eos => {
