@@ -414,9 +414,9 @@ impl<T: Clone> TaskEmitter<T> {
             let tid = self.tids[0];
             self.send_one(ri, ti, Payload::Owned(msg), tid);
         } else {
+            const HELD: &str = "only the last target takes the Arc";
             let mut shared = Some(Arc::new(msg));
             for (i, &(ri, ti)) in targets.iter().enumerate() {
-                const HELD: &str = "only the last target takes the Arc";
                 let payload = if i + 1 == n {
                     Payload::Shared(shared.take().expect(HELD))
                 } else {

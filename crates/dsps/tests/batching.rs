@@ -300,6 +300,8 @@ fn flush_hands_the_emitted_tuple_over_before_the_bolt_waits_on_its_receiver() {
 
 const STALLED_TUPLES: u64 = 20_000;
 const STALLED_CAPACITY: usize = 100;
+/// Where the vendored channel wakes a parked sender.
+const STALLED_LOW_WATER: u64 = STALLED_CAPACITY as u64 / 2;
 
 /// A stalled sink behind a forwarder, traced: the forwarder's edge buffer
 /// carries up to 64 tuples per packet, and the sink's channel must stop
@@ -339,26 +341,26 @@ fn run_behind_a_stalled_consumer() -> (u64, Vec<ComponentWindow>) {
     };
     let handle = cluster().submit(t, cfg).unwrap();
     let metrics = handle.metrics().clone();
-    // The pipeline is wedged once the spout stops emitting: sample until
-    // its counter holds still, then read the gauges at rest.
+    // The pipeline is wedged once the spout stopped emitting behind a
+    // parked forwarder (a counter that merely holds still may belong to a
+    // thread the scheduler starved). A sender that found the sink's channel
+    // full stays parked until it has drained to half its capacity, so at
+    // rest more than that is queued; the upper bound holds at every
+    // instant, so the deepest queue is the maximum over all samples.
     let emitted = || metrics.totals().iter().find(|c| c.component == "src").unwrap().emitted;
     let deadline = Instant::now() + WATCHDOG;
-    let (mut last, mut still) = (0, 0);
-    while still < 50 {
-        assert!(Instant::now() < deadline, "the spout never backed up");
+    let (mut last, mut still, mut deepest) = (0, 0, 0);
+    while still < 50 || deepest <= STALLED_LOW_WATER {
+        assert!(Instant::now() < deadline, "the spout never backed up: deepest queue {deepest}");
         std::thread::sleep(Duration::from_millis(2));
         let now = emitted();
         still = if now == last && now > 0 { still + 1 } else { 0 };
         last = now;
+        let depths = metrics.sample();
+        let queued = depths.iter().filter(|w| w.component == "sink" || w.component == "fwd");
+        deepest = deepest.max(queued.map(|w| w.queue_depth).max().unwrap());
     }
     assert!(last < STALLED_TUPLES, "backpressure must reach the spout, which emitted all {last}");
-    let deepest = metrics
-        .sample()
-        .iter()
-        .filter(|w| w.component == "sink" || w.component == "fwd")
-        .map(|w| w.queue_depth)
-        .max()
-        .unwrap();
     release.store(true, Ordering::Release);
     (deepest, handle.join().unwrap().totals())
 }
@@ -367,7 +369,7 @@ fn run_behind_a_stalled_consumer() -> (u64, Vec<ComponentWindow>) {
 fn a_stalled_consumer_queues_at_most_capacity_plus_one_edge_buffer() {
     // A send is admitted below 100 queued tuples; an edge is sent at 64.
     let (deepest, _) = run_behind_a_stalled_consumer();
-    assert!(deepest >= 100, "the channel never filled: {deepest}");
+    assert!(deepest > STALLED_LOW_WATER, "the forwarder never parked: {deepest}");
     assert!(deepest < 100 + 64, "{deepest} tuples queued on one task");
 }
 
@@ -472,7 +474,7 @@ fn tracing_under_batching_stays_tuple_granular() {
     let (deepest, totals) = run_behind_a_stalled_consumer();
     // The wedged sink channel held a few packets of up to 64 tuples.
     assert!(
-        deepest >= STALLED_CAPACITY as u64,
+        deepest > STALLED_LOW_WATER,
         "queue gauge counts tuples, not packets: deepest observed {deepest}"
     );
     let sink = totals.iter().find(|c| c.component == "sink").unwrap();
