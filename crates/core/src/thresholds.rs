@@ -23,11 +23,12 @@ use crate::error::CoreError;
 use crate::rules::RuleSpec;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tms_cep::{Engine, Event, EventType, FieldType, FieldValue, StatementId};
+use tms_cep::{CepError, Engine, Event, EventType, FieldType, FieldValue, StatementId};
 use tms_storage::{DayType, RemoteDb, ThresholdQuery, ThresholdStore};
-use tms_traffic::EnrichedTrace;
+use tms_traffic::{Attribute, EnrichedTrace};
 
 /// How a rule obtains its per-location thresholds.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +92,8 @@ impl RuleMigration {
 
 struct InstalledRule {
     spec: RuleSpec,
+    /// The registered type of the rule's attribute stream.
+    bus_type: Arc<EventType>,
     /// Locations this engine monitors for the rule (its partition share).
     monitored: HashSet<String>,
     statements: Vec<StatementId>,
@@ -98,6 +101,65 @@ struct InstalledRule {
     /// at install/refresh for snapshot methods, at the latest per-tuple
     /// lookup for Join-with-Database, `None` for static literals.
     thresholds_at: Option<Instant>,
+}
+
+/// The compiled ingest path of one attribute stream: everything
+/// [`RuleEngine::send_trace`] needs to turn a trace into the stream's
+/// events without consulting the rule list.
+struct IngestRoute {
+    attribute: Attribute,
+    /// The stream's registered type.
+    ty: Arc<EventType>,
+    /// The per-tuple lookup of the Join-with-Database method; `s` is the
+    /// first installed rule's, as the stream carries one threshold.
+    query: ThresholdQuery,
+    /// Monitored location → its interned id and the rank (installation
+    /// index) of the first rule on this stream that monitors it.
+    locations: HashMap<String, (Arc<str>, usize)>,
+}
+
+/// [`RuleEngine::send_trace`]'s routes, one per attribute stream in order
+/// of the stream's first rule, compiled from the installed rules. Dropped
+/// whenever a rule is added or a monitored set changes; rebuilt by the
+/// next trace.
+struct IngestTable {
+    routes: Vec<IngestRoute>,
+    /// Interned [`DayType`] strings: weekday, weekend.
+    days: [Arc<str>; 2],
+    /// Scratch: one route's hits as `(rank, candidate position, id)`.
+    hits: Vec<(usize, usize, Arc<str>)>,
+    /// Scratch: one trace's events, built before the first is sent.
+    outbox: Vec<Event>,
+}
+
+impl IngestTable {
+    fn compile(rules: &[InstalledRule]) -> Self {
+        let mut routes: Vec<IngestRoute> = Vec::new();
+        for (rank, r) in rules.iter().enumerate() {
+            let attribute = r.spec.attribute;
+            let at = routes.iter().position(|x| x.attribute == attribute).unwrap_or_else(|| {
+                routes.push(IngestRoute {
+                    attribute,
+                    ty: r.bus_type.clone(),
+                    query: ThresholdQuery { attribute: attribute.name().into(), s: r.spec.s },
+                    locations: HashMap::new(),
+                });
+                routes.len() - 1
+            });
+            let locations = &mut routes[at].locations;
+            for l in &r.monitored {
+                if !locations.contains_key(l) {
+                    locations.insert(l.clone(), (Arc::from(l.as_str()), rank));
+                }
+            }
+        }
+        IngestTable {
+            routes,
+            days: [DayType::Weekday, DayType::Weekend].map(|d| Arc::from(d.as_str())),
+            hits: Vec::new(),
+            outbox: Vec::new(),
+        }
+    }
 }
 
 /// One Esper-engine task with rules installed under a retrieval method —
@@ -113,7 +175,9 @@ pub struct RuleEngine {
     detections: DetectionSink,
     streams_registered: HashSet<String>,
     /// "Current tuple timestamp", read by listeners when a rule fires.
-    clock: Arc<Mutex<u64>>,
+    clock: Arc<AtomicU64>,
+    /// `None` until the next trace after a change of `rules`.
+    ingest: Option<IngestTable>,
 }
 
 impl std::fmt::Debug for RuleEngine {
@@ -136,7 +200,8 @@ impl RuleEngine {
             rules: Vec::new(),
             detections: Arc::new(Mutex::new(Vec::new())),
             streams_registered: HashSet::new(),
-            clock: Arc::new(Mutex::new(0)),
+            clock: Arc::new(AtomicU64::new(0)),
+            ingest: None,
         }
     }
 
@@ -241,12 +306,14 @@ impl RuleEngine {
         monitored: impl IntoIterator<Item = String>,
     ) -> Result<(), CoreError> {
         spec.validate()?;
-        self.ensure_bus_stream(spec)?;
+        let bus_type = self.ensure_bus_stream(spec)?;
         let monitored: HashSet<String> = monitored.into_iter().collect();
         let statements = self.create_statements(spec, &monitored)?;
         let thresholds_at = self.threshold_stamp();
+        self.ingest = None;
         self.rules.push(InstalledRule {
             spec: spec.clone(),
+            bus_type,
             monitored,
             statements,
             thresholds_at,
@@ -268,12 +335,14 @@ impl RuleEngine {
     ) -> Result<(), CoreError> {
         let monitored: HashSet<String> = monitored.into_iter().collect();
         let start = self.rules.len();
+        self.ingest = None;
         for spec in specs {
             spec.validate()?;
-            self.ensure_bus_stream(spec)?;
+            let bus_type = self.ensure_bus_stream(spec)?;
             let statements = self.create_statements_inner(spec, &monitored, false)?;
             self.rules.push(InstalledRule {
                 spec: spec.clone(),
+                bus_type,
                 monitored: monitored.clone(),
                 statements,
                 thresholds_at: None,
@@ -307,33 +376,39 @@ impl RuleEngine {
         self.engine.sharing_report()
     }
 
-    fn ensure_bus_stream(&mut self, spec: &RuleSpec) -> Result<(), CoreError> {
+    /// Registers the rule's attribute stream on first need and returns
+    /// its type. [`Self::send_trace`] fills the fields by position.
+    fn ensure_bus_stream(&mut self, spec: &RuleSpec) -> Result<Arc<EventType>, CoreError> {
         let name = spec.bus_stream();
-        if self.streams_registered.contains(&name) {
-            return Ok(());
+        if !self.streams_registered.contains(&name) {
+            self.engine.register_type(EventType::with_fields(
+                &name,
+                &[
+                    ("location", FieldType::Str),
+                    ("hour", FieldType::Int),
+                    ("day", FieldType::Str),
+                    ("value", FieldType::Float),
+                    ("threshold", FieldType::Float),
+                ],
+            )?)?;
+            self.streams_registered.insert(name.clone());
         }
-        self.engine.register_type(EventType::with_fields(
-            &name,
-            &[
-                ("location", FieldType::Str),
-                ("hour", FieldType::Int),
-                ("day", FieldType::Str),
-                ("value", FieldType::Float),
-                ("threshold", FieldType::Float),
-            ],
-        )?)?;
-        self.streams_registered.insert(name);
-        Ok(())
+        match self.engine.event_type(&name) {
+            Some(ty) => Ok(ty.clone()),
+            None => Err(CepError::UnknownStream(name).into()),
+        }
     }
 
     fn make_listener(
         sink: &DetectionSink,
         rule_name: String,
-        clock: Arc<Mutex<u64>>,
+        clock: Arc<AtomicU64>,
     ) -> tms_cep::Listener {
         let sink = sink.clone();
         Box::new(move |_, rows| {
-            let ts = *clock.lock();
+            // Same thread as the store in `send_trace`: the listener runs
+            // inside that call's `send_event`.
+            let ts = clock.load(Ordering::Relaxed);
             let mut sink = sink.lock();
             for row in rows {
                 let get_f = |col: &str| row.get(col).and_then(|v| v.as_f64().ok());
@@ -507,7 +582,7 @@ impl RuleEngine {
 
     /// The shared "current tuple timestamp" the listeners read. Updated
     /// by [`Self::send_trace`].
-    fn clock(&self) -> Arc<Mutex<u64>> {
+    fn clock(&self) -> Arc<AtomicU64> {
         self.clock.clone()
     }
 
@@ -558,6 +633,8 @@ impl RuleEngine {
         // the engine's sharing planner can re-merge the fresh windows.
         let old: Vec<StatementId> =
             self.rules.iter().flat_map(|r| r.statements.iter().copied()).collect();
+        // No spec and no monitored set changes below, and stream types stay
+        // registered: the ingest table stands.
         for (r, ids) in self.rules.iter_mut().zip(fresh) {
             r.statements = ids;
             r.thresholds_at = None;
@@ -668,6 +745,7 @@ impl RuleEngine {
         for stream in self.migration_streams(&migration.rules) {
             removed += self.engine.evict_partition(&stream, "location", &values)?;
         }
+        self.ingest = None;
         for (name, locs) in &migration.rules {
             if let Some(r) = self.rules.iter_mut().find(|r| r.spec.name == *name) {
                 for l in locs {
@@ -689,6 +767,7 @@ impl RuleEngine {
         migration: &RuleMigration,
     ) -> Result<(), CoreError> {
         self.ensure_elastic_supported()?;
+        self.ingest = None;
         for (name, locs) in &migration.rules {
             if !self.rules.iter().any(|r| r.spec.name == *name) {
                 let spec = specs.iter().find(|s| s.name == *name).ok_or_else(|| {
@@ -750,60 +829,54 @@ impl RuleEngine {
         }
     }
 
-    /// Feeds one enriched trace to the engine: for every installed rule,
-    /// every monitored location the trace belongs to becomes one event on
-    /// the rule's attribute stream. Returns how many events entered the
-    /// engine.
+    /// Feeds one enriched trace to the engine: every monitored location
+    /// the trace belongs to becomes one event on each attribute stream
+    /// that has a rule monitoring it — a tuple enters the engine once per
+    /// stream, and every statement standing on that stream sees it
+    /// (Esper's delivery model), however many same-attribute rules share
+    /// the location. Streams go in order of their first rule; within a
+    /// stream, locations in order of the first rule monitoring them, then
+    /// of the trace's own order (areas root first, then the stop). Returns
+    /// how many events entered the engine.
     pub fn send_trace(&mut self, e: &EnrichedTrace) -> Result<usize, CoreError> {
         let hour = e.trace.hour_of_day();
         let day = DayType::from_weekday_index((e.trace.day_index() % 7) as u8);
-        let clock = self.clock();
-        *clock.lock() = e.trace.timestamp_ms;
+        self.clock.store(e.trace.timestamp_ms, Ordering::Relaxed);
 
-        // Candidate locations of this trace.
-        let mut locations: Vec<&str> = e.areas.iter().map(String::as_str).collect();
-        if let Some(s) = &e.bus_stop {
-            locations.push(s.as_str());
-        }
-
-        // One event per (attribute stream, matched location) — a tuple
-        // enters the engine once per stream, and every statement standing
-        // on that stream sees it (Esper's delivery model). Emitting per
-        // *rule* would square the evaluation count for same-attribute
-        // rules.
-        let mut per_attribute: Vec<(tms_traffic::Attribute, f64, f64, Vec<String>)> = Vec::new();
-        for r in &self.rules {
-            let attr = r.spec.attribute;
-            let Some(value) = attr.value(e) else { continue };
-            let entry = match per_attribute.iter_mut().find(|(a, _, _, _)| *a == attr) {
-                Some(entry) => entry,
-                None => {
-                    per_attribute.push((attr, value, r.spec.s, Vec::new()));
-                    per_attribute.last_mut().expect("just pushed")
-                }
-            };
-            for l in &locations {
-                if r.monitored.contains(*l) && !entry.3.iter().any(|x| x == *l) {
-                    entry.3.push((*l).to_string());
+        let RuleEngine { ingest, rules, engine, method, store, db, .. } = self;
+        let IngestTable { routes, days, hits, outbox } =
+            ingest.get_or_insert_with(|| IngestTable::compile(rules));
+        let day_str = match day {
+            DayType::Weekday => &days[0],
+            DayType::Weekend => &days[1],
+        };
+        outbox.clear();
+        for route in routes.iter() {
+            let Some(value) = route.attribute.value(e) else { continue };
+            hits.clear();
+            let candidates = e.areas.iter().chain(&e.bus_stop);
+            for (position, candidate) in candidates.enumerate() {
+                if let Some((id, rank)) = route.locations.get(candidate.as_str()) {
+                    // A location listed twice enters once, where it first stood.
+                    if !hits.iter().any(|(_, _, seen)| Arc::ptr_eq(seen, id)) {
+                        hits.push((*rank, position, id.clone()));
+                    }
                 }
             }
-        }
-
-        let mut sent = 0usize;
-        let mut outbox: Vec<Event> = Vec::new();
-        for (attr, value, s_param, matched) in per_attribute {
-            let stream = format!("bus_{}", attr.name());
-            for location in matched {
-                let threshold = match &self.method {
+            hits.sort_unstable_by_key(|&(rank, position, _)| (rank, position));
+            for (_, _, location) in hits.drain(..) {
+                let threshold = match method {
                     RetrievalMethod::JoinWithDatabase => {
                         // The per-tuple lookup, paying one round trip.
-                        let query =
-                            ThresholdQuery { attribute: attr.name().into(), s: s_param };
-                        let looked_up = match &self.db {
+                        let looked_up = match db {
                             Some(db) => ThresholdStore::threshold_for_remote(
-                                db, &query, &location, hour, day,
+                                db,
+                                &route.query,
+                                &location,
+                                hour,
+                                day,
                             )?,
-                            None => self.store.threshold_for(&query, &location, hour, day)?,
+                            None => store.threshold_for(&route.query, &location, hour, day)?,
                         };
                         // No statistics for the cell: the rule cannot
                         // apply; skip the event entirely.
@@ -812,40 +885,34 @@ impl RuleEngine {
                     }
                     _ => 0.0,
                 };
-                let ty = self
-                    .engine
-                    .event_type(&stream)
-                    .expect("bus stream registered at install")
-                    .clone();
-                outbox.push(Event::from_pairs(
-                    &ty,
+                outbox.push(Event::new(
+                    &route.ty,
                     e.trace.timestamp_ms,
-                    &[
-                        ("location", FieldValue::from(location.as_str())),
-                        ("hour", FieldValue::Int(i64::from(hour))),
-                        ("day", FieldValue::from(day.as_str())),
-                        ("value", FieldValue::Float(value)),
-                        ("threshold", FieldValue::Float(threshold)),
+                    vec![
+                        FieldValue::Str(location),
+                        FieldValue::Int(i64::from(hour)),
+                        FieldValue::Str(day_str.clone()),
+                        FieldValue::Float(value),
+                        FieldValue::Float(threshold),
                     ],
                 )?);
             }
         }
-        for ev in outbox {
-            self.engine.send_event(ev)?;
-            sent += 1;
+        let sent = outbox.len();
+        for ev in outbox.drain(..) {
+            engine.send_event(ev)?;
         }
-        if sent > 0 && matches!(self.method, RetrievalMethod::JoinWithDatabase) {
+        if sent > 0 && matches!(method, RetrievalMethod::JoinWithDatabase) {
             // Per-tuple lookups just refreshed every fired rule's view of
             // the store; the staleness gauge restarts from here.
             let now = Instant::now();
-            for r in &mut self.rules {
+            for r in rules.iter_mut() {
                 r.thresholds_at = Some(now);
             }
         }
         Ok(sent)
     }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -1049,6 +1116,33 @@ mod tests {
         let sent = re.send_trace(&trace(1000, "R2", 5000.0)).unwrap();
         assert_eq!(sent, 0, "R2 is not monitored by this engine");
         assert!(sink.lock().is_empty());
+    }
+
+    #[test]
+    fn events_enter_in_order_of_the_first_rule_monitoring_their_location() {
+        // One stream, two rules: the stop rule was installed first, so the
+        // stop's event goes first although the trace lists its areas ahead
+        // of its stop. Window 1 under a low static threshold: every event
+        // fires every rule, so the detections spell out the event order.
+        let mut re = RuleEngine::new(RetrievalMethod::StaticOptimal(1.0), store_with_stats(), None);
+        let mut stops = rule(1);
+        stops.name = "stops".into();
+        stops.location = LocationSelector::BusStops;
+        re.install_rule(&stops, vec!["S7".to_string()]).unwrap();
+        let mut leaves = rule(1);
+        leaves.name = "leaves".into();
+        re.install_rule(&leaves, vec!["R1".to_string(), "R0".to_string()]).unwrap();
+        let mut e = trace(1000, "R0", 50.0);
+        e.areas = vec!["R0".into(), "R1".into(), "R0".into()];
+        e.bus_stop = Some("S7".into());
+        assert_eq!(re.send_trace(&e).unwrap(), 3, "R0 is listed twice and enters once");
+        let got: Vec<(String, String)> =
+            re.detections().lock().iter().map(|d| (d.location.clone(), d.rule.clone())).collect();
+        let want: Vec<(String, String)> = ["S7", "R0", "R1"]
+            .iter()
+            .flat_map(|l| ["stops", "leaves"].map(|r| (l.to_string(), r.to_string())))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -159,15 +159,16 @@ impl AreaTrackerBolt {
 
 impl Bolt<TrafficMessage> for AreaTrackerBolt {
     fn process(&mut self, msg: TrafficMessage, emitter: &mut dyn Emitter<TrafficMessage>) {
-        if let TrafficMessage::Enriched { seq, trace: e } = msg {
-            let mut enriched = (*e).clone();
+        if let TrafficMessage::Enriched { seq, mut trace } = msg {
+            // Copies the tuple only if another holder still reads it.
+            let enriched = Arc::make_mut(&mut trace);
             enriched.areas = self
                 .quadtree
                 .locate_all_layers(&enriched.trace.position)
                 .iter()
                 .map(|r| SpatialContext::region_id(r.id))
                 .collect();
-            emitter.emit(TrafficMessage::Enriched { seq, trace: Arc::new(enriched) });
+            emitter.emit(TrafficMessage::Enriched { seq, trace });
         }
     }
 }
@@ -186,13 +187,13 @@ impl BusStopsTrackerBolt {
 
 impl Bolt<TrafficMessage> for BusStopsTrackerBolt {
     fn process(&mut self, msg: TrafficMessage, emitter: &mut dyn Emitter<TrafficMessage>) {
-        if let TrafficMessage::Enriched { seq, trace: e } = msg {
-            let mut enriched = (*e).clone();
+        if let TrafficMessage::Enriched { seq, mut trace } = msg {
+            let enriched = Arc::make_mut(&mut trace);
             enriched.bus_stop = self
                 .stops
                 .closest_stop(enriched.trace.line_id, enriched.trace.direction, &enriched.trace.position)
                 .map(|s| SpatialContext::stop_id(s.id));
-            emitter.emit(TrafficMessage::Enriched { seq, trace: Arc::new(enriched) });
+            emitter.emit(TrafficMessage::Enriched { seq, trace });
         }
     }
 }
@@ -227,36 +228,37 @@ pub struct SplitPlan {
     pub routes: Vec<GroupingRoute>,
 }
 
+impl GroupingRoute {
+    /// The routing key this grouping matches the trace under, and the
+    /// engine owning it.
+    fn hit<'a>(&self, e: &'a EnrichedTrace) -> Option<(&'a str, usize)> {
+        match &self.kind {
+            GroupingKind::QuadtreeLayer(layer) => {
+                // The trace's area chain is root-first; the region at
+                // `layer` is areas[layer] when the tree is that deep
+                // here, otherwise the deepest (leaf) entry. Unknown
+                // regions walk up the chain until the table knows one.
+                let idx = (*layer as usize).min(e.areas.len().checked_sub(1)?);
+                e.areas[..=idx]
+                    .iter()
+                    .rev()
+                    .find_map(|a| self.table.get(a).map(|t| (a.as_str(), *t)))
+            }
+            GroupingKind::BusStops => {
+                let stop = e.bus_stop.as_ref()?;
+                self.table.get(stop).map(|t| (stop.as_str(), *t))
+            }
+        }
+    }
+}
+
 impl SplitPlan {
     /// The engines this trace must reach (deduplicated).
     pub fn engines_for(&self, e: &EnrichedTrace) -> Vec<usize> {
         let mut out = Vec::new();
-        for route in &self.routes {
-            let target = match &route.kind {
-                GroupingKind::QuadtreeLayer(layer) => {
-                    // The trace's area chain is root-first; the region at
-                    // `layer` is areas[layer] when the tree is that deep
-                    // here, otherwise the deepest (leaf) entry. Unknown
-                    // regions walk up the chain until the table knows one.
-                    if e.areas.is_empty() {
-                        None
-                    } else {
-                        let idx = (*layer as usize).min(e.areas.len() - 1);
-                        e.areas[..=idx]
-                            .iter()
-                            .rev()
-                            .find_map(|a| route.table.get(a))
-                            .copied()
-                    }
-                }
-                GroupingKind::BusStops => {
-                    e.bus_stop.as_ref().and_then(|s| route.table.get(s)).copied()
-                }
-            };
-            if let Some(t) = target {
-                if !out.contains(&t) {
-                    out.push(t);
-                }
+        for (_, _, engine) in self.hits(e) {
+            if !out.contains(&engine) {
+                out.push(engine);
             }
         }
         out
@@ -264,33 +266,19 @@ impl SplitPlan {
 
     /// Like [`Self::engines_for`], but per grouping and without
     /// deduplication: `(grouping index, matched routing key, engine)`.
-    /// The elastic splitter uses this to account observed per-region load
-    /// while routing.
     pub fn routes_for(&self, e: &EnrichedTrace) -> Vec<(usize, String, usize)> {
-        let mut out = Vec::new();
-        for (g, route) in self.routes.iter().enumerate() {
-            let hit = match &route.kind {
-                GroupingKind::QuadtreeLayer(layer) => {
-                    if e.areas.is_empty() {
-                        None
-                    } else {
-                        let idx = (*layer as usize).min(e.areas.len() - 1);
-                        e.areas[..=idx]
-                            .iter()
-                            .rev()
-                            .find_map(|a| route.table.get(a).map(|t| (a.clone(), *t)))
-                    }
-                }
-                GroupingKind::BusStops => e
-                    .bus_stop
-                    .as_ref()
-                    .and_then(|s| route.table.get(s).map(|t| (s.clone(), *t))),
-            };
-            if let Some((key, target)) = hit {
-                out.push((g, key, target));
-            }
-        }
-        out
+        self.hits(e).map(|(g, key, engine)| (g, key.to_string(), engine)).collect()
+    }
+
+    /// [`Self::routes_for`] with the keys borrowed from the trace.
+    fn hits<'a>(
+        &'a self,
+        e: &'a EnrichedTrace,
+    ) -> impl Iterator<Item = (usize, &'a str, usize)> + 'a {
+        self.routes
+            .iter()
+            .enumerate()
+            .filter_map(move |(g, route)| route.hit(e).map(|(key, engine)| (g, key, engine)))
     }
 }
 
@@ -518,14 +506,15 @@ impl SplitterBolt {
                 }
             }
             Some(h) => {
-                let routes = h.split_plan.read().routes_for(&e);
+                // Counting per region is what the rebalancer reads load from.
                 let mut engines: Vec<usize> = Vec::new();
                 {
+                    let plan = h.split_plan.read();
                     let mut observed = h.observed.lock();
-                    for (g, key, engine) in &routes {
-                        *observed.entry((*g, key.clone())).or_insert(0) += 1;
-                        if !engines.contains(engine) {
-                            engines.push(*engine);
+                    for (g, key, engine) in plan.hits(&e) {
+                        *observed.entry((g, key.to_string())).or_insert(0) += 1;
+                        if !engines.contains(&engine) {
+                            engines.push(engine);
                         }
                     }
                 }
@@ -1295,6 +1284,69 @@ mod tests {
         };
         let e = enriched(vec!["R0", "R1"], None);
         assert_eq!(plan.engines_for(&e), vec![3], "same engine listed once");
+    }
+
+    #[test]
+    fn trackers_write_into_a_unique_tuple_and_copy_a_shared_one() {
+        /// Keeps the last tuple emitted.
+        #[derive(Default)]
+        struct Last(Option<Arc<EnrichedTrace>>);
+        impl Emitter<TrafficMessage> for Last {
+            fn emit(&mut self, msg: TrafficMessage) {
+                if let TrafficMessage::Enriched { trace, .. } = msg {
+                    self.0 = Some(trace);
+                }
+            }
+            fn emit_direct(&mut self, _task: usize, msg: TrafficMessage) {
+                self.emit(msg);
+            }
+        }
+        let centre = tms_geo::GeoPoint::new_unchecked(53.33, -6.26);
+        let quadtree = Arc::new(
+            RegionQuadtree::build(
+                tms_geo::DUBLIN_BBOX,
+                &[centre],
+                tms_geo::QuadtreeConfig { max_points_per_region: 6, max_depth: 6 },
+            )
+            .unwrap(),
+        );
+        let observations: Vec<tms_geo::StopObservation> = (0..10)
+            .map(|i| tms_geo::StopObservation {
+                line_id: 1,
+                direction: true,
+                position: centre.destination(36.0 * f64::from(i), 4.0),
+                entry_bearing_deg: 90.0,
+            })
+            .collect();
+        let stops = Arc::new(
+            BusStopIndex::build(
+                &observations,
+                tms_geo::DenclueConfig::default(),
+                tms_geo::busstops::SubclusterConfig::default(),
+            )
+            .unwrap(),
+        );
+        let mut bolts: [Box<dyn Bolt<TrafficMessage>>; 2] = [
+            Box::new(AreaTrackerBolt::new(quadtree)),
+            Box::new(BusStopsTrackerBolt::new(stops)),
+        ];
+        for bolt in &mut bolts {
+            let mut out = Last::default();
+            // Sole holder: the tuple leaves at the address it came in at.
+            let unique = Arc::new(enriched(vec![], None));
+            let address = Arc::as_ptr(&unique);
+            bolt.process(TrafficMessage::Enriched { seq: 0, trace: unique }, &mut out);
+            let emitted = out.0.take().expect("the tracker forwards the tuple");
+            assert_eq!(Arc::as_ptr(&emitted), address);
+            assert!(!emitted.areas.is_empty() || emitted.bus_stop.is_some());
+            // A second holder keeps reading what it was handed.
+            let held = Arc::new(enriched(vec![], None));
+            bolt.process(TrafficMessage::Enriched { seq: 1, trace: held.clone() }, &mut out);
+            let emitted = out.0.take().expect("the tracker forwards the tuple");
+            assert_ne!(Arc::as_ptr(&emitted), Arc::as_ptr(&held));
+            assert_eq!(*held, enriched(vec![], None));
+            assert_ne!(*emitted, *held);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: release build, every crate's tests, the vendored
-# channel's and buffer pool's tests, the elastic suite in release, the
+# channel's, buffer pool's and locks' tests, the elastic suite in release, the
 # snapshot guards, the pipeline benchmark's own tests and smoke run, strict
 # clippy.
 set -euo pipefail
@@ -8,11 +8,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-# `vendor/` is outside the workspace, and the channel under every hand-off
-# and the pool framing every cross-process packet are in-repo code: their
-# tests run here or nowhere.
+# `vendor/` is outside the workspace, and the channel under every hand-off,
+# the pool framing every cross-process packet and the locks around every
+# shared structure are in-repo code: their tests run here or nowhere.
 cargo test -q --manifest-path vendor/crossbeam/Cargo.toml
 cargo test -q --manifest-path vendor/bytes/Cargo.toml
+cargo test -q --manifest-path vendor/parking_lot/Cargo.toml
 # The rebalancer scenarios are wall-clock driven; the optimized build is
 # the one that outruns them if their pacing ever breaks.
 cargo test -q --release -p tms-dsps --test elastic
