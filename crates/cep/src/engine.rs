@@ -13,7 +13,7 @@ use crate::event::{Event, EventType, FieldValue};
 use crate::parser::parse_statement;
 use crate::plan::{compile, AggCall, CompiledStatement, IncrementalState, JoinCache, OutputRow};
 use crate::share::{
-    self, AggSrc, ClusterInfo, PaneBank, SharedAnchor, SharedJoinShape, SharingReport,
+    self, AggSrc, ArrivalMemo, ArrivalScratch, ClusterInfo, SharedJoinShape, SharingReport,
     ThresholdIndex, WindowKey,
 };
 use crate::window::{InsertOutcome, SourceWindow, WindowDelta, WindowSpec};
@@ -40,13 +40,12 @@ struct WindowSlot {
     /// Referencing statement sources; 0 marks a free (tombstoned) slot.
     refs: usize,
     /// The visible-window change of the latest mutation (consumed by
-    /// incremental statements and the cluster banks).
+    /// incremental statements and the threshold indexes). When the slot
+    /// serves shared-join statements as their pane, the window itself
+    /// keeps the cluster's per-group aggregates.
     delta: WindowDelta,
     /// Outcome of the latest insert into this slot.
     last_outcome: InsertOutcome,
-    /// Per-group accumulator bank over this window — the cluster state
-    /// when the slot serves shared-join statements as their pane.
-    pane_bank: Option<PaneBank>,
     /// Keyed hash indexes over this window — one per distinct join-key
     /// shape probing it as a threshold stream.
     tindexes: Vec<ThresholdIndex>,
@@ -59,7 +58,6 @@ impl WindowSlot {
         self.window = SourceWindow::new(WindowSpec::LastEvent, None)
             .expect("lastevent windows are always valid");
         self.delta = WindowDelta::new();
-        self.pane_bank = None;
         self.tindexes.clear();
     }
 }
@@ -249,16 +247,25 @@ impl PartitionState {
     }
 }
 
+/// Everything the engine knows about one stream, found with one lookup
+/// per arrival.
+struct Stream {
+    ty: Arc<EventType>,
+    /// Indices into `statements` subscribed to the stream.
+    subscribers: Vec<usize>,
+    /// Live slot indices fed by the stream.
+    slots: Vec<usize>,
+}
+
 /// The CEP engine.
 pub struct Engine {
-    types: HashMap<String, Arc<EventType>>,
+    /// Registered streams by name.
+    streams: HashMap<String, Stream>,
     statements: Vec<Runtime>,
     /// The window-slot arena; statements hold indices into it.
     slots: Vec<WindowSlot>,
-    /// stream name → indices into `statements` subscribed to it.
-    by_stream: HashMap<String, Vec<usize>>,
-    /// stream name → live slot indices fed by it.
-    slots_by_stream: HashMap<String, Vec<usize>>,
+    /// Per-arrival scratch space of [`Engine::send_event`].
+    arrival: ArrivalScratch,
     next_id: u64,
     stats: EngineStats,
     /// Whether eligible statements evaluate via delta-maintained
@@ -286,7 +293,7 @@ impl Default for Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("types", &self.types.len())
+            .field("streams", &self.streams.len())
             .field("statements", &self.statements.len())
             .field("stats", &self.stats)
             .finish()
@@ -297,11 +304,10 @@ impl Engine {
     /// Creates an empty engine.
     pub fn new() -> Self {
         Engine {
-            types: HashMap::new(),
+            streams: HashMap::new(),
             statements: Vec::new(),
             slots: Vec::new(),
-            by_stream: HashMap::new(),
-            slots_by_stream: HashMap::new(),
+            arrival: ArrivalScratch::default(),
             next_id: 0,
             stats: EngineStats::default(),
             incremental_enabled: true,
@@ -315,19 +321,24 @@ impl Engine {
     /// Registers an event type (a stream). Re-registering the identical
     /// schema is a no-op; a different schema under the same name fails.
     pub fn register_type(&mut self, ty: EventType) -> Result<(), CepError> {
-        match self.types.get(ty.name()) {
-            Some(existing) if **existing == ty => Ok(()),
+        match self.streams.get(ty.name()) {
+            Some(existing) if *existing.ty == ty => Ok(()),
             Some(_) => Err(CepError::TypeConflict(ty.name().to_string())),
             None => {
-                self.types.insert(ty.name().to_string(), Arc::new(ty));
+                self.add_stream(ty);
                 Ok(())
             }
         }
     }
 
+    fn add_stream(&mut self, ty: EventType) {
+        let stream = Stream { ty: Arc::new(ty), subscribers: Vec::new(), slots: Vec::new() };
+        self.streams.insert(stream.ty.name().to_string(), stream);
+    }
+
     /// The registered type for a stream.
     pub fn event_type(&self, stream: &str) -> Option<&Arc<EventType>> {
-        self.types.get(stream)
+        self.streams.get(stream).map(|s| &s.ty)
     }
 
     /// Compiles and registers an EPL statement with a listener.
@@ -351,11 +362,11 @@ impl Engine {
         listener: Option<Listener>,
     ) -> Result<StatementHandle, CepError> {
         let stmt = parse_statement(epl)?;
-        let compiled = compile(&stmt, epl, &self.types)?;
+        let compiled = compile(&stmt, epl, |stream| self.event_type(stream))?;
         // INSERT INTO target must be a registered type whose schema the
         // projection can populate; the type is created on first need.
         if let Some(target) = &compiled.insert_into {
-            if !self.types.contains_key(target) {
+            if !self.streams.contains_key(target) {
                 // Derive the output event type from the projection columns.
                 let fields = compiled
                     .columns
@@ -365,8 +376,7 @@ impl Engine {
                 // Column types are not statically known for arbitrary
                 // expressions; INSERT INTO therefore requires explicit
                 // pre-registration for non-numeric outputs.
-                let ty = EventType::new(target.clone(), fields)?;
-                self.types.insert(target.clone(), Arc::new(ty));
+                self.add_stream(EventType::new(target.clone(), fields)?);
             }
         }
         // Window planning: with sharing on, attach each source to an
@@ -400,7 +410,6 @@ impl Engine {
                             refs: 1,
                             delta: WindowDelta::new(),
                             last_outcome: InsertOutcome { evaluate: false },
-                            pane_bank: None,
                             tindexes: Vec::new(),
                         },
                     )
@@ -473,22 +482,25 @@ impl Engine {
         self.replan_exec()
     }
 
-    /// Rebuilds the stream→statement and stream→slot routing tables.
+    /// Rebuilds every stream's subscriber and slot lists. Statements and
+    /// slots only ever name streams that compiled, i.e. registered ones.
     fn rebuild_routing(&mut self) {
-        self.by_stream.clear();
+        for stream in self.streams.values_mut() {
+            stream.subscribers.clear();
+            stream.slots.clear();
+        }
         for (i, r) in self.statements.iter().enumerate() {
-            let mut streams: Vec<&str> =
-                r.compiled.sources.iter().map(|s| s.stream.as_str()).collect();
-            streams.sort_unstable();
-            streams.dedup();
-            for s in streams {
-                self.by_stream.entry(s.to_string()).or_default().push(i);
+            for src in &r.compiled.sources {
+                let stream = self.streams.get_mut(&src.stream).expect("compiled against it");
+                if stream.subscribers.last() != Some(&i) {
+                    stream.subscribers.push(i);
+                }
             }
         }
-        self.slots_by_stream.clear();
         for (sid, slot) in self.slots.iter().enumerate() {
             if slot.refs > 0 {
-                self.slots_by_stream.entry(slot.key.stream.clone()).or_default().push(sid);
+                let stream = self.streams.get_mut(&slot.key.stream).expect("compiled against it");
+                stream.slots.push(sid);
             }
         }
     }
@@ -498,7 +510,7 @@ impl Engine {
     /// windows so the plan can change mid-stream.
     fn replan_exec(&mut self) -> Result<(), CepError> {
         for slot in &mut self.slots {
-            slot.pane_bank = None;
+            slot.window.untrack();
             slot.tindexes.clear();
         }
         let mut statements = std::mem::take(&mut self.statements);
@@ -583,13 +595,14 @@ impl Engine {
                 // Already claimed (by an earlier statement, or an earlier
                 // source of a self-join): clone off a private copy.
                 self.slots[sid].refs -= 1;
+                let mut window = self.slots[sid].window.clone();
+                window.untrack();
                 let slot = WindowSlot {
                     key: self.slots[sid].key.clone(),
-                    window: self.slots[sid].window.clone(),
+                    window,
                     refs: 1,
                     delta: WindowDelta::new(),
                     last_outcome: InsertOutcome { evaluate: false },
-                    pane_bank: None,
                     tindexes: Vec::new(),
                 };
                 self.statements[idx].slots[pos] = push_slot(&mut self.slots, slot);
@@ -645,16 +658,16 @@ impl Engine {
             let info = match clusters.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, info)) => info,
                 None => {
-                    let bank = self.slots[rt.slots[1]].pane_bank.as_ref();
+                    let pane = &self.slots[rt.slots[1]].window;
                     let threshold_entries =
                         key.1.map_or(0, |(s2, t)| self.slots[s2].tindexes[t].entry_count());
                     clusters.push((
                         key,
                         ClusterInfo {
                             statements: Vec::new(),
-                            bank_fields: bank.map_or(0, |b| b.fields.len()),
+                            bank_fields: pane.tracked_fields().len(),
                             threshold_entries,
-                            bank_groups: bank.map_or(0, |b| b.group_count()),
+                            bank_groups: pane.group_count(),
                         },
                     ));
                     &mut clusters.last_mut().expect("just pushed").1
@@ -721,8 +734,7 @@ impl Engine {
         pairs: &[(&str, FieldValue)],
     ) -> Result<Event, CepError> {
         let ty = self
-            .types
-            .get(stream)
+            .event_type(stream)
             .ok_or_else(|| CepError::UnknownStream(stream.to_string()))?;
         Event::from_pairs(ty, timestamp_ms, pairs)
     }
@@ -737,32 +749,41 @@ impl Engine {
         if depth >= MAX_FEEDBACK_DEPTH {
             return Err(CepError::FeedbackCycle { stream: event.event_type().to_string() });
         }
-        if !self.types.contains_key(event.event_type()) {
+        let Engine {
+            streams,
+            statements,
+            slots,
+            arrival,
+            stats,
+            incremental_enabled,
+            realized_shared_evals,
+            realized_private_evals,
+            ..
+        } = self;
+        let Some(stream) = streams.get(event.event_type()) else {
             return Err(CepError::UnknownStream(event.event_type().to_string()));
-        }
-        self.stats.events_in += 1;
+        };
+        stats.events_in += 1;
+        arrival.reset();
 
         // Phase 1: insert into every live slot fed by this stream — once
-        // per distinct window, however many statements read it — folding
-        // the change into the slot's bank/index state. The outcome and
-        // delta stay on the slot for phase 2's consumers.
-        let stream = event.event_type();
-        if let Some(slot_ids) = self.slots_by_stream.get(stream) {
-            for &sid in slot_ids {
-                let slot = &mut self.slots[sid];
-                slot.last_outcome = slot.window.insert_with_delta(&event, &mut slot.delta);
-                if let Some(bank) = &mut slot.pane_bank {
-                    bank.apply_delta(&slot.window, &slot.delta)?;
+        // per distinct window, however many statements read it. A pane
+        // window folds the change into its group's aggregates in the same
+        // visit; the arrival's group key is derived once per group field,
+        // however many windows group by it. The outcome and delta stay on
+        // the slot for phase 2's consumers.
+        for &sid in &stream.slots {
+            let slot = &mut slots[sid];
+            let key = slot.window.group_field().map(|field| arrival.field_key(&event, field));
+            slot.last_outcome = slot.window.insert_keyed(&event, key, &mut slot.delta)?;
+            for ti in &mut slot.tindexes {
+                for e in &slot.delta.inserted {
+                    ti.insert(e)?;
                 }
-                for ti in &mut slot.tindexes {
-                    for e in &slot.delta.inserted {
-                        ti.insert(e)?;
-                    }
-                    debug_assert!(
-                        slot.delta.evicted.is_empty(),
-                        "threshold keepall windows never evict"
-                    );
-                }
+                debug_assert!(
+                    slot.delta.evicted.is_empty(),
+                    "threshold keepall windows never evict"
+                );
             }
         }
 
@@ -773,21 +794,10 @@ impl Engine {
         // exactly this one arrival since the last evaluation.
         let mut fed_back: Vec<Event> = Vec::new();
         {
-            let Engine {
-                statements,
-                slots,
-                types,
-                by_stream,
-                stats,
-                incremental_enabled,
-                realized_shared_evals,
-                realized_private_evals,
-                ..
-            } = self;
-            let Some(subscribers) = by_stream.get(stream) else {
-                return Ok(());
-            };
-            for &idx in subscribers {
+            let slots = &*slots;
+            let stream_name = event.event_type();
+            let mut memo = ArrivalMemo::new(&event, arrival);
+            for &idx in &stream.subscribers {
                 let rt = &mut statements[idx];
                 if let Some(p) = rt.profile.as_mut() {
                     // Counted once per arrival, however many of the
@@ -798,7 +808,7 @@ impl Engine {
                 let mut evaluate = false;
                 let mut batch_release = false;
                 for (src, &sid) in rt.compiled.sources.iter().zip(&rt.slots) {
-                    if src.stream != stream {
+                    if src.stream != stream_name {
                         continue;
                     }
                     let slot = &slots[sid];
@@ -824,25 +834,17 @@ impl Engine {
                 let anchor = if batch_release { None } else { Some(&event) };
                 let t0 = rt.profile.is_some().then(Instant::now);
                 let (rows, path) = if let Exec::Join { shape, aggs, tindex } = &rt.exec {
-                    let s0 = &slots[rt.slots[0]];
-                    let s1 = &slots[rt.slots[1]];
-                    let bank = s1.pane_bank.as_ref().expect("join exec keeps a bank");
                     let ti = tindex.map(|t| &slots[rt.slots[2]].tindexes[t]);
-                    let sa = if rt.compiled.sources[0].stream == stream {
-                        SharedAnchor::Source0(&event)
-                    } else {
-                        SharedAnchor::Threshold(&event)
-                    };
                     (
                         share::evaluate_shared_join(
                             &rt.compiled,
                             shape,
                             aggs,
-                            &s0.window,
-                            &s1.window,
-                            bank,
+                            &slots[rt.slots[0]].window,
+                            &slots[rt.slots[1]].window,
                             ti,
-                            sa,
+                            rt.compiled.sources[0].stream != stream_name,
+                            &mut memo,
                         )?,
                         EvalPath::Shared,
                     )
@@ -879,11 +881,11 @@ impl Engine {
                 if let Some(listener) = &mut rt.listener {
                     listener(rt.id, &rows);
                 }
-                if let Some(target) = rt.compiled.insert_into.clone() {
-                    let ty = types
-                        .get(&target)
+                if let Some(target) = &rt.compiled.insert_into {
+                    let ty = &streams
+                        .get(target)
                         .ok_or_else(|| CepError::UnknownStream(target.clone()))?
-                        .clone();
+                        .ty;
                     for row in &rows {
                         let pairs: Vec<(&str, FieldValue)> = row
                             .columns()
@@ -891,7 +893,7 @@ impl Engine {
                             .map(|c| c.as_str())
                             .zip(row.values().iter().cloned())
                             .collect();
-                        fed_back.push(Event::from_pairs(&ty, event.timestamp_ms(), &pairs)?);
+                        fed_back.push(Event::from_pairs(ty, event.timestamp_ms(), &pairs)?);
                     }
                 }
             }
@@ -921,18 +923,18 @@ impl Engine {
         field: &str,
         values: &[FieldValue],
     ) -> Result<PartitionState, CepError> {
-        let ty = self
-            .types
+        let entry = self
+            .streams
             .get(stream)
             .ok_or_else(|| CepError::UnknownStream(stream.to_string()))?;
-        let fidx = ty.index_of(field).ok_or_else(|| CepError::UnknownField {
+        let fidx = entry.ty.index_of(field).ok_or_else(|| CepError::UnknownField {
             field: field.to_string(),
             context: format!("event type {stream}"),
         })?;
         let keys: std::collections::HashSet<crate::event::JoinKey> =
             values.iter().map(FieldValue::join_key).collect();
         let mut best: HashMap<crate::event::JoinKey, Vec<&Event>> = HashMap::new();
-        for &sid in self.slots_by_stream.get(stream).map_or(&[][..], Vec::as_slice) {
+        for &sid in &entry.slots {
             let mut per_key: HashMap<crate::event::JoinKey, Vec<&Event>> = HashMap::new();
             for e in self.slots[sid].window.iter_all() {
                 let Some(v) = e.value_at(fidx) else { continue };
@@ -980,19 +982,18 @@ impl Engine {
         field: &str,
         values: &[FieldValue],
     ) -> Result<usize, CepError> {
-        let ty = self
-            .types
+        let entry = self
+            .streams
             .get(stream)
             .ok_or_else(|| CepError::UnknownStream(stream.to_string()))?;
-        let fidx = ty.index_of(field).ok_or_else(|| CepError::UnknownField {
+        let fidx = entry.ty.index_of(field).ok_or_else(|| CepError::UnknownField {
             field: field.to_string(),
             context: format!("event type {stream}"),
         })?;
         let keys: std::collections::HashSet<crate::event::JoinKey> =
             values.iter().map(FieldValue::join_key).collect();
-        let sids = self.slots_by_stream.get(stream).cloned().unwrap_or_default();
         let mut removed = 0usize;
-        for sid in sids {
+        for &sid in &entry.slots {
             removed += self.slots[sid].window.remove_matching(|e| {
                 e.value_at(fidx).is_some_and(|v| keys.contains(&v.join_key()))
             });
@@ -1011,26 +1012,24 @@ impl Engine {
     /// rebuilt so the next genuine arrival evaluates over the merged
     /// windows. Returns how many events were absorbed.
     pub fn absorb_partition(&mut self, state: &PartitionState) -> Result<usize, CepError> {
-        let ty = self
-            .types
+        let entry = self
+            .streams
             .get(&state.stream)
-            .ok_or_else(|| CepError::UnknownStream(state.stream.clone()))?
-            .clone();
+            .ok_or_else(|| CepError::UnknownStream(state.stream.clone()))?;
         // One instance per row, shared by every slot it lands in, so
         // instance-identity window comparisons (sharing merges) keep
         // working at the destination.
         let events: Vec<Event> = state
             .rows
             .iter()
-            .map(|(ts, values)| Event::new(&ty, *ts, values.clone()))
+            .map(|(ts, values)| Event::new(&entry.ty, *ts, values.clone()))
             .collect::<Result<_, _>>()?;
-        let sids = self.slots_by_stream.get(&state.stream).cloned().unwrap_or_default();
-        if sids.is_empty() || events.is_empty() {
+        if entry.slots.is_empty() || events.is_empty() {
             return Ok(0);
         }
-        for &sid in &sids {
+        for &sid in &entry.slots {
             for e in &events {
-                self.slots[sid].window.insert(e);
+                self.slots[sid].window.insert(e)?;
             }
         }
         self.replan_exec()?;
@@ -1048,10 +1047,6 @@ impl Engine {
             // Clears the delta even for time-insensitive windows, so
             // phase-2 consumers below never see a stale insert delta.
             slot.window.advance_time_with_delta(now_ms, &mut slot.delta);
-            if let Some(bank) = &mut slot.pane_bank {
-                bank.apply_delta(&slot.window, &slot.delta)
-                    .expect("delta eviction cannot fail after a successful insert");
-            }
         }
         for rt in statements.iter_mut() {
             if let Some(state) = &mut rt.inc {
@@ -1080,7 +1075,7 @@ fn push_slot(slots: &mut Vec<WindowSlot>, slot: WindowSlot) -> usize {
     }
 }
 
-/// Ensures the pane bank on the statement's pane slot and — when the shape
+/// Ensures the statement's pane window aggregates and — when the shape
 /// has a threshold side — a threshold index on its threshold slot cover
 /// one statement's aggregate fields, rebuilding from window contents when
 /// the unions widen over non-empty windows. Returns the statement's
@@ -1093,19 +1088,15 @@ fn ensure_join_state(
 ) -> Result<(Vec<AggSrc>, Option<usize>), CepError> {
     let mut pane_pos: HashMap<usize, usize> = HashMap::new();
     {
-        let WindowSlot { window, pane_bank, .. } = &mut slots[stmt_slots[1]];
-        let bank = pane_bank.get_or_insert_with(PaneBank::default);
+        let pane = &mut slots[stmt_slots[1]].window;
         let mut widened = false;
         for &f in &shape.pane_agg_fields {
-            let (pos, w) = bank.ensure_field(f);
+            let (pos, w) = pane.track_field(f);
             pane_pos.insert(f, pos);
             widened |= w;
         }
-        // Rebuild when the union widened, or when the bank is brand new
-        // over a non-empty window (count(*)-only statements add no fields
-        // but still need the per-group row counts).
-        if !window.is_empty() && (widened || bank.group_count() == 0) {
-            bank.rebuild(window)?;
+        if widened && !pane.is_empty() {
+            pane.recompute_aggregates()?;
         }
     }
     let mut thr_pos: HashMap<usize, usize> = HashMap::new();
@@ -1113,10 +1104,16 @@ fn ensure_join_state(
         None => None,
         Some(join) => {
             let WindowSlot { window, tindexes, .. } = &mut slots[stmt_slots[2]];
-            let tpos = match tindexes.iter().position(|t| t.key_fields == join.right_fields) {
+            let serves = |t: &ThresholdIndex| {
+                t.key_fields == join.right_fields && t.probe_fields == join.left_fields
+            };
+            let tpos = match tindexes.iter().position(serves) {
                 Some(p) => p,
                 None => {
-                    tindexes.push(ThresholdIndex::new(join.right_fields.clone()));
+                    tindexes.push(ThresholdIndex::new(
+                        join.right_fields.clone(),
+                        join.left_fields.clone(),
+                    ));
                     let p = tindexes.len() - 1;
                     if !window.is_empty() {
                         tindexes[p].rebuild(window)?;
@@ -1237,6 +1234,47 @@ mod tests {
             e.send_event(bus_event(&e, v as u64, v, "R1", 10.0, 8)).unwrap();
         }
         assert_eq!(sink.lock().len(), 5, "one output per arrival, not per window row");
+    }
+
+    #[test]
+    fn statements_probing_one_threshold_field_from_different_anchor_fields_do_not_share_a_probe() {
+        // Both rules key the threshold stream by its `location` field, one
+        // from the bus's location and one from its day: one arrival, two
+        // probe keys. Sharing one index would hand the second rule the
+        // first rule's entry.
+        let mut e = engine();
+        let rule = |anchor_field: &str| {
+            format!(
+                "SELECT bd2.location AS loc, avg(bd2.delay) AS mean_delay \
+                 FROM bus.std:lastevent() AS bd, \
+                      bus.std:groupwin(location).win:length(3) AS bd2, \
+                      thresholdLocation.win:keepall() AS thresholds \
+                 WHERE bd.{anchor_field} = thresholds.location AND bd.location = bd2.location \
+                 GROUP BY bd2.location \
+                 HAVING avg(bd2.delay) > avg(thresholds.attribute)"
+            )
+        };
+        let (by_location, l1) = capture();
+        let (by_day, l2) = capture();
+        e.create_statement(&rule("location"), l1).unwrap();
+        e.create_statement(&rule("day"), l2).unwrap();
+        assert_eq!(e.sharing_report().shared_statements, 2, "both are bank-served");
+        let tty = threshold_type();
+        for (key, thr) in [("R1", 50.0), ("weekday", 500.0)] {
+            let pairs = [
+                ("location", key.into()),
+                ("hour", 8i64.into()),
+                ("day", "weekday".into()),
+                ("attribute", thr.into()),
+            ];
+            e.send_event(Event::from_pairs(&tty, 0, &pairs).unwrap()).unwrap();
+        }
+        e.send_event(bus_event(&e, 1, 1, "R1", 100.0, 8)).unwrap();
+        assert_eq!(by_location.lock().len(), 1, "100 > R1's 50");
+        assert_eq!(by_day.lock().len(), 0, "100 is not > weekday's 500");
+        e.send_event(bus_event(&e, 2, 1, "R1", 2000.0, 8)).unwrap();
+        assert_eq!(by_location.lock().len(), 2);
+        assert_eq!(by_day.lock().len(), 1, "avg 1050 > 500");
     }
 
     #[test]

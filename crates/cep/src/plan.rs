@@ -175,11 +175,12 @@ impl CompiledStatement {
 // Compilation
 // ---------------------------------------------------------------------------
 
-/// Compiles a parsed statement against the registered event types.
-pub fn compile(
+/// Compiles a parsed statement against the registered event types,
+/// looked up by stream name through `type_of`.
+pub fn compile<'t>(
     stmt: &Statement,
     epl: &str,
-    types: &HashMap<String, Arc<EventType>>,
+    type_of: impl Fn(&str) -> Option<&'t Arc<EventType>>,
 ) -> Result<CompiledStatement, CepError> {
     if stmt.from.is_empty() {
         return Err(CepError::Semantic { reason: "FROM clause is empty".into() });
@@ -189,8 +190,7 @@ pub fn compile(
     let mut sources = Vec::with_capacity(stmt.from.len());
     let mut alias_to_source: HashMap<&str, usize> = HashMap::new();
     for (i, src) in stmt.from.iter().enumerate() {
-        let event_type = types
-            .get(&src.stream)
+        let event_type = type_of(&src.stream)
             .ok_or_else(|| CepError::UnknownStream(src.stream.clone()))?
             .clone();
         if alias_to_source.insert(src.alias.as_str(), i).is_some() {

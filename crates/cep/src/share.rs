@@ -15,27 +15,32 @@
 //! * [`SharedJoinShape`] — recognition of the Listing-1 family
 //!   (`lastevent` anchor × grouped pane, optionally × `keepall`
 //!   threshold stream) that covers every rule form the paper generates.
-//! * [`PaneBank`] / [`ThresholdIndex`] — one per-group accumulator bank
+//! * The pane bank and [`ThresholdIndex`] — per-group running aggregates
 //!   over a shared pane window (a superset of the cluster's aggregate
-//!   fields) and one keyed hash index over a threshold stream, both
-//!   delta-maintained. With these, evaluating one arrival is O(groups
-//!   touched): a bank lookup, an index probe and a per-statement
-//!   HAVING/projection fan-out — instead of O(rules × window × probe).
-//!   A lone statement is a cluster of one on the same state.
+//!   fields; they live with the panes, see
+//!   [`SourceWindow::track_field`]) and one keyed hash index over a
+//!   threshold stream, both maintained as events arrive. With these,
+//!   evaluating one arrival is O(groups touched): a pane lookup, an index
+//!   probe and a per-statement HAVING/projection fan-out — instead of
+//!   O(rules × window × probe). A lone statement is a cluster of one on
+//!   the same state.
+//! * [`ArrivalMemo`] — what one arrival has already been asked. Every
+//!   statement anchored on it reads the same group key and, per threshold
+//!   index, the same probe result.
 //!
-//! Exactness: the bank finalizes a pane accumulator under the join
-//! multiplicity via [`Accumulator::scaled`]; for integer-valued samples
-//! the result is bit-identical to the rescan path (the same contract the
-//! incremental path of PR 1 relies on, enforced by the differential
-//! suite). On non-integer samples subtract-on-evict drifts; the bank
-//! bounds that by recomputing a group from its pane once the group's
-//! evictions since the last recompute reach its row count.
+//! Exactness: a pane accumulator is finalized under the join multiplicity
+//! via [`Accumulator::scaled`]; for integer-valued samples the result is
+//! bit-identical to the rescan path (the same contract the incremental
+//! path of PR 1 relies on, enforced by the differential suite). On
+//! non-integer samples subtract-on-evict drifts; a pane bounds that by
+//! recomputing from its events once its evictions since the last
+//! recompute reach its row count.
 
 use crate::agg::Accumulator;
 use crate::error::CepError;
 use crate::event::{Event, JoinKey};
 use crate::plan::{CompiledStatement, OutputRow};
-use crate::window::{SourceWindow, WindowDelta, WindowSpec};
+use crate::window::{SourceWindow, WindowSpec};
 use std::collections::HashMap;
 
 /// Fingerprint under which two FROM sources are window-compatible.
@@ -72,7 +77,7 @@ impl WindowKey {
 ///
 /// For one arrival, every joined row lands in a single group (the
 /// anchor's), with multiplicity pane-rows × matching-threshold-rows —
-/// which is exactly what a bank lookup plus an index probe reconstructs.
+/// which is exactly what a pane lookup plus an index probe reconstructs.
 /// Without a threshold source (the static, per-location-literal and
 /// database-attached forms of the rule) the multiplicity is 1 and there
 /// is no probe.
@@ -105,7 +110,8 @@ pub struct ThresholdJoin {
 pub enum AggSrc {
     /// `count(*)`: pane-rows × threshold-rows, no accumulator needed.
     CountStar,
-    /// Pane field accumulator at this position in the bank's field list.
+    /// Pane field accumulator at this position in the pane window's
+    /// tracked fields.
     Pane(usize),
     /// Threshold field accumulator at this position in the index's
     /// value-field list.
@@ -197,152 +203,6 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     Some(SharedJoinShape { group_key_field, pane_group_field, pane_agg_fields, threshold })
 }
 
-/// One group's running accumulators within a [`PaneBank`].
-#[derive(Debug, Clone)]
-pub struct BankGroup {
-    /// Accumulators parallel to [`PaneBank::fields`].
-    pub accs: Vec<Accumulator>,
-    /// Retained rows of the group (also the pane occupancy).
-    pub rows: u64,
-    /// Rows subtracted from `accs` since they were last computed from the
-    /// pane itself.
-    evicted: u64,
-}
-
-/// The per-group accumulator bank of one shared pane window: a superset
-/// of every cluster member's aggregated fields, delta-maintained from
-/// the window's mutations. Unfiltered — the pane join has no residual
-/// predicates, so every retained row contributes.
-///
-/// Subtract-on-evict leaves rounding residue in `sum`/`sum_sq` on
-/// non-integer samples, and cannot repair an evicted `min`/`max`. Both are
-/// handled by recomputing a group from its pane, in pane order (the
-/// rescan's summation order): when an evicted value sat at an extremum,
-/// and once the group's evictions since the last recompute reach its row
-/// count. The second rule costs one extra row visit per eviction,
-/// amortised, and means the accumulators of a `win:length(L)` group only
-/// ever carry the rounding of its last 2L samples.
-#[derive(Debug, Default)]
-pub struct PaneBank {
-    /// Aggregated field indices; append-only so member positions stay
-    /// stable when a later install widens the union.
-    pub fields: Vec<usize>,
-    groups: HashMap<JoinKey, BankGroup>,
-}
-
-impl PaneBank {
-    /// Ensures a field is tracked, returning its stable position. A new
-    /// field requires a rebuild if the window already holds events — the
-    /// caller handles that via [`PaneBank::rebuild`].
-    pub fn ensure_field(&mut self, field: usize) -> (usize, bool) {
-        match self.fields.iter().position(|&f| f == field) {
-            Some(pos) => (pos, false),
-            None => {
-                self.fields.push(field);
-                (self.fields.len() - 1, true)
-            }
-        }
-    }
-
-    /// One group's accumulators.
-    pub fn group(&self, key: &JoinKey) -> Option<&BankGroup> {
-        self.groups.get(key)
-    }
-
-    /// Number of live groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Rebuilds the bank from a window's full contents (install-time
-    /// widening and replans).
-    pub fn rebuild(&mut self, window: &SourceWindow) -> Result<(), CepError> {
-        self.groups.clear();
-        let group_field = window.group_field().expect("pane banks require grouped windows");
-        for e in window.iter() {
-            self.add(e, group_field)?;
-        }
-        Ok(())
-    }
-
-    /// Folds one window mutation into the bank (evictions first, then
-    /// insertions — mirroring [`CompiledStatement::apply_delta`]).
-    pub fn apply_delta(
-        &mut self,
-        window: &SourceWindow,
-        delta: &WindowDelta,
-    ) -> Result<(), CepError> {
-        let group_field = window.group_field().expect("pane banks require grouped windows");
-        // Recomputes wait until the insertions are folded in: `window`
-        // already holds them, so an earlier recompute would count them twice.
-        let mut due: Vec<JoinKey> = Vec::new();
-        for e in &delta.evicted {
-            due.extend(self.remove(e, group_field)?);
-        }
-        for e in &delta.inserted {
-            self.add(e, group_field)?;
-        }
-        for key in &due {
-            self.recompute_group(key, window)?;
-        }
-        Ok(())
-    }
-
-    fn add(&mut self, e: &Event, group_field: usize) -> Result<(), CepError> {
-        let key = e.value_at(group_field).expect("validated index").join_key();
-        let nfields = self.fields.len();
-        let group = self.groups.entry(key).or_insert_with(|| BankGroup {
-            accs: vec![Accumulator::new(); nfields],
-            rows: 0,
-            evicted: 0,
-        });
-        for (acc, &f) in group.accs.iter_mut().zip(&self.fields) {
-            acc.add(e.value_at(f).expect("validated index").as_f64()?);
-        }
-        group.rows += 1;
-        Ok(())
-    }
-
-    /// Subtracts one evicted row, returning its group's key when the group
-    /// is due for [`PaneBank::recompute_group`].
-    fn remove(&mut self, e: &Event, group_field: usize) -> Result<Option<JoinKey>, CepError> {
-        let key = e.value_at(group_field).expect("validated index").join_key();
-        let Some(group) = self.groups.get_mut(&key) else {
-            debug_assert!(false, "eviction for a group the bank never saw");
-            return Ok(None);
-        };
-        group.rows -= 1;
-        if group.rows == 0 {
-            self.groups.remove(&key);
-            return Ok(None);
-        }
-        let mut stale_extremum = false;
-        for (acc, &f) in group.accs.iter_mut().zip(&self.fields) {
-            stale_extremum |= acc.remove(e.value_at(f).expect("validated index").as_f64()?);
-        }
-        group.evicted += 1;
-        Ok((stale_extremum || group.evicted >= group.rows).then_some(key))
-    }
-
-    /// Replaces one group's accumulators by a fresh pass over its pane.
-    fn recompute_group(&mut self, key: &JoinKey, window: &SourceWindow) -> Result<(), CepError> {
-        // A later eviction of the same delta may have emptied the group, or
-        // an earlier one already had it recomputed.
-        let Some(group) = self.groups.get_mut(key).filter(|g| g.evicted > 0) else {
-            return Ok(());
-        };
-        group.accs.fill(Accumulator::new());
-        for e in window.iter_group(key) {
-            for (acc, &f) in group.accs.iter_mut().zip(&self.fields) {
-                acc.add(e.value_at(f).expect("validated index").as_f64()?);
-            }
-        }
-        debug_assert_eq!(group.rows, window.group_len(key) as u64);
-        group.evicted = 0;
-        Ok(())
-    }
-}
-
 /// One keyed entry of a [`ThresholdIndex`].
 #[derive(Debug, Clone)]
 pub struct ThresholdEntry {
@@ -359,19 +219,30 @@ pub struct ThresholdEntry {
 /// fields and carrying running accumulators over the cluster's threshold
 /// aggregate fields. Insert-only: `keepall` never evicts and ignores
 /// time advances, so maintenance is one entry update per threshold row.
+///
+/// One index serves the statements that join the same threshold fields
+/// to the same anchor fields, so all of them probe it with one key per
+/// arrival.
 #[derive(Debug)]
 pub struct ThresholdIndex {
     /// Key fields within the threshold event type, in join order.
     pub key_fields: Vec<usize>,
+    /// The anchor (source 0) fields joined to `key_fields`, in join order.
+    pub probe_fields: Vec<usize>,
     /// Aggregated value fields; append-only (stable member positions).
     pub value_fields: Vec<usize>,
     entries: HashMap<Vec<JoinKey>, ThresholdEntry>,
 }
 
 impl ThresholdIndex {
-    /// An empty index over the given key fields.
-    pub fn new(key_fields: Vec<usize>) -> ThresholdIndex {
-        ThresholdIndex { key_fields, value_fields: Vec::new(), entries: HashMap::new() }
+    /// An empty index joining `key_fields` to the anchor's `probe_fields`.
+    pub fn new(key_fields: Vec<usize>, probe_fields: Vec<usize>) -> ThresholdIndex {
+        ThresholdIndex {
+            key_fields,
+            probe_fields,
+            value_fields: Vec::new(),
+            entries: HashMap::new(),
+        }
     }
 
     /// Ensures a value field is tracked, returning its stable position
@@ -386,9 +257,23 @@ impl ThresholdIndex {
         }
     }
 
-    /// The entry under a probe key.
-    pub fn entry(&self, key: &[JoinKey]) -> Option<&ThresholdEntry> {
-        self.entries.get(key)
+    /// The entry an anchor event joins; `key` is scratch space.
+    pub fn probe(&self, anchor: &Event, key: &mut Vec<JoinKey>) -> Option<&ThresholdEntry> {
+        key.clear();
+        key.extend(
+            self.probe_fields
+                .iter()
+                .map(|&f| anchor.value_at(f).expect("validated index").join_key()),
+        );
+        self.entries.get(key.as_slice())
+    }
+
+    /// Whether a threshold row joins an anchor event.
+    fn joins(&self, threshold: &Event, anchor: &Event) -> bool {
+        self.key_fields.iter().zip(&self.probe_fields).all(|(&k, &p)| {
+            threshold.value_at(k).expect("validated index").join_key()
+                == anchor.value_at(p).expect("validated index").join_key()
+        })
     }
 
     /// Number of distinct keys.
@@ -428,85 +313,122 @@ impl ThresholdIndex {
     }
 }
 
-/// What triggered a shared-join evaluation.
-#[derive(Debug, Clone, Copy)]
-pub enum SharedAnchor<'a> {
-    /// An arrival on the anchor/pane stream.
-    Source0(&'a Event),
-    /// An arrival on the threshold stream.
-    Threshold(&'a Event),
+/// The vectors an [`ArrivalMemo`] fills, kept by the engine between
+/// arrivals so that filling them allocates nothing.
+#[derive(Debug, Default)]
+pub struct ArrivalScratch {
+    /// The arrival's join key per field asked for so far.
+    field_keys: Vec<(usize, JoinKey)>,
+    /// The latest threshold probe key.
+    probe_key: Vec<JoinKey>,
 }
 
-/// Evaluates one shared-join statement for one arrival in O(1): a bank
+impl ArrivalScratch {
+    /// Forgets the previous arrival.
+    pub fn reset(&mut self) {
+        self.field_keys.clear();
+    }
+
+    /// The join key of `event`'s field, derived on first request. Every
+    /// call between two [`Self::reset`]s must pass the same event.
+    pub fn field_key(&mut self, event: &Event, field: usize) -> &JoinKey {
+        let at = match self.field_keys.iter().position(|(f, _)| *f == field) {
+            Some(at) => at,
+            None => {
+                let key = event.value_at(field).expect("validated index").join_key();
+                self.field_keys.push((field, key));
+                self.field_keys.len() - 1
+            }
+        };
+        &self.field_keys[at].1
+    }
+}
+
+/// What one arrival has already been asked while its subscribers are
+/// evaluated: its group key per field, and what each threshold index
+/// holds for it.
+pub struct ArrivalMemo<'s, 'e> {
+    event: &'e Event,
+    scratch: &'e mut ArrivalScratch,
+    probes: Vec<(&'s ThresholdIndex, Option<&'s ThresholdEntry>)>,
+}
+
+impl<'s, 'e> ArrivalMemo<'s, 'e> {
+    /// A memo for `event`; `scratch` must hold nothing of another event.
+    pub fn new(event: &'e Event, scratch: &'e mut ArrivalScratch) -> Self {
+        ArrivalMemo { event, scratch, probes: Vec::new() }
+    }
+
+    /// What `index` holds for the arrival as anchor: probed once.
+    fn probe(&mut self, index: &'s ThresholdIndex) -> Option<&'s ThresholdEntry> {
+        if let Some((_, found)) = self.probes.iter().find(|(i, _)| std::ptr::eq(*i, index)) {
+            return *found;
+        }
+        let found = index.probe(self.event, &mut self.scratch.probe_key);
+        self.probes.push((index, found));
+        found
+    }
+}
+
+/// Evaluates one shared-join statement for one arrival in O(1): a pane
 /// lookup, an index probe (three-source statements only) and the
 /// statement's HAVING/projection fan-out. Byte-identical to
 /// [`CompiledStatement::evaluate`] for eligible statements under
 /// integer-valued samples. `tindex` is `Some` exactly when the shape has
-/// a threshold side.
+/// a threshold side; `on_threshold` says the arrival came in on it.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_shared_join(
+pub fn evaluate_shared_join<'s>(
     stmt: &CompiledStatement,
     shape: &SharedJoinShape,
     aggs: &[AggSrc],
     source0: &SourceWindow,
-    pane: &SourceWindow,
-    bank: &PaneBank,
-    tindex: Option<&ThresholdIndex>,
-    anchor: SharedAnchor<'_>,
+    pane: &'s SourceWindow,
+    tindex: Option<&'s ThresholdIndex>,
+    on_threshold: bool,
+    memo: &mut ArrivalMemo<'s, '_>,
 ) -> Result<Vec<OutputRow>, CepError> {
-    // Resolve the source-0 binding: the arriving event, or — for a
-    // threshold arrival — whatever the lastevent window holds.
-    let (a, arriving_threshold) = match anchor {
-        SharedAnchor::Source0(e) => (e, None),
-        SharedAnchor::Threshold(t) => {
-            let Some(x) = source0.iter().next() else { return Ok(Vec::new()) };
-            (x, Some(t))
+    let (a, group, entry) = if on_threshold {
+        // The source-0 binding is whatever the lastevent window holds.
+        let Some(a) = source0.iter().next() else { return Ok(Vec::new()) };
+        if !stmt.passes_first_filter(a)? {
+            return Ok(Vec::new());
         }
-    };
-    if !stmt.passes_first_filter(a)? {
-        return Ok(Vec::new());
-    }
-    let gkey = a.value_at(shape.group_key_field).expect("validated index").join_key();
-    let n = pane.group_len(&gkey) as u64;
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let entry = match shape.threshold.as_ref().zip(tindex) {
-        Some((join, tindex)) => {
-            let tkey: Vec<JoinKey> = join
-                .left_fields
-                .iter()
-                .map(|&f| a.value_at(f).expect("validated index").join_key())
-                .collect();
-            if let Some(t) = arriving_threshold {
-                // istream restriction: a threshold arrival only emits when
-                // it itself participates in the joined group, i.e. its key
-                // matches the probe key of the standing anchor event.
-                let participates = join
-                    .right_fields
-                    .iter()
-                    .zip(&tkey)
-                    .all(|(&f, k)| t.value_at(f).expect("validated index").join_key() == *k);
-                if !participates {
-                    return Ok(Vec::new());
-                }
-            }
-            let Some(entry) = tindex.entry(&tkey) else { return Ok(Vec::new()) };
-            Some(entry)
+        let gkey = a.value_at(shape.group_key_field).expect("validated index").join_key();
+        let Some(group) = pane.group(&gkey) else { return Ok(Vec::new()) };
+        let index = tindex.expect("a threshold arrival reaches three-source statements only");
+        // istream restriction: a threshold arrival only emits when it
+        // itself participates in the joined group, i.e. its key matches
+        // the probe key of the standing anchor event.
+        if !index.joins(memo.event, a) {
+            return Ok(Vec::new());
         }
-        None => None,
+        let Some(entry) = index.probe(a, &mut memo.scratch.probe_key) else {
+            return Ok(Vec::new());
+        };
+        (a, group, Some(entry))
+    } else {
+        let a = memo.event;
+        if !stmt.passes_first_filter(a)? {
+            return Ok(Vec::new());
+        }
+        let gkey = memo.scratch.field_key(a, shape.group_key_field);
+        let Some(group) = pane.group(gkey) else { return Ok(Vec::new()) };
+        let entry = match tindex {
+            Some(index) => match memo.probe(index) {
+                Some(entry) => Some(entry),
+                None => return Ok(Vec::new()),
+            },
+            None => None,
+        };
+        (a, group, entry)
     };
-    // Join multiplicity of each pane row.
-    let m = entry.map_or(1, |en| en.rows);
-    let Some(bg) = bank.group(&gkey) else {
-        debug_assert!(false, "bank group missing despite non-empty pane");
-        return Ok(Vec::new());
-    };
+    // Join multiplicity of each pane row, and of each threshold row.
+    let (n, m) = (group.rows, entry.map_or(1, |en| en.rows));
     let mut agg_values = Vec::with_capacity(stmt.agg_calls.len());
     for (src, call) in aggs.iter().zip(&stmt.agg_calls) {
         let v = match (src, entry) {
             (AggSrc::CountStar, _) => Ok((n * m) as f64),
-            (AggSrc::Pane(pos), _) => bg.accs[*pos].scaled(m).finish(call.func),
+            (AggSrc::Pane(pos), _) => group.accs[*pos].scaled(m).finish(call.func),
             (AggSrc::Threshold(pos), Some(en)) => en.accs[*pos].scaled(n).finish(call.func),
             (AggSrc::Threshold(_), None) => {
                 unreachable!("shape detection rejects threshold aggregates without a threshold")
@@ -520,7 +442,7 @@ pub fn evaluate_shared_join(
     }
     // The group's last joined row: (anchor, newest pane row[, latest
     // matching threshold]) — the binding bare fields resolve against.
-    let pane_last = pane.group_back(&gkey).expect("n > 0").clone();
+    let pane_last = group.last.clone();
     match entry {
         Some(en) => stmt.emit_shared_group(&[a.clone(), pane_last, en.last.clone()], &agg_values),
         None => stmt.emit_shared_group(&[a.clone(), pane_last], &agg_values),
@@ -528,7 +450,8 @@ pub fn evaluate_shared_join(
 }
 
 /// One cluster in the chosen plan: the statements (one or more) fanned
-/// out from one pane bank and, for three-source rules, one threshold index.
+/// out from one pane window's aggregates and, for three-source rules, one
+/// threshold index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterInfo {
     /// Member statements, in registration order.

@@ -5,9 +5,9 @@
 //! of it, so `bus.std:groupwin(location).win:length(10)` keeps the last 10
 //! events **per location** — exactly the Listing 1 semantics.
 
+use crate::agg::Accumulator;
 use crate::error::CepError;
 use crate::event::{Event, JoinKey};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// The data window of a view chain.
@@ -80,6 +80,97 @@ struct Pane {
     pending: VecDeque<Event>,
     /// For `TimeBatchMs`: timestamp starting the current batch interval.
     batch_start: Option<u64>,
+    /// Running aggregates over `events`, parallel to the window's tracked
+    /// fields; empty while the pane is (an empty pane folds nothing).
+    accs: Vec<Accumulator>,
+    /// Rows subtracted from `accs` since they were last computed from
+    /// `events` themselves.
+    evicted: u64,
+}
+
+impl Pane {
+    /// Folds one mutation of this pane into its accumulators: evictions
+    /// first, then insertions — mirroring
+    /// [`crate::plan::CompiledStatement::apply_delta`]. `rows` is the
+    /// pane's occupancy before the mutation.
+    ///
+    /// Subtract-on-evict leaves rounding residue in `sum`/`sum_sq` on
+    /// non-integer samples, and cannot repair an evicted `min`/`max`. Both
+    /// are handled by recomputing from the pane, in pane order (the
+    /// rescan's summation order): when an evicted value sat at an
+    /// extremum, and once the evictions since the last recompute reach the
+    /// row count. The second rule costs one extra row visit per eviction,
+    /// amortised, and means the accumulators of a `win:length(L)` pane only
+    /// ever carry the rounding of its last 2L samples.
+    fn fold(
+        &mut self,
+        fields: &[usize],
+        evicted: &[Event],
+        inserted: &[Event],
+        mut rows: usize,
+    ) -> Result<(), CepError> {
+        if fields.is_empty() {
+            return Ok(());
+        }
+        let mut due = false;
+        for e in evicted {
+            rows -= 1;
+            if rows == 0 {
+                // Emptied: whatever comes next starts from clean state.
+                self.accs.clear();
+                self.evicted = 0;
+                continue;
+            }
+            let mut stale_extremum = false;
+            for (acc, &f) in self.accs.iter_mut().zip(fields) {
+                stale_extremum |= acc.remove(e.value_at(f).expect("validated index").as_f64()?);
+            }
+            self.evicted += 1;
+            due |= stale_extremum || self.evicted >= rows as u64;
+        }
+        if !inserted.is_empty() {
+            self.accs.resize(fields.len(), Accumulator::new());
+        }
+        for e in inserted {
+            for (acc, &f) in self.accs.iter_mut().zip(fields) {
+                acc.add(e.value_at(f).expect("validated index").as_f64()?);
+            }
+        }
+        // After the insertions: `events` already holds them, so an earlier
+        // recompute would count them twice.
+        if due && self.evicted > 0 {
+            self.recompute(fields)?;
+        }
+        Ok(())
+    }
+
+    /// Replaces the accumulators by a fresh pass over the pane.
+    fn recompute(&mut self, fields: &[usize]) -> Result<(), CepError> {
+        self.accs.clear();
+        self.evicted = 0;
+        if fields.is_empty() || self.events.is_empty() {
+            return Ok(());
+        }
+        self.accs.resize(fields.len(), Accumulator::new());
+        for e in &self.events {
+            for (acc, &f) in self.accs.iter_mut().zip(fields) {
+                acc.add(e.value_at(f).expect("validated index").as_f64()?);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One non-empty `groupwin` pane as the shared-join path reads it: one
+/// lookup answers how many rows, which is newest, and what they add up to.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupView<'a> {
+    /// Retained rows (at least one).
+    pub rows: u64,
+    /// Most recently retained event.
+    pub last: &'a Event,
+    /// Running aggregates, parallel to [`SourceWindow::tracked_fields`].
+    pub accs: &'a [Accumulator],
 }
 
 /// Window state: ungrouped, or one pane per `groupwin` key.
@@ -95,6 +186,10 @@ pub struct SourceWindow {
     /// panes deterministically (the rescan and incremental evaluation
     /// paths must emit identical row sequences).
     pane_order: Vec<JoinKey>,
+    /// Fields every pane keeps running aggregates over — the union of
+    /// what the statements served from this window aggregate. Append-only
+    /// so member positions stay stable when a later install widens it.
+    tracked: Vec<usize>,
     len: usize,
     /// Bumped on every mutation; lets the engine cache join indexes over
     /// windows that rarely change (e.g. the threshold `keepall` stream).
@@ -125,6 +220,7 @@ impl SourceWindow {
             ungrouped: Pane::default(),
             grouped: HashMap::new(),
             pane_order: Vec::new(),
+            tracked: Vec::new(),
             len: 0,
             version: 0,
         })
@@ -151,114 +247,91 @@ impl SourceWindow {
     }
 
     /// Inserts an event, evicting per the spec.
-    pub fn insert(&mut self, event: &Event) -> InsertOutcome {
-        self.insert_inner(event, None)
+    pub fn insert(&mut self, event: &Event) -> Result<InsertOutcome, CepError> {
+        self.insert_with_delta(event, &mut WindowDelta::new())
     }
 
     /// Inserts an event, recording the visible-window change in `delta`
     /// (which is cleared first).
-    pub fn insert_with_delta(&mut self, event: &Event, delta: &mut WindowDelta) -> InsertOutcome {
-        delta.clear();
-        self.insert_inner(event, Some(delta))
+    pub fn insert_with_delta(
+        &mut self,
+        event: &Event,
+        delta: &mut WindowDelta,
+    ) -> Result<InsertOutcome, CepError> {
+        let key = self.group_field.map(|idx| {
+            event.value_at(idx).expect("group field index validated at compile time").join_key()
+        });
+        self.insert_keyed(event, key.as_ref(), delta)
     }
 
-    fn insert_inner(&mut self, event: &Event, mut delta: Option<&mut WindowDelta>) -> InsertOutcome {
+    /// [`Self::insert_with_delta`] for a caller that already holds the
+    /// join key of the event's `groupwin` field (`None` for an ungrouped
+    /// window): one arrival enters several windows grouped by the same
+    /// field. The pane is found once; its running aggregates are folded in
+    /// the same visit.
+    pub fn insert_keyed(
+        &mut self,
+        event: &Event,
+        key: Option<&JoinKey>,
+        delta: &mut WindowDelta,
+    ) -> Result<InsertOutcome, CepError> {
+        delta.clear();
         self.version += 1;
         let ts = event.timestamp_ms();
-        let spec = self.spec;
-        let (pane, len) = match self.group_field {
-            None => (&mut self.ungrouped, &mut self.len),
-            Some(idx) => {
-                let key = event
-                    .value_at(idx)
-                    .expect("group field index validated at compile time")
-                    .join_key();
-                let pane = match self.grouped.entry(key) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        self.pane_order.push(e.key().clone());
-                        e.insert(Pane::default())
-                    }
-                };
-                (pane, &mut self.len)
-            }
+        let SourceWindow { spec, ungrouped, grouped, pane_order, tracked, len, .. } = self;
+        let pane = match key {
+            None => ungrouped,
+            Some(key) => match grouped.get_mut(key) {
+                Some(pane) => pane,
+                None => {
+                    pane_order.push(key.clone());
+                    grouped.entry(key.clone()).or_default()
+                }
+            },
         };
+        let rows = pane.events.len();
         let mut evaluate = true;
-        match spec {
+        match *spec {
             WindowSpec::LastEvent => {
-                *len -= pane.events.len();
-                if let Some(d) = delta.as_deref_mut() {
-                    d.evicted.extend(pane.events.drain(..));
-                } else {
-                    pane.events.clear();
-                }
+                delta.evicted.extend(pane.events.drain(..));
                 pane.events.push_back(event.clone());
-                *len += 1;
-                if let Some(d) = delta {
-                    d.inserted.push(event.clone());
-                }
+                delta.inserted.push(event.clone());
             }
             WindowSpec::Length(n) => {
                 pane.events.push_back(event.clone());
-                *len += 1;
                 while pane.events.len() > n {
-                    let old = pane.events.pop_front();
-                    *len -= 1;
-                    if let (Some(d), Some(old)) = (delta.as_deref_mut(), old) {
-                        d.evicted.push(old);
-                    }
+                    delta.evicted.extend(pane.events.pop_front());
                 }
-                if let Some(d) = delta {
-                    d.inserted.push(event.clone());
-                }
+                delta.inserted.push(event.clone());
             }
             WindowSpec::LengthBatch(n) => {
                 pane.pending.push_back(event.clone());
                 if pane.pending.len() >= n {
-                    *len -= pane.events.len();
                     let old = std::mem::replace(&mut pane.events, std::mem::take(&mut pane.pending));
-                    *len += pane.events.len();
-                    if let Some(d) = delta {
-                        d.evicted.extend(old);
-                        d.inserted.extend(pane.events.iter().cloned());
-                    }
+                    delta.evicted.extend(old);
+                    delta.inserted.extend(pane.events.iter().cloned());
                 } else {
                     evaluate = false;
                 }
             }
             WindowSpec::TimeMs(w) => {
                 pane.events.push_back(event.clone());
-                *len += 1;
                 let cutoff = ts.saturating_sub(w);
-                while pane
-                    .events
-                    .front()
-                    .is_some_and(|e| e.timestamp_ms() < cutoff)
-                {
-                    let old = pane.events.pop_front();
-                    *len -= 1;
-                    if let (Some(d), Some(old)) = (delta.as_deref_mut(), old) {
-                        d.evicted.push(old);
-                    }
+                while pane.events.front().is_some_and(|e| e.timestamp_ms() < cutoff) {
+                    delta.evicted.extend(pane.events.pop_front());
                 }
-                if let Some(d) = delta {
-                    d.inserted.push(event.clone());
-                }
+                delta.inserted.push(event.clone());
             }
             WindowSpec::TimeBatchMs(w) => {
                 let start = *pane.batch_start.get_or_insert(ts);
                 if ts.saturating_sub(start) >= w {
                     // The arriving event opens a new interval; everything
                     // accumulated in the previous one releases now.
-                    *len -= pane.events.len();
                     let old = std::mem::replace(&mut pane.events, std::mem::take(&mut pane.pending));
-                    *len += pane.events.len();
                     pane.batch_start = Some(ts);
                     pane.pending.push_back(event.clone());
-                    if let Some(d) = delta {
-                        d.evicted.extend(old);
-                        d.inserted.extend(pane.events.iter().cloned());
-                    }
+                    delta.evicted.extend(old);
+                    delta.inserted.extend(pane.events.iter().cloned());
                 } else {
                     pane.pending.push_back(event.clone());
                     evaluate = false;
@@ -266,41 +339,37 @@ impl SourceWindow {
             }
             WindowSpec::KeepAll => {
                 pane.events.push_back(event.clone());
-                *len += 1;
-                if let Some(d) = delta {
-                    d.inserted.push(event.clone());
-                }
+                delta.inserted.push(event.clone());
             }
         }
-        InsertOutcome { evaluate }
+        *len = *len + delta.inserted.len() - delta.evicted.len();
+        pane.fold(tracked, &delta.evicted, &delta.inserted, rows)?;
+        Ok(InsertOutcome { evaluate })
     }
 
     /// Advances event time without an arrival, evicting expired events
     /// from time windows. Other specs are unaffected.
     pub fn advance_time(&mut self, now_ms: u64) {
-        self.advance_time_inner(now_ms, None);
+        self.advance_time_with_delta(now_ms, &mut WindowDelta::new());
     }
 
     /// Advances event time, recording evictions in `delta` (cleared
     /// first). Deterministic: panes are visited in first-seen order.
     pub fn advance_time_with_delta(&mut self, now_ms: u64, delta: &mut WindowDelta) {
         delta.clear();
-        self.advance_time_inner(now_ms, Some(delta));
-    }
-
-    fn advance_time_inner(&mut self, now_ms: u64, mut delta: Option<&mut WindowDelta>) {
         let WindowSpec::TimeMs(w) = self.spec else { return };
         let cutoff = now_ms.saturating_sub(w);
-        let SourceWindow { ungrouped, grouped, pane_order, len, .. } = self;
+        let SourceWindow { ungrouped, grouped, pane_order, tracked, len, .. } = self;
         // Ungrouped pane first, then keyed panes in first-seen order — the
         // same order `iter` exposes, so delta eviction order matches.
-        let mut evicted = evict_expired(ungrouped, cutoff, len, &mut delta);
+        evict_expired(ungrouped, cutoff, tracked, delta);
         for k in pane_order.iter() {
             if let Some(pane) = grouped.get_mut(k) {
-                evicted |= evict_expired(pane, cutoff, len, &mut delta);
+                evict_expired(pane, cutoff, tracked, delta);
             }
         }
-        if evicted {
+        if !delta.evicted.is_empty() {
+            *len -= delta.evicted.len();
             self.version += 1;
         }
     }
@@ -340,11 +409,16 @@ impl SourceWindow {
     pub fn remove_matching(&mut self, pred: impl Fn(&Event) -> bool) -> usize {
         let mut removed = 0usize;
         let len = &mut self.len;
+        let tracked = &self.tracked;
         let mut filter_pane = |pane: &mut Pane| {
             let before = pane.events.len();
             pane.events.retain(|e| !pred(e));
             *len -= before - pane.events.len();
             removed += before - pane.events.len();
+            if pane.events.len() != before {
+                pane.recompute(tracked)
+                    .expect("the surviving values folded in when they arrived");
+            }
             let before = pane.pending.len();
             pane.pending.retain(|e| !pred(e));
             removed += before - pane.pending.len();
@@ -377,20 +451,59 @@ impl SourceWindow {
         self.grouped.get(key).into_iter().flat_map(|p| p.events.iter())
     }
 
-    /// Number of retained events in one `groupwin` pane (0 for an unseen
-    /// key). O(1) — the shared-join path reads this instead of scanning.
-    pub fn group_len(&self, key: &JoinKey) -> usize {
-        self.grouped.get(key).map_or(0, |p| p.events.len())
+    /// One `groupwin` pane's occupancy, newest event and running
+    /// aggregates; `None` for an unseen or emptied key. O(1) — the
+    /// shared-join path reads this instead of scanning.
+    pub fn group(&self, key: &JoinKey) -> Option<GroupView<'_>> {
+        let pane = self.grouped.get(key)?;
+        let last = pane.events.back()?;
+        Some(GroupView { rows: pane.events.len() as u64, last, accs: &pane.accs })
     }
 
-    /// Most recently retained event of one `groupwin` pane.
-    pub fn group_back(&self, key: &JoinKey) -> Option<&Event> {
-        self.grouped.get(key).and_then(|p| p.events.back())
+    /// Number of non-empty `groupwin` panes.
+    pub fn group_count(&self) -> usize {
+        self.grouped.values().filter(|p| !p.events.is_empty()).count()
     }
 
     /// The group field index, if this window is grouped.
     pub fn group_field(&self) -> Option<usize> {
         self.group_field
+    }
+
+    /// The fields every pane keeps running aggregates over.
+    pub fn tracked_fields(&self) -> &[usize] {
+        &self.tracked
+    }
+
+    /// Ensures panes aggregate `field`, returning its stable position and
+    /// whether it is new. A new field over a non-empty window needs
+    /// [`Self::recompute_aggregates`] before the next read.
+    pub fn track_field(&mut self, field: usize) -> (usize, bool) {
+        match self.tracked.iter().position(|&f| f == field) {
+            Some(pos) => (pos, false),
+            None => {
+                self.tracked.push(field);
+                (self.tracked.len() - 1, true)
+            }
+        }
+    }
+
+    /// Stops aggregating: no tracked fields, no accumulators.
+    pub fn untrack(&mut self) {
+        self.tracked.clear();
+        for pane in std::iter::once(&mut self.ungrouped).chain(self.grouped.values_mut()) {
+            pane.accs.clear();
+            pane.evicted = 0;
+        }
+    }
+
+    /// Recomputes every pane's aggregates from its events (install-time
+    /// widening and replans).
+    pub fn recompute_aggregates(&mut self) -> Result<(), CepError> {
+        for pane in std::iter::once(&mut self.ungrouped).chain(self.grouped.values_mut()) {
+            pane.recompute(&self.tracked)?;
+        }
+        Ok(())
     }
 
     /// Whether two windows hold the *identical* state: same spec and
@@ -429,23 +542,16 @@ fn pane_eq(a: &Pane, b: &Pane) -> bool {
         && a.pending.iter().zip(b.pending.iter()).all(|(x, y)| x.same_instance(y))
 }
 
-/// Pops expired events off a pane's front, recording them in `delta`.
-fn evict_expired(
-    pane: &mut Pane,
-    cutoff: u64,
-    len: &mut usize,
-    delta: &mut Option<&mut WindowDelta>,
-) -> bool {
-    let mut any = false;
+/// Pops expired events off a pane's front, appending them to
+/// `delta.evicted` and folding them out of the pane's aggregates.
+fn evict_expired(pane: &mut Pane, cutoff: u64, tracked: &[usize], delta: &mut WindowDelta) {
+    let (rows, from) = (pane.events.len(), delta.evicted.len());
     while pane.events.front().is_some_and(|e| e.timestamp_ms() < cutoff) {
-        let old = pane.events.pop_front();
-        *len -= 1;
-        any = true;
-        if let (Some(d), Some(old)) = (delta.as_deref_mut(), old) {
-            d.evicted.push(old);
-        }
+        delta.evicted.extend(pane.events.pop_front());
     }
-    any
+    pane.fold(tracked, &delta.evicted[from..], &[], rows)
+        // Removal re-reads only values that folded in when they arrived.
+        .expect("delta eviction cannot fail after a successful insert");
 }
 
 #[cfg(test)]
@@ -476,7 +582,7 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::LastEvent, None).unwrap();
         for i in 0..5 {
-            assert!(w.insert(&ev(&t, i, "R1", i as f64)).evaluate);
+            assert!(w.insert(&ev(&t, i, "R1", i as f64)).unwrap().evaluate);
         }
         assert_eq!(w.len(), 1);
         assert_eq!(delays(&w), vec![4.0]);
@@ -487,7 +593,7 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::Length(3), None).unwrap();
         for i in 0..5 {
-            w.insert(&ev(&t, i, "R1", i as f64));
+            w.insert(&ev(&t, i, "R1", i as f64)).unwrap();
         }
         assert_eq!(w.len(), 3);
         assert_eq!(delays(&w), vec![2.0, 3.0, 4.0]);
@@ -498,8 +604,8 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::Length(2), Some(0)).unwrap();
         for i in 0..4 {
-            w.insert(&ev(&t, i, "R1", i as f64));
-            w.insert(&ev(&t, i, "R2", 100.0 + i as f64));
+            w.insert(&ev(&t, i, "R1", i as f64)).unwrap();
+            w.insert(&ev(&t, i, "R2", 100.0 + i as f64)).unwrap();
         }
         assert_eq!(w.len(), 4);
         let k1 = FieldValue::from("R1").join_key();
@@ -514,14 +620,14 @@ mod tests {
     fn length_batch_releases_in_batches() {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::LengthBatch(3), None).unwrap();
-        assert!(!w.insert(&ev(&t, 0, "R1", 0.0)).evaluate);
-        assert!(!w.insert(&ev(&t, 1, "R1", 1.0)).evaluate);
+        assert!(!w.insert(&ev(&t, 0, "R1", 0.0)).unwrap().evaluate);
+        assert!(!w.insert(&ev(&t, 1, "R1", 1.0)).unwrap().evaluate);
         assert_eq!(w.len(), 0, "nothing released yet");
-        assert!(w.insert(&ev(&t, 2, "R1", 2.0)).evaluate);
+        assert!(w.insert(&ev(&t, 2, "R1", 2.0)).unwrap().evaluate);
         assert_eq!(delays(&w), vec![0.0, 1.0, 2.0]);
         // The next batch replaces the previous one on release.
         for i in 3..6 {
-            w.insert(&ev(&t, i, "R1", i as f64));
+            w.insert(&ev(&t, i, "R1", i as f64)).unwrap();
         }
         assert_eq!(delays(&w), vec![3.0, 4.0, 5.0]);
     }
@@ -530,9 +636,9 @@ mod tests {
     fn time_window_evicts_by_timestamp() {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::TimeMs(1000), None).unwrap();
-        w.insert(&ev(&t, 0, "R1", 0.0));
-        w.insert(&ev(&t, 500, "R1", 1.0));
-        w.insert(&ev(&t, 1400, "R1", 2.0));
+        w.insert(&ev(&t, 0, "R1", 0.0)).unwrap();
+        w.insert(&ev(&t, 500, "R1", 1.0)).unwrap();
+        w.insert(&ev(&t, 1400, "R1", 2.0)).unwrap();
         // ts=0 is now older than 1400-1000.
         assert_eq!(delays(&w), vec![1.0, 2.0]);
         w.advance_time(3000);
@@ -544,7 +650,7 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::KeepAll, None).unwrap();
         for i in 0..100 {
-            w.insert(&ev(&t, i, "R1", i as f64));
+            w.insert(&ev(&t, i, "R1", i as f64)).unwrap();
         }
         assert_eq!(w.len(), 100);
     }
@@ -560,9 +666,9 @@ mod tests {
     fn grouped_last_event() {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::LastEvent, Some(0)).unwrap();
-        w.insert(&ev(&t, 0, "R1", 1.0));
-        w.insert(&ev(&t, 1, "R1", 2.0));
-        w.insert(&ev(&t, 2, "R2", 3.0));
+        w.insert(&ev(&t, 0, "R1", 1.0)).unwrap();
+        w.insert(&ev(&t, 1, "R1", 2.0)).unwrap();
+        w.insert(&ev(&t, 2, "R2", 3.0)).unwrap();
         assert_eq!(w.len(), 2, "one per group");
         assert_eq!(delays(&w), vec![2.0, 3.0]);
     }
@@ -576,12 +682,12 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::Length(2), None).unwrap();
         let mut d = WindowDelta::new();
-        w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d);
+        w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d).unwrap();
         assert_eq!(dvals(&d.inserted), vec![0.0]);
         assert!(d.evicted.is_empty());
-        w.insert_with_delta(&ev(&t, 1, "R1", 1.0), &mut d);
+        w.insert_with_delta(&ev(&t, 1, "R1", 1.0), &mut d).unwrap();
         assert!(d.evicted.is_empty());
-        w.insert_with_delta(&ev(&t, 2, "R1", 2.0), &mut d);
+        w.insert_with_delta(&ev(&t, 2, "R1", 2.0), &mut d).unwrap();
         assert_eq!(dvals(&d.inserted), vec![2.0]);
         assert_eq!(dvals(&d.evicted), vec![0.0], "window of 2 pushed out the oldest");
     }
@@ -591,9 +697,9 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::LastEvent, None).unwrap();
         let mut d = WindowDelta::new();
-        w.insert_with_delta(&ev(&t, 0, "R1", 1.0), &mut d);
+        w.insert_with_delta(&ev(&t, 0, "R1", 1.0), &mut d).unwrap();
         assert!(d.evicted.is_empty());
-        w.insert_with_delta(&ev(&t, 1, "R1", 2.0), &mut d);
+        w.insert_with_delta(&ev(&t, 1, "R1", 2.0), &mut d).unwrap();
         assert_eq!(dvals(&d.evicted), vec![1.0]);
         assert_eq!(dvals(&d.inserted), vec![2.0]);
     }
@@ -603,17 +709,17 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::LengthBatch(3), None).unwrap();
         let mut d = WindowDelta::new();
-        assert!(!w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d).evaluate);
+        assert!(!w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d).unwrap().evaluate);
         assert!(d.is_empty(), "visible window unchanged while accumulating");
-        w.insert_with_delta(&ev(&t, 1, "R1", 1.0), &mut d);
-        assert!(w.insert_with_delta(&ev(&t, 2, "R1", 2.0), &mut d).evaluate);
+        w.insert_with_delta(&ev(&t, 1, "R1", 1.0), &mut d).unwrap();
+        assert!(w.insert_with_delta(&ev(&t, 2, "R1", 2.0), &mut d).unwrap().evaluate);
         assert_eq!(dvals(&d.inserted), vec![0.0, 1.0, 2.0], "whole batch enters at once");
         assert!(d.evicted.is_empty());
         // Next release evicts the previous batch.
         for i in 3..5 {
-            w.insert_with_delta(&ev(&t, i, "R1", i as f64), &mut d);
+            w.insert_with_delta(&ev(&t, i, "R1", i as f64), &mut d).unwrap();
         }
-        w.insert_with_delta(&ev(&t, 5, "R1", 5.0), &mut d);
+        w.insert_with_delta(&ev(&t, 5, "R1", 5.0), &mut d).unwrap();
         assert_eq!(dvals(&d.evicted), vec![0.0, 1.0, 2.0]);
         assert_eq!(dvals(&d.inserted), vec![3.0, 4.0, 5.0]);
     }
@@ -623,9 +729,9 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::TimeMs(1000), None).unwrap();
         let mut d = WindowDelta::new();
-        w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d);
-        w.insert_with_delta(&ev(&t, 500, "R1", 1.0), &mut d);
-        w.insert_with_delta(&ev(&t, 1400, "R1", 2.0), &mut d);
+        w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d).unwrap();
+        w.insert_with_delta(&ev(&t, 500, "R1", 1.0), &mut d).unwrap();
+        w.insert_with_delta(&ev(&t, 1400, "R1", 2.0), &mut d).unwrap();
         assert_eq!(dvals(&d.evicted), vec![0.0], "expired on arrival");
         w.advance_time_with_delta(3000, &mut d);
         assert_eq!(dvals(&d.evicted), vec![1.0, 2.0]);
@@ -641,8 +747,8 @@ mod tests {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::Length(3), Some(0)).unwrap();
         for i in 0..3 {
-            w.insert(&ev(&t, i, "R1", i as f64));
-            w.insert(&ev(&t, i, "R2", 100.0 + i as f64));
+            w.insert(&ev(&t, i, "R1", i as f64)).unwrap();
+            w.insert(&ev(&t, i, "R2", 100.0 + i as f64)).unwrap();
         }
         let v0 = w.version();
         let is_r1 = |e: &Event| e.value_at(0).unwrap() == &FieldValue::from("R1");
@@ -653,15 +759,15 @@ mod tests {
         // The emptied pane is gone: re-removal finds nothing.
         assert_eq!(w.remove_matching(is_r1), 0);
         let k1 = FieldValue::from("R1").join_key();
-        assert_eq!(w.group_len(&k1), 0);
+        assert!(w.group(&k1).is_none());
     }
 
     #[test]
     fn iter_all_and_remove_matching_cover_batch_pending() {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::LengthBatch(3), None).unwrap();
-        w.insert(&ev(&t, 0, "R1", 0.0));
-        w.insert(&ev(&t, 1, "R2", 1.0));
+        w.insert(&ev(&t, 0, "R1", 0.0)).unwrap();
+        w.insert(&ev(&t, 1, "R2", 1.0)).unwrap();
         assert_eq!(w.iter().count(), 0, "nothing released yet");
         assert_eq!(w.iter_all().count(), 2, "pending events are migration state");
         let removed =
@@ -672,12 +778,67 @@ mod tests {
     }
 
     #[test]
+    fn tracked_aggregates_follow_each_pane_through_evictions() {
+        let t = ty();
+        let mut w = SourceWindow::new(WindowSpec::Length(3), Some(0)).unwrap();
+        w.insert(&ev(&t, 0, "R1", 7.0)).unwrap();
+        // Tracking starts over a non-empty window: recompute, then follow.
+        assert_eq!(w.track_field(1), (0, true));
+        assert_eq!(w.track_field(1), (0, false));
+        w.recompute_aggregates().unwrap();
+        let k1 = FieldValue::from("R1").join_key();
+        let k2 = FieldValue::from("R2").join_key();
+        let sum = |w: &SourceWindow, k: &JoinKey| {
+            let g = w.group(k).unwrap();
+            assert_eq!(g.rows, g.accs[0].count());
+            (g.rows, g.accs[0].finish(crate::ast::AggFunc::Sum).unwrap())
+        };
+        assert_eq!(sum(&w, &k1), (1, 7.0));
+        assert!(w.group(&k2).is_none());
+        for (i, d) in [1.0, 2.0, 4.0, 8.0].into_iter().enumerate() {
+            w.insert(&ev(&t, 1 + i as u64, "R1", d)).unwrap();
+            w.insert(&ev(&t, 1 + i as u64, "R2", 10.0 * d)).unwrap();
+        }
+        assert_eq!(sum(&w, &k1), (3, 14.0), "7 and 1 slid out of R1's pane");
+        assert_eq!(sum(&w, &k2), (3, 140.0));
+        assert_eq!(w.group(&k1).unwrap().last.value_at(1), Some(&FieldValue::Float(8.0)));
+        // A caller-supplied key reaches the same pane.
+        let mut d = WindowDelta::new();
+        w.insert_keyed(&ev(&t, 9, "R2", 1.0), Some(&k2), &mut d).unwrap();
+        assert_eq!(dvals(&d.evicted), vec![20.0]);
+        assert_eq!(sum(&w, &k2), (3, 121.0));
+        // Removal and untracking leave nothing behind.
+        w.remove_matching(|e| e.value_at(1) == Some(&FieldValue::Float(1.0)));
+        assert_eq!(sum(&w, &k2), (2, 120.0));
+        w.untrack();
+        assert!(w.tracked_fields().is_empty());
+        assert!(w.group(&k2).unwrap().accs.is_empty());
+    }
+
+    #[test]
+    fn tracked_aggregates_restart_when_a_time_pane_empties() {
+        let t = ty();
+        let mut w = SourceWindow::new(WindowSpec::TimeMs(1000), Some(0)).unwrap();
+        w.track_field(1);
+        w.insert(&ev(&t, 0, "R1", 0.1)).unwrap();
+        w.insert(&ev(&t, 10, "R1", 0.2)).unwrap();
+        let k1 = FieldValue::from("R1").join_key();
+        w.advance_time(5000);
+        assert!(w.group(&k1).is_none(), "an emptied pane is no group");
+        assert_eq!(w.group_count(), 0);
+        // The next arrival sees none of the evicted samples' rounding.
+        w.insert(&ev(&t, 6000, "R1", 0.3)).unwrap();
+        let g = w.group(&k1).unwrap();
+        assert_eq!(g.accs[0].raw_parts(), (1, 0.3, 0.3 * 0.3, 0.3, 0.3));
+    }
+
+    #[test]
     fn iter_order_is_first_seen_pane_order() {
         let t = ty();
         let mut w = SourceWindow::new(WindowSpec::Length(2), Some(0)).unwrap();
-        w.insert(&ev(&t, 0, "B", 1.0));
-        w.insert(&ev(&t, 1, "A", 2.0));
-        w.insert(&ev(&t, 2, "B", 3.0));
+        w.insert(&ev(&t, 0, "B", 1.0)).unwrap();
+        w.insert(&ev(&t, 1, "A", 2.0)).unwrap();
+        w.insert(&ev(&t, 2, "B", 3.0)).unwrap();
         let order: Vec<f64> =
             w.iter().map(|e| e.value_at(1).unwrap().as_f64().unwrap()).collect();
         assert_eq!(order, vec![1.0, 3.0, 2.0], "pane B (seen first) before pane A");
