@@ -850,6 +850,7 @@ impl RuleEngine {
             DayType::Weekday => &days[0],
             DayType::Weekend => &days[1],
         };
+        // Drained by every trace that got as far as sending.
         outbox.clear();
         for route in routes.iter() {
             let Some(value) = route.attribute.value(e) else { continue };
