@@ -360,24 +360,35 @@ pub fn run_statistics_job(
 // ---------------------------------------------------------------------------
 
 /// Estimates tuples/second per location id from a span of traces.
+/// Locations no trace fell in are absent, not zero.
 pub fn region_rates(
     traces: &[BusTrace],
     spatial: &SpatialContext,
 ) -> HashMap<String, f64> {
-    let mut counts: HashMap<String, u64> = HashMap::new();
+    // Region and stop ids are dense: count by id, name what was counted.
+    let mut regions = vec![0u64; spatial.quadtree.region_count()];
+    let mut stops = vec![0u64; spatial.stops.len()];
     let (mut min_ts, mut max_ts) = (u64::MAX, 0u64);
     for t in traces {
         min_ts = min_ts.min(t.timestamp_ms);
         max_ts = max_ts.max(t.timestamp_ms);
         for r in spatial.quadtree.locate_all_layers(&t.position) {
-            *counts.entry(SpatialContext::region_id(r.id)).or_default() += 1;
+            regions[r.id.0 as usize] += 1;
         }
         if let Some(s) = spatial.stops.closest_stop(t.line_id, t.direction, &t.position) {
-            *counts.entry(SpatialContext::stop_id(s.id)).or_default() += 1;
+            stops[s.id as usize] += 1;
         }
     }
     let span_s = ((max_ts.saturating_sub(min_ts)) as f64 / 1000.0).max(1.0);
-    counts.into_iter().map(|(k, v)| (k, v as f64 / span_s)).collect()
+    let named = |counts: Vec<u64>, name: fn(u32) -> String| {
+        (0u32..)
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .map(move |(id, n)| (name(id), n as f64 / span_s))
+    };
+    named(regions, |id| SpatialContext::region_id(tms_geo::RegionId(id)))
+        .chain(named(stops, SpatialContext::stop_id))
+        .collect()
 }
 
 /// Runs the whole off-line pipeline over a batch of historical traces.
@@ -445,6 +456,35 @@ mod tests {
         let leaf_rates =
             artifacts.rates_for(&LocationSelector::QuadtreeLeaves);
         assert_eq!(leaf_rates.len(), artifacts.spatial.quadtree.leaves().len());
+    }
+
+    #[test]
+    fn region_rates_equal_the_per_trace_string_count() {
+        let (traces, seeds) = day_of_traces();
+        let spatial = build_spatial(
+            DUBLIN_BBOX,
+            &seeds,
+            &stop_observations(&traces),
+            &OfflineConfig::default(),
+        )
+        .unwrap();
+        // The definition: one counter per id string, bumped per trace.
+        let mut counts: HashMap<String, u64> = HashMap::new();
+        for t in &traces {
+            for r in spatial.quadtree.locate_all_layers(&t.position) {
+                *counts.entry(SpatialContext::region_id(r.id)).or_default() += 1;
+            }
+            if let Some(s) = spatial.stops.closest_stop(t.line_id, t.direction, &t.position) {
+                *counts.entry(SpatialContext::stop_id(s.id)).or_default() += 1;
+            }
+        }
+        let first = traces.iter().map(|t| t.timestamp_ms).min().unwrap();
+        let last = traces.iter().map(|t| t.timestamp_ms).max().unwrap();
+        let span_s = ((last - first) as f64 / 1000.0).max(1.0);
+        let want: HashMap<String, f64> =
+            counts.into_iter().map(|(k, v)| (k, v as f64 / span_s)).collect();
+        assert!(want.keys().any(|k| k.starts_with('S')) && want.contains_key("R0"));
+        assert_eq!(region_rates(&traces, &spatial), want);
     }
 
     #[test]

@@ -63,12 +63,18 @@ impl Default for SubclusterConfig {
     }
 }
 
+/// One lookup list: `(latitude, stop id)` of its stops, sorted by latitude.
+/// The latitude is the stop's own `location.lat`, bit for bit.
+type ByLatitude = Vec<(f64, u32)>;
+
 /// Index of recovered bus stops supporting nearest-stop lookups.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BusStopIndex {
     stops: Vec<BusStop>,
-    /// stop ids listed per (line, direction) for fast scoped lookup.
-    by_line_dir: HashMap<(u32, bool), Vec<u32>>,
+    /// The stops serving each (line, direction), for the scoped lookup.
+    by_line_dir: HashMap<(u32, bool), ByLatitude>,
+    /// Every stop, for the global lookup.
+    all: ByLatitude,
 }
 
 impl BusStopIndex {
@@ -166,13 +172,24 @@ impl BusStopIndex {
             }
         }
 
-        let mut by_line_dir: HashMap<(u32, bool), Vec<u32>> = HashMap::new();
+        Ok(Self::from_stops(stops))
+    }
+
+    /// Sorts the lookup lists of `stops`, whose ids are their positions.
+    fn from_stops(stops: Vec<BusStop>) -> Self {
+        let mut by_line_dir: HashMap<(u32, bool), ByLatitude> = HashMap::new();
+        let mut all = ByLatitude::with_capacity(stops.len());
         for stop in &stops {
+            let entry = (stop.location.lat, stop.id);
+            all.push(entry);
             for &key in &stop.serving {
-                by_line_dir.entry(key).or_default().push(stop.id);
+                by_line_dir.entry(key).or_default().push(entry);
             }
         }
-        Ok(BusStopIndex { stops, by_line_dir })
+        for list in by_line_dir.values_mut().chain([&mut all]) {
+            list.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        BusStopIndex { stops, by_line_dir, all }
     }
 
     /// All recovered stops.
@@ -199,34 +216,70 @@ impl BusStopIndex {
     /// the closest sub-cluster serving that line and direction. Falls back
     /// to the globally closest stop if the line/direction was never seen
     /// (new routes appear over time).
+    ///
+    /// Closest by [`GeoPoint::approx_dist2`]; of several equally close
+    /// stops, the one with the lowest id. A position with a non-finite
+    /// coordinate is as far from one stop as from another (every distance
+    /// is NaN or infinite) and gets the lowest-id candidate outright.
     pub fn closest_stop(&self, line_id: u32, direction: bool, position: &GeoPoint) -> Option<&BusStop> {
-        match self.by_line_dir.get(&(line_id, direction)) {
-            Some(ids) => closest(ids.iter().map(|&i| &self.stops[i as usize]), position),
-            None => self.closest_stop_any(position),
-        }
+        let candidates = self.by_line_dir.get(&(line_id, direction)).unwrap_or(&self.all);
+        self.nearest(candidates, position)
     }
 
-    /// The globally closest stop regardless of line/direction.
+    /// The globally closest stop regardless of line/direction; ties and
+    /// non-finite positions as in [`Self::closest_stop`].
     pub fn closest_stop_any(&self, position: &GeoPoint) -> Option<&BusStop> {
-        closest(self.stops.iter(), position)
+        self.nearest(&self.all, position)
     }
-}
 
-/// The candidate nearest to `position`; the first one on a tie, like
-/// `Iterator::min_by`. Each candidate's distance (one `cos`) is computed
-/// once, not once per comparison.
-fn closest<'a>(
-    candidates: impl Iterator<Item = &'a BusStop>,
-    position: &GeoPoint,
-) -> Option<&'a BusStop> {
-    let mut best: Option<(&BusStop, f64)> = None;
-    for stop in candidates {
-        let d = position.approx_dist2(&stop.location);
-        if best.is_none_or(|(_, b)| d.total_cmp(&b).is_lt()) {
-            best = Some((stop, d));
+    /// The stop of `candidates` nearest to `position`, exactly: starts at
+    /// the position's latitude and visits candidates on both sides in
+    /// order of increasing latitude gap, until the gap alone exceeds the
+    /// best distance found.
+    fn nearest(&self, candidates: &[(f64, u32)], position: &GeoPoint) -> Option<&BusStop> {
+        if !(position.lat.is_finite() && position.lon.is_finite()) {
+            let lowest = candidates.iter().map(|&(_, id)| id).min()?;
+            return Some(&self.stops[lowest as usize]);
         }
+        // The same subtraction as `approx_dist2`'s, so `gap2` is that sum's
+        // first term, and a sum of two non-negative floats never rounds
+        // below either: `approx_dist2 >= gap2`. Gaps grow (weakly) along
+        // each side of the sorted list, in float arithmetic too.
+        let gap2 = |i: usize| {
+            let dlat = position.lat - candidates[i].0;
+            dlat * dlat
+        };
+        let split = candidates.partition_point(|&(lat, _)| lat < position.lat);
+        // Still to visit: `candidates[..below]` downwards, `candidates[above..]` upwards.
+        let (mut below, mut above) = (split, split);
+        let mut best: Option<(f64, u32)> = None;
+        loop {
+            let down = (below > 0).then(|| gap2(below - 1));
+            let up = (above < candidates.len()).then(|| gap2(above));
+            let (i, gap) = match (down, up) {
+                (Some(d), Some(u)) if d <= u => (below - 1, d),
+                (_, Some(u)) => (above, u),
+                (Some(d), None) => (below - 1, d),
+                (None, None) => break,
+            };
+            // Strict: a candidate whose gap equals the best distance can
+            // still tie it, and a tie goes to the lower id.
+            if best.is_some_and(|(b, _)| gap > b) {
+                break;
+            }
+            if i < above {
+                below -= 1;
+            } else {
+                above += 1;
+            }
+            let id = candidates[i].1;
+            let d = position.approx_dist2(&self.stops[id as usize].location);
+            if best.is_none_or(|(b, best_id)| d < b || (d == b && id < best_id)) {
+                best = Some((d, id));
+            }
+        }
+        best.map(|(_, id)| &self.stops[id as usize])
     }
-    best.map(|(stop, _)| stop)
 }
 
 #[cfg(test)]
@@ -360,55 +413,116 @@ mod tests {
         }
     }
 
-    /// `closest_stop` as it was before the single-pass loop: `min_by` over
-    /// the scoped candidates, both distances recomputed per comparison.
+    /// The lookup's definition, as a scan: `min_by` (first of equals) over
+    /// the stops serving (line, direction) in id order, or over all stops
+    /// when none does. `None` for the line is the global lookup.
     fn closest_stop_by_min_by<'a>(
         idx: &'a BusStopIndex,
-        line_id: u32,
-        direction: bool,
+        line_dir: Option<(u32, bool)>,
         position: &GeoPoint,
     ) -> Option<&'a BusStop> {
-        let candidates: Box<dyn Iterator<Item = &BusStop>> =
-            match idx.by_line_dir.get(&(line_id, direction)) {
-                Some(ids) => Box::new(ids.iter().map(|&i| &idx.stops[i as usize])),
-                None => Box::new(idx.stops.iter()),
-            };
-        candidates.min_by(|a, b| {
+        let serves = |s: &&BusStop| line_dir.is_some_and(|key| s.serving.contains(&key));
+        let by_distance = |a: &&BusStop, b: &&BusStop| {
             position.approx_dist2(&a.location).total_cmp(&position.approx_dist2(&b.location))
-        })
+        };
+        if idx.stops.iter().any(|s| serves(&s)) {
+            idx.stops.iter().filter(serves).min_by(by_distance)
+        } else {
+            idx.stops.iter().min_by(by_distance)
+        }
+    }
+
+    fn stop_at(id: usize, location: GeoPoint, serving: Vec<(u32, bool)>) -> BusStop {
+        BusStop {
+            id: id as u32,
+            cluster_id: 0,
+            location,
+            mean_bearing_deg: 0.0,
+            serving,
+            observation_count: 1,
+        }
+    }
+
+    /// Every lookup the index offers, against the scan: each (line,
+    /// direction) of `lines`, and the global one.
+    fn assert_lookups_equal_the_scan(
+        idx: &BusStopIndex,
+        lines: std::ops::Range<u32>,
+        position: &GeoPoint,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let id = |s: Option<&BusStop>| s.map(|s| s.id);
+        for key in lines.flat_map(|l| [(l, false), (l, true)]) {
+            let got = id(idx.closest_stop(key.0, key.1, position));
+            let want = id(closest_stop_by_min_by(idx, Some(key), position));
+            proptest::prop_assert_eq!(got, want, "line/direction {:?} at {:?}", key, position);
+        }
+        let got = id(idx.closest_stop_any(position));
+        let want = id(closest_stop_by_min_by(idx, None, position));
+        proptest::prop_assert_eq!(got, want, "global at {:?}", position);
+        Ok(())
+    }
+
+    #[test]
+    fn non_finite_queries_get_the_first_candidate() {
+        // Neither list's first candidate is at an end of its latitude order.
+        let at = |lat, lon| GeoPoint::new_unchecked(lat, lon);
+        let stops = vec![
+            stop_at(0, at(53.34, -6.20), vec![(2, true)]),
+            stop_at(1, at(53.32, -6.26), vec![(1, true)]),
+            stop_at(2, at(53.30, -6.30), vec![(1, true), (2, true)]),
+            stop_at(3, at(53.36, -6.22), vec![(1, true)]),
+            stop_at(4, at(53.38, -6.24), vec![(2, true)]),
+        ];
+        let idx = BusStopIndex::from_stops(stops);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for position in [at(bad, -6.26), at(53.33, bad), at(bad, bad)] {
+                assert_eq!(idx.closest_stop(1, true, &position).unwrap().id, 1);
+                assert_eq!(idx.closest_stop(2, true, &position).unwrap().id, 0);
+                assert_eq!(idx.closest_stop(9, true, &position).unwrap().id, 0);
+                assert_eq!(idx.closest_stop_any(&position).unwrap().id, 0);
+                assert_lookups_equal_the_scan(&idx, 0..4, &position).unwrap();
+            }
+        }
     }
 
     proptest::proptest! {
-        /// Same stop id as the old expression on random (line, direction,
-        /// position). Stops sit on a coarse grid, several per cell, and the
-        /// queries sit on cells and cell midpoints, so exact distance ties
-        /// (first candidate wins) occur in most cases; lines 0..6 hit the
-        /// scoped list, line 6 the global fallback.
+        /// Same stop id as the scan for every (line, direction) and for the
+        /// global lookup. Up to 300 stops sit on a coarse grid (three
+        /// interleaved ones), so duplicate locations under different ids
+        /// and exact distance ties (lower id wins) occur in most cases;
+        /// every stop of line 5 has one latitude, where the latitude gap
+        /// never ends the walk; some stops serve two lists; line 6 is
+        /// never served and takes the global fallback. Queries sit on
+        /// cells and cell midpoints, or degrees outside the stops' box on
+        /// either side of either axis.
         #[test]
         fn closest_stop_picks_the_stop_min_by_picked(
-            cells in proptest::collection::vec((0u32..6, 0u32..6, 0u32..6, proptest::prelude::any::<bool>()), 1..40),
-            line in 0u32..7,
-            direction in proptest::prelude::any::<bool>(),
-            half_lat in 0u32..12,
-            half_lon in 0u32..12,
+            cells in proptest::collection::vec(
+                (0u32..12, 0u32..12, 0u32..3, 0u32..6, proptest::prelude::any::<bool>(), 0u32..4),
+                1..300,
+            ),
+            half_lat in 0u32..24,
+            half_lon in 0u32..24,
+            outside in 0u32..6,
         ) {
             let at = |lat: f64, lon: f64| GeoPoint::new_unchecked(53.30 + 0.01 * lat, -6.30 + 0.01 * lon);
-            let mut idx = BusStopIndex { stops: Vec::new(), by_line_dir: HashMap::new() };
-            for (i, &(lat, lon, l, d)) in cells.iter().enumerate() {
-                idx.stops.push(BusStop {
-                    id: i as u32,
-                    cluster_id: 0,
-                    location: at(lat as f64, lon as f64),
-                    mean_bearing_deg: 0.0,
-                    serving: vec![(l, d)],
-                    observation_count: 1,
-                });
-                idx.by_line_dir.entry((l, d)).or_default().push(i as u32);
-            }
-            let position = at(half_lat as f64 * 0.5, half_lon as f64 * 0.5);
-            let got = idx.closest_stop(line, direction, &position).map(|s| s.id);
-            let want = closest_stop_by_min_by(&idx, line, direction, &position).map(|s| s.id);
-            proptest::prop_assert_eq!(got, want);
+            let stops = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(lat, lon, skew, line, dir, second))| {
+                    let lat = if line == 5 { 4.0 } else { lat as f64 + 0.37 * skew as f64 };
+                    let mut serving = vec![(line, dir)];
+                    if second == 0 {
+                        serving.push(((line + 1) % 5, !dir));
+                    }
+                    stop_at(i, at(lat, lon as f64 + 0.37 * skew as f64), serving)
+                })
+                .collect();
+            let idx = BusStopIndex::from_stops(stops);
+            let (far_lat, far_lon) = [(0.0, 0.0), (300.0, 0.0), (-300.0, 0.0), (0.0, 500.0), (0.0, -500.0), (-300.0, 500.0)]
+                [outside as usize];
+            let position = at(half_lat as f64 * 0.5 + far_lat, half_lon as f64 * 0.5 + far_lon);
+            assert_lookups_equal_the_scan(&idx, 0..7, &position)?;
         }
     }
 }
