@@ -1415,9 +1415,9 @@ fn geo_lookup(size: Size) -> ExperimentResult {
 }
 
 /// The index names the scan's stop on every query, answers at least 4x
-/// faster than the scan on the committed box (10-11x when taken; the bar
-/// leaves room for the box's crowded regime), and a live lookup stays
-/// within 2x of the committed one.
+/// faster than the scan on the committed box (11x when taken, 9.7-11.2x
+/// over five takes; the bar leaves room for the box's crowded regime),
+/// and a live lookup stays within 2x of the committed one.
 fn geo_lookup_bars() -> Vec<Bar> {
     vec![
         Bar::max("mismatches", 0.0, Side::Both),
