@@ -7,20 +7,20 @@ use std::hint::black_box;
 use tms_bench::calibrate::{store_with_thresholds, synthetic_trace as trace, WarmStatement};
 use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
-use tms_traffic::Attribute;
+use tms_traffic::{Attribute, LocId};
 
-fn engine_with(windows: &[usize], locations: usize) -> (RuleEngine, Vec<String>) {
+fn engine_with(windows: &[usize], locations: usize) -> (RuleEngine, Vec<LocId>) {
     let (store, names) = store_with_thresholds(locations * 48);
     let mut engine = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
     for (i, &l) in windows.iter().enumerate() {
         let mut spec = rule_spec(i, l);
         spec.s = 0.0;
-        engine.install_rule(&spec, names.iter().cloned()).unwrap();
+        engine.install_rule(&spec, names.iter().map(LocId::to_string)).unwrap();
     }
     // Fill the windows.
     let warm = windows.iter().copied().max().unwrap_or(1).min(1000) * locations.min(20);
     for i in 0..warm {
-        engine.send_trace(&trace(i, &names[i % names.len()])).unwrap();
+        engine.send_trace(&trace(i, names[i % names.len()])).unwrap();
     }
     (engine, names)
 }
@@ -43,7 +43,7 @@ fn bench_window_length(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(l), &l, |b, _| {
             b.iter(|| {
                 i += 1;
-                engine.send_trace(black_box(&trace(i, &names[i % names.len()]))).unwrap()
+                engine.send_trace(black_box(&trace(i, names[i % names.len()]))).unwrap()
             })
         });
     }
@@ -62,7 +62,7 @@ fn bench_threshold_count(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     i += 1;
-                    engine.send_trace(black_box(&trace(i, &names[i % names.len()]))).unwrap()
+                    engine.send_trace(black_box(&trace(i, names[i % names.len()]))).unwrap()
                 })
             },
         );
@@ -79,7 +79,7 @@ fn bench_rule_count(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(rules), &rules, |b, _| {
             b.iter(|| {
                 i += 1;
-                engine.send_trace(black_box(&trace(i, &names[i % names.len()]))).unwrap()
+                engine.send_trace(black_box(&trace(i, names[i % names.len()]))).unwrap()
             })
         });
     }

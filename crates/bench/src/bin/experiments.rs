@@ -40,7 +40,7 @@ use tms_dsps::{LineageConfig, MonitorConfig};
 use tms_geo::{BusStop, BusStopIndex};
 use tms_sim::{light_chaos, simulate, PartitioningApproach, ScenarioBuilder, SimConfig};
 use tms_storage::RemoteDb;
-use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator};
+use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, LocId};
 
 /// One `experiments -- <name>` subcommand.
 struct Experiment {
@@ -500,14 +500,14 @@ fn fig10() {
             100,
         );
         rule.s = 0.0;
-        engine.install_rule(&rule, names.iter().cloned()).expect("installing rule");
+        engine.install_rule(&rule, names.iter().map(LocId::to_string)).expect("installing rule");
         let mut s = Series::new(name);
         let mut total_ms = 0.0;
         for b in 0..(tuples / bucket) {
             let start = std::time::Instant::now();
             for i in 0..bucket {
                 let idx = b * bucket + i;
-                let e = synthetic_trace(idx, &names[idx % names.len()]);
+                let e = synthetic_trace(idx, names[idx % names.len()]);
                 engine.send_trace(&e).expect("trace accepted");
             }
             let ms = start.elapsed().as_secs_f64() * 1000.0 / bucket as f64;
@@ -843,15 +843,16 @@ fn hotspot_rebalance_run(replay: &Replay) -> Vec<Sample> {
     // through a GPS point at each region's bbox center.
     let quadtree = &sys.artifacts.spatial.quadtree;
     let route = &plan.split_plan.routes[0];
+    // In the order of the ids' text, which is how the snapshot was taken.
     let mut hot: Vec<String> =
-        route.table.iter().filter(|(_, &e)| e == 0).map(|(r, _)| r.clone()).collect();
+        route.table.iter().filter(|(_, &e)| e == 0).map(|(r, _)| r.to_string()).collect();
     hot.sort();
     hot.truncate(4);
     let targets: Vec<tms_geo::GeoPoint> = hot
         .iter()
-        .filter_map(|r| {
-            let id: u32 = r.strip_prefix('R')?.parse().ok()?;
-            Some(quadtree.region(tms_geo::RegionId(id))?.bbox.center())
+        .filter_map(|r| match r.parse().ok()? {
+            LocId::Region(id) => Some(quadtree.region(tms_geo::RegionId(id))?.bbox.center()),
+            LocId::Stop(_) => None,
         })
         .collect();
     assert!(targets.len() >= 2, "need at least two movable hot regions");
@@ -864,14 +865,14 @@ fn hotspot_rebalance_run(replay: &Replay) -> Vec<Sample> {
     // Theoretical pre-migration imbalance: the skewed per-region rates
     // summed per engine under the original routing table.
     let mut ordered: Vec<String> = hot.clone();
-    for r in route.table.keys() {
-        if !hot.contains(r) {
-            ordered.push(r.clone());
+    for r in route.table.keys().map(LocId::to_string) {
+        if !hot.contains(&r) {
+            ordered.push(r);
         }
     }
     let mut per_engine = vec![0.0f64; 2];
     for rr in spec.region_rates(&ordered) {
-        if let Some(&e) = route.table.get(&rr.region) {
+        if let Some(&e) = rr.region.parse().ok().and_then(|r: LocId| route.table.get(&r)) {
             per_engine[e] += rr.rate;
         }
     }

@@ -11,11 +11,11 @@ use std::time::Instant;
 use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
 use tms_storage::{DayType, StatRecord, TableStore, ThresholdStore};
-use tms_traffic::{Attribute, BusTrace, EnrichedTrace};
+use tms_traffic::{Attribute, BusTrace, EnrichedTrace, LocId};
 
 /// A synthetic enriched trace at `location`: 50 ms apart from 08:00,
 /// delays cycling over 0..400 s.
-pub fn synthetic_trace(i: usize, location: &str) -> EnrichedTrace {
+pub fn synthetic_trace(i: usize, location: LocId) -> EnrichedTrace {
     EnrichedTrace {
         trace: BusTrace {
             timestamp_ms: 8 * tms_traffic::HOUR_MS + i as u64 * 50,
@@ -30,21 +30,22 @@ pub fn synthetic_trace(i: usize, location: &str) -> EnrichedTrace {
         },
         speed_kmh: Some(20.0),
         actual_delay_s: Some(1.0),
-        areas: vec![location.to_string()],
+        areas: vec![location],
         bus_stop: None,
     }
 }
 
 /// Builds a threshold store with `t` cells spread over `t / 48` locations
 /// (48 = 24 hours × 2 day types, the paper's statistics granularity).
-pub fn store_with_thresholds(t: usize) -> (ThresholdStore, Vec<String>) {
+pub fn store_with_thresholds(t: usize) -> (ThresholdStore, Vec<LocId>) {
     let locations = (t / 48).max(1);
     let store = ThresholdStore::new(TableStore::new());
     let mut records = Vec::with_capacity(t);
     let mut names = Vec::with_capacity(locations);
     for loc in 0..locations {
-        let area = format!("L{loc}");
-        names.push(area.clone());
+        let id = LocId::Region(loc as u32);
+        names.push(id);
+        let area = id.to_string();
         for hour in 0..24u8 {
             for day in [DayType::Weekday, DayType::Weekend] {
                 records.push(StatRecord {
@@ -121,7 +122,7 @@ pub fn measure_engine_latency(windows: &[usize], t: usize, tuples: usize) -> f64
 /// that timed runs replay synthetic traces through.
 pub struct WarmEngine {
     engine: RuleEngine,
-    locations: Vec<String>,
+    locations: Vec<LocId>,
     sent: usize,
 }
 
@@ -153,14 +154,14 @@ impl WarmEngine {
             // Batch install: all statements stand before the first threshold
             // event, so their windows are pristine and the planner can share.
             engine
-                .install_rules(&specs, locations.iter().cloned())
+                .install_rules(&specs, locations.iter().map(LocId::to_string))
                 .expect("installing calibration rules");
         } else {
             // Sequential install — the exact conditions the committed private
             // baselines were measured under.
             for spec in &specs {
                 engine
-                    .install_rule(spec, locations.iter().cloned())
+                    .install_rule(spec, locations.iter().map(LocId::to_string))
                     .expect("installing calibration rule");
             }
         }
@@ -177,7 +178,7 @@ impl WarmEngine {
     pub fn run(&mut self, tuples: usize) -> f64 {
         let start = Instant::now();
         for i in self.sent..self.sent + tuples {
-            let loc = &self.locations[i % self.locations.len()];
+            let loc = self.locations[i % self.locations.len()];
             self.engine.send_trace(&synthetic_trace(i, loc)).expect("trace accepted");
         }
         self.sent += tuples;

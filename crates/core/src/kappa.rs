@@ -42,7 +42,7 @@ use tms_cep::agg::Accumulator;
 use tms_cep::{FieldValue, PartitionState};
 use tms_dsps::{Bolt, BoltContext, Emitter, FlightKind, FlightRecorder};
 use tms_storage::{DayType, StatRecord, ThresholdStore};
-use tms_traffic::Attribute;
+use tms_traffic::{Attribute, LocId};
 
 /// Configuration of the in-stream statistics path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +80,7 @@ impl KappaConfig {
 /// `day` is 0 = weekday, 1 = weekend. Ordered, so snapshot iteration —
 /// and hence the published record order and any serialized state — is
 /// deterministic.
-type CellKey = (u8, String, u8, u8);
+type CellKey = (u8, LocId, u8, u8);
 
 fn day_index(d: DayType) -> u8 {
     match d {
@@ -165,11 +165,13 @@ impl StatsBolt {
                 continue; // no historical table: the attribute starts cold
             };
             for r in records {
+                // A row under any other name is nothing a trace can be at.
+                let Ok(location) = r.area_id.parse() else { continue };
                 let n = r.count as f64;
                 let sum = r.mean * n;
                 let sum_sq = (r.stdv * r.stdv + r.mean * r.mean) * n;
                 self.cells.insert(
-                    (ai as u8, r.area_id, r.hour, day_index(r.day_type)),
+                    (ai as u8, location, r.hour, day_index(r.day_type)),
                     Accumulator::from_raw_parts(r.count, sum, sum_sq, f64::INFINITY, f64::NEG_INFINITY),
                 );
             }
@@ -192,7 +194,7 @@ impl StatsBolt {
             // Population variance, exactly as the batch StatsReducer.
             let var = (sum_sq / n - mean * mean).max(0.0);
             per_attr[*ai as usize].push(StatRecord {
-                area_id: location.clone(),
+                area_id: location.to_string(),
                 hour: *hour,
                 day_type: day_from_index(*day),
                 mean,
@@ -238,7 +240,7 @@ impl Bolt<TrafficMessage> for StatsBolt {
             let Some(value) = attr.value(&e) else { continue };
             for location in e.areas.iter().chain(e.bus_stop.iter()) {
                 self.cells
-                    .entry((ai as u8, location.clone(), hour, day))
+                    .entry((ai as u8, *location, hour, day))
                     .or_default()
                     .add(value);
             }
@@ -269,7 +271,7 @@ impl Bolt<TrafficMessage> for StatsBolt {
         put_u64(&mut out, self.cells.len() as u64);
         for ((ai, location, hour, day), acc) in &self.cells {
             out.push(*ai);
-            put_str(&mut out, location);
+            put_str(&mut out, &location.to_string());
             out.push(*hour);
             out.push(*day);
             let (count, sum, sum_sq, min, max) = acc.raw_parts();
@@ -293,7 +295,7 @@ impl Bolt<TrafficMessage> for StatsBolt {
             let mut cells = BTreeMap::new();
             for _ in 0..n {
                 let ai = r.u8()?;
-                let location = r.str()?;
+                let location = r.str()?.parse().ok()?;
                 let hour = r.u8()?;
                 let day = r.u8()?;
                 let count = r.u64()?;
@@ -634,7 +636,7 @@ mod tests {
             },
             speed_kmh: None,
             actual_delay_s: None,
-            areas: vec![area.to_string()],
+            areas: vec![area.parse().unwrap()],
             bus_stop: None,
         });
         TrafficMessage::Enriched { seq, trace }

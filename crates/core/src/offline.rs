@@ -13,6 +13,7 @@ use crate::error::CoreError;
 use crate::partitioning::RegionRate;
 use crate::rules::{LocationSelector, SpatialContext};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tms_batch::{run_job, Combiner, Dfs, JobConfig, Mapper, Reducer};
@@ -21,7 +22,7 @@ use tms_geo::{
     RegionQuadtree, StopObservation,
 };
 use tms_storage::{DayType, StatRecord, TableStore, ThresholdStore};
-use tms_traffic::{Attribute, BusTrace, EnrichedTrace, Preprocessor};
+use tms_traffic::{Attribute, BusTrace, EnrichedTrace, LocId, Preprocessor};
 
 /// Configuration of the off-line component.
 #[derive(Debug, Clone)]
@@ -186,12 +187,7 @@ pub fn enrich_and_store(
 /// trace.
 pub fn enrich(pre: &mut Preprocessor, spatial: &SpatialContext, t: BusTrace) -> EnrichedTrace {
     let mut e = pre.enrich(t);
-    e.areas = spatial
-        .quadtree
-        .locate_all_layers(&e.trace.position)
-        .iter()
-        .map(|r| SpatialContext::region_id(r.id))
-        .collect();
+    SpatialContext::locate_areas(&spatial.quadtree, &e.trace.position, &mut e.areas);
     e.bus_stop = spatial
         .stops
         .closest_stop(e.trace.line_id, e.trace.direction, &e.trace.position)
@@ -203,12 +199,17 @@ pub fn enrich(pre: &mut Preprocessor, spatial: &SpatialContext, t: BusTrace) -> 
 /// `hour,day_type,areas(; separated),stop,delay,actual_delay,speed,congestion`.
 pub fn enriched_csv_line(e: &EnrichedTrace) -> String {
     let day = DayType::from_weekday_index((e.trace.day_index() % 7) as u8);
+    let mut areas = String::new();
+    for area in &e.areas {
+        let sep = if areas.is_empty() { "" } else { ";" };
+        let _ = write!(areas, "{sep}{area}"); // a `String` takes every write
+    }
     format!(
         "{},{},{},{},{:.3},{},{},{}",
         e.trace.hour_of_day(),
         day.as_str(),
-        e.areas.join(";"),
-        e.bus_stop.clone().unwrap_or_default(),
+        areas,
+        e.bus_stop.map(|s| s.to_string()).unwrap_or_default(),
         e.trace.delay_s,
         e.actual_delay_s.map(|v| format!("{v:.3}")).unwrap_or_default(),
         e.speed_kmh.map(|v| format!("{v:.3}")).unwrap_or_default(),
@@ -380,15 +381,13 @@ pub fn region_rates(
         }
     }
     let span_s = ((max_ts.saturating_sub(min_ts)) as f64 / 1000.0).max(1.0);
-    let named = |counts: Vec<u64>, name: fn(u32) -> String| {
+    let named = |counts: Vec<u64>, id: fn(u32) -> LocId| {
         (0u32..)
             .zip(counts)
             .filter(|&(_, n)| n > 0)
-            .map(move |(id, n)| (name(id), n as f64 / span_s))
+            .map(move |(i, n)| (id(i).to_string(), n as f64 / span_s))
     };
-    named(regions, |id| SpatialContext::region_id(tms_geo::RegionId(id)))
-        .chain(named(stops, SpatialContext::stop_id))
-        .collect()
+    named(regions, LocId::Region).chain(named(stops, LocId::Stop)).collect()
 }
 
 /// Runs the whole off-line pipeline over a batch of historical traces.
@@ -472,10 +471,10 @@ mod tests {
         let mut counts: HashMap<String, u64> = HashMap::new();
         for t in &traces {
             for r in spatial.quadtree.locate_all_layers(&t.position) {
-                *counts.entry(SpatialContext::region_id(r.id)).or_default() += 1;
+                *counts.entry(format!("R{}", r.id.0)).or_default() += 1;
             }
             if let Some(s) = spatial.stops.closest_stop(t.line_id, t.direction, &t.position) {
-                *counts.entry(SpatialContext::stop_id(s.id)).or_default() += 1;
+                *counts.entry(format!("S{}", s.id)).or_default() += 1;
             }
         }
         let first = traces.iter().map(|t| t.timestamp_ms).min().unwrap();

@@ -13,8 +13,8 @@
 use crate::error::CoreError;
 use crate::latency::RuleLoad;
 use serde::{Deserialize, Serialize};
-use tms_geo::{BoundingBox, BusStopIndex, RegionQuadtree};
-use tms_traffic::Attribute;
+use tms_geo::{BoundingBox, BusStopIndex, GeoPoint, RegionQuadtree};
+use tms_traffic::{Attribute, LocId};
 
 /// Where a rule looks (Table 6's *Location* values).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,51 +53,46 @@ pub struct SpatialContext {
 }
 
 impl SpatialContext {
-    /// Region-id string for a quadtree region.
-    pub fn region_id(id: tms_geo::RegionId) -> String {
-        format!("R{}", id.0)
+    /// The id of a quadtree region.
+    pub fn region_id(id: tms_geo::RegionId) -> LocId {
+        LocId::Region(id.0)
     }
 
-    /// Region-id string for a bus stop.
-    pub fn stop_id(id: u32) -> String {
-        format!("S{id}")
+    /// The id of a bus stop.
+    pub fn stop_id(id: u32) -> LocId {
+        LocId::Stop(id)
     }
 
-    /// Resolves a selector to its concrete location ids.
+    /// The AreaTracker step: overwrites `areas` with the ids of the regions
+    /// containing `p`, root first, allocating an empty `areas` once.
+    pub fn locate_areas(quadtree: &RegionQuadtree, p: &GeoPoint, areas: &mut Vec<LocId>) {
+        areas.clear();
+        areas.reserve(usize::from(quadtree.max_layer()) + 1);
+        areas.extend(quadtree.leaf_to_root(p).map(|r| Self::region_id(r.id)));
+        areas.reverse();
+    }
+
+    /// Resolves a selector to its concrete location ids, as text.
     pub fn resolve(&self, selector: &LocationSelector) -> Vec<String> {
-        match selector {
-            LocationSelector::QuadtreeLayer(l) => {
-                // A leaf shallower than `l` covers its area at layer `l`
-                // too (unbalanced tree), so include shallower leaves.
-                let mut ids: Vec<String> = self
-                    .quadtree
-                    .iter()
-                    .filter(|r| r.layer == *l || (r.is_leaf() && r.layer < *l))
-                    .map(|r| Self::region_id(r.id))
-                    .collect();
-                ids.sort();
-                ids
-            }
-            LocationSelector::QuadtreeLeaves => {
-                let mut ids: Vec<String> =
-                    self.quadtree.leaves().iter().map(|r| Self::region_id(r.id)).collect();
-                ids.sort();
-                ids
-            }
+        let regions = match selector {
+            // A leaf shallower than `l` covers its area at layer `l`
+            // too (unbalanced tree), so include shallower leaves.
+            LocationSelector::QuadtreeLayer(l) => self
+                .quadtree
+                .iter()
+                .filter(|r| r.layer == *l || (r.is_leaf() && r.layer < *l))
+                .collect(),
+            LocationSelector::QuadtreeLeaves => self.quadtree.leaves(),
+            LocationSelector::Area(bb) => self.quadtree.leaves_in_area(bb),
             LocationSelector::BusStops => {
-                (0..self.stops.len() as u32).map(Self::stop_id).collect()
+                let stops = 0..self.stops.len() as u32;
+                return stops.map(|s| Self::stop_id(s).to_string()).collect();
             }
-            LocationSelector::Area(bb) => {
-                let mut ids: Vec<String> = self
-                    .quadtree
-                    .leaves_in_area(bb)
-                    .iter()
-                    .map(|r| Self::region_id(r.id))
-                    .collect();
-                ids.sort();
-                ids
-            }
-        }
+        };
+        let mut ids: Vec<String> =
+            regions.iter().map(|r| Self::region_id(r.id).to_string()).collect();
+        ids.sort();
+        ids
     }
 }
 
@@ -266,7 +261,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tms_geo::{DenclueConfig, GeoPoint, QuadtreeConfig, StopObservation, DUBLIN_BBOX};
+    use tms_geo::{DenclueConfig, QuadtreeConfig, StopObservation, DUBLIN_BBOX};
 
     fn context() -> SpatialContext {
         let mut seeds = Vec::new();

@@ -26,7 +26,7 @@ use tms_dsps::{
 };
 use tms_geo::GeoPoint;
 use tms_storage::TableStore;
-use tms_traffic::BusTrace;
+use tms_traffic::{BusTrace, LocId};
 
 /// Allocation strategy for the start-up optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,6 +366,14 @@ impl RunReport {
     }
 }
 
+/// The routing-table key of a partition region, which the planner names
+/// in text.
+fn partition_key(grouping: &Grouping, region: &str) -> Result<LocId, CoreError> {
+    region.parse().map_err(|e| CoreError::Config {
+        reason: format!("grouping {}: partition region {e}", grouping.name),
+    })
+}
+
 /// Per-grouping facts the rebalancer needs, precomputed before the
 /// control thread starts (resolving locations needs the spatial index,
 /// which stays on the caller's side).
@@ -375,10 +383,10 @@ struct ElasticGroupingInfo {
     /// Engines allocated to the grouping.
     engines: usize,
     /// Every routing key of the grouping, in planning order.
-    regions: Vec<String>,
+    regions: Vec<LocId>,
     /// Routing key → monitored location keys under it (union over the
     /// grouping's rules); the state a move of that key ships.
-    locations: HashMap<String, Vec<String>>,
+    locations: HashMap<LocId, Vec<String>>,
 }
 
 /// The rebalancer control loop: every `check_interval` it drains the
@@ -415,10 +423,10 @@ fn run_rebalancer(
         let observed = h.take_observed();
         let mut worst = f64::NAN;
         for (gi, info) in infos.iter().enumerate() {
-            let counts: HashMap<&str, u64> = observed
+            let counts: HashMap<LocId, u64> = observed
                 .iter()
                 .filter(|((g, _), _)| *g == gi)
-                .map(|((_, region), count)| (region.as_str(), *count))
+                .map(|((_, region), count)| (*region, *count))
                 .collect();
             let total: u64 = counts.values().sum();
             if total < cfg.min_observed {
@@ -433,7 +441,7 @@ fn run_rebalancer(
             };
             let mut engine_rates = vec![0.0f64; info.engines];
             for (region, count) in &counts {
-                if let Some(engine) = table.get(*region) {
+                if let Some(engine) = table.get(region) {
                     if let Some(slot) = engine_rates.get_mut(engine - info.offset) {
                         *slot += *count as f64;
                     }
@@ -459,8 +467,8 @@ fn run_rebalancer(
                 .regions
                 .iter()
                 .map(|r| RegionRate {
-                    region: r.clone(),
-                    rate: counts.get(r.as_str()).copied().unwrap_or(0) as f64,
+                    region: r.to_string(),
+                    rate: counts.get(r).copied().unwrap_or(0) as f64,
                 })
                 .collect();
             let Ok(partition) = partition_rule(&rates, info.engines) else {
@@ -479,14 +487,15 @@ fn run_rebalancer(
                 ),
             );
             last_decision = Some(Instant::now());
-            let mut moves: Vec<(String, usize, usize, f64)> = Vec::new();
+            let mut moves: Vec<(LocId, usize, usize, f64)> = Vec::new();
             for (e, regions) in partition.assignments.iter().enumerate() {
                 let to = info.offset + e;
                 for region in regions {
-                    let Some(&from) = table.get(region) else { continue };
+                    let region: LocId = region.parse().expect("printed from an id just above");
+                    let Some(&from) = table.get(&region) else { continue };
                     if from != to {
-                        let rate = counts.get(region.as_str()).copied().unwrap_or(0) as f64;
-                        moves.push((region.clone(), from, to, rate));
+                        let rate = counts.get(&region).copied().unwrap_or(0) as f64;
+                        moves.push((region, from, to, rate));
                     }
                 }
             }
@@ -655,18 +664,18 @@ impl TrafficSystem {
             } else {
                 GroupingKind::QuadtreeLayer(partition_layer)
             };
-            let mut table = HashMap::new();
-            for (e, regions) in partition.assignments.iter().enumerate() {
-                for r in regions {
-                    table.insert(r.clone(), offset + e);
-                }
-            }
-            routes.push(GroupingRoute { kind, table });
+            let keys: Vec<Vec<LocId>> = partition
+                .assignments
+                .iter()
+                .map(|regions| regions.iter().map(|r| partition_key(grouping, r)).collect())
+                .collect::<Result<_, _>>()?;
+            let table = (offset..).zip(&keys).flat_map(|(e, ks)| ks.iter().map(move |k| (*k, e)));
+            routes.push(GroupingRoute { kind, table: table.collect() });
 
             // Engine plan: each engine runs every rule of the grouping,
             // monitoring the rule's locations that fall under the engine's
             // partition share.
-            for (e, partition_regions) in partition.assignments.iter().enumerate() {
+            for (e, partition_regions) in keys.iter().enumerate() {
                 let engine_idx = offset + e;
                 for rule in &grouping.rules {
                     let locations = self.rule_locations_under(
@@ -696,49 +705,47 @@ impl TrafficSystem {
     fn rule_locations_under(
         &self,
         rule: &RuleSpec,
-        partition_regions: &[String],
+        partition_regions: &[LocId],
         partition_layer: u8,
         stops_layer: u8,
     ) -> Vec<String> {
         let spatial = &self.artifacts.spatial;
         let quadtree = &spatial.quadtree;
-        let owned: std::collections::HashSet<&str> =
-            partition_regions.iter().map(String::as_str).collect();
+        let owned: std::collections::HashSet<LocId> = partition_regions.iter().copied().collect();
         let covered = |location: &str| -> bool {
+            let Ok(location) = location.parse::<LocId>() else { return false };
             if partition_layer == stops_layer {
                 // Stop groupings partition stops directly.
-                return owned.contains(location);
+                return owned.contains(&location);
             }
-            // Quadtree location: walk ancestors until the partition layer.
-            if let Some(stripped) = location.strip_prefix('R') {
-                let Ok(idx) = stripped.parse::<u32>() else { return false };
-                let mut region = quadtree.region(tms_geo::RegionId(idx));
-                while let Some(r) = region {
-                    if owned.contains(SpatialContext::region_id(r.id).as_str()) {
-                        return true;
+            match location {
+                // Quadtree location: walk ancestors until the partition layer.
+                LocId::Region(idx) => {
+                    let mut region = quadtree.region(tms_geo::RegionId(idx));
+                    while let Some(r) = region {
+                        if owned.contains(&SpatialContext::region_id(r.id)) {
+                            return true;
+                        }
+                        region = r.parent.and_then(|p| quadtree.region(p));
                     }
-                    region = r.parent.and_then(|p| quadtree.region(p));
+                    false
                 }
-                return false;
+                // A bus stop inside a quadtree grouping: locate its region.
+                // Recovered stop centroids can drift a few metres past the
+                // city bounding box (GPS noise); clamp before locating so
+                // every stop belongs to exactly one engine.
+                LocId::Stop(sid) => {
+                    let Some(stop) = spatial.stops.stop(sid) else { return false };
+                    let bb = quadtree.bbox();
+                    let p = tms_geo::GeoPoint {
+                        lat: stop.location.lat.clamp(bb.min_lat, bb.max_lat),
+                        lon: stop.location.lon.clamp(bb.min_lon, bb.max_lon),
+                    };
+                    quadtree
+                        .leaf_to_root(&p)
+                        .any(|r| owned.contains(&SpatialContext::region_id(r.id)))
+                }
             }
-            // A bus stop inside a quadtree grouping: locate its region.
-            // Recovered stop centroids can drift a few metres past the
-            // city bounding box (GPS noise); clamp before locating so
-            // every stop belongs to exactly one engine.
-            if let Some(stripped) = location.strip_prefix('S') {
-                let Ok(sid) = stripped.parse::<u32>() else { return false };
-                let Some(stop) = spatial.stops.stop(sid) else { return false };
-                let bb = quadtree.bbox();
-                let p = tms_geo::GeoPoint {
-                    lat: stop.location.lat.clamp(bb.min_lat, bb.max_lat),
-                    lon: stop.location.lon.clamp(bb.min_lon, bb.max_lon),
-                };
-                return quadtree
-                    .locate_all_layers(&p)
-                    .iter()
-                    .any(|r| owned.contains(SpatialContext::region_id(r.id).as_str()));
-            }
-            false
         };
         spatial
             .resolve(&rule.location)
@@ -919,9 +926,11 @@ impl TrafficSystem {
                     *grouping.layers.iter().min().expect("grouping has layers");
                 let mut regions = Vec::new();
                 let mut locations = HashMap::new();
-                for r in &grouping.regions {
-                    regions.push(r.region.clone());
-                    let owned = std::slice::from_ref(&r.region);
+                // A region under a name that is no id is no routing key:
+                // nothing routes by it and no move can name it.
+                for key in grouping.regions.iter().filter_map(|r| r.region.parse().ok()) {
+                    regions.push(key);
+                    let owned = std::slice::from_ref(&key);
                     let mut union: Vec<String> = Vec::new();
                     for rule in &grouping.rules {
                         for l in
@@ -932,7 +941,7 @@ impl TrafficSystem {
                             }
                         }
                     }
-                    locations.insert(r.region.clone(), union);
+                    locations.insert(key, union);
                 }
                 ElasticGroupingInfo {
                     offset: offsets.get(gi).copied().unwrap_or(0),
@@ -1402,6 +1411,25 @@ mod tests {
         }
         // Split plan has one route per grouping.
         assert_eq!(plan.split_plan.routes.len(), plan.groupings.len());
+    }
+
+    #[test]
+    fn a_partition_region_that_is_no_location_id_is_refused_by_name() {
+        let sys = system();
+        let groupings = sys.layer_groupings(&rules()).unwrap();
+        let allocation = round_robin(&groupings, 4).unwrap();
+        sys.plan_from_allocation(&rules(), &groupings, &allocation).unwrap();
+        for bad in ["R01", "R", "X3", "R-1", "R4294967296", ""] {
+            let mut groupings = groupings.clone();
+            groupings[0].regions[0].region = bad.to_string();
+            match sys.plan_from_allocation(&rules(), &groupings, &allocation) {
+                Err(CoreError::Config { reason }) => assert!(
+                    reason.contains(&groupings[0].name) && reason.contains(&format!("{bad:?}")),
+                    "{reason}"
+                ),
+                other => panic!("{bad:?} got {other:?}"),
+            }
+        }
     }
 
     #[test]

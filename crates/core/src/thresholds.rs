@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_cep::{CepError, Engine, Event, EventType, FieldType, FieldValue, StatementId};
 use tms_storage::{DayType, RemoteDb, ThresholdQuery, ThresholdStore};
-use tms_traffic::{Attribute, EnrichedTrace};
+use tms_traffic::{Attribute, EnrichedTrace, LocId};
 
 /// How a rule obtains its per-location thresholds.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,9 +113,9 @@ struct IngestRoute {
     /// The per-tuple lookup of the Join-with-Database method; `s` is the
     /// first installed rule's, as the stream carries one threshold.
     query: ThresholdQuery,
-    /// Monitored location → its interned id and the rank (installation
+    /// Monitored location → its interned text and the rank (installation
     /// index) of the first rule on this stream that monitors it.
-    locations: HashMap<String, (Arc<str>, usize)>,
+    locations: HashMap<LocId, (Arc<str>, usize)>,
 }
 
 /// [`RuleEngine::send_trace`]'s routes, one per attribute stream in order
@@ -148,9 +148,8 @@ impl IngestTable {
             });
             let locations = &mut routes[at].locations;
             for l in &r.monitored {
-                if !locations.contains_key(l) {
-                    locations.insert(l.clone(), (Arc::from(l.as_str()), rank));
-                }
+                let id = l.parse().expect("every way into a monitored set checks its names");
+                locations.entry(id).or_insert_with(|| (Arc::from(l.as_str()), rank));
             }
         }
         IngestTable {
@@ -160,6 +159,20 @@ impl IngestTable {
             outbox: Vec::new(),
         }
     }
+}
+
+/// A monitored location no trace can be at (its name is no [`LocId`]) would
+/// make a rule that silently never fires: refuse it by name.
+fn check_locations<'a>(
+    rule: &str,
+    names: impl IntoIterator<Item = &'a String>,
+) -> Result<(), CoreError> {
+    for name in names {
+        if let Err(e) = name.parse::<LocId>() {
+            return Err(CoreError::Rule { reason: format!("rule {rule}: monitored location {e}") });
+        }
+    }
+    Ok(())
 }
 
 /// One Esper-engine task with rules installed under a retrieval method —
@@ -306,8 +319,9 @@ impl RuleEngine {
         monitored: impl IntoIterator<Item = String>,
     ) -> Result<(), CoreError> {
         spec.validate()?;
-        let bus_type = self.ensure_bus_stream(spec)?;
         let monitored: HashSet<String> = monitored.into_iter().collect();
+        check_locations(&spec.name, &monitored)?;
+        let bus_type = self.ensure_bus_stream(spec)?;
         let statements = self.create_statements(spec, &monitored)?;
         let thresholds_at = self.threshold_stamp();
         self.ingest = None;
@@ -338,6 +352,7 @@ impl RuleEngine {
         self.ingest = None;
         for spec in specs {
             spec.validate()?;
+            check_locations(&spec.name, &monitored)?;
             let bus_type = self.ensure_bus_stream(spec)?;
             let statements = self.create_statements_inner(spec, &monitored, false)?;
             self.rules.push(InstalledRule {
@@ -767,6 +782,9 @@ impl RuleEngine {
         migration: &RuleMigration,
     ) -> Result<(), CoreError> {
         self.ensure_elastic_supported()?;
+        for (name, locs) in &migration.rules {
+            check_locations(name, locs)?;
+        }
         self.ingest = None;
         for (name, locs) in &migration.rules {
             if !self.rules.iter().any(|r| r.spec.name == *name) {
@@ -857,7 +875,7 @@ impl RuleEngine {
             hits.clear();
             let candidates = e.areas.iter().chain(&e.bus_stop);
             for (position, candidate) in candidates.enumerate() {
-                if let Some((id, rank)) = route.locations.get(candidate.as_str()) {
+                if let Some((id, rank)) = route.locations.get(candidate) {
                     // A location listed twice enters once, where it first stood.
                     if !hits.iter().any(|(_, _, seen)| Arc::ptr_eq(seen, id)) {
                         hits.push((*rank, position, id.clone()));
@@ -973,7 +991,7 @@ mod tests {
             },
             speed_kmh: Some(20.0),
             actual_delay_s: Some(0.0),
-            areas: vec![area.to_string()],
+            areas: vec![area.parse().unwrap()],
             bus_stop: None,
         }
     }
@@ -1120,6 +1138,33 @@ mod tests {
     }
 
     #[test]
+    fn a_monitored_location_that_is_no_location_id_is_refused_by_name() {
+        for bad in ["R01", "R", "X3", "R-1", "R4294967296", ""] {
+            let names = || vec!["R1".to_string(), bad.to_string()];
+            let refused = |result: Result<(), CoreError>| match result {
+                Err(CoreError::Rule { reason }) => assert!(
+                    reason.contains("delay-rule") && reason.contains(&format!("{bad:?}")),
+                    "{reason}"
+                ),
+                other => panic!("{bad:?} got {other:?}"),
+            };
+            let mut re =
+                RuleEngine::new(RetrievalMethod::ThresholdStream, store_with_stats(), None);
+            refused(re.install_rule(&rule(1), names()));
+            refused(re.install_rules(&[rule(1)], names()));
+            let migration = RuleMigration {
+                rules: vec![("delay-rule".into(), names())],
+                partitions: Vec::new(),
+            };
+            refused(re.absorb_migration(&[rule(1)], &migration));
+            // Nothing half-installed: the rule still goes in under real names.
+            assert_eq!(re.statement_count(), 0);
+            re.install_rule(&rule(1), monitored()).unwrap();
+            assert_eq!(re.send_trace(&trace(1000, "R1", 150.0)).unwrap(), 1);
+        }
+    }
+
+    #[test]
     fn events_enter_in_order_of_the_first_rule_monitoring_their_location() {
         // One stream, two rules: the stop rule was installed first, so the
         // stop's event goes first although the trace lists its areas ahead
@@ -1134,8 +1179,8 @@ mod tests {
         leaves.name = "leaves".into();
         re.install_rule(&leaves, vec!["R1".to_string(), "R0".to_string()]).unwrap();
         let mut e = trace(1000, "R0", 50.0);
-        e.areas = vec!["R0".into(), "R1".into(), "R0".into()];
-        e.bus_stop = Some("S7".into());
+        e.areas = vec![LocId::Region(0), LocId::Region(1), LocId::Region(0)];
+        e.bus_stop = Some(LocId::Stop(7));
         assert_eq!(re.send_trace(&e).unwrap(), 3, "R0 is listed twice and enters once");
         let got: Vec<(String, String)> =
             re.detections().lock().iter().map(|d| (d.location.clone(), d.rule.clone())).collect();

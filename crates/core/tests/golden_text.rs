@@ -1,0 +1,71 @@
+//! Location ids travel as values and are printed where text begins. This
+//! pins the text: the DFS history lines and the detections of a fixed
+//! morning must be, byte for byte, what they were when the tuple carried
+//! `R<n>` / `S<n>` strings. The digests were taken with this same file at
+//! the last commit that did (e60e177).
+
+use tms_core::offline::{self, OfflineConfig};
+use tms_core::rules::{LocationSelector, RuleSpec};
+use tms_core::thresholds::{RetrievalMethod, RuleEngine};
+use tms_geo::DUBLIN_BBOX;
+use tms_storage::TableStore;
+use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, Preprocessor, HOUR_MS};
+
+/// FNV-1a, so the digest does not depend on the standard library's hasher.
+fn fnv(digest: &mut u64, bytes: &[u8]) {
+    for b in bytes.iter().chain(b"\n") {
+        *digest = (*digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn history_lines_and_detections_read_as_they_did_on_strings() {
+    let generator = FleetGenerator::new(FleetConfig::small(9), 0).unwrap();
+    let seeds = generator.route_seed_points();
+    let traces: Vec<BusTrace> =
+        generator.take_while(|t| t.timestamp_ms < 11 * HOUR_MS).collect();
+    let store = TableStore::new();
+    let artifacts =
+        offline::run_offline(DUBLIN_BBOX, &seeds, &traces, &store, &OfflineConfig::default())
+            .unwrap();
+    let spatial = &artifacts.spatial;
+
+    // `s = 0`: a location fires whenever its window runs above its mean.
+    let mut engine =
+        RuleEngine::new(RetrievalMethod::ThresholdStream, artifacts.thresholds.clone(), None);
+    for (name, selector) in
+        [("leaves", LocationSelector::QuadtreeLeaves), ("stops", LocationSelector::BusStops)]
+    {
+        let mut rule = RuleSpec::new(name, Attribute::Delay, selector.clone(), 5);
+        rule.s = 0.0;
+        engine.install_rule(&rule, spatial.resolve(&selector)).unwrap();
+    }
+
+    let mut pre = Preprocessor::new();
+    let (mut lines, mut line_bytes) = (FNV_OFFSET, 0usize);
+    for t in &traces {
+        let e = offline::enrich(&mut pre, spatial, *t);
+        let line = offline::enriched_csv_line(&e);
+        line_bytes += line.len();
+        fnv(&mut lines, line.as_bytes());
+        engine.send_trace(&e).unwrap();
+    }
+    let mut fired = FNV_OFFSET;
+    let detections = engine.detections();
+    let detections = detections.lock();
+    for d in detections.iter() {
+        let row = format!("{}|{}|{}|{:016x}", d.rule, d.location, d.timestamp_ms, d.observed.to_bits());
+        fnv(&mut fired, row.as_bytes());
+    }
+    let stops = detections.iter().filter(|d| d.location.starts_with('S')).count();
+
+    assert_eq!((traces.len(), line_bytes, lines), GOLDEN_LINES);
+    assert_eq!((detections.len(), stops, fired), GOLDEN_DETECTIONS);
+}
+
+/// `(traces, bytes of CSV, digest of the lines)`.
+const GOLDEN_LINES: (usize, usize, u64) = (36_000, 2_326_839, 10_648_329_310_542_914_362);
+/// `(detections, of which at stops, digest of rule|location|timestamp|observed)`.
+const GOLDEN_DETECTIONS: (usize, usize, u64) = (22_068, 5_178, 14_064_333_964_775_942_091);

@@ -19,7 +19,7 @@ use tms_cep::{Engine, EventType, FieldType, FieldValue, StatementId};
 use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::thresholds::{Detection, RetrievalMethod, RuleEngine, RuleMigration};
 use tms_storage::{DayType, TableStore, ThresholdStore};
-use tms_traffic::{Attribute, BusTrace, EnrichedTrace};
+use tms_traffic::{Attribute, BusTrace, EnrichedTrace, LocId};
 
 const LOCATIONS: [&str; 6] = ["R0", "R1", "R2", "R3", "S0", "S1"];
 const REGIONS: usize = 4;
@@ -106,8 +106,8 @@ fn trace(
         // A vehicle's first report has neither derived attribute.
         speed_kmh: (!first).then_some(((value * 7) % 120) as f64),
         actual_delay_s: (!first).then_some((119 - value) as f64),
-        areas: areas.iter().map(|&a| LOCATIONS[a].to_string()).collect(),
-        bus_stop: stop.map(|s| LOCATIONS[REGIONS + s].to_string()),
+        areas: areas.iter().map(|&a| LOCATIONS[a].parse().unwrap()).collect(),
+        bus_stop: stop.map(|s| LOCATIONS[REGIONS + s].parse().unwrap()),
     }
 }
 
@@ -223,10 +223,9 @@ impl Oracle {
     /// per (attribute stream, matched location); returns how many.
     fn send_trace(&mut self, under_test: &RuleEngine, e: &EnrichedTrace) -> usize {
         self.clock.store(e.trace.timestamp_ms, Ordering::Relaxed);
-        let mut candidates: Vec<&str> = e.areas.iter().map(String::as_str).collect();
-        if let Some(s) = &e.bus_stop {
-            candidates.push(s.as_str());
-        }
+        // The oracle stays on text, like the monitored sets it reads.
+        let names: Vec<String> = e.areas.iter().chain(&e.bus_stop).map(LocId::to_string).collect();
+        let candidates: Vec<&str> = names.iter().map(String::as_str).collect();
         let mut per_attribute: Vec<(Attribute, f64, Vec<&str>)> = Vec::new();
         for (spec, _) in &self.installed {
             let Some(value) = spec.attribute.value(e) else { continue };

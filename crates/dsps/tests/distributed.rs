@@ -490,7 +490,7 @@ impl Spout<Msg> for MigrateSpout {
         }
         let v = self.emitted;
         self.emitted += 1;
-        if v % 512 == 0 {
+        if v.is_multiple_of(512) {
             // Yield so the control frame and the sink's observation can
             // overtake the stream on a single-core box.
             std::thread::sleep(Duration::from_millis(1));

@@ -21,7 +21,7 @@ use tms_core::topology::TopologyParallelism;
 use tms_core::{ElasticConfig, RuleSpec, TrafficSystem};
 use tms_geo::{GeoPoint, RegionId, DUBLIN_BBOX};
 use tms_sim::HotspotSpec;
-use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, DAY_MS, HOUR_MS};
+use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, LocId, DAY_MS, HOUR_MS};
 
 const IMBALANCE_BOUND: f64 = 1.5;
 
@@ -106,15 +106,16 @@ fn live_stream() -> Vec<BusTrace> {
 fn hotspot_targets(sys: &TrafficSystem, plan: &StartupPlan, max: usize) -> Vec<GeoPoint> {
     let quadtree = &sys.artifacts.spatial.quadtree;
     let route = &plan.split_plan.routes[0];
-    let mut regions: Vec<&String> =
-        route.table.iter().filter(|(_, &e)| e == 0).map(|(r, _)| r).collect();
-    regions.sort();
+    let mut regions: Vec<LocId> =
+        route.table.iter().filter(|(_, &e)| e == 0).map(|(r, _)| *r).collect();
+    // By the ids' text: the targets these tests were paced on.
+    regions.sort_by_cached_key(LocId::to_string);
     regions
         .iter()
         .take(max)
-        .filter_map(|r| {
-            let id: u32 = r.strip_prefix('R')?.parse().ok()?;
-            Some(quadtree.region(RegionId(id))?.bbox.center())
+        .filter_map(|r| match r {
+            LocId::Region(id) => Some(quadtree.region(RegionId(*id))?.bbox.center()),
+            LocId::Stop(_) => None,
         })
         .collect()
 }

@@ -9,7 +9,7 @@
 //! to the longest valid prefix (property-tested).
 
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,7 +125,7 @@ fn fast_reliability() -> ReliabilityConfig {
 /// Runs `range` through a single-task Acc bolt persisting into `dir`.
 fn run_segment(
     range: std::ops::Range<u64>,
-    dir: &PathBuf,
+    dir: &Path,
     reliability: Option<ReliabilityConfig>,
 ) {
     let (start, end) = (range.start, range.end);
@@ -142,7 +142,7 @@ fn run_segment(
     let cfg = RuntimeConfig {
         reliability,
         durability: Some(DurabilityConfig {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             // Small enough that snapshots and compaction actually happen
             // mid-run, not only at EOS.
             snapshot_every: 64,
@@ -155,8 +155,8 @@ fn run_segment(
 
 /// The persisted end state of the Acc task in `dir` — after a clean EOS
 /// this is exactly the final snapshot (the changelog was compacted away).
-fn final_state(dir: &PathBuf) -> Vec<u8> {
-    let cfg = DurabilityConfig { dir: dir.clone(), snapshot_every: 64, fsync: false };
+fn final_state(dir: &Path) -> Vec<u8> {
+    let cfg = DurabilityConfig { dir: dir.to_path_buf(), snapshot_every: 64, fsync: false };
     let mut store = StateStore::open(&cfg, "acc", 0).unwrap();
     let (snapshot, changelog) = store.take_recovered().expect("state must exist after a run");
     assert!(changelog.is_empty(), "EOS snapshot must have compacted the changelog");
@@ -259,7 +259,7 @@ fn supervised_restart_restores_persisted_state() {
     // already folded when the supervisor rebuilt the task.
     let restored = restored_seen.load(Ordering::SeqCst);
     assert!(
-        restored >= 700 && restored < 1000,
+        (700..1000).contains(&restored),
         "restart must restore the pre-panic state, got seen={restored}"
     );
 

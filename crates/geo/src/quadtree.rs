@@ -21,12 +21,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RegionId(pub u32);
 
-impl std::fmt::Display for RegionId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "R{}", self.0)
-    }
-}
-
 /// Construction parameters for [`RegionQuadtree`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QuadtreeConfig {
@@ -248,22 +242,20 @@ impl RegionQuadtree {
         Some(node)
     }
 
+    /// The regions containing the point, from the leaf up to the root (at
+    /// most [`Self::max_layer`] + 1 of them); none outside the extent.
+    pub fn leaf_to_root(&self, p: &GeoPoint) -> impl Iterator<Item = &Region> {
+        std::iter::successors(self.locate_leaf(p), |r| {
+            r.parent.map(|parent| &self.nodes[parent.0 as usize])
+        })
+    }
+
     /// The chain of regions containing the point, from the root (layer 0)
     /// down to the leaf. This is what the AreaTracker bolt attaches to each
     /// bus trace (Section 4.3.2).
     pub fn locate_all_layers(&self, p: &GeoPoint) -> Vec<&Region> {
-        let Some(leaf) = self.locate_leaf(p) else {
-            return Vec::new();
-        };
-        let mut chain = Vec::with_capacity(leaf.layer as usize + 1);
-        let mut node = leaf;
-        loop {
-            chain.push(node);
-            match node.parent {
-                Some(pid) => node = &self.nodes[pid.0 as usize],
-                None => break,
-            }
-        }
+        let mut chain = Vec::with_capacity(usize::from(self.max_layer) + 1);
+        chain.extend(self.leaf_to_root(p));
         chain.reverse();
         chain
     }
@@ -326,7 +318,7 @@ mod tests {
         for leaf in tree.leaves() {
             assert!(
                 leaf.seed_count <= 4 || leaf.layer == 12,
-                "leaf {} holds {} seeds at layer {}",
+                "leaf {:?} holds {} seeds at layer {}",
                 leaf.id,
                 leaf.seed_count,
                 leaf.layer
@@ -408,6 +400,10 @@ mod tests {
             assert_eq!(w[1].parent, Some(w[0].id));
             assert_eq!(w[1].layer, w[0].layer + 1);
         }
+        // The walk is the same chain, leaf first; nothing outside the city.
+        let walk: Vec<RegionId> = tree.leaf_to_root(&p).map(|r| r.id).collect();
+        assert!(walk.iter().eq(chain.iter().rev().map(|r| &r.id)));
+        assert_eq!(tree.leaf_to_root(&GeoPoint::new_unchecked(0.0, 0.0)).count(), 0);
     }
 
     #[test]
@@ -478,7 +474,7 @@ mod tests {
                     .iter()
                     .map(|&c| tree.region(c).unwrap().seed_count)
                     .sum();
-                assert_eq!(sum, r.seed_count, "region {}", r.id);
+                assert_eq!(sum, r.seed_count, "region {:?}", r.id);
             }
         }
     }

@@ -2,6 +2,8 @@
 //! (Section 3.1).
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::str::FromStr;
 use tms_geo::GeoPoint;
 
 /// Milliseconds in an hour.
@@ -60,12 +62,63 @@ pub struct EnrichedTrace {
     /// Change of the delay value since the previous report ("actual
     /// delay" in Section 3.1). `None` for a vehicle's first report.
     pub actual_delay_s: Option<f64>,
-    /// Region ids (as `R<id>` strings) of the quadtree areas containing
-    /// the position, root first — attached by the AreaTracker bolt.
-    pub areas: Vec<String>,
-    /// Recomputed closest bus stop (as an `S<id>` string) — attached by
-    /// the BusStopsTracker bolt.
-    pub bus_stop: Option<String>,
+    /// The quadtree areas containing the position, root first — attached
+    /// by the AreaTracker bolt.
+    pub areas: Vec<LocId>,
+    /// Recomputed closest bus stop — attached by the BusStopsTracker bolt.
+    pub bus_stop: Option<LocId>,
+}
+
+/// A monitorable location: a quadtree region or a recovered bus stop.
+///
+/// This is the id a tuple carries and the key of every table a tuple
+/// probes. Its text form — `R<n>` / `S<n>`, what rule specs, threshold
+/// rows, detections and the DFS history hold — exists only through
+/// [`Display`](fmt::Display) and [`FromStr`], which are exact inverses:
+/// `n` is a `u32` in canonical decimal (no sign, no leading zeros).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum LocId {
+    /// A quadtree region, by its [`tms_geo::RegionId`] number.
+    Region(u32),
+    /// A recovered bus stop, by its index in the stop table.
+    Stop(u32),
+}
+
+impl fmt::Display for LocId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LocId::Region(n) => write!(f, "R{n}"),
+            LocId::Stop(n) => write!(f, "S{n}"),
+        }
+    }
+}
+
+/// The text is not a [`LocId`]; carries the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseLocIdError(pub String);
+
+impl fmt::Display for ParseLocIdError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?} is not a location id (`R<n>` or `S<n>`, n a canonical decimal u32)", self.0)
+    }
+}
+
+impl std::error::Error for ParseLocIdError {}
+
+impl FromStr for LocId {
+    type Err = ParseLocIdError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let digits = s.get(1..).unwrap_or("");
+        // `u32::from_str` alone would take "+1" and "01".
+        let canonical = digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'));
+        match (s.as_bytes().first(), digits.parse::<u32>()) {
+            (Some(b'R'), Ok(n)) if canonical => Ok(LocId::Region(n)),
+            (Some(b'S'), Ok(n)) if canonical => Ok(LocId::Stop(n)),
+            _ => Err(ParseLocIdError(s.to_string())),
+        }
+    }
 }
 
 /// The monitorable attributes of the generic rule template (Table 6).
@@ -146,8 +199,8 @@ mod tests {
             trace: trace(ts),
             speed_kmh: Some(24.0),
             actual_delay_s: Some(10.0),
-            areas: vec!["R0".into(), "R3".into()],
-            bus_stop: Some("S5".into()),
+            areas: vec![LocId::Region(0), LocId::Region(3)],
+            bus_stop: Some(LocId::Stop(5)),
         }
     }
 
@@ -179,6 +232,46 @@ mod tests {
         first.actual_delay_s = None;
         assert_eq!(Attribute::Speed.value(&first), None);
         assert_eq!(Attribute::ActualDelay.value(&first), None);
+    }
+
+    #[test]
+    fn loc_ids_print_as_the_text_ids_and_reject_everything_else() {
+        assert_eq!(LocId::Region(0).to_string(), "R0");
+        assert_eq!(LocId::Stop(4_294_967_295).to_string(), "S4294967295");
+        assert_eq!("S12".parse(), Ok(LocId::Stop(12)));
+        for bad in ["R01", "R", "X3", "R-1", "R4294967296", "", "R+1", "r1", "R1 ", " R1", "R١", "É1"] {
+            assert_eq!(bad.parse::<LocId>(), Err(ParseLocIdError(bad.to_string())), "{bad:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn loc_id_text_round_trips(n in 0..=u32::MAX, digits in 0..=10u32, stop in proptest::arbitrary::any::<bool>()) {
+            // Uniform u32s are nearly all ten digits long; the second draw
+            // covers the short ones.
+            for n in [n, n % 10u32.saturating_pow(digits).max(1)] {
+                let id = if stop { LocId::Stop(n) } else { LocId::Region(n) };
+                proptest::prop_assert_eq!(id.to_string().parse(), Ok(id));
+            }
+        }
+
+        #[test]
+        fn accepted_text_is_exactly_what_display_prints(
+            head in 0..4usize,
+            tail in proptest::collection::vec(0..16usize, 0..=11usize),
+        ) {
+            // Near-misses: mostly digits (zeros included, so leading zeros
+            // and overflow come up), now and then a sign, a blank or a
+            // non-ASCII digit.
+            const TAIL: [char; 16] =
+                ['0', '0', '1', '2', '3', '4', '4', '5', '6', '7', '8', '9', '9', '+', ' ', '٣'];
+            let mut s = ["R", "S", "X", ""][head].to_string();
+            s.extend(tail.into_iter().map(|i| TAIL[i]));
+            match s.parse::<LocId>() {
+                Ok(id) => proptest::prop_assert_eq!(id.to_string(), s),
+                Err(e) => proptest::prop_assert_eq!(e.0, s),
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn trace(minute: u64, area: &str, delay: f64) -> EnrichedTrace {
         },
         speed_kmh: Some(18.0),
         actual_delay_s: Some(2.0),
-        areas: vec![area.to_string()],
+        areas: vec![area.parse().expect("a location id")],
         bus_stop: None,
     }
 }

@@ -22,4 +22,4 @@ cargo test -q --release -p tms-dsps --test elastic
 cargo run --release -p tms-bench --bin experiments -- guard all
 cargo test --release --locked --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
