@@ -165,14 +165,6 @@ impl Dfs {
             .map_err(|_| BatchError::NotUtf8 { path: path.to_string() })
     }
 
-    /// The blocks of a file as shared byte buffers — one per map task.
-    pub fn read_blocks(&self, path: &str) -> Result<Vec<Bytes>, BatchError> {
-        let ns = self.ns.read();
-        let blocks =
-            ns.files.get(path).ok_or_else(|| BatchError::FileNotFound(path.to_string()))?;
-        Ok(blocks.iter().map(|b| b.data.clone()).collect())
-    }
-
     /// The file split into **line-aligned chunks**, one per block: a line
     /// crossing a block boundary belongs to the chunk where it started,
     /// mirroring how Hadoop's `TextInputFormat` assigns records to splits.

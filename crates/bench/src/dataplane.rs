@@ -1,5 +1,5 @@
 //! The data-plane microbenchmark topology that the throughput and
-//! tracing-overhead snapshots and the `dsps` criterion bench share.
+//! tracing-overhead snapshots share.
 
 use std::time::Instant;
 use tms_dsps::runtime::{LocalCluster, RuntimeConfig};

@@ -159,16 +159,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// Whether this operator yields a boolean.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::And | BinOp::Or
-        )
-    }
-}
-
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {

@@ -109,11 +109,6 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Sum of per-grouping scores.
-    pub fn total_score(&self) -> f64 {
-        self.scores.iter().sum()
-    }
-
     /// `(grouping, engine-within-grouping)` → global engine index ranges:
     /// grouping `g`'s engines start at `offsets[g]`.
     pub fn offsets(&self) -> Vec<usize> {

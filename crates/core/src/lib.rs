@@ -28,9 +28,11 @@
 //! * [`thresholds`] — the three threshold-retrieval methods of
 //!   Section 4.3.1 (join-with-database, multiple rules, threshold stream)
 //!   and dynamic rule refresh;
-//! * [`topology`] — the Figure 8 topology (BusReader spout → PreProcess →
-//!   AreaTracker → BusStopsTracker → Splitter → Esper bolts → EventsStorer)
-//!   wired onto the DSPS, plus the XML front end;
+//! * [`topology`] — the components of the Figure 8 topology (BusReader
+//!   spout → PreProcess → AreaTracker → BusStopsTracker → Splitter → Esper
+//!   bolts → EventsStorer);
+//! * [`xml_topology`] — their wiring as a spec (the default one, or a
+//!   deployment's XML) and the one builder that resolves it;
 //! * [`kappa`] — the in-stream statistics path: a StatsBolt that folds
 //!   the batch job's per-cell moments into the stream and refreshes the
 //!   engines' thresholds without a database round trip, plus the binary

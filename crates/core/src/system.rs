@@ -3,16 +3,16 @@
 
 use crate::allocation::{best_grouping_allocation, round_robin, Allocation, Grouping};
 use crate::error::CoreError;
-use crate::latency::{EstimationModel, RuleLoad};
-use crate::latency::PolyModel;
+use crate::latency::{EstimationModel, PolyModel, RuleLoad};
 use crate::offline::{run_offline, OfflineArtifacts, OfflineConfig};
 use crate::partitioning::{partition_rule, Partition, RegionRate};
 use crate::rules::{LocationSelector, RuleSpec, SpatialContext};
 use crate::thresholds::{Detection, RetrievalMethod};
 use crate::topology::{
-    build_traffic_topology, ElasticHandle, EnginePlan, EsperProfileRegistry, GroupingKind,
-    GroupingRoute, MigrationMeta, SplitPlan, TopologyParallelism,
+    ElasticHandle, EnginePlan, EsperProfileRegistry, GroupingKind, GroupingRoute, MigrationMeta,
+    SplitPlan, TopologyParallelism,
 };
+use crate::xml_topology::{build_from_spec, figure8_spec, ComponentTypes, TopologyEnv};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -754,22 +754,42 @@ impl TrafficSystem {
             .collect()
     }
 
-    /// The on-line component: builds the Figure 8 topology and replays the
-    /// traces through it to completion.
+    /// The on-line component: replays the traces to completion through the
+    /// Figure 8 topology, with as many Esper tasks as the plan has engines.
     pub fn run(
         &self,
         traces: Vec<BusTrace>,
         plan: &StartupPlan,
         db: Option<tms_storage::RemoteDb>,
     ) -> Result<RunReport, CoreError> {
-        let detections = Arc::new(Mutex::new(Vec::new()));
+        let parallelism = TopologyParallelism {
+            esper_tasks: plan.engine_plan.engines(),
+            ..self.config.parallelism
+        };
+        let spec = figure8_spec(&parallelism, self.config.kappa.is_some());
+        self.run_spec(&spec, traces, plan, db, ComponentTypes::figure8())
+    }
+
+    /// Runs the topology `spec` describes — [`figure8_spec`]'s or a parsed
+    /// XML file's — under this system's configuration: the one place a
+    /// traffic topology is built and submitted, so every spec gets the
+    /// monitor, reliability, the rebalancer, the gap check and the
+    /// [`RunReport`]. `types` resolves the spec's `type=` names; register a
+    /// spout or sink type of your own on [`ComponentTypes::figure8`] first
+    /// to run one. The drift and planner reports read the component named
+    /// `esper`.
+    pub fn run_spec(
+        &self,
+        spec: &tms_dsps::TopologySpec,
+        traces: Vec<BusTrace>,
+        plan: &StartupPlan,
+        db: Option<tms_storage::RemoteDb>,
+        types: ComponentTypes,
+    ) -> Result<RunReport, CoreError> {
         // The control-plane flight recorder is created here (not by the
         // runtime) so the coordinator, the StatsBolt and the rebalancer
         // all share one event log with the runtime's own events.
         let flight = Arc::new(FlightRecorder::default());
-        let gap_skips = Arc::new(AtomicU64::new(0));
-        let mut parallelism = self.config.parallelism;
-        parallelism.esper_tasks = plan.engine_plan.engines().max(1);
         let elastic = match &self.config.elastic {
             Some(cfg) => {
                 cfg.validate()?;
@@ -780,9 +800,6 @@ impl TrafficSystem {
                             .into(),
                     });
                 }
-                // The drain barrier's ordering argument needs exactly one
-                // routing task (per-sender FIFO to each engine).
-                parallelism.splitter_tasks = 1;
                 let h = Arc::new(ElasticHandle::new(
                     plan.split_plan.clone(),
                     plan.engine_plan.clone(),
@@ -793,34 +810,24 @@ impl TrafficSystem {
             }
             None => None,
         };
-        if let Some(kappa) = &self.config.kappa {
-            kappa.validate()?;
-        }
-        let registry = self
-            .config
-            .monitor
-            .is_some_and(|m| m.profiling)
-            .then(|| Arc::new(EsperProfileRegistry::new()));
-        let topology = build_traffic_topology(
-            Arc::new(traces),
-            Arc::new(self.artifacts.spatial.quadtree.clone()),
-            Arc::new(self.artifacts.spatial.stops.clone()),
-            Arc::new(plan.split_plan.clone()),
-            Arc::new(plan.engine_plan.clone()),
-            self.config.method.clone(),
-            self.store.clone(),
+        let env = TopologyEnv {
+            system: self,
+            plan,
+            traces: Arc::new(traces),
             db,
-            detections.clone(),
-            parallelism,
-            self.config.incremental,
-            self.config.sharing,
-            self.config.chaos,
-            registry.clone(),
-            elastic.clone(),
-            self.config.kappa,
-            Some(flight.clone()),
-            gap_skips.clone(),
-        )?;
+            detections: Arc::new(Mutex::new(Vec::new())),
+            profiling: self
+                .config
+                .monitor
+                .is_some_and(|m| m.profiling)
+                .then(|| Arc::new(EsperProfileRegistry::new())),
+            elastic,
+            flight,
+            gap_skips: Arc::new(AtomicU64::new(0)),
+            types,
+        };
+        let topology = build_from_spec(spec, &env)?;
+        let TopologyEnv { detections, profiling: registry, elastic, flight, gap_skips, .. } = env;
         let cluster = LocalCluster::new(self.config.cluster)?;
         let handle = cluster.submit(
             topology,
@@ -1296,11 +1303,7 @@ impl TrafficSystem {
     pub fn rules_from_xml_spec(
         spec: &tms_dsps::TopologySpec,
     ) -> Result<Vec<RuleSpec>, CoreError> {
-        let mut out = Vec::new();
-        for (i, text) in spec.rules.iter().enumerate() {
-            out.push(parse_rule_shorthand(text, i)?);
-        }
-        Ok(out)
+        spec.rules.iter().enumerate().map(|(i, text)| parse_rule_shorthand(text, i)).collect()
     }
 }
 
@@ -1510,13 +1513,13 @@ mod tests {
             assert!(run(&sys) == first, "repeat {repeat} detected another multiset");
         }
 
-        // Two splitter tasks each see half the sequence numbers: once one
-        // holds a full window of tuples behind a gap it skips it, and the
-        // run must say so instead of returning detections.
+        // Two splitter tasks would each see half the sequence numbers and
+        // skip the "gaps" once a full window is held: refused at build
+        // (from an XML spec too, see `xml_topology`'s tests).
         sys.config.parallelism.splitter_tasks = 2;
         match sys.run(live.clone(), &plan, None) {
-            Err(CoreError::SequenceGap { skipped }) => assert!(skipped > 0),
-            other => panic!("expected SequenceGap, got {:?}", other.map(|r| r.gap_skips)),
+            Err(CoreError::Config { reason }) => assert!(reason.contains("splitter"), "{reason}"),
+            other => panic!("expected a refusal, got {:?}", other.map(|r| r.gap_skips)),
         }
     }
 

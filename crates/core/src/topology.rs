@@ -11,12 +11,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_cep::CepError;
 use tms_dsps::{
-    chaos_wrap, Bolt, BoltContext, Emitter, FaultConfig, FlightKind, FlightRecorder, Grouping,
-    MigrationCoordinator, Parallelism, RuleProfile, Spout, Topology, TopologyBuilder,
+    Bolt, BoltContext, Emitter, FlightKind, FlightRecorder, MigrationCoordinator, RuleProfile,
+    Spout,
 };
 use tms_geo::{BusStopIndex, RegionQuadtree};
 use tms_storage::{RemoteDb, TableStore, ThresholdStore};
-use tms_traffic::{Attribute, BusTrace, EnrichedTrace, LocId, Preprocessor};
+use tms_traffic::{BusTrace, EnrichedTrace, LocId, Preprocessor};
 
 /// The message flowing through the topology.
 ///
@@ -265,11 +265,6 @@ impl SplitPlan {
 
     /// Like [`Self::engines_for`], but per grouping and without
     /// deduplication: `(grouping index, matched routing key, engine)`.
-    pub fn routes_for(&self, e: &EnrichedTrace) -> Vec<(usize, String, usize)> {
-        self.hits(e).map(|(g, key, engine)| (g, key.to_string(), engine)).collect()
-    }
-
-    /// [`Self::routes_for`] with the keys as ids.
     fn hits<'a>(
         &'a self,
         e: &'a EnrichedTrace,
@@ -347,15 +342,6 @@ impl ElasticHandle {
     /// call (the rebalancer's measurement window).
     pub fn take_observed(&self) -> HashMap<(usize, LocId), u64> {
         std::mem::take(&mut self.observed.lock())
-    }
-}
-
-impl std::fmt::Debug for ElasticHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ElasticHandle")
-            .field("coordinator", &self.coordinator)
-            .field("drain_timeout", &self.drain_timeout)
-            .finish_non_exhaustive()
     }
 }
 
@@ -568,30 +554,6 @@ impl Bolt<TrafficMessage> for SplitterBolt {
     fn finish(&mut self, emitter: &mut dyn Emitter<TrafficMessage>) {
         for (seq, e) in self.reseq.drain() {
             self.route(seq, e, emitter);
-        }
-    }
-}
-
-/// A Splitter baseline that fans every tuple to every engine — the *All
-/// Grouping* approach of Figures 12/13.
-pub struct BroadcastSplitterBolt {
-    engines: usize,
-}
-
-impl BroadcastSplitterBolt {
-    /// Creates a broadcast splitter over `engines` engines.
-    pub fn new(engines: usize) -> Self {
-        BroadcastSplitterBolt { engines }
-    }
-}
-
-impl Bolt<TrafficMessage> for BroadcastSplitterBolt {
-    fn process(&mut self, msg: TrafficMessage, emitter: &mut dyn Emitter<TrafficMessage>) {
-        if let TrafficMessage::Enriched { seq, trace } = msg {
-            for engine in 0..self.engines {
-                emitter
-                    .emit_direct(engine, TrafficMessage::Enriched { seq, trace: trace.clone() });
-            }
         }
     }
 }
@@ -1020,11 +982,8 @@ impl Bolt<TrafficMessage> for EventsStorerBolt {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Topology wiring
-// ---------------------------------------------------------------------------
-
-/// Parallelism knobs for the Figure 8 topology.
+/// Parallelism knobs for the Figure 8 topology (the wiring itself is
+/// `xml_topology::figure8_spec`).
 #[derive(Debug, Clone, Copy)]
 pub struct TopologyParallelism {
     /// BusReader spout tasks.
@@ -1033,7 +992,8 @@ pub struct TopologyParallelism {
     pub preprocess_tasks: usize,
     /// AreaTracker / BusStopsTracker tasks.
     pub tracker_tasks: usize,
-    /// Splitter tasks.
+    /// Splitter tasks. Only 1 builds: the Splitter is the stream's merge
+    /// point (see the `SplitterBolt` check in `xml_topology`).
     pub splitter_tasks: usize,
     /// Esper tasks = number of engines.
     pub esper_tasks: usize,
@@ -1051,169 +1011,12 @@ impl Default for TopologyParallelism {
     }
 }
 
-/// Builds the Figure 8 topology.
-///
-/// `chaos` wraps the Esper bolts in fault-injecting [`ChaosBolt`]s
-/// (`tms_dsps::fault`): the engine is the stateful heart of the topology
-/// and rebuilds itself from the shared [`EnginePlan`] in `prepare`, so a
-/// supervised restart after an injected panic recovers it completely.
-///
-/// `kappa` adds the in-stream statistics side branch: a single-task
-/// [`StatsBolt`](crate::kappa::StatsBolt) fed from the BusStopsTracker,
-/// whose [`TrafficMessage::StatsRefresh`] notices reach every Esper task
-/// over an all-grouped edge — thresholds then track the stream instead of
-/// the batch period.
-#[allow(clippy::too_many_arguments)]
-pub fn build_traffic_topology(
-    traces: Arc<Vec<BusTrace>>,
-    quadtree: Arc<RegionQuadtree>,
-    stops: Arc<BusStopIndex>,
-    split_plan: Arc<SplitPlan>,
-    engine_plan: Arc<EnginePlan>,
-    method: RetrievalMethod,
-    store: TableStore,
-    db: Option<RemoteDb>,
-    detections: Arc<Mutex<Vec<Detection>>>,
-    parallelism: TopologyParallelism,
-    incremental: bool,
-    sharing: bool,
-    chaos: Option<FaultConfig>,
-    profiling: Option<Arc<EsperProfileRegistry>>,
-    elastic: Option<Arc<ElasticHandle>>,
-    kappa: Option<crate::kappa::KappaConfig>,
-    flight: Option<Arc<FlightRecorder>>,
-    gap_skips: Arc<AtomicU64>,
-) -> Result<Topology<TrafficMessage>, tms_dsps::DspsError> {
-    let threshold_store = ThresholdStore::new(store.clone());
-    // The attributes the planned rules monitor, in `Attribute::ALL` order
-    // — the statistics cells the kappa branch must maintain.
-    let stats_attributes: Vec<Attribute> = Attribute::ALL
-        .iter()
-        .filter(|a| {
-            engine_plan.per_engine.iter().flatten().any(|(spec, _)| spec.attribute == **a)
-        })
-        .copied()
-        .collect();
-    let spout_tasks = parallelism.spout_tasks.max(1);
-    let esper_elastic = elastic.clone();
-    let stats_store = threshold_store.clone();
-    let esper_factory = move |_: usize| -> Box<dyn Bolt<TrafficMessage>> {
-        let mut bolt = EsperBolt::new(
-            engine_plan.clone(),
-            method.clone(),
-            threshold_store.clone(),
-            db.clone(),
-        )
-        .with_incremental(incremental)
-        .with_sharing(sharing);
-        if let Some(registry) = &profiling {
-            bolt = bolt.with_profiling(registry.clone());
-        }
-        if let Some(handle) = &esper_elastic {
-            bolt = bolt.with_elastic(handle.clone());
-        }
-        Box::new(bolt)
-    };
-    let esper_factory: Box<dyn Fn(usize) -> Box<dyn Bolt<TrafficMessage>> + Send + Sync> =
-        match chaos {
-            Some(f) => Box::new(chaos_wrap(esper_factory, f)),
-            None => Box::new(esper_factory),
-        };
-    let mut builder = TopologyBuilder::new("traffic")
-        .add_spout("busReader", Parallelism::of(spout_tasks), move |ti| {
-            Box::new(BusReaderSpout::new(traces.clone(), ti, spout_tasks))
-        })
-        .add_bolt(
-            "preprocess",
-            Parallelism::of(parallelism.preprocess_tasks.max(1)),
-            vec![(
-                "busReader",
-                Grouping::fields(|m: &TrafficMessage| match m {
-                    TrafficMessage::Raw { trace, .. } => u64::from(trace.vehicle_id),
-                    _ => 0,
-                }),
-            )],
-            |_| Box::new(PreProcessBolt::new()),
-        )
-        .add_bolt(
-            "areaTracker",
-            Parallelism::of(parallelism.tracker_tasks.max(1)),
-            vec![("preprocess", Grouping::Shuffle)],
-            move |_| Box::new(AreaTrackerBolt::new(quadtree.clone())),
-        )
-        .add_bolt(
-            "busStopsTracker",
-            Parallelism::of(parallelism.tracker_tasks.max(1)),
-            vec![("areaTracker", Grouping::Shuffle)],
-            move |_| Box::new(BusStopsTrackerBolt::new(stops.clone())),
-        )
-        .add_bolt(
-            "splitter",
-            Parallelism::of(parallelism.splitter_tasks.max(1)),
-            vec![("busStopsTracker", Grouping::Shuffle)],
-            {
-                let flight = flight.clone();
-                move |_| {
-                    let bolt = SplitterBolt::new(split_plan.clone());
-                    let bolt = match &elastic {
-                        Some(handle) => bolt.with_elastic(handle.clone()),
-                        None => bolt,
-                    };
-                    let bolt = match &flight {
-                        Some(recorder) => bolt.with_gap_report(recorder.clone(), gap_skips.clone()),
-                        None => bolt,
-                    };
-                    Box::new(bolt)
-                }
-            },
-        );
-    // The kappa side branch: single-task (its BTreeMap of cells is the
-    // global statistics state; one task keeps publication deterministic),
-    // fed the same enriched stream the splitter sees. Its refresh notices
-    // must reach *every* engine, hence the all-grouped esper edge.
-    let mut esper_inputs: Vec<(&str, Grouping<TrafficMessage>)> =
-        vec![("splitter", Grouping::Direct)];
-    if let Some(config) = kappa {
-        builder = builder.add_bolt(
-            "stats",
-            Parallelism::of(1),
-            vec![("busStopsTracker", Grouping::Shuffle)],
-            move |_| {
-                let bolt = crate::kappa::StatsBolt::new(
-                    config,
-                    stats_store.clone(),
-                    stats_attributes.clone(),
-                );
-                let bolt = match &flight {
-                    Some(recorder) => bolt.with_flight(recorder.clone()),
-                    None => bolt,
-                };
-                Box::new(bolt)
-            },
-        );
-        esper_inputs.push(("stats", Grouping::All));
-    }
-    builder
-        .add_bolt(
-            "esper",
-            Parallelism::of(parallelism.esper_tasks.max(1)),
-            esper_inputs,
-            move |ti| esper_factory(ti),
-        )
-        .add_bolt(
-            "eventsStorer",
-            Parallelism::of(1),
-            vec![("esper", Grouping::Shuffle)],
-            move |_| Box::new(EventsStorerBolt::new(store.clone(), detections.clone())),
-        )
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::LocationSelector;
     use tms_storage::{DayType, StatRecord};
+    use tms_traffic::Attribute;
 
     fn id(text: &str) -> LocId {
         text.parse().unwrap()

@@ -628,11 +628,6 @@ impl TraceCollector {
         std::mem::take(&mut self.inner.lock().spans)
     }
 
-    /// Component name for a registered task.
-    pub fn component_of(&self, task: u32) -> Option<String> {
-        self.inner.lock().rings.get(&task).map(|(n, _)| n.clone())
-    }
-
     /// The full task → component map (for rendering exported spans after
     /// the collector is gone, e.g. from `RunReport::traces`).
     pub fn components(&self) -> HashMap<u32, String> {
@@ -763,52 +758,6 @@ fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Renders a [`CriticalPathReport`] as JSON (used by `/trace` summaries and
-/// the bench exporter).
-pub fn render_critical_path_json(r: &CriticalPathReport) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"traces\":{},\"spans\":{},\"dropped_spans\":{},\"completed\":{},\
-         \"replays\":{},\"bottleneck\":{},",
-        r.traces,
-        r.spans,
-        r.dropped_spans,
-        r.completed,
-        r.replays,
-        r.bottleneck.as_deref().map(json_str).unwrap_or_else(|| "null".into()),
-    ));
-    out.push_str("\"components\":[");
-    for (i, c) in r.components.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"component\":{},\"compute_ns\":{},\"queue_in_ns\":{},\
-             \"replay_ns\":{},\"tuples\":{}}}",
-            json_str(&c.component),
-            c.compute_ns,
-            c.queue_in_ns,
-            c.replay_ns,
-            c.tuples
-        ));
-    }
-    out.push_str("],\"edges\":[");
-    for (i, e) in r.edges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"from\":{},\"to\":{},\"queue_ns\":{},\"tuples\":{}}}",
-            json_str(&e.from),
-            json_str(&e.to),
-            e.queue_ns,
-            e.tuples
-        ));
-    }
-    out.push_str("]}");
     out
 }
 

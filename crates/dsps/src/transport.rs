@@ -100,11 +100,6 @@ impl FrameDecoder {
         FrameDecoder { buf: BytesMut::new(), max_frame: MAX_FRAME }
     }
 
-    /// A decoder with a custom frame bound (tests).
-    pub fn with_max_frame(max_frame: usize) -> Self {
-        FrameDecoder { buf: BytesMut::new(), max_frame }
-    }
-
     /// Appends raw socket bytes to the receive buffer.
     pub fn push(&mut self, data: &[u8]) {
         self.buf.put_slice(data);

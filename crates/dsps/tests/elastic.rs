@@ -18,6 +18,7 @@ use std::time::Duration;
 use tms_core::rules::LocationSelector;
 use tms_core::system::StartupPlan;
 use tms_core::topology::TopologyParallelism;
+use tms_core::xml_topology::{ComponentTypes, FIGURE8_XML};
 use tms_core::{ElasticConfig, RuleSpec, TrafficSystem};
 use tms_geo::{GeoPoint, RegionId, DUBLIN_BBOX};
 use tms_sim::HotspotSpec;
@@ -208,7 +209,7 @@ fn forced_migration_matches_never_migrated_run() {
 
     sys.config.elastic = Some(aggressive_elastic());
     sys.config.chaos = Some(paced(&live, tms_dsps::FaultConfig::default()));
-    let migrated = sys.run(live, &plan, None).unwrap();
+    let migrated = sys.run(live.clone(), &plan, None).unwrap();
     let stats = migrated.elastic.expect("elastic stats");
     assert!(stats.completed >= 1, "the hotspot must force at least one migration: {stats:?}");
 
@@ -216,6 +217,15 @@ fn forced_migration_matches_never_migrated_run() {
     let got = sorted_detections(&migrated);
     assert!(!expected.is_empty(), "the incident must trigger detections");
     assert_eq!(got, expected, "migration must not change what the system detects");
+
+    // The same topology declared in XML text is rebalanced like the
+    // default wiring: one `run_spec` serves both.
+    let xml = FIGURE8_XML.replace(r#"type="EsperBolt" tasks="4""#, r#"type="EsperBolt" tasks="2""#);
+    let spec = tms_dsps::parse_topology_xml(&xml).unwrap();
+    let declared = sys.run_spec(&spec, live, &plan, None, ComponentTypes::figure8()).unwrap();
+    let stats = declared.elastic.expect("elastic stats");
+    assert!(stats.completed >= 1, "the XML-declared run must migrate too: {stats:?}");
+    assert_eq!(sorted_detections(&declared), expected);
 }
 
 /// Chaos acceptance: migrations under 1% injected panics + 1% transport

@@ -185,13 +185,6 @@ impl RegionQuadtree {
         self.nodes.get(id.0 as usize)
     }
 
-    /// All regions at the given layer. Layer `k` only lists regions whose
-    /// depth is exactly `k`; in an unbalanced tree a leaf at depth `j < k`
-    /// covers its area for all deeper layers (see [`Self::locate_at_layer`]).
-    pub fn regions_at_layer(&self, layer: u8) -> Vec<&Region> {
-        self.nodes.iter().filter(|n| n.layer == layer).collect()
-    }
-
     /// All leaf regions.
     pub fn leaves(&self) -> Vec<&Region> {
         self.nodes.iter().filter(|n| n.is_leaf()).collect()

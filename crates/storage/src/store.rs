@@ -63,13 +63,6 @@ impl TableStore {
         self.inner.write().insert(table.name().to_string(), table);
     }
 
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Whether the table exists.
     pub fn has_table(&self, name: &str) -> bool {
         self.inner.read().contains_key(name)

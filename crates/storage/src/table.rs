@@ -118,16 +118,6 @@ impl Table {
         Ok(())
     }
 
-    /// Inserts many rows; stops at the first invalid one.
-    pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize, StorageError> {
-        let mut n = 0;
-        for r in rows {
-            self.insert(r)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Iterates all rows.
     pub fn scan(&self) -> impl Iterator<Item = &Row> {
         self.rows.iter()

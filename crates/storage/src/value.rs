@@ -99,11 +99,6 @@ impl Value {
         }
     }
 
-    /// Whether this is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Renders the value for CSV output. Strings are quoted only when they
     /// contain separators; `Null` renders as the empty field.
     pub fn to_csv_field(&self) -> String {

@@ -159,15 +159,6 @@ impl Route {
         let b = self.points[i + 1];
         GeoPoint { lat: a.lat + (b.lat - a.lat) * f, lon: a.lon + (b.lon - a.lon) * f }
     }
-
-    /// Distance (m) from route start to the nearest stop vertex at or
-    /// after `dist`.
-    pub fn next_stop_after(&self, dist: f64) -> Option<(usize, f64)> {
-        self.stops
-            .iter()
-            .map(|&i| (i, self.cumulative_m[i]))
-            .find(|&(_, d)| d >= dist)
-    }
 }
 
 struct BusState {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: release build, every crate's tests, the vendored
 # channel's, buffer pool's and locks' tests, the elastic suite in release, the
-# snapshot guards, the pipeline benchmark's own tests and smoke run, strict
-# clippy.
+# argument-free examples, the snapshot guards, the pipeline benchmark's own
+# tests and smoke run, strict clippy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +17,12 @@ cargo test -q --manifest-path vendor/parking_lot/Cargo.toml
 # The rebalancer scenarios are wall-clock driven; the optimized build is
 # the one that outruns them if their pacing ever breaks.
 cargo test -q --release -p tms-dsps --test elastic
+# The README's front door: `cargo test` compiles the examples and runs none,
+# and `rule_allocation` is the only program outside the tests that parses a
+# topology XML. (`replay_csv` takes a file argument and is left out.)
+for example in quickstart rule_allocation cep_standalone dynamic_thresholds trace_quickstart; do
+    cargo run --release --quiet --example "$example" > /dev/null
+done
 # Every committed BENCH_*.json must parse under the one schema and hold
 # its own acceptance bars; a live smoke re-run must hold the live ones.
 cargo run --release -p tms-bench --bin experiments -- guard all
