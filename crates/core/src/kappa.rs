@@ -22,25 +22,18 @@
 //! bit-for-bit on the same input, so the kappa and batch paths are
 //! directly comparable in the staleness ablation.
 //!
-//! The module also carries the binary codec for the Esper bolts' durable
-//! snapshots ([`encode_esper_state`] / [`decode_esper_state`]): the
-//! engine's migratable state (windows, threshold rows, monitored sets —
-//! the same [`RuleMigration`] plumbing the elastic path ships between
-//! engines) plus per-rule threshold ages and a wall-clock stamp, so a
-//! supervised restart restores thresholds *and keeps their staleness
-//! clock honest* across the downtime.
-//!
 //! [`TrafficMessage::StatsRefresh`]: crate::topology::TrafficMessage::StatsRefresh
 //! [`RuleEngine::refresh_thresholds`]: crate::thresholds::RuleEngine::refresh_thresholds
 
-use crate::thresholds::RuleMigration;
 use crate::topology::TrafficMessage;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
 use tms_cep::agg::Accumulator;
-use tms_cep::{FieldValue, PartitionState};
-use tms_dsps::{Bolt, BoltContext, Emitter, FlightKind, FlightRecorder};
+use tms_dsps::bytes::BytesMut;
+use tms_dsps::transport::{
+    decode_seq, decode_value, encode_seq, encode_value, WireCodec, WireReader,
+};
+use tms_dsps::{Bolt, BoltContext, DspsError, Emitter, FlightKind, FlightRecorder};
 use tms_storage::{DayType, StatRecord, ThresholdStore};
 use tms_traffic::{Attribute, LocId};
 
@@ -112,9 +105,8 @@ fn day_from_index(i: u8) -> DayType {
 /// count)` back into raw moments — the in-stream statistics *continue*
 /// the historical ones instead of starting cold.
 ///
-/// Durability: the bolt is snapshot-only (no changelog); its snapshot
-/// serializes every cell's raw moments plus the publication counters, so
-/// a restart resumes the exact accumulated state.
+/// Durability: the bolt is snapshot-only (no changelog); its snapshot is
+/// its [`StatsState`], so a restart resumes the exact accumulated state.
 ///
 /// [`TrafficMessage::StatsRefresh`]: crate::topology::TrafficMessage::StatsRefresh
 pub struct StatsBolt {
@@ -123,6 +115,16 @@ pub struct StatsBolt {
     /// The attributes the installed rules monitor, in [`Attribute::ALL`]
     /// order; a cell key's `u8` indexes into this.
     attributes: Vec<Attribute>,
+    state: StatsState,
+    /// Optional control-plane event log: every publication becomes a
+    /// [`FlightKind::StatsRefresh`] event.
+    flight: Option<Arc<FlightRecorder>>,
+}
+
+/// What a [`StatsBolt`] snapshots: every cell's raw moments plus the
+/// publication counters.
+#[derive(Debug, Default, PartialEq)]
+struct StatsState {
     cells: BTreeMap<CellKey, Accumulator>,
     /// Monotonic snapshot version; bumped per publication and carried by
     /// the refresh message so engines ignore stale or duplicate refreshes.
@@ -130,9 +132,43 @@ pub struct StatsBolt {
     since_publish: u64,
     /// Whether any cell changed since the last publication.
     dirty: bool,
-    /// Optional control-plane event log: every publication becomes a
-    /// [`FlightKind::StatsRefresh`] event.
-    flight: Option<Arc<FlightRecorder>>,
+}
+
+/// Format version of an encoded [`StatsState`], its first byte.
+const STATS_STATE_VERSION: u8 = 1;
+
+impl WireCodec for StatsState {
+    fn encode(&self, buf: &mut BytesMut) {
+        STATS_STATE_VERSION.encode(buf);
+        self.version.encode(buf);
+        self.since_publish.encode(buf);
+        self.dirty.encode(buf);
+        encode_seq(self.cells.iter(), buf, |((ai, location, hour, day), acc), buf| {
+            ai.encode(buf);
+            location.to_string().encode(buf);
+            hour.encode(buf);
+            day.encode(buf);
+            let (count, sum, sum_sq, min, max) = acc.raw_parts();
+            count.encode(buf);
+            [sum, sum_sq, min, max].iter().for_each(|moment| moment.encode(buf));
+        });
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
+        r.expect_version("StatsBolt snapshot", STATS_STATE_VERSION)?;
+        let (version, since_publish, dirty) = (u64::decode(r)?, u64::decode(r)?, bool::decode(r)?);
+        let cells = decode_seq(r, |r| {
+            let (ai, location) = (u8::decode(r)?, String::decode(r)?);
+            let location = location.parse().map_err(|_| DspsError::Frame {
+                reason: format!("'{location}' is not a location id"),
+            })?;
+            let key = (ai, location, u8::decode(r)?, u8::decode(r)?);
+            let count = u64::decode(r)?;
+            let (sum, sum_sq, min, max) =
+                (f64::decode(r)?, f64::decode(r)?, f64::decode(r)?, f64::decode(r)?);
+            Ok((key, Accumulator::from_raw_parts(count, sum, sum_sq, min, max)))
+        })?;
+        Ok(StatsState { cells: cells.into_iter().collect(), version, since_publish, dirty })
+    }
 }
 
 impl StatsBolt {
@@ -142,10 +178,7 @@ impl StatsBolt {
             config,
             store,
             attributes,
-            cells: BTreeMap::new(),
-            version: 0,
-            since_publish: 0,
-            dirty: false,
+            state: StatsState::default(),
             flight: None,
         }
     }
@@ -170,7 +203,7 @@ impl StatsBolt {
                 let n = r.count as f64;
                 let sum = r.mean * n;
                 let sum_sq = (r.stdv * r.stdv + r.mean * r.mean) * n;
-                self.cells.insert(
+                self.state.cells.insert(
                     (ai as u8, location, r.hour, day_index(r.day_type)),
                     Accumulator::from_raw_parts(r.count, sum, sum_sq, f64::INFINITY, f64::NEG_INFINITY),
                 );
@@ -184,7 +217,7 @@ impl StatsBolt {
     /// failed batch run).
     fn publish(&mut self) -> Option<u64> {
         let mut per_attr: Vec<Vec<StatRecord>> = vec![Vec::new(); self.attributes.len()];
-        for ((ai, location, hour, day), acc) in &self.cells {
+        for ((ai, location, hour, day), acc) in &self.state.cells {
             if acc.count() < self.config.min_samples {
                 continue;
             }
@@ -207,9 +240,9 @@ impl StatsBolt {
                 return None;
             }
         }
-        self.version += 1;
-        self.since_publish = 0;
-        self.dirty = false;
+        self.state.version += 1;
+        self.state.since_publish = 0;
+        self.state.dirty = false;
         if let Some(flight) = &self.flight {
             let published: usize = per_attr.iter().map(Vec::len).sum();
             flight.record(
@@ -218,12 +251,12 @@ impl StatsBolt {
                 -1,
                 format!(
                     "snapshot v{} published: {published} records over {} attributes",
-                    self.version,
+                    self.state.version,
                     self.attributes.len()
                 ),
             );
         }
-        Some(self.version)
+        Some(self.state.version)
     }
 }
 
@@ -239,15 +272,16 @@ impl Bolt<TrafficMessage> for StatsBolt {
         for (ai, attr) in self.attributes.iter().enumerate() {
             let Some(value) = attr.value(&e) else { continue };
             for location in e.areas.iter().chain(e.bus_stop.iter()) {
-                self.cells
+                self.state
+                    .cells
                     .entry((ai as u8, *location, hour, day))
                     .or_default()
                     .add(value);
             }
         }
-        self.dirty = true;
-        self.since_publish += 1;
-        if self.since_publish >= self.config.refresh_every {
+        self.state.dirty = true;
+        self.state.since_publish += 1;
+        if self.state.since_publish >= self.config.refresh_every {
             if let Some(version) = self.publish() {
                 emitter.emit(TrafficMessage::StatsRefresh { version });
             }
@@ -256,7 +290,7 @@ impl Bolt<TrafficMessage> for StatsBolt {
 
     fn finish(&mut self, emitter: &mut dyn Emitter<TrafficMessage>) {
         // Flush the last partial accumulation window.
-        if self.dirty {
+        if self.state.dirty {
             if let Some(version) = self.publish() {
                 emitter.emit(TrafficMessage::StatsRefresh { version });
             }
@@ -264,272 +298,20 @@ impl Bolt<TrafficMessage> for StatsBolt {
     }
 
     fn snapshot_state(&mut self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.version);
-        put_u64(&mut out, self.since_publish);
-        put_u64(&mut out, u64::from(self.dirty));
-        put_u64(&mut out, self.cells.len() as u64);
-        for ((ai, location, hour, day), acc) in &self.cells {
-            out.push(*ai);
-            put_str(&mut out, &location.to_string());
-            out.push(*hour);
-            out.push(*day);
-            let (count, sum, sum_sq, min, max) = acc.raw_parts();
-            put_u64(&mut out, count);
-            put_f64(&mut out, sum);
-            put_f64(&mut out, sum_sq);
-            put_f64(&mut out, min);
-            put_f64(&mut out, max);
+        Some(encode_value(&self.state))
+    }
+
+    fn restore_state(
+        &mut self,
+        snapshot: Option<&[u8]>,
+        _changelog: &[Vec<u8>],
+    ) -> Result<(), DspsError> {
+        // A snapshot that does not decode leaves the prepare() seed in place.
+        if let Some(bytes) = snapshot {
+            self.state = decode_value(bytes)?;
         }
-        Some(out)
+        Ok(())
     }
-
-    fn restore_state(&mut self, snapshot: Option<&[u8]>, _changelog: &[Vec<u8>]) {
-        let Some(bytes) = snapshot else { return };
-        let mut r = Reader::new(bytes);
-        let Some(state) = (|| {
-            let version = r.u64()?;
-            let since_publish = r.u64()?;
-            let dirty = r.u64()? != 0;
-            let n = r.u64()?;
-            let mut cells = BTreeMap::new();
-            for _ in 0..n {
-                let ai = r.u8()?;
-                let location = r.str()?.parse().ok()?;
-                let hour = r.u8()?;
-                let day = r.u8()?;
-                let count = r.u64()?;
-                let sum = r.f64()?;
-                let sum_sq = r.f64()?;
-                let min = r.f64()?;
-                let max = r.f64()?;
-                cells.insert(
-                    (ai, location, hour, day),
-                    Accumulator::from_raw_parts(count, sum, sum_sq, min, max),
-                );
-            }
-            Some((version, since_publish, dirty, cells))
-        })() else {
-            return; // corrupt snapshot: start from the prepare() seed
-        };
-        (self.version, self.since_publish, self.dirty, self.cells) = state;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary codec
-// ---------------------------------------------------------------------------
-//
-// Hand-rolled little-endian framing: the CEP types shipped in a snapshot
-// ([`PartitionState`], [`FieldValue`]) are foreign to this crate, so a
-// serde derive cannot reach them; the format below is the whole contract.
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_field_value(out: &mut Vec<u8>, v: &FieldValue) {
-    match v {
-        FieldValue::Int(i) => {
-            out.push(0);
-            put_u64(out, *i as u64);
-        }
-        FieldValue::Float(f) => {
-            out.push(1);
-            put_f64(out, *f);
-        }
-        FieldValue::Str(s) => {
-            out.push(2);
-            put_str(out, s);
-        }
-        FieldValue::Bool(b) => {
-            out.push(3);
-            out.push(u8::from(*b));
-        }
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn field_value(&mut self) -> Option<FieldValue> {
-        match self.u8()? {
-            0 => Some(FieldValue::Int(self.u64()? as i64)),
-            1 => Some(FieldValue::Float(self.f64()?)),
-            2 => Some(FieldValue::from(self.str()?.as_str())),
-            3 => Some(FieldValue::Bool(self.u8()? != 0)),
-            _ => None,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-/// Format version of the Esper snapshot codec; bump on layout changes so
-/// stale on-disk snapshots are rejected instead of misread.
-const ESPER_STATE_VERSION: u8 = 1;
-
-/// A rule engine's durable state as serialized into a DSPS snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EsperState {
-    /// The engine's full migratable state: per-rule monitored locations
-    /// plus every stream's window/threshold rows (see
-    /// [`crate::thresholds::RuleEngine::collect_migration`]).
-    pub migration: RuleMigration,
-    /// Per rule: threshold age in milliseconds at snapshot time (`None`
-    /// for static literals that never retrieved anything).
-    pub rule_ages: Vec<(String, Option<u64>)>,
-    /// Wall-clock stamp of the snapshot (unix ms): restore adds the
-    /// downtime to every rule age, so the staleness gauge never lies
-    /// younger than the data.
-    pub snapshot_unix_ms: u64,
-}
-
-/// Current wall-clock time in unix milliseconds.
-pub fn unix_ms_now() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
-}
-
-/// Serializes an [`EsperState`] into snapshot bytes.
-pub fn encode_esper_state(state: &EsperState) -> Vec<u8> {
-    let mut out = vec![ESPER_STATE_VERSION];
-    put_u64(&mut out, state.snapshot_unix_ms);
-    put_u32(&mut out, state.rule_ages.len() as u32);
-    for (rule, age) in &state.rule_ages {
-        put_str(&mut out, rule);
-        match age {
-            Some(ms) => {
-                out.push(1);
-                put_u64(&mut out, *ms);
-            }
-            None => out.push(0),
-        }
-    }
-    put_u32(&mut out, state.migration.rules.len() as u32);
-    for (rule, locations) in &state.migration.rules {
-        put_str(&mut out, rule);
-        put_u32(&mut out, locations.len() as u32);
-        for l in locations {
-            put_str(&mut out, l);
-        }
-    }
-    put_u32(&mut out, state.migration.partitions.len() as u32);
-    for p in &state.migration.partitions {
-        put_str(&mut out, &p.stream);
-        put_u32(&mut out, p.rows.len() as u32);
-        for (ts, fields) in &p.rows {
-            put_u64(&mut out, *ts);
-            put_u32(&mut out, fields.len() as u32);
-            for f in fields {
-                put_field_value(&mut out, f);
-            }
-        }
-    }
-    out
-}
-
-/// Deserializes snapshot bytes back into an [`EsperState`]. `None` on a
-/// truncated, trailing-garbage, or version-mismatched buffer — the caller
-/// then falls back to a cold start.
-pub fn decode_esper_state(bytes: &[u8]) -> Option<EsperState> {
-    let mut r = Reader::new(bytes);
-    if r.u8()? != ESPER_STATE_VERSION {
-        return None;
-    }
-    let snapshot_unix_ms = r.u64()?;
-    let n_ages = r.u32()?;
-    let mut rule_ages = Vec::with_capacity(n_ages as usize);
-    for _ in 0..n_ages {
-        let rule = r.str()?;
-        let age = match r.u8()? {
-            0 => None,
-            _ => Some(r.u64()?),
-        };
-        rule_ages.push((rule, age));
-    }
-    let n_rules = r.u32()?;
-    let mut rules = Vec::with_capacity(n_rules as usize);
-    for _ in 0..n_rules {
-        let rule = r.str()?;
-        let n_locs = r.u32()?;
-        let mut locations = Vec::with_capacity(n_locs as usize);
-        for _ in 0..n_locs {
-            locations.push(r.str()?);
-        }
-        rules.push((rule, locations));
-    }
-    let n_parts = r.u32()?;
-    let mut partitions = Vec::with_capacity(n_parts as usize);
-    for _ in 0..n_parts {
-        let stream = r.str()?;
-        let n_rows = r.u32()?;
-        let mut rows = Vec::with_capacity(n_rows as usize);
-        for _ in 0..n_rows {
-            let ts = r.u64()?;
-            let n_fields = r.u32()?;
-            let mut fields = Vec::with_capacity(n_fields as usize);
-            for _ in 0..n_fields {
-                fields.push(r.field_value()?);
-            }
-            rows.push((ts, fields));
-        }
-        partitions.push(PartitionState { stream, rows });
-    }
-    if !r.done() {
-        return None; // trailing garbage: treat as corrupt
-    }
-    Some(EsperState { migration: RuleMigration { rules, partitions }, rule_ages, snapshot_unix_ms })
 }
 
 #[cfg(test)]
@@ -538,71 +320,6 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::Arc;
     use tms_storage::TableStore;
-
-    fn sample_state() -> EsperState {
-        EsperState {
-            migration: RuleMigration {
-                rules: vec![
-                    ("delay-rule".into(), vec!["R1".into(), "R7".into()]),
-                    ("speed-rule".into(), vec![]),
-                ],
-                partitions: vec![
-                    PartitionState {
-                        stream: "bus_delay".into(),
-                        rows: vec![
-                            (
-                                17,
-                                vec![
-                                    FieldValue::from("R1"),
-                                    FieldValue::Int(-8),
-                                    FieldValue::Float(3.25),
-                                    FieldValue::Bool(true),
-                                ],
-                            ),
-                            (42, vec![FieldValue::Float(f64::NAN)]),
-                        ],
-                    },
-                    PartitionState { stream: "thresholds_delay_rule".into(), rows: vec![] },
-                ],
-            },
-            rule_ages: vec![("delay-rule".into(), Some(12345)), ("speed-rule".into(), None)],
-            snapshot_unix_ms: 1_700_000_000_123,
-        }
-    }
-
-    #[test]
-    fn esper_state_round_trips() {
-        let state = sample_state();
-        let bytes = encode_esper_state(&state);
-        let back = decode_esper_state(&bytes).expect("decodes");
-        // NaN breaks PartialEq; compare the NaN cell by bits and the rest
-        // structurally.
-        assert_eq!(back.rule_ages, state.rule_ages);
-        assert_eq!(back.snapshot_unix_ms, state.snapshot_unix_ms);
-        assert_eq!(back.migration.rules, state.migration.rules);
-        assert_eq!(back.migration.partitions.len(), 2);
-        assert_eq!(back.migration.partitions[0].rows[0], state.migration.partitions[0].rows[0]);
-        match (&back.migration.partitions[0].rows[1].1[0], &state.migration.partitions[0].rows[1].1[0]) {
-            (FieldValue::Float(a), FieldValue::Float(b)) => {
-                assert_eq!(a.to_bits(), b.to_bits(), "NaN round-trips bit-exact");
-            }
-            other => panic!("expected floats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_or_garbage_snapshots_are_rejected() {
-        let bytes = encode_esper_state(&sample_state());
-        for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert_eq!(decode_esper_state(&bytes[..cut]), None, "cut at {cut}");
-        }
-        let mut extended = bytes.clone();
-        extended.push(0xFF);
-        assert_eq!(decode_esper_state(&extended), None, "trailing garbage rejected");
-        let mut wrong_version = bytes;
-        wrong_version[0] = ESPER_STATE_VERSION + 1;
-        assert_eq!(decode_esper_state(&wrong_version), None, "future versions rejected");
-    }
 
     /// Captures emissions for bolt-level tests.
     #[derive(Default)]
@@ -741,11 +458,11 @@ mod tests {
         let fresh_store = ThresholdStore::new(TableStore::new());
         let mut restored = bolt(100, 1, &fresh_store);
         restored.prepare(BoltContext { task_index: 0, task_count: 1 });
-        restored.restore_state(Some(&snapshot), &[]);
-        assert_eq!(restored.since_publish, 3);
-        assert_eq!(restored.cells, {
+        restored.restore_state(Some(&snapshot), &[]).expect("restores");
+        assert_eq!(restored.state.since_publish, 3);
+        assert_eq!(restored.state.cells, {
             // Rebuild the expected map from the original bolt's cells.
-            b.cells.clone()
+            b.state.cells.clone()
         });
         // The restored bolt finalizes identically.
         restored.finish(&mut em);
@@ -759,9 +476,53 @@ mod tests {
         let store = ThresholdStore::new(TableStore::new());
         let mut b = bolt(100, 1, &store);
         b.prepare(BoltContext { task_index: 0, task_count: 1 });
-        b.restore_state(Some(&[1, 2, 3]), &[]);
-        assert_eq!(b.version, 0);
-        assert!(b.cells.is_empty());
+        assert!(matches!(b.restore_state(Some(&[1, 2, 3]), &[]), Err(DspsError::Frame { .. })));
+        assert_eq!(b.state.version, 0);
+        assert!(b.state.cells.is_empty());
+    }
+
+    #[test]
+    fn a_hostile_cell_count_is_an_error_not_an_allocation() {
+        let store = ThresholdStore::new(TableStore::new());
+        let mut b = bolt(100, 1, &store);
+        b.prepare(BoltContext { task_index: 0, task_count: 1 });
+        b.process(enriched(0, "R1", 10.0), &mut Captured::default());
+        let mut snapshot = b.snapshot_state().expect("stats bolt snapshots");
+        let count_at = 1 + 8 + 8 + 1; // format version, version, since_publish, dirty
+        assert_eq!(snapshot[count_at..count_at + 4], 1u32.to_le_bytes());
+        snapshot[count_at..count_at + 4].copy_from_slice(&[0xFF; 4]);
+        let before = encode_value(&b.state);
+        assert!(matches!(b.restore_state(Some(&snapshot), &[]), Err(DspsError::Frame { .. })));
+        assert_eq!(encode_value(&b.state), before, "a refused snapshot leaves the state alone");
+        // And a snapshot of another format version says so.
+        snapshot[0] = STATS_STATE_VERSION + 1;
+        match b.restore_state(Some(&snapshot), &[]) {
+            Err(DspsError::Frame { reason }) => assert!(reason.contains("format version"), "{reason}"),
+            other => panic!("expected a version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stats_state_codec_holds() {
+        use proptest::prelude::*;
+        let moments = || (0u64..u64::MAX).prop_map(f64::from_bits);
+        let cell = (
+            (0u8..3, 0u32..50, any::<bool>(), 0u8..24, 0u8..2),
+            (0u64..1000, moments(), moments(), moments(), moments()),
+        )
+            .prop_map(|((ai, n, stop, hour, day), (count, sum, sum_sq, min, max))| {
+                let location = if stop { LocId::Stop(n) } else { LocId::Region(n) };
+                let acc = Accumulator::from_raw_parts(count, sum, sum_sq, min, max);
+                ((ai, location, hour, day), acc)
+            });
+        let states = (prop::collection::vec(cell, 0..5), 0u64..u64::MAX, 0u64..999, any::<bool>())
+            .prop_map(|(cells, version, since_publish, dirty)| StatsState {
+                cells: cells.into_iter().collect(),
+                version,
+                since_publish,
+                dirty,
+            });
+        crate::codec_harness::codec_holds(states);
     }
 
     #[test]

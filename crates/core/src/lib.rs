@@ -26,8 +26,9 @@
 //! * [`rules`] — the generic rule template (Section 3.3, Listing 1,
 //!   Table 6) and its EPL instantiation;
 //! * [`thresholds`] — the three threshold-retrieval methods of
-//!   Section 4.3.1 (join-with-database, multiple rules, threshold stream)
-//!   and dynamic rule refresh;
+//!   Section 4.3.1 (join-with-database, multiple rules, threshold stream),
+//!   dynamic rule refresh, and an engine's migratable and durable state
+//!   with its codec;
 //! * [`topology`] — the components of the Figure 8 topology (BusReader
 //!   spout → PreProcess → AreaTracker → BusStopsTracker → Splitter → Esper
 //!   bolts → EventsStorer);
@@ -35,12 +36,16 @@
 //!   deployment's XML) and the one builder that resolves it;
 //! * [`kappa`] — the in-stream statistics path: a StatsBolt that folds
 //!   the batch job's per-cell moments into the stream and refreshes the
-//!   engines' thresholds without a database round trip, plus the binary
-//!   codec for the Esper bolts' durable snapshots;
+//!   engines' thresholds without a database round trip;
 //! * [`system`] — the end-to-end facade tying the three components
 //!   together.
 
 pub mod allocation;
+// One decode-hardening harness for every `WireCodec` type, shared with
+// `tms-dsps`'s tests by path (a test-only file cannot be a dependency).
+#[cfg(test)]
+#[path = "../../dsps/src/codec_harness.rs"]
+mod codec_harness;
 pub mod error;
 pub mod kappa;
 pub mod latency;

@@ -25,8 +25,13 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use tms_cep::{CepError, Engine, Event, EventType, FieldType, FieldValue, StatementId};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use tms_cep::{
+    CepError, Engine, Event, EventType, FieldType, FieldValue, PartitionState, StatementId,
+};
+use tms_dsps::bytes::BytesMut;
+use tms_dsps::transport::{decode_seq, encode_seq, encode_str, WireCodec, WireReader};
+use tms_dsps::DspsError;
 use tms_storage::{DayType, RemoteDb, ThresholdQuery, ThresholdStore};
 use tms_traffic::{Attribute, EnrichedTrace, LocId};
 
@@ -87,6 +92,100 @@ impl RuleMigration {
     /// Total shipped events across all streams.
     pub fn event_count(&self) -> usize {
         self.partitions.iter().map(tms_cep::PartitionState::len).sum()
+    }
+}
+
+/// A rule engine's durable state: what an Esper bolt snapshots and a
+/// restart (or, shipped to a peer, a migration) restores.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EsperState {
+    /// The engine's full migratable state: per-rule monitored locations
+    /// plus every stream's window/threshold rows (see
+    /// [`RuleEngine::collect_migration`]).
+    pub migration: RuleMigration,
+    /// Per rule: threshold age in milliseconds at snapshot time (`None`
+    /// for static literals that never retrieved anything).
+    pub rule_ages: Vec<(String, Option<u64>)>,
+    /// Wall-clock stamp of the snapshot (unix ms): restore adds the
+    /// downtime to every rule age, so the staleness gauge never lies
+    /// younger than the data.
+    pub snapshot_unix_ms: u64,
+}
+
+/// Current wall-clock time in unix milliseconds.
+pub fn unix_ms_now() -> u64 {
+    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
+}
+
+/// Format version of an encoded [`EsperState`], its first byte; bump on
+/// layout changes so stale snapshots are rejected instead of misread.
+const ESPER_STATE_VERSION: u8 = 2;
+
+// `FieldValue` and `PartitionState` are `tms-cep`'s, so the orphan rule
+// keeps them out of an `impl WireCodec`; these four functions are their
+// codec, reached through `encode_seq` / `decode_seq`.
+
+fn encode_field(v: &FieldValue, buf: &mut BytesMut) {
+    match v {
+        FieldValue::Int(i) => (0u8, *i).encode(buf),
+        FieldValue::Float(f) => (1u8, *f).encode(buf),
+        FieldValue::Str(s) => {
+            2u8.encode(buf);
+            encode_str(s, buf);
+        }
+        FieldValue::Bool(b) => (3u8, *b).encode(buf),
+    }
+}
+
+fn decode_field(r: &mut WireReader<'_>) -> Result<FieldValue, DspsError> {
+    Ok(match r.u8()? {
+        0 => FieldValue::Int(i64::decode(r)?),
+        1 => FieldValue::Float(f64::decode(r)?),
+        2 => FieldValue::Str(String::decode(r)?.into()),
+        3 => FieldValue::Bool(bool::decode(r)?),
+        k => return Err(DspsError::Frame { reason: format!("invalid field kind {k}") }),
+    })
+}
+
+fn encode_partition(p: &PartitionState, buf: &mut BytesMut) {
+    p.stream.encode(buf);
+    encode_seq(p.rows.iter(), buf, |(ts, fields), buf| {
+        ts.encode(buf);
+        encode_seq(fields.iter(), buf, encode_field);
+    });
+}
+
+fn decode_partition(r: &mut WireReader<'_>) -> Result<PartitionState, DspsError> {
+    Ok(PartitionState {
+        stream: String::decode(r)?,
+        rows: decode_seq(r, |r| Ok((u64::decode(r)?, decode_seq(r, decode_field)?)))?,
+    })
+}
+
+impl WireCodec for RuleMigration {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.rules.encode(buf);
+        encode_seq(self.partitions.iter(), buf, encode_partition);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
+        Ok(RuleMigration { rules: Vec::decode(r)?, partitions: decode_seq(r, decode_partition)? })
+    }
+}
+
+impl WireCodec for EsperState {
+    fn encode(&self, buf: &mut BytesMut) {
+        ESPER_STATE_VERSION.encode(buf);
+        self.snapshot_unix_ms.encode(buf);
+        self.rule_ages.encode(buf);
+        self.migration.encode(buf);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
+        r.expect_version("Esper snapshot", ESPER_STATE_VERSION)?;
+        Ok(EsperState {
+            snapshot_unix_ms: u64::decode(r)?,
+            rule_ages: Vec::decode(r)?,
+            migration: RuleMigration::decode(r)?,
+        })
     }
 }
 
@@ -937,6 +1036,8 @@ impl RuleEngine {
 mod tests {
     use super::*;
     use crate::rules::LocationSelector;
+    use proptest::prelude::*;
+    use tms_dsps::transport::{decode_value, encode_value};
     use tms_storage::{StatRecord, TableStore};
     use tms_traffic::{Attribute, BusTrace};
 
@@ -1410,6 +1511,155 @@ mod tests {
         // A refresh re-stamps to fresh, exactly like the live path.
         re.refresh_thresholds().unwrap();
         assert!(re.threshold_ages()[0].1.unwrap() < Duration::from_secs(1));
+    }
+
+    fn sample_state() -> EsperState {
+        EsperState {
+            migration: RuleMigration {
+                rules: vec![
+                    ("delay-rule".into(), vec!["R1".into(), "R7".into()]),
+                    ("speed-rule".into(), vec![]),
+                ],
+                partitions: vec![
+                    PartitionState {
+                        stream: "bus_delay".into(),
+                        rows: vec![
+                            (
+                                17,
+                                vec![
+                                    FieldValue::from("R1"),
+                                    FieldValue::Int(-8),
+                                    FieldValue::Float(3.25),
+                                    FieldValue::Bool(true),
+                                ],
+                            ),
+                            (42, vec![FieldValue::Float(f64::NAN)]),
+                        ],
+                    },
+                    PartitionState { stream: "thresholds_delay_rule".into(), rows: vec![] },
+                ],
+            },
+            rule_ages: vec![("delay-rule".into(), Some(12345)), ("speed-rule".into(), None)],
+            snapshot_unix_ms: 1_700_000_000_123,
+        }
+    }
+
+    #[test]
+    fn esper_state_round_trips() {
+        let state = sample_state();
+        let bytes = encode_value(&state);
+        let back: EsperState = decode_value(&bytes).expect("decodes");
+        // NaN breaks PartialEq; compare the NaN cell by bits and the rest
+        // structurally.
+        assert_eq!(back.rule_ages, state.rule_ages);
+        assert_eq!(back.snapshot_unix_ms, state.snapshot_unix_ms);
+        assert_eq!(back.migration.rules, state.migration.rules);
+        assert_eq!(back.migration.partitions.len(), 2);
+        assert_eq!(back.migration.partitions[0].rows[0], state.migration.partitions[0].rows[0]);
+        match (&back.migration.partitions[0].rows[1].1[0], &state.migration.partitions[0].rows[1].1[0]) {
+            (FieldValue::Float(a), FieldValue::Float(b)) => {
+                assert_eq!(a.to_bits(), b.to_bits(), "NaN round-trips bit-exact");
+            }
+            other => panic!("expected floats, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_or_garbage_snapshots_are_rejected() {
+        let rejected = |bytes: &[u8]| decode_value::<EsperState>(bytes).is_err();
+        let bytes = encode_value(&sample_state());
+        for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
+            assert!(rejected(&bytes[..cut]), "cut at {cut}");
+        }
+        let mut extended = bytes.clone();
+        extended.push(0xFF);
+        assert!(rejected(&extended), "trailing garbage rejected");
+        let mut wrong_version = bytes;
+        wrong_version[0] = ESPER_STATE_VERSION + 1;
+        assert!(rejected(&wrong_version), "future versions rejected");
+        wrong_version[0] = ESPER_STATE_VERSION - 1;
+        assert!(rejected(&wrong_version), "the pre-frame layout's version rejected");
+    }
+
+    /// A count the bytes do not back must be an `Err` before anything is
+    /// allocated for it: an allocation of that size aborts the process,
+    /// and an abort is not a panic a `catch_unwind` supervisor restarts.
+    #[test]
+    fn hostile_counts_are_errors_not_allocations() {
+        let state = sample_state();
+        let bytes = encode_value(&state);
+        let (rules, partitions) = (&state.migration.rules, &state.migration.partitions);
+        let ages_at = 1 + 8; // version byte, snapshot stamp
+        let rules_at = ages_at + encode_value(&state.rule_ages).len();
+        let locations_at = rules_at + 4 + encode_value(&rules[0].0).len();
+        let partitions_at = rules_at + encode_value(rules).len();
+        let rows_at = partitions_at + 4 + encode_value(&partitions[0].stream).len();
+        let fields_at = rows_at + 4 + 8; // row count, first row's timestamp
+        for (what, at, count) in [
+            ("rule ages", ages_at, 2u32),
+            ("rules", rules_at, 2),
+            ("locations", locations_at, 2),
+            ("partitions", partitions_at, 2),
+            ("rows", rows_at, 2),
+            ("fields", fields_at, 4),
+        ] {
+            let mut hostile = bytes.clone();
+            assert_eq!(hostile[at..at + 4], count.to_le_bytes(), "{what} count sits at byte {at}");
+            hostile[at..at + 4].copy_from_slice(&[0xFF; 4]);
+            match decode_value::<EsperState>(&hostile) {
+                Err(DspsError::Frame { reason }) => {
+                    assert!(reason.contains("4294967295 items"), "{what}: {reason}")
+                }
+                other => panic!("{what} count 0xFFFF_FFFF: expected a frame error, got {other:?}"),
+            }
+        }
+    }
+
+    fn field_values() -> impl Strategy<Value = FieldValue> {
+        let floats = (0u64..u64::MAX).prop_map(|bits| {
+            // Any bit pattern (NaNs with payloads included), with the
+            // three named specials forced in now and then.
+            FieldValue::Float(match bits % 8 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => f64::from_bits(bits),
+            })
+        });
+        (0u8..4, i64::MIN..i64::MAX, floats, ".{0,6}", any::<bool>()).prop_map(
+            |(kind, int, float, text, flag)| match kind {
+                0 => FieldValue::Int(int),
+                1 => float,
+                2 => FieldValue::from(text.as_str()),
+                _ => FieldValue::Bool(flag),
+            },
+        )
+    }
+
+    fn esper_states() -> impl Strategy<Value = EsperState> {
+        let rows = prop::collection::vec(
+            (0u64..u64::MAX, prop::collection::vec(field_values(), 0..5)),
+            0..4,
+        );
+        let partitions = prop::collection::vec(
+            (".{0,8}", rows).prop_map(|(stream, rows)| PartitionState { stream, rows }),
+            0..=2,
+        );
+        let rules =
+            prop::collection::vec((".{0,8}", prop::collection::vec(".{0,4}", 0..3)), 0..=3);
+        let ages = prop::collection::vec((".{0,8}", prop::option::of(0u64..u64::MAX)), 0..=3);
+        (rules, partitions, ages, 0u64..u64::MAX).prop_map(
+            |(rules, partitions, rule_ages, snapshot_unix_ms)| EsperState {
+                migration: RuleMigration { rules, partitions },
+                rule_ages,
+                snapshot_unix_ms,
+            },
+        )
+    }
+
+    #[test]
+    fn esper_state_codec_holds() {
+        crate::codec_harness::codec_holds(esper_states());
     }
 
     #[test]

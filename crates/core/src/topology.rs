@@ -2,17 +2,21 @@
 //! PreProcess → AreaTracker → BusStopsTracker → Splitter → Esper bolts →
 //! EventsStorer, expressed over the DSPS substrate.
 
+use crate::error::CoreError;
 use crate::rules::{RuleSpec, SpatialContext};
-use crate::thresholds::{Detection, RetrievalMethod, RuleEngine, RuleMigration};
+use crate::thresholds::{
+    unix_ms_now, Detection, EsperState, RetrievalMethod, RuleEngine, RuleMigration,
+};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_cep::CepError;
+use tms_dsps::transport::{decode_value, encode_value};
 use tms_dsps::{
-    Bolt, BoltContext, Emitter, FlightKind, FlightRecorder, MigrationCoordinator, RuleProfile,
-    Spout,
+    Bolt, BoltContext, DspsError, Emitter, FlightKind, FlightRecorder, MigrationCoordinator,
+    RuleProfile, Spout,
 };
 use tms_geo::{BusStopIndex, RegionQuadtree};
 use tms_storage::{RemoteDb, TableStore, ThresholdStore};
@@ -770,6 +774,15 @@ impl EsperBolt {
         }
     }
 
+    /// A fresh engine under this task's switches, no rule installed.
+    fn new_engine(&self) -> Result<RuleEngine, CoreError> {
+        let mut engine = RuleEngine::new(self.method.clone(), self.store.clone(), self.db.clone());
+        engine.set_incremental_enabled(self.incremental)?;
+        engine.set_sharing_enabled(self.sharing)?;
+        engine.set_profiling_enabled(self.profiles.is_some());
+        Ok(engine)
+    }
+
     /// The rule entries this task currently runs: the handle's *live*
     /// plan when elastic is attached, the start-up plan otherwise.
     fn planned_rules(&self) -> Vec<(RuleSpec, Vec<String>)> {
@@ -784,17 +797,14 @@ impl EsperBolt {
 
 impl Bolt<TrafficMessage> for EsperBolt {
     fn prepare(&mut self, ctx: BoltContext) {
-        let mut engine = RuleEngine::new(self.method.clone(), self.store.clone(), self.db.clone());
-        if let Err(e) = engine.set_incremental_enabled(self.incremental) {
-            self.install_error = Some(e.to_string());
-        }
-        if let Err(e) = engine.set_sharing_enabled(self.sharing) {
-            self.install_error = Some(e.to_string());
-        }
-        if self.profiles.is_some() {
-            engine.set_profiling_enabled(true);
-        }
         self.task_index = ctx.task_index;
+        let mut engine = match self.new_engine() {
+            Ok(engine) => engine,
+            Err(e) => {
+                self.install_error = Some(e.to_string());
+                return;
+            }
+        };
         // Elastic tasks prepare from the *live* plan so a supervised
         // restart after migrations rebuilds the current assignment, not
         // the start-up one.
@@ -886,18 +896,17 @@ impl Bolt<TrafficMessage> for EsperBolt {
             .into_iter()
             .map(|(rule, age)| (rule, age.map(|d| d.as_millis() as u64)))
             .collect();
-        Some(crate::kappa::encode_esper_state(&crate::kappa::EsperState {
-            migration,
-            rule_ages,
-            snapshot_unix_ms: crate::kappa::unix_ms_now(),
-        }))
+        Some(encode_value(&EsperState { migration, rule_ages, snapshot_unix_ms: unix_ms_now() }))
     }
 
-    fn restore_state(&mut self, snapshot: Option<&[u8]>, _changelog: &[Vec<u8>]) {
-        let Some(bytes) = snapshot else { return };
-        let Some(state) = crate::kappa::decode_esper_state(bytes) else {
-            return; // corrupt snapshot: keep the cold engine prepare() built
-        };
+    fn restore_state(
+        &mut self,
+        snapshot: Option<&[u8]>,
+        _changelog: &[Vec<u8>],
+    ) -> Result<(), DspsError> {
+        let Some(bytes) = snapshot else { return Ok(()) };
+        // Every `?` below keeps the cold engine prepare() built.
+        let state: EsperState = decode_value(bytes)?;
         // prepare() already installed the plan's rules *and fed fresh
         // thresholds*; absorbing the snapshot on top of that would
         // duplicate threshold rows. Rebuild pristine instead: install the
@@ -905,31 +914,26 @@ impl Bolt<TrafficMessage> for EsperBolt {
         // windows untouched for the sharing planner), then absorb the
         // snapshot's state — the exact path an elastic handoff takes,
         // which reproduces a never-restarted engine.
-        let mut engine = RuleEngine::new(self.method.clone(), self.store.clone(), self.db.clone());
-        if engine.set_incremental_enabled(self.incremental).is_err()
-            || engine.set_sharing_enabled(self.sharing).is_err()
-        {
-            return;
-        }
-        if self.profiles.is_some() {
-            engine.set_profiling_enabled(true);
-        }
         let specs: Vec<RuleSpec> =
             self.planned_rules().into_iter().map(|(spec, _)| spec).collect();
-        if engine.install_rules(&specs, std::iter::empty()).is_err()
-            || engine.absorb_migration(&specs, &state.migration).is_err()
-        {
-            return; // plan/snapshot mismatch: fall back to the cold engine
-        }
+        let absorbed = self.new_engine().and_then(|mut engine| {
+            engine.install_rules(&specs, std::iter::empty())?;
+            engine.absorb_migration(&specs, &state.migration)?;
+            Ok(engine)
+        });
+        let mut engine = absorbed.map_err(|e| DspsError::Frame {
+            reason: format!("snapshot does not fit this task's plan: {e}"),
+        })?;
         // The thresholds' real age spans the downtime; backdating keeps
         // the staleness gauge honest across the restart.
-        let downtime_ms = crate::kappa::unix_ms_now().saturating_sub(state.snapshot_unix_ms);
+        let downtime_ms = unix_ms_now().saturating_sub(state.snapshot_unix_ms);
         for (rule, age_ms) in &state.rule_ages {
             if let Some(ms) = age_ms {
                 engine.backdate_thresholds(rule, Duration::from_millis(ms.saturating_add(downtime_ms)));
             }
         }
         self.engine = Some(engine);
+        Ok(())
     }
 }
 
@@ -1333,7 +1337,7 @@ mod tests {
 
         let mut restored = mk();
         restored.prepare(ctx);
-        restored.restore_state(Some(&snapshot), &[]);
+        restored.restore_state(Some(&snapshot), &[]).expect("the snapshot fits the plan");
         let age = restored.engine.as_ref().unwrap().threshold_ages()[0]
             .1
             .expect("restored rule keeps its stamp");
@@ -1361,8 +1365,29 @@ mod tests {
         // Corrupt snapshots fall back to the cold prepare()d engine.
         let mut cold = mk();
         cold.prepare(ctx);
-        cold.restore_state(Some(&[0xFF, 0x01]), &[]);
+        assert!(matches!(
+            cold.restore_state(Some(&[0xFF, 0x01]), &[]),
+            Err(DspsError::Frame { .. })
+        ));
         assert!(cold.engine.as_ref().unwrap().threshold_ages()[0].1.unwrap() < age);
+
+        // So does a snapshot of a rule this task's plan does not have.
+        let mut renamed =
+            RuleSpec::new("other-rule", Attribute::Delay, LocationSelector::QuadtreeLeaves, 3);
+        renamed.s = 0.0;
+        let replan = EnginePlan { per_engine: vec![vec![(renamed, vec!["R1".to_string()])]] };
+        let mut replanned =
+            EsperBolt::new(Arc::new(replan), RetrievalMethod::ThresholdStream, tstore.clone(), None);
+        replanned.prepare(ctx);
+        match replanned.restore_state(Some(&snapshot), &[]) {
+            Err(DspsError::Frame { reason }) => {
+                assert!(reason.contains("does not fit this task's plan"), "{reason}")
+            }
+            other => panic!("expected the snapshot to be refused, got {other:?}"),
+        }
+        let kept = replanned.engine.as_ref().unwrap().threshold_ages();
+        assert_eq!(kept[0].0, "other-rule");
+        assert!(kept[0].1.unwrap() < age);
     }
 
     #[test]

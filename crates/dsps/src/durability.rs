@@ -2,22 +2,19 @@
 //!
 //! Modeled on the snapshot/commitlog split of production stream stores:
 //! each bolt task owns one directory holding a `snapshot.bin` (the full
-//! serialized state as of some point) and a `changelog.bin` (CRC-framed
-//! delta records appended since that snapshot). Recovery is replay:
-//! restore the snapshot, then apply the changelog records in order.
+//! serialized state as of some point) and a `changelog.bin` (delta
+//! records appended since that snapshot). Recovery is replay: restore the
+//! snapshot, then apply the changelog records in order.
 //!
 //! # On-disk format
 //!
-//! Both files are sequences of frames:
-//!
-//! ```text
-//! [len: u32 LE][crc32(payload): u32 LE][payload: len bytes]
-//! ```
-//!
-//! The CRC is the IEEE 802.3 polynomial over the payload only. A frame
-//! whose length field runs past the end of the file, or whose CRC does
-//! not match, marks the *torn tail* of an interrupted write: everything
-//! before it is valid, everything from it on is discarded, and
+//! Both files are sequences of [`transport`](crate::transport) frames
+//! under [`RECORD_TAG`], one record per frame, written by
+//! [`try_encode_frame`] and read back by [`FrameDecoder`] — the same
+//! framing, checksum and size bound as a worker link. A frame that runs
+//! past the end of the file, fails its CRC or carries another tag marks
+//! the *torn tail* of an interrupted write (or a file of another format):
+//! everything before it is valid, everything from it on is discarded, and
 //! [`StateStore::open`] truncates the changelog back to the valid prefix
 //! so the next append starts from a clean boundary.
 //!
@@ -44,22 +41,11 @@
 //! empty drain per tuple.
 
 use crate::error::DspsError;
+use crate::transport::{try_encode_frame, FrameDecoder};
+use bytes::{Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, Write};
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
-
-/// CRC-32 (IEEE 802.3, reflected) over `data` — the frame checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Durability parameters, opt-in via
 /// [`RuntimeConfig::durability`](crate::runtime::RuntimeConfig).
@@ -85,39 +71,68 @@ impl DurabilityConfig {
     }
 }
 
-/// Appends one CRC-framed record to a writer.
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+/// Frame tag of a durable record, the version byte of the file format. Set
+/// apart from the session tags of `net` and from every first byte a
+/// record of the pre-frame format began with, so such a file reads as
+/// having no valid prefix.
+pub const RECORD_TAG: u8 = 0xD5;
+
+/// One record as a frame, ready for a single `write_all`. A record too
+/// large to frame is a [`DspsError::Frame`].
+fn record_frame(record: &[u8]) -> Result<Bytes, DspsError> {
+    try_encode_frame(BytesMut::new(), RECORD_TAG, |b| b.put_slice(record))
 }
 
-/// Decodes the valid frame prefix of `bytes`: the frames that parse and
-/// checksum, plus the byte length of that prefix. Anything past the
-/// returned length is a torn or corrupt tail.
-pub fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else { break };
-        if crc32(payload) != crc {
-            break;
+/// Decodes the valid record prefix of a file's `bytes`: the records whose
+/// frames parse, checksum and carry [`RECORD_TAG`], plus the byte length
+/// of that prefix. Anything past the returned length is a torn or corrupt
+/// tail.
+fn read_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
+    let mut decoder = FrameDecoder::new();
+    decoder.push(bytes);
+    let mut records = Vec::new();
+    let mut valid_len = 0;
+    loop {
+        let before = decoder.pending();
+        match decoder.next() {
+            Ok(Some(frame)) if frame.tag == RECORD_TAG => {
+                records.push(frame.payload.to_vec());
+                valid_len += before - decoder.pending();
+            }
+            _ => return (records, valid_len),
         }
-        frames.push(payload.to_vec());
-        pos += 8 + len;
     }
-    (frames, pos)
 }
 
 fn io_err(path: &Path, op: &str, e: std::io::Error) -> DspsError {
     DspsError::Durability { path: path.display().to_string(), reason: format!("{op}: {e}") }
 }
 
+/// A file's bytes, an absent file reading as empty.
+fn read_or_empty(path: &Path) -> Result<Vec<u8>, DspsError> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(io_err(path, "read", e)),
+    }
+}
+
 /// A recovered task state: the latest snapshot (if any) plus the
 /// changelog records appended after it, in append order.
 pub type RecoveredState = (Option<Vec<u8>>, Vec<Vec<u8>>);
+
+/// What `dir` holds now, plus the changelog's valid and total byte
+/// lengths.
+fn read_state(dir: &Path) -> Result<(RecoveredState, usize, usize), DspsError> {
+    // Written atomically via tmp+rename, but still validated: a snapshot
+    // that fails its CRC is ignored wholesale (the changelog was
+    // truncated when it was taken, so a corrupt snapshot means recovery
+    // restarts empty rather than restoring garbage).
+    let snapshot = read_records(&read_or_empty(&dir.join("snapshot.bin"))?).0.into_iter().next();
+    let log = read_or_empty(&dir.join("changelog.bin"))?;
+    let (records, valid_len) = read_records(&log);
+    Ok(((snapshot, records), valid_len, log.len()))
+}
 
 /// One bolt task's durable state: `snapshot.bin` + `changelog.bin` under
 /// a per-(component, task) directory.
@@ -144,39 +159,17 @@ impl StateStore {
     pub fn open(config: &DurabilityConfig, component: &str, task: usize) -> Result<Self, DspsError> {
         let dir = config.dir.join(format!("{component}-{task}"));
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create_dir_all", e))?;
-
-        let snap_path = dir.join("snapshot.bin");
-        let snapshot = match std::fs::read(&snap_path) {
-            Ok(bytes) => {
-                // Written atomically via tmp+rename, but still validated:
-                // a snapshot that fails its CRC is ignored wholesale (the
-                // changelog was truncated when it was taken, so a corrupt
-                // snapshot means recovery restarts empty rather than
-                // restoring garbage).
-                let (frames, _) = read_frames(&bytes);
-                frames.into_iter().next()
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(io_err(&snap_path, "read", e)),
-        };
+        let ((snapshot, replayed), valid_len, log_len) = read_state(&dir)?;
 
         let log_path = dir.join("changelog.bin");
-        let mut changelog = OpenOptions::new()
+        let changelog = OpenOptions::new()
             .create(true)
-            .read(true)
             .append(true)
             .open(&log_path)
             .map_err(|e| io_err(&log_path, "open", e))?;
-        let mut bytes = Vec::new();
-        changelog.read_to_end(&mut bytes).map_err(|e| io_err(&log_path, "read", e))?;
-        let (replayed, valid_len) = read_frames(&bytes);
-        let truncated_bytes = (bytes.len() - valid_len) as u64;
-        if valid_len < bytes.len() {
+        if valid_len < log_len {
             // Torn tail from an interrupted append: drop it.
             changelog.set_len(valid_len as u64).map_err(|e| io_err(&log_path, "truncate", e))?;
-            changelog
-                .seek(std::io::SeekFrom::End(0))
-                .map_err(|e| io_err(&log_path, "seek", e))?;
         }
 
         let records_since_snapshot = replayed.len() as u64;
@@ -191,7 +184,7 @@ impl StateStore {
             snapshot_every: config.snapshot_every.max(1),
             fsync: config.fsync,
             records_since_snapshot,
-            truncated_bytes,
+            truncated_bytes: (log_len - valid_len) as u64,
             recovered,
         })
     }
@@ -215,7 +208,8 @@ impl StateStore {
     /// Appends one changelog record (flushed, not synced).
     pub fn append(&mut self, record: &[u8]) -> Result<(), DspsError> {
         let path = self.dir.join("changelog.bin");
-        write_frame(&mut self.changelog, record).map_err(|e| io_err(&path, "append", e))?;
+        let frame = record_frame(record)?;
+        self.changelog.write_all(&frame).map_err(|e| io_err(&path, "append", e))?;
         self.changelog.flush().map_err(|e| io_err(&path, "flush", e))?;
         self.records_since_snapshot += 1;
         Ok(())
@@ -234,13 +228,16 @@ impl StateStore {
 
     /// Writes a full-state snapshot (tmp file + atomic rename) and
     /// compacts: the changelog truncates to empty, since the snapshot
-    /// subsumes every record before it.
+    /// subsumes every record before it. A state over
+    /// [`MAX_FRAME`](crate::transport::MAX_FRAME) is a
+    /// [`DspsError::Frame`] and leaves the previous snapshot in place.
     pub fn snapshot(&mut self, state: &[u8]) -> Result<(), DspsError> {
+        let frame = record_frame(state)?;
         let tmp = self.dir.join("snapshot.tmp");
         let snap = self.dir.join("snapshot.bin");
         {
             let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-            write_frame(&mut f, state).map_err(|e| io_err(&tmp, "write", e))?;
+            f.write_all(&frame).map_err(|e| io_err(&tmp, "write", e))?;
             if self.fsync {
                 f.sync_data().map_err(|e| io_err(&tmp, "fsync", e))?;
             }
@@ -259,16 +256,7 @@ impl StateStore {
     /// changelog records since — for restoring a *supervised restart*
     /// mid-run (the open-time recovery was already consumed).
     pub fn read_current(&mut self) -> Result<RecoveredState, DspsError> {
-        let snap_path = self.dir.join("snapshot.bin");
-        let snapshot = match std::fs::read(&snap_path) {
-            Ok(bytes) => read_frames(&bytes).0.into_iter().next(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(io_err(&snap_path, "read", e)),
-        };
-        let log_path = self.dir.join("changelog.bin");
-        let bytes = std::fs::read(&log_path).map_err(|e| io_err(&log_path, "read", e))?;
-        let (records, _) = read_frames(&bytes);
-        Ok((snapshot, records))
+        Ok(read_state(&self.dir)?.0)
     }
 }
 
@@ -292,6 +280,7 @@ mod tests {
 
     #[test]
     fn crc32_known_vectors() {
+        use crate::transport::crc32;
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
@@ -324,7 +313,7 @@ mod tests {
             s.append(b"c").unwrap();
         }
         let log_len = std::fs::metadata(c.dir.join("bolt-1/changelog.bin")).unwrap().len();
-        assert_eq!(log_len, 8 + 1, "compaction left exactly one framed record");
+        assert_eq!(log_len, 8 + 1 + 1, "compaction left exactly one framed record");
         let mut s = StateStore::open(&c, "bolt", 1).unwrap();
         let (snap, log) = s.take_recovered().unwrap();
         assert_eq!(snap.as_deref(), Some(&b"state-after-b"[..]));
@@ -382,10 +371,10 @@ mod tests {
             s.append(b"lost").unwrap();
         }
         // Flip one payload byte of the middle record (frame 2 starts at
-        // 8+4; its payload at 8+4+8).
+        // 8+1+4; its payload at 8+1+4+8+1).
         let log = c.dir.join("bolt-0/changelog.bin");
         let mut bytes = std::fs::read(&log).unwrap();
-        bytes[8 + 4 + 8] ^= 0xFF;
+        bytes[8 + 1 + 4 + 8 + 1] ^= 0xFF;
         std::fs::write(&log, &bytes).unwrap();
         let mut s = StateStore::open(&c, "bolt", 0).unwrap();
         let (_, recs) = s.take_recovered().unwrap();
@@ -407,6 +396,43 @@ mod tests {
         std::fs::write(&snap, &bytes).unwrap();
         let mut s = StateStore::open(&c, "bolt", 0).unwrap();
         assert!(s.take_recovered().is_none(), "a snapshot that fails its CRC must not restore");
+        let _ = std::fs::remove_dir_all(&c.dir);
+    }
+
+    #[test]
+    fn oversized_snapshot_is_a_typed_error_and_keeps_the_previous_one() {
+        let c = cfg("oversized");
+        let mut s = StateStore::open(&c, "bolt", 0).unwrap();
+        s.snapshot(b"fits").unwrap();
+        s.append(b"delta").unwrap();
+        let too_big = vec![0u8; crate::transport::MAX_FRAME]; // + the tag byte
+        assert!(matches!(s.snapshot(&too_big), Err(DspsError::Frame { .. })));
+        assert!(matches!(s.append(&too_big), Err(DspsError::Frame { .. })));
+        let (snap, log) = s.read_current().unwrap();
+        assert_eq!(snap.as_deref(), Some(&b"fits"[..]));
+        assert_eq!(log, vec![b"delta".to_vec()], "a refused snapshot compacts nothing");
+        let _ = std::fs::remove_dir_all(&c.dir);
+    }
+
+    #[test]
+    fn files_of_the_pre_frame_format_are_discarded() {
+        // `[len][crc32(payload)][payload]`, as written before records were
+        // transport frames: it checksums as a frame whose tag is the
+        // payload's first byte, which is not `RECORD_TAG`.
+        let c = cfg("preframe");
+        let dir = c.dir.join("bolt-0");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old_record = |payload: &[u8]| {
+            let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(&crate::transport::crc32(payload).to_le_bytes());
+            out.extend_from_slice(payload);
+            out
+        };
+        std::fs::write(dir.join("snapshot.bin"), old_record(&[1, 0, 0, 0, 0, 0, 0, 0, 0])).unwrap();
+        std::fs::write(dir.join("changelog.bin"), old_record(b"delta")).unwrap();
+        let mut s = StateStore::open(&c, "bolt", 0).unwrap();
+        assert!(s.take_recovered().is_none(), "nothing of the old format restores");
+        assert_eq!(s.truncated_bytes(), 8 + 5, "the old changelog is a torn tail");
         let _ = std::fs::remove_dir_all(&c.dir);
     }
 

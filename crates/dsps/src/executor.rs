@@ -10,7 +10,7 @@
 //! a bolt's turn is up to 64 packets or until its channel runs dry.
 
 use crate::ack::AckSink;
-use crate::durability::StateStore;
+use crate::durability::{RecoveredState, StateStore};
 use crate::emitter::{Emitter, Envelope, Packet, TaskEmitter};
 use crate::error::DspsError;
 use crate::flight::FlightKind;
@@ -423,20 +423,13 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
     for t in tasks.iter_mut() {
         t.bolt.prepare(t.ctx);
         if let Some(store) = t.store.as_mut() {
-            if let Some((snapshot, changelog)) = store.take_recovered() {
-                let detail = format!(
-                    "snapshot={} bytes, changelog={} records",
-                    snapshot.as_ref().map_or(0, |s| s.len()),
-                    changelog.len()
-                );
-                t.bolt.restore_state(snapshot.as_deref(), &changelog);
-                t.emitter.flight.record(
-                    FlightKind::Restore,
-                    &t.emitter.component,
-                    t.emitter.global as i64,
-                    detail,
-                );
-            }
+            let recovered = store.take_recovered().unwrap_or_default();
+            t.emitter.flight.record(
+                FlightKind::Restore,
+                &t.emitter.component,
+                t.emitter.global as i64,
+                restore_bolt(t.bolt.as_mut(), &recovered),
+            );
         }
     }
     let single = tasks.len() == 1;
@@ -700,13 +693,11 @@ fn process_envelope<T: Clone + Send + Sync>(
                 let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut bolt = (*factory)(index);
                     bolt.prepare(ctx);
-                    if let Some((snapshot, changelog)) = &recovered {
-                        bolt.restore_state(snapshot.as_deref(), changelog);
-                    }
-                    bolt
+                    let state = recovered.as_ref().map(|r| restore_bolt(bolt.as_mut(), r));
+                    (bolt, state)
                 }));
                 match rebuilt {
-                    Ok(bolt) => {
+                    Ok((bolt, state)) => {
                         t.bolt = bolt;
                         t.restarts += 1;
                         t.emitter.counters.record_restarted();
@@ -719,7 +710,7 @@ fn process_envelope<T: Clone + Send + Sync>(
                                 t.restarts,
                                 budget,
                                 panic_text(e.as_ref()),
-                                if recovered.is_some() { " (state restored)" } else { "" }
+                                state.map_or(String::new(), |s| format!(" (state: {s})"))
                             ),
                         );
                         Ok(())
@@ -745,6 +736,23 @@ fn process_envelope<T: Clone + Send + Sync>(
                 })
             }
         }
+    }
+}
+
+/// Hands a freshly prepared bolt what its store holds and says, for the
+/// flight recorder, which of three things happened: the store was empty,
+/// the state went in, or the bolt refused it and runs as `prepare` left it.
+fn restore_bolt<T>(bolt: &mut dyn Bolt<T>, (snapshot, changelog): &RecoveredState) -> String {
+    if snapshot.is_none() && changelog.is_empty() {
+        return "nothing on disk".into();
+    }
+    match bolt.restore_state(snapshot.as_deref(), changelog) {
+        Ok(()) => format!(
+            "restored snapshot={} bytes, changelog={} records",
+            snapshot.as_ref().map_or(0, Vec::len),
+            changelog.len()
+        ),
+        Err(e) => format!("rejected: {e}, task starts cold"),
     }
 }
 

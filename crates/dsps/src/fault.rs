@@ -101,8 +101,12 @@ impl<T: Send> Bolt<T> for ChaosBolt<T> {
         self.inner.drain_changelog(out);
     }
 
-    fn restore_state(&mut self, snapshot: Option<&[u8]>, changelog: &[Vec<u8>]) {
-        self.inner.restore_state(snapshot, changelog);
+    fn restore_state(
+        &mut self,
+        snapshot: Option<&[u8]>,
+        changelog: &[Vec<u8>],
+    ) -> Result<(), crate::error::DspsError> {
+        self.inner.restore_state(snapshot, changelog)
     }
 }
 

@@ -33,7 +33,14 @@
 //! Topologies can also be described in XML ([`xml`]), the usability layer
 //! the paper adds on top of Storm's Java builder API.
 
+// `codec_harness.rs` is also compiled into `tms-core`'s tests, where this
+// crate is `tms_dsps`; the alias lets the one file name it so here too.
+#[cfg(test)]
+extern crate self as tms_dsps;
+
 mod ack;
+#[cfg(test)]
+mod codec_harness;
 pub mod durability;
 pub mod elastic;
 mod emitter;

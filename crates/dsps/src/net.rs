@@ -75,8 +75,8 @@ use crate::runtime::{
 use crate::scheduler::{assign_pinned, Assignment, ClusterSpec, ExecutorPlacement};
 use crate::topology::Topology;
 use crate::transport::{
-    decode_value, encode_frame, encode_value_frame, BufferPool, Frame, FrameDecoder, WireCodec,
-    WireReader,
+    decode_seq, decode_value, encode_frame, encode_value_frame, BufferPool, Frame, FrameDecoder,
+    WireCodec, WireReader,
 };
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
@@ -394,6 +394,7 @@ impl WireCodec for Span {
 
 /// A flight-recorder event as shipped by a worker: the kind travels by
 /// its stable name so the set can grow without renumbering.
+#[derive(Debug)]
 struct WireFlightEvent {
     at_ns: u64,
     kind: String,
@@ -425,6 +426,7 @@ impl WireCodec for WireFlightEvent {
 /// The flight recorder and `workers` are process-local; the monitor's
 /// `expose` is forced off on workers (the coordinator serves the merged
 /// view).
+#[derive(Debug)]
 struct WireConfig {
     channel_capacity: usize,
     reliability: Option<ReliabilityConfig>,
@@ -488,6 +490,7 @@ impl WireCodec for WireConfig {
     }
 }
 
+#[derive(Debug)]
 struct Hello {
     worker: usize,
     data_addr: String,
@@ -509,6 +512,7 @@ impl WireCodec for Hello {
     }
 }
 
+#[derive(Debug)]
 struct WireAssignment {
     config: WireConfig,
     assignment: Assignment,
@@ -535,6 +539,7 @@ impl WireCodec for WireAssignment {
     }
 }
 
+#[derive(Debug)]
 struct WorkerDone {
     worker: usize,
     error: Option<String>,
@@ -599,19 +604,7 @@ fn encode_packet<T: WireCodec>(p: &Packet<T>, buf: &mut BytesMut) {
 fn decode_packet<T: WireCodec>(r: &mut WireReader<'_>) -> Result<Packet<T>, DspsError> {
     Ok(match r.u8()? {
         0 => Packet::Data(decode_envelope(r)?),
-        1 => {
-            let n = r.u32_le()? as usize;
-            if n > r.remaining() {
-                return Err(DspsError::Frame {
-                    reason: format!("batch claims {n} envelopes with {} bytes left", r.remaining()),
-                });
-            }
-            let mut envs = Vec::with_capacity(n);
-            for _ in 0..n {
-                envs.push(decode_envelope(r)?);
-            }
-            Packet::Batch(envs)
-        }
+        1 => Packet::Batch(decode_seq(r, decode_envelope)?),
         2 => Packet::Eos,
         k => return Err(DspsError::Frame { reason: format!("invalid packet kind {k}") }),
     })
@@ -837,7 +830,7 @@ impl<T: WireCodec + Clone + Send + Sync + 'static> NetPlane<T> {
     /// exactly like a local producer.
     fn inject(&self, payload: &[u8]) -> Result<(), DspsError> {
         let mut r = WireReader::new(payload);
-        let dest = r.u32_le()?;
+        let dest = u32::decode(&mut r)?;
         let packet: Packet<T> = decode_packet(&mut r)?;
         let ingress = self.ingress.lock();
         let Some(entry) = ingress.get(&dest) else {
@@ -1018,19 +1011,7 @@ fn apply_ack_frame(payload: &[u8], acker: &Acker) -> Result<(), DspsError> {
     let mut r = WireReader::new(payload);
     match r.u8()? {
         ack_op::REGISTER => acker.register(u64::decode(&mut r)?, usize::decode(&mut r)?),
-        ack_op::XOR_BATCH => {
-            let n = r.u32_le()? as usize;
-            if n > r.remaining() {
-                return Err(DspsError::Frame {
-                    reason: format!("ack batch claims {n} pairs with {} bytes left", r.remaining()),
-                });
-            }
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pairs.push((u64::decode(&mut r)?, u64::decode(&mut r)?));
-            }
-            acker.xor_batch(&pairs);
-        }
+        ack_op::XOR_BATCH => acker.xor_batch(&Vec::decode(&mut r)?),
         ack_op::SEAL => acker.seal(u64::decode(&mut r)?),
         ack_op::ABANDON => acker.abandon(u64::decode(&mut r)?),
         k => return Err(DspsError::Frame { reason: format!("invalid ack op {k}") }),
@@ -1916,5 +1897,276 @@ mod tests {
         assert_eq!(mc.expose, None, "workers never expose their own scrape port");
         assert_eq!(rebuilt.fault.unwrap().drop_p, 0.25);
         assert_eq!(rebuilt.reliability.unwrap().max_retries, 5);
+    }
+
+    // One decode-hardening harness over every type that crosses a link.
+
+    use crate::codec_harness::codec_holds;
+    use proptest::prelude::*;
+
+    fn u64s() -> std::ops::Range<u64> {
+        0..u64::MAX
+    }
+
+    fn usizes() -> std::ops::Range<usize> {
+        0..usize::MAX
+    }
+
+    /// Any bit pattern: NaNs, infinities and subnormals included.
+    fn f64s() -> impl Strategy<Value = f64> {
+        u64s().prop_map(f64::from_bits)
+    }
+
+    fn durations() -> impl Strategy<Value = Duration> {
+        (u64s(), 0u32..1_000_000_000).prop_map(|(secs, nanos)| Duration::new(secs, nanos))
+    }
+
+    fn histograms() -> impl Strategy<Value = LatencyHistogram> {
+        (prop::collection::vec(u64s(), crate::metrics::LATENCY_BUCKETS), u64s()).prop_map(
+            |(buckets, sum)| {
+                LatencyHistogram::from_parts(buckets.try_into().expect("one count a bucket"), sum)
+            },
+        )
+    }
+
+    fn placements() -> impl Strategy<Value = ExecutorPlacement> {
+        (".{0,8}", usizes(), prop::collection::vec(usizes(), 0..4), usizes(), usizes()).prop_map(
+            |(component, executor_index, tasks, worker, node)| ExecutorPlacement {
+                component,
+                executor_index,
+                tasks,
+                worker,
+                node,
+            },
+        )
+    }
+
+    fn assignments() -> impl Strategy<Value = Assignment> {
+        (prop::collection::vec(placements(), 0..3), usizes(), usizes())
+            .prop_map(|(placements, workers, nodes)| Assignment { placements, workers, nodes })
+    }
+
+    fn reliabilities() -> impl Strategy<Value = ReliabilityConfig> {
+        (durations(), 0u32..u32::MAX, f64s(), usizes(), 0u32..u32::MAX).prop_map(
+            |(ack_timeout, max_retries, backoff, max_pending, max_task_restarts)| {
+                ReliabilityConfig { ack_timeout, max_retries, backoff, max_pending, max_task_restarts }
+            },
+        )
+    }
+
+    fn faults() -> impl Strategy<Value = FaultConfig> {
+        (f64s(), f64s(), prop::option::of(durations()), u64s())
+            .prop_map(|(panic_p, drop_p, delay, seed)| FaultConfig { panic_p, drop_p, delay, seed })
+    }
+
+    fn lineages() -> impl Strategy<Value = LineageConfig> {
+        (f64s(), any::<bool>(), usizes()).prop_map(|(sample_rate, export, ring_capacity)| {
+            LineageConfig { sample_rate, export, ring_capacity }
+        })
+    }
+
+    fn monitors() -> impl Strategy<Value = MonitorConfig> {
+        let expose = prop::option::of(0u16..u16::MAX);
+        (durations(), any::<bool>(), usizes(), any::<bool>(), expose, prop::option::of(lineages()))
+            .prop_map(|(window, tracing, retention, profiling, expose, lineage)| MonitorConfig {
+                window,
+                tracing,
+                retention,
+                profiling,
+                expose,
+                lineage,
+            })
+    }
+
+    fn rule_profiles() -> impl Strategy<Value = RuleProfile> {
+        let counters = prop::collection::vec(u64s(), 9);
+        (".{0,8}", usizes(), histograms(), prop::option::of(durations()), counters).prop_map(
+            |(rule, engine, eval, threshold_age, n)| RuleProfile {
+                rule,
+                engine,
+                events_in: n[0],
+                evals: n[1],
+                firings: n[2],
+                rows_out: n[3],
+                eval,
+                path_shared: n[4],
+                path_incremental: n[5],
+                path_anchor: n[6],
+                path_rescan: n[7],
+                window_len: n[8],
+                threshold_age,
+            },
+        )
+    }
+
+    fn windows() -> impl Strategy<Value = ComponentWindow> {
+        let header = (".{0,8}", durations(), durations(), any::<bool>());
+        let rules = prop::collection::vec(rule_profiles(), 0..2);
+        let counters = prop::collection::vec(u64s(), 14);
+        (header, prop::option::of(durations()), histograms(), rules, counters).prop_map(
+            |((component, at, len, partial), avg_latency, e2e, rules, n)| ComponentWindow {
+                component,
+                at,
+                len,
+                partial,
+                throughput: n[0],
+                avg_latency,
+                emitted: n[1],
+                dropped: n[2],
+                misrouted: n[3],
+                acked: n[4],
+                failed: n[5],
+                replayed: n[6],
+                restarted: n[7],
+                injected_panics: n[8],
+                injected_latency: n[9],
+                injected_drops: n[10],
+                e2e,
+                queue_depth: n[11],
+                queue_depth_max: n[12],
+                queue_capacity: n[13],
+                rules,
+            },
+        )
+    }
+
+    fn spans() -> impl Strategy<Value = Span> {
+        (prop::collection::vec(u64s(), 5), 0u8..6, 0u32..u32::MAX, 0u32..u32::MAX).prop_map(
+            |(n, kind, task, other)| Span {
+                trace: n[0],
+                id: n[1],
+                parent: n[2],
+                kind: span_kind_from_wire(kind).expect("0..6 are the span kinds"),
+                task,
+                other,
+                start_ns: n[3],
+                dur_ns: n[4],
+            },
+        )
+    }
+
+    fn flight_events() -> impl Strategy<Value = WireFlightEvent> {
+        (u64s(), ".{0,8}", ".{0,8}", i64::MIN..i64::MAX, ".{0,12}").prop_map(
+            |(at_ns, kind, component, task, detail)| WireFlightEvent {
+                at_ns,
+                kind,
+                component,
+                task,
+                detail,
+            },
+        )
+    }
+
+    fn wire_configs() -> impl Strategy<Value = WireConfig> {
+        (
+            usizes(),
+            prop::option::of(reliabilities()),
+            prop::option::of(faults()),
+            prop::option::of(monitors()),
+            prop::option::of((".{0,12}", (u64s(), any::<bool>()))),
+        )
+            .prop_map(|(channel_capacity, reliability, fault, monitor, durability)| WireConfig {
+                channel_capacity,
+                reliability,
+                fault,
+                monitor,
+                durability,
+            })
+    }
+
+    fn hellos() -> impl Strategy<Value = Hello> {
+        (usizes(), ".{0,12}", u64s())
+            .prop_map(|(worker, data_addr, fingerprint)| Hello { worker, data_addr, fingerprint })
+    }
+
+    fn wire_assignments() -> impl Strategy<Value = WireAssignment> {
+        (wire_configs(), assignments(), prop::collection::vec(".{0,12}", 0..3), u64s()).prop_map(
+            |(config, assignment, peers, fingerprint)| WireAssignment {
+                config,
+                assignment,
+                peers,
+                fingerprint,
+            },
+        )
+    }
+
+    fn worker_dones() -> impl Strategy<Value = WorkerDone> {
+        (
+            usizes(),
+            prop::option::of(".{0,12}"),
+            prop::collection::vec(windows(), 0..2),
+            prop::collection::vec(flight_events(), 0..3),
+            prop::collection::vec(spans(), 0..3),
+        )
+            .prop_map(|(worker, error, totals, flight, spans)| WorkerDone {
+                worker,
+                error,
+                totals,
+                flight,
+                spans,
+            })
+    }
+
+    #[test]
+    fn every_link_message_codec_holds() {
+        codec_holds(placements());
+        codec_holds(assignments());
+        codec_holds(reliabilities());
+        codec_holds(faults());
+        codec_holds(lineages());
+        codec_holds(monitors());
+        codec_holds(histograms());
+        codec_holds(rule_profiles());
+        codec_holds(windows());
+        codec_holds(spans());
+        codec_holds(flight_events());
+        codec_holds(wire_configs());
+        codec_holds(hellos());
+        codec_holds(wire_assignments());
+        codec_holds(worker_dones());
+    }
+
+    /// `Packet` / `Envelope` framing under the harness, shown by the fields
+    /// that cross the wire.
+    struct WirePacket(Packet<u64>);
+
+    impl std::fmt::Debug for WirePacket {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let wire = |e: &Envelope<u64>| (*e.msg.as_inner(), e.tid, e.roots.clone());
+            match &self.0 {
+                Packet::Data(env) => write!(f, "Data({:?})", wire(env)),
+                Packet::Batch(envs) => {
+                    write!(f, "Batch({:?})", envs.iter().map(wire).collect::<Vec<_>>())
+                }
+                Packet::Eos => write!(f, "Eos"),
+            }
+        }
+    }
+
+    impl WireCodec for WirePacket {
+        fn encode(&self, buf: &mut BytesMut) {
+            encode_packet(&self.0, buf);
+        }
+        fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
+            Ok(WirePacket(decode_packet(r)?))
+        }
+    }
+
+    #[test]
+    fn packet_framing_codec_holds() {
+        let envelope = || {
+            (u64s(), u64s(), prop::collection::vec(u64s(), 0..3))
+                .prop_map(|(msg, tid, roots)| Envelope::from_wire(msg, tid, roots))
+        };
+        let packets = (0u8..3, envelope(), prop::collection::vec(envelope(), 0..4)).prop_map(
+            |(kind, one, many)| {
+                WirePacket(match kind {
+                    0 => Packet::Data(one),
+                    1 => Packet::Batch(many),
+                    _ => Packet::Eos,
+                })
+            },
+        );
+        codec_holds(packets);
     }
 }

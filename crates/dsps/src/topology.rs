@@ -94,7 +94,18 @@ pub trait Bolt<T>: Send {
     /// Called after [`prepare`](Bolt::prepare) — on a fresh submit that
     /// found prior state, and after a supervised post-panic restart.
     /// The default ignores recovery (stateless bolts restart empty).
-    fn restore_state(&mut self, _snapshot: Option<&[u8]>, _changelog: &[Vec<u8>]) {}
+    ///
+    /// `Err` says why the recovered state was refused (it does not decode,
+    /// or does not fit what `prepare` built) and must leave the bolt as
+    /// `prepare` left it: the task then starts cold, and the runtime says
+    /// so on the flight recorder.
+    fn restore_state(
+        &mut self,
+        _snapshot: Option<&[u8]>,
+        _changelog: &[Vec<u8>],
+    ) -> Result<(), DspsError> {
+        Ok(())
+    }
 }
 
 /// Blanket impl: any `FnMut(T) -> Option<T>`-style closure can serve as a

@@ -1,20 +1,18 @@
-//! Zero-copy framed wire transport: the byte layer under the
-//! multi-process runtime ([`net`](crate::net)).
+//! The one serialiser: the value codec ([`WireCodec`]) and the frame
+//! around every byte string that leaves a task — a message on a worker
+//! link ([`net`](crate::net)), a snapshot or changelog record on disk
+//! ([`durability`](crate::durability)).
 //!
 //! # Frame format
-//!
-//! Every message on a worker link is one frame:
 //!
 //! ```text
 //! [len: u32 LE][crc32(tag + payload): u32 LE][tag: u8][payload: len-1 bytes]
 //! ```
 //!
 //! `len` counts the tag byte plus the payload, so a frame occupies
-//! `8 + len` bytes on the wire. The CRC is the same IEEE 802.3 polynomial
-//! [`durability`](crate::durability) uses for its on-disk records — one
-//! checksum discipline for everything that crosses a trust boundary. The
-//! tag is a versioned message-type byte owned by the session layer
-//! ([`net`](crate::net)); this module treats it as opaque.
+//! `8 + len` bytes. The CRC is the IEEE 802.3 polynomial ([`crc32`]). The
+//! tag is a versioned message-type byte owned by the layer that writes the
+//! frame; this module treats it as opaque.
 //!
 //! # Zero-copy discipline
 //!
@@ -51,28 +49,56 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// Bytes of frame header preceding the body: `len` + `crc`.
 const HEADER: usize = 8;
 
+/// CRC-32 (IEEE 802.3, reflected) over `data` — the frame checksum.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
 /// Encodes one frame into `buf` (which must be empty — acquire it from a
 /// [`BufferPool`]) and freezes it into an immutable view ready for a
 /// single `write_all`. `fill` writes the payload; the header is patched
 /// in afterwards, so the payload is encoded exactly once and never
-/// copied.
-///
-/// # Panics
-/// When the body exceeds [`MAX_FRAME`] — an encoder-side bug, not a
-/// network condition.
-pub fn encode_frame(mut buf: BytesMut, tag: u8, fill: impl FnOnce(&mut BytesMut)) -> Bytes {
+/// copied. A body over [`MAX_FRAME`] is an error: no decoder would read
+/// it back.
+pub fn try_encode_frame(
+    mut buf: BytesMut,
+    tag: u8,
+    fill: impl FnOnce(&mut BytesMut),
+) -> Result<Bytes, DspsError> {
     debug_assert!(buf.is_empty(), "encode_frame needs a fresh buffer");
     buf.put_u32_le(0); // len, patched below
     buf.put_u32_le(0); // crc, patched below
     buf.put_u8(tag);
     fill(&mut buf);
     let body_len = buf.len() - HEADER;
-    assert!(body_len <= MAX_FRAME, "frame body of {body_len} bytes exceeds MAX_FRAME");
+    if body_len > MAX_FRAME {
+        return Err(DspsError::Frame {
+            reason: format!("frame body of {body_len} bytes exceeds the {MAX_FRAME} byte bound"),
+        });
+    }
     let m = buf.as_mut();
-    let crc = crate::durability::crc32(&m[HEADER..]);
+    let crc = crc32(&m[HEADER..]);
     m[0..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     m[4..8].copy_from_slice(&crc.to_le_bytes());
-    buf.freeze()
+    Ok(buf.freeze())
+}
+
+/// [`try_encode_frame`] for the runtime's own messages, whose size the
+/// runtime bounds.
+///
+/// # Panics
+/// When the body exceeds [`MAX_FRAME`] — an encoder-side bug, not a
+/// network condition.
+pub fn encode_frame(buf: BytesMut, tag: u8, fill: impl FnOnce(&mut BytesMut)) -> Bytes {
+    try_encode_frame(buf, tag, fill).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One decoded frame: the session-layer tag and a zero-copy payload view
@@ -135,7 +161,7 @@ impl FrameDecoder {
         }
         self.buf.advance(HEADER);
         let body = self.buf.split_to(len);
-        if crate::durability::crc32(&body) != crc {
+        if crc32(&body) != crc {
             return Err(DspsError::Frame { reason: "frame checksum mismatch".into() });
         }
         let tag = body[0];
@@ -153,8 +179,8 @@ impl Default for FrameDecoder {
 /// A bounds-checked read cursor over a frame payload.
 ///
 /// Every accessor returns [`DspsError::Frame`] on truncation instead of
-/// panicking — a malformed payload from a peer must never take the
-/// process down.
+/// panicking — a malformed payload from a peer or a file must never take
+/// the process down.
 pub struct WireReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -185,94 +211,47 @@ impl<'a> WireReader<'a> {
     }
 
     pub fn u8(&mut self) -> Result<u8, DspsError> {
-        Ok(self.take(1)?[0])
+        u8::decode(self)
     }
 
-    pub fn u32_le(&mut self) -> Result<u32, DspsError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4-byte slice")))
-    }
-
-    pub fn u64_le(&mut self) -> Result<u64, DspsError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    pub fn i64_le(&mut self) -> Result<i64, DspsError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    pub fn f64_le(&mut self) -> Result<f64, DspsError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    /// A length-prefixed byte string (`u32 LE` count + bytes).
-    pub fn bytes(&mut self) -> Result<&'a [u8], DspsError> {
-        let n = self.u32_le()? as usize;
-        self.take(n)
-    }
-
-    /// A length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, DspsError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| DspsError::Frame { reason: "invalid UTF-8 in wire string".into() })
+    /// The leading format-version byte of a persisted value: anything but
+    /// `want` is a layout this build does not read, said as such.
+    pub fn expect_version(&mut self, what: &str, want: u8) -> Result<(), DspsError> {
+        match self.u8()? {
+            got if got == want => Ok(()),
+            got => Err(DspsError::Frame {
+                reason: format!("{what} has format version {got}, this build reads {want}"),
+            }),
+        }
     }
 }
 
-/// Manual wire encoding for a message type.
+/// Manual wire encoding for a value.
 ///
 /// The vendored serde shim can neither parse nor derive, so everything
-/// that crosses a worker link implements this by hand, in the same style
-/// as [`durability`](crate::durability)'s record framing: fixed-width LE
-/// integers, `u32` length prefixes, field order is the format version.
+/// that crosses a worker link or reaches the disk implements this by
+/// hand: fixed-width LE numbers, `u32` length prefixes, field order is
+/// the format.
 pub trait WireCodec: Sized {
     fn encode(&self, buf: &mut BytesMut);
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError>;
 }
 
-impl WireCodec for u8 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        r.u8()
-    }
+macro_rules! le_number_codec {
+    ($($t:ty),*) => {$(
+        impl WireCodec for $t {
+            fn encode(&self, buf: &mut BytesMut) {
+                buf.put_slice(&self.to_le_bytes());
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
+                let raw = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("take() returned the size asked")))
+            }
+        }
+    )*};
 }
 
-impl WireCodec for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(*self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        r.u32_le()
-    }
-}
-
-impl WireCodec for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        r.u64_le()
-    }
-}
-
-impl WireCodec for i64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        r.i64_le()
-    }
-}
-
-impl WireCodec for f64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        r.f64_le()
-    }
-}
+le_number_codec!(u8, u32, u64, i64, f64);
 
 impl WireCodec for bool {
     fn encode(&self, buf: &mut BytesMut) {
@@ -285,44 +264,69 @@ impl WireCodec for bool {
 
 impl WireCodec for usize {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self as u64);
+        (*self as u64).encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        Ok(r.u64_le()? as usize)
+        Ok(u64::decode(r)? as usize)
     }
+}
+
+/// Encodes text the way [`String`] decodes it (`u32` byte count + UTF-8),
+/// for callers that hold a `&str` and no `String`.
+pub fn encode_str(s: &str, buf: &mut BytesMut) {
+    (s.len() as u32).encode(buf);
+    buf.put_slice(s.as_bytes());
 }
 
 impl WireCodec for String {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self.as_bytes());
+        encode_str(self, buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        r.string()
+        let n = u32::decode(r)? as usize;
+        String::from_utf8(r.take(n)?.to_vec())
+            .map_err(|_| DspsError::Frame { reason: "invalid UTF-8 in wire string".into() })
     }
+}
+
+/// Encodes a counted sequence, `each` encoding one element — the form
+/// behind `Vec<T>`, callable directly where the element type is another
+/// crate's and cannot implement [`WireCodec`].
+pub fn encode_seq<I: ExactSizeIterator>(
+    items: I,
+    buf: &mut BytesMut,
+    each: impl Fn(I::Item, &mut BytesMut),
+) {
+    (items.len() as u32).encode(buf);
+    items.for_each(|item| each(item, buf));
+}
+
+/// Decodes what [`encode_seq`] wrote. The count is checked against the
+/// bytes left before anything is allocated for it (each element needs at
+/// least one byte), so a hostile count is an error, not an allocation.
+pub fn decode_seq<T>(
+    r: &mut WireReader<'_>,
+    mut each: impl FnMut(&mut WireReader<'_>) -> Result<T, DspsError>,
+) -> Result<Vec<T>, DspsError> {
+    let n = u32::decode(r)? as usize;
+    if n > r.remaining() {
+        return Err(DspsError::Frame {
+            reason: format!("sequence claims {n} items with {} bytes left", r.remaining()),
+        });
+    }
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(each(r)?);
+    }
+    Ok(out)
 }
 
 impl<T: WireCodec> WireCodec for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        for item in self {
-            item.encode(buf);
-        }
+        encode_seq(self.iter(), buf, T::encode);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        let n = r.u32_le()? as usize;
-        // Guard the pre-allocation against a hostile count: each element
-        // needs at least one byte of payload.
-        if n > r.remaining() {
-            return Err(DspsError::Frame {
-                reason: format!("sequence claims {n} items with {} bytes left", r.remaining()),
-            });
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        decode_seq(r, T::decode)
     }
 }
 
@@ -347,12 +351,12 @@ impl<T: WireCodec> WireCodec for Option<T> {
 
 impl WireCodec for std::time::Duration {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.as_secs());
-        buf.put_u32_le(self.subsec_nanos());
+        self.as_secs().encode(buf);
+        self.subsec_nanos().encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        let secs = r.u64_le()?;
-        let nanos = r.u32_le()?;
+        let secs = u64::decode(r)?;
+        let nanos = u32::decode(r)?;
         if nanos >= 1_000_000_000 {
             return Err(DspsError::Frame { reason: format!("invalid Duration nanos {nanos}") });
         }
@@ -374,6 +378,14 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
 /// control messages that are a single codec value).
 pub fn encode_value_frame<T: WireCodec>(pool: &BufferPool, tag: u8, value: &T) -> Bytes {
     encode_frame(pool.acquire(), tag, |buf| value.encode(buf))
+}
+
+/// Encodes a value on its own, the inverse of [`decode_value`] (a bolt's
+/// snapshot bytes).
+pub fn encode_value<T: WireCodec>(value: &T) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    value.encode(&mut buf);
+    buf.freeze().to_vec()
 }
 
 /// Decodes a frame payload that is a single codec value, requiring the
@@ -511,6 +523,17 @@ mod tests {
         buf.put_u32_le(u32::MAX);
         let frozen = buf.freeze();
         assert!(matches!(decode_value::<Vec<u64>>(&frozen), Err(DspsError::Frame { .. })));
+    }
+
+    #[test]
+    fn builtin_codecs_hold() {
+        use proptest::prelude::*;
+        let numbers = ((0u8..=255, 0u32..=u32::MAX), (i64::MIN..=i64::MAX, 0usize..=usize::MAX));
+        let floats = (0u64..=u64::MAX).prop_map(f64::from_bits);
+        let durations =
+            (0u64..=u64::MAX, 0u32..1_000_000_000).prop_map(|(s, n)| std::time::Duration::new(s, n));
+        let rows = prop::collection::vec((".{0,12}", prop::option::of(durations)), 0..4);
+        crate::codec_harness::codec_holds((numbers, (floats, (any::<bool>(), rows))));
     }
 
     #[test]

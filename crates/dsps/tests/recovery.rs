@@ -13,11 +13,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tms_dsps::durability::{read_frames, DurabilityConfig, StateStore};
+use tms_dsps::durability::{DurabilityConfig, StateStore};
 use tms_dsps::runtime::{LocalCluster, ReliabilityConfig, RuntimeConfig};
 use tms_dsps::scheduler::ClusterSpec;
 use tms_dsps::topology::{Parallelism, TopologyBuilder};
-use tms_dsps::{Bolt, Emitter, Grouping, Spout};
+use tms_dsps::{
+    Bolt, DspsError, Emitter, FlightKind, FlightRecorder, FrameDecoder, Grouping, Spout,
+};
 
 struct RangeSpout {
     next: u64,
@@ -84,8 +86,17 @@ impl Bolt<u64> for Acc {
         out.append(&mut self.pending);
     }
 
-    fn restore_state(&mut self, snapshot: Option<&[u8]>, changelog: &[Vec<u8>]) {
+    fn restore_state(
+        &mut self,
+        snapshot: Option<&[u8]>,
+        changelog: &[Vec<u8>],
+    ) -> Result<(), DspsError> {
         if let Some(s) = snapshot {
+            if s.len() != 16 {
+                return Err(DspsError::Frame {
+                    reason: format!("snapshot of {} bytes, an Acc snapshot has 16", s.len()),
+                });
+            }
             self.seen = u64::from_le_bytes(s[0..8].try_into().unwrap());
             self.sum = f64::from_bits(u64::from_le_bytes(s[8..16].try_into().unwrap()));
         }
@@ -95,6 +106,7 @@ impl Bolt<u64> for Acc {
         if let Some(t) = &self.restored_seen {
             t.store(self.seen, Ordering::SeqCst);
         }
+        Ok(())
     }
 }
 
@@ -122,20 +134,37 @@ fn fast_reliability() -> ReliabilityConfig {
     }
 }
 
-/// Runs `range` through a single-task Acc bolt persisting into `dir`.
+/// Runs `range` through a single-task Acc bolt persisting into `dir`;
+/// returns the run's flight recorder.
 fn run_segment(
     range: std::ops::Range<u64>,
     dir: &Path,
     reliability: Option<ReliabilityConfig>,
-) {
+) -> Arc<FlightRecorder> {
+    run_poisoned_segment(range, dir, reliability, None)
+}
+
+/// [`run_segment`] with a bolt that panics the first time it sees `poison`.
+fn run_poisoned_segment(
+    range: std::ops::Range<u64>,
+    dir: &Path,
+    reliability: Option<ReliabilityConfig>,
+    poison: Option<u64>,
+) -> Arc<FlightRecorder> {
     let (start, end) = (range.start, range.end);
+    let fired = Arc::new(AtomicBool::new(false));
     let t = TopologyBuilder::new("recovery")
         .add_spout("src", Parallelism::of(1), move |_| {
             Box::new(RangeSpout { next: start, end })
         })
-        .add_bolt("acc", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(Acc { seen: 0, sum: 0.0, pending: Vec::new(), poison: None, restored_seen: None })
-                as Box<dyn Bolt<u64>>
+        .add_bolt("acc", Parallelism::of(1), vec![("src", Grouping::Shuffle)], move |_| {
+            Box::new(Acc {
+                seen: 0,
+                sum: 0.0,
+                pending: Vec::new(),
+                poison: poison.map(|v| (v, fired.clone())),
+                restored_seen: None,
+            }) as Box<dyn Bolt<u64>>
         })
         .build()
         .unwrap();
@@ -150,7 +179,15 @@ fn run_segment(
         }),
         ..RuntimeConfig::default()
     };
-    cluster().submit(t, cfg).unwrap().join().unwrap();
+    let handle = cluster().submit(t, cfg).unwrap();
+    let flight = handle.flight_recorder().clone();
+    handle.join().unwrap();
+    flight
+}
+
+/// The details of a run's flight events of one kind, in order.
+fn details(flight: &FlightRecorder, kind: FlightKind) -> Vec<String> {
+    flight.events_of(kind).into_iter().map(|e| e.detail).collect()
 }
 
 /// The persisted end state of the Acc task in `dir` — after a clean EOS
@@ -281,6 +318,56 @@ fn supervised_restart_restores_persisted_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The flight recorder says what a start found, three ways. Nothing on
+/// disk: a fresh directory at start-up, and a task that panics on its very
+/// first tuple (both were "(state restored)" / silence before).
+#[test]
+fn flight_says_nothing_on_disk_when_nothing_was() {
+    let dir = tmp_dir("flight-nothing");
+    let flight = run_poisoned_segment(0..200, &dir, Some(fast_reliability()), Some(0));
+    assert_eq!(details(&flight, FlightKind::Restore), ["nothing on disk"]);
+    let restarts = details(&flight, FlightKind::TaskRestart);
+    assert_eq!(restarts.len(), 1, "{restarts:?}");
+    assert!(restarts[0].ends_with("poisoned tuple 0 (state: nothing on disk)"), "{restarts:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Restored: what went back in, by size, at start-up and after a panic.
+#[test]
+fn flight_says_what_was_restored() {
+    let dir = tmp_dir("flight-restored");
+    run_segment(0..400, &dir, Some(fast_reliability()));
+    let flight = run_poisoned_segment(400..1000, &dir, Some(fast_reliability()), Some(700));
+    assert_eq!(
+        details(&flight, FlightKind::Restore),
+        ["restored snapshot=16 bytes, changelog=0 records"]
+    );
+    let restarts = details(&flight, FlightKind::TaskRestart);
+    assert_eq!(restarts.len(), 1, "{restarts:?}");
+    assert!(restarts[0].contains("(state: restored snapshot=16 bytes, changelog="), "{restarts:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rejected: a snapshot the bolt refuses is named with the bolt's reason,
+/// and the task runs as if the directory had been empty.
+#[test]
+fn flight_says_why_a_snapshot_was_rejected() {
+    let dir = tmp_dir("flight-rejected");
+    let cfg = DurabilityConfig { dir: dir.clone(), snapshot_every: 64, fsync: false };
+    StateStore::open(&cfg, "acc", 0).unwrap().snapshot(b"bad").unwrap();
+    let flight = run_segment(0..1000, &dir, None);
+    assert_eq!(
+        details(&flight, FlightKind::Restore),
+        ["rejected: invalid wire frame: snapshot of 3 bytes, an Acc snapshot has 16, \
+          task starts cold"]
+    );
+    let cold_dir = tmp_dir("flight-rejected-cold");
+    run_segment(0..1000, &cold_dir, None);
+    assert_eq!(final_state(&dir), final_state(&cold_dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cold_dir);
+}
+
 proptest! {
     /// Changelog robustness: however the tail is torn or corrupted, open
     /// recovers exactly the longest valid record prefix, truncates the
@@ -314,7 +401,12 @@ proptest! {
         std::fs::write(&log, &bytes).unwrap();
 
         // The reference: decode the valid prefix of the damaged bytes.
-        let (expected, _) = read_frames(&bytes);
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&bytes);
+        let mut expected = Vec::new();
+        while let Ok(Some(frame)) = decoder.next() {
+            expected.push(frame.payload.to_vec());
+        }
 
         let mut store = StateStore::open(&cfg, "acc", 0).unwrap();
         let recovered = store.take_recovered().map(|(_, l)| l).unwrap_or_default();

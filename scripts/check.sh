@@ -2,7 +2,7 @@
 # Full local gate: release build, every crate's tests, the vendored
 # channel's, buffer pool's and locks' tests, the elastic suite in release, the
 # argument-free examples, the snapshot guards, the pipeline benchmark's own
-# tests and smoke run, strict clippy.
+# tests and smoke run, the one-serialiser gate, strict clippy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,4 +28,26 @@ done
 cargo run --release -p tms-bench --bin experiments -- guard all
 cargo test --release --locked --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
+# One serialiser: outside the test modules, byte order is spelled only in
+# `transport.rs` (the value codec and the frame) and in the two hashers,
+# which hash and do not serialise (`grouping.rs`'s key hasher and the
+# `h.write(..)` lines of `net.rs`'s `topology_fingerprint`).
+second_serialiser=$(
+    find crates/*/src -name '*.rs' \
+        ! -path crates/dsps/src/transport.rs ! -path crates/dsps/src/grouping.rs |
+        while read -r file; do
+            awk -v file="$file" '
+                test_attr && /^mod tests/ { exit }
+                { test_attr = /^#\[cfg\(test\)\]/ }
+                /to_le_bytes|from_le_bytes|to_bits\(\)\.to_le/ &&
+                    !(file == "crates/dsps/src/net.rs" && /h\.write\(/) {
+                    print file ":" FNR ":" $0
+                }' "$file"
+        done
+)
+if [ -n "$second_serialiser" ]; then
+    echo "a second serialiser: encode through tms_dsps::transport's WireCodec instead" >&2
+    echo "$second_serialiser" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
