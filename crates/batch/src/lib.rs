@@ -11,10 +11,11 @@
 //!   simulated datanodes (replication), with line-oriented readers so map
 //!   tasks can each consume one block, exactly like HDFS input splits;
 //! * [`mapreduce`] — `Mapper`/`Reducer`/`Combiner` traits and a job runner
-//!   that executes map tasks in parallel (one per input block), hash-
-//!   partitions intermediate pairs into a user-defined number of reduce
-//!   tasks, sorts/groups per partition, runs reducers in parallel and
-//!   returns (and optionally persists) the outputs.
+//!   that executes map tasks in parallel (one per input block), folding
+//!   each emitted pair into its task's per-key partial when the job has a
+//!   combiner, hash-partitions the pairs into a user-defined number of
+//!   reduce tasks, each of which sorts and groups its own partition, runs
+//!   the reducers in parallel and returns the outputs.
 
 pub mod dfs;
 pub mod error;

@@ -4,13 +4,24 @@
 //! paper's formulation. Input records are text lines read from the
 //! [`Dfs`](crate::dfs::Dfs); each input split (one per DFS block) becomes
 //! one map task; intermediate pairs are hash-partitioned into `reducers`
-//! partitions, sorted and grouped by key, and each partition becomes one
-//! reduce task. Map and reduce tasks run on a pool of worker threads.
+//! partitions, and each partition becomes one reduce task, which sorts
+//! and groups its pairs by key itself. Map and reduce tasks run on a pool
+//! of worker threads.
+//!
+//! With a [`Combiner`] a map task folds every pair into its per-key
+//! partial as the mapper emits it (in-mapper combining), so one pair per
+//! (map task, key) crosses the shuffle and no pair list is ever built.
+//!
+//! Determinism: a reduce task concatenates its partition's runs in
+//! map-task order and sorts them stably by key, so every key's values
+//! reach the reducer in (map task, emission) order however the tasks were
+//! scheduled — and with a combiner, each partial folded its values in
+//! record order. Float reductions repeat bit for bit.
 
 use crate::dfs::Dfs;
 use crate::error::BatchError;
 use crossbeam::channel;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// The map side of a job.
@@ -19,7 +30,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 /// newline) and emits intermediate pairs through `emit`.
 pub trait Mapper: Sync {
     /// Intermediate key type.
-    type Key: Ord + Hash + Clone + Send;
+    type Key: Ord + Hash + Send;
     /// Intermediate value type.
     type Value: Send;
 
@@ -46,13 +57,17 @@ pub trait Reducer<K, V>: Sync {
     );
 }
 
-/// An optional map-side combiner: folds the values of one key within a
-/// single map task before the shuffle, cutting intermediate volume —
-/// Hadoop's classic optimization, useful for our statistics job where
-/// partial (count, sum, sum-of-squares) triples merge associatively.
-pub trait Combiner<K, V>: Sync {
-    /// Folds one key's map-side values into (usually fewer) values.
-    fn combine(&self, key: &K, values: Vec<V>) -> Vec<V>;
+/// An optional map-side combiner, run as an in-mapper fold: each map task
+/// keeps one partial per key, starting at [`Combiner::zero`], and folds
+/// every value the mapper emits for the key into it, in emission order.
+/// The partials are what crosses the shuffle — Hadoop's classic
+/// optimisation, for values that merge associatively like the statistics
+/// job's (count, sum, sum-of-squares) triples.
+pub trait Combiner<V>: Sync {
+    /// The partial a key's fold starts from.
+    fn zero(&self) -> V;
+    /// Folds one emitted value into its key's partial.
+    fn fold(&self, partial: &mut V, value: V);
 }
 
 /// Job configuration.
@@ -98,13 +113,9 @@ pub type JobOutput<K, V> = Vec<Vec<(K, V)>>;
 /// A finished job: its outputs plus execution statistics.
 pub type JobResult<K, V> = (JobOutput<K, V>, JobStats);
 
-/// One partition's intermediate pairs, each tagged with the map task
-/// that produced it (the canonical-merge-order tag).
-type TaggedPairs<K, V> = Vec<(usize, K, V)>;
-
-/// One partition's shuffled groups, values still carrying their map-task
-/// tag so they can be sorted into canonical order before reduction.
-type TaggedGroups<K, V> = BTreeMap<K, Vec<(usize, V)>>;
+/// One map task's pairs for one partition, tagged with the task's index:
+/// the canonical merge order of the shuffle.
+type Run<K, V> = (usize, Vec<(K, V)>);
 
 /// Runs a MapReduce job over the given DFS input files.
 ///
@@ -122,7 +133,7 @@ pub fn run_job<M, R, C>(
 where
     M: Mapper,
     R: Reducer<M::Key, M::Value>,
-    C: Combiner<M::Key, M::Value>,
+    C: Combiner<M::Value>,
 {
     if config.reducers == 0 {
         return Err(BatchError::InvalidJobConfig { reason: "reducers must be > 0".into() });
@@ -139,58 +150,47 @@ where
     let map_tasks = splits.len();
 
     // ---- Map phase -------------------------------------------------------
-    // Workers pull splits from a channel; each produces per-partition
-    // intermediate vectors.
+    // Workers pull splits from a channel; each task produces one run per
+    // partition, tagged with the task's index.
     let (split_tx, split_rx) = channel::unbounded::<(usize, String)>();
     for (i, s) in splits.into_iter().enumerate() {
         split_tx.send((i, s)).expect("channel open");
     }
     drop(split_tx);
 
-    // Each intermediate pair is tagged with the map task that produced it,
-    // so the shuffle can merge partials in canonical task order no matter
-    // which worker ran which split, or in what order workers finished.
-    // Float reduction is order-sensitive; without the tag, multi-worker
-    // runs would sum partial moments in scheduling order and produce
-    // run-to-run different low bits.
-    struct MapOut<K, V> {
-        partitions: Vec<TaggedPairs<K, V>>,
-        records: u64,
-        pairs: u64,
-    }
-
-    let map_results: Vec<MapOut<M::Key, M::Value>> = std::thread::scope(|scope| {
+    // Per worker: each of its tasks' (index, runs), and the records it read.
+    let map_results: Vec<(Vec<_>, u64)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for worker in 0..config.workers.min(map_tasks.max(1)) {
             let split_rx = split_rx.clone();
-            handles.push(scope.spawn(move || -> Result<MapOut<M::Key, M::Value>, BatchError> {
-                let mut partitions: Vec<TaggedPairs<M::Key, M::Value>> =
-                    (0..config.reducers).map(|_| Vec::new()).collect();
+            handles.push(scope.spawn(move || {
+                let mut tasks = Vec::new();
                 let mut records = 0u64;
-                let mut pairs = 0u64;
+                // Reused across this worker's tasks: drained per task.
+                let mut partials: HashMap<M::Key, M::Value> = HashMap::new();
                 while let Ok((task_id, split)) = split_rx.recv() {
+                    let mut partitions: Vec<Vec<(M::Key, M::Value)>> =
+                        (0..config.reducers).map(|_| Vec::new()).collect();
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut local: Vec<(M::Key, M::Value)> = Vec::new();
+                        let mut emit = |k: M::Key, v: M::Value| match combiner {
+                            Some(c) => c.fold(partials.entry(k).or_insert_with(|| c.zero()), v),
+                            None => partitions[partition_of(&k, config.reducers)].push((k, v)),
+                        };
                         for line in split.lines() {
                             records += 1;
-                            mapper.map(line, &mut |k, v| local.push((k, v)));
+                            mapper.map(line, &mut emit);
                         }
-                        local
                     }));
-                    let mut local = result.map_err(|e| BatchError::TaskFailed {
+                    result.map_err(|e| BatchError::TaskFailed {
                         task: format!("map-{task_id} (worker {worker})"),
                         reason: panic_message(e.as_ref()),
                     })?;
-                    if let Some(c) = combiner {
-                        local = run_combiner(c, local);
+                    for (k, v) in partials.drain() {
+                        partitions[partition_of(&k, config.reducers)].push((k, v));
                     }
-                    pairs += local.len() as u64;
-                    for (k, v) in local {
-                        let p = partition_of(&k, config.reducers);
-                        partitions[p].push((task_id, k, v));
-                    }
+                    tasks.push((task_id, partitions));
                 }
-                Ok(MapOut { partitions, records, pairs })
+                Ok::<_, BatchError>((tasks, records))
             }));
         }
         handles
@@ -206,38 +206,24 @@ where
     };
 
     // ---- Shuffle ---------------------------------------------------------
-    // Merge every mapper's partition p into one sorted multimap per p,
-    // then canonicalize each key's value list into map-task order (stable,
-    // so the in-task emission order survives). After this, reducers see
-    // exactly the same value sequence on every run of the same input.
-    let mut tagged: Vec<TaggedGroups<M::Key, M::Value>> =
-        (0..config.reducers).map(|_| BTreeMap::new()).collect();
-    for out in map_results {
-        stats.input_records += out.records;
-        stats.intermediate_pairs += out.pairs;
-        for (p, pairs) in out.partitions.into_iter().enumerate() {
-            for (task_id, k, v) in pairs {
-                tagged[p].entry(k).or_default().push((task_id, v));
+    // Hand each partition its runs: moves of whole vectors, no per-pair
+    // work here. Sorting and grouping is the reduce tasks' own.
+    let mut runs: Vec<Vec<Run<M::Key, M::Value>>> =
+        (0..config.reducers).map(|_| Vec::new()).collect();
+    for (tasks, records) in map_results {
+        stats.input_records += records;
+        for (task_id, partitions) in tasks {
+            for (p, pairs) in partitions.into_iter().enumerate() {
+                stats.intermediate_pairs += pairs.len() as u64;
+                runs[p].push((task_id, pairs));
             }
         }
     }
-    let shuffled: Vec<BTreeMap<M::Key, Vec<M::Value>>> = tagged
-        .into_iter()
-        .map(|m| {
-            m.into_iter()
-                .map(|(k, mut vs)| {
-                    vs.sort_by_key(|(task_id, _)| *task_id);
-                    (k, vs.into_iter().map(|(_, v)| v).collect())
-                })
-                .collect()
-        })
-        .collect();
 
     // ---- Reduce phase ----------------------------------------------------
-    let (task_tx, task_rx) =
-        channel::unbounded::<(usize, BTreeMap<M::Key, Vec<M::Value>>)>();
-    for (p, m) in shuffled.into_iter().enumerate() {
-        task_tx.send((p, m)).expect("channel open");
+    let (task_tx, task_rx) = channel::unbounded::<(usize, Vec<Run<M::Key, M::Value>>)>();
+    for (p, partition) in runs.into_iter().enumerate() {
+        task_tx.send((p, partition)).expect("channel open");
     }
     drop(task_tx);
 
@@ -250,15 +236,10 @@ where
                 handles.push(scope.spawn(
                     move || -> Result<ReduceOuts<R::OutKey, R::OutValue>, BatchError> {
                         let mut outs = Vec::new();
-                        while let Ok((p, groups)) = task_rx.recv() {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut out = Vec::new();
-                                    for (k, vs) in &groups {
-                                        reducer.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-                                    }
-                                    out
-                                }));
+                        while let Ok((p, runs)) = task_rx.recv() {
+                            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                                || reduce_partition(reducer, runs),
+                            ));
                             let out = result.map_err(|e| BatchError::TaskFailed {
                                 task: format!("reduce-{p}"),
                                 reason: panic_message(e.as_ref()),
@@ -286,20 +267,33 @@ where
     Ok((outputs, stats))
 }
 
-fn run_combiner<K: Ord + Clone, V, C: Combiner<K, V> + ?Sized>(
-    combiner: &C,
-    pairs: Vec<(K, V)>,
-) -> Vec<(K, V)> {
-    let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for (k, v) in pairs {
-        grouped.entry(k).or_default().push(v);
+/// One reduce task: concatenates the partition's runs in map-task order,
+/// sorts the pairs stably by key — so a key's values stay in (map task,
+/// emission) order — and hands each key's values to the reducer.
+fn reduce_partition<K: Ord, V, R: Reducer<K, V>>(
+    reducer: &R,
+    mut runs: Vec<Run<K, V>>,
+) -> Vec<(R::OutKey, R::OutValue)> {
+    runs.sort_unstable_by_key(|(task_id, _)| *task_id);
+    let mut pairs = Vec::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
+    for (_, run) in runs {
+        pairs.extend(run);
     }
+    pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
+
     let mut out = Vec::new();
-    for (k, vs) in grouped {
-        for v in combiner.combine(&k, vs) {
-            out.push((k.clone(), v));
+    let mut pairs = pairs.into_iter();
+    let Some((mut key, first)) = pairs.next() else { return out };
+    let mut values = vec![first];
+    for (k, v) in pairs {
+        if k != key {
+            reducer.reduce(&key, &values, &mut |ok, ov| out.push((ok, ov)));
+            values.clear();
+            key = k;
         }
+        values.push(v);
     }
+    reducer.reduce(&key, &values, &mut |ok, ov| out.push((ok, ov)));
     out
 }
 
@@ -313,13 +307,16 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A no-op combiner for jobs that do not use one; pass
-/// `None::<&NoCombiner>` to [`run_job`].
-pub struct NoCombiner;
+/// The combiner of jobs that do not use one; pass `None::<&NoCombiner>`
+/// to [`run_job`]. It has no values, so it is never called.
+pub enum NoCombiner {}
 
-impl<K, V> Combiner<K, V> for NoCombiner {
-    fn combine(&self, _key: &K, values: Vec<V>) -> Vec<V> {
-        values
+impl<V> Combiner<V> for NoCombiner {
+    fn zero(&self) -> V {
+        match *self {}
+    }
+    fn fold(&self, _partial: &mut V, _value: V) {
+        match *self {}
     }
 }
 
@@ -327,6 +324,7 @@ impl<K, V> Combiner<K, V> for NoCombiner {
 mod tests {
     use super::*;
     use crate::dfs::DfsConfig;
+    use std::collections::BTreeMap;
 
     struct WordMapper;
     impl Mapper for WordMapper {
@@ -348,10 +346,14 @@ mod tests {
         }
     }
 
+    /// Sums, for the word counts and the float sums alike.
     struct SumCombiner;
-    impl Combiner<String, u64> for SumCombiner {
-        fn combine(&self, _key: &String, values: Vec<u64>) -> Vec<u64> {
-            vec![values.iter().sum()]
+    impl<T: Default + std::ops::AddAssign> Combiner<T> for SumCombiner {
+        fn zero(&self) -> T {
+            T::default()
+        }
+        fn fold(&self, partial: &mut T, value: T) {
+            *partial += value;
         }
     }
 
@@ -525,42 +527,26 @@ mod tests {
     fn float_reduction_is_byte_identical_across_runs() {
         // Many small splits + more workers than splits maximizes scheduling
         // freedom; irrational-ish values make the sum order-sensitive in the
-        // low mantissa bits. The task-ordered shuffle must erase all of it.
+        // low mantissa bits. The task-ordered shuffle must erase all of it,
+        // with and without the in-mapper fold.
         let mut text = String::new();
         for i in 0..200 {
             text.push_str(&format!("{} {} {}\n", (i as f64).sqrt(), 1.0 / (i + 1) as f64, i));
         }
         let dfs = dfs_with(&text);
         let cfg = JobConfig { reducers: 3, workers: 8 };
-        let reference: Vec<Vec<(String, u64)>> = {
-            let (out, _) = run_job(
-                &dfs,
-                &["/in"],
-                &FloatMapper,
-                &FloatSumReducer,
-                None::<&NoCombiner>,
-                cfg,
-            )
-            .unwrap();
+        let run = |combiner: Option<&SumCombiner>| -> Vec<Vec<(String, u64)>> {
+            let (out, _) =
+                run_job(&dfs, &["/in"], &FloatMapper, &FloatSumReducer, combiner, cfg).unwrap();
             out.into_iter()
                 .map(|p| p.into_iter().map(|(k, v)| (k, v.to_bits())).collect())
                 .collect()
         };
-        for _ in 0..10 {
-            let (out, _) = run_job(
-                &dfs,
-                &["/in"],
-                &FloatMapper,
-                &FloatSumReducer,
-                None::<&NoCombiner>,
-                cfg,
-            )
-            .unwrap();
-            let bits: Vec<Vec<(String, u64)>> = out
-                .into_iter()
-                .map(|p| p.into_iter().map(|(k, v)| (k, v.to_bits())).collect())
-                .collect();
-            assert_eq!(bits, reference, "shuffle order leaked into float sums");
+        for combiner in [None, Some(&SumCombiner)] {
+            let reference = run(combiner);
+            for _ in 0..10 {
+                assert_eq!(run(combiner), reference, "shuffle order leaked into float sums");
+            }
         }
     }
 

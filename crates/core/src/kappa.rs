@@ -17,14 +17,15 @@
 //! Determinism: cells live in a [`BTreeMap`] keyed by `(attribute,
 //! location, hour, day-type)`, so a published snapshot is a pure function
 //! of the multiset of traces seen — no task-completion-order float
-//! drift. The published standard deviation is the *population* stdv
-//! (`sqrt(sum_sq/n − mean²)`), matching the batch job's `StatsReducer`
-//! bit-for-bit on the same input, so the kappa and batch paths are
-//! directly comparable in the staleness ablation.
+//! drift. A cell's row is finished by the batch job's own function — the
+//! *population* stdv (`sqrt(sum_sq/n − mean²)`), the same `min_samples`
+//! guard — so the kappa and batch paths agree bit for bit on the same
+//! input and are directly comparable in the staleness ablation.
 //!
 //! [`TrafficMessage::StatsRefresh`]: crate::topology::TrafficMessage::StatsRefresh
 //! [`RuleEngine::refresh_thresholds`]: crate::thresholds::RuleEngine::refresh_thresholds
 
+use crate::offline::stat_record;
 use crate::topology::TrafficMessage;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -217,23 +218,12 @@ impl StatsBolt {
     /// failed batch run).
     fn publish(&mut self) -> Option<u64> {
         let mut per_attr: Vec<Vec<StatRecord>> = vec![Vec::new(); self.attributes.len()];
-        for ((ai, location, hour, day), acc) in &self.state.cells {
-            if acc.count() < self.config.min_samples {
-                continue;
-            }
+        for (&(ai, location, hour, day), acc) in &self.state.cells {
             let (count, sum, sum_sq, _, _) = acc.raw_parts();
-            let n = count as f64;
-            let mean = sum / n;
-            // Population variance, exactly as the batch StatsReducer.
-            let var = (sum_sq / n - mean * mean).max(0.0);
-            per_attr[*ai as usize].push(StatRecord {
-                area_id: location.to_string(),
-                hour: *hour,
-                day_type: day_from_index(*day),
-                mean,
-                stdv: var.sqrt(),
-                count,
-            });
+            let cell = (location, hour, day_from_index(day));
+            if let Some(record) = stat_record(cell, (count, sum, sum_sq), self.config.min_samples) {
+                per_attr[ai as usize].push(record);
+            }
         }
         for (ai, records) in per_attr.iter().enumerate() {
             if self.store.publish(self.attributes[ai].name(), records).is_err() {

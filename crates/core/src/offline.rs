@@ -221,39 +221,74 @@ pub fn enriched_csv_line(e: &EnrichedTrace) -> String {
 // The statistics MapReduce job (Section 4.1.3)
 // ---------------------------------------------------------------------------
 
-/// Intermediate value: partial (count, sum, sum of squares).
+/// One statistics cell: (attribute, location, hour, day type) — the cell
+/// [`StatsBolt`](crate::kappa::StatsBolt) keys by, in the same order.
+type Cell = (Attribute, LocId, u8, DayType);
+
+/// A cell's raw moments: (count, sum, sum of squares).
 type Moments = (u64, f64, f64);
+
+/// Turns a cell's raw moments into its published row: the mean and the
+/// *population* stdv, or nothing below `min_samples` (thin cells make
+/// garbage thresholds). The batch job's reducer and
+/// [`StatsBolt`](crate::kappa::StatsBolt)'s publication both finish here,
+/// so the two paths agree bit for bit on the same samples.
+pub(crate) fn stat_record(
+    (location, hour, day_type): (LocId, u8, DayType),
+    (count, sum, sum_sq): Moments,
+    min_samples: u64,
+) -> Option<StatRecord> {
+    if count < min_samples {
+        return None;
+    }
+    let n = count as f64;
+    let mean = sum / n;
+    let var = (sum_sq / n - mean * mean).max(0.0);
+    Some(StatRecord {
+        area_id: location.to_string(),
+        hour,
+        day_type,
+        mean,
+        stdv: var.sqrt(),
+        count,
+    })
+}
 
 struct StatsMapper;
 
 impl Mapper for StatsMapper {
-    /// `attribute|location|hour|day_type`
-    type Key = String;
+    type Key = Cell;
     type Value = Moments;
 
-    fn map(&self, record: &str, emit: &mut dyn FnMut(String, Moments)) {
-        let fields: Vec<&str> = record.split(',').collect();
-        if fields.len() != 8 {
-            return; // skip malformed historical lines
-        }
-        let (hour, day, areas, stop) = (fields[0], fields[1], fields[2], fields[3]);
+    /// Parses a history line once and emits one sample per (attribute
+    /// with a value, location id) pair. Malformed lines — wrong field
+    /// count, hour or day type — are skipped, as are locations that are
+    /// no [`LocId`] (no rule can monitor them).
+    fn map(&self, record: &str, emit: &mut dyn FnMut(Cell, Moments)) {
+        let mut fields = record.split(',');
+        let [
+            Some(hour), Some(day), Some(areas), Some(stop),
+            Some(delay), Some(actual_delay), Some(speed), Some(congestion),
+            None,
+        ] = std::array::from_fn(|_| fields.next())
+        else {
+            return; // not eight fields
+        };
+        let (Ok(hour), Ok(day)) = (hour.parse::<u8>(), DayType::parse(day)) else { return };
+        let delay = delay.parse::<f64>().ok();
         let values = [
-            (Attribute::Delay, fields[4].parse::<f64>().ok()),
-            (Attribute::ActualDelay, fields[5].parse::<f64>().ok()),
-            (Attribute::Speed, fields[6].parse::<f64>().ok()),
-            (
-                Attribute::DelayAndCongestion,
-                if fields[7] == "true" { fields[4].parse::<f64>().ok() } else { None },
-            ),
+            (Attribute::Delay, delay),
+            (Attribute::ActualDelay, actual_delay.parse::<f64>().ok()),
+            (Attribute::Speed, speed.parse::<f64>().ok()),
+            (Attribute::DelayAndCongestion, delay.filter(|_| congestion == "true")),
         ];
-        let mut locations: Vec<&str> = areas.split(';').filter(|a| !a.is_empty()).collect();
-        if !stop.is_empty() {
-            locations.push(stop);
-        }
-        for (attr, value) in values {
-            let Some(v) = value else { continue };
-            for loc in &locations {
-                emit(format!("{}|{}|{}|{}", attr.name(), loc, hour, day), (1, v, v * v));
+        // An empty area list or stop parses as no location.
+        let locations = areas.split(';').chain([stop]).filter_map(|l| l.parse::<LocId>().ok());
+        for location in locations {
+            for (attribute, value) in values {
+                if let Some(v) = value {
+                    emit((attribute, location, hour, day), (1, v, v * v));
+                }
             }
         }
     }
@@ -261,15 +296,14 @@ impl Mapper for StatsMapper {
 
 struct MomentsCombiner;
 
-impl Combiner<String, Moments> for MomentsCombiner {
-    fn combine(&self, _key: &String, values: Vec<Moments>) -> Vec<Moments> {
-        let mut acc = (0u64, 0.0f64, 0.0f64);
-        for (c, s, sq) in values {
-            acc.0 += c;
-            acc.1 += s;
-            acc.2 += sq;
-        }
-        vec![acc]
+impl Combiner<Moments> for MomentsCombiner {
+    fn zero(&self) -> Moments {
+        (0, 0.0, 0.0)
+    }
+    fn fold(&self, (count, sum, sum_sq): &mut Moments, value: Moments) {
+        *count += value.0;
+        *sum += value.1;
+        *sum_sq += value.2;
     }
 }
 
@@ -277,36 +311,25 @@ struct StatsReducer {
     min_samples: u64,
 }
 
-impl Reducer<String, Moments> for StatsReducer {
-    type OutKey = String;
-    /// `(mean, stdv, count)`
-    type OutValue = (f64, f64, u64);
+impl Reducer<Cell, Moments> for StatsReducer {
+    type OutKey = Cell;
+    type OutValue = StatRecord;
 
-    fn reduce(
-        &self,
-        key: &String,
-        values: &[Moments],
-        emit: &mut dyn FnMut(String, (f64, f64, u64)),
-    ) {
-        let mut count = 0u64;
-        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-        for (c, s, sq) in values {
-            count += c;
-            sum += s;
-            sum_sq += sq;
+    fn reduce(&self, cell: &Cell, partials: &[Moments], emit: &mut dyn FnMut(Cell, StatRecord)) {
+        let mut total = MomentsCombiner.zero();
+        for partial in partials {
+            MomentsCombiner.fold(&mut total, *partial);
         }
-        if count < self.min_samples {
-            return;
+        let (_, location, hour, day) = *cell;
+        if let Some(record) = stat_record((location, hour, day), total, self.min_samples) {
+            emit(*cell, record);
         }
-        let n = count as f64;
-        let mean = sum / n;
-        let var = (sum_sq / n - mean * mean).max(0.0);
-        emit(key.clone(), (mean, var.sqrt(), count));
     }
 }
 
 /// Runs the statistics job over enriched-history files and publishes the
-/// resulting thresholds, one snapshot per attribute.
+/// resulting thresholds, one snapshot per attribute, each in cell order
+/// (location, hour, day type) — whatever the job's partitioning.
 pub fn run_statistics_job(
     dfs: &Dfs,
     inputs: &[&str],
@@ -321,36 +344,20 @@ pub fn run_statistics_job(
         Some(&MomentsCombiner),
         config.job,
     )?;
-    let mut per_attr: HashMap<Attribute, Vec<StatRecord>> = HashMap::new();
-    for (key, (mean, stdv, count)) in outputs.into_iter().flatten() {
-        let parts: Vec<&str> = key.split('|').collect();
-        if parts.len() != 4 {
-            return Err(CoreError::Batch(tms_batch::BatchError::TaskFailed {
-                task: "stats-reduce".into(),
-                reason: format!("malformed key {key:?}"),
-            }));
-        }
-        let Some(attr) = Attribute::parse(parts[0]) else {
-            continue;
-        };
-        let hour: u8 = parts[2].parse().map_err(|_| CoreError::Config {
-            reason: format!("bad hour in stats key {key:?}"),
-        })?;
-        let day_type = DayType::parse(parts[3])?;
-        per_attr.entry(attr).or_default().push(StatRecord {
-            area_id: parts[1].to_string(),
-            hour,
-            day_type,
-            mean,
-            stdv,
-            count,
-        });
-    }
+    let mut rows: Vec<(Cell, StatRecord)> = outputs.into_iter().flatten().collect();
+    rows.sort_unstable_by_key(|(cell, _)| *cell);
+    let mut rows = rows.into_iter().peekable();
     let thresholds = ThresholdStore::new(store.clone());
     let mut published = HashMap::new();
-    for (attr, records) in per_attr {
-        published.insert(attr, records.len());
-        thresholds.publish(attr.name(), &records)?;
+    for attribute in Attribute::ALL {
+        let records: Vec<StatRecord> =
+            std::iter::from_fn(|| rows.next_if(|((a, ..), _)| *a == attribute))
+                .map(|(_, record)| record)
+                .collect();
+        if !records.is_empty() {
+            published.insert(attribute, records.len());
+            thresholds.publish(attribute.name(), &records)?;
+        }
     }
     Ok(published)
 }
@@ -615,6 +622,42 @@ mod tests {
     }
 
     #[test]
+    fn stored_tables_do_not_depend_on_the_job_sizing() {
+        use tms_storage::{thresholds::statistics_table_name, Value};
+        let (traces, seeds) = day_of_traces();
+        let config = OfflineConfig::default();
+        let spatial =
+            build_spatial(DUBLIN_BBOX, &seeds, &stop_observations(&traces), &config).unwrap();
+        let dfs = Dfs::with_defaults();
+        enrich_and_store(&traces, &spatial, &dfs, "/h.csv").unwrap();
+        // Every attribute's table as stored: its rows in order, floats by bits.
+        let text = |v: &Value| match v {
+            Value::Float(f) => format!("{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let tables = |reducers, workers| -> Vec<Vec<Vec<String>>> {
+            let store = TableStore::new();
+            let job = JobConfig { reducers, workers };
+            run_statistics_job(&dfs, &["/h.csv"], &store, &OfflineConfig { job, ..config.clone() })
+                .unwrap();
+            Attribute::ALL
+                .iter()
+                .map(|a| {
+                    store
+                        .with_table(&statistics_table_name(a.name()), |t| {
+                            t.scan().map(|row| row.iter().map(text).collect()).collect()
+                        })
+                        .unwrap_or_default() // no congested report, no table
+                })
+                .collect()
+        };
+        let reference = tables(1, 1);
+        assert!(reference[..3].iter().all(|rows| rows.len() > 1_000), "three attributes publish");
+        assert_eq!(tables(4, 4), reference, "reducers: 4, workers: 4");
+        assert_eq!(tables(7, 2), reference, "reducers: 7, workers: 2");
+    }
+
+    #[test]
     fn stop_observations_have_bearings() {
         let (traces, _) = day_of_traces();
         let obs = stop_observations(&traces);
@@ -627,8 +670,17 @@ mod tests {
     #[test]
     fn malformed_history_lines_are_skipped() {
         let dfs = Dfs::with_defaults();
-        dfs.create("/h.csv", b"garbage line\n8,weekday,R1,,1.0,,,false\nshort,line\n")
-            .unwrap();
+        let lines = [
+            "garbage line",
+            "8,weekday,R1,,1.0,,,false",
+            "short,line",
+            "8,weekday,R1,,1.0,,,false,extra",
+            "x8,weekday,R1,,1.0,,,false",
+            "8,holiday,R1,,1.0,,,false",
+            // Locations that are no id: no rule could ever join their rows.
+            "8,weekday,R01;Q2,S,1.0,,,false",
+        ];
+        dfs.create("/h.csv", (lines.join("\n") + "\n").as_bytes()).unwrap();
         let store = TableStore::new();
         // min_samples 1 so the single good line publishes.
         let published = run_statistics_job(

@@ -209,8 +209,8 @@ struct IngestRoute {
     attribute: Attribute,
     /// The stream's registered type.
     ty: Arc<EventType>,
-    /// The per-tuple lookup of the Join-with-Database method; `s` is the
-    /// first installed rule's, as the stream carries one threshold.
+    /// The per-tuple lookup of the Join-with-Database method; `s` is every
+    /// rule's on the stream, as install refuses a second one.
     query: ThresholdQuery,
     /// Monitored location → its interned text and the rank (installation
     /// index) of the first rule on this stream that monitors it.
@@ -410,6 +410,42 @@ impl RuleEngine {
         }
     }
 
+    /// Under the Threshold-Stream and Join-with-Database methods an
+    /// attribute's stream carries one threshold per cell, computed with one
+    /// `s`: a second rule on the attribute with another `s` would compare
+    /// against the first one's thresholds (or, joined with both snapshots,
+    /// their average). Refuses the first of `specs` that would, checked in
+    /// order against the installed rules and the specs before it.
+    fn check_one_s_per_attribute<'a>(
+        &self,
+        specs: impl IntoIterator<Item = &'a RuleSpec>,
+    ) -> Result<(), CoreError> {
+        use RetrievalMethod::{JoinWithDatabase, ThresholdStream};
+        if !matches!(self.method, ThresholdStream | JoinWithDatabase) {
+            return Ok(());
+        }
+        let mut seen: Vec<&RuleSpec> = self.rules.iter().map(|r| &r.spec).collect();
+        for spec in specs {
+            let first = seen.iter().find(|r| r.attribute == spec.attribute && r.s != spec.s);
+            if let Some(first) = first {
+                return Err(CoreError::Rule {
+                    reason: format!(
+                        "rule {} (s = {}) and rule {} (s = {}) both monitor {}, and under {:?} \
+                         an attribute carries one threshold per cell: give them one s",
+                        first.name,
+                        first.s,
+                        spec.name,
+                        spec.s,
+                        spec.attribute.name(),
+                        self.method,
+                    ),
+                });
+            }
+            seen.push(spec);
+        }
+        Ok(())
+    }
+
     /// Installs a rule for the locations this engine was assigned by the
     /// partitioning component.
     pub fn install_rule(
@@ -418,6 +454,7 @@ impl RuleEngine {
         monitored: impl IntoIterator<Item = String>,
     ) -> Result<(), CoreError> {
         spec.validate()?;
+        self.check_one_s_per_attribute([spec])?;
         let monitored: HashSet<String> = monitored.into_iter().collect();
         check_locations(&spec.name, &monitored)?;
         let bus_type = self.ensure_bus_stream(spec)?;
@@ -446,6 +483,7 @@ impl RuleEngine {
         specs: &[RuleSpec],
         monitored: impl IntoIterator<Item = String>,
     ) -> Result<(), CoreError> {
+        self.check_one_s_per_attribute(specs)?;
         let monitored: HashSet<String> = monitored.into_iter().collect();
         let start = self.rules.len();
         self.ingest = None;
@@ -884,6 +922,11 @@ impl RuleEngine {
         for (name, locs) in &migration.rules {
             check_locations(name, locs)?;
         }
+        let installing = migration.rules.iter().filter_map(|(name, _)| {
+            let installed = self.rules.iter().any(|r| r.spec.name == *name);
+            specs.iter().find(|s| s.name == *name).filter(|_| !installed)
+        });
+        self.check_one_s_per_attribute(installing)?;
         self.ingest = None;
         for (name, locs) in &migration.rules {
             if !self.rules.iter().any(|r| r.spec.name == *name) {
@@ -1131,6 +1174,68 @@ mod tests {
                 assert!(d.observed > 100.0);
             }
         }
+    }
+
+    #[test]
+    fn a_second_s_on_one_attribute_is_refused_where_the_stream_carries_one_threshold() {
+        // R1: mean 100, stdv 10, so `a` (s = 0) fires above 100 and `b`
+        // (s = 3) above 130; one trace at 115 is `a`'s detection only.
+        let store = || {
+            let ts = ThresholdStore::new(TableStore::new());
+            let r1 = StatRecord {
+                area_id: "R1".into(),
+                hour: 8,
+                day_type: DayType::Weekday,
+                mean: 100.0,
+                stdv: 10.0,
+                count: 50,
+            };
+            ts.publish("delay", &[r1]).unwrap();
+            ts
+        };
+        let spec = |name: &str, s: f64| {
+            let mut r = RuleSpec::new(name, Attribute::Delay, LocationSelector::QuadtreeLeaves, 1);
+            r.s = s;
+            r
+        };
+        let (a, b) = (spec("a", 0.0), spec("b", 3.0));
+        let r1 = || vec!["R1".to_string()];
+        let fired = |re: &mut RuleEngine| {
+            re.send_trace(&trace(1000, "R1", 115.0)).unwrap();
+            re.detections().lock().iter().map(|d| d.rule.clone()).collect::<Vec<_>>()
+        };
+        for method in [RetrievalMethod::ThresholdStream, RetrievalMethod::JoinWithDatabase] {
+            // One rule at a time: the second is refused by name.
+            let mut re = RuleEngine::new(method.clone(), store(), None);
+            re.install_rule(&a, r1()).unwrap();
+            match re.install_rule(&b, r1()) {
+                Err(CoreError::Rule { reason }) => assert!(
+                    reason.contains("rule a (s = 0)") && reason.contains("rule b (s = 3)"),
+                    "{method:?}: {reason}"
+                ),
+                other => panic!("{method:?}: expected a refusal, got {other:?}"),
+            }
+            assert_eq!(fired(&mut re), ["a"], "{method:?}");
+            // As a batch: refused before any statement stands.
+            let mut batch = RuleEngine::new(method.clone(), store(), None);
+            let err = batch.install_rules(&[a.clone(), b.clone()], r1());
+            assert!(matches!(err, Err(CoreError::Rule { .. })), "{method:?}: {err:?}");
+            assert_eq!(batch.statement_count(), 0, "{method:?}");
+            // As a migration bringing `b` to an engine running `a`.
+            let mut source = RuleEngine::new(method.clone(), store(), None);
+            source.install_rule(&b, r1()).unwrap();
+            let migration = source.collect_migration(&r1()).unwrap();
+            let mut target = RuleEngine::new(method.clone(), store(), None);
+            target.install_rule(&a, r1()).unwrap();
+            let err = target.absorb_migration(&[a.clone(), b.clone()], &migration);
+            assert!(matches!(err, Err(CoreError::Rule { .. })), "{method:?}: {err:?}");
+            assert!(target.monitored("b").is_none(), "{method:?}: nothing absorbed");
+        }
+        // Multiple-Rules inlines each rule's own thresholds: both stand.
+        let mut re = RuleEngine::new(RetrievalMethod::MultipleRules, store(), None);
+        re.install_rule(&a, r1()).unwrap();
+        re.install_rule(&b, r1()).unwrap();
+        assert_eq!(fired(&mut re), ["a"]);
     }
 
     #[test]

@@ -3,8 +3,13 @@
 //! morning must be, byte for byte, what they were when the tuple carried
 //! `R<n>` / `S<n>` strings. The digests were taken with this same file at
 //! the last commit that did (e60e177).
+//!
+//! It also pins the statistics tables the batch job publishes from that
+//! morning, every mean and stdv by its bits: the digest was taken at
+//! 1133558, the last commit whose job keyed its cells by text and combined
+//! by collecting and regrouping.
 
-use tms_core::offline::{self, OfflineConfig};
+use tms_core::offline::{self, OfflineArtifacts, OfflineConfig};
 use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
 use tms_geo::DUBLIN_BBOX;
@@ -20,16 +25,27 @@ fn fnv(digest: &mut u64, bytes: &[u8]) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-#[test]
-fn history_lines_and_detections_read_as_they_did_on_strings() {
+/// The `FleetConfig::small(9)` morning (06–11 h) and what the off-line
+/// component learned from it.
+fn morning() -> (Vec<BusTrace>, OfflineArtifacts) {
     let generator = FleetGenerator::new(FleetConfig::small(9), 0).unwrap();
     let seeds = generator.route_seed_points();
     let traces: Vec<BusTrace> =
         generator.take_while(|t| t.timestamp_ms < 11 * HOUR_MS).collect();
-    let store = TableStore::new();
-    let artifacts =
-        offline::run_offline(DUBLIN_BBOX, &seeds, &traces, &store, &OfflineConfig::default())
-            .unwrap();
+    let artifacts = offline::run_offline(
+        DUBLIN_BBOX,
+        &seeds,
+        &traces,
+        &TableStore::new(),
+        &OfflineConfig::default(),
+    )
+    .unwrap();
+    (traces, artifacts)
+}
+
+#[test]
+fn history_lines_and_detections_read_as_they_did_on_strings() {
+    let (traces, artifacts) = morning();
     let spatial = &artifacts.spatial;
 
     // `s = 0`: a location fires whenever its window runs above its mean.
@@ -65,7 +81,33 @@ fn history_lines_and_detections_read_as_they_did_on_strings() {
     assert_eq!((detections.len(), stops, fired), GOLDEN_DETECTIONS);
 }
 
+#[test]
+fn statistics_tables_hold_bit_for_bit() {
+    let (_, artifacts) = morning();
+    let (mut rows, mut digest) = (0usize, FNV_OFFSET);
+    for attribute in Attribute::ALL {
+        // `statistics` reads back sorted by (location, hour, day type).
+        for r in artifacts.thresholds.statistics(attribute.name()).unwrap() {
+            let row = format!(
+                "{}|{}|{}|{}|{:016x}|{:016x}|{}",
+                attribute.name(),
+                r.area_id,
+                r.hour,
+                r.day_type.as_str(),
+                r.mean.to_bits(),
+                r.stdv.to_bits(),
+                r.count
+            );
+            fnv(&mut digest, row.as_bytes());
+            rows += 1;
+        }
+    }
+    assert_eq!((rows, digest), GOLDEN_STATISTICS);
+}
+
 /// `(traces, bytes of CSV, digest of the lines)`.
 const GOLDEN_LINES: (usize, usize, u64) = (36_000, 2_326_839, 10_648_329_310_542_914_362);
 /// `(detections, of which at stops, digest of rule|location|timestamp|observed)`.
 const GOLDEN_DETECTIONS: (usize, usize, u64) = (22_068, 5_178, 14_064_333_964_775_942_091);
+/// `(rows over every attribute, digest of attribute|location|hour|day|mean|stdv|count)`.
+const GOLDEN_STATISTICS: (usize, u64) = (5_762, 1_841_685_376_699_517_767);

@@ -121,8 +121,9 @@ impl FromStr for LocId {
     }
 }
 
-/// The monitorable attributes of the generic rule template (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The monitorable attributes of the generic rule template (Table 6),
+/// ordered as in [`Attribute::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Attribute {
     /// The reported schedule delay.
     Delay,
