@@ -164,13 +164,29 @@ pub fn enrich_and_store(
     dfs: &Dfs,
     path: &str,
 ) -> Result<u64, CoreError> {
+    enrich_store_each(traces, spatial, dfs, path, |_| {})
+}
+
+/// [`enrich_and_store`], handing each enriched trace to `each` once its
+/// line is written. One areas vector serves every trace and each line is
+/// written straight into the DFS buffer.
+fn enrich_store_each(
+    traces: &[BusTrace],
+    spatial: &SpatialContext,
+    dfs: &Dfs,
+    path: &str,
+    mut each: impl FnMut(&EnrichedTrace),
+) -> Result<u64, CoreError> {
     let mut pre = Preprocessor::new();
     let mut buf = String::new();
+    let mut areas = Vec::new();
     let mut n = 0u64;
     for t in traces {
-        let e = enrich(&mut pre, spatial, *t);
-        buf.push_str(&enriched_csv_line(&e));
+        let e = enrich_into(&mut pre, spatial, *t, areas);
+        write_csv_line(&mut buf, &e);
         buf.push('\n');
+        each(&e);
+        areas = e.areas;
         n += 1;
         if buf.len() > 1 << 20 {
             dfs.append(path, buf.as_bytes())?;
@@ -186,8 +202,19 @@ pub fn enrich_and_store(
 /// Applies the PreProcess + AreaTracker + BusStopsTracker logic to one
 /// trace.
 pub fn enrich(pre: &mut Preprocessor, spatial: &SpatialContext, t: BusTrace) -> EnrichedTrace {
+    enrich_into(pre, spatial, t, Vec::new())
+}
+
+/// [`enrich`], with `areas` (overwritten) as the trace's areas vector.
+fn enrich_into(
+    pre: &mut Preprocessor,
+    spatial: &SpatialContext,
+    t: BusTrace,
+    mut areas: Vec<LocId>,
+) -> EnrichedTrace {
     let mut e = pre.enrich(t);
-    SpatialContext::locate_areas(&spatial.quadtree, &e.trace.position, &mut e.areas);
+    SpatialContext::locate_areas(&spatial.quadtree, &e.trace.position, &mut areas);
+    e.areas = areas;
     e.bus_stop = spatial
         .stops
         .closest_stop(e.trace.line_id, e.trace.direction, &e.trace.position)
@@ -198,23 +225,33 @@ pub fn enrich(pre: &mut Preprocessor, spatial: &SpatialContext, t: BusTrace) -> 
 /// CSV line of an enriched trace, as stored in the DFS:
 /// `hour,day_type,areas(; separated),stop,delay,actual_delay,speed,congestion`.
 pub fn enriched_csv_line(e: &EnrichedTrace) -> String {
+    let mut line = String::new();
+    write_csv_line(&mut line, e);
+    line
+}
+
+/// Appends [`enriched_csv_line`]'s text to `out`, without a line break and
+/// without a temporary string. A `String` takes every write.
+fn write_csv_line(out: &mut String, e: &EnrichedTrace) {
     let day = DayType::from_weekday_index((e.trace.day_index() % 7) as u8);
-    let mut areas = String::new();
-    for area in &e.areas {
-        let sep = if areas.is_empty() { "" } else { ";" };
-        let _ = write!(areas, "{sep}{area}"); // a `String` takes every write
+    let _ = write!(out, "{},{},", e.trace.hour_of_day(), day.as_str());
+    for (i, area) in e.areas.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ";" };
+        let _ = write!(out, "{sep}{area}");
     }
-    format!(
-        "{},{},{},{},{:.3},{},{},{}",
-        e.trace.hour_of_day(),
-        day.as_str(),
-        areas,
-        e.bus_stop.map(|s| s.to_string()).unwrap_or_default(),
-        e.trace.delay_s,
-        e.actual_delay_s.map(|v| format!("{v:.3}")).unwrap_or_default(),
-        e.speed_kmh.map(|v| format!("{v:.3}")).unwrap_or_default(),
-        e.trace.congestion,
-    )
+    out.push(',');
+    if let Some(stop) = e.bus_stop {
+        let _ = write!(out, "{stop}");
+    }
+    let _ = write!(out, ",{:.3},", e.trace.delay_s);
+    if let Some(v) = e.actual_delay_s {
+        let _ = write!(out, "{v:.3}");
+    }
+    out.push(',');
+    if let Some(v) = e.speed_kmh {
+        let _ = write!(out, "{v:.3}");
+    }
+    let _ = write!(out, ",{}", e.trace.congestion);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,37 +404,70 @@ pub fn run_statistics_job(
 // historical data")
 // ---------------------------------------------------------------------------
 
+/// Traces per location and the span of their timestamps: what a location's
+/// input rate is computed from. Region and stop ids are dense, so hits are
+/// counted by id and only the locations counted are named.
+struct LocationHits {
+    regions: Vec<u64>,
+    stops: Vec<u64>,
+    min_ts: u64,
+    max_ts: u64,
+}
+
+impl LocationHits {
+    fn new(spatial: &SpatialContext) -> Self {
+        LocationHits {
+            regions: vec![0; spatial.quadtree.region_count()],
+            stops: vec![0; spatial.stops.len()],
+            min_ts: u64::MAX,
+            max_ts: 0,
+        }
+    }
+
+    /// Counts one trace at `timestamp_ms` in each of `locations`.
+    fn count(&mut self, timestamp_ms: u64, locations: impl IntoIterator<Item = LocId>) {
+        self.min_ts = self.min_ts.min(timestamp_ms);
+        self.max_ts = self.max_ts.max(timestamp_ms);
+        for location in locations {
+            match location {
+                LocId::Region(n) => self.regions[n as usize] += 1,
+                LocId::Stop(n) => self.stops[n as usize] += 1,
+            }
+        }
+    }
+
+    /// Tuples/second per location id; locations never counted are absent.
+    fn rates(self) -> HashMap<String, f64> {
+        let span_s = ((self.max_ts.saturating_sub(self.min_ts)) as f64 / 1000.0).max(1.0);
+        let named = |counts: Vec<u64>, id: fn(u32) -> LocId| {
+            (0u32..)
+                .zip(counts)
+                .filter(|&(_, n)| n > 0)
+                .map(move |(i, n)| (id(i).to_string(), n as f64 / span_s))
+        };
+        named(self.regions, LocId::Region).chain(named(self.stops, LocId::Stop)).collect()
+    }
+}
+
 /// Estimates tuples/second per location id from a span of traces.
 /// Locations no trace fell in are absent, not zero.
 pub fn region_rates(
     traces: &[BusTrace],
     spatial: &SpatialContext,
 ) -> HashMap<String, f64> {
-    // Region and stop ids are dense: count by id, name what was counted.
-    let mut regions = vec![0u64; spatial.quadtree.region_count()];
-    let mut stops = vec![0u64; spatial.stops.len()];
-    let (mut min_ts, mut max_ts) = (u64::MAX, 0u64);
+    let mut hits = LocationHits::new(spatial);
     for t in traces {
-        min_ts = min_ts.min(t.timestamp_ms);
-        max_ts = max_ts.max(t.timestamp_ms);
-        for r in spatial.quadtree.locate_all_layers(&t.position) {
-            regions[r.id.0 as usize] += 1;
-        }
-        if let Some(s) = spatial.stops.closest_stop(t.line_id, t.direction, &t.position) {
-            stops[s.id as usize] += 1;
-        }
+        let regions =
+            spatial.quadtree.leaf_to_root(&t.position).map(|r| SpatialContext::region_id(r.id));
+        let stop = spatial.stops.closest_stop(t.line_id, t.direction, &t.position);
+        hits.count(t.timestamp_ms, regions.chain(stop.map(|s| SpatialContext::stop_id(s.id))));
     }
-    let span_s = ((max_ts.saturating_sub(min_ts)) as f64 / 1000.0).max(1.0);
-    let named = |counts: Vec<u64>, id: fn(u32) -> LocId| {
-        (0u32..)
-            .zip(counts)
-            .filter(|&(_, n)| n > 0)
-            .map(move |(i, n)| (id(i).to_string(), n as f64 / span_s))
-    };
-    named(regions, LocId::Region).chain(named(stops, LocId::Stop)).collect()
+    hits.rates()
 }
 
 /// Runs the whole off-line pipeline over a batch of historical traces.
+/// The region rates are counted from the enrichment pass's own areas and
+/// stops: the same locations [`region_rates`] finds, found once.
 pub fn run_offline(
     bbox: tms_geo::BoundingBox,
     seeds: &[GeoPoint],
@@ -408,10 +478,12 @@ pub fn run_offline(
     let observations = stop_observations(traces);
     let spatial = build_spatial(bbox, seeds, &observations, config)?;
     let dfs = Dfs::with_defaults();
-    enrich_and_store(traces, &spatial, &dfs, "/history/day0.csv")?;
+    let mut hits = LocationHits::new(&spatial);
+    enrich_store_each(traces, &spatial, &dfs, "/history/day0.csv", |e| {
+        hits.count(e.trace.timestamp_ms, e.areas.iter().copied().chain(e.bus_stop));
+    })?;
     run_statistics_job(&dfs, &["/history/day0.csv"], store, config)?;
-    let region_rates = region_rates(traces, &spatial);
-    Ok(OfflineArtifacts::new(spatial, region_rates, ThresholdStore::new(store.clone())))
+    Ok(OfflineArtifacts::new(spatial, hits.rates(), ThresholdStore::new(store.clone())))
 }
 
 #[cfg(test)]
@@ -421,7 +493,12 @@ mod tests {
     use tms_traffic::{FleetConfig, FleetGenerator};
 
     fn day_of_traces() -> (Vec<BusTrace>, Vec<GeoPoint>) {
-        let g = FleetGenerator::new(FleetConfig::small(9), 0).unwrap();
+        morning_of(9)
+    }
+
+    /// The `FleetConfig::small(seed)` morning, 06–11 h, and its route seeds.
+    fn morning_of(seed: u64) -> (Vec<BusTrace>, Vec<GeoPoint>) {
+        let g = FleetGenerator::new(FleetConfig::small(seed), 0).unwrap();
         let seeds = g.route_seed_points();
         // A few service hours are enough for statistics.
         let traces: Vec<BusTrace> =
@@ -491,6 +568,82 @@ mod tests {
             counts.into_iter().map(|(k, v)| (k, v as f64 / span_s)).collect();
         assert!(want.keys().any(|k| k.starts_with('S')) && want.contains_key("R0"));
         assert_eq!(region_rates(&traces, &spatial), want);
+    }
+
+    #[test]
+    fn the_bootstrap_counts_the_rates_region_rates_counts() {
+        for seed in [9, 10] {
+            let (traces, seeds) = morning_of(seed);
+            let artifacts = run_offline(
+                DUBLIN_BBOX,
+                &seeds,
+                &traces,
+                &TableStore::new(),
+                &OfflineConfig::default(),
+            )
+            .unwrap();
+            let bits = |rates: &HashMap<String, f64>| -> std::collections::BTreeMap<String, u64> {
+                rates.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+            };
+            let want = bits(&region_rates(&traces, &artifacts.spatial));
+            assert!(want.len() > 100, "seed {seed}: {} locations", want.len());
+            assert_eq!(bits(&artifacts.region_rates), want, "seed {seed}");
+        }
+    }
+
+    /// The CSV line as it was written with one `format!` per line and a
+    /// `String` per optional field; the in-place writer must print it.
+    fn csv_line_by_format(e: &EnrichedTrace) -> String {
+        let day = DayType::from_weekday_index((e.trace.day_index() % 7) as u8);
+        let mut areas = String::new();
+        for area in &e.areas {
+            let sep = if areas.is_empty() { "" } else { ";" };
+            let _ = write!(areas, "{sep}{area}");
+        }
+        format!(
+            "{},{},{},{},{:.3},{},{},{}",
+            e.trace.hour_of_day(),
+            day.as_str(),
+            areas,
+            e.bus_stop.map(|s| s.to_string()).unwrap_or_default(),
+            e.trace.delay_s,
+            e.actual_delay_s.map(|v| format!("{v:.3}")).unwrap_or_default(),
+            e.speed_kmh.map(|v| format!("{v:.3}")).unwrap_or_default(),
+            e.trace.congestion,
+        )
+    }
+
+    #[test]
+    fn the_csv_writer_prints_what_the_format_expression_printed() {
+        let (traces, _) = day_of_traces();
+        let deep: Vec<LocId> = [0, 3, 17, 70, 283, 1_134, 4_294_967_295].map(LocId::Region).into();
+        let mut cases = Vec::new();
+        for (i, t) in traces.iter().take(64).enumerate() {
+            let mut trace = *t;
+            // Saturday and Sunday too: day 5 and day 6 of the week.
+            trace.timestamp_ms += (i as u64 % 7) * tms_traffic::DAY_MS;
+            trace.delay_s = [-0.0004, -12.3456, 0.0005, 1e12, -1e15, 7.0][i % 6];
+            trace.congestion = i % 3 == 0;
+            let value = |k: usize| match k % 5 {
+                0 => None,
+                1 => Some(-0.0004),
+                2 => Some(-2.5625), // a tie at the third decimal
+                3 => Some(123_456_789.987_654),
+                _ => Some(f64::from(i as u32) * 1.0625),
+            };
+            cases.push(EnrichedTrace {
+                trace,
+                speed_kmh: value(i),
+                actual_delay_s: value(i / 5),
+                areas: deep[..i % (deep.len() + 1)].to_vec(),
+                bus_stop: (i % 4 != 0).then_some(LocId::Stop(i as u32 * 97)),
+            });
+        }
+        assert!(cases.iter().any(|e| e.areas.is_empty() && e.bus_stop.is_none()));
+        for e in &cases {
+            assert_eq!(enriched_csv_line(e), csv_line_by_format(e), "{e:?}");
+        }
+        assert!(csv_line_by_format(&cases[0]).contains(",-0.000,"));
     }
 
     #[test]

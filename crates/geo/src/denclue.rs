@@ -20,6 +20,7 @@ use crate::error::GeoError;
 use crate::point::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration for a DENCLUE run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,19 +65,6 @@ pub struct Cluster {
     pub density: f64,
     /// Indices into the input slice of the member points.
     pub members: Vec<usize>,
-}
-
-impl Cluster {
-    /// Centroid of the member points (not the attractor).
-    pub fn centroid(&self, points: &[GeoPoint]) -> GeoPoint {
-        let n = self.members.len().max(1) as f64;
-        let (mut lat, mut lon) = (0.0, 0.0);
-        for &i in &self.members {
-            lat += points[i].lat;
-            lon += points[i].lon;
-        }
-        GeoPoint { lat: lat / n, lon: lon / n }
-    }
 }
 
 /// Result of a clustering run: clusters plus noise points.
@@ -130,15 +118,38 @@ impl Projection {
     }
 }
 
+/// Hashes a grid cell with one multiply per coordinate, in place of
+/// SipHash. A grid is only looked up, never iterated, so the hasher
+/// decides no visiting order and no floating-point sum: positions crafted
+/// to collide could slow a clustering run, not change its result.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_i64(i64::from(b));
+        }
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.0 = (self.0.rotate_left(26) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Uniform grid over projected points for O(1) neighbourhood queries.
 struct Grid {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<usize>>,
+    cells: HashMap<(i64, i64), Vec<usize>, BuildHasherDefault<CellHasher>>,
 }
 
 impl Grid {
     fn build(xy: &[(f64, f64)], cell: f64) -> Grid {
-        let mut cells: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        let mut cells = HashMap::<_, Vec<usize>, _>::default();
         for (i, &(x, y)) in xy.iter().enumerate() {
             cells
                 .entry(((x / cell).floor() as i64, (y / cell).floor() as i64))
@@ -148,18 +159,16 @@ impl Grid {
         Grid { cell, cells }
     }
 
-    /// Indices of points in the 3×3 cell neighbourhood of (x, y).
-    fn neighbours(&self, x: f64, y: f64, out: &mut Vec<usize>) {
-        out.clear();
+    /// Indices of points in the 3×3 cell neighbourhood of (x, y): cells
+    /// column by column, each cell's points in input order.
+    fn neighbours(&self, x: f64, y: f64) -> impl Iterator<Item = usize> + '_ {
         let cx = (x / self.cell).floor() as i64;
         let cy = (y / self.cell).floor() as i64;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(v) = self.cells.get(&(cx + dx, cy + dy)) {
-                    out.extend_from_slice(v);
-                }
-            }
-        }
+        (-1..=1)
+            .flat_map(move |dx| (-1..=1).map(move |dy| (cx + dx, cy + dy)))
+            .filter_map(|key| self.cells.get(&key))
+            .flatten()
+            .copied()
     }
 }
 
@@ -181,12 +190,20 @@ impl Denclue {
                 reason: "max_iterations must be at least 1".into(),
             });
         }
+        // A NaN or non-positive threshold never ends a climb early: every
+        // climb would run to `max_iterations`.
+        if !(config.convergence_m > 0.0) {
+            return Err(GeoError::InvalidClusteringConfig {
+                reason: format!("convergence_m must be positive, got {}", config.convergence_m),
+            });
+        }
+        // `density < NaN` is false, so a NaN minimum would keep every cluster.
+        if !(config.min_density >= 0.0) {
+            return Err(GeoError::InvalidClusteringConfig {
+                reason: format!("min_density must be zero or more, got {}", config.min_density),
+            });
+        }
         Ok(Denclue { config })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> DenclueConfig {
-        self.config
     }
 
     /// Clusters the given points.
@@ -201,7 +218,6 @@ impl Denclue {
         let grid = Grid::build(&xy, 4.0 * self.config.sigma_m);
         let inv_2s2 = 1.0 / (2.0 * self.config.sigma_m * self.config.sigma_m);
 
-        let mut scratch = Vec::new();
         let mut attractors = Vec::with_capacity(points.len());
         let mut densities = Vec::with_capacity(points.len());
         for &(sx, sy) in &xy {
@@ -211,9 +227,8 @@ impl Denclue {
                 // Mean-shift step: move to the kernel-weighted mean of the
                 // neighbourhood; fixed points of this map are the local
                 // maxima (density attractors) of the kernel sum.
-                grid.neighbours(x, y, &mut scratch);
                 let (mut wx, mut wy, mut w) = (0.0, 0.0, 0.0);
-                for &j in &scratch {
+                for j in grid.neighbours(x, y) {
                     let (px, py) = xy[j];
                     let d2 = (px - x) * (px - x) + (py - y) * (py - y);
                     let k = (-d2 * inv_2s2).exp();
@@ -254,10 +269,8 @@ impl Denclue {
         }
         let merge2 = self.config.merge_distance_m * self.config.merge_distance_m;
         let agrid = Grid::build(&attractors, self.config.merge_distance_m.max(1e-9));
-        let mut neigh = Vec::new();
         for (i, &(ax, ay)) in attractors.iter().enumerate() {
-            agrid.neighbours(ax, ay, &mut neigh);
-            for &j in &neigh {
+            for j in agrid.neighbours(ax, ay) {
                 if j <= i {
                     continue;
                 }
@@ -414,6 +427,26 @@ mod tests {
             Denclue::new(DenclueConfig { merge_distance_m: 0.0, ..Default::default() }).is_err()
         );
         assert!(Denclue::new(DenclueConfig { max_iterations: 0, ..Default::default() }).is_err());
+    }
+
+    fn rejected(config: DenclueConfig) -> bool {
+        matches!(Denclue::new(config), Err(GeoError::InvalidClusteringConfig { .. }))
+    }
+
+    #[test]
+    fn nan_or_negative_min_density_rejected() {
+        for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            assert!(rejected(DenclueConfig { min_density: bad, ..Default::default() }), "{bad}");
+        }
+        // Zero keeps every cluster, as documented.
+        assert!(Denclue::new(DenclueConfig { min_density: 0.0, ..Default::default() }).is_ok());
+    }
+
+    #[test]
+    fn nan_or_non_positive_convergence_rejected() {
+        for bad in [f64::NAN, 0.0, -0.05, f64::NEG_INFINITY] {
+            assert!(rejected(DenclueConfig { convergence_m: bad, ..Default::default() }), "{bad}");
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::model::{BusTrace, HOUR_MS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use tms_geo::point::EARTH_RADIUS_M;
 use tms_geo::{GeoPoint, DUBLIN_BBOX};
 
 /// Fleet configuration; defaults reproduce Table 2.
@@ -191,6 +192,28 @@ pub struct FleetGenerator {
 const BASE_SPEED_KMH: f64 = 34.0;
 /// A bus is flagged congested below this speed.
 const CONGESTION_SPEED_KMH: f64 = 9.0;
+/// A report this close to a stop vertex (haversine, metres) is at the stop.
+const NEAR_STOP_M: f64 = 40.0;
+/// A stop whose latitude differs from the report's by more than this many
+/// degrees is farther than [`NEAR_STOP_M`]: the haversine distance is at
+/// least `R·|Δφ|`, and the cut sits at 40.5 m so that rounding in either
+/// computation (nanometres here) never drops a stop the distance keeps.
+const NEAR_STOP_CUT_DEG: f64 = 40.5 / (EARTH_RADIUS_M * std::f64::consts::PI / 180.0);
+
+/// The stop vertex of `route` nearest to `pos` within [`NEAR_STOP_M`], as
+/// (index into `route.stops`, distance); of equally near stops, the first.
+/// Takes the haversine only for stops the latitude gap leaves in range.
+fn near_stop(route: &Route, pos: &GeoPoint) -> Option<(usize, f64)> {
+    route
+        .stops
+        .iter()
+        .map(|&i| route.points[i])
+        .enumerate()
+        .filter(|(_, p)| (pos.lat - p.lat).abs() <= NEAR_STOP_CUT_DEG)
+        .map(|(si, p)| (si, pos.haversine_m(&p)))
+        .filter(|&(_, d)| d <= NEAR_STOP_M)
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+}
 
 /// Diurnal congestion factor: multiplies the base speed. Weekday rush
 /// hours bite hard; weekends stay mild. `centrality` in `[0,1]` scales the
@@ -361,15 +384,7 @@ impl FleetGenerator {
 
             // Stop reporting: at a stop when within 40 m of a stop vertex,
             // flipped with probability stop_report_noise.
-            let route = &self.routes[line as usize];
-            let near_stop = route
-                .stops
-                .iter()
-                .map(|&i| route.points[i])
-                .enumerate()
-                .map(|(si, p)| (si, noisy_pos.haversine_m(&p)))
-                .filter(|&(_, d)| d <= 40.0)
-                .min_by(|a, b| a.1.total_cmp(&b.1));
+            let near_stop = near_stop(&self.routes[line as usize], &noisy_pos);
             let mut at_stop = near_stop.is_some();
             if self.rng.random_range(0.0..1.0) < self.config.stop_report_noise {
                 at_stop = !at_stop;
@@ -616,6 +631,41 @@ mod tests {
             // Clamping.
             assert_eq!(r.position_at(-5.0), start);
             assert_eq!(r.position_at(r.length_m() + 5.0), end);
+        }
+    }
+
+    /// The near-stop search's definition: the haversine to every stop.
+    fn near_stop_scan(route: &Route, pos: &GeoPoint) -> Option<(usize, f64)> {
+        route
+            .stops
+            .iter()
+            .map(|&i| route.points[i])
+            .enumerate()
+            .map(|(si, p)| (si, pos.haversine_m(&p)))
+            .filter(|&(_, d)| d <= NEAR_STOP_M)
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    proptest::proptest! {
+        /// Same stop, same distance bits as the scan, for reports up to
+        /// 80 m from a stop of a random fleet's routes on any bearing; half
+        /// of them on the 40 m ring or a nanometre inside or outside it.
+        #[test]
+        fn near_stop_is_the_scan(
+            seed in 0u64..u64::MAX,
+            line in 0usize..8,
+            stop in 0usize..1_000,
+            bearing in 0.0..360.0f64,
+            dist in 0.0..80.0f64,
+            ring in 0usize..6,
+        ) {
+            let routes = make_routes(8, &mut StdRng::seed_from_u64(seed));
+            let route = &routes[line];
+            let centre = route.points[route.stops[stop % route.stops.len()]];
+            let dist = [dist, dist, dist, NEAR_STOP_M, NEAR_STOP_M - 1e-9, NEAR_STOP_M + 1e-9][ring];
+            let pos = centre.destination(bearing, dist);
+            let bits = |hit: Option<(usize, f64)>| hit.map(|(si, d)| (si, d.to_bits()));
+            proptest::prop_assert_eq!(bits(near_stop(route, &pos)), bits(near_stop_scan(route, &pos)));
         }
     }
 
