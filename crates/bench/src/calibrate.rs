@@ -187,9 +187,9 @@ impl WarmEngine {
 }
 
 /// A bare CEP engine running one grouped avg+stddev statement over
-/// `win:length(100)` — the statement shape the incremental path
-/// accelerates — warmed so eviction deltas flow from the first measured
-/// event.
+/// `std:groupwin(location).win:length(100)` — a single-source aggregate
+/// whose groups are its panes, served from their accumulators — warmed so
+/// every pane is full and evicting from the first measured event.
 pub struct WarmStatement {
     engine: tms_cep::Engine,
     locations: Vec<String>,
@@ -216,7 +216,7 @@ impl WarmStatement {
         engine
             .create_statement(
                 "SELECT w.location AS loc, avg(w.delay) AS m, stddev(w.delay) AS sd \
-                 FROM bus.win:length(100) AS w GROUP BY w.location",
+                 FROM bus.std:groupwin(location).win:length(100) AS w GROUP BY w.location",
                 Box::new(|_, rows| {
                     std::hint::black_box(rows.len());
                 }),

@@ -40,12 +40,11 @@ impl Accumulator {
     /// when a window evicts an event). Count/sum/sum_sq subtract exactly;
     /// min/max cannot be subtracted, so the return value is `true` when
     /// the removed value sat at an extremum — the caller must then
-    /// [`rebuild_extrema`] from the surviving values before the next
-    /// `min`/`max` finish. Removing the last sample resets the
-    /// accumulator wholesale, clearing any accumulated float drift.
+    /// recompute from the surviving values before the next `min`/`max`
+    /// finish. Removing the last sample resets the accumulator wholesale,
+    /// clearing any accumulated float drift.
     ///
     /// [`add`]: Accumulator::add
-    /// [`rebuild_extrema`]: Accumulator::rebuild_extrema
     pub fn remove(&mut self, v: f64) -> bool {
         debug_assert!(self.count > 0, "remove without matching add");
         self.count -= 1;
@@ -56,27 +55,6 @@ impl Accumulator {
         self.sum -= v;
         self.sum_sq -= v * v;
         v <= self.min || v >= self.max
-    }
-
-    /// Removes a row counted by [`add_row`](Accumulator::add_row).
-    pub fn remove_row(&mut self) {
-        debug_assert!(self.count > 0, "remove_row without matching add_row");
-        self.count = self.count.saturating_sub(1);
-    }
-
-    /// Recomputes min/max from the surviving samples after [`remove`]
-    /// reported a stale extremum. A lazy rescan: it only runs when an
-    /// evicted value actually sat at the extremum *and* the statement
-    /// reads `min`/`max`.
-    ///
-    /// [`remove`]: Accumulator::remove
-    pub fn rebuild_extrema(&mut self, values: impl Iterator<Item = f64>) {
-        self.min = f64::INFINITY;
-        self.max = f64::NEG_INFINITY;
-        for v in values {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
     }
 
     /// Number of samples.
@@ -103,7 +81,7 @@ impl Accumulator {
     /// per-pane accumulator under a join multiplicity of `k` — for
     /// integer-valued samples `k·sum` and `k·sum_sq` are exact, so the
     /// result matches a rescan that visited each row `k` times
-    /// bit-for-bit (the same contract the incremental path relies on).
+    /// bit-for-bit.
     pub fn scaled(&self, k: u64) -> Accumulator {
         if k == 1 || self.count == 0 {
             return self.clone();
@@ -225,8 +203,6 @@ mod tests {
         a.add_row();
         a.add_row();
         assert_eq!(a.finish(AggFunc::Count).unwrap(), 2.0);
-        a.remove_row();
-        assert_eq!(a.finish(AggFunc::Count).unwrap(), 1.0);
     }
 
     #[test]
@@ -243,15 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_extremum_flags_stale_and_rebuild_fixes() {
+    fn remove_flags_a_removed_extremum() {
         let mut a = acc(&[1.0, 2.0, 3.0, 4.0]);
         assert!(a.remove(4.0), "max removal must flag stale extrema");
-        a.rebuild_extrema([1.0, 2.0, 3.0].into_iter());
-        assert_eq!(a.finish(AggFunc::Max).unwrap(), 3.0);
-        assert_eq!(a.finish(AggFunc::Min).unwrap(), 1.0);
         assert!(a.remove(1.0), "min removal must flag stale extrema");
-        a.rebuild_extrema([2.0, 3.0].into_iter());
-        assert_eq!(a.finish(AggFunc::Min).unwrap(), 2.0);
+        assert!(!a.remove(2.0), "an interior value is no extremum");
     }
 
     #[test]
@@ -292,7 +264,7 @@ mod tests {
     fn stddev_stays_exact_through_integer_add_remove_cycles() {
         // Integer-valued samples keep sum/sum_sq arithmetic exact, so a
         // remove-then-finish matches a fresh accumulator bit-for-bit —
-        // the property the incremental evaluation path relies on.
+        // the property pane-served evaluation relies on.
         let mut a = acc(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         a.remove(2.0);
         a.remove(9.0);

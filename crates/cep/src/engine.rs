@@ -11,7 +11,7 @@
 use crate::error::CepError;
 use crate::event::{Event, EventType, FieldValue};
 use crate::parser::parse_statement;
-use crate::plan::{compile, AggCall, CompiledStatement, IncrementalState, JoinCache, OutputRow};
+use crate::plan::{compile, AggCall, CompiledStatement, JoinCache, OutputRow};
 use crate::share::{
     self, AggSrc, ArrivalMemo, ArrivalScratch, ClusterInfo, SharedJoinShape, SharingReport,
     ThresholdIndex, WindowKey,
@@ -39,10 +39,9 @@ struct WindowSlot {
     window: SourceWindow,
     /// Referencing statement sources; 0 marks a free (tombstoned) slot.
     refs: usize,
-    /// The visible-window change of the latest mutation (consumed by
-    /// incremental statements and the threshold indexes). When the slot
-    /// serves shared-join statements as their pane, the window itself
-    /// keeps the cluster's per-group aggregates.
+    /// The visible-window change of the latest insert, which the slot's
+    /// threshold indexes read. When the slot serves pane-shaped
+    /// statements, the window itself keeps their per-pane aggregates.
     delta: WindowDelta,
     /// Outcome of the latest insert into this slot.
     last_outcome: InsertOutcome,
@@ -64,9 +63,10 @@ impl WindowSlot {
 
 /// How a statement's evaluations are served.
 enum Exec {
-    /// Shared-join path: O(1) fan-out from the pane bank and (for
-    /// three-source statements) the threshold index of the statement's
-    /// cluster — a cluster of one when no other statement shares them.
+    /// A pane shape: O(1) from the accumulators of the pane the arrival's
+    /// group is and (for three-source statements) the threshold index —
+    /// shared with every statement reading the same slots. A single-source
+    /// aggregate is the shape with no anchor and no threshold side.
     Join {
         shape: SharedJoinShape,
         /// Per aggregate call: which shared accumulator serves it.
@@ -75,8 +75,6 @@ enum Exec {
         /// when the shape has a threshold side.
         tindex: Option<usize>,
     },
-    /// Private delta-maintained incremental state (`Runtime::inc`).
-    Incremental,
     /// Generic: anchor fast path or full rescan, decided per arrival.
     Generic,
 }
@@ -88,9 +86,6 @@ struct Runtime {
     /// Slot-arena indices, one per FROM source.
     slots: Vec<usize>,
     cache: JoinCache,
-    /// Delta-maintained aggregate state; `Some` only while the
-    /// incremental path is enabled and the statement is eligible.
-    inc: Option<IncrementalState>,
     /// The chosen evaluation path.
     exec: Exec,
     listener: Option<Listener>,
@@ -189,7 +184,7 @@ pub struct StatementProfile {
     /// Evaluations served from a pane bank (a cluster of any size, one
     /// included).
     pub path_shared: u64,
-    /// Evaluations served by the delta-maintained incremental path.
+    /// Evaluations of a single-source aggregate served from its own panes.
     pub path_incremental: u64,
     /// Evaluations served by the anchor fast path.
     pub path_anchor: u64,
@@ -268,8 +263,8 @@ pub struct Engine {
     arrival: ArrivalScratch,
     next_id: u64,
     stats: EngineStats,
-    /// Whether eligible statements evaluate via delta-maintained
-    /// aggregates / the anchor fast path instead of a window rescan.
+    /// Whether single-source aggregates over their panes and the anchor
+    /// fast path serve eligible statements instead of a window rescan.
     incremental_enabled: bool,
     /// Whether the install-time sharing planner may merge compatible
     /// windows and serve Listing-1-family statements from bank/index state.
@@ -425,7 +420,6 @@ impl Engine {
             compiled,
             slots: slot_ids,
             cache,
-            inc: None,
             exec: Exec::Generic,
             listener,
             fired: 0,
@@ -440,19 +434,15 @@ impl Engine {
     /// Chooses a statement's evaluation path from the current switches,
     /// building whatever state the path needs. With sharing on, every
     /// statement of the Listing-1 family is served from its pane's bank,
-    /// whether or not another statement shares it.
+    /// whether or not another statement shares it; with the incremental
+    /// path on, so is a single-source aggregate over its panes.
     fn plan_statement(&mut self, rt: &mut Runtime) -> Result<(), CepError> {
-        rt.inc = None;
         rt.exec = Exec::Generic;
-        if self.incremental_enabled && rt.compiled.incremental_eligible() {
-            rt.inc = Some(rt.compiled.build_incremental(&self.slots[rt.slots[0]].window)?);
-            rt.exec = Exec::Incremental;
-            return Ok(());
-        }
-        if !self.sharing_enabled {
-            return Ok(());
-        }
         let Some(shape) = share::shared_join_shape(&rt.compiled) else { return Ok(()) };
+        let enabled = if shape.pane == 0 { self.incremental_enabled } else { self.sharing_enabled };
+        if !enabled {
+            return Ok(());
+        }
         let (aggs, tindex) =
             ensure_join_state(&mut self.slots, &rt.slots, &shape, &rt.compiled.agg_calls)?;
         rt.exec = Exec::Join { shape, aggs, tindex };
@@ -540,13 +530,13 @@ impl Engine {
         self.stats
     }
 
-    /// Ablation switch: enables/disables incremental evaluation
-    /// (delta-maintained aggregates and the anchor fast path). Disabled,
-    /// every arrival rescans the full window state — the
-    /// pre-optimization behaviour, kept selectable so benchmarks can
-    /// quantify the incremental path and the differential tests can
-    /// compare both. Re-enabling rebuilds aggregate state from the live
-    /// windows, so the switch can flip mid-stream.
+    /// Ablation switch: enables/disables incremental evaluation (a
+    /// single-source aggregate served from its panes' accumulators, and
+    /// the anchor fast path). Disabled, those statements rescan the full
+    /// window state — kept selectable so benchmarks can quantify the
+    /// difference and the differential tests can compare both.
+    /// Re-enabling recomputes pane aggregates from the live windows, so the
+    /// switch can flip mid-stream.
     pub fn set_incremental_enabled(&mut self, enabled: bool) -> Result<(), CepError> {
         self.incremental_enabled = enabled;
         self.replan_exec()
@@ -652,7 +642,11 @@ impl Engine {
         let mut clusters: Vec<(ClusterKey, ClusterInfo)> = Vec::new();
         let mut shared_statements = 0;
         for rt in &self.statements {
-            let Exec::Join { tindex, .. } = &rt.exec else { continue };
+            let tindex = match &rt.exec {
+                // A single-source pane is reported as the incremental path.
+                Exec::Join { shape, tindex, .. } if shape.pane == 1 => tindex,
+                _ => continue,
+            };
             shared_statements += 1;
             let key = (rt.slots[1], tindex.map(|t| (rt.slots[2], t)));
             let info = match clusters.iter_mut().find(|(k, _)| *k == key) {
@@ -822,12 +816,6 @@ impl Engine {
                         }
                     }
                 }
-                if let Some(state) = &mut rt.inc {
-                    // Incremental statements are single-source, so their
-                    // slot-0 delta is exactly this arrival's change.
-                    let slot = &slots[rt.slots[0]];
-                    rt.compiled.apply_delta(&slot.window, &slot.delta, state)?;
-                }
                 if !evaluate {
                     continue;
                 }
@@ -835,21 +823,17 @@ impl Engine {
                 let t0 = rt.profile.is_some().then(Instant::now);
                 let (rows, path) = if let Exec::Join { shape, aggs, tindex } = &rt.exec {
                     let ti = tindex.map(|t| &slots[rt.slots[2]].tindexes[t]);
-                    (
-                        share::evaluate_shared_join(
-                            &rt.compiled,
-                            shape,
-                            aggs,
-                            &slots[rt.slots[0]].window,
-                            &slots[rt.slots[1]].window,
-                            ti,
-                            rt.compiled.sources[0].stream != stream_name,
-                            &mut memo,
-                        )?,
-                        EvalPath::Shared,
-                    )
-                } else if let Some(state) = &rt.inc {
-                    (rt.compiled.evaluate_incremental(anchor, state)?, EvalPath::Incremental)
+                    let rows = share::evaluate_shared_join(
+                        &rt.compiled,
+                        shape,
+                        aggs,
+                        &slots[rt.slots[0]].window,
+                        &slots[rt.slots[shape.pane]].window,
+                        ti,
+                        rt.compiled.sources[0].stream != stream_name,
+                        &mut memo,
+                    )?;
+                    (rows, if shape.pane == 0 { EvalPath::Incremental } else { EvalPath::Shared })
                 } else if *incremental_enabled
                     && rt.compiled.anchor_fast_eligible()
                     && !batch_release
@@ -973,9 +957,9 @@ impl Engine {
     /// Destructively removes a stream partition's events from every
     /// window (the post-deposit half of a migration; call
     /// [`Engine::collect_partition`] first). Returns how many events were
-    /// removed. Shared bank/index state and incremental aggregates are
-    /// rebuilt from the surviving window contents, so remaining partitions
-    /// evaluate exactly as before.
+    /// removed. Pane aggregates and threshold indexes are rebuilt from the
+    /// surviving window contents, so remaining partitions evaluate exactly
+    /// as before.
     pub fn evict_partition(
         &mut self,
         stream: &str,
@@ -1008,9 +992,9 @@ impl Engine {
     /// the destination half of a migration. Each row is revalidated
     /// against the local schema and inserted *without* statement
     /// evaluation (the migrated history already fired at the source);
-    /// shared bank/index state and incremental aggregates are then
-    /// rebuilt so the next genuine arrival evaluates over the merged
-    /// windows. Returns how many events were absorbed.
+    /// pane aggregates and threshold indexes are then rebuilt so the next
+    /// genuine arrival evaluates over the merged windows. Returns how many
+    /// events were absorbed.
     pub fn absorb_partition(&mut self, state: &PartitionState) -> Result<usize, CepError> {
         let entry = self
             .streams
@@ -1039,24 +1023,8 @@ impl Engine {
     /// Advances event time for every time window (evicting expired events)
     /// without sending an event.
     pub fn advance_time(&mut self, now_ms: u64) {
-        let Engine { statements, slots, .. } = self;
-        for slot in slots.iter_mut() {
-            if slot.refs == 0 {
-                continue;
-            }
-            // Clears the delta even for time-insensitive windows, so
-            // phase-2 consumers below never see a stale insert delta.
-            slot.window.advance_time_with_delta(now_ms, &mut slot.delta);
-        }
-        for rt in statements.iter_mut() {
-            if let Some(state) = &mut rt.inc {
-                let slot = &slots[rt.slots[0]];
-                rt.compiled
-                    .apply_delta(&slot.window, &slot.delta, state)
-                    // Removal re-evaluates only expressions that already
-                    // succeeded when these events were inserted.
-                    .expect("delta eviction cannot fail after a successful insert");
-            }
+        for slot in self.slots.iter_mut().filter(|slot| slot.refs > 0) {
+            slot.window.advance_time(now_ms);
         }
     }
 }
@@ -1088,7 +1056,7 @@ fn ensure_join_state(
 ) -> Result<(Vec<AggSrc>, Option<usize>), CepError> {
     let mut pane_pos: HashMap<usize, usize> = HashMap::new();
     {
-        let pane = &mut slots[stmt_slots[1]].window;
+        let pane = &mut slots[stmt_slots[shape.pane]].window;
         let mut widened = false;
         for &f in &shape.pane_agg_fields {
             let (pos, w) = pane.track_field(f);
@@ -1138,7 +1106,7 @@ fn ensure_join_state(
         .iter()
         .map(|c| match c.arg {
             None => AggSrc::CountStar,
-            Some((1, f)) => AggSrc::Pane(pane_pos[&f]),
+            Some((s, f)) if s == shape.pane => AggSrc::Pane(pane_pos[&f]),
             Some((2, f)) => AggSrc::Threshold(thr_pos[&f]),
             Some(_) => unreachable!("shape detection rejects other aggregate sources"),
         })
@@ -1770,8 +1738,8 @@ mod tests {
         e.send_event(bus_event(&e, 1_000, 1, "R1", 1.0, 8)).unwrap();
         e.send_event(bus_event(&e, 2_000, 2, "R1", 1.0, 8)).unwrap();
         assert_eq!(sink.lock().len(), 1);
-        // Advance past both events: incremental state must empty too, so
-        // the next single arrival cannot reach count >= 2.
+        // Advance past both events: the pane must empty too, so the next
+        // single arrival cannot reach count >= 2.
         e.advance_time(52_000);
         e.send_event(bus_event(&e, 52_500, 3, "R1", 1.0, 8)).unwrap();
         assert_eq!(sink.lock().len(), 1);

@@ -20,7 +20,7 @@ use crate::ast::{
 use crate::error::CepError;
 use crate::event::{Event, EventType, FieldValue, JoinKey};
 use crate::expr::eval;
-use crate::window::{SourceWindow, WindowDelta, WindowSpec};
+use crate::window::{SourceWindow, WindowSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -699,36 +699,6 @@ impl JoinCache {
     }
 }
 
-/// Delta-maintained per-group aggregate state for one statement.
-///
-/// Owned by the engine alongside the statement's windows; updated from
-/// [`WindowDelta`]s by [`CompiledStatement::apply_delta`] and read by
-/// [`CompiledStatement::evaluate_incremental`]. Only built for statements
-/// where [`CompiledStatement::incremental_eligible`] holds.
-#[derive(Debug, Default)]
-pub struct IncrementalState {
-    groups: HashMap<Vec<JoinKey>, IncGroup>,
-}
-
-impl IncrementalState {
-    /// Number of live groups (for tests/diagnostics).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-}
-
-/// One group's running aggregates.
-#[derive(Debug)]
-struct IncGroup {
-    aggs: Vec<Accumulator>,
-    /// Latest surviving row of the group — bare field refs resolve
-    /// against it (Esper's last-event-per-group rule). Eligibility
-    /// guarantees group eviction is FIFO, so the evicted event is never
-    /// the last row unless the group empties entirely.
-    last_row: Event,
-    rows: u64,
-}
-
 impl CompiledStatement {
     /// Evaluates the statement against the given window state.
     ///
@@ -870,7 +840,7 @@ impl CompiledStatement {
 
         // ---- Grouping + aggregation ---------------------------------------
         struct Group {
-            aggs: Vec<crate::agg::Accumulator>,
+            aggs: Vec<Accumulator>,
             /// Latest row of the group: bare field refs in SELECT/HAVING
             /// resolve against it (Esper's last-event-per-group rule).
             last_row: Binding,
@@ -884,7 +854,7 @@ impl CompiledStatement {
                 .map(|&(s, f)| row[s].value_at(f).expect("validated index").join_key())
                 .collect();
             let group = groups.entry(key).or_insert_with(|| Group {
-                aggs: vec![crate::agg::Accumulator::new(); self.agg_calls.len()],
+                aggs: vec![Accumulator::new(); self.agg_calls.len()],
                 last_row: row.clone(),
                 has_anchor: false,
             });
@@ -906,9 +876,7 @@ impl CompiledStatement {
             }
         }
 
-        // Emit groups in sorted-key order: deterministic, and identical to
-        // the order the incremental path produces, so the two evaluation
-        // strategies are row-for-row interchangeable.
+        // Emit groups in sorted-key order, so the output is deterministic.
         let mut keyed: Vec<(&Vec<JoinKey>, &Group)> = groups.iter().collect();
         keyed.sort_by(|a, b| a.0.cmp(b.0));
         let mut out = Vec::new();
@@ -947,24 +915,6 @@ impl CompiledStatement {
             out.push((self.project(&group.last_row, Some(&agg_values))?, keys));
         }
         Ok(self.sorted(out))
-    }
-
-    /// Whether the delta-maintained incremental path can evaluate this
-    /// statement: a single FROM source with aggregation, where group
-    /// membership is FIFO — the window is ungrouped (eviction pops the
-    /// oldest event overall) or the GROUP BY key is exactly the
-    /// `groupwin` field (each group is one pane, evicted front-first).
-    /// FIFO membership guarantees an evicted event is never a surviving
-    /// group's `last_row`, so last-event-per-group semantics need no
-    /// rescan on eviction.
-    pub fn incremental_eligible(&self) -> bool {
-        if self.sources.len() != 1 || !self.is_aggregated() {
-            return false;
-        }
-        match self.sources[0].group_field {
-            None => true,
-            Some(g) => self.group_by.len() == 1 && self.group_by[0] == (0, g),
-        }
     }
 
     /// Whether the anchor restriction's source-0 filter passes for one
@@ -1029,191 +979,6 @@ impl CompiledStatement {
             }
         }
         Ok(vec![self.project(std::slice::from_ref(anchor), None)?])
-    }
-
-    /// Builds incremental state from scratch by replaying the window —
-    /// used at statement registration and when the incremental path is
-    /// re-enabled after an ablation run.
-    pub fn build_incremental(&self, window: &SourceWindow) -> Result<IncrementalState, CepError> {
-        debug_assert!(self.incremental_eligible());
-        let mut state = IncrementalState::default();
-        for e in window.iter() {
-            self.inc_insert(e, &mut state)?;
-        }
-        Ok(state)
-    }
-
-    /// Folds one window mutation into the incremental state. Evictions
-    /// apply before insertions (a batch release replaces the old batch;
-    /// a sliding window evicts before the arrival is visible).
-    pub fn apply_delta(
-        &self,
-        window: &SourceWindow,
-        delta: &WindowDelta,
-        state: &mut IncrementalState,
-    ) -> Result<(), CepError> {
-        for e in &delta.evicted {
-            self.inc_remove(e, window, state)?;
-        }
-        for e in &delta.inserted {
-            self.inc_insert(e, state)?;
-        }
-        Ok(())
-    }
-
-    /// Evaluates an eligible statement from its incremental state in
-    /// O(groups touched) instead of O(window). With an anchor, only the
-    /// anchor's group can have changed, so only it may emit (matching
-    /// the rescan path's istream restriction); a batch release
-    /// (`anchor = None`) emits every group in sorted key order — the
-    /// same order [`evaluate`] produces.
-    ///
-    /// [`evaluate`]: CompiledStatement::evaluate
-    pub fn evaluate_incremental(
-        &self,
-        anchor: Option<&Event>,
-        state: &IncrementalState,
-    ) -> Result<Vec<OutputRow>, CepError> {
-        let mut out = Vec::new();
-        match anchor {
-            Some(a) => {
-                for f in &self.first_filter {
-                    if !eval(f, std::slice::from_ref(a), None)?.as_bool()? {
-                        return Ok(Vec::new());
-                    }
-                }
-                let key = self.inc_group_key(a);
-                if let Some(group) = state.groups.get(&key) {
-                    self.emit_inc_group(group, &mut out)?;
-                }
-            }
-            None => {
-                let mut keys: Vec<&Vec<JoinKey>> = state.groups.keys().collect();
-                keys.sort();
-                for k in keys {
-                    self.emit_inc_group(&state.groups[k], &mut out)?;
-                }
-            }
-        }
-        Ok(self.sorted(out))
-    }
-
-    /// GROUP BY key of one source-0 event.
-    fn inc_group_key(&self, e: &Event) -> Vec<JoinKey> {
-        self.group_by
-            .iter()
-            .map(|&(_, f)| e.value_at(f).expect("validated index").join_key())
-            .collect()
-    }
-
-    fn inc_insert(&self, e: &Event, state: &mut IncrementalState) -> Result<(), CepError> {
-        for f in &self.first_filter {
-            if !eval(f, std::slice::from_ref(e), None)?.as_bool()? {
-                return Ok(());
-            }
-        }
-        let key = self.inc_group_key(e);
-        let group = state.groups.entry(key).or_insert_with(|| IncGroup {
-            aggs: vec![Accumulator::new(); self.agg_calls.len()],
-            last_row: e.clone(),
-            rows: 0,
-        });
-        for (acc, call) in group.aggs.iter_mut().zip(&self.agg_calls) {
-            match call.arg {
-                Some((_, f)) => acc.add(e.value_at(f).expect("validated index").as_f64()?),
-                None => acc.add_row(),
-            }
-        }
-        group.rows += 1;
-        group.last_row = e.clone();
-        Ok(())
-    }
-
-    fn inc_remove(
-        &self,
-        e: &Event,
-        window: &SourceWindow,
-        state: &mut IncrementalState,
-    ) -> Result<(), CepError> {
-        for f in &self.first_filter {
-            if !eval(f, std::slice::from_ref(e), None)?.as_bool()? {
-                return Ok(());
-            }
-        }
-        let key = self.inc_group_key(e);
-        let Some(group) = state.groups.get_mut(&key) else {
-            debug_assert!(false, "eviction for a group the state never saw");
-            return Ok(());
-        };
-        group.rows -= 1;
-        if group.rows == 0 {
-            state.groups.remove(&key);
-            return Ok(());
-        }
-        let mut stale: Vec<usize> = Vec::new();
-        for (i, (acc, call)) in group.aggs.iter_mut().zip(&self.agg_calls).enumerate() {
-            match call.arg {
-                Some((_, f)) => {
-                    let v = e.value_at(f).expect("validated index").as_f64()?;
-                    if acc.remove(v) && matches!(call.func, AggFunc::Min | AggFunc::Max) {
-                        stale.push(i);
-                    }
-                }
-                None => acc.remove_row(),
-            }
-        }
-        // Lazy extrema repair: only when the evicted value sat at a
-        // min/max the statement actually reads. This is the one place the
-        // incremental path rescans, and only the group's own members.
-        for i in stale {
-            let (_, f) = self.agg_calls[i].arg.expect("min/max always takes an argument");
-            let mut values = Vec::new();
-            'scan: for w in window.iter() {
-                for fil in &self.first_filter {
-                    if !eval(fil, std::slice::from_ref(w), None)?.as_bool()? {
-                        continue 'scan;
-                    }
-                }
-                if self.inc_group_key(w) != key {
-                    continue;
-                }
-                values.push(w.value_at(f).expect("validated index").as_f64()?);
-            }
-            group.aggs[i].rebuild_extrema(values.into_iter());
-        }
-        Ok(())
-    }
-
-    /// Finalizes and projects one incremental group (shared by the
-    /// anchored and batch-release emission paths).
-    fn emit_inc_group(
-        &self,
-        group: &IncGroup,
-        out: &mut Vec<(OutputRow, Vec<FieldValue>)>,
-    ) -> Result<(), CepError> {
-        let mut agg_values = Vec::with_capacity(self.agg_calls.len());
-        for (acc, call) in group.aggs.iter().zip(&self.agg_calls) {
-            match acc.finish(call.func) {
-                Ok(v) => agg_values.push(v),
-                Err(CepError::EmptyAggregate { .. }) => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
-        let binding = std::slice::from_ref(&group.last_row);
-        if let Some(h) = &self.having {
-            match eval(h, binding, Some(&agg_values)) {
-                Ok(v) => {
-                    if !v.as_bool()? {
-                        return Ok(());
-                    }
-                }
-                Err(CepError::EmptyAggregate { .. }) => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
-        let keys = self.order_keys(binding, Some(&agg_values))?;
-        out.push((self.project(binding, Some(&agg_values))?, keys));
-        Ok(())
     }
 
     /// Evaluates the ORDER BY keys for one row.

@@ -14,7 +14,8 @@
 //!   would have owned privately.
 //! * [`SharedJoinShape`] — recognition of the Listing-1 family
 //!   (`lastevent` anchor × grouped pane, optionally × `keepall`
-//!   threshold stream) that covers every rule form the paper generates.
+//!   threshold stream) that covers every rule form the paper generates,
+//!   and of the single-source aggregates whose groups are their panes.
 //! * The pane bank and [`ThresholdIndex`] — per-group running aggregates
 //!   over a shared pane window (a superset of the cluster's aggregate
 //!   fields; they live with the panes, see
@@ -30,8 +31,7 @@
 //!
 //! Exactness: a pane accumulator is finalized under the join multiplicity
 //! via [`Accumulator::scaled`]; for integer-valued samples the result is
-//! bit-identical to the rescan path (the same contract the incremental
-//! path of PR 1 relies on, enforced by the differential suite). On
+//! bit-identical to the rescan path (enforced by the differential suite). On
 //! non-integer samples subtract-on-evict drifts; a pane bounds that by
 //! recomputing from its events once its evictions since the last
 //! recompute reach its row count.
@@ -65,7 +65,7 @@ impl WindowKey {
     }
 }
 
-/// The recognized Listing-1 family:
+/// The recognized pane shapes. The Listing-1 family:
 ///
 /// ```text
 /// FROM A.std:lastevent()                    AS anchor,   -- source 0
@@ -81,13 +81,20 @@ impl WindowKey {
 /// Without a threshold source (the static, per-location-literal and
 /// database-attached forms of the rule) the multiplicity is 1 and there
 /// is no probe.
+///
+/// And a single-source aggregate whose groups are its window's panes:
+/// `A.std:groupwin(g).<non-batch window> GROUP BY g`, or the same window
+/// ungrouped without GROUP BY, and no WHERE. The arrival is the newest row
+/// of its pane, so its group is that pane, whole, with multiplicity 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedJoinShape {
-    /// Source-0 field joined against the pane's groupwin field.
-    pub group_key_field: usize,
-    /// Groupwin field of the pane source.
-    pub pane_group_field: usize,
-    /// Distinct pane (source 1) fields the statement aggregates.
+    /// FROM index of the pane: 1 behind a `lastevent` anchor, 0 for a
+    /// single-source aggregate.
+    pub pane: usize,
+    /// Source-0 field whose value names the arrival's pane; `None` for an
+    /// ungrouped single-source window, whose one pane is the group.
+    pub group_key_field: Option<usize>,
+    /// Distinct pane fields the statement aggregates.
     pub pane_agg_fields: Vec<usize>,
     /// The threshold side of a three-source statement.
     pub threshold: Option<ThresholdJoin>,
@@ -118,40 +125,55 @@ pub enum AggSrc {
     Threshold(usize),
 }
 
-/// Detects the shared-join shape. `None` means the statement falls back
-/// to the generic evaluation paths.
+/// Detects a pane shape. `None` means the statement falls back to the
+/// generic evaluation paths.
 pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     if !stmt.is_aggregated() {
         return None;
     }
-    let (anchor, pane, thresholds) = match &stmt.sources[..] {
-        [anchor, pane] => (anchor, pane, None),
-        [anchor, pane, thresholds] => (anchor, pane, Some(thresholds)),
+    let (pane_at, thresholds) = match &stmt.sources[..] {
+        [_] => (0, None),
+        [_, _] => (1, None),
+        [_, _, thresholds] => (1, Some(thresholds)),
         _ => return None,
     };
-    // Anchor: bare lastevent over the same stream as the pane.
-    if anchor.window != WindowSpec::LastEvent
-        || anchor.group_field.is_some()
-        || anchor.stream != pane.stream
-    {
-        return None;
-    }
-    // Pane: grouped, non-batch FIFO window (batch windows change the
+    let (anchor, pane) = (&stmt.sources[0], &stmt.sources[pane_at]);
+    // Pane: a non-batch FIFO window (batch windows change the
     // anchor-participation story; lastevent panes are legal but trivial).
-    let pane_group_field = pane.group_field?;
     if !matches!(pane.window, WindowSpec::Length(_) | WindowSpec::TimeMs(_) | WindowSpec::KeepAll) {
         return None;
     }
-    // Join step 1: the pane joined purely through its groupwin panes on a
-    // single anchor field.
-    let step1 = &stmt.join_steps[0];
-    if !step1.group_fast_path || !step1.residual.is_empty() || step1.left_keys.len() != 1 {
-        return None;
-    }
-    let (ls, group_key_field) = step1.left_keys[0];
-    if ls != 0 {
-        return None;
-    }
+    let group_key_field = if pane_at == 0 {
+        // Every row counts and the groups are the panes, so the arrival's
+        // group is the pane it entered.
+        let panes = pane.group_field.map(|g| (0, g));
+        if !stmt.first_filter.is_empty() || !stmt.group_by.iter().copied().eq(panes) {
+            return None;
+        }
+        pane.group_field
+    } else {
+        // Anchor: bare lastevent over the same stream as the grouped pane.
+        let pane_group_field = pane.group_field?;
+        if anchor.window != WindowSpec::LastEvent
+            || anchor.group_field.is_some()
+            || anchor.stream != pane.stream
+        {
+            return None;
+        }
+        // Join step 1: the pane joined purely through its groupwin panes on
+        // a single anchor field.
+        let step1 = &stmt.join_steps[0];
+        if !step1.group_fast_path || !step1.residual.is_empty() || step1.left_keys.len() != 1 {
+            return None;
+        }
+        let (ls, group_key_field) = step1.left_keys[0];
+        // Grouping must be exactly the pane's groupwin field, so every
+        // joined row of one arrival falls in the anchor's group.
+        if ls != 0 || stmt.group_by != [(1, pane_group_field)] {
+            return None;
+        }
+        Some(group_key_field)
+    };
     let mut threshold = match thresholds {
         None => None,
         Some(thresholds) => {
@@ -182,17 +204,12 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
             })
         }
     };
-    // Grouping must be exactly the pane's groupwin field, so every joined
-    // row of one arrival falls in the anchor's group.
-    if stmt.group_by != [(1, pane_group_field)] {
-        return None;
-    }
     // Aggregate arguments must live on the pane or the threshold stream.
     let mut pane_agg_fields = Vec::new();
     for call in &stmt.agg_calls {
         let Some((source, f)) = call.arg else { continue };
         let fields = match (source, &mut threshold) {
-            (1, _) => &mut pane_agg_fields,
+            (s, _) if s == pane_at => &mut pane_agg_fields,
             (2, Some(t)) => &mut t.agg_fields,
             _ => return None,
         };
@@ -200,7 +217,7 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
             fields.push(f);
         }
     }
-    Some(SharedJoinShape { group_key_field, pane_group_field, pane_agg_fields, threshold })
+    Some(SharedJoinShape { pane: pane_at, group_key_field, pane_agg_fields, threshold })
 }
 
 /// One keyed entry of a [`ThresholdIndex`].
@@ -370,12 +387,13 @@ impl<'s, 'e> ArrivalMemo<'s, 'e> {
     }
 }
 
-/// Evaluates one shared-join statement for one arrival in O(1): a pane
+/// Evaluates one pane-shaped statement for one arrival in O(1): a pane
 /// lookup, an index probe (three-source statements only) and the
 /// statement's HAVING/projection fan-out. Byte-identical to
 /// [`CompiledStatement::evaluate`] for eligible statements under
-/// integer-valued samples. `tindex` is `Some` exactly when the shape has
-/// a threshold side; `on_threshold` says the arrival came in on it.
+/// integer-valued samples. `pane` is the window of source `shape.pane`;
+/// `tindex` is `Some` exactly when the shape has a threshold side;
+/// `on_threshold` says the arrival came in on it.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_shared_join<'s>(
     stmt: &CompiledStatement,
@@ -393,8 +411,9 @@ pub fn evaluate_shared_join<'s>(
         if !stmt.passes_first_filter(a)? {
             return Ok(Vec::new());
         }
-        let gkey = a.value_at(shape.group_key_field).expect("validated index").join_key();
-        let Some(group) = pane.group(&gkey) else { return Ok(Vec::new()) };
+        let gkey =
+            shape.group_key_field.map(|f| a.value_at(f).expect("validated index").join_key());
+        let Some(group) = pane.group(gkey.as_ref()) else { return Ok(Vec::new()) };
         let index = tindex.expect("a threshold arrival reaches three-source statements only");
         // istream restriction: a threshold arrival only emits when it
         // itself participates in the joined group, i.e. its key matches
@@ -411,7 +430,7 @@ pub fn evaluate_shared_join<'s>(
         if !stmt.passes_first_filter(a)? {
             return Ok(Vec::new());
         }
-        let gkey = memo.scratch.field_key(a, shape.group_key_field);
+        let gkey = shape.group_key_field.map(|f| memo.scratch.field_key(a, f));
         let Some(group) = pane.group(gkey) else { return Ok(Vec::new()) };
         let entry = match tindex {
             Some(index) => match memo.probe(index) {
@@ -441,11 +460,15 @@ pub fn evaluate_shared_join<'s>(
         }
     }
     // The group's last joined row: (anchor, newest pane row[, latest
-    // matching threshold]) — the binding bare fields resolve against.
-    let pane_last = group.last.clone();
-    match entry {
-        Some(en) => stmt.emit_shared_group(&[a.clone(), pane_last, en.last.clone()], &agg_values),
-        None => stmt.emit_shared_group(&[a.clone(), pane_last], &agg_values),
+    // matching threshold]), or the newest pane row alone for a single
+    // source — the binding bare fields resolve against.
+    let last = group.last;
+    match (shape.pane, entry) {
+        (0, _) => stmt.emit_shared_group(std::slice::from_ref(last), &agg_values),
+        (_, Some(en)) => {
+            stmt.emit_shared_group(&[a.clone(), last.clone(), en.last.clone()], &agg_values)
+        }
+        (_, None) => stmt.emit_shared_group(&[a.clone(), last.clone()], &agg_values),
     }
 }
 
@@ -476,14 +499,15 @@ pub struct SharingReport {
     pub shared_windows: usize,
     /// Window slots referenced by exactly one statement source.
     pub private_windows: usize,
-    /// Statements served from a pane bank (a cluster of any size, one
-    /// included).
+    /// Anchored statements served from a pane bank (a cluster of any size,
+    /// one included).
     pub shared_statements: usize,
     /// The clusters of the chosen plan.
     pub clusters: Vec<ClusterInfo>,
     /// Evaluations actually served from a pane bank (a cluster of any
     /// size, one included).
     pub realized_shared_evals: u64,
-    /// Evaluations served by the other paths (incremental, anchor, rescan).
+    /// Evaluations served otherwise: a single-source aggregate from its
+    /// own panes, the anchor fast path, or the rescan.
     pub realized_private_evals: u64,
 }

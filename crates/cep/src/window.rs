@@ -39,13 +39,13 @@ pub struct InsertOutcome {
 
 /// The change one mutation made to a window's *visible* contents.
 ///
-/// Incremental statement evaluation consumes these instead of rescanning
-/// the window: an arrival into a sliding window yields one `inserted`
-/// event plus whatever it pushed out; a batch release yields the whole
-/// outgoing batch as `evicted` and the released batch as `inserted`; an
-/// accumulating batch window yields an empty delta (its visible contents
-/// did not change). Reused as a scratch buffer — callers `clear()` between
-/// mutations.
+/// A pane folds these into its running aggregates, and a threshold index
+/// reads the `inserted` side: an arrival into a sliding window yields one
+/// `inserted` event plus whatever it pushed out; a batch release yields the
+/// whole outgoing batch as `evicted` and the released batch as `inserted`;
+/// an accumulating batch window yields an empty delta (its visible
+/// contents did not change). Reused as a scratch buffer — callers `clear()`
+/// between mutations.
 #[derive(Debug, Clone, Default)]
 pub struct WindowDelta {
     /// Events that entered the visible window, in insertion order.
@@ -90,8 +90,8 @@ struct Pane {
 
 impl Pane {
     /// Folds one mutation of this pane into its accumulators: evictions
-    /// first, then insertions — mirroring
-    /// [`crate::plan::CompiledStatement::apply_delta`]. `rows` is the
+    /// first, then insertions (a batch release replaces the old batch; a
+    /// sliding window evicts before the arrival is visible). `rows` is the
     /// pane's occupancy before the mutation.
     ///
     /// Subtract-on-evict leaves rounding residue in `sum`/`sum_sq` on
@@ -161,8 +161,8 @@ impl Pane {
     }
 }
 
-/// One non-empty `groupwin` pane as the shared-join path reads it: one
-/// lookup answers how many rows, which is newest, and what they add up to.
+/// One non-empty pane as a pane-served statement reads it: one lookup
+/// answers how many rows, which is newest, and what they add up to.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupView<'a> {
     /// Retained rows (at least one).
@@ -183,8 +183,7 @@ pub struct SourceWindow {
     ungrouped: Pane,
     grouped: HashMap<JoinKey, Pane>,
     /// Group keys in first-seen order, so [`SourceWindow::iter`] walks
-    /// panes deterministically (the rescan and incremental evaluation
-    /// paths must emit identical row sequences).
+    /// panes deterministically (a rescan emits the same rows every run).
     pane_order: Vec<JoinKey>,
     /// Fields every pane keeps running aggregates over — the union of
     /// what the statements served from this window aggregate. Append-only
@@ -376,8 +375,8 @@ impl SourceWindow {
 
     /// Iterates all retained events: the ungrouped pane first, then each
     /// `groupwin` pane in first-seen key order (insertion order within a
-    /// pane). The order is deterministic so rescan evaluation matches the
-    /// incremental path row-for-row.
+    /// pane) — the order a rescan sums in, which is also the order a pane
+    /// recomputes its aggregates in.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         self.ungrouped.events.iter().chain(
             self.pane_order
@@ -404,8 +403,8 @@ impl SourceWindow {
     /// batch-pending alike — returning how many were removed. Emptied
     /// `groupwin` panes are dropped entirely. Any removal bumps the
     /// version, invalidating cached indexes over this window. This is the
-    /// destructive half of a partition migration; the engine rebuilds
-    /// bank/index/incremental state afterwards.
+    /// destructive half of a partition migration; the engine replans its
+    /// statements afterwards.
     pub fn remove_matching(&mut self, pred: impl Fn(&Event) -> bool) -> usize {
         let mut removed = 0usize;
         let len = &mut self.len;
@@ -451,11 +450,15 @@ impl SourceWindow {
         self.grouped.get(key).into_iter().flat_map(|p| p.events.iter())
     }
 
-    /// One `groupwin` pane's occupancy, newest event and running
-    /// aggregates; `None` for an unseen or emptied key. O(1) — the
-    /// shared-join path reads this instead of scanning.
-    pub fn group(&self, key: &JoinKey) -> Option<GroupView<'_>> {
-        let pane = self.grouped.get(key)?;
+    /// One pane's occupancy, newest event and running aggregates: the
+    /// `groupwin` pane of `key`, or the ungrouped pane for `None`; `None`
+    /// for an unseen or empty pane. O(1) — a pane-served statement reads
+    /// this instead of scanning.
+    pub fn group(&self, key: Option<&JoinKey>) -> Option<GroupView<'_>> {
+        let pane = match key {
+            Some(key) => self.grouped.get(key)?,
+            None => &self.ungrouped,
+        };
         let last = pane.events.back()?;
         Some(GroupView { rows: pane.events.len() as u64, last, accs: &pane.accs })
     }
@@ -759,7 +762,7 @@ mod tests {
         // The emptied pane is gone: re-removal finds nothing.
         assert_eq!(w.remove_matching(is_r1), 0);
         let k1 = FieldValue::from("R1").join_key();
-        assert!(w.group(&k1).is_none());
+        assert!(w.group(Some(&k1)).is_none());
     }
 
     #[test]
@@ -789,19 +792,19 @@ mod tests {
         let k1 = FieldValue::from("R1").join_key();
         let k2 = FieldValue::from("R2").join_key();
         let sum = |w: &SourceWindow, k: &JoinKey| {
-            let g = w.group(k).unwrap();
+            let g = w.group(Some(k)).unwrap();
             assert_eq!(g.rows, g.accs[0].count());
             (g.rows, g.accs[0].finish(crate::ast::AggFunc::Sum).unwrap())
         };
         assert_eq!(sum(&w, &k1), (1, 7.0));
-        assert!(w.group(&k2).is_none());
+        assert!(w.group(Some(&k2)).is_none());
         for (i, d) in [1.0, 2.0, 4.0, 8.0].into_iter().enumerate() {
             w.insert(&ev(&t, 1 + i as u64, "R1", d)).unwrap();
             w.insert(&ev(&t, 1 + i as u64, "R2", 10.0 * d)).unwrap();
         }
         assert_eq!(sum(&w, &k1), (3, 14.0), "7 and 1 slid out of R1's pane");
         assert_eq!(sum(&w, &k2), (3, 140.0));
-        assert_eq!(w.group(&k1).unwrap().last.value_at(1), Some(&FieldValue::Float(8.0)));
+        assert_eq!(w.group(Some(&k1)).unwrap().last.value_at(1), Some(&FieldValue::Float(8.0)));
         // A caller-supplied key reaches the same pane.
         let mut d = WindowDelta::new();
         w.insert_keyed(&ev(&t, 9, "R2", 1.0), Some(&k2), &mut d).unwrap();
@@ -812,7 +815,7 @@ mod tests {
         assert_eq!(sum(&w, &k2), (2, 120.0));
         w.untrack();
         assert!(w.tracked_fields().is_empty());
-        assert!(w.group(&k2).unwrap().accs.is_empty());
+        assert!(w.group(Some(&k2)).unwrap().accs.is_empty());
     }
 
     #[test]
@@ -824,11 +827,11 @@ mod tests {
         w.insert(&ev(&t, 10, "R1", 0.2)).unwrap();
         let k1 = FieldValue::from("R1").join_key();
         w.advance_time(5000);
-        assert!(w.group(&k1).is_none(), "an emptied pane is no group");
+        assert!(w.group(Some(&k1)).is_none(), "an emptied pane is no group");
         assert_eq!(w.group_count(), 0);
         // The next arrival sees none of the evicted samples' rounding.
         w.insert(&ev(&t, 6000, "R1", 0.3)).unwrap();
-        let g = w.group(&k1).unwrap();
+        let g = w.group(Some(&k1)).unwrap();
         assert_eq!(g.accs[0].raw_parts(), (1, 0.3, 0.3 * 0.3, 0.3, 0.3));
     }
 

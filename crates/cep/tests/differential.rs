@@ -1,11 +1,14 @@
-//! Differential property test: the incremental evaluation path (delta-
-//! maintained aggregates + anchor fast path) must emit byte-identical
-//! `OutputRow` sequences to the full-window rescan path, for random event
-//! streams over random window specs — including empty-window starts,
-//! filtered-out events, and all-evicted time windows.
+//! Differential property tests against the full-window rescan, the
+//! reference semantics. Every other path must emit byte-identical
+//! `OutputRow` sequences: a single-source aggregate served from its
+//! window's panes, the anchor fast path, and the Listing-1 family served
+//! from shared pane banks and threshold indexes — for random event streams
+//! over random window specs, including empty-window starts, filtered-out
+//! events, and all-evicted time windows.
 //!
 //! Delays are integer-valued so sum/sum_sq arithmetic is exact in f64 and
-//! subtract-on-evict matches recompute-from-scratch bit-for-bit.
+//! subtract-on-evict matches recompute-from-scratch bit-for-bit. The drift
+//! tests at the end bound the difference on non-integer samples.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -62,10 +65,13 @@ fn capture() -> (Arc<Mutex<Vec<OutputRow>>>, Listener) {
     (sink, listener)
 }
 
-/// Builds one engine with the three statement shapes over `view`:
-/// grouped aggregation with min/max (exercises lazy extrema repair),
-/// ungrouped sum/stddev (exercises empty-aggregate skips), and a
-/// non-aggregated filter (exercises the anchor fast path).
+/// Builds one engine with four statement shapes over `view`: filtered
+/// grouped aggregation with min/max (always a rescan), ungrouped
+/// sum/stddev (exercises empty-aggregate skips; pane-served over an
+/// ungrouped sliding window), a non-aggregated filter (exercises the
+/// anchor fast path), and unfiltered aggregation grouped by location
+/// (pane-served over `std:groupwin(location)`, where evicted extrema are
+/// recomputed from the pane).
 fn build(view: &str, incremental: bool) -> (Engine, Vec<Arc<Mutex<Vec<OutputRow>>>>) {
     let mut e = Engine::new();
     e.register_type(bus_type()).unwrap();
@@ -79,6 +85,10 @@ fn build(view: &str, incremental: bool) -> (Engine, Vec<Arc<Mutex<Vec<OutputRow>
         ),
         format!("SELECT sum(w.delay) AS s, stddev(w.delay) AS sd FROM bus.{view} AS w"),
         format!("SELECT vehicle, delay FROM bus.{view} WHERE delay > 6"),
+        format!(
+            "SELECT w.location AS loc, avg(w.delay) AS m, min(w.delay) AS lo, \
+             max(w.delay) AS hi, count(*) AS n FROM bus.{view} AS w GROUP BY w.location"
+        ),
     ];
     let mut sinks = Vec::new();
     for epl in &statements {
@@ -446,7 +456,7 @@ fn empty_stream_produces_nothing_on_both_paths() {
 #[test]
 fn all_evicted_time_window_matches() {
     // Fill a time window, drain it entirely via advance_time, refill: the
-    // incremental state must come back from empty exactly like a rescan.
+    // pane aggregates must come back from empty exactly like a rescan.
     let steps = [
         Step::Event { loc: 0, delay: 5, dt_ms: 10 },
         Step::Event { loc: 1, delay: 9, dt_ms: 10 },
@@ -460,7 +470,7 @@ fn all_evicted_time_window_matches() {
 #[test]
 fn extremum_eviction_repairs_min_max() {
     // The max (11) slides out of a length-3 window while smaller values
-    // survive — the incremental path must lazily rebuild the extremum.
+    // survive — a pane-served aggregate must recompute the extremum.
     let steps = [
         Step::Event { loc: 0, delay: 11, dt_ms: 1 },
         Step::Event { loc: 0, delay: 2, dt_ms: 1 },
@@ -468,25 +478,40 @@ fn extremum_eviction_repairs_min_max() {
         Step::Event { loc: 0, delay: 3, dt_ms: 1 }, // evicts 11
         Step::Event { loc: 0, delay: 4, dt_ms: 1 }, // evicts 2 (the min)
     ];
-    run_script("win:length(3)", &steps);
+    for view in ["win:length(3)", "std:groupwin(location).win:length(3)"] {
+        run_script(view, &steps);
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Drift bound: bank-served ≈ rescan on non-integer samples
+// Drift bound: pane-served ≈ rescan on non-integer samples
 // ---------------------------------------------------------------------------
 
-/// A bank-served and a rescan engine holding one three-source rule over
-/// `win:length(len)` without HAVING, and one matching threshold row (join
-/// multiplicity 1 — the same bank arithmetic as the two-source forms).
-fn drift_engines(len: usize) -> [(Engine, Arc<Mutex<Vec<OutputRow>>>); 2] {
-    let epl = format!(
+/// One three-source rule over `win:length(len)` without HAVING; the one
+/// threshold row [`drift_engines`] sends matches (join multiplicity 1 —
+/// the same bank arithmetic as the two-source forms).
+fn listing1_drift_epl(len: usize) -> String {
+    format!(
         "SELECT sum(bd2.delay) AS s, avg(bd2.delay) AS m, stddev(bd2.delay) AS sd \
          FROM bus.std:lastevent() AS bd, \
               bus.std:groupwin(location).win:length({len}) AS bd2, \
               thresholdLocation.win:keepall() AS thresholds \
          WHERE bd.location = thresholds.location AND bd.location = bd2.location \
          GROUP BY bd2.location"
-    );
+    )
+}
+
+/// The same aggregates as a single-source statement over the pane itself.
+fn single_drift_epl(len: usize) -> String {
+    format!(
+        "SELECT sum(w.delay) AS s, avg(w.delay) AS m, stddev(w.delay) AS sd \
+         FROM bus.std:groupwin(location).win:length({len}) AS w GROUP BY w.location"
+    )
+}
+
+/// A pane-served and a rescan engine holding `epl`, and one threshold row
+/// for R1.
+fn drift_engines(epl: &str) -> [(Engine, Arc<Mutex<Vec<OutputRow>>>); 2] {
     [true, false].map(|banked| {
         let mut eng = Engine::new();
         eng.register_type(join_bus_type()).unwrap();
@@ -494,7 +519,7 @@ fn drift_engines(len: usize) -> [(Engine, Arc<Mutex<Vec<OutputRow>>>); 2] {
         eng.set_sharing_enabled(banked).unwrap();
         eng.set_incremental_enabled(banked).unwrap();
         let (sink, l) = capture();
-        eng.create_statement(&epl, l).unwrap();
+        eng.create_statement(epl, l).unwrap();
         let threshold = eng
             .make_event(
                 "thresholdLocation",
@@ -536,8 +561,10 @@ fn float_column(row: &OutputRow, col: &str) -> f64 {
     }
 }
 
-/// Feeds one group's non-integer delays through both engines and checks
-/// every fired row against the bound below.
+/// Feeds one group's non-integer delays through a pane-served and a
+/// rescan engine holding `epl` (an aggregate over
+/// `std:groupwin(location).win:length(len)`), and checks every fired row
+/// against the bound below.
 ///
 /// Let ε = `f64::EPSILON`, L the pane length and M the largest |sample|
 /// among the group's last 2L arrivals. The bank recomputes a group from
@@ -558,8 +585,8 @@ fn float_column(row: &OutputRow, col: &str) -> f64 {
 /// Without a recompute the residue of a sample that left the pane long
 /// ago stays in `sum`/`sum_sq` until the group empties, and the bound
 /// (which only knows the last 2L samples) fails after the first spike.
-fn run_drift_script(len: usize, samples: &[f64]) {
-    let [(mut banked, got), (mut rescan, want)] = drift_engines(len);
+fn run_drift_script(epl: &str, len: usize, samples: &[f64]) {
+    let [(mut banked, got), (mut rescan, want)] = drift_engines(epl);
     let e = 4.0 * (len * len) as f64 * f64::EPSILON;
     for (i, &delay) in samples.iter().enumerate() {
         send_delay(&mut banked, i as u64, delay);
@@ -579,6 +606,12 @@ fn run_drift_script(len: usize, samples: &[f64]) {
     }
 }
 
+/// Non-representable fractions in [0, 127); one sample in twelve is a
+/// spike nine orders of magnitude above the rest.
+fn spiky_samples(raw: &[(u32, usize)]) -> Vec<f64> {
+    raw.iter().map(|&(x, spike)| x as f64 / 7919.0 * if spike == 0 { 1e9 } else { 1.0 }).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -587,13 +620,15 @@ proptest! {
         len in 2usize..9,
         raw in proptest::collection::vec((0u32..1_000_000, 0usize..12), 0..200),
     ) {
-        // Non-representable fractions in [0, 127); one sample in twelve is
-        // a spike nine orders of magnitude above the rest.
-        let samples: Vec<f64> = raw
-            .iter()
-            .map(|&(x, spike)| x as f64 / 7919.0 * if spike == 0 { 1e9 } else { 1.0 })
-            .collect();
-        run_drift_script(len, &samples);
+        run_drift_script(&listing1_drift_epl(len), len, &spiky_samples(&raw));
+    }
+
+    #[test]
+    fn single_source_pane_drift_stays_within_the_stated_bound(
+        len in 2usize..9,
+        raw in proptest::collection::vec((0u32..1_000_000, 0usize..12), 0..200),
+    ) {
+        run_drift_script(&single_drift_epl(len), len, &spiky_samples(&raw));
     }
 }
 
@@ -605,7 +640,7 @@ fn bank_is_exact_again_after_every_eviction_count_recompute() {
     // the bank's sums are the rescan's bit for bit — so no three
     // consecutive arrivals may all differ.
     const LEN: usize = 4;
-    let [(mut banked, got), (mut rescan, want)] = drift_engines(LEN);
+    let [(mut banked, got), (mut rescan, want)] = drift_engines(&listing1_drift_epl(LEN));
     let mut differing_run = 0;
     for i in 0..400u64 {
         let delay = (0.1 + 0.37 * i as f64) * if i % 2 == 0 { 1.0 } else { -1.0 };

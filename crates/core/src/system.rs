@@ -52,8 +52,9 @@ pub struct SystemConfig {
     pub monitor: Option<MonitorConfig>,
     /// Parallelism of the non-Esper topology components.
     pub parallelism: TopologyParallelism,
-    /// Whether the Esper engines use the incremental evaluation path
-    /// (delta-maintained aggregates); `false` forces full-window rescans.
+    /// Whether the Esper engines serve single-source pane aggregates from
+    /// their pane accumulators and filters by the anchor fast path;
+    /// `false` rescans those statements' full windows.
     pub incremental: bool,
     /// Whether the Esper engines run the sharing planner: every
     /// Listing-1-family rule is served from its pane's accumulator bank

@@ -68,9 +68,7 @@ pub use error::DspsError;
 pub use fault::{chaos_wrap, ChaosBolt, FaultConfig};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use grouping::{hash_key, Grouping, KeyHasher, StableSipHasher13};
-pub use lineage::{
-    CriticalPathReport, LineageConfig, Span, SpanKind, TraceCollector, TraceContext, TraceSummary,
-};
+pub use lineage::{CriticalPathReport, LineageConfig, Span, SpanKind, TraceCollector, TraceSummary};
 pub use metrics::{
     AtomicHistogram, ComponentWindow, LatencyHistogram, MetricsHub, MonitorConfig, ProfileSource,
     RuleProfile,

@@ -66,17 +66,6 @@ impl LineageConfig {
     }
 }
 
-/// Trace identity stamped on a sampled envelope: which tree it belongs to
-/// and which span caused this hop. This is what a future multi-process
-/// transport would serialize onto the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The tuple tree's id (the sampled root delivery id).
-    pub trace_id: u64,
-    /// The span that emitted this envelope.
-    pub parent_span: u64,
-}
-
 /// What a span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]

@@ -433,7 +433,7 @@ pub struct RuleProfile {
     /// Evaluations served from a pane bank (a cluster of any size, one
     /// included).
     pub path_shared: u64,
-    /// Evaluations served by the delta-maintained incremental path.
+    /// Evaluations of a single-source aggregate served from its own panes.
     pub path_incremental: u64,
     /// Evaluations served by the anchor fast path.
     pub path_anchor: u64,
