@@ -31,18 +31,14 @@ pub type Listener = Box<dyn FnMut(StatementId, &[OutputRow]) + Send>;
 /// One window in the engine's slot arena. Statements reference slots by
 /// index; the sharing planner points several statement sources at one
 /// slot when their window fingerprints match and their contents are
-/// identical, so each arrival is inserted (and its delta computed) once
-/// per distinct window instead of once per statement.
+/// identical, so each arrival is inserted (and its panes folded) once per
+/// distinct window instead of once per statement.
 struct WindowSlot {
     /// The sharing fingerprint (stream, spec, groupwin field).
     key: WindowKey,
     window: SourceWindow,
     /// Referencing statement sources; 0 marks a free (tombstoned) slot.
     refs: usize,
-    /// The visible-window change of the latest insert, which the slot's
-    /// threshold indexes read. When the slot serves pane-shaped
-    /// statements, the window itself keeps their per-pane aggregates.
-    delta: WindowDelta,
     /// Outcome of the latest insert into this slot.
     last_outcome: InsertOutcome,
     /// Keyed hash indexes over this window — one per distinct join-key
@@ -56,7 +52,6 @@ impl WindowSlot {
         self.refs = 0;
         self.window = SourceWindow::new(WindowSpec::LastEvent, None)
             .expect("lastevent windows are always valid");
-        self.delta = WindowDelta::new();
         self.tindexes.clear();
     }
 }
@@ -246,8 +241,9 @@ impl PartitionState {
 /// per arrival.
 struct Stream {
     ty: Arc<EventType>,
-    /// Indices into `statements` subscribed to the stream.
-    subscribers: Vec<usize>,
+    /// Indices into `statements` subscribed to the stream, each with the
+    /// FROM positions the stream feeds.
+    subscribers: Vec<(usize, Vec<usize>)>,
     /// Live slot indices fed by the stream.
     slots: Vec<usize>,
 }
@@ -261,6 +257,8 @@ pub struct Engine {
     slots: Vec<WindowSlot>,
     /// Per-arrival scratch space of [`Engine::send_event`].
     arrival: ArrivalScratch,
+    /// What an insert pushed out of a window, dropped at the next insert.
+    delta: WindowDelta,
     next_id: u64,
     stats: EngineStats,
     /// Whether single-source aggregates over their panes and the anchor
@@ -303,6 +301,7 @@ impl Engine {
             statements: Vec::new(),
             slots: Vec::new(),
             arrival: ArrivalScratch::default(),
+            delta: WindowDelta::new(),
             next_id: 0,
             stats: EngineStats::default(),
             incremental_enabled: true,
@@ -395,20 +394,7 @@ impl Engine {
                     self.slots[sid].refs += 1;
                     sid
                 }
-                None => {
-                    let window = src.make_window()?;
-                    push_slot(
-                        &mut self.slots,
-                        WindowSlot {
-                            key,
-                            window,
-                            refs: 1,
-                            delta: WindowDelta::new(),
-                            last_outcome: InsertOutcome { evaluate: false },
-                            tindexes: Vec::new(),
-                        },
-                    )
-                }
+                None => push_slot(&mut self.slots, key, src.make_window()?),
             };
             slot_ids.push(sid);
         }
@@ -480,10 +466,11 @@ impl Engine {
             stream.slots.clear();
         }
         for (i, r) in self.statements.iter().enumerate() {
-            for src in &r.compiled.sources {
+            for (pos, src) in r.compiled.sources.iter().enumerate() {
                 let stream = self.streams.get_mut(&src.stream).expect("compiled against it");
-                if stream.subscribers.last() != Some(&i) {
-                    stream.subscribers.push(i);
+                match stream.subscribers.last_mut() {
+                    Some((last, fed)) if *last == i => fed.push(pos),
+                    _ => stream.subscribers.push((i, vec![pos])),
                 }
             }
         }
@@ -587,15 +574,8 @@ impl Engine {
                 self.slots[sid].refs -= 1;
                 let mut window = self.slots[sid].window.clone();
                 window.untrack();
-                let slot = WindowSlot {
-                    key: self.slots[sid].key.clone(),
-                    window,
-                    refs: 1,
-                    delta: WindowDelta::new(),
-                    last_outcome: InsertOutcome { evaluate: false },
-                    tindexes: Vec::new(),
-                };
-                self.statements[idx].slots[pos] = push_slot(&mut self.slots, slot);
+                let key = self.slots[sid].key.clone();
+                self.statements[idx].slots[pos] = push_slot(&mut self.slots, key, window);
             }
         }
     }
@@ -748,6 +728,7 @@ impl Engine {
             statements,
             slots,
             arrival,
+            delta,
             stats,
             incremental_enabled,
             realized_shared_evals,
@@ -763,21 +744,16 @@ impl Engine {
         // Phase 1: insert into every live slot fed by this stream — once
         // per distinct window, however many statements read it. A pane
         // window folds the change into its group's aggregates in the same
-        // visit; the arrival's group key is derived once per group field,
-        // however many windows group by it. The outcome and delta stay on
-        // the slot for phase 2's consumers.
+        // visit and remembers the pane, which is the arrival's group in
+        // phase 2; the arrival's group key is derived once per group field,
+        // however many windows group by it. The outcome stays on the slot.
         for &sid in &stream.slots {
             let slot = &mut slots[sid];
             let key = slot.window.group_field().map(|field| arrival.field_key(&event, field));
-            slot.last_outcome = slot.window.insert_keyed(&event, key, &mut slot.delta)?;
+            slot.last_outcome = slot.window.insert_keyed(&event, key, delta)?;
+            // A threshold window is a keepall: the arrival is all it gains.
             for ti in &mut slot.tindexes {
-                for e in &slot.delta.inserted {
-                    ti.insert(e)?;
-                }
-                debug_assert!(
-                    slot.delta.evicted.is_empty(),
-                    "threshold keepall windows never evict"
-                );
+                ti.insert(&event)?;
             }
         }
 
@@ -789,10 +765,9 @@ impl Engine {
         let mut fed_back: Vec<Event> = Vec::new();
         {
             let slots = &*slots;
-            let stream_name = event.event_type();
             let mut memo = ArrivalMemo::new(&event, arrival);
-            for &idx in &stream.subscribers {
-                let rt = &mut statements[idx];
+            for (idx, fed) in &stream.subscribers {
+                let rt = &mut statements[*idx];
                 if let Some(p) = rt.profile.as_mut() {
                     // Counted once per arrival, however many of the
                     // statement's sources (or cluster siblings) the event
@@ -801,11 +776,8 @@ impl Engine {
                 }
                 let mut evaluate = false;
                 let mut batch_release = false;
-                for (src, &sid) in rt.compiled.sources.iter().zip(&rt.slots) {
-                    if src.stream != stream_name {
-                        continue;
-                    }
-                    let slot = &slots[sid];
+                for &pos in fed {
+                    let slot = &slots[rt.slots[pos]];
                     if slot.last_outcome.evaluate {
                         evaluate = true;
                         if matches!(
@@ -830,7 +802,7 @@ impl Engine {
                         &slots[rt.slots[0]].window,
                         &slots[rt.slots[shape.pane]].window,
                         ti,
-                        rt.compiled.sources[0].stream != stream_name,
+                        fed[0] != 0,
                         &mut memo,
                     )?;
                     (rows, if shape.pane == 0 { EvalPath::Incremental } else { EvalPath::Shared })
@@ -1029,8 +1001,11 @@ impl Engine {
     }
 }
 
-/// Adds a slot to the arena, reusing a tombstoned slot when one exists.
-fn push_slot(slots: &mut Vec<WindowSlot>, slot: WindowSlot) -> usize {
+/// Adds a slot holding `window` for one source to the arena, reusing a
+/// tombstoned slot when one exists.
+fn push_slot(slots: &mut Vec<WindowSlot>, key: WindowKey, window: SourceWindow) -> usize {
+    let last_outcome = InsertOutcome { evaluate: false };
+    let slot = WindowSlot { key, window, refs: 1, last_outcome, tindexes: Vec::new() };
     match slots.iter().position(|s| s.refs == 0) {
         Some(sid) => {
             slots[sid] = slot;

@@ -1,10 +1,11 @@
 //! Event types (schemas) and events.
 //!
 //! An [`EventType`] names a stream and fixes its fields; an [`Event`] is
-//! one tuple of that stream. Field storage is positional (`Vec<FieldValue>`
-//! indexed through the schema) and events are cheaply cloneable via `Arc`,
-//! because the Splitter bolt fans the same event to several engines and a
-//! single engine fans it to several rules.
+//! one tuple of that stream. Field storage is positional (values in schema
+//! order, inline in the shared payload for events of up to five fields) and
+//! events are cheaply cloneable via `Arc`, because the Splitter bolt fans
+//! the same event to several engines and a single engine fans it to
+//! several rules.
 
 use crate::error::CepError;
 use std::collections::HashMap;
@@ -194,12 +195,51 @@ impl EventType {
     }
 }
 
+/// Widest event whose values live inline in its shared payload. The rule
+/// engine's streams fit (an attribute stream has five fields, a threshold
+/// stream four), so each of their events is one allocation; a wider event
+/// keeps its values in a vector of their own.
+const INLINE_FIELDS: usize = 5;
+
+/// The field values of one event.
+enum Fields {
+    /// The first `len` slots are the values; the rest hold filler.
+    Inline { len: u8, slots: [FieldValue; INLINE_FIELDS] },
+    Heap(Vec<FieldValue>),
+}
+
+impl Fields {
+    /// Inline storage for at most [`INLINE_FIELDS`] values.
+    fn inline(values: impl ExactSizeIterator<Item = FieldValue>) -> Fields {
+        debug_assert!(values.len() <= INLINE_FIELDS);
+        let len = values.len() as u8;
+        let mut slots = [const { FieldValue::Bool(false) }; INLINE_FIELDS];
+        for (slot, v) in slots.iter_mut().zip(values) {
+            *slot = v;
+        }
+        Fields::Inline { len, slots }
+    }
+
+    fn as_slice(&self) -> &[FieldValue] {
+        match self {
+            Fields::Inline { len, slots } => &slots[..usize::from(*len)],
+            Fields::Heap(values) => values,
+        }
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Shared payload of an event.
 #[derive(Debug)]
 struct EventInner {
     event_type: Arc<str>,
     timestamp_ms: u64,
-    values: Vec<FieldValue>,
+    values: Fields,
 }
 
 /// One tuple of a stream. Cloning is an `Arc` bump.
@@ -215,37 +255,39 @@ impl Event {
         timestamp_ms: u64,
         values: Vec<FieldValue>,
     ) -> Result<Self, CepError> {
-        if values.len() != event_type.fields.len() {
-            return Err(CepError::EventMismatch {
-                event_type: event_type.name.to_string(),
-                reason: format!(
-                    "expected {} values, got {}",
-                    event_type.fields.len(),
-                    values.len()
-                ),
-            });
-        }
-        for (v, (fname, ftype)) in values.iter().zip(&event_type.fields) {
-            let ok = match (v.field_type(), ftype) {
-                (a, b) if a == *b => true,
-                // Integers widen into float fields.
-                (FieldType::Int, FieldType::Float) => true,
-                _ => false,
-            };
-            if !ok {
-                return Err(CepError::EventMismatch {
-                    event_type: event_type.name.to_string(),
-                    reason: format!("value {v:?} does not fit field {fname} ({ftype:?})"),
-                });
-            }
-        }
-        Ok(Event {
+        check(event_type, &values)?;
+        let values = if values.len() > INLINE_FIELDS {
+            Fields::Heap(values)
+        } else {
+            Fields::inline(values.into_iter())
+        };
+        Ok(Event::wrap(event_type, timestamp_ms, values))
+    }
+
+    /// [`Event::new`] from an array: one allocation for an event of at
+    /// most five fields, where `new` also frees the caller's vector.
+    pub fn from_array<const N: usize>(
+        event_type: &EventType,
+        timestamp_ms: u64,
+        values: [FieldValue; N],
+    ) -> Result<Self, CepError> {
+        check(event_type, &values)?;
+        let values = if N > INLINE_FIELDS {
+            Fields::Heap(Vec::from(values))
+        } else {
+            Fields::inline(values.into_iter())
+        };
+        Ok(Event::wrap(event_type, timestamp_ms, values))
+    }
+
+    fn wrap(event_type: &EventType, timestamp_ms: u64, values: Fields) -> Event {
+        Event {
             inner: Arc::new(EventInner {
                 event_type: event_type.name.clone(),
                 timestamp_ms,
                 values,
             }),
-        })
+        }
     }
 
     /// Builds an event from `(field, value)` pairs in any order.
@@ -287,12 +329,12 @@ impl Event {
 
     /// Positional field access.
     pub fn value_at(&self, idx: usize) -> Option<&FieldValue> {
-        self.inner.values.get(idx)
+        self.values().get(idx)
     }
 
     /// All field values in schema order.
     pub fn values(&self) -> &[FieldValue] {
-        &self.inner.values
+        self.inner.values.as_slice()
     }
 
     /// Whether `self` and `other` are clones of the same event instance
@@ -302,6 +344,32 @@ impl Event {
     pub fn same_instance(&self, other: &Event) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
+}
+
+/// Validates an event's values against its type: one value per field,
+/// each of the field's type (integers widen into float fields).
+fn check(event_type: &EventType, values: &[FieldValue]) -> Result<(), CepError> {
+    if values.len() != event_type.fields.len() {
+        return Err(CepError::EventMismatch {
+            event_type: event_type.name.to_string(),
+            reason: format!("expected {} values, got {}", event_type.fields.len(), values.len()),
+        });
+    }
+    for (v, (fname, ftype)) in values.iter().zip(&event_type.fields) {
+        let ok = match (v.field_type(), ftype) {
+            (a, b) if a == *b => true,
+            // Integers widen into float fields.
+            (FieldType::Int, FieldType::Float) => true,
+            _ => false,
+        };
+        if !ok {
+            return Err(CepError::EventMismatch {
+                event_type: event_type.name.to_string(),
+                reason: format!("value {v:?} does not fit field {fname} ({ftype:?})"),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -348,6 +416,38 @@ mod tests {
             vec!["x".into(), 2.5.into(), "R1".into(), false.into()]
         )
         .is_err());
+    }
+
+    #[test]
+    fn an_event_from_an_array_is_the_event_from_its_vector() {
+        let ty = bus_type();
+        let same = |a: &Event, b: &Event| {
+            (a.event_type(), a.timestamp_ms(), a.values())
+                == (b.event_type(), b.timestamp_ms(), b.values())
+        };
+        let values = [1i64.into(), 3i64.into(), "R1".into(), false.into()];
+        let from_array = Event::from_array(&ty, 9, values.clone()).unwrap();
+        assert!(same(&from_array, &Event::new(&ty, 9, values.to_vec()).unwrap()));
+        assert_eq!(from_array.value_at(4), None, "the unused inline slot is no field");
+        // Both validation errors, word for word.
+        let short = [1i64.into()];
+        assert_eq!(
+            Event::from_array(&ty, 0, short.clone()).unwrap_err(),
+            Event::new(&ty, 0, short.to_vec()).unwrap_err()
+        );
+        let mistyped = ["x".into(), 2.5.into(), "R1".into(), false.into()];
+        assert_eq!(
+            Event::from_array(&ty, 0, mistyped.clone()).unwrap_err(),
+            Event::new(&ty, 0, mistyped.to_vec()).unwrap_err()
+        );
+        // Wider than inline storage: the values move to the heap.
+        let wide = EventType::new("wide", (0..7).map(|i| (format!("f{i}"), FieldType::Int)).collect())
+            .unwrap();
+        let values: [FieldValue; 7] = std::array::from_fn(|i| FieldValue::Int(i as i64));
+        let from_array = Event::from_array(&wide, 1, values.clone()).unwrap();
+        assert!(same(&from_array, &Event::new(&wide, 1, values.to_vec()).unwrap()));
+        assert_eq!(from_array.value_at(6), Some(&FieldValue::Int(6)));
+        assert_eq!(from_array.value_at(7), None);
     }
 
     #[test]

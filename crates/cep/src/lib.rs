@@ -31,6 +31,8 @@
 //! (view state) → [`expr`]/[`agg`] (evaluation) → [`engine`] (the standing
 //! query runtime).
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod ast;
 pub mod engine;

@@ -897,19 +897,8 @@ impl CompiledStatement {
                     Err(e) => return Err(e),
                 }
             }
-            if skip {
+            if skip || !self.having_holds(&group.last_row, &agg_values)? {
                 continue;
-            }
-            if let Some(h) = &self.having {
-                match eval(h, &group.last_row, Some(&agg_values)) {
-                    Ok(v) => {
-                        if !v.as_bool()? {
-                            continue;
-                        }
-                    }
-                    Err(CepError::EmptyAggregate { .. }) => continue,
-                    Err(e) => return Err(e),
-                }
             }
             let keys = self.order_keys(&group.last_row, Some(&agg_values))?;
             out.push((self.project(&group.last_row, Some(&agg_values))?, keys));
@@ -929,29 +918,48 @@ impl CompiledStatement {
         Ok(true)
     }
 
-    /// Finalizes one joined group from externally maintained aggregate
-    /// values — the tail of [`evaluate`] (HAVING, ORDER BY, projection)
-    /// factored out so the engine's shared-join path, which computes
-    /// `agg_values` from a cluster's accumulator bank instead of a window
-    /// scan, emits through the identical code.
+    /// Whether one group passes HAVING (a statement without one passes
+    /// every group). `binding` is the group's last joined row; it may be
+    /// empty when [`Self::having_reads_fields`] is false.
+    pub(crate) fn having_holds(
+        &self,
+        binding: &[Event],
+        agg_values: &[f64],
+    ) -> Result<bool, CepError> {
+        let Some(h) = &self.having else { return Ok(true) };
+        match eval(h, binding, Some(agg_values)) {
+            Ok(v) => v.as_bool(),
+            Err(CepError::EmptyAggregate { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Whether HAVING reads a field of the joined row, not only aggregates
+    /// and constants.
+    pub(crate) fn having_reads_fields(&self) -> bool {
+        fn reads(e: &CExpr) -> bool {
+            match e {
+                CExpr::Field { .. } => true,
+                CExpr::Bin { lhs, rhs, .. } => reads(lhs) || reads(rhs),
+                CExpr::Not(inner) | CExpr::Neg(inner) => reads(inner),
+                CExpr::Const(_) | CExpr::Agg { .. } => false,
+            }
+        }
+        self.having.as_ref().is_some_and(reads)
+    }
+
+    /// Emits one group that passed HAVING, from externally maintained
+    /// aggregate values — the tail of [`evaluate`] (ORDER BY, projection)
+    /// factored out so the engine's pane-served path, which computes
+    /// `agg_values` from pane accumulators instead of a window scan, emits
+    /// through the identical code.
     ///
     /// [`evaluate`]: CompiledStatement::evaluate
-    pub fn emit_shared_group(
+    pub(crate) fn emit_group(
         &self,
         binding: &[Event],
         agg_values: &[f64],
     ) -> Result<Vec<OutputRow>, CepError> {
-        if let Some(h) = &self.having {
-            match eval(h, binding, Some(agg_values)) {
-                Ok(v) => {
-                    if !v.as_bool()? {
-                        return Ok(Vec::new());
-                    }
-                }
-                Err(CepError::EmptyAggregate { .. }) => return Ok(Vec::new()),
-                Err(e) => return Err(e),
-            }
-        }
         let keys = self.order_keys(binding, Some(agg_values))?;
         Ok(self.sorted(vec![(self.project(binding, Some(agg_values))?, keys)]))
     }

@@ -98,6 +98,12 @@ pub struct SharedJoinShape {
     pub pane_agg_fields: Vec<usize>,
     /// The threshold side of a three-source statement.
     pub threshold: Option<ThresholdJoin>,
+    /// Whether `group_key_field` is the pane's `groupwin` field, so that
+    /// the arrival's group is the pane it just entered.
+    pub own_pane: bool,
+    /// Whether HAVING reads a field, so the group's binding is built
+    /// before it runs; otherwise only a group that passes gets one.
+    pub having_binds: bool,
 }
 
 /// How a shared-join statement joins its threshold stream (source 2).
@@ -217,7 +223,14 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
             fields.push(f);
         }
     }
-    Some(SharedJoinShape { pane: pane_at, group_key_field, pane_agg_fields, threshold })
+    Some(SharedJoinShape {
+        pane: pane_at,
+        own_pane: group_key_field == pane.group_field,
+        group_key_field,
+        pane_agg_fields,
+        threshold,
+        having_binds: stmt.having_reads_fields(),
+    })
 }
 
 /// One keyed entry of a [`ThresholdIndex`].
@@ -338,6 +351,8 @@ pub struct ArrivalScratch {
     field_keys: Vec<(usize, JoinKey)>,
     /// The latest threshold probe key.
     probe_key: Vec<JoinKey>,
+    /// The aggregate values of the statement being evaluated.
+    agg_values: Vec<f64>,
 }
 
 impl ArrivalScratch {
@@ -361,35 +376,46 @@ impl ArrivalScratch {
     }
 }
 
+/// Threshold indexes whose probe an [`ArrivalMemo`] remembers. An arrival
+/// on an attribute stream probes one index per threshold key shape, and
+/// the rule engine's statements share one shape.
+const MEMO_PROBES: usize = 4;
+
 /// What one arrival has already been asked while its subscribers are
-/// evaluated: its group key per field, and what each threshold index
-/// holds for it.
+/// evaluated: its group key per field (in the engine's [`ArrivalScratch`])
+/// and what each threshold index holds for it, in a fixed array on the
+/// stack: filling the memo allocates nothing. An arrival probing more
+/// indexes than it holds probes the rest once per statement.
 pub struct ArrivalMemo<'s, 'e> {
     event: &'e Event,
     scratch: &'e mut ArrivalScratch,
-    probes: Vec<(&'s ThresholdIndex, Option<&'s ThresholdEntry>)>,
+    probes: [Option<(&'s ThresholdIndex, Option<&'s ThresholdEntry>)>; MEMO_PROBES],
 }
 
 impl<'s, 'e> ArrivalMemo<'s, 'e> {
     /// A memo for `event`; `scratch` must hold nothing of another event.
     pub fn new(event: &'e Event, scratch: &'e mut ArrivalScratch) -> Self {
-        ArrivalMemo { event, scratch, probes: Vec::new() }
+        ArrivalMemo { event, scratch, probes: [None; MEMO_PROBES] }
     }
 
     /// What `index` holds for the arrival as anchor: probed once.
     fn probe(&mut self, index: &'s ThresholdIndex) -> Option<&'s ThresholdEntry> {
-        if let Some((_, found)) = self.probes.iter().find(|(i, _)| std::ptr::eq(*i, index)) {
+        let memo = self.probes.iter().flatten().find(|(i, _)| std::ptr::eq(*i, index));
+        if let Some((_, found)) = memo {
             return *found;
         }
         let found = index.probe(self.event, &mut self.scratch.probe_key);
-        self.probes.push((index, found));
+        if let Some(free) = self.probes.iter_mut().find(|p| p.is_none()) {
+            *free = Some((index, found));
+        }
         found
     }
 }
 
-/// Evaluates one pane-shaped statement for one arrival in O(1): a pane
-/// lookup, an index probe (three-source statements only) and the
-/// statement's HAVING/projection fan-out. Byte-identical to
+/// Evaluates one pane-shaped statement for one arrival in O(1): the pane
+/// the arrival entered (or a lookup), an index probe (three-source
+/// statements only), the aggregates and HAVING; the binding and the output
+/// row are built for a group that fires. Byte-identical to
 /// [`CompiledStatement::evaluate`] for eligible statements under
 /// integer-valued samples. `pane` is the window of source `shape.pane`;
 /// `tindex` is `Some` exactly when the shape has a threshold side;
@@ -430,8 +456,12 @@ pub fn evaluate_shared_join<'s>(
         if !stmt.passes_first_filter(a)? {
             return Ok(Vec::new());
         }
-        let gkey = shape.group_key_field.map(|f| memo.scratch.field_key(a, f));
-        let Some(group) = pane.group(gkey) else { return Ok(Vec::new()) };
+        let group = if shape.own_pane {
+            pane.entered()
+        } else {
+            pane.group(shape.group_key_field.map(|f| memo.scratch.field_key(a, f)))
+        };
+        let Some(group) = group else { return Ok(Vec::new()) };
         let entry = match tindex {
             Some(index) => match memo.probe(index) {
                 Some(entry) => Some(entry),
@@ -443,7 +473,8 @@ pub fn evaluate_shared_join<'s>(
     };
     // Join multiplicity of each pane row, and of each threshold row.
     let (n, m) = (group.rows, entry.map_or(1, |en| en.rows));
-    let mut agg_values = Vec::with_capacity(stmt.agg_calls.len());
+    let agg_values = &mut memo.scratch.agg_values;
+    agg_values.clear();
     for (src, call) in aggs.iter().zip(&stmt.agg_calls) {
         let v = match (src, entry) {
             (AggSrc::CountStar, _) => Ok((n * m) as f64),
@@ -459,16 +490,23 @@ pub fn evaluate_shared_join<'s>(
             Err(e) => return Err(e),
         }
     }
+    if !shape.having_binds && !stmt.having_holds(&[], agg_values)? {
+        return Ok(Vec::new());
+    }
     // The group's last joined row: (anchor, newest pane row[, latest
     // matching threshold]), or the newest pane row alone for a single
     // source — the binding bare fields resolve against.
+    let emit = |binding: &[Event]| {
+        if shape.having_binds && !stmt.having_holds(binding, agg_values)? {
+            return Ok(Vec::new());
+        }
+        stmt.emit_group(binding, agg_values)
+    };
     let last = group.last;
     match (shape.pane, entry) {
-        (0, _) => stmt.emit_shared_group(std::slice::from_ref(last), &agg_values),
-        (_, Some(en)) => {
-            stmt.emit_shared_group(&[a.clone(), last.clone(), en.last.clone()], &agg_values)
-        }
-        (_, None) => stmt.emit_shared_group(&[a.clone(), last.clone()], &agg_values),
+        (0, _) => emit(std::slice::from_ref(last)),
+        (_, Some(en)) => emit(&[a.clone(), last.clone(), en.last.clone()]),
+        (_, None) => emit(&[a.clone(), last.clone()]),
     }
 }
 

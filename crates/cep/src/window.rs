@@ -37,18 +37,20 @@ pub struct InsertOutcome {
     pub evaluate: bool,
 }
 
-/// The change one mutation made to a window's *visible* contents.
+/// The change one mutation made to a window's *visible* contents, beyond
+/// the arrival itself.
 ///
-/// A pane folds these into its running aggregates, and a threshold index
-/// reads the `inserted` side: an arrival into a sliding window yields one
-/// `inserted` event plus whatever it pushed out; a batch release yields the
-/// whole outgoing batch as `evicted` and the released batch as `inserted`;
-/// an accumulating batch window yields an empty delta (its visible
-/// contents did not change). Reused as a scratch buffer — callers `clear()`
-/// between mutations.
+/// An arrival into a sliding window (lastevent, length, time, keepall) is
+/// the one event that enters: `inserted` stays empty and `evicted` holds
+/// whatever it pushed out. A batch release yields the released batch as
+/// `inserted` and the outgoing batch as `evicted`; an accumulating batch
+/// window yields an empty delta (its visible contents did not change). A
+/// pane folds the arrival, or the released batch, into its running
+/// aggregates in the same visit. Reused as a scratch buffer — callers
+/// `clear()` between mutations.
 #[derive(Debug, Clone, Default)]
 pub struct WindowDelta {
-    /// Events that entered the visible window, in insertion order.
+    /// A batch release's events, in insertion order.
     pub inserted: Vec<Event>,
     /// Events that left the visible window, in eviction order.
     pub evicted: Vec<Event>,
@@ -89,6 +91,12 @@ struct Pane {
 }
 
 impl Pane {
+    /// The pane as a pane-served statement reads it; `None` while empty.
+    fn view(&self) -> Option<GroupView<'_>> {
+        let last = self.events.back()?;
+        Some(GroupView { rows: self.events.len() as u64, last, accs: &self.accs })
+    }
+
     /// Folds one mutation of this pane into its accumulators: evictions
     /// first, then insertions (a batch release replaces the old batch; a
     /// sliding window evicts before the arrival is visible). `rows` is the
@@ -181,10 +189,13 @@ pub struct SourceWindow {
     /// type, if grouped.
     group_field: Option<usize>,
     ungrouped: Pane,
-    grouped: HashMap<JoinKey, Pane>,
-    /// Group keys in first-seen order, so [`SourceWindow::iter`] walks
-    /// panes deterministically (a rescan emits the same rows every run).
-    pane_order: Vec<JoinKey>,
+    /// `groupwin` panes in first-seen key order, so [`SourceWindow::iter`]
+    /// walks them deterministically (a rescan emits the same rows every
+    /// run), and their positions by key.
+    panes: Vec<(JoinKey, Pane)>,
+    index: HashMap<JoinKey, usize>,
+    /// Position in `panes` of the pane the latest insert entered.
+    entered: Option<usize>,
     /// Fields every pane keeps running aggregates over — the union of
     /// what the statements served from this window aggregate. Append-only
     /// so member positions stay stable when a later install widens it.
@@ -217,8 +228,9 @@ impl SourceWindow {
             spec,
             group_field,
             ungrouped: Pane::default(),
-            grouped: HashMap::new(),
-            pane_order: Vec::new(),
+            panes: Vec::new(),
+            index: HashMap::new(),
+            entered: None,
             tracked: Vec::new(),
             len: 0,
             version: 0,
@@ -277,16 +289,21 @@ impl SourceWindow {
         delta.clear();
         self.version += 1;
         let ts = event.timestamp_ms();
-        let SourceWindow { spec, ungrouped, grouped, pane_order, tracked, len, .. } = self;
+        let SourceWindow { spec, ungrouped, panes, index, entered, tracked, len, .. } = self;
         let pane = match key {
             None => ungrouped,
-            Some(key) => match grouped.get_mut(key) {
-                Some(pane) => pane,
-                None => {
-                    pane_order.push(key.clone());
-                    grouped.entry(key.clone()).or_default()
-                }
-            },
+            Some(key) => {
+                let at = match index.get(key) {
+                    Some(&at) => at,
+                    None => {
+                        panes.push((key.clone(), Pane::default()));
+                        index.insert(key.clone(), panes.len() - 1);
+                        panes.len() - 1
+                    }
+                };
+                *entered = Some(at);
+                &mut panes[at].1
+            }
         };
         let rows = pane.events.len();
         let mut evaluate = true;
@@ -294,14 +311,12 @@ impl SourceWindow {
             WindowSpec::LastEvent => {
                 delta.evicted.extend(pane.events.drain(..));
                 pane.events.push_back(event.clone());
-                delta.inserted.push(event.clone());
             }
             WindowSpec::Length(n) => {
                 pane.events.push_back(event.clone());
                 while pane.events.len() > n {
                     delta.evicted.extend(pane.events.pop_front());
                 }
-                delta.inserted.push(event.clone());
             }
             WindowSpec::LengthBatch(n) => {
                 pane.pending.push_back(event.clone());
@@ -319,7 +334,6 @@ impl SourceWindow {
                 while pane.events.front().is_some_and(|e| e.timestamp_ms() < cutoff) {
                     delta.evicted.extend(pane.events.pop_front());
                 }
-                delta.inserted.push(event.clone());
             }
             WindowSpec::TimeBatchMs(w) => {
                 let start = *pane.batch_start.get_or_insert(ts);
@@ -336,13 +350,12 @@ impl SourceWindow {
                     evaluate = false;
                 }
             }
-            WindowSpec::KeepAll => {
-                pane.events.push_back(event.clone());
-                delta.inserted.push(event.clone());
-            }
+            WindowSpec::KeepAll => pane.events.push_back(event.clone()),
         }
-        *len = *len + delta.inserted.len() - delta.evicted.len();
-        pane.fold(tracked, &delta.evicted, &delta.inserted, rows)?;
+        let released = matches!(spec, WindowSpec::LengthBatch(_) | WindowSpec::TimeBatchMs(_));
+        let came_in = if released { &delta.inserted[..] } else { std::slice::from_ref(event) };
+        *len = *len + came_in.len() - delta.evicted.len();
+        pane.fold(tracked, &delta.evicted, came_in, rows)?;
         Ok(InsertOutcome { evaluate })
     }
 
@@ -358,14 +371,11 @@ impl SourceWindow {
         delta.clear();
         let WindowSpec::TimeMs(w) = self.spec else { return };
         let cutoff = now_ms.saturating_sub(w);
-        let SourceWindow { ungrouped, grouped, pane_order, tracked, len, .. } = self;
+        let SourceWindow { ungrouped, panes, tracked, len, .. } = self;
         // Ungrouped pane first, then keyed panes in first-seen order — the
         // same order `iter` exposes, so delta eviction order matches.
-        evict_expired(ungrouped, cutoff, tracked, delta);
-        for k in pane_order.iter() {
-            if let Some(pane) = grouped.get_mut(k) {
-                evict_expired(pane, cutoff, tracked, delta);
-            }
+        for pane in panes_mut(ungrouped, panes) {
+            evict_expired(pane, cutoff, tracked, delta);
         }
         if !delta.evicted.is_empty() {
             *len -= delta.evicted.len();
@@ -378,12 +388,12 @@ impl SourceWindow {
     /// pane) — the order a rescan sums in, which is also the order a pane
     /// recomputes its aggregates in.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.ungrouped.events.iter().chain(
-            self.pane_order
-                .iter()
-                .filter_map(|k| self.grouped.get(k))
-                .flat_map(|p| p.events.iter()),
-        )
+        self.all_panes().flat_map(|p| p.events.iter())
+    }
+
+    /// The ungrouped pane, then each `groupwin` pane in first-seen order.
+    fn all_panes(&self) -> impl Iterator<Item = &Pane> {
+        std::iter::once(&self.ungrouped).chain(self.panes.iter().map(|(_, p)| p))
     }
 
     /// Iterates *everything* the window holds: visible events plus the
@@ -394,9 +404,7 @@ impl SourceWindow {
     /// migration view: a state handoff must ship events a batch window
     /// has absorbed but not yet released.
     pub fn iter_all(&self) -> impl Iterator<Item = &Event> {
-        let panes = std::iter::once(&self.ungrouped)
-            .chain(self.pane_order.iter().filter_map(|k| self.grouped.get(k)));
-        panes.flat_map(|p| p.events.iter().chain(p.pending.iter()))
+        self.all_panes().flat_map(|p| p.events.iter().chain(p.pending.iter()))
     }
 
     /// Removes every event matching `pred` from the window — visible and
@@ -406,14 +414,12 @@ impl SourceWindow {
     /// destructive half of a partition migration; the engine replans its
     /// statements afterwards.
     pub fn remove_matching(&mut self, pred: impl Fn(&Event) -> bool) -> usize {
-        let mut removed = 0usize;
-        let len = &mut self.len;
-        let tracked = &self.tracked;
-        let mut filter_pane = |pane: &mut Pane| {
+        let (mut removed, mut visible) = (0usize, 0usize);
+        let SourceWindow { ungrouped, panes, tracked, .. } = self;
+        for pane in panes_mut(ungrouped, panes) {
             let before = pane.events.len();
             pane.events.retain(|e| !pred(e));
-            *len -= before - pane.events.len();
-            removed += before - pane.events.len();
+            visible += before - pane.events.len();
             if pane.events.len() != before {
                 pane.recompute(tracked)
                     .expect("the surviving values folded in when they arrived");
@@ -421,23 +427,15 @@ impl SourceWindow {
             let before = pane.pending.len();
             pane.pending.retain(|e| !pred(e));
             removed += before - pane.pending.len();
-        };
-        filter_pane(&mut self.ungrouped);
-        for key in &self.pane_order {
-            if let Some(pane) = self.grouped.get_mut(key) {
-                filter_pane(pane);
-            }
         }
-        self.pane_order.retain(|k| {
-            let keep = self
-                .grouped
-                .get(k)
-                .is_some_and(|p| !p.events.is_empty() || !p.pending.is_empty());
-            if !keep {
-                self.grouped.remove(k);
-            }
-            keep
-        });
+        let panes = self.panes.len();
+        self.panes.retain(|(_, p)| !p.events.is_empty() || !p.pending.is_empty());
+        if self.panes.len() != panes {
+            self.index = self.panes.iter().enumerate().map(|(i, (k, _))| (k.clone(), i)).collect();
+            self.entered = None;
+        }
+        self.len -= visible;
+        removed += visible;
         if removed > 0 {
             self.version += 1;
         }
@@ -447,7 +445,7 @@ impl SourceWindow {
     /// Fast path: retained events of one `groupwin` pane. Only valid when
     /// the window is grouped and `key` is the group key.
     pub fn iter_group(&self, key: &JoinKey) -> impl Iterator<Item = &Event> {
-        self.grouped.get(key).into_iter().flat_map(|p| p.events.iter())
+        self.index.get(key).into_iter().flat_map(|&at| self.panes[at].1.events.iter())
     }
 
     /// One pane's occupancy, newest event and running aggregates: the
@@ -455,17 +453,24 @@ impl SourceWindow {
     /// for an unseen or empty pane. O(1) — a pane-served statement reads
     /// this instead of scanning.
     pub fn group(&self, key: Option<&JoinKey>) -> Option<GroupView<'_>> {
-        let pane = match key {
-            Some(key) => self.grouped.get(key)?,
-            None => &self.ungrouped,
-        };
-        let last = pane.events.back()?;
-        Some(GroupView { rows: pane.events.len() as u64, last, accs: &pane.accs })
+        match key {
+            Some(key) => self.panes[*self.index.get(key)?].1.view(),
+            None => self.ungrouped.view(),
+        }
+    }
+
+    /// [`Self::group`] of the pane the latest insert entered — the
+    /// arrival's own pane, found without hashing its key again.
+    pub(crate) fn entered(&self) -> Option<GroupView<'_>> {
+        match self.group_field {
+            Some(_) => self.panes.get(self.entered?)?.1.view(),
+            None => self.ungrouped.view(),
+        }
     }
 
     /// Number of non-empty `groupwin` panes.
     pub fn group_count(&self) -> usize {
-        self.grouped.values().filter(|p| !p.events.is_empty()).count()
+        self.panes.iter().filter(|(_, p)| !p.events.is_empty()).count()
     }
 
     /// The group field index, if this window is grouped.
@@ -494,7 +499,7 @@ impl SourceWindow {
     /// Stops aggregating: no tracked fields, no accumulators.
     pub fn untrack(&mut self) {
         self.tracked.clear();
-        for pane in std::iter::once(&mut self.ungrouped).chain(self.grouped.values_mut()) {
+        for pane in panes_mut(&mut self.ungrouped, &mut self.panes) {
             pane.accs.clear();
             pane.evicted = 0;
         }
@@ -503,8 +508,9 @@ impl SourceWindow {
     /// Recomputes every pane's aggregates from its events (install-time
     /// widening and replans).
     pub fn recompute_aggregates(&mut self) -> Result<(), CepError> {
-        for pane in std::iter::once(&mut self.ungrouped).chain(self.grouped.values_mut()) {
-            pane.recompute(&self.tracked)?;
+        let SourceWindow { ungrouped, panes, tracked, .. } = self;
+        for pane in panes_mut(ungrouped, panes) {
+            pane.recompute(tracked)?;
         }
         Ok(())
     }
@@ -516,23 +522,24 @@ impl SourceWindow {
     /// merges them without any observable semantic change, because every
     /// future mutation applied to both would keep them identical.
     pub fn content_eq(&self, other: &SourceWindow) -> bool {
-        if self.spec != other.spec
-            || self.group_field != other.group_field
-            || self.version != other.version
-            || self.len != other.len
-            || self.pane_order != other.pane_order
-        {
-            return false;
-        }
-        if !pane_eq(&self.ungrouped, &other.ungrouped) {
-            return false;
-        }
-        self.pane_order.iter().all(|k| match (self.grouped.get(k), other.grouped.get(k)) {
-            (Some(a), Some(b)) => pane_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        })
+        self.spec == other.spec
+            && self.group_field == other.group_field
+            && self.version == other.version
+            && self.len == other.len
+            && self.panes.len() == other.panes.len()
+            && pane_eq(&self.ungrouped, &other.ungrouped)
+            && (self.panes.iter().zip(&other.panes))
+                .all(|((ka, a), (kb, b))| ka == kb && pane_eq(a, b))
     }
+}
+
+/// The ungrouped pane, then each `groupwin` pane in first-seen order; a
+/// free function, so a caller can borrow the window's other fields beside.
+fn panes_mut<'a>(
+    ungrouped: &'a mut Pane,
+    panes: &'a mut [(JoinKey, Pane)],
+) -> impl Iterator<Item = &'a mut Pane> {
+    std::iter::once(ungrouped).chain(panes.iter_mut().map(|(_, p)| p))
 }
 
 /// Instance-identity equality of two panes (events are `Arc`-backed, so
@@ -686,12 +693,11 @@ mod tests {
         let mut w = SourceWindow::new(WindowSpec::Length(2), None).unwrap();
         let mut d = WindowDelta::new();
         w.insert_with_delta(&ev(&t, 0, "R1", 0.0), &mut d).unwrap();
-        assert_eq!(dvals(&d.inserted), vec![0.0]);
-        assert!(d.evicted.is_empty());
+        assert!(d.is_empty(), "the arrival is what entered; nothing is copied out");
         w.insert_with_delta(&ev(&t, 1, "R1", 1.0), &mut d).unwrap();
         assert!(d.evicted.is_empty());
         w.insert_with_delta(&ev(&t, 2, "R1", 2.0), &mut d).unwrap();
-        assert_eq!(dvals(&d.inserted), vec![2.0]);
+        assert!(d.inserted.is_empty());
         assert_eq!(dvals(&d.evicted), vec![0.0], "window of 2 pushed out the oldest");
     }
 
@@ -704,7 +710,8 @@ mod tests {
         assert!(d.evicted.is_empty());
         w.insert_with_delta(&ev(&t, 1, "R1", 2.0), &mut d).unwrap();
         assert_eq!(dvals(&d.evicted), vec![1.0]);
-        assert_eq!(dvals(&d.inserted), vec![2.0]);
+        assert!(d.inserted.is_empty());
+        assert_eq!(delays(&w), vec![2.0]);
     }
 
     #[test]
@@ -810,6 +817,10 @@ mod tests {
         w.insert_keyed(&ev(&t, 9, "R2", 1.0), Some(&k2), &mut d).unwrap();
         assert_eq!(dvals(&d.evicted), vec![20.0]);
         assert_eq!(sum(&w, &k2), (3, 121.0));
+        // The pane an insert entered is the arrival's group, read unkeyed.
+        let entered = w.entered().unwrap();
+        assert!(std::ptr::eq(entered.last, w.group(Some(&k2)).unwrap().last));
+        assert_eq!((entered.rows, entered.last.timestamp_ms()), (3, 9));
         // Removal and untracking leave nothing behind.
         w.remove_matching(|e| e.value_at(1) == Some(&FieldValue::Float(1.0)));
         assert_eq!(sum(&w, &k2), (2, 120.0));

@@ -65,13 +65,14 @@ fn capture() -> (Arc<Mutex<Vec<OutputRow>>>, Listener) {
     (sink, listener)
 }
 
-/// Builds one engine with four statement shapes over `view`: filtered
+/// Builds one engine with five statement shapes over `view`: filtered
 /// grouped aggregation with min/max (always a rescan), ungrouped
 /// sum/stddev (exercises empty-aggregate skips; pane-served over an
 /// ungrouped sliding window), a non-aggregated filter (exercises the
-/// anchor fast path), and unfiltered aggregation grouped by location
+/// anchor fast path), unfiltered aggregation grouped by location
 /// (pane-served over `std:groupwin(location)`, where evicted extrema are
-/// recomputed from the pane).
+/// recomputed from the pane), and the same with a HAVING that reads a bare
+/// field of the group's last row (pane-served, binding built first).
 fn build(view: &str, incremental: bool) -> (Engine, Vec<Arc<Mutex<Vec<OutputRow>>>>) {
     let mut e = Engine::new();
     e.register_type(bus_type()).unwrap();
@@ -88,6 +89,10 @@ fn build(view: &str, incremental: bool) -> (Engine, Vec<Arc<Mutex<Vec<OutputRow>
         format!(
             "SELECT w.location AS loc, avg(w.delay) AS m, min(w.delay) AS lo, \
              max(w.delay) AS hi, count(*) AS n FROM bus.{view} AS w GROUP BY w.location"
+        ),
+        format!(
+            "SELECT w.location AS loc, avg(w.delay) AS m FROM bus.{view} AS w \
+             GROUP BY w.location HAVING w.delay > 6 OR avg(w.delay) > 8"
         ),
     ];
     let mut sinks = Vec::new();

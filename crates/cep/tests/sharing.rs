@@ -279,6 +279,38 @@ fn two_source_rules_cluster_on_their_pane_bank() {
 }
 
 #[test]
+fn a_pane_named_by_another_anchor_field_is_looked_up_not_the_one_entered() {
+    // The anchor's `day` names its group's pane (grouped by location): an
+    // arrival at R1 on a weekday reads the pane of location "weekday".
+    let rule = "SELECT bd2.location AS loc, avg(bd2.delay) AS m \
+         FROM bus.std:lastevent() AS bd, bus.std:groupwin(location).win:length(3) AS bd2 \
+         WHERE bd.day = bd2.location GROUP BY bd2.location HAVING avg(bd2.delay) > 4";
+    let (mut e, mut reference) = (engine(true), engine(false));
+    let mut sinks = Vec::new();
+    for eng in [&mut e, &mut reference] {
+        let (sink, l) = capture();
+        eng.create_statement(rule, l).unwrap();
+        sinks.push(sink);
+    }
+    assert_eq!(e.sharing_report().shared_statements, 1);
+    for eng in [&mut e, &mut reference] {
+        for (ts, loc, delay) in
+            [(10, "weekday", 9.0), (20, "R1", 1.0), (30, "R1", 2.0), (40, "weekday", 1.0), (50, "R1", 50.0)]
+        {
+            send_bus(eng, ts, loc, delay);
+        }
+    }
+    let rows = sinks[0].lock();
+    let got: Vec<(String, f64)> = rows
+        .iter()
+        .map(|r| (r.get("loc").unwrap().to_string(), r.get("m").unwrap().as_f64().unwrap()))
+        .collect();
+    let weekday = |m: f64| ("weekday".to_string(), m);
+    assert_eq!(got, [weekday(9.0), weekday(9.0), weekday(9.0), weekday(5.0), weekday(5.0)]);
+    assert_eq!(*rows, *sinks[1].lock(), "the rescan agrees");
+}
+
+#[test]
 fn mid_stream_toggles_preserve_outputs_exactly() {
     // Three engines over the same script: always-off, on→off at the
     // midpoint, off→on at the midpoint (exercising the split and merge

@@ -322,6 +322,11 @@ impl RuleEngine {
         self.detections.clone()
     }
 
+    /// Empties the sink into `emit`, in firing order, under one lock.
+    pub fn drain_detections(&self, emit: impl FnMut(Detection)) {
+        self.detections.lock().drain(..).for_each(emit);
+    }
+
     /// Number of statements currently standing in the engine.
     pub fn statement_count(&self) -> usize {
         self.engine.statement_count()
@@ -1025,6 +1030,7 @@ impl RuleEngine {
                 }
             }
             hits.sort_unstable_by_key(|&(rank, position, _)| (rank, position));
+            let looks_up = !hits.is_empty() && matches!(method, RetrievalMethod::JoinWithDatabase);
             for (_, _, location) in hits.drain(..) {
                 let threshold = match method {
                     RetrievalMethod::JoinWithDatabase => {
@@ -1046,10 +1052,10 @@ impl RuleEngine {
                     }
                     _ => 0.0,
                 };
-                outbox.push(Event::new(
+                outbox.push(Event::from_array(
                     &route.ty,
                     e.trace.timestamp_ms,
-                    vec![
+                    [
                         FieldValue::Str(location),
                         FieldValue::Int(i64::from(hour)),
                         FieldValue::Str(day_str.clone()),
@@ -1058,18 +1064,19 @@ impl RuleEngine {
                     ],
                 )?);
             }
+            if looks_up {
+                // This stream's lookups just refreshed its rules' view of the
+                // store; their staleness gauge restarts from here. Rules on a
+                // stream the trace did not reach keep their age.
+                let now = Instant::now();
+                for r in rules.iter_mut().filter(|r| r.spec.attribute == route.attribute) {
+                    r.thresholds_at = Some(now);
+                }
+            }
         }
         let sent = outbox.len();
         for ev in outbox.drain(..) {
             engine.send_event(ev)?;
-        }
-        if sent > 0 && matches!(method, RetrievalMethod::JoinWithDatabase) {
-            // Per-tuple lookups just refreshed every fired rule's view of
-            // the store; the staleness gauge restarts from here.
-            let now = Instant::now();
-            for r in rules.iter_mut() {
-                r.thresholds_at = Some(now);
-            }
         }
         Ok(sent)
     }
@@ -1539,6 +1546,29 @@ mod tests {
         re.install_rule(&rule(1), monitored()).unwrap();
         re.set_profiling_enabled(true);
         assert_eq!(re.rule_profiles(0)[0].threshold_age, None);
+    }
+
+    #[test]
+    fn a_lookup_restamps_only_the_rules_on_the_stream_it_served() {
+        let mut re = RuleEngine::new(RetrievalMethod::JoinWithDatabase, store_with_stats(), None);
+        let mut speed =
+            RuleSpec::new("speed-rule", Attribute::Speed, LocationSelector::QuadtreeLeaves, 1);
+        speed.s = 0.0;
+        re.install_rule(&rule(1), monitored()).unwrap();
+        re.install_rule(&speed, monitored()).unwrap();
+        for name in ["delay-rule", "speed-rule"] {
+            re.backdate_thresholds(name, Duration::from_secs(60));
+        }
+        // A trace without a speed reading looks up the delay threshold alone.
+        let mut no_speed = trace(1000, "R1", 10.0);
+        no_speed.speed_kmh = None;
+        assert_eq!(re.send_trace(&no_speed).unwrap(), 1);
+        let age = |rule: &str| {
+            let ages = re.threshold_ages();
+            ages.into_iter().find(|(name, _)| name == rule).and_then(|(_, age)| age).unwrap()
+        };
+        assert!(age("delay-rule") < Duration::from_secs(1), "the delay lookup re-stamped it");
+        assert!(age("speed-rule") >= Duration::from_secs(60), "no speed lookup: age kept");
     }
 
     #[test]

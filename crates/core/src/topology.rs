@@ -865,19 +865,16 @@ impl Bolt<TrafficMessage> for EsperBolt {
             return;
         }
         if let TrafficMessage::Enriched { trace: e, .. } = msg {
-            let sink = engine.detections();
-            let before = sink.lock().len();
             if let Err(err) = engine.send_trace(&e) {
                 // Feed errors indicate a wiring bug, not bad data.
                 if !matches!(err, crate::error::CoreError::Cep(CepError::UnknownStream(_))) {
                     panic!("esper engine rejected a trace: {err}");
                 }
             }
-            let mut sink = sink.lock();
-            for d in sink.drain(before..) {
-                emitter.emit(TrafficMessage::Detection(d));
-            }
-            drop(sink);
+            // Every tuple drains the sink, and nothing else fires into it:
+            // rules are installed and refreshed over empty windows, and a
+            // migration absorbs its history without evaluating.
+            engine.drain_detections(|d| emitter.emit(TrafficMessage::Detection(d)));
             if let Some(registry) = &self.profiles {
                 registry.publish(self.task_index, engine.rule_profiles(self.task_index));
             }

@@ -192,10 +192,14 @@ fn the_tuple_path_allocates_what_a_tuple_is_made_of_and_nothing_else() {
     assert_eq!(area_max, 1, "AreaTracker: the area chain, allocated at its length");
     assert_eq!(stop_max, 0, "BusStopsTracker: an id is a value");
     assert_eq!(split_max, 0, "Splitter, in order: nothing");
-    // Inside the engine an event is built and kept (its field vector, its
-    // shared handle, the panes' rows): 3.9 allocations each on this stream,
-    // the next allocator item on ROADMAP. One more per event breaks this.
-    assert!(in_engines <= 4 * events, "send_trace: {in_engines} allocations, {events} events");
+    // Inside the engine an event is built and kept: one allocation, its
+    // shared payload with the values inline. Panes that appear and windows
+    // still growing to their length add the rest, 1.09 per event on this
+    // stream. A second allocation per event, or per statement, breaks this.
+    assert!(
+        10 * in_engines <= 11 * events,
+        "send_trace: {in_engines} allocations, {events} events"
+    );
     // A trace at locations nobody monitors is looked up and dropped.
     let mut nowhere = tms_traffic::Preprocessor::new().enrich(history[0]);
     nowhere.areas = vec![SpatialContext::region_id(RegionId(u32::MAX)); 7];
