@@ -2,7 +2,7 @@
 //!
 //! `map(k1, v1) → [k2, v2]`, `reduce(k2, [v2]) → [k3, v3]` — as in the
 //! paper's formulation. Input records are text lines read from the
-//! [`Dfs`](crate::dfs::Dfs); each input split (one per DFS block) becomes
+//! [`Dfs`]; each input split (one per DFS block) becomes
 //! one map task; intermediate pairs are hash-partitioned into `reducers`
 //! partitions, and each partition becomes one reduce task, which sorts
 //! and groups its pairs by key itself. Map and reduce tasks run on a pool

@@ -56,7 +56,8 @@ impl WindowSlot {
     }
 }
 
-/// How a statement's evaluations are served.
+/// How a statement's evaluations are served: chosen once, when the
+/// statement is planned, from the switches the engine was set up with.
 enum Exec {
     /// A pane shape: O(1) from the accumulators of the pane the arrival's
     /// group is and (for three-source statements) the threshold index —
@@ -70,8 +71,23 @@ enum Exec {
         /// when the shape has a threshold side.
         tindex: Option<usize>,
     },
-    /// Generic: anchor fast path or full rescan, decided per arrival.
-    Generic,
+    /// A single-source statement without aggregation over a non-batch
+    /// window: the arrival alone, tested against the filters.
+    Anchor,
+    /// The full window rescan — the reference semantics.
+    Rescan,
+}
+
+impl Exec {
+    /// The profile's name for an evaluation served this way.
+    fn path(&self) -> EvalPath {
+        match self {
+            Exec::Join { shape, .. } if shape.pane == 0 => EvalPath::Incremental,
+            Exec::Join { .. } => EvalPath::Shared,
+            Exec::Anchor => EvalPath::Anchor,
+            Exec::Rescan => EvalPath::Rescan,
+        }
+    }
 }
 
 /// A registered statement with its runtime state.
@@ -263,18 +279,15 @@ pub struct Engine {
     stats: EngineStats,
     /// Whether single-source aggregates over their panes and the anchor
     /// fast path serve eligible statements instead of a window rescan.
+    /// Fixed while a statement stands.
     incremental_enabled: bool,
     /// Whether the install-time sharing planner may merge compatible
     /// windows and serve Listing-1-family statements from bank/index state.
+    /// Fixed while a statement stands.
     sharing_enabled: bool,
     /// Whether per-statement profiles are collected (off by default: the
     /// hot path then takes no timestamps and touches no extra counters).
     profiling_enabled: bool,
-    /// Evaluations actually served from a pane bank (kept even with
-    /// profiling off — feeds the sharing report's realized columns).
-    realized_shared_evals: u64,
-    /// Evaluations served by the private paths.
-    realized_private_evals: u64,
 }
 
 impl Default for Engine {
@@ -307,8 +320,6 @@ impl Engine {
             incremental_enabled: true,
             sharing_enabled: true,
             profiling_enabled: false,
-            realized_shared_evals: 0,
-            realized_private_evals: 0,
         }
     }
 
@@ -377,8 +388,7 @@ impl Engine {
         // existing fingerprint-identical slot when doing so is invisible —
         // the slot must be pristine (never written), so both statements
         // observe exactly the window history they would have privately.
-        // Non-pristine candidates stay private; a later
-        // `set_sharing_enabled(true)` replan merges content-equal windows.
+        // Non-pristine candidates stay private for the statement's life.
         let mut slot_ids = Vec::with_capacity(compiled.sources.len());
         for src in &compiled.sources {
             let key = WindowKey::of(src);
@@ -401,38 +411,53 @@ impl Engine {
         let id = StatementId(self.next_id);
         self.next_id += 1;
         let cache = JoinCache::for_statement(&compiled);
-        let mut rt = Runtime {
+        let exec = self.plan_exec(&compiled, &slot_ids)?;
+        self.statements.push(Runtime {
             id,
             compiled,
             slots: slot_ids,
             cache,
-            exec: Exec::Generic,
+            exec,
             listener,
             fired: 0,
             profile: self.profiling_enabled.then(ProfileState::default),
-        };
-        self.plan_statement(&mut rt)?;
-        self.statements.push(rt);
+        });
         self.rebuild_routing();
         Ok(StatementHandle { id })
     }
 
-    /// Chooses a statement's evaluation path from the current switches,
-    /// building whatever state the path needs. With sharing on, every
-    /// statement of the Listing-1 family is served from its pane's bank,
-    /// whether or not another statement shares it; with the incremental
-    /// path on, so is a single-source aggregate over its panes.
-    fn plan_statement(&mut self, rt: &mut Runtime) -> Result<(), CepError> {
-        rt.exec = Exec::Generic;
-        let Some(shape) = share::shared_join_shape(&rt.compiled) else { return Ok(()) };
-        let enabled = if shape.pane == 0 { self.incremental_enabled } else { self.sharing_enabled };
-        if !enabled {
-            return Ok(());
-        }
-        let (aggs, tindex) =
-            ensure_join_state(&mut self.slots, &rt.slots, &shape, &rt.compiled.agg_calls)?;
-        rt.exec = Exec::Join { shape, aggs, tindex };
-        Ok(())
+    /// Chooses a statement's evaluation path from the switches, building
+    /// whatever state the path needs. With sharing on, every statement of
+    /// the Listing-1 family is served from its pane's bank, whether or not
+    /// another statement shares it; with the incremental path on, so is a
+    /// single-source aggregate over its panes, and a single-source filter
+    /// over a non-batch window reads the arrival alone. A batch window
+    /// releases a whole batch on every arrival it evaluates, so a filter
+    /// over one rescans.
+    fn plan_exec(
+        &mut self,
+        compiled: &CompiledStatement,
+        slots: &[usize],
+    ) -> Result<Exec, CepError> {
+        let shape = share::shared_join_shape(compiled).filter(|shape| {
+            if shape.pane == 0 {
+                self.incremental_enabled
+            } else {
+                self.sharing_enabled
+            }
+        });
+        Ok(if let Some(shape) = shape {
+            let (aggs, tindex) =
+                ensure_join_state(&mut self.slots, slots, &shape, &compiled.agg_calls)?;
+            Exec::Join { shape, aggs, tindex }
+        } else if self.incremental_enabled
+            && compiled.anchor_fast_eligible()
+            && !compiled.sources[0].window.is_batch()
+        {
+            Exec::Anchor
+        } else {
+            Exec::Rescan
+        })
     }
 
     /// Removes a statement (dynamic rule management). Its listener is
@@ -482,22 +507,19 @@ impl Engine {
         }
     }
 
-    /// Re-chooses every statement's evaluation path (after a switch flip
-    /// or a removal), rebuilding shared bank/index state from the live
-    /// windows so the plan can change mid-stream.
+    /// Re-plans every statement after a removal or a partition move,
+    /// rebuilding pane aggregates and threshold indexes from the live
+    /// windows.
     fn replan_exec(&mut self) -> Result<(), CepError> {
         for slot in &mut self.slots {
             slot.window.untrack();
             slot.tindexes.clear();
         }
         let mut statements = std::mem::take(&mut self.statements);
-        let mut result = Ok(());
-        for rt in &mut statements {
-            if let Err(e) = self.plan_statement(rt) {
-                result = Err(e);
-                break;
-            }
-        }
+        let result = statements.iter_mut().try_for_each(|rt| {
+            rt.exec = self.plan_exec(&rt.compiled, &rt.slots)?;
+            Ok(())
+        });
         self.statements = statements;
         result
     }
@@ -522,11 +544,14 @@ impl Engine {
     /// the anchor fast path). Disabled, those statements rescan the full
     /// window state — kept selectable so benchmarks can quantify the
     /// difference and the differential tests can compare both.
-    /// Re-enabling recomputes pane aggregates from the live windows, so the
-    /// switch can flip mid-stream.
+    ///
+    /// Set on an engine holding no statement: a statement's path is
+    /// chosen when it is created, so changing the value while one stands
+    /// is an `Err` that changes nothing. Setting the current value is `Ok`.
     pub fn set_incremental_enabled(&mut self, enabled: bool) -> Result<(), CepError> {
+        self.check_switch("incremental", self.incremental_enabled, enabled)?;
         self.incremental_enabled = enabled;
-        self.replan_exec()
+        Ok(())
     }
 
     /// Whether the incremental evaluation path is enabled.
@@ -534,24 +559,14 @@ impl Engine {
         self.incremental_enabled
     }
 
-    /// Ablation switch: enables/disables the sharing planner. Disabling
-    /// splits every shared window into per-claimant private copies (clone
-    /// of the identical contents, so behaviour is unchanged); re-enabling
-    /// merges windows that are fingerprint- *and* content-identical back
-    /// into shared slots. Either way every statement is replanned, so the
-    /// switch can flip mid-stream.
+    /// Ablation switch: enables/disables the sharing planner (window
+    /// slots shared between statements, and Listing-1-family statements
+    /// served from pane banks and threshold indexes). Set on an engine
+    /// holding no statement, as [`Engine::set_incremental_enabled`] is.
     pub fn set_sharing_enabled(&mut self, enabled: bool) -> Result<(), CepError> {
-        if self.sharing_enabled == enabled {
-            return Ok(());
-        }
+        self.check_switch("sharing", self.sharing_enabled, enabled)?;
         self.sharing_enabled = enabled;
-        if enabled {
-            self.merge_identical_slots();
-        } else {
-            self.split_shared_slots();
-        }
-        self.rebuild_routing();
-        self.replan_exec()
+        Ok(())
     }
 
     /// Whether the sharing planner is enabled.
@@ -559,60 +574,21 @@ impl Engine {
         self.sharing_enabled
     }
 
-    /// Gives every statement source past the first claimant of a shared
-    /// slot its own private window (a clone, preserving contents exactly).
-    fn split_shared_slots(&mut self) {
-        let mut claimed: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for idx in 0..self.statements.len() {
-            for pos in 0..self.statements[idx].slots.len() {
-                let sid = self.statements[idx].slots[pos];
-                if claimed.insert(sid) {
-                    continue;
-                }
-                // Already claimed (by an earlier statement, or an earlier
-                // source of a self-join): clone off a private copy.
-                self.slots[sid].refs -= 1;
-                let mut window = self.slots[sid].window.clone();
-                window.untrack();
-                let key = self.slots[sid].key.clone();
-                self.statements[idx].slots[pos] = push_slot(&mut self.slots, key, window);
-            }
+    /// Refuses to change an evaluation switch while a statement stands.
+    fn check_switch(&self, switch: &str, current: bool, wanted: bool) -> Result<(), CepError> {
+        if current == wanted || self.statements.is_empty() {
+            return Ok(());
         }
+        Err(CepError::Semantic {
+            reason: format!(
+                "the {switch} switch is set before the first statement: {} statements stand",
+                self.statements.len()
+            ),
+        })
     }
 
-    /// Merges fingerprint- and content-identical windows back into shared
-    /// slots (the inverse of [`Engine::split_shared_slots`]).
-    fn merge_identical_slots(&mut self) {
-        let mut canonical: Vec<usize> = Vec::new();
-        for idx in 0..self.statements.len() {
-            for pos in 0..self.statements[idx].slots.len() {
-                let sid = self.statements[idx].slots[pos];
-                let found = canonical.iter().copied().find(|&c| {
-                    c != sid
-                        && self.slots[c].key == self.slots[sid].key
-                        && self.slots[c].window.content_eq(&self.slots[sid].window)
-                });
-                match found {
-                    Some(c) => {
-                        self.slots[sid].refs -= 1;
-                        if self.slots[sid].refs == 0 {
-                            self.slots[sid].tombstone();
-                        }
-                        self.slots[c].refs += 1;
-                        self.statements[idx].slots[pos] = c;
-                    }
-                    None => {
-                        if !canonical.contains(&sid) {
-                            canonical.push(sid);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The chosen sharing plan plus realized counters: shared vs private
-    /// window counts and the clusters with their bank/index occupancy.
+    /// The chosen sharing plan: shared vs private window counts and the
+    /// clusters with their bank/index occupancy.
     pub fn sharing_report(&self) -> SharingReport {
         let shared_windows = self.slots.iter().filter(|s| s.refs > 1).count();
         let private_windows = self.slots.iter().filter(|s| s.refs == 1).count();
@@ -650,13 +626,10 @@ impl Engine {
             info.statements.push(rt.id);
         }
         SharingReport {
-            sharing_enabled: self.sharing_enabled,
             shared_windows,
             private_windows,
             shared_statements,
             clusters: clusters.into_iter().map(|(_, info)| info).collect(),
-            realized_shared_evals: self.realized_shared_evals,
-            realized_private_evals: self.realized_private_evals,
         }
     }
 
@@ -723,18 +696,7 @@ impl Engine {
         if depth >= MAX_FEEDBACK_DEPTH {
             return Err(CepError::FeedbackCycle { stream: event.event_type().to_string() });
         }
-        let Engine {
-            streams,
-            statements,
-            slots,
-            arrival,
-            delta,
-            stats,
-            incremental_enabled,
-            realized_shared_evals,
-            realized_private_evals,
-            ..
-        } = self;
+        let Engine { streams, statements, slots, arrival, delta, stats, .. } = self;
         let Some(stream) = streams.get(event.event_type()) else {
             return Err(CepError::UnknownStream(event.event_type().to_string()));
         };
@@ -774,55 +736,36 @@ impl Engine {
                     // reached — profiles stay comparable across plans.
                     p.events_in += 1;
                 }
-                let mut evaluate = false;
-                let mut batch_release = false;
-                for &pos in fed {
-                    let slot = &slots[rt.slots[pos]];
-                    if slot.last_outcome.evaluate {
-                        evaluate = true;
-                        if matches!(
-                            slot.window.spec(),
-                            WindowSpec::LengthBatch(_) | WindowSpec::TimeBatchMs(_)
-                        ) {
-                            batch_release = true;
-                        }
-                    }
-                }
-                if !evaluate {
+                if !fed.iter().any(|&pos| slots[rt.slots[pos]].last_outcome.evaluate) {
                     continue;
                 }
-                let anchor = if batch_release { None } else { Some(&event) };
                 let t0 = rt.profile.is_some().then(Instant::now);
-                let (rows, path) = if let Exec::Join { shape, aggs, tindex } = &rt.exec {
-                    let ti = tindex.map(|t| &slots[rt.slots[2]].tindexes[t]);
-                    let rows = share::evaluate_shared_join(
+                let rows = match &rt.exec {
+                    Exec::Join { shape, aggs, tindex } => share::evaluate_shared_join(
                         &rt.compiled,
                         shape,
                         aggs,
                         &slots[rt.slots[0]].window,
                         &slots[rt.slots[shape.pane]].window,
-                        ti,
+                        tindex.map(|t| &slots[rt.slots[2]].tindexes[t]),
                         fed[0] != 0,
                         &mut memo,
-                    )?;
-                    (rows, if shape.pane == 0 { EvalPath::Incremental } else { EvalPath::Shared })
-                } else if *incremental_enabled
-                    && rt.compiled.anchor_fast_eligible()
-                    && !batch_release
-                {
-                    (rt.compiled.evaluate_anchor(&event)?, EvalPath::Anchor)
-                } else {
-                    let windows: Vec<&SourceWindow> =
-                        rt.slots.iter().map(|&sid| &slots[sid].window).collect();
-                    (rt.compiled.evaluate(&windows, anchor, &mut rt.cache)?, EvalPath::Rescan)
+                    )?,
+                    Exec::Anchor => rt.compiled.evaluate_anchor(&event)?,
+                    Exec::Rescan => {
+                        // A released batch is evaluated whole, with no anchor.
+                        let batch_release = fed.iter().any(|&pos| {
+                            let slot = &slots[rt.slots[pos]];
+                            slot.last_outcome.evaluate && slot.window.spec().is_batch()
+                        });
+                        let anchor = if batch_release { None } else { Some(&event) };
+                        let windows: Vec<&SourceWindow> =
+                            rt.slots.iter().map(|&sid| &slots[sid].window).collect();
+                        rt.compiled.evaluate(&windows, anchor, &mut rt.cache)?
+                    }
                 };
-                if path == EvalPath::Shared {
-                    *realized_shared_evals += 1;
-                } else {
-                    *realized_private_evals += 1;
-                }
                 if let (Some(t0), Some(p)) = (t0, rt.profile.as_mut()) {
-                    p.record_eval(t0.elapsed().as_nanos() as u64, path);
+                    p.record_eval(t0.elapsed().as_nanos() as u64, rt.exec.path());
                 }
                 if rows.is_empty() {
                     continue;
@@ -972,9 +915,7 @@ impl Engine {
             .streams
             .get(&state.stream)
             .ok_or_else(|| CepError::UnknownStream(state.stream.clone()))?;
-        // One instance per row, shared by every slot it lands in, so
-        // instance-identity window comparisons (sharing merges) keep
-        // working at the destination.
+        // One instance per row, shared by every slot it lands in.
         let events: Vec<Event> = state
             .rows
             .iter()
@@ -1466,26 +1407,34 @@ mod tests {
     }
 
     #[test]
-    fn incremental_toggle_rebuilds_mid_stream() {
+    fn evaluation_switches_are_set_before_the_first_statement() {
+        let epl = "SELECT avg(delay) AS m FROM bus.win:length(3) HAVING count(*) >= 1";
         let mut e = engine();
         let (sink, l) = capture();
-        e.create_statement(
-            "SELECT avg(delay) AS m FROM bus.win:length(3) HAVING count(*) >= 1",
-            l,
-        )
-        .unwrap();
+        let h = e.create_statement(epl, l).unwrap();
         e.send_event(bus_event(&e, 1, 1, "R1", 10.0, 8)).unwrap();
-        e.send_event(bus_event(&e, 2, 2, "R1", 20.0, 8)).unwrap();
-        // Disable (drops state), run one event on the rescan path, then
-        // re-enable: state must rebuild from the live window.
-        e.set_incremental_enabled(false).unwrap();
-        e.send_event(bus_event(&e, 3, 3, "R1", 30.0, 8)).unwrap();
+        // A standing statement keeps the path it was planned on.
+        assert!(e.set_incremental_enabled(false).is_err());
+        assert!(e.set_sharing_enabled(false).is_err());
+        assert!(e.incremental_enabled() && e.sharing_enabled(), "a refused change changes nothing");
+        // The current value is no change.
         e.set_incremental_enabled(true).unwrap();
-        e.send_event(bus_event(&e, 4, 4, "R1", 40.0, 8)).unwrap();
-        let rows = sink.lock();
-        let means: Vec<f64> =
-            rows.iter().map(|r| r.get("m").unwrap().as_f64().unwrap()).collect();
-        assert_eq!(means, vec![10.0, 15.0, 20.0, 30.0]);
+        e.set_sharing_enabled(true).unwrap();
+        e.send_event(bus_event(&e, 2, 2, "R1", 20.0, 8)).unwrap();
+        let means = |sink: &Mutex<Vec<OutputRow>>| -> Vec<f64> {
+            sink.lock().iter().map(|r| r.get("m").unwrap().as_f64().unwrap()).collect()
+        };
+        assert_eq!(means(&sink), vec![10.0, 15.0], "outputs as if nothing was asked");
+        // With every statement removed, the switches are free again.
+        e.remove_statement(h.id).unwrap();
+        e.set_incremental_enabled(false).unwrap();
+        e.set_sharing_enabled(false).unwrap();
+        e.set_profiling_enabled(true);
+        let (sink, l) = capture();
+        e.create_statement(epl, l).unwrap();
+        e.send_event(bus_event(&e, 3, 3, "R1", 30.0, 8)).unwrap();
+        assert_eq!(means(&sink), vec![30.0], "the new statement starts on fresh windows");
+        assert_eq!(e.profile()[0].path_rescan, 1, "and on the path the switches now name");
     }
 
     #[test]
@@ -1540,11 +1489,14 @@ mod tests {
         assert_eq!(p.window_len, 3, "length-3 window holds three of five events");
         assert!(p.eval_ns_sum > 0, "wall time accumulates");
 
-        // Rescan mode shows up in the path counters.
-        e.set_incremental_enabled(false).unwrap();
-        e.set_profiling_enabled(true); // reset counters
-        e.send_event(bus_event(&e, 9, 9, "R1", 10.0, 8)).unwrap();
-        assert_eq!(e.profile()[0].path_rescan, 1);
+        // An engine set up with the incremental path off rescans.
+        let mut rescan = engine();
+        rescan.set_incremental_enabled(false).unwrap();
+        rescan.set_profiling_enabled(true);
+        let (_, l) = capture();
+        rescan.create_statement(epl, l).unwrap();
+        rescan.send_event(bus_event(&rescan, 9, 9, "R1", 10.0, 8)).unwrap();
+        assert_eq!(rescan.profile()[0].path_rescan, 1);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!
 //! * [`WindowKey`] — the fingerprint under which two FROM sources may
 //!   share one [`SourceWindow`] (stream, window spec, groupwin field).
-//!   Windows are merged only when their *contents* are also identical
-//!   ([`SourceWindow::content_eq`]), which makes sharing semantically
-//!   invisible: every statement observes exactly the window state it
-//!   would have owned privately.
+//!   A source joins a window only while that window has seen no event,
+//!   which makes sharing semantically invisible: every statement observes
+//!   exactly the window state it would have owned privately.
 //! * [`SharedJoinShape`] — recognition of the Listing-1 family
 //!   (`lastevent` anchor × grouped pane, optionally × `keepall`
 //!   threshold stream) that covers every rule form the paper generates,
@@ -131,8 +130,8 @@ pub enum AggSrc {
     Threshold(usize),
 }
 
-/// Detects a pane shape. `None` means the statement falls back to the
-/// generic evaluation paths.
+/// Detects a pane shape. `None` means the statement is served by the
+/// anchor path or the rescan.
 pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     if !stmt.is_aggregated() {
         return None;
@@ -526,13 +525,12 @@ pub struct ClusterInfo {
     pub bank_groups: usize,
 }
 
-/// The sharing plan the engine chose, plus realized counters — exposed
-/// via `Engine::sharing_report` so benchmarks and operators can see which
-/// statements are bank-served and how many evaluations actually were.
+/// The sharing plan the engine chose — exposed via
+/// `Engine::sharing_report` so benchmarks and operators can see which
+/// statements are bank-served. How many evaluations each path served is
+/// in the per-statement profiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharingReport {
-    /// Whether the sharing planner is enabled.
-    pub sharing_enabled: bool,
     /// Window slots referenced by more than one statement source.
     pub shared_windows: usize,
     /// Window slots referenced by exactly one statement source.
@@ -542,10 +540,4 @@ pub struct SharingReport {
     pub shared_statements: usize,
     /// The clusters of the chosen plan.
     pub clusters: Vec<ClusterInfo>,
-    /// Evaluations actually served from a pane bank (a cluster of any
-    /// size, one included).
-    pub realized_shared_evals: u64,
-    /// Evaluations served otherwise: a single-source aggregate from its
-    /// own panes, the anchor fast path, or the rescan.
-    pub realized_private_evals: u64,
 }

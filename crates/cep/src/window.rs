@@ -29,6 +29,13 @@ pub enum WindowSpec {
     KeepAll,
 }
 
+impl WindowSpec {
+    /// Whether the window releases tumbling batches instead of sliding.
+    pub fn is_batch(self) -> bool {
+        matches!(self, WindowSpec::LengthBatch(_) | WindowSpec::TimeBatchMs(_))
+    }
+}
+
 /// Outcome of inserting an event into a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsertOutcome {
@@ -74,7 +81,7 @@ impl WindowDelta {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Pane {
     events: VecDeque<Event>,
     /// For `LengthBatch`/`TimeBatchMs`: events accumulating towards the
@@ -182,7 +189,7 @@ pub struct GroupView<'a> {
 }
 
 /// Window state: ungrouped, or one pane per `groupwin` key.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SourceWindow {
     spec: WindowSpec,
     /// Field index of the `std:groupwin` key within the source's event
@@ -352,8 +359,7 @@ impl SourceWindow {
             }
             WindowSpec::KeepAll => pane.events.push_back(event.clone()),
         }
-        let released = matches!(spec, WindowSpec::LengthBatch(_) | WindowSpec::TimeBatchMs(_));
-        let came_in = if released { &delta.inserted[..] } else { std::slice::from_ref(event) };
+        let came_in = if spec.is_batch() { &delta.inserted[..] } else { std::slice::from_ref(event) };
         *len = *len + came_in.len() - delta.evicted.len();
         pane.fold(tracked, &delta.evicted, came_in, rows)?;
         Ok(InsertOutcome { evaluate })
@@ -514,23 +520,6 @@ impl SourceWindow {
         }
         Ok(())
     }
-
-    /// Whether two windows hold the *identical* state: same spec and
-    /// grouping, same mutation count, and the very same event instances in
-    /// the same pane structure (including batch-pending events). Two
-    /// windows that satisfy this are interchangeable — the sharing planner
-    /// merges them without any observable semantic change, because every
-    /// future mutation applied to both would keep them identical.
-    pub fn content_eq(&self, other: &SourceWindow) -> bool {
-        self.spec == other.spec
-            && self.group_field == other.group_field
-            && self.version == other.version
-            && self.len == other.len
-            && self.panes.len() == other.panes.len()
-            && pane_eq(&self.ungrouped, &other.ungrouped)
-            && (self.panes.iter().zip(&other.panes))
-                .all(|((ka, a), (kb, b))| ka == kb && pane_eq(a, b))
-    }
 }
 
 /// The ungrouped pane, then each `groupwin` pane in first-seen order; a
@@ -540,16 +529,6 @@ fn panes_mut<'a>(
     panes: &'a mut [(JoinKey, Pane)],
 ) -> impl Iterator<Item = &'a mut Pane> {
     std::iter::once(ungrouped).chain(panes.iter_mut().map(|(_, p)| p))
-}
-
-/// Instance-identity equality of two panes (events are `Arc`-backed, so
-/// "the same event" means the same allocation, not merely equal fields).
-fn pane_eq(a: &Pane, b: &Pane) -> bool {
-    a.batch_start == b.batch_start
-        && a.events.len() == b.events.len()
-        && a.pending.len() == b.pending.len()
-        && a.events.iter().zip(b.events.iter()).all(|(x, y)| x.same_instance(y))
-        && a.pending.iter().zip(b.pending.iter()).all(|(x, y)| x.same_instance(y))
 }
 
 /// Pops expired events off a pane's front, appending them to

@@ -13,7 +13,7 @@
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
-use tms_cep::engine::Listener;
+use tms_cep::engine::{Listener, StatementId};
 use tms_cep::{Engine, EventType, FieldType, FieldValue, OutputRow};
 
 const LOCATIONS: [&str; 3] = ["R1", "R2", "R3"];
@@ -245,15 +245,17 @@ fn join_epl(r: &JoinRule) -> String {
 }
 
 /// A join-workload step: a bus arrival, a mid-stream threshold arrival,
-/// a time advance (drains `win:time` panes), or a `set_sharing_enabled`
-/// flip of the shared engine (banks rebuilt from, or dropped over, live
-/// windows).
+/// a time advance (drains `win:time` panes), or the removal of one
+/// standing rule from every engine, which re-plans the survivors: their
+/// pane aggregates and threshold indexes are rebuilt from live windows.
 #[derive(Debug, Clone)]
 enum JoinStep {
     Bus { loc: usize, day: usize, delay: i64, dt_ms: u64 },
     Threshold { loc: usize, day: usize, attr: i64, dt_ms: u64 },
     Advance { jump_ms: u64 },
-    FlipSharing,
+    /// Removes the rule at `nth` modulo the number still standing, in
+    /// installation order; nothing once none stands.
+    RemoveRule { nth: usize },
 }
 
 fn join_step_strategy() -> impl Strategy<Value = JoinStep> {
@@ -262,7 +264,7 @@ fn join_step_strategy() -> impl Strategy<Value = JoinStep> {
             0..=5 => JoinStep::Bus { loc, day, delay: val, dt_ms: dt },
             6..=9 => JoinStep::Threshold { loc, day, attr: val, dt_ms: dt },
             10 | 11 => JoinStep::Advance { jump_ms: 500 + dt * 4 },
-            _ => JoinStep::FlipSharing,
+            _ => JoinStep::RemoveRule { nth: val as usize },
         },
     )
 }
@@ -294,23 +296,23 @@ fn threshold_type() -> EventType {
     .unwrap()
 }
 
-fn build_joins(
-    rules: &[JoinRule],
-    sharing: bool,
-    incremental: bool,
-) -> (Engine, Vec<Arc<Mutex<Vec<OutputRow>>>>) {
+/// An engine under the given switches holding `rules`, with each rule's
+/// sink and statement id.
+type JoinEngine = (Engine, Vec<Arc<Mutex<Vec<OutputRow>>>>, Vec<StatementId>);
+
+fn build_joins(rules: &[JoinRule], sharing: bool, incremental: bool) -> JoinEngine {
     let mut e = Engine::new();
     e.register_type(join_bus_type()).unwrap();
     e.register_type(threshold_type()).unwrap();
     e.set_sharing_enabled(sharing).unwrap();
     e.set_incremental_enabled(incremental).unwrap();
-    let mut sinks = Vec::new();
+    let (mut sinks, mut ids) = (Vec::new(), Vec::new());
     for r in rules {
         let (sink, l) = capture();
-        e.create_statement(&join_epl(r), l).unwrap();
+        ids.push(e.create_statement(&join_epl(r), l).unwrap().id);
         sinks.push(sink);
     }
-    (e, sinks)
+    (e, sinks, ids)
 }
 
 fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
@@ -319,6 +321,7 @@ fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
         build_joins(rules, false, true),  // unshared, incremental paths on
         build_joins(rules, false, false), // rescan
     ];
+    let mut standing: Vec<usize> = (0..rules.len()).collect();
     let mut now = 0u64;
     let mut vehicle = 0i64;
     for step in steps {
@@ -326,7 +329,7 @@ fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
             JoinStep::Bus { loc, day, delay, dt_ms } => {
                 now += dt_ms;
                 vehicle += 1;
-                for (eng, _) in engines.iter_mut() {
+                for (eng, ..) in engines.iter_mut() {
                     let ev = eng
                         .make_event(
                             "bus",
@@ -345,7 +348,7 @@ fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
             }
             JoinStep::Threshold { loc, day, attr, dt_ms } => {
                 now += dt_ms;
-                for (eng, _) in engines.iter_mut() {
+                for (eng, ..) in engines.iter_mut() {
                     let ev = eng
                         .make_event(
                             "thresholdLocation",
@@ -363,18 +366,23 @@ fn run_join_script(rules: &[JoinRule], steps: &[JoinStep]) {
             }
             JoinStep::Advance { jump_ms } => {
                 now += jump_ms;
-                for (eng, _) in engines.iter_mut() {
+                for (eng, ..) in engines.iter_mut() {
                     eng.advance_time(now);
                 }
             }
-            JoinStep::FlipSharing => {
-                let shared = &mut engines[0].0;
-                shared.set_sharing_enabled(!shared.sharing_enabled()).unwrap();
+            JoinStep::RemoveRule { nth } => {
+                if standing.is_empty() {
+                    continue;
+                }
+                let rule = standing.remove(nth % standing.len());
+                for (eng, _, ids) in engines.iter_mut() {
+                    eng.remove_statement(ids[rule]).unwrap();
+                }
             }
         }
     }
-    let (_, shared_sinks) = &engines[0];
-    for (mode, (_, sinks)) in [(1usize, &engines[1]), (2, &engines[2])] {
+    let (_, shared_sinks, _) = &engines[0];
+    for (mode, (_, sinks, _)) in [(1usize, &engines[1]), (2, &engines[2])] {
         let name = ["shared", "unshared", "rescan"][mode];
         for (i, (a, b)) in shared_sinks.iter().zip(sinks.iter()).enumerate() {
             assert_eq!(
@@ -424,10 +432,10 @@ fn overlapping_and_disjoint_rules_agree_across_modes() {
 }
 
 #[test]
-fn two_source_forms_agree_across_modes_and_sharing_flips() {
+fn two_source_forms_agree_across_modes_and_rule_removals() {
     // The three two-source forms next to a three-source rule on the same
-    // pane: one bank serves all four, through a flip off and back on with
-    // the pane mid-eviction.
+    // pane: one bank serves all four, and keeps serving the survivors when
+    // rules are removed with the pane mid-eviction.
     let rules = [
         JoinRule { form: 1, view: 1, group: 0, sel: 3, having: 0 },
         JoinRule { form: 2, view: 1, group: 0, sel: 2, having: 0 },
@@ -441,10 +449,10 @@ fn two_source_forms_agree_across_modes_and_sharing_flips() {
         JoinStep::Bus { loc: 0, day: 1, delay: 2, dt_ms: 5 },
         JoinStep::Bus { loc: 1, day: 1, delay: 9, dt_ms: 5 },
         JoinStep::Bus { loc: 0, day: 1, delay: 11, dt_ms: 5 },
-        JoinStep::FlipSharing,
+        JoinStep::RemoveRule { nth: 0 },
         JoinStep::Bus { loc: 0, day: 0, delay: 6, dt_ms: 5 },
         JoinStep::Bus { loc: 0, day: 1, delay: 1, dt_ms: 5 },
-        JoinStep::FlipSharing,
+        JoinStep::RemoveRule { nth: 3 },
         JoinStep::Bus { loc: 0, day: 0, delay: 8, dt_ms: 5 },
         JoinStep::Advance { jump_ms: 5_000 },
         JoinStep::Bus { loc: 0, day: 0, delay: 3, dt_ms: 5 },

@@ -107,7 +107,7 @@ fn day_from_index(i: u8) -> DayType {
 /// the historical ones instead of starting cold.
 ///
 /// Durability: the bolt is snapshot-only (no changelog); its snapshot is
-/// its [`StatsState`], so a restart resumes the exact accumulated state.
+/// its `StatsState`, so a restart resumes the exact accumulated state.
 ///
 /// [`TrafficMessage::StatsRefresh`]: crate::topology::TrafficMessage::StatsRefresh
 pub struct StatsBolt {

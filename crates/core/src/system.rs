@@ -231,16 +231,6 @@ pub struct DriftSample {
     pub partial: bool,
 }
 
-impl DriftSample {
-    /// One JSON object, suitable for a JSON-Lines export.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"at_ms\":{:.3},\"len_ms\":{:.3},\"observed_ms\":{:.6},\"predicted_ms\":{:.6},\"ratio\":{:.6},\"partial\":{}}}",
-            self.at_ms, self.len_ms, self.observed_ms, self.predicted_ms, self.ratio, self.partial
-        )
-    }
-}
-
 /// Planned-vs-observed view of one Esper engine over a profiled run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineDrift {
@@ -352,19 +342,6 @@ pub struct RunReport {
     /// be rendered via [`tms_dsps::lineage::render_chrome_trace`] after
     /// the run.
     pub trace_components: std::collections::HashMap<u32, String>,
-}
-
-impl RunReport {
-    /// The drift samples as JSON Lines (one object per window), the format
-    /// the bench harness writes next to its `BENCH_*` snapshots.
-    pub fn drift_jsonl(&self) -> String {
-        let mut out = String::new();
-        for d in &self.drift {
-            out.push_str(&d.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// The routing-table key of a partition region, which the planner names
@@ -560,13 +537,6 @@ impl TrafficSystem {
             model: EstimationModel::default_paper_shaped(),
             config,
         })
-    }
-
-    /// Replaces the estimation model (e.g. with one calibrated from real
-    /// measurements).
-    pub fn with_model(mut self, model: EstimationModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Number of threshold rows a rule would join with (Function 1's `t`).
@@ -1733,10 +1703,6 @@ mod tests {
             assert!(d.ratio.is_finite() && d.ratio > 0.0);
             assert!(d.len_ms > 0.0);
         }
-        // The JSONL export round-trips the fields.
-        let jsonl = report.drift_jsonl();
-        assert_eq!(jsonl.lines().count(), report.drift.len());
-        assert!(jsonl.contains("\"ratio\":"));
         // History windows chain: starts stamp window starts, the shutdown
         // flush is marked partial.
         let esper: Vec<_> =

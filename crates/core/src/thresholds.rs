@@ -32,7 +32,7 @@ use tms_cep::{
 use tms_dsps::bytes::BytesMut;
 use tms_dsps::transport::{decode_seq, encode_seq, encode_str, WireCodec, WireReader};
 use tms_dsps::DspsError;
-use tms_storage::{DayType, RemoteDb, ThresholdQuery, ThresholdStore};
+use tms_storage::{DayType, RemoteDb, ThresholdQuery, ThresholdRow, ThresholdStore};
 use tms_traffic::{Attribute, EnrichedTrace, LocId};
 
 /// How a rule obtains its per-location thresholds.
@@ -334,7 +334,9 @@ impl RuleEngine {
 
     /// Ablation switch for the underlying engine's incremental evaluation
     /// path (see [`tms_cep::Engine::set_incremental_enabled`]). On by
-    /// default; switching it off forces full-window rescans.
+    /// default; switching it off forces full-window rescans. Set before
+    /// the first rule is installed: changing it while a statement stands
+    /// is an `Err`.
     pub fn set_incremental_enabled(&mut self, enabled: bool) -> Result<(), CoreError> {
         self.engine.set_incremental_enabled(enabled)?;
         Ok(())
@@ -452,52 +454,69 @@ impl RuleEngine {
     }
 
     /// Installs a rule for the locations this engine was assigned by the
-    /// partitioning component.
+    /// partitioning component: [`Self::install_rules`] with one spec.
     pub fn install_rule(
         &mut self,
         spec: &RuleSpec,
         monitored: impl IntoIterator<Item = String>,
     ) -> Result<(), CoreError> {
-        spec.validate()?;
-        self.check_one_s_per_attribute([spec])?;
-        let monitored: HashSet<String> = monitored.into_iter().collect();
-        check_locations(&spec.name, &monitored)?;
-        let bus_type = self.ensure_bus_stream(spec)?;
-        let statements = self.create_statements(spec, &monitored)?;
-        let thresholds_at = self.threshold_stamp();
-        self.ingest = None;
-        self.rules.push(InstalledRule {
-            spec: spec.clone(),
-            bus_type,
-            monitored,
-            statements,
-            thresholds_at,
-        });
-        Ok(())
+        self.install_rules(std::slice::from_ref(spec), monitored)
     }
 
     /// Installs a set of rules together, creating **all** statements
     /// before feeding any threshold stream. Ordering matters for the
     /// engine's sharing planner: it only merges windows that are still
     /// pristine at install time, so statements must stand before the
-    /// first threshold event arrives. Per-rule [`RuleEngine::install_rule`]
-    /// feeds eagerly and therefore keeps later same-shape rules on
-    /// private windows.
+    /// first threshold event arrives — a rule installed alone later keeps
+    /// its windows private.
+    ///
+    /// All or nothing: every spec and location is checked and every
+    /// snapshot read before the first statement is created, and an error
+    /// after that removes the statements this call created. On `Err` no
+    /// rule of `specs` is installed.
     pub fn install_rules(
         &mut self,
         specs: &[RuleSpec],
         monitored: impl IntoIterator<Item = String>,
     ) -> Result<(), CoreError> {
-        self.check_one_s_per_attribute(specs)?;
         let monitored: HashSet<String> = monitored.into_iter().collect();
-        let start = self.rules.len();
-        self.ingest = None;
         for spec in specs {
             spec.validate()?;
             check_locations(&spec.name, &monitored)?;
+        }
+        self.check_one_s_per_attribute(specs)?;
+        let snapshots: Vec<Option<Vec<ThresholdRow>>> =
+            specs.iter().map(|spec| self.threshold_snapshot(spec)).collect::<Result<_, _>>()?;
+        let mut installed = Vec::with_capacity(specs.len());
+        if let Err(e) = self.install_checked(specs, &monitored, &snapshots, &mut installed) {
+            for id in installed.into_iter().flat_map(|r| r.statements) {
+                let _ = self.engine.remove_statement(id);
+            }
+            return Err(e);
+        }
+        let thresholds_at = self.threshold_stamp();
+        for r in &mut installed {
+            r.thresholds_at = thresholds_at;
+        }
+        self.ingest = None;
+        self.rules.extend(installed);
+        Ok(())
+    }
+
+    /// The fallible half of [`Self::install_rules`], pushing each rule
+    /// into `installed` as its statements stand so the caller can remove
+    /// them on error.
+    fn install_checked(
+        &mut self,
+        specs: &[RuleSpec],
+        monitored: &HashSet<String>,
+        snapshots: &[Option<Vec<ThresholdRow>>],
+        installed: &mut Vec<InstalledRule>,
+    ) -> Result<(), CoreError> {
+        for (spec, snapshot) in specs.iter().zip(snapshots) {
             let bus_type = self.ensure_bus_stream(spec)?;
-            let statements = self.create_statements_inner(spec, &monitored, false)?;
-            self.rules.push(InstalledRule {
+            let statements = self.create_statements(spec, monitored, snapshot.as_deref())?;
+            installed.push(InstalledRule {
                 spec: spec.clone(),
                 bus_type,
                 monitored: monitored.clone(),
@@ -505,19 +524,16 @@ impl RuleEngine {
                 thresholds_at: None,
             });
         }
-        for i in start..self.rules.len() {
-            let spec = self.rules[i].spec.clone();
-            let monitored = self.rules[i].monitored.clone();
-            if matches!(self.method, RetrievalMethod::ThresholdStream) {
-                self.feed_threshold_stream(&spec, &monitored)?;
-            }
-            self.rules[i].thresholds_at = self.threshold_stamp();
+        for (spec, snapshot) in specs.iter().zip(snapshots) {
+            self.feed_threshold_rows(spec, monitored, snapshot.as_deref())?;
         }
         Ok(())
     }
 
     /// Ablation switch for the underlying engine's sharing planner (see
-    /// [`tms_cep::Engine::set_sharing_enabled`]). On by default.
+    /// [`tms_cep::Engine::set_sharing_enabled`]). On by default. Set
+    /// before the first rule is installed: changing it while a statement
+    /// stands is an `Err`.
     pub fn set_sharing_enabled(&mut self, enabled: bool) -> Result<(), CoreError> {
         self.engine.set_sharing_enabled(enabled)?;
         Ok(())
@@ -528,7 +544,7 @@ impl RuleEngine {
         self.engine.sharing_enabled()
     }
 
-    /// The underlying engine's chosen sharing plan and realized counters.
+    /// The underlying engine's chosen sharing plan.
     pub fn sharing_report(&self) -> tms_cep::SharingReport {
         self.engine.sharing_report()
     }
@@ -583,28 +599,21 @@ impl RuleEngine {
         })
     }
 
+    /// Creates a rule's statements; `snapshot` is what
+    /// [`Self::threshold_snapshot`] read for it. A Threshold-Stream rule's
+    /// snapshot is fed by the caller once every statement of the batch
+    /// stands, keeping windows pristine for the sharing planner.
+    /// All-or-nothing: a failure midway (Multiple-Rules creates one
+    /// statement per cell) removes the statements already created before
+    /// the error surfaces.
     fn create_statements(
         &mut self,
         spec: &RuleSpec,
         monitored: &HashSet<String>,
-    ) -> Result<Vec<StatementId>, CoreError> {
-        self.create_statements_inner(spec, monitored, true)
-    }
-
-    /// Creates a rule's statements; `feed` controls whether the
-    /// Threshold-Stream snapshot is sent immediately (per-rule installs)
-    /// or deferred by the caller (batch installs, keeping windows
-    /// pristine for the sharing planner). All-or-nothing: a failure
-    /// midway (Multiple-Rules creates one statement per cell) removes
-    /// the statements already created before the error surfaces.
-    fn create_statements_inner(
-        &mut self,
-        spec: &RuleSpec,
-        monitored: &HashSet<String>,
-        feed: bool,
+        snapshot: Option<&[ThresholdRow]>,
     ) -> Result<Vec<StatementId>, CoreError> {
         let mut ids = Vec::new();
-        match self.create_statements_raw(spec, monitored, feed, &mut ids) {
+        match self.create_statements_raw(spec, monitored, snapshot, &mut ids) {
             Ok(()) => Ok(ids),
             Err(e) => {
                 for id in ids {
@@ -619,13 +628,13 @@ impl RuleEngine {
         &mut self,
         spec: &RuleSpec,
         monitored: &HashSet<String>,
-        feed: bool,
+        snapshot: Option<&[ThresholdRow]>,
         ids: &mut Vec<StatementId>,
     ) -> Result<(), CoreError> {
         let clock = self.clock();
         match self.method.clone() {
             RetrievalMethod::ThresholdStream => {
-                // Register the threshold stream and feed the snapshot.
+                // Register the threshold stream; the caller feeds it.
                 let tstream = spec.threshold_stream();
                 if !self.streams_registered.contains(&tstream) {
                     self.engine.register_type(EventType::with_fields(
@@ -641,16 +650,11 @@ impl RuleEngine {
                 }
                 let listener =
                     Self::make_listener(&self.detections, spec.name.clone(), clock);
-                let h = self.engine.create_statement(&spec.to_epl(), listener)?;
-                ids.push(h.id);
-                if feed {
-                    self.feed_threshold_stream(spec, monitored)?;
-                }
+                ids.push(self.engine.create_statement(&spec.to_epl(), listener)?.id);
             }
             RetrievalMethod::MultipleRules => {
-                // One snapshot query, then a statement per cell.
-                let rows = self.snapshot(spec)?;
-                for row in rows {
+                // A statement per cell of the snapshot.
+                for row in snapshot.expect("Multiple-Rules reads a snapshot") {
                     if !monitored.contains(&row.area_id) {
                         continue;
                     }
@@ -684,35 +688,35 @@ impl RuleEngine {
         Ok(())
     }
 
-    fn snapshot(&self, spec: &RuleSpec) -> Result<Vec<tms_storage::ThresholdRow>, CoreError> {
+    /// The one store round trip a rule's statements need, under the
+    /// methods that read a snapshot (Threshold-Stream, Multiple-Rules);
+    /// `None` under the others. Install and refresh read every snapshot
+    /// before they change the engine, so a failed read changes nothing.
+    fn threshold_snapshot(&self, spec: &RuleSpec) -> Result<Option<Vec<ThresholdRow>>, CoreError> {
+        use RetrievalMethod::{MultipleRules, ThresholdStream};
+        if !matches!(self.method, ThresholdStream | MultipleRules) {
+            return Ok(None);
+        }
         let query = ThresholdQuery { attribute: spec.attribute.name().into(), s: spec.s };
         let rows = match &self.db {
             Some(db) => ThresholdStore::thresholds_remote(db, &query)?,
             None => self.store.thresholds(&query)?,
         };
-        Ok(rows)
+        Ok(Some(rows))
     }
 
-    fn feed_threshold_stream(
-        &mut self,
-        spec: &RuleSpec,
-        monitored: &HashSet<String>,
-    ) -> Result<(), CoreError> {
-        let rows = self.snapshot(spec)?;
-        self.feed_threshold_rows(spec, monitored, rows)
-    }
-
-    /// Feeds pre-fetched snapshot rows into the rule's threshold stream,
-    /// filtered to the monitored locations. Split from
-    /// [`Self::feed_threshold_stream`] so callers that must not fail
-    /// mid-mutation (the atomic refresh) can front-load the fallible
-    /// store round trip.
+    /// Under Threshold-Stream, feeds a rule's pre-fetched snapshot into
+    /// its threshold stream, filtered to the monitored locations; a no-op
+    /// under the other methods.
     fn feed_threshold_rows(
         &mut self,
         spec: &RuleSpec,
         monitored: &HashSet<String>,
-        rows: Vec<tms_storage::ThresholdRow>,
+        snapshot: Option<&[ThresholdRow]>,
     ) -> Result<(), CoreError> {
+        let (RetrievalMethod::ThresholdStream, Some(rows)) = (&self.method, snapshot) else {
+            return Ok(());
+        };
         let ty = self
             .engine
             .event_type(&spec.threshold_stream())
@@ -762,20 +766,17 @@ impl RuleEngine {
             .collect();
         // Front-load the fallible store round trips: one snapshot per
         // rule, fetched while the engine is untouched.
-        let snapshots: Vec<Option<Vec<tms_storage::ThresholdRow>>> = rules
+        let snapshots: Vec<Option<Vec<ThresholdRow>>> = rules
             .iter()
-            .map(|(spec, _)| match self.method {
-                RetrievalMethod::ThresholdStream => self.snapshot(spec).map(Some),
-                _ => Ok(None),
-            })
+            .map(|(spec, _)| self.threshold_snapshot(spec))
             .collect::<Result<_, _>>()?;
         // Build the replacement statements while the old ones still
         // stand: our keepall windows cannot delete, so fresh statements
         // (fresh windows) pick up the new snapshot. A failure here
         // unwinds the partial build and leaves the engine untouched.
         let mut fresh: Vec<Vec<StatementId>> = Vec::new();
-        for (spec, monitored) in &rules {
-            match self.create_statements_inner(spec, monitored, false) {
+        for ((spec, monitored), snapshot) in rules.iter().zip(&snapshots) {
+            match self.create_statements(spec, monitored, snapshot.as_deref()) {
                 Ok(ids) => fresh.push(ids),
                 Err(e) => {
                     for id in fresh.into_iter().flatten() {
@@ -799,13 +800,12 @@ impl RuleEngine {
         for id in old {
             self.engine.remove_statement(id)?;
         }
-        for (i, snapshot) in snapshots.iter().enumerate() {
-            let spec = self.rules[i].spec.clone();
-            let monitored = self.rules[i].monitored.clone();
-            if let Some(rows) = snapshot.clone() {
-                self.feed_threshold_rows(&spec, &monitored, rows)?;
-            }
-            self.rules[i].thresholds_at = self.threshold_stamp();
+        for ((spec, monitored), snapshot) in rules.iter().zip(&snapshots) {
+            self.feed_threshold_rows(spec, monitored, snapshot.as_deref())?;
+        }
+        let thresholds_at = self.threshold_stamp();
+        for r in &mut self.rules {
+            r.thresholds_at = thresholds_at;
         }
         Ok(())
     }
@@ -1473,6 +1473,47 @@ mod tests {
                 2,
                 "{method:?}: rule still fires after the failed refresh"
             );
+        }
+    }
+
+    #[test]
+    fn a_batch_with_an_invalid_second_spec_installs_nothing() {
+        let mut good = rule(2);
+        good.name = "good".into();
+        let mut bad = rule(2);
+        bad.name = "bad".into();
+        bad.window_length = 0;
+        for method in methods() {
+            let mut re = RuleEngine::new(method.clone(), store_with_stats(), None);
+            let err = re.install_rules(&[good.clone(), bad.clone()], monitored());
+            assert!(matches!(err, Err(CoreError::Rule { .. })), "{method:?}: {err:?}");
+            assert_eq!(re.statement_count(), 0, "{method:?}: no statement stands");
+            assert!(re.monitored("good").is_none(), "{method:?}: good is not installed");
+            assert!(re.monitored("bad").is_none(), "{method:?}");
+        }
+    }
+
+    #[test]
+    fn a_batch_whose_snapshot_read_fails_installs_nothing() {
+        // No speed statistics exist: the second rule's snapshot read fails
+        // after the first rule's would have succeeded.
+        let mut speed =
+            RuleSpec::new("speed", Attribute::Speed, LocationSelector::QuadtreeLeaves, 1);
+        speed.s = 0.0;
+        for method in [RetrievalMethod::ThresholdStream, RetrievalMethod::MultipleRules] {
+            let mut re = RuleEngine::new(method.clone(), store_with_stats(), None);
+            let err = re.install_rules(&[rule(2), speed.clone()], monitored());
+            assert!(
+                matches!(err, Err(CoreError::Storage(tms_storage::StorageError::TableNotFound(_)))),
+                "{method:?}: {err:?}"
+            );
+            assert_eq!(re.statement_count(), 0, "{method:?}: no statement stands");
+            assert!(re.monitored("delay-rule").is_none(), "{method:?}");
+            assert!(re.monitored("speed").is_none(), "{method:?}");
+            // The engine is as it was: the valid rule installs on its own.
+            re.install_rule(&rule(2), monitored()).unwrap();
+            re.send_trace(&trace(1000, "R1", 150.0)).unwrap();
+            assert_eq!(re.detections().lock().len(), 1, "{method:?}");
         }
     }
 

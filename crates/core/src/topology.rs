@@ -420,7 +420,7 @@ impl Resequencer {
 }
 
 /// The Splitter bolt: restores the canonical replay order via its
-/// [`Resequencer`], then routes each tuple to the engines that own its
+/// `Resequencer`, then routes each tuple to the engines that own its
 /// locations, via direct grouping. With an [`ElasticHandle`] attached it
 /// also executes migrations: before each tuple it runs any pending
 /// ticket's pause–drain–handoff sequence and routes from the live plan,
@@ -700,7 +700,9 @@ impl EsperBolt {
     }
 
     /// Selects the engine's evaluation mode (incremental by default;
-    /// `false` forces full-window rescans — the ablation baseline).
+    /// `false` forces full-window rescans — the ablation baseline). Every
+    /// engine this task builds, at `prepare` and on restore, is set up
+    /// with it before its first rule is installed.
     pub fn with_incremental(mut self, enabled: bool) -> Self {
         self.incremental = enabled;
         self
@@ -709,7 +711,8 @@ impl EsperBolt {
     /// Selects whether the sharing planner serves Listing-1-family rules
     /// from pane-bank state, shared between same-shape rules (on by
     /// default; `false` keeps every statement on private windows and the
-    /// rescan path).
+    /// rescan path). Applied, like [`Self::with_incremental`], to an
+    /// engine that holds no rule yet.
     pub fn with_sharing(mut self, enabled: bool) -> Self {
         self.sharing = enabled;
         self

@@ -19,7 +19,7 @@ use crate::runtime::ReliabilityConfig;
 use crate::topology::{Bolt, BoltContext, BoltFactory, Spout};
 use crossbeam::channel::{Receiver, TryRecvError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -176,7 +176,10 @@ fn emit_tree<T: Clone>(
 
 /// Drives one spout executor: round-robins its tasks, each pulling from
 /// its source, draining acker completions and replaying timed-out trees
-/// until the source is exhausted *and* every in-flight tuple resolved.
+/// until the source is exhausted *and* every in-flight tuple resolved —
+/// or until `failed` says an executor of the topology died, after which
+/// no pending tree can complete and waiting out its replays would only
+/// delay the failure.
 pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
     mut tasks: Vec<SpoutTask<T>>,
     task_ids: Vec<usize>,
@@ -184,10 +187,11 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
     acker: Option<Arc<dyn AckSink>>,
     reliability: Option<ReliabilityConfig>,
     tracing: bool,
+    failed: &AtomicBool,
 ) -> Result<(), DspsError> {
     let mut finished = 0usize;
     let mut failure: Option<DspsError> = None;
-    'outer: while finished < tasks.len() {
+    'outer: while finished < tasks.len() && !failed.load(Ordering::Relaxed) {
         let mut progressed = false;
         for (i, t) in tasks.iter_mut().enumerate() {
             if t.eos_sent {
@@ -378,12 +382,14 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
         }
     }
     // EOS every task this executor still owes, so downstream terminates
-    // even when this executor failed mid-stream.
+    // even when this executor, or another, failed mid-stream; the trees
+    // still pending will never complete and count as failed.
     for t in tasks.iter_mut() {
         if !t.eos_sent {
             if let Some(acker) = &acker {
-                for &root in t.pending.keys() {
+                for (root, _) in t.pending.drain() {
                     acker.abandon(root);
+                    t.emitter.counters.record_failed();
                 }
             }
             t.emitter.send_eos();

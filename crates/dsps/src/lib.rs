@@ -9,7 +9,7 @@
 //! **executors** (threads); when `tasks > executors` the extra tasks share
 //! an executor pseudo-parallelly, exactly as in Figure 1. Executors are
 //! packed into **worker processes**, which a round-robin scheduler places
-//! on the **nodes** of a (simulated) cluster — the paper follows [35] in
+//! on the **nodes** of a (simulated) cluster — the paper follows \[35\] in
 //! using one worker per node, which is this crate's default.
 //!
 //! The runtime executes everything in-process with real threads and
@@ -17,7 +17,7 @@
 //! backpressure) and terminates by end-of-stream propagation once every
 //! spout is exhausted. Delivery is at-most-once by default; enabling
 //! [`runtime::ReliabilityConfig`] turns on Storm's guaranteed message
-//! processing — an XOR tuple-tree acker ([`ack`]), spout-side replay of
+//! processing — an XOR tuple-tree acker (`ack`), spout-side replay of
 //! timed-out tuples, and supervised restart of panicked bolt tasks — for
 //! at-least-once delivery. A seeded fault injector ([`fault`]) exercises
 //! that machinery with probabilistic panics, drops and latency.

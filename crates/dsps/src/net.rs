@@ -8,7 +8,7 @@
 //! components pinned to itself — see below), spawns `workers - 1` child
 //! processes re-executing the current binary, hands each its executor
 //! slice, and hosts the topology-wide services: the real
-//! [`Acker`](crate::ack), the [`MetricsHub`] the scrape endpoint serves,
+//! acker, the [`MetricsHub`] the scrape endpoint serves,
 //! the flight recorder and the lineage store. Each **worker** process
 //! calls [`run_worker`] (dispatched from a `worker_entry` hook in the
 //! binary, selected by the `TMS_DSPS_SCENARIO` environment variable),
@@ -41,7 +41,7 @@
 //!
 //! Every message is one [`transport`](crate::transport) frame; the tag
 //! byte selects the session message (see the `tag` module). The data
-//! plane ships [`Packet`]s — including whole micro-batches as one frame —
+//! plane ships packets — including whole micro-batches as one frame —
 //! with acker traffic multiplexed on the same links. Messages carry no
 //! process-local context: `Instant`-based fields (`t0`, lineage hops) do
 //! not cross the wire, so end-to-end tracing histograms cover

@@ -22,7 +22,7 @@
 //! guaranteed message processing instead:
 //!
 //! * every spout tuple becomes the **root** of a tuple tree tracked by the
-//!   XOR [`Acker`]; the runtime registers each downstream delivery before
+//!   XOR acker; the runtime registers each downstream delivery before
 //!   sending it and acks it after the receiving bolt's `process` returns
 //!   (outputs are anchored to the input's roots automatically — Storm's
 //!   `BasicBolt` discipline, so the [`Bolt`](crate::topology::Bolt) trait
@@ -35,7 +35,10 @@
 //! * a **supervisor** catches bolt-task panics, re-invokes the component
 //!   factory to rebuild the task in place (up to `max_task_restarts`
 //!   per task) and keeps consuming; the tuple that was being processed is
-//!   never acked, so the spout replays it.
+//!   never acked, so the spout replays it;
+//! * an executor that fails for good ends the run: the spouts abandon
+//!   their pending roots, count them `failed` and send end-of-stream at
+//!   once, instead of replaying into a task that no longer exists.
 //!
 //! Replays mean *duplicates are possible*: exactly-once is the consumer's
 //! job (dedup on a message key), as in Storm 0.8 without Trident.
@@ -428,6 +431,9 @@ impl LocalCluster {
             .collect();
 
         let mut threads: Vec<std::thread::JoinHandle<Result<(), DspsError>>> = Vec::new();
+        // Raised by the first executor to fail: the spouts then give up
+        // their pending trees instead of replaying them into a dead task.
+        let failed = Arc::new(AtomicBool::new(false));
 
         // Executor → task packing. Single-process: the scheduler's packing
         // directly (exactly as before). Multi-process: this process's
@@ -468,8 +474,17 @@ impl LocalCluster {
                 }
                 let component = s.name.clone();
                 let thread_acker = acker.clone();
-                threads.push(spawn_executor(&s.name, task_ids[0], move || {
-                    run_spout_executor(tasks, task_ids, component, thread_acker, reliability, tracing)
+                let stop = failed.clone();
+                threads.push(spawn_executor(&s.name, task_ids[0], failed.clone(), move || {
+                    run_spout_executor(
+                        tasks,
+                        task_ids,
+                        component,
+                        thread_acker,
+                        reliability,
+                        tracing,
+                        &stop,
+                    )
                 }));
             }
         }
@@ -518,7 +533,7 @@ impl LocalCluster {
                 let expected = expected_eos[bi];
                 let factory = b.factory.clone();
                 let thread_acker = acker.clone();
-                threads.push(spawn_executor(&b.name, task_ids[0], move || {
+                threads.push(spawn_executor(&b.name, task_ids[0], failed.clone(), move || {
                     run_bolt_executor(
                         tasks,
                         component,
@@ -620,15 +635,24 @@ impl LocalCluster {
 }
 
 /// Spawns an executor thread named `<component>#<first task>`, so a panic
-/// message and `/proc/<pid>/task/*/comm` attribute to a component.
+/// message and `/proc/<pid>/task/*/comm` attribute to a component. An
+/// executor that returns an error or panics raises `failed`, which ends
+/// the spout executors.
 fn spawn_executor(
     component: &str,
     first_task: usize,
+    failed: Arc<AtomicBool>,
     run: impl FnOnce() -> Result<(), DspsError> + Send + 'static,
 ) -> std::thread::JoinHandle<Result<(), DspsError>> {
     std::thread::Builder::new()
         .name(format!("{component}#{first_task}"))
-        .spawn(run)
+        .spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            if !matches!(result, Ok(Ok(()))) {
+                failed.store(true, Ordering::Relaxed);
+            }
+            result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
         .expect("failed to spawn executor thread")
 }
 
@@ -1419,6 +1443,51 @@ mod tests {
             }
             other => panic!("expected TaskRestartsExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_dead_bolt_executor_ends_the_spouts_without_waiting_out_replays() {
+        // The same always-panicking bolt under a 5 s ack timeout and the
+        // default 5 retries: replaying each pending root into the dead task
+        // would take minutes. Run on a helper thread so a hang fails the
+        // test instead of wedging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let t = TopologyBuilder::new("t")
+                .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 10 }))
+                .add_map_bolt(
+                    "explode",
+                    Parallelism::of(1),
+                    vec![("src", Grouping::Shuffle)],
+                    |_m: Msg| panic!("always fatal"),
+                )
+                .build()
+                .unwrap();
+            let cfg = RuntimeConfig {
+                reliability: Some(ReliabilityConfig {
+                    ack_timeout: Duration::from_secs(5),
+                    ..ReliabilityConfig::default()
+                }),
+                ..RuntimeConfig::default()
+            };
+            let handle = small_cluster().submit(t, cfg).unwrap();
+            let metrics = handle.metrics().clone();
+            let result = handle.join();
+            let _ = tx.send((result, metrics.totals()));
+        });
+        let (result, totals) =
+            rx.recv_timeout(Duration::from_secs(2)).expect("join returns within 2 s");
+        helper.join().unwrap();
+        match result {
+            Err(DspsError::TaskRestartsExhausted { component, restarts, .. }) => {
+                assert_eq!(component, "explode");
+                assert_eq!(restarts, ReliabilityConfig::default().max_task_restarts);
+            }
+            other => panic!("expected TaskRestartsExhausted, got {other:?}"),
+        }
+        let src = totals.iter().find(|c| c.component == "src").unwrap();
+        assert_eq!(src.acked, 0);
+        assert!(src.failed >= 4, "the four tuples the bolt died on count failed: {}", src.failed);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Storm's default scheduler assigns a topology's executors to its worker
 //! processes round-robin, and worker processes occupy *slots* on cluster
-//! nodes (Section 2.1.1). Following [35] (cited in Section 2.2), the
+//! nodes (Section 2.1.1). Following \[35\] (cited in Section 2.2), the
 //! number of worker processes should equal the number of nodes to minimize
 //! inter-process traffic — the paper adopts that policy and so does
 //! [`ClusterSpec::default_workers`].

@@ -1,5 +1,5 @@
 //! Scenario builders: translate the paper's evaluation setups into
-//! [`EngineSpec`](crate::EngineSpec) lists for the simulator.
+//! [`EngineSpec`] lists for the simulator.
 //!
 //! Each builder encodes one policy under test:
 //!

@@ -2,7 +2,8 @@
 # Full local gate: release build, every crate's tests, the vendored
 # channel's, buffer pool's and locks' tests, the elastic suite in release, the
 # argument-free examples, the snapshot guards, the pipeline benchmark's own
-# tests and smoke run, the one-serialiser gate, strict clippy.
+# tests and smoke run, the one-serialiser gate, strict clippy, warning-free
+# rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,3 +52,5 @@ if [ -n "$second_serialiser" ]; then
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings
+# The API docs build clean: a link to a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -132,15 +132,11 @@ fn chaos_run_with_tracing_reports_latency_and_drift() {
     let esper = report.metrics.iter().find(|m| m.component == "esper").unwrap();
     assert!(esper.queue_capacity > 0, "tracing registers queue gauges");
 
-    // Drift: the Figure 7 prediction tracked against observed windows,
-    // exported as JSONL.
+    // Drift: the Figure 7 prediction tracked against observed windows.
     assert!(!report.drift.is_empty(), "tracing runs emit drift samples");
     for d in &report.drift {
         assert!(d.ratio.is_finite() && d.ratio > 0.0, "bad ratio: {d:?}");
     }
-    let jsonl = report.drift_jsonl();
-    assert_eq!(jsonl.lines().count(), report.drift.len());
-    assert!(jsonl.lines().all(|l| l.starts_with('{') && l.contains("\"ratio\":")));
 }
 
 /// The retrieval methods implement one semantics: fed the *same ordered*
