@@ -1084,7 +1084,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Runs the quickstart workload with profiling on and harvests the
 /// sampled per-rule threshold ages (wall-clock ms). `kappa` switches
-/// between the in-stream StatsBolt path and the batch ablation
+/// between the in-stream path (the Splitter's fold) and the batch ablation
 /// (thresholds computed once by the offline job at bootstrap, never
 /// refreshed mid-run — exactly the Lambda deployment between two batch
 /// rounds). One trial's samples, keyed under `path`.
@@ -1132,7 +1132,7 @@ fn staleness_run(
     samples
 }
 
-/// The same profiled live run twice — in-stream StatsBolt refreshes vs
+/// The same profiled live run twice — the Splitter's in-stream refreshes vs
 /// the batch ablation — with the sampled `threshold_age` percentiles side
 /// by side. The ablation's ages only ever grow between batch rounds, so
 /// they are also projected onto stream (deployment) time via the replay's
@@ -1141,8 +1141,8 @@ fn staleness_run(
 fn staleness(size: Size) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "staleness",
-        "small fleet, 2 Delay rules on 2 engines, profiled at 100ms; kappa = StatsBolt refresh \
-         every 256 samples, batch_ablation = offline thresholds never refreshed mid-run",
+        "small fleet, 2 Delay rules on 2 engines, profiled at 100ms; kappa = refresh folded in the \
+         splitter every 256 tuples, batch_ablation = offline thresholds never refreshed mid-run",
     );
     let replay = Replay::new(size.n);
     let kappa = tms_core::kappa::KappaConfig { refresh_every: 256, ..Default::default() };

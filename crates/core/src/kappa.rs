@@ -4,23 +4,23 @@
 //! The paper recomputes thresholds with a periodic Hadoop job (Figure 3,
 //! arrows 3–5): history → MapReduce → MySQL → `refresh_thresholds`. The
 //! thresholds an engine evaluates against are therefore as stale as the
-//! batch period — minutes at best. The [`StatsBolt`] collapses that loop
-//! into the stream itself: it maintains the same per-(attribute,
-//! location, hour, day-type) moments the batch job computes, but
-//! incrementally, one enriched trace at a time, and republishes the
-//! statistics snapshot every [`KappaConfig::refresh_every`] tuples. A
-//! [`TrafficMessage::StatsRefresh`] control message then tells every
-//! Esper engine to atomically swap its threshold state — the same
-//! [`RuleEngine::refresh_thresholds`] path the batch layer used, minus
-//! the batch.
+//! batch period — minutes at best. The [`StatsBolt`], run by the Splitter
+//! where the tuple order is fixed, folds the same per-(attribute,
+//! location, hour, day-type) moments into the stream, and every
+//! [`KappaConfig::refresh_every`] tuples a [`TrafficMessage::StatsRefresh`]
+//! carries the tables down the tuples' own edges: every engine swaps its
+//! thresholds ([`RuleEngine::refresh_thresholds`]'s path) between the same
+//! two tuples.
 //!
 //! Determinism: cells live in a [`BTreeMap`] keyed by `(attribute,
-//! location, hour, day-type)`, so a published snapshot is a pure function
-//! of the multiset of traces seen — no task-completion-order float
-//! drift. A cell's row is finished by the batch job's own function — the
-//! *population* stdv (`sqrt(sum_sq/n − mean²)`), the same `min_samples`
-//! guard — so the kappa and batch paths agree bit for bit on the same
-//! input and are directly comparable in the staleness ablation.
+//! location, hour, day-type)`, so a publication is a pure function of the
+//! released tuples before it. A cell's row is finished by the batch job's
+//! own function — the *population* stdv (`sqrt(sum_sq/n − mean²)`), the
+//! same `min_samples` guard — so the two agree bit for bit on the same
+//! samples in the same order: a test pins a history the job reads as one
+//! DFS block, folded at its CSV's three decimals. Live values at full
+//! precision, or the job's per-block partial sums, can move a mean's last
+//! bits.
 //!
 //! [`TrafficMessage::StatsRefresh`]: crate::topology::TrafficMessage::StatsRefresh
 //! [`RuleEngine::refresh_thresholds`]: crate::thresholds::RuleEngine::refresh_thresholds
@@ -42,9 +42,9 @@ use tms_traffic::{Attribute, LocId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KappaConfig {
     /// Enriched traces between statistics publications. Each publication
-    /// republishes every tracked attribute's snapshot and broadcasts a
-    /// refresh to the engines, so this knob trades threshold freshness
-    /// against refresh work.
+    /// carries every tracked attribute's table to every engine, which
+    /// rebuilds its thresholds from it, so this knob trades threshold
+    /// freshness against refresh work.
     pub refresh_every: u64,
     /// Minimum samples a cell needs before its statistics publish (the
     /// batch job's `min_samples` guard against garbage thresholds from
@@ -91,15 +91,18 @@ fn day_from_index(i: u8) -> DayType {
     }
 }
 
+/// One publication: each tracked attribute's statistics table as plain
+/// rows, built once and shared by every engine's refresh.
+pub type Publication = Vec<(Attribute, Vec<StatRecord>)>;
+
 /// The StatsBolt: the batch statistics job folded into the stream.
 ///
-/// Sits between the BusStopsTracker and the Esper bolts (a side branch —
-/// it never forwards traces). For every enriched trace it updates one
+/// The Splitter drives it through its `Bolt` impl, one released tuple at
+/// a time (it forwards no trace). For every enriched trace it updates one
 /// [`Accumulator`] per (attribute, matched location, hour, day-type)
-/// cell; every [`KappaConfig::refresh_every`] traces it publishes each
-/// attribute's snapshot to the [`ThresholdStore`] (the atomic
-/// whole-table replace the batch layer used) and emits a
-/// [`TrafficMessage::StatsRefresh`] that the engines react to.
+/// cell; every [`KappaConfig::refresh_every`] traces it emits a
+/// [`TrafficMessage::StatsRefresh`] carrying every attribute's table. The
+/// [`ThresholdStore`] is written once, by `finish`.
 ///
 /// At `prepare` the bolt seeds its accumulators from the statistics
 /// tables the offline bootstrap published, inverting `(mean, stdv,
@@ -212,32 +215,30 @@ impl StatsBolt {
         }
     }
 
-    /// Publishes every attribute's snapshot and bumps the version.
-    /// Returns the new version, or `None` when a store write failed (the
-    /// engines then keep the previous snapshot — same degradation as a
-    /// failed batch run).
-    fn publish(&mut self) -> Option<u64> {
-        let mut per_attr: Vec<Vec<StatRecord>> = vec![Vec::new(); self.attributes.len()];
+    /// Every attribute's table as the cells stand now.
+    fn tables(&self) -> Publication {
+        let mut tables: Publication = self.attributes.iter().map(|a| (*a, Vec::new())).collect();
         for (&(ai, location, hour, day), acc) in &self.state.cells {
             let (count, sum, sum_sq, _, _) = acc.raw_parts();
             let cell = (location, hour, day_from_index(day));
             if let Some(record) = stat_record(cell, (count, sum, sum_sq), self.config.min_samples) {
-                per_attr[ai as usize].push(record);
+                tables[ai as usize].1.push(record);
             }
         }
-        for (ai, records) in per_attr.iter().enumerate() {
-            if self.store.publish(self.attributes[ai].name(), records).is_err() {
-                return None;
-            }
-        }
+        tables
+    }
+
+    /// Bumps the version and emits the tables as its refresh.
+    fn publish(&mut self, emitter: &mut dyn Emitter<TrafficMessage>) {
+        let statistics = Arc::new(self.tables());
         self.state.version += 1;
         self.state.since_publish = 0;
         self.state.dirty = false;
         if let Some(flight) = &self.flight {
-            let published: usize = per_attr.iter().map(Vec::len).sum();
+            let published: usize = statistics.iter().map(|(_, records)| records.len()).sum();
             flight.record(
                 FlightKind::StatsRefresh,
-                "stats",
+                "splitter",
                 -1,
                 format!(
                     "snapshot v{} published: {published} records over {} attributes",
@@ -246,7 +247,7 @@ impl StatsBolt {
                 ),
             );
         }
-        Some(self.state.version)
+        emitter.emit(TrafficMessage::StatsRefresh { version: self.state.version, statistics });
     }
 }
 
@@ -272,17 +273,21 @@ impl Bolt<TrafficMessage> for StatsBolt {
         self.state.dirty = true;
         self.state.since_publish += 1;
         if self.state.since_publish >= self.config.refresh_every {
-            if let Some(version) = self.publish() {
-                emitter.emit(TrafficMessage::StatsRefresh { version });
-            }
+            self.publish(emitter);
         }
     }
 
+    /// Flushes the last partial window, then writes the final tables back:
+    /// the engines installed before the stream got here, and the next run
+    /// starts from what this one learned. A failed write leaves the
+    /// store's tables as they were, as a failed batch publication would.
     fn finish(&mut self, emitter: &mut dyn Emitter<TrafficMessage>) {
-        // Flush the last partial accumulation window.
         if self.state.dirty {
-            if let Some(version) = self.publish() {
-                emitter.emit(TrafficMessage::StatsRefresh { version });
+            self.publish(emitter);
+        }
+        if self.state.version > 0 {
+            for (attribute, records) in self.tables() {
+                let _ = self.store.publish(attribute.name(), &records);
             }
         }
     }
@@ -349,6 +354,15 @@ mod tests {
         TrafficMessage::Enriched { seq, trace }
     }
 
+    /// The statistics of `attribute` the last refresh in `sent` carried.
+    fn carried(sent: &[TrafficMessage], attribute: Attribute) -> Vec<StatRecord> {
+        let Some(TrafficMessage::StatsRefresh { statistics, .. }) = sent.last() else {
+            panic!("the last emission is a refresh")
+        };
+        let (_, records) = statistics.iter().find(|(a, _)| *a == attribute).expect("tracked");
+        records.clone()
+    }
+
     fn bolt(refresh_every: u64, min_samples: u64, store: &ThresholdStore) -> StatsBolt {
         StatsBolt::new(
             KappaConfig { refresh_every, min_samples },
@@ -371,10 +385,11 @@ mod tests {
             b.process(enriched(i as u64 * 1000, "R1", *d), &mut em);
         }
         assert!(
-            matches!(sink.lock().as_slice(), [TrafficMessage::StatsRefresh { version: 1 }]),
+            matches!(sink.lock().as_slice(), [TrafficMessage::StatsRefresh { version: 1, .. }]),
             "4 tuples at refresh_every=4 publish exactly once"
         );
-        let recs = store.statistics("delay").unwrap();
+        assert!(store.statistics("delay").unwrap().is_empty(), "nothing is written mid-stream");
+        let recs = carried(&sink.lock(), Attribute::Delay);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].area_id, "R1");
         assert_eq!(recs[0].count, 4);
@@ -403,13 +418,19 @@ mod tests {
             .unwrap();
         let mut b = bolt(2, 1, &store);
         b.prepare(BoltContext { task_index: 0, task_count: 1 });
-        let mut em = Captured::default();
+        let sink = Arc::new(Mutex::new(Vec::new()));
+        let mut em = Captured(sink.clone());
         b.process(enriched(0, "R1", 50.0), &mut em);
         b.process(enriched(1000, "R1", 60.0), &mut em);
-        let recs = store.statistics("delay").unwrap();
+        let recs = carried(&sink.lock(), Attribute::Delay);
         assert_eq!(recs[0].count, 6, "4 bootstrap + 2 live samples");
         let expected_mean = (10.0 + 20.0 + 30.0 + 40.0 + 50.0 + 60.0) / 6.0;
         assert!((recs[0].mean - expected_mean).abs() < 1e-9, "got {}", recs[0].mean);
+        // The store still holds the bootstrap until the run ends.
+        assert_eq!(store.statistics("delay").unwrap()[0].count, 4);
+        b.finish(&mut em);
+        assert_eq!(store.statistics("delay").unwrap(), recs, "finish writes the tables back");
+        assert_eq!(sink.lock().len(), 1, "no partial window left to flush");
     }
 
     #[test]
@@ -428,6 +449,7 @@ mod tests {
             "finish flushes the partial window"
         );
         // 2 samples < min 3: the cell published as an empty snapshot.
+        assert!(carried(&sink.lock(), Attribute::Delay).is_empty());
         assert!(store.statistics("delay").unwrap().is_empty());
         b.process(enriched(2000, "R1", 7.0), &mut em);
         b.finish(&mut em);
@@ -513,6 +535,67 @@ mod tests {
                 dirty,
             });
         crate::codec_harness::codec_holds(states);
+    }
+
+    /// The batch job and the fold publish the same tables, every mean and
+    /// stdv to the bit, when they see the same samples in the same order:
+    /// the job reads the history as one DFS block (one map task, so no
+    /// partial sums merged out of order), and the fold sees each value at
+    /// the three decimals the job's CSV lines carry.
+    #[test]
+    fn kappa_and_batch_agree_bit_for_bit_on_one_block() {
+        use crate::offline::{self, OfflineConfig};
+        use tms_batch::{Dfs, DfsConfig};
+        let generator =
+            tms_traffic::FleetGenerator::new(tms_traffic::FleetConfig::small(9), 0).unwrap();
+        let seeds = generator.route_seed_points();
+        let history: Vec<tms_traffic::BusTrace> =
+            generator.take_while(|t| t.timestamp_ms < 9 * tms_traffic::HOUR_MS).collect();
+        let config = OfflineConfig::default();
+        let store = TableStore::new();
+        let spatial =
+            offline::run_offline(tms_geo::DUBLIN_BBOX, &seeds, &history, &store, &config)
+                .unwrap()
+                .spatial;
+        let dfs = Dfs::new(DfsConfig { block_size: 1 << 30, ..DfsConfig::default() }).unwrap();
+        offline::enrich_and_store(&history, &spatial, &dfs, "/history.csv").unwrap();
+        assert_eq!(dfs.status("/history.csv").unwrap().blocks, 1);
+        let batch = ThresholdStore::new(TableStore::new());
+        offline::run_statistics_job(&dfs, &["/history.csv"], batch.store(), &config).unwrap();
+
+        let kappa = KappaConfig { refresh_every: u64::MAX, min_samples: config.min_samples };
+        let fold_store = ThresholdStore::new(TableStore::new());
+        let mut fold = StatsBolt::new(kappa, fold_store, Attribute::ALL.to_vec());
+        fold.prepare(BoltContext { task_index: 0, task_count: 1 });
+        let as_csv = |v: f64| format!("{v:.3}").parse::<f64>().unwrap();
+        let mut pre = tms_traffic::Preprocessor::new();
+        for (seq, t) in history.iter().enumerate() {
+            let mut e = offline::enrich(&mut pre, &spatial, *t);
+            e.trace.delay_s = as_csv(e.trace.delay_s);
+            e.actual_delay_s = e.actual_delay_s.map(as_csv);
+            e.speed_kmh = e.speed_kmh.map(as_csv);
+            let msg = TrafficMessage::Enriched { seq: seq as u64, trace: Arc::new(e) };
+            fold.process(msg, &mut Captured::default());
+        }
+        let sink = Arc::new(Mutex::new(Vec::new()));
+        fold.finish(&mut Captured(sink.clone()));
+
+        let bits = |r: &StatRecord| {
+            (r.area_id.clone(), r.hour, r.day_type, r.mean.to_bits(), r.stdv.to_bits(), r.count)
+        };
+        let mut rows = 0;
+        for attribute in Attribute::ALL {
+            let mut folded = carried(&sink.lock(), attribute);
+            folded.sort_by_key(|r| (r.area_id.clone(), r.hour, r.day_type));
+            let batched = batch.statistics(attribute.name()).unwrap();
+            assert!(
+                folded.iter().map(bits).eq(batched.iter().map(bits)),
+                "{}: the fold's table is the job's, bit for bit",
+                attribute.name()
+            );
+            rows += batched.len();
+        }
+        assert!(rows > 1000, "a real history: {rows} rows");
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!   bolts → EventsStorer);
 //! * [`xml_topology`] — their wiring as a spec (the default one, or a
 //!   deployment's XML) and the one builder that resolves it;
-//! * [`kappa`] — the in-stream statistics path: a StatsBolt that folds
-//!   the batch job's per-cell moments into the stream and refreshes the
-//!   engines' thresholds without a database round trip;
+//! * [`kappa`] — the in-stream statistics path: a fold, run by the
+//!   Splitter, of the batch job's per-cell moments whose publications
+//!   carry the tables to the engines, without a database round trip;
 //! * [`system`] — the end-to-end facade tying the three components
 //!   together.
 

@@ -269,7 +269,8 @@ type Moments = (u64, f64, f64);
 /// *population* stdv, or nothing below `min_samples` (thin cells make
 /// garbage thresholds). The batch job's reducer and
 /// [`StatsBolt`](crate::kappa::StatsBolt)'s publication both finish here,
-/// so the two paths agree bit for bit on the same samples.
+/// so the two agree bit for bit on the same samples in the same order: one
+/// DFS block, values at the CSV's three decimals (see [`crate::kappa`]).
 pub(crate) fn stat_record(
     (location, hour, day_type): (LocId, u8, DayType),
     (count, sum, sum_sq): Moments,

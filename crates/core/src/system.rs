@@ -73,9 +73,10 @@ pub struct SystemConfig {
     /// engines when the imbalance crosses the bound. `None` (the default)
     /// keeps the start-up assignment for the whole run.
     pub elastic: Option<ElasticConfig>,
-    /// In-stream incremental statistics (the kappa path): a StatsBolt
-    /// maintains the per-cell moments in the stream and refreshes engine
-    /// thresholds without the batch round trip. `None` (the default)
+    /// In-stream incremental statistics (the kappa path): the Splitter
+    /// folds the per-cell moments and its refreshes carry the tables to
+    /// every engine, without the batch round trip; the final tables are
+    /// written back to the store as the stream ends. `None` (the default)
     /// leaves thresholds to the offline bootstrap / batch layer.
     pub kappa: Option<crate::kappa::KappaConfig>,
     /// Durable bolt state (periodic snapshot + changelog per task);
@@ -737,7 +738,7 @@ impl TrafficSystem {
             esper_tasks: plan.engine_plan.engines(),
             ..self.config.parallelism
         };
-        let spec = figure8_spec(&parallelism, self.config.kappa.is_some());
+        let spec = figure8_spec(&parallelism);
         self.run_spec(&spec, traces, plan, db, ComponentTypes::figure8())
     }
 
@@ -758,7 +759,7 @@ impl TrafficSystem {
         types: ComponentTypes,
     ) -> Result<RunReport, CoreError> {
         // The control-plane flight recorder is created here (not by the
-        // runtime) so the coordinator, the StatsBolt and the rebalancer
+        // runtime) so the coordinator, the kappa fold and the rebalancer
         // all share one event log with the runtime's own events.
         let flight = Arc::new(FlightRecorder::default());
         let elastic = match &self.config.elastic {
@@ -1248,23 +1249,13 @@ impl TrafficSystem {
     /// snapshot up via `RuleEngine::refresh_thresholds` or at the next
     /// run's install).
     pub fn recompute_statistics(&mut self, history: &[BusTrace]) -> Result<(), CoreError> {
-        let artifacts = run_offline(
-            self.artifacts.spatial.quadtree.bbox(),
-            &[],
-            history,
-            &self.store,
-            &self.config.offline,
-        );
+        let bbox = self.artifacts.spatial.quadtree.bbox();
+        let artifacts = run_offline(bbox, &[], history, &self.store, &self.config.offline)?;
         // Keep the original spatial index (regions must stay stable for
         // running rules); only refresh rates. The statistics tables were
         // republished by run_offline into the shared store.
-        match artifacts {
-            Ok(a) => {
-                self.artifacts.region_rates = a.region_rates;
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        self.artifacts.region_rates = artifacts.region_rates;
+        Ok(())
     }
 
     /// Builds a rule set and engine count from a parsed XML topology spec
@@ -1564,10 +1555,10 @@ mod tests {
 
     #[test]
     fn kappa_run_updates_statistics_in_stream() {
-        // With the kappa branch on, the StatsBolt folds the live stream
-        // into the per-cell statistics and republishes them mid-run — the
-        // tables end the run richer than the offline bootstrap left them,
-        // without any batch recompute.
+        // With kappa on, the Splitter folds the live stream into the
+        // per-cell statistics and publishes them mid-run — and the tables
+        // end the run richer than the offline bootstrap left them, without
+        // any batch recompute.
         let (history, seeds) = small_history();
         let config = SystemConfig {
             kappa: Some(crate::kappa::KappaConfig { refresh_every: 256, min_samples: 5 }),
@@ -1583,12 +1574,9 @@ mod tests {
 
         let (_, report) = sys.plan_and_run(incident_stream(), &rules(), 2).unwrap();
         assert!(!report.detections.is_empty(), "the incident must trigger detections");
-        let stats = report
-            .metrics
-            .iter()
-            .find(|m| m.component == "stats")
-            .expect("the kappa branch wires a stats bolt into the topology");
-        assert!(stats.throughput > 0, "the stats bolt must see the stream");
+        let refreshes = report.events.iter().filter(|e| e.kind == FlightKind::StatsRefresh);
+        assert!(refreshes.clone().count() > 1, "the fold publishes mid-run");
+        assert!(refreshes.clone().all(|e| e.component == "splitter"), "the splitter folds");
         let after = samples(&tstore.statistics("delay").unwrap());
         assert!(
             after > before,

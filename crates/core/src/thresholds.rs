@@ -20,6 +20,7 @@
 //! the topology.
 
 use crate::error::CoreError;
+use crate::kappa::Publication;
 use crate::rules::RuleSpec;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -486,7 +487,7 @@ impl RuleEngine {
         }
         self.check_one_s_per_attribute(specs)?;
         let snapshots: Vec<Option<Vec<ThresholdRow>>> =
-            specs.iter().map(|spec| self.threshold_snapshot(spec)).collect::<Result<_, _>>()?;
+            specs.iter().map(|spec| self.threshold_snapshot(spec, None)).collect::<Result<_, _>>()?;
         let mut installed = Vec::with_capacity(specs.len());
         if let Err(e) = self.install_checked(specs, &monitored, &snapshots, &mut installed) {
             for id in installed.into_iter().flat_map(|r| r.statements) {
@@ -688,19 +689,29 @@ impl RuleEngine {
         Ok(())
     }
 
-    /// The one store round trip a rule's statements need, under the
-    /// methods that read a snapshot (Threshold-Stream, Multiple-Rules);
-    /// `None` under the others. Install and refresh read every snapshot
-    /// before they change the engine, so a failed read changes nothing.
-    fn threshold_snapshot(&self, spec: &RuleSpec) -> Result<Option<Vec<ThresholdRow>>, CoreError> {
+    /// The rows a rule's statements need, under the methods that read a
+    /// snapshot (Threshold-Stream, Multiple-Rules); `None` under the
+    /// others. Read from the `carried` tables (one the publication lacks
+    /// has no rows), or else in one store round trip. Install and refresh
+    /// read every snapshot before they change the engine, so a failed read
+    /// changes nothing.
+    fn threshold_snapshot(
+        &self,
+        spec: &RuleSpec,
+        carried: Option<&Publication>,
+    ) -> Result<Option<Vec<ThresholdRow>>, CoreError> {
         use RetrievalMethod::{MultipleRules, ThresholdStream};
         if !matches!(self.method, ThresholdStream | MultipleRules) {
             return Ok(None);
         }
         let query = ThresholdQuery { attribute: spec.attribute.name().into(), s: spec.s };
-        let rows = match &self.db {
-            Some(db) => ThresholdStore::thresholds_remote(db, &query)?,
-            None => self.store.thresholds(&query)?,
+        let rows = match (carried, &self.db) {
+            (Some(tables), _) => {
+                let table = tables.iter().find(|(a, _)| *a == spec.attribute);
+                ThresholdStore::thresholds_of(table.map_or(&[], |(_, records)| records), spec.s)
+            }
+            (None, Some(db)) => ThresholdStore::thresholds_remote(db, &query)?,
+            (None, None) => self.store.thresholds(&query)?,
         };
         Ok(Some(rows))
     }
@@ -759,16 +770,22 @@ impl RuleEngine {
     /// tear-down-then-recreate order could fail midway and leave the
     /// engine with no rules at all.
     pub fn refresh_thresholds(&mut self) -> Result<(), CoreError> {
+        self.refresh_from(None)
+    }
+
+    /// [`Self::refresh_thresholds`] from the statistics tables a refresh
+    /// carried in the stream, or from the store when `carried` is `None`.
+    pub(crate) fn refresh_from(&mut self, carried: Option<&Publication>) -> Result<(), CoreError> {
         let rules: Vec<(RuleSpec, HashSet<String>)> = self
             .rules
             .iter()
             .map(|r| (r.spec.clone(), r.monitored.clone()))
             .collect();
-        // Front-load the fallible store round trips: one snapshot per
-        // rule, fetched while the engine is untouched.
+        // Front-load the fallible reads: one snapshot per rule, taken
+        // while the engine is untouched.
         let snapshots: Vec<Option<Vec<ThresholdRow>>> = rules
             .iter()
-            .map(|(spec, _)| self.threshold_snapshot(spec))
+            .map(|(spec, _)| self.threshold_snapshot(spec, carried))
             .collect::<Result<_, _>>()?;
         // Build the replacement statements while the old ones still
         // stand: our keepall windows cannot delete, so fresh statements

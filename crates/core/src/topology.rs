@@ -3,12 +3,13 @@
 //! EventsStorer, expressed over the DSPS substrate.
 
 use crate::error::CoreError;
+use crate::kappa::{Publication, StatsBolt};
 use crate::rules::{RuleSpec, SpatialContext};
 use crate::thresholds::{
     unix_ms_now, Detection, EsperState, RetrievalMethod, RuleEngine, RuleMigration,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,14 +64,16 @@ pub enum TrafficMessage {
         /// The migration ticket to absorb.
         id: u64,
     },
-    /// In-stream statistics publication notice: the StatsBolt republished
-    /// the statistics tables; engines with an older `version` re-read
-    /// their thresholds from the store. Broadcast (all-grouped) to every
-    /// Esper task.
+    /// In-stream statistics publication: the Splitter's fold sends it to
+    /// every Esper task, on the edges the tuples take, right after the
+    /// tuple that completes the publication. Engines with an older
+    /// `version` rebuild their thresholds from the tables it carries.
     StatsRefresh {
         /// Monotonic publication version; engines ignore versions they
         /// have already applied (duplicates under at-least-once replay).
         version: u64,
+        /// The statistics tables, shared by every engine's copy.
+        statistics: Arc<Publication>,
     },
 }
 
@@ -349,6 +352,9 @@ impl ElasticHandle {
     }
 }
 
+/// A tuple the resequencer lets go: `(seq, trace, first release)`.
+type Released = (u64, Arc<EnrichedTrace>, bool);
+
 /// Restores the spout's global emission order at the topology's merge
 /// point. The shuffled multi-task stages between the spout and the
 /// Splitter preserve each tuple's `seq` but interleave tuples from
@@ -363,12 +369,16 @@ impl ElasticHandle {
 /// [`Resequencer::MAX_PENDING`] and skips the gap rather than deadlock,
 /// counting it: a skip in a run that lost nothing means a tuple was
 /// overtaken by more than the window and the released order is no longer
-/// the canonical one.
+/// the canonical one. Every release says whether it is the sequence's
+/// first: a skipped sequence that turns up late is, a replay is not.
+#[derive(Default)]
 struct Resequencer {
     next_seq: u64,
     pending: BTreeMap<u64, Arc<EnrichedTrace>>,
     /// Gaps given up on so far.
     gap_skips: u64,
+    /// Sequences passed over by a gap skip and not seen since.
+    skipped: BTreeSet<u64>,
 }
 
 impl Resequencer {
@@ -376,24 +386,22 @@ impl Resequencer {
     /// resequencer gives up on a gap and releases what it has.
     const MAX_PENDING: usize = 1 << 16;
 
-    fn new() -> Self {
-        Resequencer { next_seq: 0, pending: BTreeMap::new(), gap_skips: 0 }
-    }
-
     /// Accepts one arrival. A replay of a released sequence, or the awaited
-    /// one with nothing held behind it, comes straight back; anything else
-    /// is held for [`Self::pop_ready`].
-    fn push(&mut self, seq: u64, trace: Arc<EnrichedTrace>) -> Option<(u64, Arc<EnrichedTrace>)> {
+    /// one with nothing held behind it, comes straight back with whether
+    /// this is its first release; anything else is held for
+    /// [`Self::pop_ready`].
+    fn push(&mut self, seq: u64, trace: Arc<EnrichedTrace>) -> Option<Released> {
         if seq > self.next_seq || (seq == self.next_seq && !self.pending.is_empty()) {
             self.pending.insert(seq, trace);
             return None;
         }
+        let first = seq == self.next_seq || self.skipped.remove(&seq);
         self.next_seq = self.next_seq.max(seq + 1);
-        Some((seq, trace))
+        Some((seq, trace, first))
     }
 
     /// The next held tuple that is ready, in order.
-    fn pop_ready(&mut self) -> Option<(u64, Arc<EnrichedTrace>)> {
+    fn pop_ready(&mut self) -> Option<Released> {
         let over_capacity = self.pending.len() > Self::MAX_PENDING;
         let entry = self.pending.first_entry()?;
         let head = *entry.key();
@@ -404,18 +412,17 @@ impl Resequencer {
                 return None;
             }
             self.gap_skips += 1;
+            self.skipped.extend(self.next_seq..head);
         }
         self.next_seq = head + 1;
-        Some((head, entry.remove()))
+        Some((head, entry.remove(), true))
     }
 
     /// Releases everything still buffered (end of stream), in order.
-    fn drain(&mut self) -> Vec<(u64, Arc<EnrichedTrace>)> {
+    fn drain(&mut self) -> Vec<Released> {
         let pending = std::mem::take(&mut self.pending);
-        pending
-            .into_iter()
-            .inspect(|(seq, _)| self.next_seq = seq + 1)
-            .collect()
+        self.next_seq = pending.last_key_value().map_or(self.next_seq, |(seq, _)| seq + 1);
+        pending.into_iter().map(|(seq, trace)| (seq, trace, true)).collect()
     }
 }
 
@@ -424,7 +431,11 @@ impl Resequencer {
 /// locations, via direct grouping. With an [`ElasticHandle`] attached it
 /// also executes migrations: before each tuple it runs any pending
 /// ticket's pause–drain–handoff sequence and routes from the live plan,
-/// counting per-region load for the rebalancer.
+/// counting per-region load for the rebalancer. Under kappa it folds each
+/// tuple into the statistics at its first release, routed or not, and
+/// sends each publication to every engine right after the tuple that
+/// completes it: refresh `k` lands between released tuples `k·R − 1` and
+/// `k·R`.
 pub struct SplitterBolt {
     plan: Arc<SplitPlan>,
     elastic: Option<Arc<ElasticHandle>>,
@@ -434,6 +445,21 @@ pub struct SplitterBolt {
     /// Where gap skips are reported: the flight recorder (this task's
     /// first skip becomes an event) and the run's skip count.
     gap_report: Option<(Arc<FlightRecorder>, Arc<AtomicU64>)>,
+    /// The kappa statistics fold and the engine count its refreshes go to.
+    pub(crate) stats: Option<(StatsBolt, usize)>,
+}
+
+/// Sends what the statistics fold emits to engine tasks `0..n`, on the
+/// tuples' direct edges.
+struct ToEveryEngine<'a>(&'a mut dyn Emitter<TrafficMessage>, usize);
+
+impl Emitter<TrafficMessage> for ToEveryEngine<'_> {
+    fn emit(&mut self, msg: TrafficMessage) {
+        (0..self.1).for_each(|engine| self.0.emit_direct(engine, msg.clone()));
+    }
+    fn emit_direct(&mut self, task: usize, msg: TrafficMessage) {
+        self.0.emit_direct(task, msg);
+    }
 }
 
 impl SplitterBolt {
@@ -442,9 +468,10 @@ impl SplitterBolt {
         SplitterBolt {
             plan,
             elastic: None,
-            reseq: Resequencer::new(),
+            reseq: Resequencer::default(),
             engines: Vec::new(),
             gap_report: None,
+            stats: None,
         }
     }
 
@@ -497,8 +524,9 @@ impl SplitterBolt {
 impl SplitterBolt {
     /// Routes one in-order tuple to the engines owning its locations —
     /// under the elastic loop from the live plan, counting per region (what
-    /// the rebalancer reads load from).
-    fn route(&mut self, seq: u64, e: Arc<EnrichedTrace>, emitter: &mut dyn Emitter<TrafficMessage>) {
+    /// the rebalancer reads load from) — then, at its first release,
+    /// folds it into the statistics.
+    fn route(&mut self, (seq, e, first): Released, emitter: &mut dyn Emitter<TrafficMessage>) {
         self.engines.clear();
         let live = self.elastic.as_ref().map(|h| h.split_plan.read());
         let mut observed = self.elastic.as_ref().map(|h| h.observed.lock());
@@ -513,6 +541,10 @@ impl SplitterBolt {
         drop((live, observed)); // an emit can block on a full queue
         for &engine in &self.engines {
             emitter.emit_direct(engine, TrafficMessage::Enriched { seq, trace: e.clone() });
+        }
+        if let (Some((stats, engines)), true) = (&mut self.stats, first) {
+            let enriched = TrafficMessage::Enriched { seq, trace: e };
+            stats.process(enriched, &mut ToEveryEngine(emitter, *engines));
         }
     }
 
@@ -537,17 +569,21 @@ impl SplitterBolt {
 }
 
 impl Bolt<TrafficMessage> for SplitterBolt {
+    fn prepare(&mut self, ctx: BoltContext) {
+        self.stats.iter_mut().for_each(|(stats, _)| stats.prepare(ctx));
+    }
+
     fn process(&mut self, msg: TrafficMessage, emitter: &mut dyn Emitter<TrafficMessage>) {
         if let Some(h) = self.elastic.clone() {
             self.run_migrations(&h, emitter);
         }
         if let TrafficMessage::Enriched { seq, trace } = msg {
             let (awaited, skips_before) = (self.reseq.next_seq, self.reseq.gap_skips);
-            if let Some((seq, e)) = self.reseq.push(seq, trace) {
-                self.route(seq, e, emitter);
+            if let Some(released) = self.reseq.push(seq, trace) {
+                self.route(released, emitter);
             }
-            while let Some((seq, e)) = self.reseq.pop_ready() {
-                self.route(seq, e, emitter);
+            while let Some(released) = self.reseq.pop_ready() {
+                self.route(released, emitter);
             }
             if self.reseq.gap_skips > skips_before {
                 self.report_gap_skips(awaited, skips_before);
@@ -556,9 +592,20 @@ impl Bolt<TrafficMessage> for SplitterBolt {
     }
 
     fn finish(&mut self, emitter: &mut dyn Emitter<TrafficMessage>) {
-        for (seq, e) in self.reseq.drain() {
-            self.route(seq, e, emitter);
+        for released in self.reseq.drain() {
+            self.route(released, emitter);
         }
+        if let Some((stats, engines)) = &mut self.stats {
+            stats.finish(&mut ToEveryEngine(emitter, *engines));
+        }
+    }
+
+    fn snapshot_state(&mut self) -> Option<Vec<u8>> {
+        self.stats.as_mut()?.0.snapshot_state()
+    }
+
+    fn restore_state(&mut self, snapshot: Option<&[u8]>, log: &[Vec<u8>]) -> Result<(), DspsError> {
+        self.stats.as_mut().map_or(Ok(()), |(stats, _)| stats.restore_state(snapshot, log))
     }
 }
 
@@ -857,13 +904,13 @@ impl Bolt<TrafficMessage> for EsperBolt {
             }
         }
         let engine = self.engine.as_mut().expect("checked above");
-        if let TrafficMessage::StatsRefresh { version } = msg {
+        if let TrafficMessage::StatsRefresh { version, statistics } = msg {
             if version > self.stats_version {
                 self.stats_version = version;
                 // The refresh is atomic: on failure the engine keeps the
                 // previous thresholds — the same degradation as a failed
                 // batch publication.
-                let _ = engine.refresh_thresholds();
+                let _ = engine.refresh_from(Some(&statistics));
             }
             return;
         }
@@ -1170,13 +1217,13 @@ mod tests {
     /// Pushes one arrival; the sequence numbers it released.
     fn pushed(r: &mut Resequencer, seq: u64, trace: &Arc<EnrichedTrace>) -> Vec<u64> {
         let straight = r.push(seq, trace.clone());
-        straight.into_iter().chain(std::iter::from_fn(|| r.pop_ready())).map(|(seq, _)| seq).collect()
+        straight.into_iter().chain(std::iter::from_fn(|| r.pop_ready())).map(|(seq, ..)| seq).collect()
     }
 
     #[test]
     fn resequencer_restores_global_order_across_interleavings() {
         let trace = Arc::new(enriched(vec!["R0"], None));
-        let mut r = Resequencer::new();
+        let mut r = Resequencer::default();
         let push = |r: &mut Resequencer, seq: u64| pushed(r, seq, &trace);
         // Two upstream tasks interleave 0,2,4 and 1,3,5 arbitrarily.
         assert_eq!(push(&mut r, 1), Vec::<u64>::new(), "gap at 0 buffers");
@@ -1184,15 +1231,17 @@ mod tests {
         assert_eq!(push(&mut r, 4), Vec::<u64>::new());
         assert_eq!(push(&mut r, 3), Vec::<u64>::new());
         assert_eq!(push(&mut r, 2), vec![2, 3, 4]);
-        // An at-least-once replay of a released sequence passes through.
+        // An at-least-once replay of a released sequence passes through,
+        // and says it is not the sequence's first release.
         assert_eq!(push(&mut r, 2), vec![2], "replay is not withheld");
+        assert!(matches!(r.push(3, trace.clone()), Some((3, _, false))));
         // In order with nothing pending: straight through, map untouched.
         assert_eq!(push(&mut r, 5), vec![5]);
         assert!(r.pending.is_empty());
         // End of stream flushes what is left, still in order.
         assert_eq!(push(&mut r, 8), Vec::<u64>::new());
         assert_eq!(push(&mut r, 7), Vec::<u64>::new());
-        let drained: Vec<u64> = r.drain().into_iter().map(|(seq, _)| seq).collect();
+        let drained: Vec<u64> = r.drain().into_iter().map(|(seq, ..)| seq).collect();
         assert_eq!(drained, vec![7, 8]);
         assert_eq!(push(&mut r, 9), vec![9], "drain advanced the cursor");
     }
@@ -1202,14 +1251,14 @@ mod tests {
         let trace = Arc::new(enriched(vec!["R0"], None));
         let window = Resequencer::MAX_PENDING as u64;
         // In order, however long: nothing to skip.
-        let mut r = Resequencer::new();
+        let mut r = Resequencer::default();
         for seq in 0..window + 10 {
             assert_eq!(pushed(&mut r, seq, &trace), vec![seq]);
         }
         assert_eq!(r.gap_skips, 0);
         // Seq 1 never arrives: a full window queues behind it, the next
         // arrival overflows it and everything held is released past the gap.
-        let mut r = Resequencer::new();
+        let mut r = Resequencer::default();
         assert_eq!(pushed(&mut r, 0, &trace), vec![0]);
         for seq in 2..window + 2 {
             assert!(pushed(&mut r, seq, &trace).is_empty(), "seq {seq} waits for seq 1");
@@ -1219,7 +1268,11 @@ mod tests {
         assert_eq!(released.len(), Resequencer::MAX_PENDING + 1);
         assert_eq!(released[0], 2, "released from the oldest survivor on");
         assert_eq!(r.gap_skips, 1);
-        assert_eq!(pushed(&mut r, 1, &trace), vec![1], "the straggler passes like a replay");
+        assert!(
+            matches!(r.push(1, trace.clone()), Some((1, _, true))),
+            "the straggler passes like a replay, at its first release"
+        );
+        assert!(matches!(r.push(1, trace.clone()), Some((1, _, false))));
         assert_eq!(r.gap_skips, 1);
     }
 
@@ -1257,6 +1310,78 @@ mod tests {
         feed(window + 3..2 * window + 5);
         assert_eq!(skips.load(Ordering::Relaxed), 2);
         assert_eq!(flight.events_of(FlightKind::Custom).len(), 1);
+    }
+
+    #[test]
+    fn refreshes_sit_between_the_same_two_released_tuples_for_every_engine() {
+        /// Keeps every direct emission as `(task, T<seq> | R<version>)`,
+        /// and the tables of each refresh.
+        #[derive(Default)]
+        struct Sent(Vec<(usize, String)>, Vec<Arc<Publication>>);
+        impl Emitter<TrafficMessage> for Sent {
+            fn emit(&mut self, _msg: TrafficMessage) {
+                panic!("the splitter only emits direct");
+            }
+            fn emit_direct(&mut self, task: usize, msg: TrafficMessage) {
+                let label = match msg {
+                    TrafficMessage::Enriched { seq, .. } => format!("T{seq}"),
+                    TrafficMessage::StatsRefresh { version, statistics } => {
+                        if task == 0 {
+                            self.1.push(statistics);
+                        }
+                        format!("R{version}")
+                    }
+                    other => panic!("unexpected {other:?}"),
+                };
+                self.0.push((task, label));
+            }
+        }
+        // R0 is engine 0's, R1 engine 1's, R9 nobody's; engine 2 owns
+        // nothing and still hears every refresh.
+        let plan = SplitPlan {
+            routes: vec![GroupingRoute {
+                kind: GroupingKind::QuadtreeLayer(0),
+                table: [(id("R0"), 0), (id("R1"), 1)].into(),
+            }],
+        };
+        let store = ThresholdStore::new(TableStore::new());
+        let stats = StatsBolt::new(
+            crate::kappa::KappaConfig { refresh_every: 2, min_samples: 1 },
+            store.clone(),
+            vec![Attribute::Delay],
+        );
+        let mut splitter = SplitterBolt::new(Arc::new(plan));
+        splitter.stats = Some((stats, 3));
+        splitter.prepare(BoltContext { task_index: 0, task_count: 1 });
+        let mut sent = Sent::default();
+        let area = ["R0", "R1", "R9"];
+        // Out of order, and seq 1 replayed after its release.
+        for seq in [1, 0, 3, 2, 1, 5, 4, 6] {
+            let trace = Arc::new(enriched(vec![area[seq as usize % 3]], None));
+            splitter.process(TrafficMessage::Enriched { seq, trace }, &mut sent);
+        }
+        splitter.finish(&mut sent);
+
+        let refresh = |v: u64| (0..3).map(move |task| (task, format!("R{v}")));
+        let tuple = |task: usize, seq: u64| std::iter::once((task, format!("T{seq}")));
+        let expected: Vec<(usize, String)> = tuple(0, 0)
+            .chain(tuple(1, 1))
+            .chain(refresh(1))
+            .chain(tuple(0, 3)) // seq 2 is folded, routed nowhere
+            .chain(refresh(2))
+            .chain(tuple(1, 1)) // the replay: routed, not folded
+            .chain(tuple(1, 4))
+            .chain(refresh(3))
+            .chain(tuple(0, 6))
+            .chain(refresh(4)) // finish flushes the partial publication
+            .collect();
+        assert_eq!(sent.0, expected);
+        // Publication k covers the first 2k released tuples, once each.
+        let samples = |p: &Publication| p[0].1.iter().map(|r| r.count).sum::<u64>();
+        let covered: Vec<u64> = sent.1.iter().map(|p| samples(p)).collect();
+        assert_eq!(covered, [2, 4, 6, 7]);
+        // The store learns the final tables only at the end.
+        assert_eq!(store.statistics("delay").unwrap(), sent.1[3][0].1);
     }
 
     /// Collects emitted detections for bolt-level tests.
@@ -1392,26 +1517,22 @@ mod tests {
 
     #[test]
     fn stats_refresh_is_versioned_and_idempotent() {
-        // A StatsRefresh with a newer version re-reads thresholds from
-        // the store; replays of the same version do nothing.
-        let store = TableStore::new();
-        let tstore = ThresholdStore::new(store.clone());
-        let publish = |mean: f64| {
-            tstore
-                .publish(
-                    "delay",
-                    &[StatRecord {
-                        area_id: "R1".into(),
-                        hour: 8,
-                        day_type: DayType::Weekday,
-                        mean,
-                        stdv: 0.0,
-                        count: 10,
-                    }],
-                )
-                .unwrap()
+        // A StatsRefresh with a newer version rebuilds the thresholds from
+        // the tables it carries; replays of the same version do nothing.
+        let tstore = ThresholdStore::new(TableStore::new());
+        let statistics = |mean: f64| {
+            let record = StatRecord {
+                area_id: "R1".into(),
+                hour: 8,
+                day_type: DayType::Weekday,
+                mean,
+                stdv: 0.0,
+                count: 10,
+            };
+            Arc::new(vec![(Attribute::Delay, vec![record])])
         };
-        publish(1_000_000.0); // nothing fires under this threshold
+        let bootstrap = statistics(1_000_000.0); // nothing fires under this threshold
+        tstore.publish("delay", &bootstrap[0].1).unwrap();
         let mut spec =
             RuleSpec::new("delay-rule", Attribute::Delay, LocationSelector::QuadtreeLeaves, 1);
         spec.s = 0.0;
@@ -1424,17 +1545,22 @@ mod tests {
         let mut sink = CaptureEmitter::default();
         bolt.process(delay_trace(1000, "R1", 50.0), &mut sink);
         assert!(sink.0.is_empty(), "50 < 1e6");
-        // The in-stream stage publishes a realistic snapshot and notifies.
-        publish(10.0);
+        // A realistic publication arrives with its refresh; the store is
+        // not read.
+        tstore.publish("delay", &statistics(5.0)[0].1).unwrap();
         bolt.process(delay_trace(2000, "R1", 50.0), &mut sink);
-        assert!(sink.0.is_empty(), "no refresh notice yet: old threshold holds");
-        bolt.process(TrafficMessage::StatsRefresh { version: 1 }, &mut sink);
+        assert!(sink.0.is_empty(), "no refresh yet: old threshold holds");
+        let refresh = |version, statistics| TrafficMessage::StatsRefresh { version, statistics };
+        bolt.process(refresh(1, statistics(10.0)), &mut sink);
         bolt.process(delay_trace(3000, "R1", 50.0), &mut sink);
         assert_eq!(sink.0.len(), 1, "refreshed threshold 10 < 50 fires");
-        // A replayed (duplicate) notice is a no-op even after republish.
-        publish(1_000_000.0);
-        bolt.process(TrafficMessage::StatsRefresh { version: 1 }, &mut sink);
+        assert_eq!(sink.0[0].threshold, Some(10.0), "the carried table, not the store's");
+        // A replayed (duplicate) refresh is a no-op, whatever it carries.
+        bolt.process(refresh(1, bootstrap.clone()), &mut sink);
         bolt.process(delay_trace(4000, "R1", 50.0), &mut sink);
         assert_eq!(sink.0.len(), 2, "stale version ignored: threshold still 10");
+        bolt.process(refresh(2, bootstrap), &mut sink);
+        bolt.process(delay_trace(5000, "R1", 50.0), &mut sink);
+        assert_eq!(sink.0.len(), 2, "the next version applies");
     }
 }

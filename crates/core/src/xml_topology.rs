@@ -7,7 +7,7 @@
 //! [`figure8_spec`] — [`FIGURE8_XML`] with the configured task counts —
 //! for the default topology; there is no other description of it. Each
 //! component's `type=` name is resolved through the [`ComponentTypes`]
-//! table the [`TopologyEnv`] owns: the product's eight types are in it,
+//! table the [`TopologyEnv`] owns: the product's seven types are in it,
 //! and a caller registers a spout or sink type of its own before the run.
 //! What a type needs beyond its declaration is a field of the
 //! environment, and every check on a declaration happens here, before any
@@ -15,7 +15,7 @@
 //! `build_from_spec` and the only code that submits the result.
 
 use crate::error::CoreError;
-use crate::kappa::StatsBolt;
+use crate::kappa::{KappaConfig, StatsBolt};
 use crate::system::{StartupPlan, TrafficSystem};
 use crate::thresholds::Detection;
 use crate::topology::{
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use tms_dsps::topology::{BoltFactory, SpoutFactory};
-use tms_dsps::xml::{ComponentSpec, GroupingSpec, SubscriptionSpec, TopologySpec};
+use tms_dsps::xml::{ComponentSpec, GroupingSpec, TopologySpec};
 use tms_dsps::{
     chaos_wrap, parse_topology_xml, Bolt, FlightRecorder, Grouping, Parallelism, Spout, Topology,
     TopologyBuilder,
@@ -61,11 +61,10 @@ pub const FIGURE8_XML: &str = r#"<topology name="traffic">
   </bolt>
 </topology>"#;
 
-/// [`FIGURE8_XML`] with `p`'s task counts. `kappa` adds the in-stream
-/// statistics side branch: a `stats` bolt fed the enriched stream the
-/// splitter sees, whose refresh notices reach *every* engine over an
-/// all-grouped edge.
-pub fn figure8_spec(p: &TopologyParallelism, kappa: bool) -> TopologySpec {
+/// [`FIGURE8_XML`] with `p`'s task counts. The same wiring runs with or
+/// without the in-stream statistics: under `SystemConfig::kappa` the
+/// Splitter folds them and its refreshes travel the tuples' edges.
+pub fn figure8_spec(p: &TopologyParallelism) -> TopologySpec {
     let mut spec = parse_topology_xml(FIGURE8_XML).expect("the constant parses");
     for c in spec.spouts.iter_mut().chain(&mut spec.bolts) {
         let tasks = match c.name.as_str() {
@@ -77,18 +76,6 @@ pub fn figure8_spec(p: &TopologyParallelism, kappa: bool) -> TopologySpec {
             _ => 1,
         };
         c.parallelism = Parallelism::of(tasks.max(1));
-    }
-    if kappa {
-        let subscribe = |source: &str, grouping| SubscriptionSpec { source: source.into(), grouping };
-        let esper = spec.bolts.iter().position(|b| b.name == "esper").expect("declared above");
-        spec.bolts[esper].subscriptions.push(subscribe("stats", GroupingSpec::All));
-        let stats = ComponentSpec {
-            name: "stats".into(),
-            component_type: "StatsBolt".into(),
-            parallelism: Parallelism::of(1),
-            subscriptions: vec![subscribe("busStopsTracker", GroupingSpec::Shuffle)],
-        };
-        spec.bolts.insert(esper, stats);
     }
     spec
 }
@@ -124,15 +111,14 @@ type Resolver = Box<dyn Fn(&TopologyEnv, &ComponentSpec) -> Result<Component, Co
 pub struct ComponentTypes(BTreeMap<String, Resolver>);
 
 impl ComponentTypes {
-    /// The product's eight types.
+    /// The product's seven types.
     pub fn figure8() -> Self {
-        let product: [(&str, Resolver); 8] = [
+        let product: [(&str, Resolver); 7] = [
             ("BusReaderSpout", Box::new(bus_reader)),
             ("PreProcessBolt", Box::new(|_, _| Ok(Component::bolt(|_| PreProcessBolt::new())))),
             ("AreaTrackerBolt", Box::new(area_tracker)),
             ("BusStopsTrackerBolt", Box::new(bus_stops_tracker)),
             ("SplitterBolt", Box::new(splitter)),
-            ("StatsBolt", Box::new(stats)),
             ("EsperBolt", Box::new(esper)),
             ("EventsStorerBolt", Box::new(events_storer)),
         ];
@@ -183,18 +169,6 @@ fn config(reason: String) -> CoreError {
     CoreError::Config { reason }
 }
 
-/// Refuses more than one task of a type whose state is per task but must
-/// be one per topology.
-fn single_task(c: &ComponentSpec, why: &str) -> Result<(), CoreError> {
-    if c.parallelism.tasks == 1 {
-        return Ok(());
-    }
-    Err(config(format!(
-        "component {}: a {} runs as one task, {} declared: {why}",
-        c.name, c.component_type, c.parallelism.tasks
-    )))
-}
-
 fn bus_reader(env: &TopologyEnv, c: &ComponentSpec) -> Result<Component, CoreError> {
     let (traces, tasks) = (env.traces.clone(), c.parallelism.tasks);
     Ok(Component::spout(move |ti| BusReaderSpout::new(traces.clone(), ti, tasks)))
@@ -210,42 +184,37 @@ fn bus_stops_tracker(env: &TopologyEnv, _: &ComponentSpec) -> Result<Component, 
     Ok(Component::bolt(move |_| BusStopsTrackerBolt::new(stops.clone())))
 }
 
+/// One task: its state is the stream's one order. Under
+/// `SystemConfig::kappa` it also folds the statistics of the attributes
+/// the planned rules monitor.
 fn splitter(env: &TopologyEnv, c: &ComponentSpec) -> Result<Component, CoreError> {
-    single_task(
-        c,
-        "each task owns a Resequencer that waits for seq 0 and is sent only a share of the \
-         sequence numbers: it holds all but its first tuple to the end of the stream (or skips \
-         the gaps once its window is full) and the engines see the tasks' orders interleaved",
-    )?;
+    if c.parallelism.tasks != 1 {
+        return Err(config(format!(
+            "component {}: a {} runs as one task, {} declared: each task owns a Resequencer that \
+             waits for seq 0 and is sent only a share of the sequence numbers: it holds all but \
+             its first tuple to the end of the stream (or skips the gaps once its window is \
+             full) and the engines see the tasks' orders interleaved",
+            c.name, c.component_type, c.parallelism.tasks
+        )));
+    }
+    let (kappa, rules) = (env.system.config.kappa, &env.plan.engine_plan.per_engine);
+    kappa.as_ref().map_or(Ok(()), KappaConfig::validate)?;
+    let monitored = |a: &Attribute| rules.iter().flatten().any(|(rule, _)| rule.attribute == *a);
+    let attributes: Vec<_> = Attribute::ALL.into_iter().filter(monitored).collect();
     let (plan, elastic) = (Arc::new(env.plan.split_plan.clone()), env.elastic.clone());
     let (flight, gap_skips) = (env.flight.clone(), env.gap_skips.clone());
+    let (store, engines) = (ThresholdStore::new(env.system.store.clone()), rules.len());
     Ok(Component::bolt(move |_| {
-        let bolt =
+        let mut bolt =
             SplitterBolt::new(plan.clone()).with_gap_report(flight.clone(), gap_skips.clone());
-        match &elastic {
-            Some(handle) => bolt.with_elastic(handle.clone()),
-            None => bolt,
+        if let Some(handle) = &elastic {
+            bolt = bolt.with_elastic(handle.clone());
         }
-    }))
-}
-
-fn stats(env: &TopologyEnv, c: &ComponentSpec) -> Result<Component, CoreError> {
-    single_task(c, "its cells are the global statistics state")?;
-    let Some(kappa) = env.system.config.kappa else {
-        return Err(config(format!(
-            "component {}: a StatsBolt needs SystemConfig::kappa, which is not set",
-            c.name
-        )));
-    };
-    kappa.validate()?;
-    // The attributes the planned rules monitor, in `Attribute::ALL` order
-    // — the statistics cells the kappa branch must maintain.
-    let rules = &env.plan.engine_plan.per_engine;
-    let monitored = |a: &&Attribute| rules.iter().flatten().any(|(rule, _)| rule.attribute == **a);
-    let attributes: Vec<Attribute> = Attribute::ALL.iter().filter(monitored).copied().collect();
-    let (store, flight) = (ThresholdStore::new(env.system.store.clone()), env.flight.clone());
-    Ok(Component::bolt(move |_| {
-        StatsBolt::new(kappa, store.clone(), attributes.clone()).with_flight(flight.clone())
+        if let Some(kappa) = kappa {
+            let stats = StatsBolt::new(kappa, store.clone(), attributes.clone());
+            bolt.stats = Some((stats.with_flight(flight.clone()), engines));
+        }
+        bolt
     }))
 }
 
@@ -325,8 +294,8 @@ fn resolve_grouping(
 /// [`CoreError::Config`] that names the component: a type the table does
 /// not hold, a spout type declared as a bolt (or the reverse), a fields
 /// key other than `vehicle` / `line`, and what the type's resolver checks
-/// (an EsperBolt's tasks are the planned engines; a SplitterBolt and a
-/// StatsBolt are single tasks).
+/// (an EsperBolt's tasks are the planned engines; a SplitterBolt is a
+/// single task).
 pub(crate) fn build_from_spec(
     spec: &TopologySpec,
     env: &TopologyEnv,
@@ -438,7 +407,7 @@ mod tests {
         // DESIGN.md prints the text inside a list item, two columns in.
         let design = include_str!("../../../DESIGN.md");
         assert!(design.contains(&FIGURE8_XML.replace('\n', "\n  ")), "DESIGN.md prints FIGURE8_XML");
-        let spec = figure8_spec(&TopologyParallelism::default(), false);
+        let spec = figure8_spec(&TopologyParallelism::default());
         assert_eq!(parse_topology_xml(FIGURE8_XML).unwrap(), spec);
 
         let p = TopologyParallelism {
@@ -448,11 +417,11 @@ mod tests {
             splitter_tasks: 1,
             esper_tasks: 7,
         };
-        let kappa = figure8_spec(&p, true);
-        let tasks: Vec<(&str, usize)> = kappa
+        let spec = figure8_spec(&p);
+        let tasks: Vec<(&str, usize)> = spec
             .spouts
             .iter()
-            .chain(&kappa.bolts)
+            .chain(&spec.bolts)
             .map(|c| (c.name.as_str(), c.parallelism.tasks))
             .collect();
         assert_eq!(
@@ -463,14 +432,13 @@ mod tests {
                 ("areaTracker", 5),
                 ("busStopsTracker", 5),
                 ("splitter", 1),
-                ("stats", 1),
                 ("esper", 7),
                 ("eventsStorer", 1)
             ]
         );
-        let all_from_stats =
-            SubscriptionSpec { source: "stats".into(), grouping: GroupingSpec::All };
-        assert_eq!(kappa.bolts[5].subscriptions.last(), Some(&all_from_stats));
+        let groupings = spec.bolts.iter().flat_map(|b| &b.subscriptions).map(|s| &s.grouping);
+        assert!(groupings.clone().all(|g| *g != GroupingSpec::All), "no edge broadcasts");
+        assert_eq!(groupings.count(), spec.bolts.len(), "one input per bolt");
     }
 
     #[test]
@@ -527,22 +495,6 @@ mod tests {
         spec.bolts[0].subscriptions[0].grouping = GroupingSpec::Fields("colour".into());
         let reason = refusal(&system, &rules, &spec);
         assert!(reason.contains("preprocess") && reason.contains("colour"), "{reason}");
-    }
-
-    #[test]
-    fn a_stats_bolt_needs_kappa_and_one_task() {
-        let (mut system, rules) = system();
-        let spec = figure8_spec(
-            &TopologyParallelism { esper_tasks: 3, ..TopologyParallelism::default() },
-            true,
-        );
-        let reason = refusal(&system, &rules, &spec);
-        assert!(reason.contains("stats") && reason.contains("kappa"), "{reason}");
-        system.config.kappa = Some(crate::kappa::KappaConfig::default());
-        let mut two = spec.clone();
-        two.bolts[4].parallelism = Parallelism::of(2);
-        let reason = refusal(&system, &rules, &two);
-        assert!(reason.contains("stats") && reason.contains("one task"), "{reason}");
     }
 
     /// Two splitter tasks on a run shorter than the resequencer's window

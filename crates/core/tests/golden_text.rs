@@ -8,13 +8,19 @@
 //! morning, every mean and stdv by its bits: the digest was taken at
 //! 1133558, the last commit whose job keyed its cells by text and combined
 //! by collecting and regrouping.
+//!
+//! And it pins a kappa run's detections, thresholds by their bits: the
+//! first commit whose kappa run repeats, with the statistics folded in the
+//! Splitter and each refresh carried between the same two tuples, took it.
 
 use tms_core::offline::{self, OfflineArtifacts, OfflineConfig};
 use tms_core::rules::{LocationSelector, RuleSpec};
+use tms_core::system::{SystemConfig, TrafficSystem};
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
+use tms_core::KappaConfig;
 use tms_geo::DUBLIN_BBOX;
 use tms_storage::TableStore;
-use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, Preprocessor, HOUR_MS};
+use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, Preprocessor, DAY_MS, HOUR_MS};
 
 /// FNV-1a, so the digest does not depend on the standard library's hasher.
 fn fnv(digest: &mut u64, bytes: &[u8]) {
@@ -105,9 +111,57 @@ fn statistics_tables_hold_bit_for_bit() {
     assert_eq!((rows, digest), GOLDEN_STATISTICS);
 }
 
+#[test]
+fn a_kappa_run_detects_what_it_did() {
+    // A fresh bootstrap on the day-0 history to 09 h, then the day-1
+    // morning to 08 h through three engines, refreshed every 256 tuples.
+    let generator = FleetGenerator::new(FleetConfig::small(9), 0).unwrap();
+    let seeds = generator.route_seed_points();
+    let history: Vec<BusTrace> = generator.take_while(|t| t.timestamp_ms < 9 * HOUR_MS).collect();
+    let config = SystemConfig {
+        method: RetrievalMethod::ThresholdStream,
+        kappa: Some(KappaConfig { refresh_every: 256, ..KappaConfig::default() }),
+        ..SystemConfig::default()
+    };
+    let system = TrafficSystem::bootstrap(DUBLIN_BBOX, &seeds, &history, config).unwrap();
+    let rules: Vec<RuleSpec> =
+        [("leaves", LocationSelector::QuadtreeLeaves), ("stops", LocationSelector::BusStops)]
+            .into_iter()
+            .map(|(name, selector)| {
+                let mut rule = RuleSpec::new(name, Attribute::Delay, selector, 10);
+                rule.s = 0.5;
+                rule
+            })
+            .collect();
+    let plan = system.startup_plan(&rules, 3).unwrap();
+    let live: Vec<BusTrace> = FleetGenerator::new(FleetConfig::small(9), 1)
+        .unwrap()
+        .take_while(|t| t.timestamp_ms < DAY_MS + 8 * HOUR_MS)
+        .collect();
+    let report = system.run(live, &plan, None).unwrap();
+
+    let mut rows: Vec<String> = report
+        .detections
+        .iter()
+        .map(|d| {
+            let threshold = d.threshold.map_or(0, f64::to_bits);
+            let observed = d.observed.to_bits();
+            format!("{}|{}|{}|{observed:016x}|{threshold:016x}", d.rule, d.location, d.timestamp_ms)
+        })
+        .collect();
+    rows.sort();
+    let mut digest = FNV_OFFSET;
+    for row in &rows {
+        fnv(&mut digest, row.as_bytes());
+    }
+    assert_eq!((rows.len(), digest), GOLDEN_KAPPA);
+}
+
 /// `(traces, bytes of CSV, digest of the lines)`.
 const GOLDEN_LINES: (usize, usize, u64) = (36_000, 2_326_839, 10_648_329_310_542_914_362);
 /// `(detections, of which at stops, digest of rule|location|timestamp|observed)`.
 const GOLDEN_DETECTIONS: (usize, usize, u64) = (22_068, 5_178, 14_064_333_964_775_942_091);
 /// `(rows over every attribute, digest of attribute|location|hour|day|mean|stdv|count)`.
 const GOLDEN_STATISTICS: (usize, u64) = (5_762, 1_841_685_376_699_517_767);
+/// `(detections, digest of the sorted rule|location|timestamp|observed|threshold)`.
+const GOLDEN_KAPPA: (usize, u64) = (11_307, 7_299_650_708_142_907_860);

@@ -8,37 +8,25 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_core::rules::{LocationSelector, RuleSpec};
 use tms_core::system::{RunReport, SystemConfig, TrafficSystem};
+use tms_core::thresholds::RetrievalMethod;
 use tms_core::topology::{EventsStorerBolt, TopologyParallelism, TrafficMessage};
 use tms_core::xml_topology::{figure8_spec, Component, ComponentTypes, FIGURE8_XML};
 use tms_core::KappaConfig;
-use tms_dsps::{parse_topology_xml, Bolt, Emitter, Spout, TopologySpec};
+use tms_dsps::{parse_topology_xml, Bolt, Emitter, FlightKind, Spout, TopologySpec};
 use tms_geo::DUBLIN_BBOX;
 use tms_traffic::{Attribute, BusTrace, FleetConfig, FleetGenerator, DAY_MS, HOUR_MS};
 
 const ENGINES: usize = 3;
 
-/// `FIGURE8_XML` as a deployment would write it for `ENGINES` engines,
-/// with the statistics side branch under `kappa`; checked to be the spec
-/// `TrafficSystem::run` builds for the same settings.
-fn xml_spec(kappa: bool) -> TopologySpec {
-    let mut xml = FIGURE8_XML
+/// `FIGURE8_XML` as a deployment would write it for `ENGINES` engines;
+/// checked to be the spec `TrafficSystem::run` builds for the same
+/// settings, with kappa on or off.
+fn xml_spec() -> TopologySpec {
+    let xml = FIGURE8_XML
         .replace(r#"type="EsperBolt" tasks="4""#, &format!(r#"type="EsperBolt" tasks="{ENGINES}""#));
-    if kappa {
-        xml = xml
-            .replace(
-                r#"<bolt name="esper""#,
-                r#"<bolt name="stats" type="StatsBolt"><subscribe source="busStopsTracker"/></bolt>
-                   <bolt name="esper""#,
-            )
-            .replace(
-                r#"<subscribe source="splitter" grouping="direct"/>"#,
-                r#"<subscribe source="splitter" grouping="direct"/>
-                   <subscribe source="stats" grouping="all"/>"#,
-            );
-    }
     let spec = parse_topology_xml(&xml).unwrap();
     let parallelism = TopologyParallelism { esper_tasks: ENGINES, ..TopologyParallelism::default() };
-    assert_eq!(spec, figure8_spec(&parallelism, kappa));
+    assert_eq!(spec, figure8_spec(&parallelism));
     spec
 }
 
@@ -68,11 +56,15 @@ fn rules() -> Vec<RuleSpec> {
         .collect()
 }
 
-fn multiset(report: &RunReport) -> Vec<(String, String, u64)> {
-    let mut out: Vec<(String, String, u64)> = report
+/// The detections as sorted (rule, location, timestamp, threshold bits).
+fn multiset(report: &RunReport) -> Vec<(String, String, u64, Option<u64>)> {
+    let mut out: Vec<_> = report
         .detections
         .iter()
-        .map(|d| (d.rule.clone(), d.location.clone(), d.timestamp_ms))
+        .map(|d| {
+            let threshold = d.threshold.map(f64::to_bits);
+            (d.rule.clone(), d.location.clone(), d.timestamp_ms, threshold)
+        })
         .collect();
     out.sort();
     out
@@ -89,38 +81,57 @@ fn a_topology_parsed_from_xml_detects_what_the_default_wiring_detects() {
         let plan = system.startup_plan(&rules(), ENGINES).unwrap();
         let default = system.run(live(seed), &plan, None).unwrap();
         let parsed = system
-            .run_spec(&xml_spec(false), live(seed), &plan, None, ComponentTypes::figure8())
+            .run_spec(&xml_spec(), live(seed), &plan, None, ComponentTypes::figure8())
             .unwrap();
         assert!(!default.detections.is_empty());
         assert!(multiset(&parsed) == multiset(&default), "seed {seed}");
     }
 }
 
-/// A kappa run is not repeatable (the refresh notices race the tuples, and
-/// the run rewrites the statistics it started from), so there is no
-/// multiset to compare: the XML text is the spec `run` builds (`xml_spec`
-/// checks it), and the side branch it declares carries what it must.
+/// A kappa run is repeatable: the Splitter folds the released order and
+/// sends publication `k` to every engine after tuple `k·R − 1`, so `run`
+/// twice and the XML text once detect the same events against the same
+/// thresholds. Each run gets a fresh bootstrap, because a run writes the
+/// statistics it learned back to the store.
 #[test]
-fn a_stats_bolt_declared_in_xml_feeds_every_engine() {
+fn a_kappa_run_repeats_and_the_xml_wiring_runs_it_too() {
+    const REFRESH_EVERY: u64 = 256;
     let config = SystemConfig {
-        kappa: Some(KappaConfig { refresh_every: 256, min_samples: 5 }),
+        method: RetrievalMethod::ThresholdStream,
+        kappa: Some(KappaConfig { refresh_every: REFRESH_EVERY, min_samples: 5 }),
         ..SystemConfig::default()
     };
-    let system = bootstrap(9, config);
-    let plan = system.startup_plan(&rules(), ENGINES).unwrap();
-    let traces = live(9);
-    let tuples = traces.len() as u64;
-    let report = system
-        .run_spec(&xml_spec(true), traces, &plan, None, ComponentTypes::figure8())
-        .unwrap();
-    assert!(!report.detections.is_empty());
-    let notices = of(&report, "stats").emitted;
-    assert_eq!(of(&report, "stats").throughput, tuples);
-    assert!(notices > 0);
-    assert_eq!(
-        of(&report, "esper").throughput,
-        of(&report, "splitter").emitted + notices * ENGINES as u64
-    );
+    for seed in [9, 10] {
+        let traces = live(seed);
+        let publications = (traces.len() as u64).div_ceil(REFRESH_EVERY);
+        let fresh = || {
+            let system = bootstrap(seed, config.clone());
+            let plan = system.startup_plan(&rules(), ENGINES).unwrap();
+            (system, plan)
+        };
+        let (system, plan) = fresh();
+        let first = system.run(traces.clone(), &plan, None).unwrap();
+        let (system, plan) = fresh();
+        let second = system.run(traces.clone(), &plan, None).unwrap();
+        let (mut system, plan) = fresh();
+        let parsed = system
+            .run_spec(&xml_spec(), traces.clone(), &plan, None, ComponentTypes::figure8())
+            .unwrap();
+        assert!(!first.detections.is_empty());
+        assert!(multiset(&first) == multiset(&second), "seed {seed}: run twice");
+        assert!(multiset(&first) == multiset(&parsed), "seed {seed}: run and the XML");
+
+        // Every refresh reaches every engine on the tuples' edges.
+        let refreshes = parsed.events.iter().filter(|e| e.kind == FlightKind::StatsRefresh);
+        assert_eq!(refreshes.count() as u64, publications);
+        assert_eq!(of(&parsed, "esper").throughput, of(&parsed, "splitter").emitted);
+        system.config.kappa = None;
+        let routed = system.run(traces, &plan, None).unwrap();
+        assert_eq!(
+            of(&parsed, "splitter").emitted,
+            of(&routed, "splitter").emitted + publications * ENGINES as u64
+        );
+    }
 }
 
 /// Emits tuple `i` no earlier than `start + i / RATE`, striped by vehicle
@@ -210,7 +221,7 @@ fn a_registered_spout_and_sink_run_under_the_product_wiring() {
         })
         .unwrap();
 
-    let mut spec = xml_spec(false);
+    let mut spec = xml_spec();
     spec.spouts[0].component_type = "PacingSpout".into();
     spec.bolts.last_mut().unwrap().component_type = "StampingStorer".into();
     let traces = live(9);

@@ -51,16 +51,6 @@ impl RemoteDb {
         self.store.with_table(table, f)
     }
 
-    /// Executes one write against a table, charging the round trip.
-    pub fn execute<R>(
-        &self,
-        table: &str,
-        f: impl FnOnce(&mut Table) -> R,
-    ) -> Result<R, StorageError> {
-        self.charge();
-        self.store.with_table_mut(table, f)
-    }
-
     fn charge(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if self.round_trip.is_zero() {

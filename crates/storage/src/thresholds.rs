@@ -163,47 +163,7 @@ impl ThresholdStore {
         if !self.store.has_table(&name) {
             return Ok(Vec::new());
         }
-        let mut out = self.store.with_table(&name, |t| -> Result<_, StorageError> {
-            let mut recs = Vec::with_capacity(t.len());
-            for row in t.scan() {
-                recs.push(StatRecord {
-                    area_id: row[0].as_str()?.to_string(),
-                    hour: row[1].as_int()? as u8,
-                    day_type: DayType::parse(row[2].as_str()?)?,
-                    mean: row[3].as_float()?,
-                    stdv: row[4].as_float()?,
-                    count: row[5].as_int()? as u64,
-                });
-            }
-            Ok(recs)
-        })??;
-        out.sort_by(|a, b| (&a.area_id, a.hour, a.day_type).cmp(&(&b.area_id, b.hour, b.day_type)));
-        Ok(out)
-    }
-
-    /// As [`Self::publish`] but through a [`RemoteDb`], paying one round
-    /// trip for the whole snapshot — the cost the batch layer's refresh
-    /// actually incurs (the kappa path publishes locally instead).
-    pub fn publish_remote(
-        db: &RemoteDb,
-        attribute: &str,
-        records: &[StatRecord],
-    ) -> Result<(), StorageError> {
-        let name = statistics_table_name(attribute);
-        let mut fresh = Table::new(name.clone(), statistics_schema());
-        for r in records {
-            fresh.insert(vec![
-                Value::from(r.area_id.clone()),
-                Value::Int(i64::from(r.hour)),
-                Value::from(r.day_type.as_str()),
-                Value::Float(r.mean),
-                Value::Float(r.stdv),
-                Value::Int(r.count as i64),
-            ])?;
-        }
-        db.local().create_table_if_missing(&name, statistics_schema())?;
-        db.execute(&name, |t| *t = fresh)?;
-        Ok(())
+        self.store.with_table(&name, Self::records)?
     }
 
     /// Runs the threshold query (Listing 2) against a table store,
@@ -281,16 +241,17 @@ impl ThresholdStore {
         })?
     }
 
-    fn project(t: &Table, s: f64) -> Result<Vec<ThresholdRow>, StorageError> {
-        let mut out = Vec::with_capacity(t.len());
-        for row in t.scan() {
-            out.push(ThresholdRow {
-                area_id: row[0].as_str()?.to_string(),
-                hour: row[1].as_int()? as u8,
-                day_type: DayType::parse(row[2].as_str()?)?,
-                threshold: row[3].as_float()? + s * row[4].as_float()?,
-            });
-        }
+    /// The threshold query (Listing 2) over records in hand rather than a
+    /// table: the rows [`Self::thresholds`] reads once `records` are
+    /// published, in the same order and with the same bits.
+    pub fn thresholds_of(records: &[StatRecord], s: f64) -> Vec<ThresholdRow> {
+        let rows = records.iter().map(|r| ThresholdRow {
+            area_id: r.area_id.clone(),
+            hour: r.hour,
+            day_type: r.day_type,
+            threshold: r.mean + s * r.stdv,
+        });
+        let mut out: Vec<ThresholdRow> = rows.collect();
         // DISTINCT of Listing 2: the snapshot is keyed, but historical
         // re-publishes could duplicate; dedupe on the full row.
         out.sort_by(|a, b| {
@@ -298,12 +259,28 @@ impl ThresholdStore {
                 .cmp(&(&b.area_id, b.hour, b.day_type))
                 .then(a.threshold.total_cmp(&b.threshold))
         });
-        out.dedup_by(|a, b| {
-            a.area_id == b.area_id
-                && a.hour == b.hour
-                && a.day_type == b.day_type
-                && a.threshold == b.threshold
-        });
+        out.dedup();
+        out
+    }
+
+    fn project(t: &Table, s: f64) -> Result<Vec<ThresholdRow>, StorageError> {
+        Ok(Self::thresholds_of(&Self::records(t)?, s))
+    }
+
+    /// A statistics table's rows, sorted by `(area, hour, dayType)`.
+    fn records(t: &Table) -> Result<Vec<StatRecord>, StorageError> {
+        let mut out = Vec::with_capacity(t.len());
+        for row in t.scan() {
+            out.push(StatRecord {
+                area_id: row[0].as_str()?.to_string(),
+                hour: row[1].as_int()? as u8,
+                day_type: DayType::parse(row[2].as_str()?)?,
+                mean: row[3].as_float()?,
+                stdv: row[4].as_float()?,
+                count: row[5].as_int()? as u64,
+            });
+        }
+        out.sort_by(|a, b| (&a.area_id, a.hour, a.day_type).cmp(&(&b.area_id, b.hour, b.day_type)));
         Ok(out)
     }
 
@@ -449,6 +426,18 @@ mod tests {
     }
 
     #[test]
+    fn records_in_hand_project_like_the_published_table() {
+        let ts = ThresholdStore::new(TableStore::new());
+        let mut recs = records();
+        recs.push(recs[0].clone());
+        ts.publish("delay", &recs).unwrap();
+        for s in [0.0, 1.0, 2.5] {
+            let q = ThresholdQuery { attribute: "delay".into(), s };
+            assert_eq!(ThresholdStore::thresholds_of(&recs, s), ts.thresholds(&q).unwrap());
+        }
+    }
+
+    #[test]
     fn sql_path_matches_typed_path() {
         let ts = ThresholdStore::new(TableStore::new());
         ts.publish("delay", &records()).unwrap();
@@ -468,19 +457,6 @@ mod tests {
         expected
             .sort_by(|a, b| (&a.area_id, a.hour, a.day_type).cmp(&(&b.area_id, b.hour, b.day_type)));
         assert_eq!(back, expected);
-    }
-
-    #[test]
-    fn publish_remote_charges_one_round_trip_and_replaces() {
-        let ts = ThresholdStore::new(TableStore::new());
-        let db = RemoteDb::new(ts.store().clone(), std::time::Duration::ZERO);
-        ThresholdStore::publish_remote(&db, "delay", &records()).unwrap();
-        assert_eq!(db.query_count(), 1, "whole snapshot costs one round trip");
-        assert_eq!(ts.statistics("delay").unwrap().len(), 3);
-        // Republish replaces, exactly like the local path.
-        ThresholdStore::publish_remote(&db, "delay", &records()[..1]).unwrap();
-        assert_eq!(ts.statistics("delay").unwrap().len(), 1);
-        assert_eq!(db.query_count(), 2);
     }
 
     #[test]
