@@ -83,11 +83,6 @@ pub struct SystemConfig {
     /// restarted tasks resume from disk instead of cold. `None` keeps
     /// all bolt state in memory.
     pub durability: Option<tms_dsps::DurabilityConfig>,
-    /// Logical worker count the scheduler spreads executors over
-    /// (placement modeling; the run itself stays in-process — spawning
-    /// real worker processes is [`tms_dsps::DistributedCluster`]'s job).
-    /// `None` derives the count from the cluster spec.
-    pub workers: Option<usize>,
 }
 
 /// Configuration of the elastic rebalancer (the closed control loop over
@@ -169,7 +164,6 @@ impl Default for SystemConfig {
             elastic: None,
             kappa: None,
             durability: None,
-            workers: None,
         }
     }
 }
@@ -289,7 +283,7 @@ pub struct CalibrationReport {
 /// The planner-drift report: how far the run drifted from what
 /// Algorithm 1 (input rates) and the Section 4.1.4 estimation model
 /// (latencies) planned, plus the online-recalibration outcome. Produced
-/// when the monitor runs with profiling enabled.
+/// when a monitor runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerDriftReport {
     /// One entry per planned engine.
@@ -315,10 +309,10 @@ pub struct RunReport {
     /// Windowed metric history (only populated when a monitor ran).
     pub history: Vec<tms_dsps::ComponentWindow>,
     /// Per-window predicted-vs-observed Esper latency drift (only
-    /// populated when the monitor ran with tracing enabled).
+    /// populated when a monitor ran).
     pub drift: Vec<DriftSample>,
     /// Planner drift and online-recalibration report (only populated when
-    /// the monitor ran with profiling enabled and sampled rule profiles).
+    /// a monitor ran and sampled rule profiles).
     pub planner: Option<PlannerDriftReport>,
     /// Elastic rebalancer outcome (only populated when
     /// [`SystemConfig::elastic`] was set): migration counts, routing pause
@@ -336,7 +330,7 @@ pub struct RunReport {
     /// populated when [`MonitorConfig::lineage`] was set).
     pub critical_path: Option<CriticalPathReport>,
     /// The sampled lineage spans themselves (only populated when
-    /// [`MonitorConfig::lineage`] was set with `export: true`); feed to
+    /// [`MonitorConfig::lineage`] was set); feed to
     /// [`tms_dsps::lineage::summarize`] for connectivity checks.
     pub traces: Vec<tms_dsps::Span>,
     /// Task → component names for [`RunReport::traces`], so the spans can
@@ -788,10 +782,12 @@ impl TrafficSystem {
             traces: Arc::new(traces),
             db,
             detections: Arc::new(Mutex::new(Vec::new())),
+            // Rule profiles are a field of a monitor window, so a monitor
+            // is what asks for them.
             profiling: self
                 .config
                 .monitor
-                .is_some_and(|m| m.profiling)
+                .is_some()
                 .then(|| Arc::new(EsperProfileRegistry::new())),
             elastic,
             flight,
@@ -809,7 +805,6 @@ impl TrafficSystem {
                 fault: self.config.chaos,
                 durability: self.config.durability.clone(),
                 flight: Some(flight.clone()),
-                workers: self.config.workers,
                 ..RuntimeConfig::default()
             },
         )?;
@@ -976,16 +971,16 @@ impl TrafficSystem {
         by_node.into_values().collect()
     }
 
-    /// Predicted-vs-observed drift per sampled Esper window, when the
-    /// monitor ran with tracing. Prediction failures (e.g. a plan with no
-    /// loaded engine) disable drift rather than failing the run.
+    /// Predicted-vs-observed drift per sampled Esper window, when a
+    /// monitor ran. Prediction failures (e.g. a plan with no loaded
+    /// engine) disable drift rather than failing the run.
     fn drift_samples(
         &self,
         plan: &StartupPlan,
         assignment: &Assignment,
         history: &[tms_dsps::ComponentWindow],
     ) -> Vec<DriftSample> {
-        if !self.config.monitor.is_some_and(|m| m.tracing) {
+        if self.config.monitor.is_none() {
             return Vec::new();
         }
         let predicted = match self.predicted_esper_latency_ms(plan, assignment) {
@@ -1620,8 +1615,6 @@ mod tests {
             }),
             monitor: Some(MonitorConfig {
                 window: Duration::from_millis(250),
-                tracing: true,
-                profiling: true,
                 ..MonitorConfig::default()
             }),
             ..SystemConfig::default()
@@ -1672,7 +1665,6 @@ mod tests {
         let config = SystemConfig {
             monitor: Some(MonitorConfig {
                 window: Duration::from_millis(250),
-                tracing: true,
                 ..MonitorConfig::default()
             }),
             ..SystemConfig::default()
@@ -1684,7 +1676,7 @@ mod tests {
             .collect();
         let (_, report) = sys.plan_and_run(live, &rules(), 3).unwrap();
         // At least one Esper window compared observed against predicted.
-        assert!(!report.drift.is_empty(), "tracing runs must produce drift samples");
+        assert!(!report.drift.is_empty(), "monitored runs must produce drift samples");
         for d in &report.drift {
             assert!(d.observed_ms > 0.0);
             assert!(d.predicted_ms > 0.0);
@@ -1709,8 +1701,6 @@ mod tests {
         let config = SystemConfig {
             monitor: Some(MonitorConfig {
                 window: Duration::from_millis(250),
-                tracing: true,
-                profiling: true,
                 ..MonitorConfig::default()
             }),
             ..SystemConfig::default()

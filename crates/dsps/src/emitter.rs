@@ -22,7 +22,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Bits of a tuple id reserved for the per-task sequence number; the high
 /// bits carry the global task id, so every task mints from a disjoint
@@ -69,10 +68,11 @@ impl<T> Payload<T> {
     }
 }
 
-/// The lineage hop a sampled delivery carries: which trace it belongs to,
-/// which span emitted it, and when it was sent (for queue-wait spans).
-/// Boxed on the envelope so unsampled (and lineage-off) deliveries pay one
-/// `None` pointer, not the full struct.
+/// The trace context a sampled delivery carries: which tree it belongs
+/// to, which span emitted it, when it was sent (for queue-wait spans) and
+/// when its tree started (for the end-to-end latency a terminal bolt
+/// records). Boxed on the envelope so unsampled (and lineage-off)
+/// deliveries pay one `None` pointer, not the full struct.
 #[derive(Clone, Copy)]
 pub(crate) struct TraceHop {
     /// Tuple-tree id (the sampled root delivery id).
@@ -83,13 +83,16 @@ pub(crate) struct TraceHop {
     pub(crate) src: u32,
     /// Send time, nanoseconds since the collector epoch.
     pub(crate) sent_ns: u64,
+    /// Start of the spout emit (or replay) the tree descends from,
+    /// nanoseconds since the collector epoch.
+    pub(crate) root_ns: u64,
 }
 
 /// One delivery: the message plus its reliability lineage.
 ///
 /// Crate-visible so the wire layer ([`net`](crate::net)) can encode and
-/// reconstruct deliveries. The `t0`/`hop` observability fields do not
-/// cross the wire: `Instant` is process-local and lineage spans do not
+/// reconstruct deliveries. The trace context does not cross the wire: its
+/// clock is the process-local collector epoch, and lineage spans do not
 /// link across the boundary (each process's spans still flow back to the
 /// coordinator at the end of the run).
 pub(crate) struct Envelope<T> {
@@ -98,19 +101,14 @@ pub(crate) struct Envelope<T> {
     pub(crate) tid: u64,
     /// Spout roots this delivery descends from (empty when untracked).
     pub(crate) roots: Vec<u64>,
-    /// Spout emit time of the root tuple this delivery descends from.
-    /// Only stamped in tracing + at-most-once mode, where end-to-end
-    /// latency is recorded at the terminal bolt (reliability mode records
-    /// it spout-side from the acker's completion instant instead).
-    pub(crate) t0: Option<Instant>,
-    /// Lineage context when this delivery belongs to a sampled trace.
-    pub(crate) hop: Option<Box<TraceHop>>,
+    /// Trace context when this delivery belongs to a sampled tree.
+    pub(crate) trace: Option<Box<TraceHop>>,
 }
 
 impl<T> Envelope<T> {
     /// A delivery reconstructed from the wire (no local-only context).
     pub(crate) fn from_wire(msg: T, tid: u64, roots: Vec<u64>) -> Self {
-        Envelope { msg: Payload::Owned(msg), tid, roots, t0: None, hop: None }
+        Envelope { msg: Payload::Owned(msg), tid, roots, trace: None }
     }
 }
 
@@ -174,8 +172,9 @@ pub(crate) struct Route<T> {
     pub(crate) grouping: Grouping<T>,
     /// Input channels of every downstream task.
     pub(crate) senders: Vec<Sender<Packet<T>>>,
-    /// Occupancy gauges parallel to `senders` (bumped only when tracing).
-    pub(crate) depths: Vec<Arc<AtomicI64>>,
+    /// Occupancy gauges parallel to `senders`: present for local tasks
+    /// under a monitor, absent otherwise.
+    pub(crate) depths: Vec<Option<Arc<AtomicI64>>>,
     /// Global task ids parallel to `senders` (lineage span attribution).
     pub(crate) globals: Vec<u32>,
     /// Round-robin cursor for shuffle grouping.
@@ -189,10 +188,10 @@ pub(crate) struct Route<T> {
 pub(crate) struct LineageState {
     /// This task's span producer (ring handle + id minting + sampler).
     pub(crate) sink: SpanSink,
-    /// `(trace, parent span)` of the tuple currently being processed or
-    /// emitted; outgoing envelopes are stamped from it. `None` while
-    /// handling an unsampled tuple.
-    pub(crate) active: Option<(u64, u64)>,
+    /// `(trace, parent span, root_ns)` of the tuple currently being
+    /// processed or emitted; outgoing envelopes are stamped from it.
+    /// `None` while handling an unsampled tuple.
+    pub(crate) active: Option<(u64, u64, u64)>,
 }
 
 /// The per-task emitter: owns this task's copy of each outgoing edge.
@@ -219,11 +218,6 @@ pub(crate) struct TaskEmitter<T> {
     tids: Vec<u64>,
     /// Scratch for per-root combined XOR registrations per emit.
     xor_scratch: Vec<(u64, u64)>,
-    /// Per-tuple tracing enabled: stamp envelopes and bump queue gauges.
-    tracing: bool,
-    /// Root emit time to stamp on outgoing envelopes (tracing +
-    /// at-most-once only); inherited from the input being processed.
-    pub(crate) t0: Option<Instant>,
     /// Per-(route, task) edge buffers, `buffers[ri][ti]`.
     buffers: Vec<Vec<Vec<Envelope<T>>>>,
     /// Whether any edge buffer holds a tuple.
@@ -250,7 +244,6 @@ impl<T> TaskEmitter<T> {
         counters: Arc<TaskCounters>,
         acker: Option<Arc<dyn AckSink>>,
         fault: Option<FaultConfig>,
-        tracing: bool,
         lineage: Option<SpanSink>,
         flight: Arc<FlightRecorder>,
     ) -> Self {
@@ -272,8 +265,6 @@ impl<T> TaskEmitter<T> {
             targets: Vec::new(),
             tids: Vec::new(),
             xor_scratch: Vec::new(),
-            tracing,
-            t0: None,
             buffers,
             buffered: false,
             lineage: lineage.map(|sink| LineageState { sink, active: None }),
@@ -320,7 +311,7 @@ impl<T> TaskEmitter<T> {
             let now = l.sink.now_ns();
             let dest = self.routes[ri].globals[ti];
             for env in buf.iter_mut() {
-                if let Some(hop) = env.hop.as_deref_mut() {
+                if let Some(hop) = env.trace.as_deref_mut() {
                     let sid = l.sink.record(
                         hop.trace,
                         hop.parent,
@@ -346,9 +337,9 @@ impl<T> TaskEmitter<T> {
             for _ in 0..n {
                 self.counters.record_dropped();
             }
-        } else if self.tracing {
+        } else if let Some(depth) = &self.routes[ri].depths[ti] {
             // Only deliveries that actually entered the channel occupy it.
-            self.routes[ri].depths[ti].fetch_add(n as i64, Ordering::Relaxed);
+            depth.fetch_add(n as i64, Ordering::Relaxed);
         }
     }
 
@@ -404,8 +395,9 @@ impl<T: Clone> TaskEmitter<T> {
             for &root in &self.anchors {
                 self.xor_scratch.push((root, combined));
             }
-            let acker = self.acker.as_ref().expect("tracked is only true with an acker configured");
-            acker.xor_batch(&self.xor_scratch);
+            if let Some(acker) = &self.acker {
+                acker.xor_batch(&self.xor_scratch);
+            }
         } else {
             self.tids.resize(n, 0);
         }
@@ -447,20 +439,21 @@ impl<T: Clone> TaskEmitter<T> {
             }
         }
         let roots = if tracked { self.anchors.clone() } else { Vec::new() };
-        let hop = match &self.lineage {
-            Some(l) => l.active.map(|(trace, parent)| {
+        let trace = match &self.lineage {
+            Some(l) => l.active.map(|(trace, parent, root_ns)| {
                 Box::new(TraceHop {
                     trace,
                     parent,
                     src: self.global,
                     sent_ns: l.sink.now_ns(),
+                    root_ns,
                 })
             }),
             None => None,
         };
         self.buffered = true;
         let buf = &mut self.buffers[ri][ti];
-        buf.push(Envelope { msg, tid, roots, t0: self.t0, hop });
+        buf.push(Envelope { msg, tid, roots, trace });
         if buf.len() >= TURN_FLUSH_CAP {
             self.flush_edge(ri, ti);
         }

@@ -23,6 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The at-least-once machinery an executor runs under: the acker and the
+/// replay and restart parameters, present together or not at all.
+pub(crate) type Reliable = (Arc<dyn AckSink>, ReliabilityConfig);
+
 /// A spout tuple awaiting the completion of its tree.
 struct PendingRoot<T> {
     msg: T,
@@ -87,8 +91,8 @@ pub(crate) struct BoltTask<T> {
     index: usize,
     /// Context handed to `prepare`, kept for supervised restarts.
     ctx: BoltContext,
-    /// This task's input-channel occupancy gauge (tracing mode).
-    depth: Arc<AtomicI64>,
+    /// This task's input-channel occupancy gauge (under a monitor).
+    depth: Option<Arc<AtomicI64>>,
     /// Durable snapshot+changelog state store; `None` = ephemeral task.
     store: Option<StateStore>,
     /// Scratch for changelog records drained per tuple.
@@ -108,7 +112,7 @@ impl<T> BoltTask<T> {
         emitter: TaskEmitter<T>,
         rx: Receiver<Packet<T>>,
         ctx: BoltContext,
-        depth: Arc<AtomicI64>,
+        depth: Option<Arc<AtomicI64>>,
         store: Option<StateStore>,
     ) -> Self {
         BoltTask {
@@ -142,7 +146,8 @@ fn sample_new_tree<T>(emitter: &TaskEmitter<T>, root: u64) -> Option<(u64, u64)>
 /// span around the emit. In reliability mode (`root` = the tree's acker
 /// root and the acker) the emit is anchored to the root and the root
 /// sealed after it, which completes roots whose emit found no route.
-/// Returns the tree's `(trace, span)` for its pending root to carry.
+/// The emit's start is the `root_ns` its deliveries carry. Returns the
+/// tree's `(trace, span)` for its pending root to carry.
 fn emit_tree<T: Clone>(
     emitter: &mut TaskEmitter<T>,
     msg: T,
@@ -154,8 +159,9 @@ fn emit_tree<T: Clone>(
     let mut ctx = None;
     if let (Some(l), Some((trace, parent))) = (&mut emitter.lineage, sampled) {
         let sid = l.sink.next_id();
-        ctx = Some((trace, parent, sid, l.sink.now_ns()));
-        l.active = Some((trace, sid));
+        let start = l.sink.now_ns();
+        ctx = Some((trace, parent, sid, start));
+        l.active = Some((trace, sid, start));
     }
     emitter.anchors.clear();
     emitter.anchors.extend(root.map(|(root, _)| root));
@@ -184,9 +190,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
     mut tasks: Vec<SpoutTask<T>>,
     task_ids: Vec<usize>,
     component: String,
-    acker: Option<Arc<dyn AckSink>>,
-    reliability: Option<ReliabilityConfig>,
-    tracing: bool,
+    reliable: Option<Reliable>,
     failed: &AtomicBool,
 ) -> Result<(), DspsError> {
     let mut finished = 0usize;
@@ -205,11 +209,9 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
                 while let Ok((root, completed_at)) = rx.try_recv() {
                     if let Some(p) = t.pending.remove(&root) {
                         t.emitter.counters.record_acked();
-                        if tracing {
-                            t.emitter
-                                .counters
-                                .record_completion(completed_at.saturating_duration_since(p.first_emit));
-                        }
+                        t.emitter
+                            .counters
+                            .record_completion(completed_at.saturating_duration_since(p.first_emit));
                         if let Some(l) = &mut t.emitter.lineage {
                             if let Some((trace, parent)) = p.trace {
                                 // The tree is done at the acker's completion
@@ -233,12 +235,10 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
             //    no-ops) and replay under a fresh one with exponential
             //    backoff; an exhausted budget fails the tuple instead, so
             //    the topology still terminates.
-            if let Some(rel) = &reliability {
+            if let Some((acker, rel)) = &reliable {
                 let now = Instant::now();
                 if t.next_scan <= now && !t.pending.is_empty() {
                     t.next_scan = now + Duration::from_millis(10).min(rel.ack_timeout / 4);
-                    let acker =
-                        acker.as_ref().expect("submit builds an acker whenever reliability is on");
                     let due: Vec<u64> = t
                         .pending
                         .iter()
@@ -289,7 +289,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
             }
             // 3. Pull from the source, unless the pending buffer is full.
             let throttled =
-                reliability.is_some_and(|rel| t.pending.len() >= rel.max_pending);
+                reliable.as_ref().is_some_and(|(_, rel)| t.pending.len() >= rel.max_pending);
             if t.live && !throttled {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     t.spout.next()
@@ -300,10 +300,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
                         // the emitter); `processed`/`busy_ns` stay bolt-only
                         // so spout windows don't fake a processing latency.
                         progressed = true;
-                        if let Some(rel) = &reliability {
-                            let acker = acker
-                                .as_ref()
-                                .expect("submit builds an acker whenever reliability is on");
+                        if let Some((acker, rel)) = &reliable {
                             let root = t.emitter.next_id();
                             acker.register(root, t.global);
                             let sampled = sample_new_tree(&t.emitter, root);
@@ -337,11 +334,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
                                 }
                                 None => None,
                             };
-                            if tracing {
-                                t.emitter.t0 = Some(Instant::now());
-                            }
                             emit_tree(&mut t.emitter, msg, None, sampled, SpanKind::SpoutEmit, 0);
-                            t.emitter.t0 = None;
                         }
                     }
                     Ok(None) => {
@@ -386,7 +379,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
     // still pending will never complete and count as failed.
     for t in tasks.iter_mut() {
         if !t.eos_sent {
-            if let Some(acker) = &acker {
+            if let Some((acker, _)) = &reliable {
                 for (root, _) in t.pending.drain() {
                     acker.abandon(root);
                     t.emitter.counters.record_failed();
@@ -417,9 +410,7 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
     component: String,
     expected: usize,
     factory: BoltFactory<T>,
-    acker: Option<Arc<dyn AckSink>>,
-    reliability: Option<ReliabilityConfig>,
-    tracing: bool,
+    reliable: Option<Reliable>,
 ) -> Result<(), DspsError> {
     // Storm calls prepare() on the worker, not the submitting client;
     // per-task state must live on the executor thread. With durability
@@ -504,15 +495,20 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
                         }
                     }
                     data => {
-                        if tracing {
+                        if let Some(depth) = &t.depth {
                             // The gauge counts tuples, not packets.
-                            t.depth.fetch_sub(data.tuples() as i64, Ordering::Relaxed);
+                            depth.fetch_sub(data.tuples() as i64, Ordering::Relaxed);
                         }
                         acks.clear();
                         let mut fatal = None;
                         for env in data.into_envelopes() {
                             let r = process_envelope(
-                                t, env, &component, &factory, &acker, reliability, &mut acks,
+                                t,
+                                env,
+                                &component,
+                                &factory,
+                                reliable.as_ref(),
+                                &mut acks,
                             );
                             if let Err(e) = r {
                                 fatal = Some(e);
@@ -522,7 +518,7 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
                         // One acker call for the whole packet, ids combined
                         // per root. Flushed even when a later tuple was
                         // fatal: the earlier ones really were processed.
-                        if let Some(acker) = &acker {
+                        if let Some((acker, _)) = &reliable {
                             acker.xor_batch(&acks);
                         }
                         if let Some(e) = fatal {
@@ -570,7 +566,8 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
 
 /// Runs one delivery through a bolt task: anchor inheritance, panic
 /// containment around `process`, latency and terminal-completion
-/// recording, auto-ack, and supervised restart on panic.
+/// recording (a sampled tree's end-to-end latency in at-most-once mode),
+/// auto-ack, and supervised restart on panic.
 ///
 /// The input's ack is folded into `acks` as per-root combined ids; the
 /// caller applies them in one [`Acker::xor_batch`] call after the packet.
@@ -582,22 +579,18 @@ fn process_envelope<T: Clone + Send + Sync>(
     env: Envelope<T>,
     component: &str,
     factory: &BoltFactory<T>,
-    acker: &Option<Arc<dyn AckSink>>,
-    reliability: Option<ReliabilityConfig>,
+    reliable: Option<&Reliable>,
     acks: &mut Vec<(u64, u64)>,
 ) -> Result<(), DspsError> {
-    let Envelope { msg, tid, roots, t0, hop } = env;
+    let Envelope { msg, tid, roots, trace } = env;
     t.emitter.anchors = roots;
-    // Outputs inherit the input's root emit time, so the stamp survives
-    // multi-hop pipelines.
-    t.emitter.t0 = t0;
     // A sampled input yields two spans: the queue wait (send → here,
     // charged against the sender via `other`) and the `process` call. The
     // process span id is reserved before the call so emitted outputs can
     // parent onto it.
     let mut proc_ctx = None;
     if let Some(l) = &mut t.emitter.lineage {
-        if let Some(hop) = hop.as_deref() {
+        if let Some(hop) = trace.as_deref() {
             let now = l.sink.now_ns();
             let q = l.sink.record(
                 hop.trace,
@@ -608,8 +601,10 @@ fn process_envelope<T: Clone + Send + Sync>(
                 now.saturating_sub(hop.sent_ns),
             );
             let pid = l.sink.next_id();
-            l.active = Some((hop.trace, pid));
-            proc_ctx = Some((hop.trace, q, pid, now));
+            // Outputs inherit the tree's start, so it survives multi-hop
+            // pipelines.
+            l.active = Some((hop.trace, pid, hop.root_ns));
+            proc_ctx = Some((hop.trace, q, pid, now, hop.root_ns));
         }
     }
     let start = Instant::now();
@@ -632,17 +627,8 @@ fn process_envelope<T: Clone + Send + Sync>(
     if injected_latency > 0 {
         t.emitter.counters.record_injected_latency(injected_latency);
     }
-    if r.is_ok() && t.emitter.routes.is_empty() {
-        // A terminal bolt ends the tuple's path: in at-most-once tracing
-        // mode this is where the end-to-end latency is known (reliability
-        // mode records it spout-side on tree completion).
-        if let Some(t0) = t.emitter.t0 {
-            t.emitter.counters.record_completion(t0.elapsed());
-        }
-    }
-    t.emitter.t0 = None;
     if let Some(l) = &mut t.emitter.lineage {
-        if let Some((trace, q, pid, start_ns)) = proc_ctx {
+        if let Some((trace, q, pid, start_ns, root_ns)) = proc_ctx {
             let end = l.sink.now_ns();
             l.sink.record_with_id(
                 pid,
@@ -653,10 +639,14 @@ fn process_envelope<T: Clone + Send + Sync>(
                 start_ns,
                 end.saturating_sub(start_ns),
             );
-            if r.is_ok() && t.emitter.routes.is_empty() && acker.is_none() {
+            if r.is_ok() && t.emitter.routes.is_empty() && reliable.is_none() {
                 // Terminal bolt in at-most-once mode: the tree completes
-                // here (reliability completes spout-side off the acker).
+                // here, and so does its end-to-end latency (reliability
+                // completes spout-side off the acker).
                 l.sink.record(trace, pid, SpanKind::Completion, 0, end, 0);
+                t.emitter
+                    .counters
+                    .record_completion(Duration::from_nanos(end.saturating_sub(root_ns)));
             }
         }
         l.active = None;
@@ -667,7 +657,7 @@ fn process_envelope<T: Clone + Send + Sync>(
             // registration happens at emit time even when they sit in
             // edge buffers), so acking the input now can only complete a
             // genuinely finished tree.
-            if acker.is_some() {
+            if reliable.is_some() {
                 for &root in &t.emitter.anchors {
                     push_combined(acks, root, tid);
                 }
@@ -679,7 +669,7 @@ fn process_envelope<T: Clone + Send + Sync>(
             // Never ack a failed input: its tree stays incomplete and the
             // spout replays it.
             t.emitter.anchors.clear();
-            let budget = reliability.map_or(0, |rel| rel.max_task_restarts);
+            let budget = reliable.map_or(0, |(_, rel)| rel.max_task_restarts);
             if t.restarts < budget {
                 // Supervisor: rebuild the task from its factory and keep
                 // consuming. Replay covers the lost tuple. With durability
@@ -727,7 +717,7 @@ fn process_envelope<T: Clone + Send + Sync>(
                         reason: format!("restart failed: {}", panic_text(e2.as_ref())),
                     }),
                 }
-            } else if reliability.is_some() {
+            } else if reliable.is_some() {
                 Err(DspsError::TaskRestartsExhausted {
                     component: component.to_string(),
                     task: t.index,

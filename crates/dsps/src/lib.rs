@@ -25,10 +25,11 @@
 //! A Nimbus-style [`metrics`] monitor samples per-task throughput and
 //! processing latency on a fixed window (the paper uses 40 s windows;
 //! tests use shorter ones) — these are the two metrics every figure of the
-//! evaluation section reports. Opt-in tracing ([`MonitorConfig::tracing`])
-//! adds end-to-end completion latency histograms (spout emit →
-//! tuple-tree completion, with p50/p95/p99) and per-channel queue-depth
-//! gauges to every sampled window.
+//! evaluation section reports. Every sampled window also carries
+//! per-channel queue-depth gauges and an end-to-end completion latency
+//! histogram (spout emit → tuple-tree completion, with p50/p95/p99): every
+//! acked root under the acker, the lineage-sampled trees
+//! ([`MonitorConfig::lineage`]) at most once.
 //!
 //! Topologies can also be described in XML ([`xml`]), the usability layer
 //! the paper adds on top of Storm's Java builder API.

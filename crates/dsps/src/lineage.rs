@@ -37,10 +37,6 @@ pub struct LineageConfig {
     /// deterministic in the root delivery id, so re-runs with a fixed
     /// topology sample the same trees.
     pub sample_rate: f64,
-    /// Keep drained spans for export (`/trace`, [`TraceCollector::take_spans`]).
-    /// When `false`, spans are folded into the critical-path report and
-    /// discarded, bounding memory on long runs.
-    pub export: bool,
     /// Capacity of each per-task span ring (rounded up to a power of two).
     /// A full ring drops the newest spans and counts them.
     pub ring_capacity: usize,
@@ -48,7 +44,7 @@ pub struct LineageConfig {
 
 impl Default for LineageConfig {
     fn default() -> Self {
-        LineageConfig { sample_rate: 0.01, export: true, ring_capacity: 4096 }
+        LineageConfig { sample_rate: 0.01, ring_capacity: 4096 }
     }
 }
 
@@ -487,7 +483,7 @@ impl PathAccum {
 struct CollectorInner {
     /// task → (component name, ring).
     rings: HashMap<u32, (String, Arc<SpanRing>)>,
-    /// Drained spans retained for export (empty when `export` is off).
+    /// Drained spans, retained for export.
     spans: Vec<Span>,
     path: PathAccum,
 }
@@ -551,7 +547,7 @@ impl TraceCollector {
     }
 
     /// Drains every ring into the central store, folding each span into the
-    /// critical-path accumulator (and retaining it only when exporting).
+    /// critical-path accumulator and retaining it for export.
     pub fn drain(&self) {
         let mut inner = self.inner.lock();
         let mut fresh = Vec::new();
@@ -569,14 +565,12 @@ impl TraceCollector {
         for span in &fresh {
             inner.path.fold(span, &name_of);
         }
-        if self.config.export {
-            inner.spans.extend(fresh);
-        }
+        inner.spans.extend(fresh);
     }
 
     /// Merges spans recorded by another process (a remote worker's
     /// report): folds each into the critical-path attribution and retains
-    /// it when exporting, exactly like locally drained spans. Task names
+    /// it for export, exactly like locally drained spans. Task names
     /// fall back to `task{t}` for tasks not registered in this process —
     /// remote task ids are global, so cross-worker attribution still
     /// aggregates by span kind and task id.
@@ -594,9 +588,7 @@ impl TraceCollector {
         for span in spans {
             inner.path.fold(span, &name_of);
         }
-        if self.config.export {
-            inner.spans.extend_from_slice(spans);
-        }
+        inner.spans.extend_from_slice(spans);
     }
 
     /// Spans lost to full rings so far.
@@ -839,14 +831,13 @@ mod tests {
     }
 
     #[test]
-    fn export_off_still_feeds_the_critical_path() {
-        let cfg = LineageConfig { export: false, ..LineageConfig::full() };
-        let c = TraceCollector::new(cfg, Instant::now());
+    fn a_drained_span_is_both_retained_and_attributed() {
+        let c = TraceCollector::new(LineageConfig::full(), Instant::now());
         let mut s = c.register_task(0, "only");
         s.record(1, 0, SpanKind::Process, 0, 0, 5_000);
-        assert!(c.spans().is_empty(), "no retention without export");
         let path = c.critical_path();
         assert_eq!(path.spans, 1);
         assert_eq!(path.bottleneck.as_deref(), Some("only"));
+        assert_eq!(c.spans().len(), 1, "the drain that fed the report kept the span");
     }
 }

@@ -43,10 +43,11 @@
 //! byte selects the session message (see the `tag` module). The data
 //! plane ships packets — including whole micro-batches as one frame —
 //! with acker traffic multiplexed on the same links. Messages carry no
-//! process-local context: `Instant`-based fields (`t0`, lineage hops) do
-//! not cross the wire, so end-to-end tracing histograms cover
-//! coordinator-local deliveries only, and lineage spans re-root per
-//! process (each process's spans still flow back to the coordinator).
+//! process-local context: a delivery's trace context is timed on its
+//! process's collector epoch and does not cross the wire, so the
+//! at-most-once end-to-end histograms cover coordinator-local deliveries
+//! only, and lineage spans re-root per process (each process's spans
+//! still flow back to the coordinator).
 //!
 //! # Backpressure and faults
 //!
@@ -209,33 +210,22 @@ impl WireCodec for FaultConfig {
 impl WireCodec for LineageConfig {
     fn encode(&self, buf: &mut BytesMut) {
         self.sample_rate.encode(buf);
-        self.export.encode(buf);
         self.ring_capacity.encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
-        Ok(LineageConfig {
-            sample_rate: f64::decode(r)?,
-            export: bool::decode(r)?,
-            ring_capacity: usize::decode(r)?,
-        })
+        Ok(LineageConfig { sample_rate: f64::decode(r)?, ring_capacity: usize::decode(r)? })
     }
 }
 
 impl WireCodec for MonitorConfig {
     fn encode(&self, buf: &mut BytesMut) {
         self.window.encode(buf);
-        self.tracing.encode(buf);
-        self.retention.encode(buf);
-        self.profiling.encode(buf);
         self.expose.map(u32::from).encode(buf);
         self.lineage.encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError> {
         Ok(MonitorConfig {
             window: Duration::decode(r)?,
-            tracing: bool::decode(r)?,
-            retention: usize::decode(r)?,
-            profiling: bool::decode(r)?,
             expose: Option::<u32>::decode(r)?.map(|p| p as u16),
             lineage: Option::decode(r)?,
         })
@@ -423,9 +413,8 @@ impl WireCodec for WireFlightEvent {
 }
 
 /// The [`RuntimeConfig`] scalars a worker needs to rebuild its slice.
-/// The flight recorder and `workers` are process-local; the monitor's
-/// `expose` is forced off on workers (the coordinator serves the merged
-/// view).
+/// The flight recorder is process-local; the monitor's `expose` is forced
+/// off on workers (the coordinator serves the merged view).
 #[derive(Debug)]
 struct WireConfig {
     channel_capacity: usize,
@@ -452,7 +441,6 @@ impl WireConfig {
     fn into_runtime(self) -> RuntimeConfig {
         RuntimeConfig {
             channel_capacity: self.channel_capacity,
-            workers: None,
             monitor: self.monitor.map(|mut mc| {
                 mc.expose = None;
                 mc
@@ -840,8 +828,8 @@ impl<T: WireCodec + Clone + Send + Sync + 'static> NetPlane<T> {
         };
         let tx = entry.tx.clone();
         let tuples = packet.tuples();
-        if entry.tracing {
-            entry.depth.fetch_add(tuples as i64, std::sync::atomic::Ordering::Relaxed);
+        if let Some(depth) = &entry.depth {
+            depth.fetch_add(tuples as i64, std::sync::atomic::Ordering::Relaxed);
         }
         drop(ingress);
         // A send into a finished task's closed channel is the same
@@ -1869,12 +1857,8 @@ mod tests {
     fn wire_config_roundtrip() {
         let cfg = RuntimeConfig {
             channel_capacity: 77,
-            workers: Some(3),
             monitor: Some(MonitorConfig {
                 window: Duration::from_millis(50),
-                tracing: true,
-                retention: 128,
-                profiling: false,
                 expose: Some(0),
                 lineage: Some(LineageConfig::default()),
             }),
@@ -1891,9 +1875,8 @@ mod tests {
         let back = WireConfig::decode(&mut WireReader::new(&f.payload)).unwrap();
         let rebuilt = back.into_runtime();
         assert_eq!(rebuilt.channel_capacity, 77);
-        assert_eq!(rebuilt.workers, None, "worker count is process-local");
         let mc = rebuilt.monitor.unwrap();
-        assert!(mc.tracing);
+        assert_eq!(mc.lineage, Some(LineageConfig::default()));
         assert_eq!(mc.expose, None, "workers never expose their own scrape port");
         assert_eq!(rebuilt.fault.unwrap().drop_p, 0.25);
         assert_eq!(rebuilt.reliability.unwrap().max_retries, 5);
@@ -1960,22 +1943,14 @@ mod tests {
     }
 
     fn lineages() -> impl Strategy<Value = LineageConfig> {
-        (f64s(), any::<bool>(), usizes()).prop_map(|(sample_rate, export, ring_capacity)| {
-            LineageConfig { sample_rate, export, ring_capacity }
-        })
+        (f64s(), usizes())
+            .prop_map(|(sample_rate, ring_capacity)| LineageConfig { sample_rate, ring_capacity })
     }
 
     fn monitors() -> impl Strategy<Value = MonitorConfig> {
         let expose = prop::option::of(0u16..u16::MAX);
-        (durations(), any::<bool>(), usizes(), any::<bool>(), expose, prop::option::of(lineages()))
-            .prop_map(|(window, tracing, retention, profiling, expose, lineage)| MonitorConfig {
-                window,
-                tracing,
-                retention,
-                profiling,
-                expose,
-                lineage,
-            })
+        (durations(), expose, prop::option::of(lineages()))
+            .prop_map(|(window, expose, lineage)| MonitorConfig { window, expose, lineage })
     }
 
     fn rule_profiles() -> impl Strategy<Value = RuleProfile> {

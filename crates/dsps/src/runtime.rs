@@ -48,7 +48,9 @@ use crate::durability::{DurabilityConfig, StateStore};
 pub use crate::emitter::Emitter;
 use crate::emitter::{Packet, Route, TaskEmitter};
 use crate::error::DspsError;
-use crate::executor::{panic_text, run_bolt_executor, run_spout_executor, BoltTask, SpoutTask};
+use crate::executor::{
+    panic_text, run_bolt_executor, run_spout_executor, BoltTask, Reliable, SpoutTask,
+};
 use crate::fault::FaultConfig;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::lineage::TraceCollector;
@@ -98,8 +100,6 @@ pub struct RuntimeConfig {
     /// admitted while fewer are queued, so a channel holds less than this
     /// plus one edge buffer.
     pub channel_capacity: usize,
-    /// Number of worker processes to model; defaults to one per node.
-    pub workers: Option<usize>,
     /// Metrics monitor window; `None` disables the monitor thread (metrics
     /// can still be sampled manually through the handle).
     pub monitor: Option<MonitorConfig>,
@@ -125,7 +125,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             channel_capacity: 1024,
-            workers: None,
             monitor: None,
             reliability: None,
             fault: None,
@@ -141,11 +140,9 @@ pub(crate) struct LocalIngress<T> {
     /// The task's input channel (the same one local producers use, so
     /// per-link FIFO and EOS quorum counting are location-independent).
     pub(crate) tx: Sender<Packet<T>>,
-    /// The task's occupancy gauge; the ingress bumps it exactly like a
-    /// local producer would.
-    pub(crate) depth: Arc<AtomicI64>,
-    /// Whether gauges are live (tracing mode).
-    pub(crate) tracing: bool,
+    /// The task's occupancy gauge (under a monitor); the ingress bumps it
+    /// exactly like a local producer would.
+    pub(crate) depth: Option<Arc<AtomicI64>>,
 }
 
 /// The runtime's seam to the multi-process wire layer.
@@ -225,7 +222,6 @@ impl LocalCluster {
         config: RuntimeConfig,
         dist: Option<DistCtx<T>>,
     ) -> Result<TopologyHandle, DspsError> {
-        let workers = config.workers.unwrap_or_else(|| self.spec.default_workers());
         let components: Vec<(&str, usize, usize)> = topology
             .spouts
             .iter()
@@ -243,18 +239,13 @@ impl LocalCluster {
         };
         let assignment = match dist_assignment {
             Some(a) => a,
-            None => assign(&components, self.spec, workers)?,
+            None => assign(&components, self.spec, self.spec.default_workers())?,
         };
 
-        let metrics = Arc::new(match config.monitor {
-            Some(mc) => MetricsHub::with_retention(mc.retention),
-            None => MetricsHub::new(),
-        });
+        let metrics = Arc::new(MetricsHub::new());
         let done = Arc::new(AtomicBool::new(false));
-        let reliability = config.reliability;
         let fault = config.fault;
         let durability = config.durability.clone();
-        let tracing = config.monitor.is_some_and(|mc| mc.tracing);
 
         // ---- Shared observability clock -----------------------------------
         // The flight recorder is always on; the lineage collector is opt-in.
@@ -304,36 +295,34 @@ impl LocalCluster {
         // Completion channels are unbounded so completing a tree can never
         // block a bolt executor against a stalled spout.
         let mut completion_rxs: Vec<Option<Receiver<(u64, Instant)>>> = Vec::new();
-        let acker: Option<Arc<dyn AckSink>> = if reliability.is_some() {
+        let reliable: Option<Reliable> = config.reliability.map(|rel| {
             let mut txs = Vec::with_capacity(spout_task_total);
             for _ in 0..spout_task_total {
                 let (tx, rx) = unbounded();
                 txs.push(tx);
                 completion_rxs.push(Some(rx));
             }
-            Some(match make_ack {
+            let acker: Arc<dyn AckSink> = match make_ack {
                 Some(f) => f(txs),
                 None => Arc::new(Acker::new(txs)),
-            })
-        } else {
-            None
-        };
+            };
+            (acker, rel)
+        });
 
         // ---- Channels: one bounded channel per bolt task ------------------
-        // Each channel gets an occupancy counter the hub reads as a gauge;
-        // the hub holds only the counter, never a channel handle (that
-        // would defeat disconnect detection when a task dies).
+        // Under a monitor each channel gets an occupancy counter the hub
+        // reads as a gauge; the hub holds only the counter, never a channel
+        // handle (that would defeat disconnect detection when a task dies).
         //
         // Multi-process mode: a *remote* task's slot holds the plane's
         // relay sender instead — emitters stay oblivious, routing simply
         // resolves to a channel that happens to cross a socket. Remote
-        // slots get an unregistered depth gauge (the owning process tracks
-        // the real occupancy).
+        // slots get no gauge (the owning process tracks the occupancy).
         let mut senders_by_bolt: Vec<Vec<Sender<Packet<T>>>> =
             Vec::with_capacity(topology.bolts.len());
         let mut receivers_by_bolt: Vec<Vec<Option<Receiver<Packet<T>>>>> =
             Vec::with_capacity(topology.bolts.len());
-        let mut depths_by_bolt: Vec<Vec<Arc<AtomicI64>>> =
+        let mut depths_by_bolt: Vec<Vec<Option<Arc<AtomicI64>>>> =
             Vec::with_capacity(topology.bolts.len());
         let mut ingress: HashMap<u32, LocalIngress<T>> = HashMap::new();
         for b in &topology.bolts {
@@ -344,18 +333,19 @@ impl LocalCluster {
                 let global = global_base[b.name.as_str()] + ti;
                 if is_local(global) {
                     let (tx, rx) = bounded(config.channel_capacity.max(1));
-                    let depth = Arc::new(AtomicI64::new(0));
-                    if tracing {
+                    let depth = config.monitor.map(|_| {
+                        let depth = Arc::new(AtomicI64::new(0));
                         metrics.register_queue(
                             &b.name,
                             depth.clone(),
                             config.channel_capacity.max(1),
                         );
-                    }
+                        depth
+                    });
                     if my_worker.is_some() {
                         ingress.insert(
                             global as u32,
-                            LocalIngress { tx: tx.clone(), depth: depth.clone(), tracing },
+                            LocalIngress { tx: tx.clone(), depth: depth.clone() },
                         );
                     }
                     senders.push(tx);
@@ -369,7 +359,7 @@ impl LocalCluster {
                         config.channel_capacity.max(1),
                     ));
                     receivers.push(None);
-                    depths.push(Arc::new(AtomicI64::new(0)));
+                    depths.push(None);
                 }
             }
             senders_by_bolt.push(senders);
@@ -407,9 +397,8 @@ impl LocalCluster {
                 global,
                 make_routes(source),
                 counters,
-                acker.clone(),
+                reliable.as_ref().map(|(acker, _)| acker.clone()),
                 fault,
-                tracing,
                 collector.as_ref().map(|c| c.register_task(global as u32, source)),
                 flight.clone(),
             )
@@ -465,7 +454,7 @@ impl LocalCluster {
                         (*s.factory)(ti),
                         make_emitter(&s.name, global, counters),
                         global,
-                        reliability.map(|_| {
+                        reliable.as_ref().map(|_| {
                             completion_rxs[global]
                                 .take()
                                 .expect("each completion receiver is claimed exactly once")
@@ -473,18 +462,10 @@ impl LocalCluster {
                     ));
                 }
                 let component = s.name.clone();
-                let thread_acker = acker.clone();
+                let thread_reliable = reliable.clone();
                 let stop = failed.clone();
                 threads.push(spawn_executor(&s.name, task_ids[0], failed.clone(), move || {
-                    run_spout_executor(
-                        tasks,
-                        task_ids,
-                        component,
-                        thread_acker,
-                        reliability,
-                        tracing,
-                        &stop,
-                    )
+                    run_spout_executor(tasks, task_ids, component, thread_reliable, &stop)
                 }));
             }
         }
@@ -532,17 +513,9 @@ impl LocalCluster {
                 let component = b.name.clone();
                 let expected = expected_eos[bi];
                 let factory = b.factory.clone();
-                let thread_acker = acker.clone();
+                let thread_reliable = reliable.clone();
                 threads.push(spawn_executor(&b.name, task_ids[0], failed.clone(), move || {
-                    run_bolt_executor(
-                        tasks,
-                        component,
-                        expected,
-                        factory,
-                        thread_acker,
-                        reliability,
-                        tracing,
-                    )
+                    run_bolt_executor(tasks, component, expected, factory, thread_reliable)
                 }));
             }
         }

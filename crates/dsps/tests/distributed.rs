@@ -632,7 +632,6 @@ fn remote_bolt_counters_appear_in_the_merged_scrape() {
     let cfg = RuntimeConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_millis(50),
-            tracing: true,
             expose: Some(0),
             ..MonitorConfig::default()
         }),

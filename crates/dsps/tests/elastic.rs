@@ -266,7 +266,6 @@ fn chaos_migration_run_recovers_and_matches_after_dedup() {
     // traces even across restarts, replays and live migrations.
     sys.config.monitor = Some(tms_dsps::MonitorConfig {
         window: Duration::from_millis(200),
-        tracing: true,
         // Sample everything, with rings sized so the startup burst
         // cannot overflow them between monitor drains (a dropped span
         // orphans its children and fails the connectivity bar below).

@@ -70,11 +70,10 @@ fn cluster() -> LocalCluster {
     .unwrap()
 }
 
-/// Tracing + sample-everything lineage, long window (flush-only).
+/// Sample-everything lineage, long window (flush-only).
 fn lineage_monitor() -> Option<MonitorConfig> {
     Some(MonitorConfig {
         window: Duration::from_secs(3600),
-        tracing: true,
         lineage: Some(LineageConfig::full()),
         ..MonitorConfig::default()
     })
@@ -201,7 +200,6 @@ fn lineage_off_leaves_no_collector_and_trace_route_dark() {
     let cfg = RuntimeConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_millis(50),
-            tracing: true,
             expose: Some(0),
             ..MonitorConfig::default()
         }),
@@ -387,10 +385,8 @@ fn scrape_routes_serve_concurrently_and_survive_hanging_clients() {
     let cfg = RuntimeConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_millis(50),
-            tracing: true,
             expose: Some(0),
             lineage: Some(LineageConfig::full()),
-            ..MonitorConfig::default()
         }),
         ..RuntimeConfig::default()
     };

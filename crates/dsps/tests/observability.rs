@@ -1,14 +1,14 @@
-//! Acceptance suite for the tracing/observability layer: end-to-end
-//! completion latency histograms (both delivery modes), queue-occupancy
-//! gauges, and monitor-thread shutdown behavior with tracing enabled.
+//! Acceptance suite for the observability layer: end-to-end completion
+//! latency histograms (both delivery modes), queue-occupancy gauges, and
+//! monitor-thread shutdown behavior with every tree sampled.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_dsps::runtime::RuntimeConfig;
 use tms_dsps::{
-    Bolt, Emitter, Grouping, LocalCluster, MonitorConfig, Parallelism, ReliabilityConfig, Spout,
-    TopologyBuilder,
+    Bolt, Emitter, Grouping, LatencyHistogram, LineageConfig, LocalCluster, MonitorConfig,
+    Parallelism, ReliabilityConfig, Spout, SpanKind, TopologyBuilder,
 };
 
 #[derive(Clone)]
@@ -53,12 +53,13 @@ fn cluster() -> LocalCluster {
     .unwrap()
 }
 
-/// Tracing on, with a monitor window far longer than the run: windows come
-/// only from the shutdown flush, so the test also covers that path.
+/// Every tree sampled, with a monitor window far longer than the run:
+/// windows come only from the shutdown flush, so the test also covers that
+/// path.
 fn traced_monitor() -> Option<MonitorConfig> {
     Some(MonitorConfig {
         window: Duration::from_secs(3600),
-        tracing: true,
+        lineage: Some(LineageConfig::full()),
         ..MonitorConfig::default()
     })
 }
@@ -105,8 +106,8 @@ fn tracing_off_records_no_completion_latency() {
         .unwrap();
     let metrics = cluster().submit(t, RuntimeConfig::default()).unwrap().join().unwrap();
     for w in metrics.totals() {
-        assert!(w.e2e.is_empty(), "{}: tracing is opt-in", w.component);
-        assert_eq!(w.queue_capacity, 0, "{}: no gauges registered without tracing", w.component);
+        assert!(w.e2e.is_empty(), "{}: no monitor, no end-to-end latency", w.component);
+        assert_eq!(w.queue_capacity, 0, "{}: no gauges registered without a monitor", w.component);
     }
 }
 
@@ -237,4 +238,73 @@ fn monitor_with_tracing_joins_promptly_and_flushes_a_partial_window() {
     assert_eq!(sink.at, Duration::ZERO, "the only window starts at topology start");
     assert!(sink.len > Duration::ZERO);
     assert_eq!(sink.e2e.count(), 200, "flushed windows carry the e2e histogram");
+}
+
+#[test]
+fn at_most_once_e2e_is_each_sampled_trees_emit_to_completion_span() {
+    let t = TopologyBuilder::new("t")
+        .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 100 }))
+        .add_bolt("mid", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
+            Box::new(Forward)
+        })
+        .add_bolt("sink", Parallelism::of(2), vec![("mid", Grouping::Shuffle)], |_| {
+            Box::new(NullSink)
+        })
+        .build()
+        .unwrap();
+    // Full lineage and nothing else: the default window outlasts the run.
+    let monitor = MonitorConfig { lineage: Some(LineageConfig::full()), ..MonitorConfig::default() };
+    let cfg = RuntimeConfig { monitor: Some(monitor), ..RuntimeConfig::default() };
+    let handle = cluster().submit(t, cfg).unwrap();
+    let collector = handle.trace_collector().expect("lineage is on").clone();
+    let metrics = handle.join().unwrap();
+    let sink = metrics.totals().into_iter().find(|c| c.component == "sink").unwrap();
+    assert_eq!(sink.e2e.count(), 100, "every tree is sampled, so every tuple records");
+
+    // The same latencies, read off the spans: each tree's SpoutEmit start
+    // to its Completion.
+    let spans = collector.spans();
+    let mut from_spans = LatencyHistogram::default();
+    for done in spans.iter().filter(|s| s.kind == SpanKind::Completion) {
+        let emit = spans
+            .iter()
+            .find(|s| s.trace == done.trace && s.kind == SpanKind::SpoutEmit)
+            .expect("a completed tree has its root span");
+        from_spans.record(Duration::from_nanos(done.start_ns - emit.start_ns));
+    }
+    assert_eq!(sink.e2e, from_spans, "each recorded latency is its tree's emit → completion");
+}
+
+#[test]
+fn a_monitor_without_lineage_records_acked_roots_and_gauges_only() {
+    let topology = || {
+        TopologyBuilder::new("t")
+            .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 50 }))
+            .add_bolt("sink", Parallelism::of(1), vec![("src", Grouping::Shuffle)], |_| {
+                Box::new(NullSink)
+            })
+            .build()
+            .unwrap()
+    };
+    let monitor = Some(MonitorConfig { window: Duration::from_secs(3600), ..MonitorConfig::default() });
+
+    // Under the acker every acked root records, sampled or not.
+    let cfg = RuntimeConfig {
+        monitor,
+        reliability: Some(ReliabilityConfig::default()),
+        ..RuntimeConfig::default()
+    };
+    let totals = cluster().submit(topology(), cfg).unwrap().join().unwrap().totals();
+    let src = totals.iter().find(|c| c.component == "src").unwrap();
+    assert_eq!(src.acked, 50);
+    assert_eq!(src.e2e.count(), src.acked, "one completion latency per acked root");
+
+    // At most once, only a sampled tree carries the context a sink needs.
+    let cfg = RuntimeConfig { monitor, ..RuntimeConfig::default() };
+    let totals = cluster().submit(topology(), cfg).unwrap().join().unwrap().totals();
+    for w in &totals {
+        assert!(w.e2e.is_empty(), "{}: no lineage, no at-most-once e2e", w.component);
+    }
+    let sink = totals.iter().find(|c| c.component == "sink").unwrap();
+    assert!(sink.queue_capacity > 0, "a monitor registers the queue gauges");
 }

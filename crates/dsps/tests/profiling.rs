@@ -97,7 +97,6 @@ fn profile_sources_feed_windows_as_deltas_and_totals_cumulatively() {
     let cfg = RuntimeConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_millis(25),
-            profiling: true,
             ..MonitorConfig::default()
         }),
         ..RuntimeConfig::default()
@@ -155,8 +154,6 @@ fn scrape_endpoint_serves_prometheus_and_json_mid_run() {
     let cfg = RuntimeConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_millis(50),
-            tracing: true,
-            profiling: true,
             expose: Some(0), // ephemeral loopback port
             ..MonitorConfig::default()
         }),

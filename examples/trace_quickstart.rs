@@ -34,12 +34,10 @@ fn main() {
     let config = SystemConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_secs(1),
-            tracing: true,
             // Sample every tuple tree; production runs keep the default
             // 1% sample. Rings sized so this short replay can't drop.
             lineage: Some(LineageConfig { ring_capacity: 1 << 17, ..LineageConfig::full() }),
             expose: Some(9090),
-            ..MonitorConfig::default()
         }),
         ..SystemConfig::default()
     };
@@ -84,6 +82,21 @@ fn main() {
     }
     if let Some(b) = &path.bottleneck {
         println!("  bottleneck: {b}");
+    }
+
+    // ---- End-to-end latency ----------------------------------------------
+    // Each sampled tree's context carries its spout-emit time, so the
+    // terminal bolt records emit → stored detection for every tree that
+    // reached it.
+    let storer = report.metrics.iter().find(|w| w.component == "eventsStorer");
+    if let Some(e2e) = storer.map(|w| &w.e2e).filter(|h| !h.is_empty()) {
+        let ms = |d: Option<Duration>| d.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
+        println!(
+            "\nend-to-end, emit -> stored detection ({} trees): p50 {:.2} ms, p99 {:.2} ms",
+            e2e.count(),
+            ms(e2e.p50()),
+            ms(e2e.p99())
+        );
     }
 
     // ---- Flight recorder -------------------------------------------------

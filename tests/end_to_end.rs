@@ -90,8 +90,8 @@ fn incident_detections_flow_to_storage() {
     assert_eq!(get("eventsStorer"), report.detections.len() as u64);
 }
 
-/// The ISSUE acceptance scenario: a chaos-enabled run (light preset) with
-/// tracing on must report per-component end-to-end percentiles and queue
+/// The acceptance scenario: a chaos-enabled run (light preset) under a
+/// monitor must report per-component end-to-end percentiles and queue
 /// gauges, and the Esper component must emit a predicted-vs-observed
 /// drift ratio exportable as JSON Lines.
 #[test]
@@ -104,7 +104,6 @@ fn chaos_run_with_tracing_reports_latency_and_drift() {
     let config = SystemConfig {
         monitor: Some(MonitorConfig {
             window: Duration::from_millis(500),
-            tracing: true,
             ..MonitorConfig::default()
         }),
         reliability: Some(recovery),
@@ -130,10 +129,10 @@ fn chaos_run_with_tracing_reports_latency_and_drift() {
 
     // Queue gauges: every bolt's input channel reports its capacity.
     let esper = report.metrics.iter().find(|m| m.component == "esper").unwrap();
-    assert!(esper.queue_capacity > 0, "tracing registers queue gauges");
+    assert!(esper.queue_capacity > 0, "a monitor registers queue gauges");
 
     // Drift: the Figure 7 prediction tracked against observed windows.
-    assert!(!report.drift.is_empty(), "tracing runs emit drift samples");
+    assert!(!report.drift.is_empty(), "monitored runs emit drift samples");
     for d in &report.drift {
         assert!(d.ratio.is_finite() && d.ratio > 0.0, "bad ratio: {d:?}");
     }
