@@ -10,8 +10,17 @@
 //! backlog already queued them, and an idle plane sends tuple by tuple.
 //! Channel capacity, queue gauges and the dropped counter all count
 //! tuples, never packets.
+//!
+//! A *chained* edge has no channel: the emitter owns the one downstream
+//! task it feeds, and flushing the edge runs that task on the calling
+//! thread ([`run_chained`]). It flushes when the turn ends, on
+//! [`Emitter::flush`] and before end-of-stream, never at
+//! [`TURN_FLUSH_CAP`] in the middle of a `process` call: the upstream
+//! task's busy time and `Process` span stay its own, and one upstream
+//! turn bounds the buffer.
 
 use crate::ack::AckSink;
+use crate::executor::{end_chained, run_chained, BoltTask};
 use crate::fault::FaultConfig;
 use crate::flight::FlightRecorder;
 use crate::grouping::Grouping;
@@ -163,22 +172,27 @@ pub trait Emitter<T> {
     /// Hands everything emitted so far to the receiving tasks' channels.
     /// The runtime does this by itself when the executor's turn ends; a
     /// bolt only needs it before it *waits*, inside `process`, on something
-    /// a receiver does with what was just emitted.
+    /// a receiver does with what was just emitted. A chained receiver has
+    /// no channel: `flush` runs it, on this thread, before returning.
     fn flush(&mut self) {}
 }
 
 /// One outgoing edge of a component.
 pub(crate) struct Route<T> {
     pub(crate) grouping: Grouping<T>,
-    /// Input channels of every downstream task.
+    /// Input channels of every downstream task (empty on a chained edge).
     pub(crate) senders: Vec<Sender<Packet<T>>>,
     /// Occupancy gauges parallel to `senders`: present for local tasks
     /// under a monitor, absent otherwise.
     pub(crate) depths: Vec<Option<Arc<AtomicI64>>>,
-    /// Global task ids parallel to `senders` (lineage span attribution).
+    /// Global ids of the tasks this edge reaches, one per target index
+    /// (lineage span attribution).
     pub(crate) globals: Vec<u32>,
     /// Round-robin cursor for shuffle grouping.
     pub(crate) rr: usize,
+    /// On a chained edge, its one target: the downstream task this task
+    /// drives by direct call.
+    pub(crate) chained: Option<Box<BoltTask<T>>>,
 }
 
 /// Per-task lineage recording state
@@ -247,10 +261,10 @@ impl<T> TaskEmitter<T> {
         lineage: Option<SpanSink>,
         flight: Arc<FlightRecorder>,
     ) -> Self {
-        // Sized to the route fan-out: `buffers[ri][ti]` mirrors `senders`.
+        // Sized to the route fan-out: `buffers[ri][ti]` mirrors `globals`.
         let buffers = routes
             .iter()
-            .map(|r| (0..r.senders.len()).map(|_| Vec::new()).collect())
+            .map(|r| (0..r.globals.len()).map(|_| Vec::new()).collect())
             .collect();
         TaskEmitter {
             routes,
@@ -280,7 +294,9 @@ impl<T> TaskEmitter<T> {
         self.id_seq += 1;
         id
     }
+}
 
+impl<T: Clone> TaskEmitter<T> {
     pub(crate) fn send_eos(&mut self) {
         // No tuple may be stranded behind an EOS marker: the buffers drain
         // before the markers go out (covers spout exhaustion, `finish`
@@ -290,6 +306,9 @@ impl<T> TaskEmitter<T> {
             for s in &route.senders {
                 let _ = s.send_weighted(Packet::Eos, 0);
             }
+            if let Some(member) = route.chained.as_deref_mut() {
+                end_chained(member);
+            }
         }
     }
 
@@ -297,7 +316,8 @@ impl<T> TaskEmitter<T> {
     /// idle plane allocates nothing), several as one [`Packet::Batch`].
     /// The channel's capacity, the queue-depth gauges and the dropped
     /// counter are all *tuple*-granular: a batch of n that enters (or
-    /// misses) a channel accounts for n tuples.
+    /// misses) a channel accounts for n tuples. A chained edge hands the
+    /// buffer to its task instead.
     fn flush_edge(&mut self, ri: usize, ti: usize) {
         let buf = &mut self.buffers[ri][ti];
         let n = buf.len();
@@ -324,6 +344,10 @@ impl<T> TaskEmitter<T> {
                     hop.sent_ns = now;
                 }
             }
+        }
+        if let Some(member) = self.routes[ri].chained.as_deref_mut() {
+            run_chained(member, buf, &self.counters);
+            return;
         }
         let packet = if n == 1 {
             Packet::Data(buf.pop().expect("n == 1: the edge buffer holds exactly one delivery"))
@@ -353,14 +377,12 @@ impl<T> TaskEmitter<T> {
             return;
         }
         for ri in 0..self.routes.len() {
-            for ti in 0..self.routes[ri].senders.len() {
+            for ti in 0..self.routes[ri].globals.len() {
                 self.flush_edge(ri, ti);
             }
         }
     }
-}
 
-impl<T: Clone> TaskEmitter<T> {
     /// Delivers `msg` to every target resolved into `self.targets`.
     ///
     /// A single-subscriber edge — the common topology — moves the message
@@ -422,8 +444,8 @@ impl<T: Clone> TaskEmitter<T> {
     }
 
     /// Buffers one delivery whose id `dispatch` already registered with
-    /// the acker on its edge; the edge is sent once it holds
-    /// [`TURN_FLUSH_CAP`] tuples, else when the turn ends. Transport fault injection applies
+    /// the acker on its edge; a channel edge is sent once it holds
+    /// [`TURN_FLUSH_CAP`] tuples, any edge when the turn ends. Transport fault injection applies
     /// here, after registration — an injected loss looks exactly like a
     /// network drop the replay machinery must heal, and chaos drops act on
     /// individual tuples, never on whole batches.
@@ -454,7 +476,7 @@ impl<T: Clone> TaskEmitter<T> {
         self.buffered = true;
         let buf = &mut self.buffers[ri][ti];
         buf.push(Envelope { msg, tid, roots, trace });
-        if buf.len() >= TURN_FLUSH_CAP {
+        if buf.len() >= TURN_FLUSH_CAP && self.routes[ri].chained.is_none() {
             self.flush_edge(ri, ti);
         }
     }
@@ -467,21 +489,21 @@ impl<T: Clone> Emitter<T> for TaskEmitter<T> {
         // actually route somewhere.
         self.targets.clear();
         for (ri, route) in self.routes.iter_mut().enumerate() {
-            if route.senders.is_empty() {
+            let n = route.globals.len();
+            if n == 0 {
                 continue;
             }
             match &route.grouping {
                 Grouping::Shuffle => {
-                    let target = route.rr % route.senders.len();
+                    let target = route.rr % n;
                     route.rr = route.rr.wrapping_add(1);
                     self.targets.push((ri, target));
                 }
                 Grouping::Fields(key) => {
-                    let n = route.senders.len() as u64;
-                    self.targets.push((ri, (key(&msg) % n) as usize));
+                    self.targets.push((ri, (key(&msg) % n as u64) as usize));
                 }
                 Grouping::All => {
-                    for si in 0..route.senders.len() {
+                    for si in 0..n {
                         self.targets.push((ri, si));
                     }
                 }
@@ -497,8 +519,8 @@ impl<T: Clone> Emitter<T> for TaskEmitter<T> {
         self.targets.clear();
         let mut misrouted = 0u64;
         for (ri, route) in self.routes.iter().enumerate() {
-            if matches!(route.grouping, Grouping::Direct) && !route.senders.is_empty() {
-                if task < route.senders.len() {
+            if matches!(route.grouping, Grouping::Direct) && !route.globals.is_empty() {
+                if task < route.globals.len() {
                     self.targets.push((ri, task));
                 } else {
                     // Out-of-range target: a routing bug in the emitting

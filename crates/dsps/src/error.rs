@@ -59,6 +59,15 @@ pub enum DspsError {
         /// The final panic message.
         reason: String,
     },
+    /// The OS refused to start an executor thread.
+    ExecutorSpawn {
+        /// The component the executor runs.
+        component: String,
+        /// Its first task's index.
+        task: usize,
+        /// The OS error text.
+        reason: String,
+    },
     /// A durable state store failed an I/O operation
     /// ([`durability`](crate::durability)).
     Durability {
@@ -135,6 +144,9 @@ impl fmt::Display for DspsError {
                     f,
                     "task {component}[{task}] still panicking after {restarts} restarts: {reason}"
                 )
+            }
+            DspsError::ExecutorSpawn { component, task, reason } => {
+                write!(f, "could not start the executor of {component}[{task}]: {reason}")
             }
             DspsError::Durability { path, reason } => {
                 write!(f, "durable state store failed at {path}: {reason}")

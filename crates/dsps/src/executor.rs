@@ -8,6 +8,13 @@
 //! EOS quorum. A turn ends — and the task's edge buffers are flushed —
 //! whenever the executor is about to wait: a spout's turn is one `next`,
 //! a bolt's turn is up to 64 packets or until its channel runs dry.
+//!
+//! A chained bolt task (see `chain_plan` in `runtime.rs`) has no channel
+//! and no thread: its upstream task's emitter owns it and runs it through
+//! the same [`process_envelope`] when it flushes the chained edge
+//! ([`run_chained`]), and ends it when it sends end-of-stream
+//! ([`end_chained`]). A fatal error there fails the executor that drives
+//! the chain.
 
 use crate::ack::AckSink;
 use crate::durability::{RecoveredState, StateStore};
@@ -15,6 +22,7 @@ use crate::emitter::{Emitter, Envelope, Packet, TaskEmitter};
 use crate::error::DspsError;
 use crate::flight::FlightKind;
 use crate::lineage::SpanKind;
+use crate::metrics::TaskCounters;
 use crate::runtime::ReliabilityConfig;
 use crate::topology::{Bolt, BoltContext, BoltFactory, Spout};
 use crossbeam::channel::{Receiver, TryRecvError};
@@ -45,6 +53,8 @@ struct PendingRoot<T> {
 pub(crate) struct SpoutTask<T> {
     spout: Box<dyn Spout<T>>,
     emitter: TaskEmitter<T>,
+    /// Task index within the component (what errors must report).
+    index: usize,
     /// Global task id — indexes this task's completion channel.
     global: usize,
     /// Completion notifications `(root, completed_at)` from the acker
@@ -61,17 +71,19 @@ pub(crate) struct SpoutTask<T> {
 }
 
 impl<T> SpoutTask<T> {
-    /// Global task `global` around `spout`; `completions` is its acker
-    /// completion channel in reliability mode.
+    /// Task `index` (global task `global`) around `spout`; `completions`
+    /// is its acker completion channel in reliability mode.
     pub(crate) fn new(
         spout: Box<dyn Spout<T>>,
         emitter: TaskEmitter<T>,
+        index: usize,
         global: usize,
         completions: Option<Receiver<(u64, Instant)>>,
     ) -> Self {
         SpoutTask {
             spout,
             emitter,
+            index,
             global,
             completions,
             pending: HashMap::new(),
@@ -82,17 +94,19 @@ impl<T> SpoutTask<T> {
     }
 }
 
-/// One bolt task's state inside its executor thread.
+/// One bolt task: the bolt and what running and supervising it needs.
+/// An executor drives it from its input channel ([`InputTask`]); a
+/// chained task has no channel, and its upstream task's emitter drives it.
 pub(crate) struct BoltTask<T> {
     bolt: Box<dyn Bolt<T>>,
     emitter: TaskEmitter<T>,
-    rx: Receiver<Packet<T>>,
-    /// Task index within the component (what errors must report).
-    index: usize,
-    /// Context handed to `prepare`, kept for supervised restarts.
+    /// Context handed to `prepare`, kept for supervised restarts; its
+    /// `task_index` is what errors report.
     ctx: BoltContext,
-    /// This task's input-channel occupancy gauge (under a monitor).
-    depth: Option<Arc<AtomicI64>>,
+    /// Rebuilds the bolt on a supervised restart.
+    factory: BoltFactory<T>,
+    /// The at-least-once machinery, when on.
+    reliable: Option<Reliable>,
     /// Durable snapshot+changelog state store; `None` = ephemeral task.
     store: Option<StateStore>,
     /// Scratch for changelog records drained per tuple.
@@ -100,35 +114,60 @@ pub(crate) struct BoltTask<T> {
     /// Tuples processed since the last snapshot — drives the snapshot
     /// cadence for bolts that snapshot without writing changelog records.
     since_snapshot: u64,
-    eos_seen: usize,
+    /// Per-batch `(root, combined id)` acks, reused across batches.
+    acks: Vec<(u64, u64)>,
     restarts: u32,
+    /// End of stream handled, or failed for good.
     done: bool,
+    /// A chained task's fatal error, until the executor driving it takes
+    /// it ([`chain_failure`]).
+    failure: Option<DspsError>,
 }
 
 impl<T> BoltTask<T> {
-    /// Task `ctx.task_index` of its component around `bolt`, consuming `rx`.
+    /// Task `ctx.task_index` of its component around `bolt`.
     pub(crate) fn new(
         bolt: Box<dyn Bolt<T>>,
         emitter: TaskEmitter<T>,
-        rx: Receiver<Packet<T>>,
         ctx: BoltContext,
-        depth: Option<Arc<AtomicI64>>,
+        factory: BoltFactory<T>,
+        reliable: Option<Reliable>,
         store: Option<StateStore>,
     ) -> Self {
         BoltTask {
             bolt,
             emitter,
-            rx,
-            index: ctx.task_index,
             ctx,
-            depth,
+            factory,
+            reliable,
             store,
             log_scratch: Vec::new(),
             since_snapshot: 0,
-            eos_seen: 0,
+            acks: Vec::new(),
             restarts: 0,
             done: false,
+            failure: None,
         }
+    }
+}
+
+/// A bolt task an executor thread drives from its own input channel.
+pub(crate) struct InputTask<T> {
+    task: BoltTask<T>,
+    rx: Receiver<Packet<T>>,
+    /// The channel's occupancy gauge (under a monitor).
+    depth: Option<Arc<AtomicI64>>,
+    eos_seen: usize,
+}
+
+impl<T> InputTask<T> {
+    /// `task`, consuming `rx`.
+    pub(crate) fn new(
+        task: BoltTask<T>,
+        rx: Receiver<Packet<T>>,
+        depth: Option<Arc<AtomicI64>>,
+    ) -> Self {
+        InputTask { task, rx, depth, eos_seen: 0 }
     }
 }
 
@@ -186,10 +225,8 @@ fn emit_tree<T: Clone>(
 /// or until `failed` says an executor of the topology died, after which
 /// no pending tree can complete and waiting out its replays would only
 /// delay the failure.
-pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
+pub(crate) fn run_spout_executor<T: Clone>(
     mut tasks: Vec<SpoutTask<T>>,
-    task_ids: Vec<usize>,
-    component: String,
     reliable: Option<Reliable>,
     failed: &AtomicBool,
 ) -> Result<(), DspsError> {
@@ -197,7 +234,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
     let mut failure: Option<DspsError> = None;
     'outer: while finished < tasks.len() && !failed.load(Ordering::Relaxed) {
         let mut progressed = false;
-        for (i, t) in tasks.iter_mut().enumerate() {
+        for t in tasks.iter_mut() {
             if t.eos_sent {
                 continue;
             }
@@ -343,8 +380,8 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
                     }
                     Err(e) => {
                         failure = Some(DspsError::TaskPanicked {
-                            component: component.clone(),
-                            task: task_ids[i],
+                            component: t.emitter.component.to_string(),
+                            task: t.index,
                             reason: panic_text(e.as_ref()),
                         });
                         break 'outer;
@@ -394,6 +431,7 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
             // Fatal executor death: dump the control-plane history around
             // the failure to stderr before it is lost to the join.
             if let Some(t) = tasks.first() {
+                let component = &t.emitter.component;
                 t.emitter.flight.dump(&format!("spout executor '{component}' failed: {e}"));
             }
             Err(e)
@@ -404,40 +442,23 @@ pub(crate) fn run_spout_executor<T: Clone + Send + Sync>(
 
 /// Drives one bolt executor: consumes each task's input channel, acks
 /// processed tuples, supervises panics (restarting the task from its
-/// factory when reliability allows) and terminates on EOS quorum.
-pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
-    mut tasks: Vec<BoltTask<T>>,
-    component: String,
+/// factory when reliability allows) and terminates on EOS quorum
+/// (`expected` markers per task). The tasks chained behind these run
+/// inside their turns.
+pub(crate) fn run_bolt_executor<T: Clone>(
+    mut tasks: Vec<InputTask<T>>,
     expected: usize,
-    factory: BoltFactory<T>,
-    reliable: Option<Reliable>,
 ) -> Result<(), DspsError> {
-    // Storm calls prepare() on the worker, not the submitting client;
-    // per-task state must live on the executor thread. With durability
-    // on, state found on disk (a prior run's snapshot + changelog) is
-    // restored before the first tuple — stateful recovery rather than a
-    // cold start.
     for t in tasks.iter_mut() {
-        t.bolt.prepare(t.ctx);
-        if let Some(store) = t.store.as_mut() {
-            let recovered = store.take_recovered().unwrap_or_default();
-            t.emitter.flight.record(
-                FlightKind::Restore,
-                &t.emitter.component,
-                t.emitter.global as i64,
-                restore_bolt(t.bolt.as_mut(), &recovered),
-            );
-        }
+        prepare_task(&mut t.task);
     }
     let single = tasks.len() == 1;
     let mut remaining = tasks.len();
     let mut failure: Option<DspsError> = None;
-    // Per-packet (root, combined-id) ack accumulation, reused across packets.
-    let mut acks: Vec<(u64, u64)> = Vec::new();
     'outer: while remaining > 0 {
         let mut progressed = false;
         for t in tasks.iter_mut() {
-            if t.done {
+            if t.task.done {
                 continue;
             }
             // Single-task executors block on their channel (the common
@@ -466,29 +487,11 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
                     Packet::Eos => {
                         t.eos_seen += 1;
                         if t.eos_seen >= expected {
-                            let r = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| t.bolt.finish(&mut t.emitter)),
-                            );
-                            // Final snapshot: a cleanly drained task leaves
-                            // its complete end-of-stream state on disk, so
-                            // a resubmitted topology resumes from it.
-                            if r.is_ok() {
-                                if let Err(e) = persist_bolt_state(t, true) {
-                                    failure = Some(e);
-                                }
-                            }
-                            t.emitter.send_eos();
-                            t.done = true;
                             remaining -= 1;
-                            if let Err(e) = r {
-                                failure = Some(DspsError::TaskPanicked {
-                                    component: component.clone(),
-                                    task: t.index,
-                                    reason: panic_text(e.as_ref()),
-                                });
-                                break 'outer;
-                            }
-                            if failure.is_some() {
+                            let ended = finish_task(&mut t.task).err();
+                            let failed = ended.or_else(|| chain_failure(&mut t.task.emitter));
+                            if let Some(e) = failed {
+                                failure = Some(e);
                                 break 'outer;
                             }
                             break;
@@ -499,44 +502,26 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
                             // The gauge counts tuples, not packets.
                             depth.fetch_sub(data.tuples() as i64, Ordering::Relaxed);
                         }
-                        acks.clear();
-                        let mut fatal = None;
-                        for env in data.into_envelopes() {
-                            let r = process_envelope(
-                                t,
-                                env,
-                                &component,
-                                &factory,
-                                reliable.as_ref(),
-                                &mut acks,
-                            );
-                            if let Err(e) = r {
-                                fatal = Some(e);
-                                break;
-                            }
-                        }
-                        // One acker call for the whole packet, ids combined
-                        // per root. Flushed even when a later tuple was
-                        // fatal: the earlier ones really were processed.
-                        if let Some((acker, _)) = &reliable {
-                            acker.xor_batch(&acks);
-                        }
-                        if let Some(e) = fatal {
+                        if let Err(e) = deliver(&mut t.task, data.into_envelopes()) {
                             failure = Some(e);
                             break 'outer;
                         }
                     }
                 }
             }
-            // The drain turn is over: everything it emitted goes out before
-            // this executor can block again.
-            t.emitter.flush_all();
+            // The drain turn is over: everything it emitted goes out (and
+            // the chained tasks run) before this executor can block again.
+            t.task.emitter.flush_all();
+            if let Some(e) = chain_failure(&mut t.task.emitter) {
+                failure = Some(e);
+                break 'outer;
+            }
         }
         if !progressed && !single {
             // Every channel ran dry: block on a select across the live
             // tasks until a send or upstream disconnect arrives.
             let mut sel = crossbeam::channel::Select::new();
-            for t in tasks.iter().filter(|t| !t.done) {
+            for t in tasks.iter().filter(|t| !t.task.done) {
                 sel.recv(&t.rx);
             }
             let _ = sel.ready_timeout(Duration::from_millis(50));
@@ -546,8 +531,8 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
     // terminate instead of waiting forever.
     if failure.is_some() {
         for t in tasks.iter_mut() {
-            if !t.done {
-                t.emitter.send_eos();
+            if !t.task.done {
+                t.task.emitter.send_eos();
             }
         }
     }
@@ -556,7 +541,8 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
             // Fatal executor death: dump the control-plane history around
             // the failure to stderr before it is lost to the join.
             if let Some(t) = tasks.first() {
-                t.emitter.flight.dump(&format!("bolt executor '{component}' failed: {e}"));
+                let component = &t.task.emitter.component;
+                t.task.emitter.flight.dump(&format!("bolt executor '{component}' failed: {e}"));
             }
             Err(e)
         }
@@ -564,25 +550,133 @@ pub(crate) fn run_bolt_executor<T: Clone + Send + Sync>(
     }
 }
 
+/// Prepares a task and the tasks chained behind it, on the executor
+/// thread that will run them: Storm calls prepare() on the worker, not the
+/// submitting client, and per-task state must live there. With durability
+/// on, state found on disk (a prior run's snapshot + changelog) is
+/// restored before the first tuple — stateful recovery rather than a cold
+/// start.
+fn prepare_task<T>(t: &mut BoltTask<T>) {
+    t.bolt.prepare(t.ctx);
+    if let Some(store) = t.store.as_mut() {
+        let recovered = store.take_recovered().unwrap_or_default();
+        t.emitter.flight.record(
+            FlightKind::Restore,
+            &t.emitter.component,
+            t.emitter.global as i64,
+            restore_bolt(t.bolt.as_mut(), &recovered),
+        );
+    }
+    for route in t.emitter.routes.iter_mut() {
+        if let Some(member) = route.chained.as_deref_mut() {
+            prepare_task(member);
+        }
+    }
+}
+
+/// Runs a batch of deliveries through a task — a packet off its channel,
+/// or a chained edge's buffer — and applies their acks in one acker call,
+/// ids combined per root. Stops at the first fatal error; the acks of the
+/// deliveries before it still go out, since those really were processed.
+fn deliver<T: Clone>(
+    t: &mut BoltTask<T>,
+    envs: impl Iterator<Item = Envelope<T>>,
+) -> Result<(), DspsError> {
+    t.acks.clear();
+    let mut result = Ok(());
+    for env in envs {
+        result = process_envelope(t, env);
+        if result.is_err() {
+            break;
+        }
+    }
+    if let Some((acker, _)) = &t.reliable {
+        acker.xor_batch(&t.acks);
+    }
+    result
+}
+
+/// Ends a task's stream: `finish`, the final snapshot (a cleanly drained
+/// task leaves its complete end-of-stream state on disk, so a resubmitted
+/// topology resumes from it), then its end-of-stream markers, which end the
+/// tasks chained behind it in turn. The markers go out even when `finish`
+/// panicked, so nothing downstream waits on a failed task.
+fn finish_task<T: Clone>(t: &mut BoltTask<T>) -> Result<(), DspsError> {
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        t.bolt.finish(&mut t.emitter)
+    }));
+    let persisted = if r.is_ok() { persist_bolt_state(t, true) } else { Ok(()) };
+    t.emitter.send_eos();
+    t.done = true;
+    match r {
+        Ok(()) => persisted,
+        Err(e) => Err(DspsError::TaskPanicked {
+            component: t.emitter.component.to_string(),
+            task: t.ctx.task_index,
+            reason: panic_text(e.as_ref()),
+        }),
+    }
+}
+
+/// A chained task's turn: its upstream task flushed the edge between them,
+/// and `buf` is what that task emitted since. Deliveries to a task that
+/// failed are dropped and counted on the sender, as a send into a dead
+/// task's channel is. The task's own outputs go out (and the tasks chained
+/// behind it run) before the call returns.
+pub(crate) fn run_chained<T: Clone>(
+    t: &mut BoltTask<T>,
+    buf: &mut Vec<Envelope<T>>,
+    sender: &TaskCounters,
+) {
+    if t.done {
+        for _ in buf.drain(..) {
+            sender.record_dropped();
+        }
+        return;
+    }
+    if let Err(e) = deliver(t, buf.drain(..)) {
+        t.failure = Some(e);
+        t.done = true;
+    }
+    t.emitter.flush_all();
+}
+
+/// End of stream for a chained task: its one upstream task has sent it
+/// everything. A task that failed skips `finish` but still forwards its
+/// markers.
+pub(crate) fn end_chained<T: Clone>(t: &mut BoltTask<T>) {
+    if t.done {
+        t.emitter.send_eos();
+    } else if let Err(e) = finish_task(t) {
+        t.failure = Some(e);
+    }
+}
+
+/// Takes the first fatal error of a task chained behind `emitter`'s task,
+/// at any depth; the executor driving the chain surfaces it as its own.
+fn chain_failure<T>(emitter: &mut TaskEmitter<T>) -> Option<DspsError> {
+    emitter
+        .routes
+        .iter_mut()
+        .filter_map(|route| route.chained.as_deref_mut())
+        .find_map(|m| m.failure.take().or_else(|| chain_failure(&mut m.emitter)))
+}
+
 /// Runs one delivery through a bolt task: anchor inheritance, panic
 /// containment around `process`, latency and terminal-completion
 /// recording (a sampled tree's end-to-end latency in at-most-once mode),
 /// auto-ack, and supervised restart on panic.
 ///
-/// The input's ack is folded into `acks` as per-root combined ids; the
-/// caller applies them in one [`Acker::xor_batch`] call after the packet.
-/// A fatal error is returned for the caller to surface; a supervised
-/// restart is absorbed here and processing continues with the next
-/// delivery.
-fn process_envelope<T: Clone + Send + Sync>(
-    t: &mut BoltTask<T>,
-    env: Envelope<T>,
-    component: &str,
-    factory: &BoltFactory<T>,
-    reliable: Option<&Reliable>,
-    acks: &mut Vec<(u64, u64)>,
-) -> Result<(), DspsError> {
+/// The input's ack is folded into the task's `acks` as per-root combined
+/// ids; [`deliver`] applies them in one [`Acker::xor_batch`] call after the
+/// batch. A fatal error is returned for the caller to surface; a
+/// supervised restart is absorbed here and processing continues with the
+/// next delivery.
+///
+/// [`Acker::xor_batch`]: crate::ack::Acker::xor_batch
+fn process_envelope<T: Clone>(t: &mut BoltTask<T>, env: Envelope<T>) -> Result<(), DspsError> {
     let Envelope { msg, tid, roots, trace } = env;
+    let reliable = t.reliable.is_some();
     t.emitter.anchors = roots;
     // A sampled input yields two spans: the queue wait (send → here,
     // charged against the sender via `other`) and the `process` call. The
@@ -639,7 +733,7 @@ fn process_envelope<T: Clone + Send + Sync>(
                 start_ns,
                 end.saturating_sub(start_ns),
             );
-            if r.is_ok() && t.emitter.routes.is_empty() && reliable.is_none() {
+            if r.is_ok() && t.emitter.routes.is_empty() && !reliable {
                 // Terminal bolt in at-most-once mode: the tree completes
                 // here, and so does its end-to-end latency (reliability
                 // completes spout-side off the acker).
@@ -657,9 +751,9 @@ fn process_envelope<T: Clone + Send + Sync>(
             // registration happens at emit time even when they sit in
             // edge buffers), so acking the input now can only complete a
             // genuinely finished tree.
-            if reliable.is_some() {
+            if reliable {
                 for &root in &t.emitter.anchors {
-                    push_combined(acks, root, tid);
+                    push_combined(&mut t.acks, root, tid);
                 }
             }
             t.emitter.anchors.clear();
@@ -669,7 +763,7 @@ fn process_envelope<T: Clone + Send + Sync>(
             // Never ack a failed input: its tree stays incomplete and the
             // spout replays it.
             t.emitter.anchors.clear();
-            let budget = reliable.map_or(0, |(_, rel)| rel.max_task_restarts);
+            let budget = t.reliable.as_ref().map_or(0, |(_, rel)| rel.max_task_restarts);
             if t.restarts < budget {
                 // Supervisor: rebuild the task from its factory and keep
                 // consuming. Replay covers the lost tuple. With durability
@@ -678,7 +772,6 @@ fn process_envelope<T: Clone + Send + Sync>(
                 // the poisoned tuple's own changes were never drained, so
                 // the restored state is exactly as of the last good tuple.
                 let ctx = t.ctx;
-                let index = t.index;
                 let recovered = match t.store.as_mut() {
                     Some(store) => match store.read_current() {
                         Ok(r) => Some(r),
@@ -687,7 +780,7 @@ fn process_envelope<T: Clone + Send + Sync>(
                     None => None,
                 };
                 let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut bolt = (*factory)(index);
+                    let mut bolt = (*t.factory)(ctx.task_index);
                     bolt.prepare(ctx);
                     let state = recovered.as_ref().map(|r| restore_bolt(bolt.as_mut(), r));
                     (bolt, state)
@@ -712,22 +805,22 @@ fn process_envelope<T: Clone + Send + Sync>(
                         Ok(())
                     }
                     Err(e2) => Err(DspsError::TaskPanicked {
-                        component: component.to_string(),
-                        task: t.index,
+                        component: t.emitter.component.to_string(),
+                        task: ctx.task_index,
                         reason: format!("restart failed: {}", panic_text(e2.as_ref())),
                     }),
                 }
-            } else if reliable.is_some() {
+            } else if reliable {
                 Err(DspsError::TaskRestartsExhausted {
-                    component: component.to_string(),
-                    task: t.index,
+                    component: t.emitter.component.to_string(),
+                    task: t.ctx.task_index,
                     restarts: t.restarts,
                     reason: panic_text(e.as_ref()),
                 })
             } else {
                 Err(DspsError::TaskPanicked {
-                    component: component.to_string(),
-                    task: t.index,
+                    component: t.emitter.component.to_string(),
+                    task: t.ctx.task_index,
                     reason: panic_text(e.as_ref()),
                 })
             }

@@ -54,6 +54,9 @@ pub enum FlightKind {
     ChaosPanic,
     /// End-of-stream reached a terminal point.
     Eos,
+    /// At submit: a bolt task runs chained, called directly by its
+    /// upstream task on that task's executor thread.
+    Chained,
     /// Embedder-defined event.
     Custom,
 }
@@ -76,6 +79,7 @@ impl FlightKind {
             FlightKind::StatsRefresh => "stats_refresh",
             FlightKind::ChaosPanic => "chaos_panic",
             FlightKind::Eos => "eos",
+            FlightKind::Chained => "chained",
             FlightKind::Custom => "custom",
         }
     }
@@ -98,6 +102,7 @@ impl FlightKind {
             "stats_refresh" => FlightKind::StatsRefresh,
             "chaos_panic" => FlightKind::ChaosPanic,
             "eos" => FlightKind::Eos,
+            "chained" => FlightKind::Chained,
             "custom" => FlightKind::Custom,
             _ => return None,
         })

@@ -15,7 +15,9 @@
 //! The runtime executes everything in-process with real threads and
 //! bounded channels (so saturation behaves like a real deployment's
 //! backpressure) and terminates by end-of-stream propagation once every
-//! spout is exhausted. Delivery is at-most-once by default; enabling
+//! spout is exhausted. A bolt whose one input is a shuffle edge from a
+//! bolt of equal 1:1 parallelism runs *chained*: no channel and no thread
+//! of its own, called by its upstream task on that task's thread. Delivery is at-most-once by default; enabling
 //! [`runtime::ReliabilityConfig`] turns on Storm's guaranteed message
 //! processing — an XOR tuple-tree acker (`ack`), spout-side replay of
 //! timed-out tuples, and supervised restart of panicked bolt tasks — for

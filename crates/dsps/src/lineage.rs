@@ -325,7 +325,10 @@ pub struct CriticalPathReport {
     /// Per-edge queue-wait totals, sorted by `queue_ns` descending.
     pub edges: Vec<EdgePath>,
     /// The component with the largest `compute + inbound queue` share —
-    /// inbound wait is charged to the slow consumer, not the producer.
+    /// inbound wait is charged to the slow consumer, not the producer. The
+    /// queue wait at a chain head's input is time the chain's one thread
+    /// was busy, so it is charged to the chain's components in proportion
+    /// to their compute.
     pub bottleneck: Option<String>,
 }
 
@@ -386,6 +389,10 @@ struct PathAccum {
     components: BTreeMap<String, (u64, u64, u64, u64)>,
     /// (from, to) → (queue_ns, tuples)
     edges: BTreeMap<(String, String), (u64, u64)>,
+    /// Chained component → the upstream component whose tasks call it.
+    upstream_of: BTreeMap<String, String>,
+    /// Chain head → queue wait at its input, shared out at report time.
+    chain_wait: BTreeMap<String, u64>,
 }
 
 impl PathAccum {
@@ -397,7 +404,17 @@ impl PathAccum {
             replays: 0,
             components: BTreeMap::new(),
             edges: BTreeMap::new(),
+            upstream_of: BTreeMap::new(),
+            chain_wait: BTreeMap::new(),
         }
+    }
+
+    /// The head of the chain `component` runs in (itself when unchained).
+    fn chain_head<'a>(&'a self, mut component: &'a str) -> &'a str {
+        while let Some(up) = self.upstream_of.get(component) {
+            component = up;
+        }
+        component
     }
 
     fn fold(&mut self, span: &Span, name_of: &dyn Fn(u32) -> String) {
@@ -412,7 +429,13 @@ impl PathAccum {
                 slot.3 += 1;
             }
             SpanKind::Queue => {
-                slot.1 += span.dur_ns;
+                let head = !self.upstream_of.contains_key(&here)
+                    && self.upstream_of.values().any(|up| *up == here);
+                if head {
+                    *self.chain_wait.entry(here.clone()).or_default() += span.dur_ns;
+                } else {
+                    slot.1 += span.dur_ns;
+                }
                 let from = name_of(span.other);
                 let e = self.edges.entry((from, here)).or_default();
                 e.0 += span.dur_ns;
@@ -436,8 +459,21 @@ impl PathAccum {
     }
 
     fn report(&self, dropped: u64) -> CriticalPathReport {
-        let mut components: Vec<ComponentPath> = self
-            .components
+        let mut totals = self.components.clone();
+        for (head, &wait) in &self.chain_wait {
+            let compute = |c: &str| self.components.get(c).map_or(0, |t| t.0) as u128;
+            let members: Vec<&String> =
+                self.upstream_of.keys().filter(|m| self.chain_head(m) == head).collect();
+            let chain_compute = compute(head) + members.iter().map(|m| compute(m)).sum::<u128>();
+            let mut given = 0;
+            for m in members {
+                let share = (wait as u128 * compute(m)).checked_div(chain_compute).unwrap_or(0);
+                totals.entry(m.clone()).or_default().1 += share as u64;
+                given += share as u64;
+            }
+            totals.entry(head.clone()).or_default().1 += wait - given;
+        }
+        let mut components: Vec<ComponentPath> = totals
             .iter()
             .map(|(name, &(compute, queue, replay, tuples))| ComponentPath {
                 component: name.clone(),
@@ -528,6 +564,13 @@ impl TraceCollector {
     /// The active configuration.
     pub fn config(&self) -> LineageConfig {
         self.config
+    }
+
+    /// Records that `member`'s tasks run chained, called by `upstream`'s
+    /// tasks on their executor threads: the critical path then shares the
+    /// queue wait at the chain head's input among the chain's components.
+    pub(crate) fn register_chain(&self, upstream: &str, member: &str) {
+        self.inner.lock().path.upstream_of.insert(member.to_string(), upstream.to_string());
     }
 
     /// Registers task `task` of `component` and returns its producer sink.
@@ -828,6 +871,30 @@ mod tests {
         let jsonl = c.render_jsonl();
         assert_eq!(jsonl.lines().count(), 4);
         assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+    }
+
+    #[test]
+    fn a_chain_heads_inbound_wait_is_charged_by_compute() {
+        // `fast` heads a chain that runs `slow` on its thread: tuples
+        // queue at fast's input while slow computes, so the wait is slow's.
+        let c = TraceCollector::new(LineageConfig::full(), Instant::now());
+        c.register_chain("fast", "slow");
+        let mut spout = c.register_task(0, "src");
+        let mut fast = c.register_task(1, "fast");
+        let mut slow = c.register_task(2, "slow");
+        let emit = spout.record(7, 0, SpanKind::SpoutEmit, 0, 0, 1_000);
+        let q = fast.record(7, emit, SpanKind::Queue, 0, 1_000, 1_010_000);
+        let p = fast.record(7, q, SpanKind::Process, 0, 1_011_000, 1_000);
+        let q2 = slow.record(7, p, SpanKind::Queue, 1, 1_012_000, 0);
+        slow.record(7, q2, SpanKind::Process, 0, 1_012_000, 100_000);
+
+        let path = c.critical_path();
+        assert_eq!(path.bottleneck.as_deref(), Some("slow"), "{path:?}");
+        let of = |name: &str| path.components.iter().find(|p| p.component == name).unwrap();
+        assert_eq!(of("slow").queue_in_ns, 1_000_000, "100/101 of the wait");
+        assert_eq!(of("fast").queue_in_ns, 10_000, "1/101 of the wait");
+        let edge = path.edges.iter().find(|e| e.to == "fast").unwrap();
+        assert_eq!(edge.queue_ns, 1_010_000, "the edge keeps its whole wait");
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! (`emitter.rs`); what an executor thread does with its tasks is the loop
 //! (`executor.rs`).
 //!
-//! Every task owns a bounded input channel; emitting to a full channel
-//! blocks, which gives the same backpressure a saturated Storm deployment
-//! exhibits. When all spout tasks are exhausted, end-of-stream markers
-//! propagate edge-by-edge: a bolt task finishes once it has received one
-//! marker from every upstream task on every incoming edge, flushes via
+//! Every bolt task owns a bounded input channel, unless it runs chained
+//! (`chain_plan`): then its upstream task calls it directly. Emitting to
+//! a full channel blocks, which gives the same backpressure a saturated
+//! Storm deployment exhibits. When all spout tasks are exhausted,
+//! end-of-stream markers propagate edge-by-edge: a bolt task finishes once
+//! it has received one marker from every upstream task on every incoming
+//! edge (a chained task, once its upstream task finished), flushes via
 //! [`Bolt::finish`](crate::topology::Bolt::finish), forwards its own markers,
 //! and exits.
 //!
@@ -49,14 +51,15 @@ pub use crate::emitter::Emitter;
 use crate::emitter::{Packet, Route, TaskEmitter};
 use crate::error::DspsError;
 use crate::executor::{
-    panic_text, run_bolt_executor, run_spout_executor, BoltTask, Reliable, SpoutTask,
+    panic_text, run_bolt_executor, run_spout_executor, BoltTask, InputTask, Reliable, SpoutTask,
 };
 use crate::fault::FaultConfig;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::lineage::TraceCollector;
-use crate::metrics::{MetricsHub, MonitorConfig, TaskCounters};
+use crate::grouping::Grouping;
+use crate::metrics::{MetricsHub, MonitorConfig};
 use crate::scheduler::{assign, Assignment, ClusterSpec};
-use crate::topology::{BoltContext, Topology};
+use crate::topology::{BoltContext, Parallelism, Topology};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -98,7 +101,9 @@ impl Default for ReliabilityConfig {
 pub struct RuntimeConfig {
     /// Capacity of each task's input channel, in tuples: a send is
     /// admitted while fewer are queued, so a channel holds less than this
-    /// plus one edge buffer.
+    /// plus one edge buffer. A chained bolt task has no channel: its
+    /// upstream task runs it when it flushes what it emitted
+    /// (see [`Emitter::flush`]), so one upstream turn bounds its input.
     pub channel_capacity: usize,
     /// Metrics monitor window; `None` disables the monitor thread (metrics
     /// can still be sampled manually through the handle).
@@ -294,13 +299,13 @@ impl LocalCluster {
         // ---- Acker + completion channels (reliability mode) ---------------
         // Completion channels are unbounded so completing a tree can never
         // block a bolt executor against a stalled spout.
-        let mut completion_rxs: Vec<Option<Receiver<(u64, Instant)>>> = Vec::new();
+        let mut completion_rxs: Vec<Receiver<(u64, Instant)>> = Vec::new();
         let reliable: Option<Reliable> = config.reliability.map(|rel| {
             let mut txs = Vec::with_capacity(spout_task_total);
             for _ in 0..spout_task_total {
                 let (tx, rx) = unbounded();
                 txs.push(tx);
-                completion_rxs.push(Some(rx));
+                completion_rxs.push(rx);
             }
             let acker: Arc<dyn AckSink> = match make_ack {
                 Some(f) => f(txs),
@@ -309,7 +314,17 @@ impl LocalCluster {
             (acker, rel)
         });
 
-        // ---- Channels: one bounded channel per bolt task ------------------
+        // ---- Chains -------------------------------------------------------
+        let chained = chain_plan(&topology, my_worker.is_none());
+        if let Some(c) = &collector {
+            for (bi, upstream) in chained.iter().enumerate() {
+                if let Some(u) = *upstream {
+                    c.register_chain(&topology.bolts[u].name, &topology.bolts[bi].name);
+                }
+            }
+        }
+
+        // ---- Channels: one bounded channel per unchained bolt task --------
         // Under a monitor each channel gets an occupancy counter the hub
         // reads as a gauge; the hub holds only the counter, never a channel
         // handle (that would defeat disconnect detection when a task dies).
@@ -320,18 +335,22 @@ impl LocalCluster {
         // slots get no gauge (the owning process tracks the occupancy).
         let mut senders_by_bolt: Vec<Vec<Sender<Packet<T>>>> =
             Vec::with_capacity(topology.bolts.len());
-        let mut receivers_by_bolt: Vec<Vec<Option<Receiver<Packet<T>>>>> =
-            Vec::with_capacity(topology.bolts.len());
         let mut depths_by_bolt: Vec<Vec<Option<Arc<AtomicI64>>>> =
             Vec::with_capacity(topology.bolts.len());
+        // Local tasks' `(task index, receiver, gauge)`, in task order.
+        #[allow(clippy::type_complexity)]
+        let mut inputs_by_bolt: Vec<Vec<(usize, Receiver<Packet<T>>, Option<Arc<AtomicI64>>)>> =
+            Vec::with_capacity(topology.bolts.len());
         let mut ingress: HashMap<u32, LocalIngress<T>> = HashMap::new();
-        for b in &topology.bolts {
+        for (bi, b) in topology.bolts.iter().enumerate() {
             let mut senders = Vec::with_capacity(b.parallelism.tasks);
-            let mut receivers = Vec::with_capacity(b.parallelism.tasks);
             let mut depths = Vec::with_capacity(b.parallelism.tasks);
+            let mut inputs = Vec::new();
             for ti in 0..b.parallelism.tasks {
                 let global = global_base[b.name.as_str()] + ti;
-                if is_local(global) {
+                if chained[bi].is_some() {
+                    // Its upstream task's emitter calls it: no channel.
+                } else if is_local(global) {
                     let (tx, rx) = bounded(config.channel_capacity.max(1));
                     let depth = config.monitor.map(|_| {
                         let depth = Arc::new(AtomicI64::new(0));
@@ -349,8 +368,8 @@ impl LocalCluster {
                         );
                     }
                     senders.push(tx);
-                    receivers.push(Some(rx));
-                    depths.push(depth);
+                    depths.push(depth.clone());
+                    inputs.push((ti, rx, depth));
                 } else {
                     let plane = plane.as_ref().expect("remote task implies a data plane");
                     senders.push(plane.remote_sender(
@@ -358,50 +377,29 @@ impl LocalCluster {
                         global as u32,
                         config.channel_capacity.max(1),
                     ));
-                    receivers.push(None);
                     depths.push(None);
                 }
             }
             senders_by_bolt.push(senders);
-            receivers_by_bolt.push(receivers);
             depths_by_bolt.push(depths);
+            inputs_by_bolt.push(inputs);
         }
         if let Some(plane) = plane.as_ref() {
             plane.register_ingress(ingress);
         }
 
-        // ---- Outgoing edges per source component --------------------------
-        // source name → [(grouping, downstream senders)]
-        let make_routes = |source: &str| -> Vec<Route<T>> {
-            let mut routes = Vec::new();
-            for (bi, b) in topology.bolts.iter().enumerate() {
-                for sub in &b.subscriptions {
-                    if sub.source == source {
-                        routes.push(Route {
-                            grouping: sub.grouping.clone(),
-                            senders: senders_by_bolt[bi].clone(),
-                            depths: depths_by_bolt[bi].clone(),
-                            globals: (0..b.parallelism.tasks)
-                                .map(|ti| (global_base[b.name.as_str()] + ti) as u32)
-                                .collect(),
-                            rr: 0,
-                        });
-                    }
-                }
-            }
-            routes
-        };
-        let make_emitter = |source: &str, global: usize, counters: Arc<TaskCounters>| {
-            TaskEmitter::new(
-                source,
-                global,
-                make_routes(source),
-                counters,
-                reliable.as_ref().map(|(acker, _)| acker.clone()),
-                fault,
-                collector.as_ref().map(|c| c.register_task(global as u32, source)),
-                flight.clone(),
-            )
+        let wiring = Wiring {
+            topology: &topology,
+            chained: &chained,
+            global_base: &global_base,
+            senders_by_bolt: &senders_by_bolt,
+            depths_by_bolt: &depths_by_bolt,
+            metrics: &metrics,
+            reliable: reliable.as_ref(),
+            fault,
+            collector: collector.as_ref(),
+            flight: &flight,
+            durability: durability.as_ref(),
         };
 
         // Upstream task count per bolt: one EOS arrives per upstream task
@@ -442,81 +440,57 @@ impl LocalCluster {
         };
 
         // ---- Spout executors ----------------------------------------------
+        // Completion receivers are in global task order, and spouts hold
+        // the first globals.
+        let mut completion_rxs = completion_rxs.into_iter();
         for s in &topology.spouts {
             let packing =
                 executor_slices(&s.name, s.parallelism.tasks, s.parallelism.executors);
-            for task_ids in packing {
-                let mut tasks: Vec<SpoutTask<T>> = Vec::new();
-                for &ti in &task_ids {
-                    let counters = metrics.register_task(&s.name);
-                    let global = global_base[s.name.as_str()] + ti;
-                    tasks.push(SpoutTask::new(
-                        (*s.factory)(ti),
-                        make_emitter(&s.name, global, counters),
-                        global,
-                        reliable.as_ref().map(|_| {
-                            completion_rxs[global]
-                                .take()
-                                .expect("each completion receiver is claimed exactly once")
-                        }),
-                    ));
-                }
-                let component = s.name.clone();
+            let slot = executor_of(&packing, s.parallelism.tasks);
+            let mut executors: Vec<Vec<SpoutTask<T>>> =
+                packing.iter().map(|_| Vec::new()).collect();
+            for (ti, &e) in slot.iter().enumerate() {
+                let completions = completion_rxs.next();
+                let Some(e) = e else { continue };
+                let global = global_base[s.name.as_str()] + ti;
+                executors[e].push(SpoutTask::new(
+                    (*s.factory)(ti),
+                    wiring.emitter(&s.name, ti)?,
+                    ti,
+                    global,
+                    completions,
+                ));
+            }
+            for (task_ids, tasks) in packing.iter().zip(executors) {
                 let thread_reliable = reliable.clone();
                 let stop = failed.clone();
                 threads.push(spawn_executor(&s.name, task_ids[0], failed.clone(), move || {
-                    run_spout_executor(tasks, task_ids, component, thread_reliable, &stop)
-                }));
+                    run_spout_executor(tasks, thread_reliable, &stop)
+                })?);
             }
         }
 
         // ---- Bolt executors -----------------------------------------------
-        for (bi, b) in topology.bolts.iter().enumerate() {
+        // A chained bolt gets none: its tasks are built into the emitters
+        // of its upstream's tasks and run on their executors.
+        for ((bi, b), inputs) in topology.bolts.iter().enumerate().zip(inputs_by_bolt) {
+            if chained[bi].is_some() {
+                continue;
+            }
             let packing =
                 executor_slices(&b.name, b.parallelism.tasks, b.parallelism.executors);
-            let task_count = b.parallelism.tasks;
-            for task_ids in packing {
-                let mut tasks: Vec<BoltTask<T>> = Vec::new();
-                for &ti in &task_ids {
-                    let counters = metrics.register_task(&b.name);
-                    let global = global_base[b.name.as_str()] + ti;
-                    let rx = receivers_by_bolt[bi][ti]
-                        .take()
-                        .expect("each task receiver is claimed exactly once");
-                    let store = match &durability {
-                        Some(d) => {
-                            let store = StateStore::open(d, &b.name, ti)?;
-                            if store.truncated_bytes() > 0 {
-                                flight.record(
-                                    FlightKind::ChangelogTruncated,
-                                    &b.name,
-                                    global as i64,
-                                    format!(
-                                        "{} torn-tail bytes dropped at open",
-                                        store.truncated_bytes()
-                                    ),
-                                );
-                            }
-                            Some(store)
-                        }
-                        None => None,
-                    };
-                    tasks.push(BoltTask::new(
-                        (*b.factory)(ti),
-                        make_emitter(&b.name, global, counters),
-                        rx,
-                        BoltContext { task_index: ti, task_count },
-                        depths_by_bolt[bi][ti].clone(),
-                        store,
-                    ));
-                }
-                let component = b.name.clone();
-                let expected = expected_eos[bi];
-                let factory = b.factory.clone();
-                let thread_reliable = reliable.clone();
+            let slot = executor_of(&packing, b.parallelism.tasks);
+            let mut executors: Vec<Vec<InputTask<T>>> =
+                packing.iter().map(|_| Vec::new()).collect();
+            for (ti, rx, depth) in inputs {
+                let Some(e) = slot[ti] else { continue };
+                executors[e].push(InputTask::new(wiring.bolt_task(bi, ti)?, rx, depth));
+            }
+            let expected = expected_eos[bi];
+            for (task_ids, tasks) in packing.iter().zip(executors) {
                 threads.push(spawn_executor(&b.name, task_ids[0], failed.clone(), move || {
-                    run_bolt_executor(tasks, component, expected, factory, thread_reliable)
-                }));
+                    run_bolt_executor(tasks, expected)
+                })?);
             }
         }
 
@@ -608,15 +582,17 @@ impl LocalCluster {
 }
 
 /// Spawns an executor thread named `<component>#<first task>`, so a panic
-/// message and `/proc/<pid>/task/*/comm` attribute to a component. An
-/// executor that returns an error or panics raises `failed`, which ends
-/// the spout executors.
+/// message and `/proc/<pid>/task/*/comm` attribute to a component (a
+/// chain's thread is named after its head). An executor that returns an
+/// error or panics raises `failed`, which ends the spout executors; so
+/// does a thread the OS refuses to start.
 fn spawn_executor(
     component: &str,
     first_task: usize,
     failed: Arc<AtomicBool>,
     run: impl FnOnce() -> Result<(), DspsError> + Send + 'static,
-) -> std::thread::JoinHandle<Result<(), DspsError>> {
+) -> Result<std::thread::JoinHandle<Result<(), DspsError>>, DspsError> {
+    let raise = failed.clone();
     std::thread::Builder::new()
         .name(format!("{component}#{first_task}"))
         .spawn(move || {
@@ -626,7 +602,168 @@ fn spawn_executor(
             }
             result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
-        .expect("failed to spawn executor thread")
+        .map_err(|e| {
+            raise.store(true, Ordering::Relaxed);
+            DspsError::ExecutorSpawn {
+                component: component.to_string(),
+                task: first_task,
+                reason: e.to_string(),
+            }
+        })
+}
+
+/// Which executor of `packing` runs each of a component's `tasks`; `None`
+/// for a task no slice lists (another process owns it).
+fn executor_of(packing: &[Vec<usize>], tasks: usize) -> Vec<Option<usize>> {
+    let mut slot = vec![None; tasks];
+    for (e, task_ids) in packing.iter().enumerate() {
+        for &ti in task_ids {
+            slot[ti] = Some(e);
+        }
+    }
+    slot
+}
+
+/// Which bolts run chained: entry `bi` is the index of the bolt whose
+/// tasks drive bolt `bi`'s tasks by direct call, `None` for a bolt that
+/// gets executors of its own.
+///
+/// A bolt chains into its upstream when it has exactly one input, that
+/// input is a [`Shuffle`](Grouping::Shuffle) edge from another bolt, and
+/// both components run as many tasks as executors, with equal task
+/// counts. Task *i* then receives only task *i*'s output, inside task
+/// *i*'s turn: no channel, no thread, no wake-up. The rule reads no bolt
+/// property. A shuffle edge promises distribution, not a partition, so
+/// sending task *i*'s output to task *i* is a legal shuffle (Storm's
+/// `localOrShuffleGrouping` makes the same substitution), and a chain
+/// inherits its head's balance. A bolt that needs a key subscribes by
+/// `fields`, and a `fields`, `all` or `direct` edge never chains.
+///
+/// In-process only: a multi-process run ([`DistributedCluster`]) places
+/// executors per component, so with `in_process` false nothing chains.
+///
+/// [`DistributedCluster`]: crate::net::DistributedCluster
+pub(crate) fn chain_plan<T>(topology: &Topology<T>, in_process: bool) -> Vec<Option<usize>> {
+    let one_to_one = |p: Parallelism| p.tasks == p.executors;
+    topology
+        .bolts
+        .iter()
+        .map(|b| {
+            let [sub] = b.subscriptions.as_slice() else { return None };
+            if !in_process || !matches!(sub.grouping, Grouping::Shuffle) {
+                return None;
+            }
+            let ui = topology.bolts.iter().position(|u| u.name == sub.source)?;
+            let up = topology.bolts[ui].parallelism;
+            (up.tasks == b.parallelism.tasks && one_to_one(up) && one_to_one(b.parallelism))
+                .then_some(ui)
+        })
+        .collect()
+}
+
+/// What building a task's emitter needs: the topology, its chains, the
+/// channels, and the handles every task shares.
+struct Wiring<'a, T> {
+    topology: &'a Topology<T>,
+    chained: &'a [Option<usize>],
+    global_base: &'a HashMap<&'a str, usize>,
+    senders_by_bolt: &'a [Vec<Sender<Packet<T>>>],
+    depths_by_bolt: &'a [Vec<Option<Arc<AtomicI64>>>],
+    metrics: &'a MetricsHub,
+    reliable: Option<&'a Reliable>,
+    fault: Option<FaultConfig>,
+    collector: Option<&'a Arc<TraceCollector>>,
+    flight: &'a Arc<FlightRecorder>,
+    durability: Option<&'a DurabilityConfig>,
+}
+
+impl<T: Clone + Send + Sync + 'static> Wiring<'_, T> {
+    /// The emitter of task `ti` of component `source`: one route per
+    /// outgoing edge. A chained edge's route owns the downstream task `ti`
+    /// it drives, built here.
+    fn emitter(&self, source: &str, ti: usize) -> Result<TaskEmitter<T>, DspsError> {
+        let global = self.global_base[source] + ti;
+        let counters = self.metrics.register_task(source);
+        let mut routes = Vec::new();
+        for (bi, b) in self.topology.bolts.iter().enumerate() {
+            for sub in b.subscriptions.iter().filter(|sub| sub.source == source) {
+                let base = self.global_base[b.name.as_str()];
+                let route = if self.chained[bi].is_some() {
+                    let mut head = bi;
+                    while let Some(u) = self.chained[head] {
+                        head = u;
+                    }
+                    self.flight.record(
+                        FlightKind::Chained,
+                        &b.name,
+                        (base + ti) as i64,
+                        format!(
+                            "{}[{ti}] runs on {}[{ti}]'s executor",
+                            b.name, self.topology.bolts[head].name
+                        ),
+                    );
+                    Route {
+                        grouping: sub.grouping.clone(),
+                        senders: Vec::new(),
+                        depths: Vec::new(),
+                        globals: vec![(base + ti) as u32],
+                        rr: 0,
+                        chained: Some(Box::new(self.bolt_task(bi, ti)?)),
+                    }
+                } else {
+                    Route {
+                        grouping: sub.grouping.clone(),
+                        senders: self.senders_by_bolt[bi].clone(),
+                        depths: self.depths_by_bolt[bi].clone(),
+                        globals: (0..b.parallelism.tasks).map(|t| (base + t) as u32).collect(),
+                        rr: 0,
+                        chained: None,
+                    }
+                };
+                routes.push(route);
+            }
+        }
+        Ok(TaskEmitter::new(
+            source,
+            global,
+            routes,
+            counters,
+            self.reliable.map(|(acker, _)| acker.clone()),
+            self.fault,
+            self.collector.map(|c| c.register_task(global as u32, source)),
+            self.flight.clone(),
+        ))
+    }
+
+    /// Task `ti` of bolt `bi`, with its state store opened and the tasks
+    /// chained behind it built into its emitter.
+    fn bolt_task(&self, bi: usize, ti: usize) -> Result<BoltTask<T>, DspsError> {
+        let b = &self.topology.bolts[bi];
+        let global = self.global_base[b.name.as_str()] + ti;
+        let store = match self.durability {
+            Some(d) => {
+                let store = StateStore::open(d, &b.name, ti)?;
+                if store.truncated_bytes() > 0 {
+                    self.flight.record(
+                        FlightKind::ChangelogTruncated,
+                        &b.name,
+                        global as i64,
+                        format!("{} torn-tail bytes dropped at open", store.truncated_bytes()),
+                    );
+                }
+                Some(store)
+            }
+            None => None,
+        };
+        Ok(BoltTask::new(
+            (*b.factory)(ti),
+            self.emitter(&b.name, ti)?,
+            BoltContext { task_index: ti, task_count: b.parallelism.tasks },
+            b.factory.clone(),
+            self.reliable.cloned(),
+            store,
+        ))
+    }
 }
 
 /// Accepts and answers every scrape connection currently queued on the
@@ -1550,6 +1687,121 @@ mod tests {
         assert_eq!(src.avg_latency, None, "no fake zero-latency samples");
         let sink = totals.iter().find(|c| c.component == "sink").unwrap();
         assert_eq!(sink.throughput, 100, "bolt processing is unaffected");
+    }
+
+    /// `chain_plan` over `src(2) → up → down`, with `down`'s inputs given.
+    fn plan(
+        up: Parallelism,
+        down: Parallelism,
+        inputs: Vec<(&str, Grouping<Msg>)>,
+        in_process: bool,
+    ) -> Vec<Option<usize>> {
+        let t = TopologyBuilder::new("t")
+            .add_spout("src", Parallelism::of(2), |_| Box::new(RangeSpout { next: 0, end: 0 }))
+            .add_map_bolt("up", up, vec![("src", Grouping::Shuffle)], |m: Msg| Some(m))
+            .add_map_bolt("down", down, inputs, |m: Msg| Some(m))
+            .build()
+            .unwrap();
+        chain_plan(&t, in_process)
+    }
+
+    #[test]
+    fn chain_plan_chains_one_shuffle_input_between_equal_one_to_one_bolts() {
+        let two = Parallelism::of(2);
+        let shared = Parallelism { tasks: 2, executors: 1 };
+        let shuffle = || vec![("up", Grouping::Shuffle)];
+        assert_eq!(plan(two, two, shuffle(), true), vec![None, Some(0)], "the chaining case");
+        // `up` itself never chains: its one input comes from a spout.
+        let unchained: [(&str, Vec<Option<usize>>); 9] = [
+            ("fields", plan(two, two, vec![("up", Grouping::fields(|m: &Msg| m.key))], true)),
+            ("all", plan(two, two, vec![("up", Grouping::All)], true)),
+            ("direct", plan(two, two, vec![("up", Grouping::Direct)], true)),
+            ("unequal tasks", plan(two, Parallelism::of(3), shuffle(), true)),
+            ("shared downstream executor", plan(two, shared, shuffle(), true)),
+            ("shared upstream executor", plan(shared, two, shuffle(), true)),
+            (
+                "two inputs",
+                plan(two, two, vec![("up", Grouping::Shuffle), ("src", Grouping::Shuffle)], true),
+            ),
+            ("spout source", plan(two, two, vec![("src", Grouping::Shuffle)], true)),
+            ("multi-process", plan(two, two, shuffle(), false)),
+        ];
+        for (case, got) in unchained {
+            assert_eq!(got, vec![None, None], "{case} must not chain");
+        }
+    }
+
+    #[test]
+    fn a_chained_task_runs_on_its_upstream_tasks_thread_and_sees_its_outputs_in_order() {
+        // Each `head` task numbers its outputs; each `member` task records
+        // the thread it ran on and what it got.
+        struct Numbering {
+            task: usize,
+            next: u64,
+        }
+        impl Bolt<Msg> for Numbering {
+            fn prepare(&mut self, ctx: BoltContext) {
+                self.task = ctx.task_index;
+            }
+            fn process(&mut self, _msg: Msg, e: &mut dyn Emitter<Msg>) {
+                for _ in 0..2 {
+                    e.emit(Msg { key: self.task as u64, value: self.next });
+                    self.next += 1;
+                }
+            }
+        }
+        type Seen = Arc<Mutex<Vec<(usize, String, Msg)>>>;
+        struct Recorder {
+            task: usize,
+            seen: Seen,
+        }
+        impl Bolt<Msg> for Recorder {
+            fn prepare(&mut self, ctx: BoltContext) {
+                self.task = ctx.task_index;
+            }
+            fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
+                let thread = std::thread::current().name().unwrap_or("").to_string();
+                self.seen.lock().push((self.task, thread, msg));
+            }
+        }
+        let seen: Seen = Arc::new(Mutex::new(Vec::new()));
+        let kept = seen.clone();
+        let t = TopologyBuilder::new("t")
+            .add_spout("src", Parallelism::of(1), |_| Box::new(RangeSpout { next: 0, end: 300 }))
+            .add_bolt(
+                "head",
+                Parallelism::of(2),
+                vec![("src", Grouping::fields(|m: &Msg| m.key))],
+                |_| Box::new(Numbering { task: 0, next: 0 }),
+            )
+            .add_bolt("member", Parallelism::of(2), vec![("head", Grouping::Shuffle)], move |_| {
+                Box::new(Recorder { task: 0, seen: kept.clone() })
+            })
+            .build()
+            .unwrap();
+        let handle = small_cluster().submit(t, RuntimeConfig::default()).unwrap();
+        let flight = handle.flight_recorder().clone();
+        handle.join().unwrap();
+
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 600, "every output reached a member");
+        for task in 0..2 {
+            let mine: Vec<&(usize, String, Msg)> = seen.iter().filter(|s| s.0 == task).collect();
+            assert!(!mine.is_empty());
+            for (_, thread, msg) in &mine {
+                assert_eq!(thread, &format!("head#{task}"), "member[{task}] runs on head[{task}]");
+                assert_eq!(msg.key, task as u64, "member[{task}] sees head[{task}]'s outputs only");
+            }
+            let values: Vec<u64> = mine.iter().map(|s| s.2.value).collect();
+            let in_emit_order: Vec<u64> = (0..values.len() as u64).collect();
+            assert_eq!(values, in_emit_order, "member[{task}] sees them in emit order");
+        }
+        let chained = flight.events_of(FlightKind::Chained);
+        let details: Vec<&str> = chained.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            ["member[0] runs on head[0]'s executor", "member[1] runs on head[1]'s executor"]
+        );
     }
 
     #[test]

@@ -216,3 +216,86 @@ fn replay_after_timeout_delivers_exactly_the_missing_tuples() {
         src.replayed
     );
 }
+
+/// `src(2) → triple(2) → square(2) → sink(1)`: `square` has one shuffle
+/// input from a bolt of equal parallelism, so it runs chained on
+/// `triple`'s executors. `fault` wraps `square` (panics) and arms
+/// transport drops, which on `triple` hit the chained edge.
+fn run_chained_pipeline(
+    reliability: Option<ReliabilityConfig>,
+    fault: Option<FaultConfig>,
+) -> (Result<Arc<tms_dsps::MetricsHub>, DspsError>, Vec<u64>, usize) {
+    let collected: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    struct Sink(Arc<Mutex<Vec<u64>>>);
+    impl Bolt<Msg> for Sink {
+        fn process(&mut self, msg: Msg, _e: &mut dyn Emitter<Msg>) {
+            self.0.lock().push(msg.value);
+        }
+    }
+    let square = |_: usize| -> Box<dyn Bolt<Msg>> {
+        struct Square;
+        impl Bolt<Msg> for Square {
+            fn process(&mut self, msg: Msg, e: &mut dyn Emitter<Msg>) {
+                e.emit(Msg { key: msg.key, value: msg.value * msg.value });
+            }
+        }
+        Box::new(Square)
+    };
+    let chaotic: Box<dyn Fn(usize) -> Box<dyn Bolt<Msg>> + Send + Sync> = match fault {
+        Some(f) => Box::new(chaos_wrap(square, f)),
+        None => Box::new(square),
+    };
+    let sink_collected = collected.clone();
+    let half = TUPLES / 2;
+    let t = TopologyBuilder::new("chained-chaos")
+        .add_spout("src", Parallelism::of(2), move |ti| {
+            Box::new(RangeSpout { next: ti as u64 * half, end: (ti as u64 + 1) * half })
+        })
+        .add_map_bolt("triple", Parallelism::of(2), vec![("src", Grouping::Shuffle)], |m: Msg| {
+            Some(Msg { key: m.key, value: m.value * 3 })
+        })
+        .add_bolt("square", Parallelism::of(2), vec![("triple", Grouping::Shuffle)], move |ti| {
+            chaotic(ti)
+        })
+        .add_bolt("sink", Parallelism::of(1), vec![("square", Grouping::Shuffle)], move |_| {
+            Box::new(Sink(sink_collected.clone())) as Box<dyn Bolt<Msg>>
+        })
+        .build()
+        .unwrap();
+    let cluster =
+        LocalCluster::new(ClusterSpec { nodes: 2, slots_per_node: 2, cores_per_node: 2 }).unwrap();
+    let cfg = RuntimeConfig { reliability, fault, ..RuntimeConfig::default() };
+    let handle = cluster.submit(t, cfg).unwrap();
+    let metrics = handle.metrics().clone();
+    let chained = handle.flight_recorder().events_of(tms_dsps::FlightKind::Chained).len();
+    let result = handle.join().map(|_| metrics);
+    let values = collected.lock().clone();
+    (result, values, chained)
+}
+
+#[test]
+fn chaos_in_a_chained_task_and_on_its_edge_heals_to_the_failure_free_output() {
+    let (clean, clean_values, chained) = run_chained_pipeline(None, None);
+    clean.expect("failure-free run must succeed");
+    assert_eq!(chained, 2, "both square tasks run chained on triple's executors");
+    let baseline: BTreeSet<u64> = clean_values.iter().copied().collect();
+    assert_eq!(baseline.len() as u64, TUPLES);
+
+    let (result, values, _) = run_chained_pipeline(Some(recovery()), Some(chaos_faults()));
+    let metrics = result.expect("recovery must absorb faults in a chained task");
+    let deduped: BTreeSet<u64> = values.iter().copied().collect();
+    assert_eq!(deduped, baseline, "after dedup, the chaos run must equal the failure-free run");
+
+    let totals = metrics.totals();
+    let of = |name: &str| totals.iter().find(|c| c.component == name).unwrap().clone();
+    let (src, triple, square) = (of("src"), of("triple"), of("square"));
+    assert_eq!(src.acked, TUPLES, "every root completes, replayed or not");
+    assert_eq!(src.failed, 0);
+    assert!(src.replayed > 0, "the faults forced replays");
+    assert!(square.injected_panics > 0, "the chained task panicked");
+    assert!(
+        square.restarted >= square.injected_panics,
+        "the chained task restarted from its own factory"
+    );
+    assert!(triple.injected_drops > 0, "drops hit the chained edge, triple's only edge");
+}
