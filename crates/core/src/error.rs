@@ -32,14 +32,6 @@ pub enum CoreError {
         /// What went wrong.
         reason: String,
     },
-    /// A run that injected no faults and replays nothing lost the
-    /// canonical tuple order: the splitter's resequencer gave up waiting
-    /// for a sequence number, so a repeat of the run may detect other
-    /// events.
-    SequenceGap {
-        /// Gaps the resequencer skipped over the run.
-        skipped: u64,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -54,11 +46,6 @@ impl fmt::Display for CoreError {
             CoreError::Model { reason } => write!(f, "estimation model: {reason}"),
             CoreError::Rule { reason } => write!(f, "rule: {reason}"),
             CoreError::Config { reason } => write!(f, "configuration: {reason}"),
-            CoreError::SequenceGap { skipped } => write!(
-                f,
-                "the splitter's resequencer skipped {skipped} sequence gap(s) in a run with no \
-                 fault injection and no replay: tuples reached the engines out of canonical order"
-            ),
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::topology::{
 use crate::xml_topology::{build_from_spec, figure8_spec, ComponentTypes, TopologyEnv};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_dsps::runtime::{ReliabilityConfig, RuntimeConfig};
@@ -322,10 +322,6 @@ pub struct RunReport {
     /// snapshots, migrations, rebalance cycles, statistics refreshes —
     /// always populated (the recorder is always on).
     pub events: Vec<FlightEvent>,
-    /// Sequence gaps the splitter's resequencer gave up on. Tuples lost
-    /// to injected faults cause them; in any other run they are an error
-    /// ([`CoreError::SequenceGap`]) and no report is returned.
-    pub gap_skips: u64,
     /// Critical-path attribution over the sampled tuple trees (only
     /// populated when [`MonitorConfig::lineage`] was set).
     pub critical_path: Option<CriticalPathReport>,
@@ -739,11 +735,11 @@ impl TrafficSystem {
     /// Runs the topology `spec` describes — [`figure8_spec`]'s or a parsed
     /// XML file's — under this system's configuration: the one place a
     /// traffic topology is built and submitted, so every spec gets the
-    /// monitor, reliability, the rebalancer, the gap check and the
-    /// [`RunReport`]. `types` resolves the spec's `type=` names; register a
-    /// spout or sink type of your own on [`ComponentTypes::figure8`] first
-    /// to run one. The drift and planner reports read the component named
-    /// `esper`.
+    /// monitor, reliability, the rebalancer, the refusal of drops without
+    /// replay and the [`RunReport`]. `types` resolves the spec's `type=`
+    /// names; register a spout or sink type of your own on
+    /// [`ComponentTypes::figure8`] first to run one. The drift and planner
+    /// reports read the component named `esper`.
     pub fn run_spec(
         &self,
         spec: &tms_dsps::TopologySpec,
@@ -752,6 +748,15 @@ impl TrafficSystem {
         db: Option<tms_storage::RemoteDb>,
         types: ComponentTypes,
     ) -> Result<RunReport, CoreError> {
+        // The splitter awaits every sequence gap; a tuple dropped without
+        // replay leaves one that never fills.
+        if self.config.chaos.is_some_and(|c| c.drop_p > 0.0) && self.config.reliability.is_none() {
+            return Err(CoreError::Config {
+                reason: "chaos.drop_p > 0 needs reliability: the splitter awaits every dropped \
+                         tuple's sequence number, and only a replay fills it"
+                    .into(),
+            });
+        }
         // The control-plane flight recorder is created here (not by the
         // runtime) so the coordinator, the kappa fold and the rebalancer
         // all share one event log with the runtime's own events.
@@ -791,11 +796,10 @@ impl TrafficSystem {
                 .then(|| Arc::new(EsperProfileRegistry::new())),
             elastic,
             flight,
-            gap_skips: Arc::new(AtomicU64::new(0)),
             types,
         };
         let topology = build_from_spec(spec, &env)?;
-        let TopologyEnv { detections, profiling: registry, elastic, flight, gap_skips, .. } = env;
+        let TopologyEnv { detections, profiling: registry, elastic, flight, .. } = env;
         let cluster = LocalCluster::new(self.config.cluster)?;
         let handle = cluster.submit(
             topology,
@@ -859,12 +863,6 @@ impl TrafficSystem {
             let _ = t.join();
         }
         let metrics = metrics?;
-        let gap_skips = gap_skips.load(Ordering::Relaxed);
-        if gap_skips > 0 && self.config.chaos.is_none() && self.config.reliability.is_none() {
-            let e = CoreError::SequenceGap { skipped: gap_skips };
-            flight.dump(&format!("run failed: {e}"));
-            return Err(e);
-        }
         let history = metrics.history();
         let drift = self.drift_samples(plan, &assignment, &history);
         let planner = registry
@@ -879,7 +877,6 @@ impl TrafficSystem {
             planner,
             elastic: elastic.map(|h| h.coordinator.stats()),
             events: flight.events(),
-            gap_skips,
             critical_path: collector.as_ref().map(|c| c.critical_path()),
             traces: collector.as_ref().map(|c| c.take_spans()).unwrap_or_default(),
             trace_components: collector.as_ref().map(|c| c.components()).unwrap_or_default(),
@@ -1432,11 +1429,11 @@ mod tests {
 
     #[test]
     fn long_replay_detects_the_same_multiset_on_every_repeat() {
-        // Long enough for a stage to run a resequencer window
-        // (`Resequencer::MAX_PENDING` = 65 536) ahead of its sibling task
-        // if the queues between them let it: when channel capacity counted
-        // packets, 1024 batches of 128 did, the splitter skipped the "gap"
-        // and every repeat detected a different multiset.
+        // Long enough for a stage to run 65 536 tuples ahead of its
+        // sibling task if the queues between them let it: when channel
+        // capacity counted packets, 1024 batches of 128 did, and a splitter
+        // that gave up on gaps that far apart detected a different
+        // multiset on every repeat.
         const TUPLES: usize = 150_000;
         let (history, seeds) = small_history();
         let live: Vec<BusTrace> = (1u32..)
@@ -1455,7 +1452,6 @@ mod tests {
         let plan = sys.startup_plan(&rules(), 2).unwrap();
         let run = |sys: &TrafficSystem| {
             let report = sys.run(live.clone(), &plan, None).unwrap();
-            assert_eq!(report.gap_skips, 0, "the resequencer gave up on a tuple that was not lost");
             let mut detections: Vec<(String, String, u64)> = report
                 .detections
                 .into_iter()
@@ -1471,12 +1467,13 @@ mod tests {
         }
 
         // Two splitter tasks would each see half the sequence numbers and
-        // skip the "gaps" once a full window is held: refused at build
+        // hold all but their first tuple to the end: refused at build
         // (from an XML spec too, see `xml_topology`'s tests).
         sys.config.parallelism.splitter_tasks = 2;
         match sys.run(live.clone(), &plan, None) {
             Err(CoreError::Config { reason }) => assert!(reason.contains("splitter"), "{reason}"),
-            other => panic!("expected a refusal, got {:?}", other.map(|r| r.gap_skips)),
+            Ok(r) => panic!("expected a refusal, got a run with {} detections", r.detections.len()),
+            Err(e) => panic!("expected a configuration refusal, got {e}"),
         }
     }
 
@@ -1527,6 +1524,23 @@ mod tests {
             .expect("spout metrics present");
         assert!(reader.acked > 0, "reliability was on: roots must be acked");
         assert_eq!(reader.failed, 0, "no root may exhaust its replay budget");
+    }
+
+    #[test]
+    fn drops_without_reliability_are_refused_before_the_run() {
+        let mut sys = system();
+        let drops = tms_dsps::FaultConfig { drop_p: 0.002, ..tms_dsps::FaultConfig::default() };
+        sys.config.chaos = Some(drops);
+        let plan = sys.startup_plan(&rules(), 3).unwrap();
+        match sys.run(incident_stream(), &plan, None) {
+            Err(CoreError::Config { reason }) => {
+                assert!(reason.contains("chaos.drop_p"), "{reason}");
+                assert!(reason.contains("reliability"), "{reason}");
+            }
+            Ok(r) => panic!("expected a refusal, got a run with {} detections", r.detections.len()),
+            Err(e) => panic!("expected a configuration refusal, got {e}"),
+        }
+        assert_eq!(sys.store.with_table("detected_events", |t| t.len()).unwrap_or(0), 0);
     }
 
     /// Incident stream for the end-to-end scenarios: day 1 with a severe

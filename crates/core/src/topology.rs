@@ -9,16 +9,12 @@ use crate::thresholds::{
     unix_ms_now, Detection, EsperState, RetrievalMethod, RuleEngine, RuleMigration,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tms_cep::CepError;
 use tms_dsps::transport::{decode_value, encode_value};
-use tms_dsps::{
-    Bolt, BoltContext, DspsError, Emitter, FlightKind, FlightRecorder, MigrationCoordinator,
-    RuleProfile, Spout,
-};
+use tms_dsps::{Bolt, BoltContext, DspsError, Emitter, MigrationCoordinator, RuleProfile, Spout};
 use tms_geo::{BusStopIndex, RegionQuadtree};
 use tms_storage::{RemoteDb, TableStore, ThresholdStore};
 use tms_traffic::{BusTrace, EnrichedTrace, LocId, Preprocessor};
@@ -35,7 +31,11 @@ use tms_traffic::{BusTrace, EnrichedTrace, LocId, Preprocessor};
 pub enum TrafficMessage {
     /// A raw bus report from the spout.
     Raw {
-        /// Global replay position of this trace.
+        /// Global replay position of this trace: its index in the replayed
+        /// slice. The spout tasks together emit each position in the slice
+        /// exactly once (an at-least-once retry re-sends the same one). That
+        /// contract bounds the Splitter's resequencer, which awaits every
+        /// position below the highest it has seen.
         seq: u64,
         /// The raw report.
         trace: BusTrace,
@@ -358,71 +358,59 @@ type Released = (u64, Arc<EnrichedTrace>, bool);
 /// Restores the spout's global emission order at the topology's merge
 /// point. The shuffled multi-task stages between the spout and the
 /// Splitter preserve each tuple's `seq` but interleave tuples from
-/// different tasks in thread-scheduling order; the resequencer buffers
+/// different tasks in thread-scheduling order; the resequencer holds
 /// out-of-order arrivals and releases them in `seq` order, so a single
 /// splitter task feeds the engines a canonical, reproducible stream.
 ///
-/// Replayed tuples (at-least-once retries) whose sequence was already
-/// released pass straight through — holding them back could lose a tuple
-/// the engines never saw. If a sequence number never arrives (a tuple
-/// dropped upstream by fault injection), the buffer caps at
-/// [`Resequencer::MAX_PENDING`] and skips the gap rather than deadlock,
-/// counting it: a skip in a run that lost nothing means a tuple was
-/// overtaken by more than the window and the released order is no longer
-/// the canonical one. Every release says whether it is the sequence's
-/// first: a skipped sequence that turns up late is, a replay is not.
+/// It is a ring: slot `i` holds the arrival with `seq = next_seq + i`, and
+/// the leading run of filled slots is released in order. Every gap is
+/// awaited; nothing is given up on. What bounds the ring is the spout's
+/// contract on [`TrafficMessage::Raw`]'s `seq` (each position is emitted
+/// exactly once) and that every position arrives: at-most-once loses
+/// nothing (drops without replay are refused at submit), at-least-once
+/// replays what it lost. A root that exhausts its retries leaves its gap
+/// open, and [`Self::drain`] releases what is held past it at the end of
+/// the stream. Replayed tuples whose sequence was already released pass
+/// straight through — holding them back could lose a tuple the engines
+/// never saw. Every release says whether it is the sequence's first.
 #[derive(Default)]
 struct Resequencer {
+    /// The lowest sequence not yet released.
     next_seq: u64,
-    pending: BTreeMap<u64, Arc<EnrichedTrace>>,
-    /// Gaps given up on so far.
-    gap_skips: u64,
-    /// Sequences passed over by a gap skip and not seen since.
-    skipped: BTreeSet<u64>,
+    /// Slot `i`: the arrival with `seq = next_seq + i`, once it came.
+    held: VecDeque<Option<Arc<EnrichedTrace>>>,
 }
 
 impl Resequencer {
-    /// Largest number of buffered out-of-order tuples before the
-    /// resequencer gives up on a gap and releases what it has.
-    const MAX_PENDING: usize = 1 << 16;
-
-    /// Accepts one arrival. A replay of a released sequence, or the awaited
-    /// one with nothing held behind it, comes straight back with whether
-    /// this is its first release; anything else is held for
+    /// Accepts one arrival. A replay of a released sequence comes straight
+    /// back, not as a first release; anything else fills its slot for
     /// [`Self::pop_ready`].
     fn push(&mut self, seq: u64, trace: Arc<EnrichedTrace>) -> Option<Released> {
-        if seq > self.next_seq || (seq == self.next_seq && !self.pending.is_empty()) {
-            self.pending.insert(seq, trace);
-            return None;
+        let Some(ahead) = seq.checked_sub(self.next_seq) else {
+            return Some((seq, trace, false));
+        };
+        let slot = usize::try_from(ahead).expect("seq is an index into the replayed slice");
+        if slot >= self.held.len() {
+            self.held.resize(slot + 1, None);
         }
-        let first = seq == self.next_seq || self.skipped.remove(&seq);
-        self.next_seq = self.next_seq.max(seq + 1);
-        Some((seq, trace, first))
+        self.held[slot] = Some(trace);
+        None
     }
 
-    /// The next held tuple that is ready, in order.
+    /// The next held tuple if its slot is the first and filled.
     fn pop_ready(&mut self) -> Option<Released> {
-        let over_capacity = self.pending.len() > Self::MAX_PENDING;
-        let entry = self.pending.first_entry()?;
-        let head = *entry.key();
-        if head != self.next_seq {
-            // A gap that outlived the whole in-flight window (the tuple was
-            // lost upstream) is skipped rather than awaited forever.
-            if !over_capacity {
-                return None;
-            }
-            self.gap_skips += 1;
-            self.skipped.extend(self.next_seq..head);
-        }
-        self.next_seq = head + 1;
-        Some((head, entry.remove(), true))
+        let trace = self.held.front_mut()?.take()?;
+        self.held.pop_front();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Some((seq, trace, true))
     }
 
-    /// Releases everything still buffered (end of stream), in order.
-    fn drain(&mut self) -> Vec<Released> {
-        let pending = std::mem::take(&mut self.pending);
-        self.next_seq = pending.last_key_value().map_or(self.next_seq, |(seq, _)| seq + 1);
-        pending.into_iter().map(|(seq, trace)| (seq, trace, true)).collect()
+    /// Releases every filled slot (end of stream), in order, past the gaps.
+    fn drain(&mut self) -> impl Iterator<Item = Released> {
+        let (first, held) = (self.next_seq, std::mem::take(&mut self.held));
+        self.next_seq += held.len() as u64;
+        (first..).zip(held).filter_map(|(seq, slot)| Some((seq, slot?, true)))
     }
 }
 
@@ -442,9 +430,6 @@ pub struct SplitterBolt {
     reseq: Resequencer,
     /// Scratch: one tuple's target engines.
     engines: Vec<usize>,
-    /// Where gap skips are reported: the flight recorder (this task's
-    /// first skip becomes an event) and the run's skip count.
-    gap_report: Option<(Arc<FlightRecorder>, Arc<AtomicU64>)>,
     /// The kappa statistics fold and the engine count its refreshes go to.
     pub(crate) stats: Option<(StatsBolt, usize)>,
 }
@@ -470,16 +455,8 @@ impl SplitterBolt {
             elastic: None,
             reseq: Resequencer::default(),
             engines: Vec::new(),
-            gap_report: None,
             stats: None,
         }
-    }
-
-    /// Attaches the control-plane flight recorder and the counter the
-    /// run's splitter tasks add their resequencer gap skips to.
-    pub fn with_gap_report(mut self, flight: Arc<FlightRecorder>, skips: Arc<AtomicU64>) -> Self {
-        self.gap_report = Some((flight, skips));
-        self
     }
 
     /// Attaches the elastic control loop (single-splitter topologies only:
@@ -547,25 +524,6 @@ impl SplitterBolt {
             stats.process(enriched, &mut ToEveryEngine(emitter, *engines));
         }
     }
-
-    /// Reports the gaps given up on since `skips_before`: the task's first
-    /// becomes a flight event naming the `awaited` sequence, all of them
-    /// add to the run's count.
-    fn report_gap_skips(&self, awaited: u64, skips_before: u64) {
-        let Some((flight, total)) = &self.gap_report else { return };
-        if skips_before == 0 {
-            flight.record(
-                FlightKind::Custom,
-                "splitter",
-                -1,
-                format!(
-                    "resequencer gap skip: seq {awaited} had not arrived after {} later tuples",
-                    Resequencer::MAX_PENDING
-                ),
-            );
-        }
-        total.fetch_add(self.reseq.gap_skips - skips_before, Ordering::Relaxed);
-    }
 }
 
 impl Bolt<TrafficMessage> for SplitterBolt {
@@ -578,15 +536,11 @@ impl Bolt<TrafficMessage> for SplitterBolt {
             self.run_migrations(&h, emitter);
         }
         if let TrafficMessage::Enriched { seq, trace } = msg {
-            let (awaited, skips_before) = (self.reseq.next_seq, self.reseq.gap_skips);
-            if let Some(released) = self.reseq.push(seq, trace) {
-                self.route(released, emitter);
+            if let Some(replay) = self.reseq.push(seq, trace) {
+                self.route(replay, emitter);
             }
             while let Some(released) = self.reseq.pop_ready() {
                 self.route(released, emitter);
-            }
-            if self.reseq.gap_skips > skips_before {
-                self.report_gap_skips(awaited, skips_before);
             }
         }
     }
@@ -1235,81 +1189,37 @@ mod tests {
         // and says it is not the sequence's first release.
         assert_eq!(push(&mut r, 2), vec![2], "replay is not withheld");
         assert!(matches!(r.push(3, trace.clone()), Some((3, _, false))));
-        // In order with nothing pending: straight through, map untouched.
+        // In order with nothing held: straight through, ring left empty.
         assert_eq!(push(&mut r, 5), vec![5]);
-        assert!(r.pending.is_empty());
+        assert!(r.held.is_empty());
         // End of stream flushes what is left, still in order.
         assert_eq!(push(&mut r, 8), Vec::<u64>::new());
         assert_eq!(push(&mut r, 7), Vec::<u64>::new());
-        let drained: Vec<u64> = r.drain().into_iter().map(|(seq, ..)| seq).collect();
+        let drained: Vec<u64> = r.drain().map(|(seq, ..)| seq).collect();
         assert_eq!(drained, vec![7, 8]);
         assert_eq!(push(&mut r, 9), vec![9], "drain advanced the cursor");
     }
 
     #[test]
-    fn resequencer_counts_the_gaps_it_gives_up_on() {
+    fn resequencer_waits_for_every_gap() {
         let trace = Arc::new(enriched(vec!["R0"], None));
-        let window = Resequencer::MAX_PENDING as u64;
-        // In order, however long: nothing to skip.
-        let mut r = Resequencer::default();
-        for seq in 0..window + 10 {
-            assert_eq!(pushed(&mut r, seq, &trace), vec![seq]);
-        }
-        assert_eq!(r.gap_skips, 0);
-        // Seq 1 never arrives: a full window queues behind it, the next
-        // arrival overflows it and everything held is released past the gap.
+        // Seq 1 is missing while far more tuples queue behind it than any
+        // channel holds: nothing is given up on, nothing is released.
+        let last = (1 << 16) + 11;
         let mut r = Resequencer::default();
         assert_eq!(pushed(&mut r, 0, &trace), vec![0]);
-        for seq in 2..window + 2 {
+        for seq in 2..=last {
             assert!(pushed(&mut r, seq, &trace).is_empty(), "seq {seq} waits for seq 1");
         }
-        assert_eq!(r.gap_skips, 0, "a gap inside the window is still awaited");
-        let released = pushed(&mut r, window + 2, &trace);
-        assert_eq!(released.len(), Resequencer::MAX_PENDING + 1);
-        assert_eq!(released[0], 2, "released from the oldest survivor on");
-        assert_eq!(r.gap_skips, 1);
-        assert!(
-            matches!(r.push(1, trace.clone()), Some((1, _, true))),
-            "the straggler passes like a replay, at its first release"
-        );
+        // Seq 1 releases all of them, in order, each at its first release.
+        assert!(r.push(1, trace.clone()).is_none(), "seq 1 is awaited, not a replay");
+        let released: Vec<(u64, bool)> =
+            std::iter::from_fn(|| r.pop_ready()).map(|(seq, _, first)| (seq, first)).collect();
+        assert_eq!(released, (1..=last).map(|seq| (seq, true)).collect::<Vec<_>>());
+        assert!(r.held.is_empty());
+        // A second seq 1 passes through as a replay.
         assert!(matches!(r.push(1, trace.clone()), Some((1, _, false))));
-        assert_eq!(r.gap_skips, 1);
-    }
-
-    #[test]
-    fn splitter_counts_gap_skips_and_logs_the_first() {
-        /// Swallows routed tuples.
-        struct Discard;
-        impl Emitter<TrafficMessage> for Discard {
-            fn emit(&mut self, _msg: TrafficMessage) {}
-            fn emit_direct(&mut self, _task: usize, _msg: TrafficMessage) {}
-        }
-        let flight = Arc::new(FlightRecorder::default());
-        let skips = Arc::new(AtomicU64::new(0));
-        let mut splitter = SplitterBolt::new(Arc::new(SplitPlan { routes: Vec::new() }))
-            .with_gap_report(flight.clone(), skips.clone());
-        let trace = Arc::new(enriched(vec!["R0"], None));
-        let mut feed = |seqs: std::ops::Range<u64>| {
-            for seq in seqs {
-                let msg = TrafficMessage::Enriched { seq, trace: trace.clone() };
-                splitter.process(msg, &mut Discard);
-            }
-        };
-        let window = Resequencer::MAX_PENDING as u64;
-        // Seq 0 is dropped; a full window behind it is still only waiting.
-        feed(1..window + 1);
-        assert_eq!(skips.load(Ordering::Relaxed), 0);
-        assert!(flight.events_of(FlightKind::Custom).is_empty());
-        feed(window + 1..window + 2);
-        assert_eq!(skips.load(Ordering::Relaxed), 1);
-        let logged = flight.events_of(FlightKind::Custom);
-        assert_eq!(logged.len(), 1);
-        assert_eq!(logged[0].component, "splitter");
-        assert!(logged[0].detail.contains("seq 0"), "names the awaited seq: {}", logged[0].detail);
-        // A second gap is counted; the log already says where order broke.
-        feed(window + 3..2 * window + 5);
-        assert_eq!(skips.load(Ordering::Relaxed), 2);
-        assert_eq!(flight.events_of(FlightKind::Custom).len(), 1);
+        assert!(r.pop_ready().is_none());
     }
 
     #[test]

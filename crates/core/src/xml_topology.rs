@@ -25,7 +25,6 @@ use crate::topology::{
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use tms_dsps::topology::{BoltFactory, SpoutFactory};
 use tms_dsps::xml::{ComponentSpec, GroupingSpec, TopologySpec};
@@ -159,8 +158,6 @@ pub struct TopologyEnv<'a> {
     pub elastic: Option<Arc<ElasticHandle>>,
     /// The run's control-plane event log.
     pub flight: Arc<FlightRecorder>,
-    /// The run's count of resequencer gap skips.
-    pub gap_skips: Arc<AtomicU64>,
     /// The table `type=` names are resolved through.
     pub types: ComponentTypes,
 }
@@ -192,8 +189,8 @@ fn splitter(env: &TopologyEnv, c: &ComponentSpec) -> Result<Component, CoreError
         return Err(config(format!(
             "component {}: a {} runs as one task, {} declared: each task owns a Resequencer that \
              waits for seq 0 and is sent only a share of the sequence numbers: it holds all but \
-             its first tuple to the end of the stream (or skips the gaps once its window is \
-             full) and the engines see the tasks' orders interleaved",
+             its first tuple to the end of the stream and the engines see the tasks' orders \
+             interleaved",
             c.name, c.component_type, c.parallelism.tasks
         )));
     }
@@ -202,11 +199,10 @@ fn splitter(env: &TopologyEnv, c: &ComponentSpec) -> Result<Component, CoreError
     let monitored = |a: &Attribute| rules.iter().flatten().any(|(rule, _)| rule.attribute == *a);
     let attributes: Vec<_> = Attribute::ALL.into_iter().filter(monitored).collect();
     let (plan, elastic) = (Arc::new(env.plan.split_plan.clone()), env.elastic.clone());
-    let (flight, gap_skips) = (env.flight.clone(), env.gap_skips.clone());
+    let flight = env.flight.clone();
     let (store, engines) = (ThresholdStore::new(env.system.store.clone()), rules.len());
     Ok(Component::bolt(move |_| {
-        let mut bolt =
-            SplitterBolt::new(plan.clone()).with_gap_report(flight.clone(), gap_skips.clone());
+        let mut bolt = SplitterBolt::new(plan.clone());
         if let Some(handle) = &elastic {
             bolt = bolt.with_elastic(handle.clone());
         }
@@ -463,7 +459,6 @@ mod tests {
         }
         assert_eq!(of("esper").throughput, of("splitter").emitted);
         assert_eq!(of("storer").throughput, stored as u64);
-        assert_eq!(report.gap_skips, 0);
     }
 
     #[test]
@@ -497,9 +492,9 @@ mod tests {
         assert!(reason.contains("preprocess") && reason.contains("colour"), "{reason}");
     }
 
-    /// Two splitter tasks on a run shorter than the resequencer's window
-    /// used to fail nowhere: no gap was ever skipped, every tuple was
-    /// routed from `finish()`, and the two tasks' orders met at the engines.
+    /// Two splitter tasks used to fail nowhere on a short run: every tuple
+    /// but the first was routed from `finish()`, and the two tasks' orders
+    /// met at the engines.
     #[test]
     fn a_second_splitter_task_is_refused_from_both_sources() {
         let (mut system, rules) = system();
@@ -515,7 +510,8 @@ mod tests {
             Err(CoreError::Config { reason }) => {
                 assert!(reason.contains("splitter") && reason.contains("2 declared"), "{reason}")
             }
-            other => panic!("expected a refusal, got {:?}", other.map(|r| r.gap_skips)),
+            Ok(r) => panic!("expected a refusal, got a run with {} detections", r.detections.len()),
+            Err(e) => panic!("expected a configuration refusal, got {e}"),
         }
         assert_eq!(system.store.with_table("detected_events", |t| t.len()).unwrap_or(0), 0);
     }

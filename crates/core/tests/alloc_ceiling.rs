@@ -16,7 +16,8 @@ use tms_core::rules::{LocationSelector, RuleSpec, SpatialContext};
 use tms_core::system::{SystemConfig, TrafficSystem};
 use tms_core::thresholds::{RetrievalMethod, RuleEngine};
 use tms_core::topology::{
-    AreaTrackerBolt, BusStopsTrackerBolt, PreProcessBolt, SplitterBolt, TrafficMessage,
+    AreaTrackerBolt, BusStopsTrackerBolt, GroupingKind, GroupingRoute, PreProcessBolt, SplitPlan,
+    SplitterBolt, TrafficMessage,
 };
 use tms_dsps::{Bolt, Emitter};
 use tms_geo::{RegionId, DUBLIN_BBOX};
@@ -213,4 +214,49 @@ fn the_tuple_path_allocates_what_a_tuple_is_made_of_and_nothing_else() {
         (SpatialContext::region_id(RegionId(7)), SpatialContext::stop_id(7))
     });
     assert_eq!((n, ids.0.to_string(), ids.1.to_string()), (0, "R7".into(), "S7".into()));
+}
+
+/// The threaded run's arrival order at the Splitter: two upstream chains,
+/// one carrying the even `seq`s and one the odd, each handing over blocks
+/// of 64 (an edge buffer's cap). Half the tuples wait for the other chain;
+/// once the ring holding them has grown, waiting costs no allocation.
+#[test]
+fn the_splitter_allocates_nothing_for_interleaved_stripes() {
+    const BLOCK: u64 = 64;
+    let region = SpatialContext::region_id(RegionId(0));
+    let plan = SplitPlan {
+        routes: vec![GroupingRoute {
+            kind: GroupingKind::QuadtreeLayer(0),
+            table: [(region, 0)].into(),
+        }],
+    };
+    let mut splitter = SplitterBolt::new(Arc::new(plan));
+    let trace = FleetGenerator::new(FleetConfig::small(9), 0).unwrap().next().unwrap();
+    let mut enriched = tms_traffic::Preprocessor::new().enrich(trace);
+    enriched.areas = vec![region];
+    let trace = Arc::new(enriched);
+
+    // Whole pairs of blocks on both sides of the warm-up line.
+    let (warm, measured) = (80 * 2 * BLOCK, 800 * 2 * BLOCK);
+    let arrivals = (0..(warm + measured) / (2 * BLOCK)).flat_map(|pair| {
+        let base = 2 * BLOCK * pair;
+        let even = (0..BLOCK).map(move |i| base + 2 * i);
+        even.chain((0..BLOCK).map(move |i| base + 2 * i + 1))
+    });
+    let mut out = Collect(Vec::with_capacity(16));
+    let (mut allocations, mut next) = (0, 0);
+    for seq in arrivals {
+        let msg = TrafficMessage::Enriched { seq, trace: trace.clone() };
+        let (n, emitted) = step(&mut splitter, msg, &mut out);
+        for (task, msg) in emitted {
+            let TrafficMessage::Enriched { seq, .. } = msg else { panic!("not a tuple") };
+            assert_eq!((task, seq), (Some(0), next), "released in order");
+            next += 1;
+        }
+        if seq >= warm {
+            allocations += n;
+        }
+    }
+    assert_eq!(next, warm + measured, "every tuple was released");
+    assert_eq!(allocations, 0, "Splitter, two interleaved stripes: nothing per tuple");
 }
