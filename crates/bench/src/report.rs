@@ -1,11 +1,8 @@
-//! Result rendering: aligned text tables (the rows/series the paper's
-//! tables and figures report) plus machine-readable JSON dumps so
-//! EXPERIMENTS.md numbers can be regenerated and diffed.
+//! The experiment result every `experiments` subcommand returns, and its
+//! rendering as aligned text tables (rows, and the figures' series).
 
 use crate::snapshot::{Bar, Env, Row};
 use serde::Serialize;
-use std::io::Write;
-use std::path::Path;
 
 /// One named data series (a figure line): x values with y values.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -26,8 +23,8 @@ impl Series {
     }
 }
 
-/// A complete experiment result: identifies the paper artifact or
-/// `BENCH_<id>.json` snapshot it regenerates and carries its data.
+/// A complete experiment result: the `BENCH_<id>.json` snapshot of one
+/// paper table or figure, or of one benchmark of this implementation.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentResult {
     /// e.g. `fig11`, `table2`, `cep_throughput`.
@@ -36,13 +33,11 @@ pub struct ExperimentResult {
     pub title: String,
     /// Where and how the result was taken.
     pub env: Env,
-    /// Data series (figures).
+    /// Data series (the figures' curves).
     pub series: Vec<Series>,
-    /// Key/value facts (tables).
-    pub facts: Vec<(String, String)>,
-    /// Measured quantities (snapshots).
+    /// Measured quantities.
     pub rows: Vec<Row>,
-    /// Acceptance criteria over `rows` (snapshots).
+    /// Acceptance criteria over `rows`.
     pub bars: Vec<Bar>,
 }
 
@@ -53,23 +48,9 @@ impl ExperimentResult {
             title: title.into(),
             env: Env::capture(),
             series: Vec::new(),
-            facts: Vec::new(),
             rows: Vec::new(),
             bars: Vec::new(),
         }
-    }
-
-    pub fn fact(&mut self, key: impl Into<String>, value: impl ToString) {
-        self.facts.push((key.into(), value.to_string()));
-    }
-
-    /// Writes the result as JSON under `dir/<id>.json`.
-    pub fn save_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let json = serde_json::to_string_pretty(self).expect("results serialize");
-        f.write_all(json.as_bytes())
     }
 }
 
@@ -145,18 +126,6 @@ mod tests {
         assert_eq!(s.x, vec![1.0, 2.0]);
         let mut r = ExperimentResult::new("figX", "demo");
         r.series.push(s);
-        r.fact("buses", 911);
-        assert_eq!(r.facts[0].1, "911");
-    }
-
-    #[test]
-    fn json_round_trips_to_disk() {
-        let dir = std::env::temp_dir().join("tms-bench-test");
-        let r = ExperimentResult::new("t", "demo");
-        r.save_json(&dir).unwrap();
-        let body = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        assert!(body.contains("\"id\": \"t\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
