@@ -22,7 +22,7 @@ use tms_bench::calibrate::{
     measure_engine_latency, measure_rule_latency, store_with_thresholds, synthetic_trace,
     EngineMode, WarmEngine, WarmStatement,
 };
-use tms_bench::dataplane::{sink_topology_secs, CountSpout, SinkBolt};
+use tms_bench::dataplane::sink_topology_secs;
 use tms_bench::report::{format_num, print_series, print_table, ExperimentResult, Series};
 use tms_bench::snapshot::{
     check, fold_trials, timed_trials, trial_size, Bar, Row, Sample, Side, Size, Stat,
@@ -137,12 +137,6 @@ const REGISTRY: &[Experiment] = &[
         Some(Guard { smoke: Size::smoke(MORNING_TUPLES, 1), bars: staleness_bars }),
     ),
     snapshot(
-        "scaleout",
-        scaleout,
-        Size::full(30_000),
-        Some(Guard { smoke: Size::smoke(4_000, 1), bars: scaleout_bars }),
-    ),
-    snapshot(
         "geo_lookup",
         geo_lookup,
         Size::full(LOOKUP_QUERIES),
@@ -156,12 +150,6 @@ fn usage() -> String {
 }
 
 fn main() {
-    // Scale-out worker processes re-execute this binary with the worker
-    // environment set; divert to the worker entry before argument parsing.
-    if tms_dsps::net::worker_scenario().is_some() {
-        scaleout_worker();
-        return;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
     let t0 = Instant::now();
@@ -1135,141 +1123,6 @@ fn staleness_bars() -> Vec<Bar> {
 }
 
 // ---------------------------------------------------------------------------
-// scaleout
-// ---------------------------------------------------------------------------
-
-#[derive(Clone)]
-struct ScaleMsg {
-    value: u64,
-}
-
-impl tms_dsps::WireCodec for ScaleMsg {
-    fn encode(&self, buf: &mut tms_dsps::bytes::BytesMut) {
-        tms_dsps::WireCodec::encode(&self.value, buf);
-    }
-    fn decode(r: &mut tms_dsps::WireReader<'_>) -> Result<Self, tms_dsps::DspsError> {
-        Ok(ScaleMsg { value: u64::decode(r)? })
-    }
-}
-
-const SCALEOUT_TASKS: usize = 8;
-
-/// Fixed CPU cost per tuple (~tens of µs of integer mixing), heavy enough
-/// that compute dominates framing and the workload can actually scale
-/// with added worker processes.
-fn scaleout_spin(value: u64) -> u64 {
-    let mut x = value.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for _ in 0..25_000 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-    }
-    x
-}
-
-/// 1 spout task feeding [`SCALEOUT_TASKS`] CPU-bound bolt tasks; the
-/// scheduler spreads the bolt tasks across however many workers the run
-/// uses, so the same topology measures 1, 2, and 4 processes.
-fn scaleout_topology(tuples: u64) -> tms_dsps::Topology<ScaleMsg> {
-    use tms_dsps::topology::{Parallelism, TopologyBuilder};
-    use tms_dsps::Grouping;
-
-    TopologyBuilder::new("scaleout")
-        .add_spout("src", Parallelism::of(1), move |_| {
-            Box::new(CountSpout { next: 0, end: tuples, make: |value| ScaleMsg { value } })
-        })
-        .add_bolt("work", Parallelism::of(SCALEOUT_TASKS), vec![("src", Grouping::Shuffle)], |_| {
-            Box::new(SinkBolt(|m: ScaleMsg| scaleout_spin(m.value)))
-        })
-        .build()
-        .expect("scaleout topology builds")
-}
-
-/// Entry point for a spawned scale-out worker process (reached from
-/// `main` before argument parsing). Only the bolt slice assigned by the
-/// coordinator runs here; the spout factory is never invoked, so the
-/// worker's copy of the topology needs no tuple count.
-fn scaleout_worker() {
-    tms_dsps::net::run_worker(|_hooks| scaleout_topology(0))
-        .expect("worker slice drains cleanly");
-}
-
-/// One scale-out run: the elapsed seconds and the bolt tuples counted by
-/// the merged metrics. The count comes from the coordinator's
-/// whole-topology view, so it doubles as the tuple-conservation check
-/// across process boundaries.
-fn scaleout_run(workers: usize, tuples: u64) -> (f64, u64) {
-    // One slot per worker, spread over at most four nodes.
-    let nodes = workers.min(4);
-    let spec = tms_dsps::scheduler::ClusterSpec {
-        nodes,
-        slots_per_node: workers.div_ceil(nodes),
-        cores_per_node: 1,
-    };
-    let cluster = tms_dsps::DistributedCluster::new(spec, workers)
-        .expect("cluster spec fits the worker count")
-        .with_worker_args(Vec::new());
-    let t0 = Instant::now();
-    let hub = cluster
-        .submit("scaleout", scaleout_topology(tuples), RuntimeConfig::default())
-        .expect("submit")
-        .join()
-        .expect("scaleout run completes");
-    let secs = t0.elapsed().as_secs_f64();
-    let totals = hub.merged_totals();
-    let counted = totals.iter().filter(|(_, c)| c.component == "work").map(|(_, c)| c.throughput);
-    (secs, counted.sum())
-}
-
-/// The same CPU-bound workload in 1, 2, and 4 worker processes over
-/// loopback TCP, worker counts interleaved per trial; every run must
-/// conserve tuples across the process boundaries. `env.cores` tells the
-/// guard whether the >=3x-at-4-workers bar binds this snapshot (a 1-core
-/// box cannot scale out, and honestly records that).
-fn scaleout(size: Size) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "scaleout",
-        "1 spout task -> 8 CPU-bound bolt tasks (25k-round integer mix per tuple), shuffle, \
-         at-most-once; workers communicate over loopback TCP with length-prefixed frames",
-    );
-    // A live run only has to prove the process boundary delivers every tuple.
-    let workers: &[usize] = if size.full { &[1, 2, 4] } else { &[2] };
-    let n = trial_size(size, size.n, |n| scaleout_run(workers[0], n).0);
-    let mut tps = vec![Vec::new(); workers.len()];
-    let mut unaccounted = tps.clone();
-    for _ in 0..size.trials {
-        for (i, &w) in workers.iter().enumerate() {
-            let (secs, processed) = scaleout_run(w, n);
-            tps[i].push(n as f64 / secs);
-            unaccounted[i].push(n.abs_diff(processed) as f64);
-        }
-    }
-    for (i, &w) in workers.iter().enumerate() {
-        result.rows.push(Row::timed(format!("w{w}.tuples_per_sec"), "1/s", n, &tps[i]));
-        let key = format!("w{w}.tuples_unaccounted");
-        result.rows.push(Row::worst(key, "count", n, &unaccounted[i], f64::max));
-        if size.full {
-            let speedup = paired(&tps[i], &tps[0], |scaled, single| scaled / single);
-            result.rows.push(Row::timed(format!("w{w}.speedup_vs_1"), "ratio", n, &speedup));
-        }
-    }
-    result
-}
-
-/// The committed snapshot carries rows for 1/2/4 workers, every one
-/// conserving tuples, and at least 3x at 4 workers when it was taken on
-/// four cores or more; a live 2-worker run delivers every tuple across
-/// the process boundary regardless of the box's core count.
-fn scaleout_bars() -> Vec<Bar> {
-    vec![
-        Bar::max("w1.tuples_unaccounted", 0.0, Side::Committed),
-        Bar::max("w2.tuples_unaccounted", 0.0, Side::Both),
-        Bar::max("w4.tuples_unaccounted", 0.0, Side::Committed),
-        Bar::min("w4.speedup_vs_1", 3.0, Side::Committed).on_cores(4),
-    ]
-}
-
-// ---------------------------------------------------------------------------
 // geo_lookup
 // ---------------------------------------------------------------------------
 
@@ -1853,7 +1706,7 @@ mod tests {
             }
             envs.push((e.name, committed.env));
         }
-        assert_eq!(envs.len(), 17);
+        assert_eq!(envs.len(), 16);
         // One box and one toolchain, so rows compare across files; `commit`
         // is free, because a PR re-takes only the snapshots whose code it
         // changed.

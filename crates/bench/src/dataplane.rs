@@ -8,10 +8,10 @@ use tms_dsps::topology::{Parallelism, TopologyBuilder};
 use tms_dsps::Grouping;
 
 /// A spout emitting `make(v)` for `v` in `next..end`.
-pub struct CountSpout<M> {
-    pub next: u64,
-    pub end: u64,
-    pub make: fn(u64) -> M,
+struct CountSpout<M> {
+    next: u64,
+    end: u64,
+    make: fn(u64) -> M,
 }
 
 impl<M> tms_dsps::Spout<M> for CountSpout<M> {
@@ -24,7 +24,7 @@ impl<M> tms_dsps::Spout<M> for CountSpout<M> {
 }
 
 /// A terminal bolt that runs `work` on every message and emits nothing.
-pub struct SinkBolt<M>(pub fn(M) -> u64);
+struct SinkBolt<M>(fn(M) -> u64);
 
 impl<M> tms_dsps::Bolt<M> for SinkBolt<M> {
     fn process(&mut self, msg: M, _e: &mut dyn tms_dsps::Emitter<M>) {

@@ -312,22 +312,15 @@ pub struct Bar {
     pub check: Check,
     pub bound: f64,
     pub on: Side,
-    /// The bar only binds a committed snapshot taken on at least this
-    /// many cores (a 1-core box cannot show a parallel speed-up).
-    pub min_cores: usize,
 }
 
 impl Bar {
     pub fn max(row: &str, bound: f64, on: Side) -> Bar {
-        Bar { row: row.into(), check: Check::Max, bound, on, min_cores: 0 }
+        Bar { row: row.into(), check: Check::Max, bound, on }
     }
 
     pub fn min(row: &str, bound: f64, on: Side) -> Bar {
-        Bar { row: row.into(), check: Check::Min, bound, on, min_cores: 0 }
-    }
-
-    pub fn on_cores(self, min_cores: usize) -> Bar {
-        Bar { min_cores, ..self }
+        Bar { row: row.into(), check: Check::Min, bound, on }
     }
 }
 
@@ -338,11 +331,6 @@ impl Bar {
 pub fn check(committed: &ExperimentResult, live: Option<&ExperimentResult>) -> Vec<(bool, String)> {
     let mut verdicts = Vec::new();
     for bar in &committed.bars {
-        if committed.env.cores < bar.min_cores {
-            let (taken, binds) = (committed.env.cores, bar.min_cores);
-            verdicts.push((true, format!("{}: skipped (taken on {taken} cores, binds from {binds})", bar.row)));
-            continue;
-        }
         let on_committed = committed.row(&bar.row).map(Row::value);
         let on_live = live.map(|l| l.row(&bar.row).map(Row::value));
         let mut judge = |what: &str, value: Option<f64>| {
@@ -447,7 +435,6 @@ impl ExperimentResult {
                     "LiveOverCommitted" => Side::LiveOverCommitted,
                     other => return Err(format!("unknown bar side {other:?}")),
                 },
-                min_cores: num(b, "min_cores")? as usize,
             });
         }
         Ok(result)
@@ -519,7 +506,7 @@ mod tests {
             Bar::max("latency_ms", 1.5, Side::Committed),
             Bar::min("completed", 1.0, Side::Both),
             Bar::max("lost", 0.0, Side::Live),
-            Bar::min("speedup", 3.0, Side::Committed).on_cores(4),
+            Bar::min("speedup", 3.0, Side::Committed),
         ];
         r
     }
@@ -607,14 +594,9 @@ mod tests {
         });
         assert_eq!(failures(&nan, None).len(), 2);
         assert_eq!(failures(&committed, Some(&nan)).len(), 2);
-        // The cores-gated bar binds only a snapshot taken on enough cores.
-        let flat = |cores| {
-            let mut r = doctor(|r| r.rows[4] = Row::timed("speedup", "ratio", 1, &[0.85]));
-            r.env.cores = cores;
-            r
-        };
-        assert_eq!(failures(&flat(4), None).len(), 1);
-        assert_eq!(failures(&flat(1), None).len(), 0);
+        // A committed floor binds whatever box the snapshot was taken on.
+        let flat = doctor(|r| r.rows[4] = Row::timed("speedup", "ratio", 1, &[0.85]));
+        assert_eq!(failures(&flat, None).len(), 1);
     }
 
     #[test]
@@ -637,7 +619,7 @@ mod tests {
     fn paths_resolve_against_the_repository_root_from_any_directory() {
         assert!(repo_root().join("Cargo.toml").is_file());
         assert!(repo_root().join("crates/bench/src/snapshot.rs").is_file());
-        assert_eq!(snapshot_path("scaleout"), repo_root().join("BENCH_scaleout.json"));
+        assert_eq!(snapshot_path("rebalance"), repo_root().join("BENCH_rebalance.json"));
     }
 
     #[test]

@@ -20,41 +20,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// The ack-operation interface executors and emitters talk to.
-///
-/// In a single process this is the [`Acker`] itself. In a multi-process
-/// topology ([`net`](crate::net)) only the coordinator hosts the real
-/// acker; workers hold a forwarder that frames each operation onto the
-/// coordinator link. The XOR algebra is location-independent — operations
-/// commute and the accumulator only reaches zero at the true end of the
-/// tree — so forwarding introduces latency but no correctness change,
-/// with one caveat the runtime designs around: `register` must reach the
-/// acker before any `xor` for the same root, which is guaranteed by
-/// pinning spout tasks to the coordinator process (registration is then a
-/// direct call; a late registration racing a forwarded xor would orphan
-/// the tree until the ack-timeout replay heals it).
-pub(crate) trait AckSink: Send + Sync {
-    fn register(&self, root: u64, spout: usize);
-    fn xor_batch(&self, pairs: &[(u64, u64)]);
-    fn seal(&self, root: u64);
-    fn abandon(&self, root: u64);
-}
-
-impl AckSink for Acker {
-    fn register(&self, root: u64, spout: usize) {
-        Acker::register(self, root, spout);
-    }
-    fn xor_batch(&self, pairs: &[(u64, u64)]) {
-        Acker::xor_batch(self, pairs);
-    }
-    fn seal(&self, root: u64) {
-        Acker::seal(self, root);
-    }
-    fn abandon(&self, root: u64) {
-        Acker::abandon(self, root);
-    }
-}
-
 #[derive(Debug)]
 struct AckEntry {
     /// XOR of all registered-but-unacked delivery ids.

@@ -1,9 +1,9 @@
 //! Decode-hardening harness for [`WireCodec`] types (test builds only).
 //!
-//! One property set for every type that crosses a process boundary or the
-//! disk, instantiated per type by `tms-dsps`'s own tests and — this file is
-//! included by path from `tms-core`'s `lib.rs`, hence the `tms_dsps::`
-//! paths — by the tests of the codecs `tms-core` owns. A `WireCodec` impl
+//! One property set for every type that reaches the disk, instantiated
+//! per type by `tms-dsps`'s own tests and — this file is included by path
+//! from `tms-core`'s `lib.rs`, hence the `tms_dsps::` paths — by the tests
+//! of the codecs `tms-core` owns. A `WireCodec` impl
 //! without a `codec_holds` test is an untested decoder of outside bytes.
 
 use proptest::strategy::Strategy;

@@ -10,8 +10,7 @@
 //!
 //! Both files are sequences of [`transport`](crate::transport) frames
 //! under [`RECORD_TAG`], one record per frame, written by
-//! [`try_encode_frame`] and read back by [`FrameDecoder`] — the same
-//! framing, checksum and size bound as a worker link. A frame that runs
+//! [`try_encode_frame`] and read back by [`FrameDecoder`]. A frame that runs
 //! past the end of the file, fails its CRC or carries another tag marks
 //! the *torn tail* of an interrupted write (or a file of another format):
 //! everything before it is valid, everything from it on is discarded, and

@@ -122,11 +122,6 @@ pub struct MigrationCoordinator<M, P> {
     /// Optional flight recorder: when attached, every ticket transition
     /// lands in the control-plane event log.
     recorder: Mutex<Option<Arc<FlightRecorder>>>,
-    /// Optional redirect consulted before a payload lands in a local
-    /// mailbox — the multi-process runtime's seam for shipping installs
-    /// to a destination task living in another worker process.
-    #[allow(clippy::type_complexity)]
-    install_redirect: Mutex<Option<Box<dyn Fn(usize, u64, &P) -> bool + Send + Sync>>>,
 }
 
 impl<M, P> Default for MigrationCoordinator<M, P> {
@@ -156,7 +151,6 @@ impl<M, P> MigrationCoordinator<M, P> {
             observed_imbalance_bits: AtomicU64::new(f64::NAN.to_bits()),
             cycles_to_converge: AtomicU64::new(UNSET),
             recorder: Mutex::new(None),
-            install_redirect: Mutex::new(None),
         }
     }
 
@@ -278,35 +272,8 @@ impl<M, P> MigrationCoordinator<M, P> {
         }
     }
 
-    /// Installs a redirect hook consulted before a payload lands in a
-    /// local mailbox. Returning `true` claims the install (the hook
-    /// shipped it to the destination's process — the multi-process
-    /// runtime frames it onto a control link); returning `false` keeps
-    /// the local mailbox path.
-    pub fn set_install_redirect(
-        &self,
-        hook: impl Fn(usize, u64, &P) -> bool + Send + Sync + 'static,
-    ) {
-        *self.install_redirect.lock() = Some(Box::new(hook));
-    }
-
-    /// Posts a payload into destination `to`'s install mailbox (or hands
-    /// it to the install redirect when one is set and claims it).
+    /// Posts a payload into destination `to`'s install mailbox.
     pub fn post_install(&self, to: usize, id: u64, payload: P) {
-        {
-            let redirect = self.install_redirect.lock();
-            if let Some(hook) = redirect.as_ref() {
-                if hook(to, id, &payload) {
-                    drop(redirect);
-                    self.flight(
-                        FlightKind::MigrationCompleted,
-                        to as i64,
-                        format!("ticket {id}: payload shipped to task {to}'s remote worker"),
-                    );
-                    return;
-                }
-            }
-        }
         let mut inner = self.inner.lock();
         inner.mailboxes.entry(to).or_default().push((id, payload));
         self.pending_installs.fetch_add(1, Ordering::Release);

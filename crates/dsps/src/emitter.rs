@@ -19,7 +19,7 @@
 //! task's busy time and `Process` span stay its own, and one upstream
 //! turn bounds the buffer.
 
-use crate::ack::AckSink;
+use crate::ack::Acker;
 use crate::executor::{end_chained, run_chained, BoltTask};
 use crate::fault::FaultConfig;
 use crate::flight::FlightRecorder;
@@ -67,16 +67,6 @@ impl<T: Clone> Payload<T> {
     }
 }
 
-impl<T> Payload<T> {
-    /// Borrows the message (wire encoding reads it in place).
-    pub(crate) fn as_inner(&self) -> &T {
-        match self {
-            Payload::Owned(t) => t,
-            Payload::Shared(a) => a,
-        }
-    }
-}
-
 /// The trace context a sampled delivery carries: which tree it belongs
 /// to, which span emitted it, when it was sent (for queue-wait spans) and
 /// when its tree started (for the end-to-end latency a terminal bolt
@@ -98,12 +88,6 @@ pub(crate) struct TraceHop {
 }
 
 /// One delivery: the message plus its reliability lineage.
-///
-/// Crate-visible so the wire layer ([`net`](crate::net)) can encode and
-/// reconstruct deliveries. The trace context does not cross the wire: its
-/// clock is the process-local collector epoch, and lineage spans do not
-/// link across the boundary (each process's spans still flow back to the
-/// coordinator at the end of the run).
 pub(crate) struct Envelope<T> {
     pub(crate) msg: Payload<T>,
     /// This delivery's id, registered with the acker (0 when untracked).
@@ -112,13 +96,6 @@ pub(crate) struct Envelope<T> {
     pub(crate) roots: Vec<u64>,
     /// Trace context when this delivery belongs to a sampled tree.
     pub(crate) trace: Option<Box<TraceHop>>,
-}
-
-impl<T> Envelope<T> {
-    /// A delivery reconstructed from the wire (no local-only context).
-    pub(crate) fn from_wire(msg: T, tid: u64, roots: Vec<u64>) -> Self {
-        Envelope { msg: Payload::Owned(msg), tid, roots, trace: None }
-    }
 }
 
 /// One flushed edge buffer — a lone delivery or several — or an
@@ -212,10 +189,8 @@ pub(crate) struct LineageState {
 pub(crate) struct TaskEmitter<T> {
     pub(crate) routes: Vec<Route<T>>,
     pub(crate) counters: Arc<TaskCounters>,
-    /// Shared tuple-tree tracker; `None` = at-most-once mode. A trait
-    /// object so workers of a multi-process topology can substitute a
-    /// forwarder to the coordinator's acker.
-    acker: Option<Arc<dyn AckSink>>,
+    /// Shared tuple-tree tracker; `None` = at-most-once mode.
+    acker: Option<Arc<Acker>>,
     /// High bits of every id this task mints: global task id << 40.
     id_hi: u64,
     /// Next id sequence number; starts at 1 so `id_hi | id_seq` (and its
@@ -256,7 +231,7 @@ impl<T> TaskEmitter<T> {
         global: usize,
         routes: Vec<Route<T>>,
         counters: Arc<TaskCounters>,
-        acker: Option<Arc<dyn AckSink>>,
+        acker: Option<Arc<Acker>>,
         fault: Option<FaultConfig>,
         lineage: Option<SpanSink>,
         flight: Arc<FlightRecorder>,

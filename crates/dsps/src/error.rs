@@ -91,21 +91,6 @@ pub enum DspsError {
         /// What went wrong.
         reason: String,
     },
-    /// A transport-level socket operation failed.
-    Transport {
-        /// The peer involved (address or worker label).
-        peer: String,
-        /// Operation and OS error text.
-        reason: String,
-    },
-    /// A worker process failed: could not be spawned, failed its
-    /// handshake, or disconnected before reporting completion.
-    Worker {
-        /// The worker index.
-        worker: usize,
-        /// What went wrong.
-        reason: String,
-    },
     /// XML topology text failed to parse.
     XmlParse {
         /// 1-based line number.
@@ -155,12 +140,6 @@ impl fmt::Display for DspsError {
                 write!(f, "failed to bind metrics endpoint on 127.0.0.1:{port}: {reason}")
             }
             DspsError::Frame { reason } => write!(f, "invalid wire frame: {reason}"),
-            DspsError::Transport { peer, reason } => {
-                write!(f, "transport failure with {peer}: {reason}")
-            }
-            DspsError::Worker { worker, reason } => {
-                write!(f, "worker {worker} failed: {reason}")
-            }
             DspsError::XmlParse { line, reason } => {
                 write!(f, "XML parse error at line {line}: {reason}")
             }

@@ -16,7 +16,7 @@
 //! ([`end_chained`]). A fatal error there fails the executor that drives
 //! the chain.
 
-use crate::ack::AckSink;
+use crate::ack::Acker;
 use crate::durability::{RecoveredState, StateStore};
 use crate::emitter::{Emitter, Envelope, Packet, TaskEmitter};
 use crate::error::DspsError;
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 /// The at-least-once machinery an executor runs under: the acker and the
 /// replay and restart parameters, present together or not at all.
-pub(crate) type Reliable = (Arc<dyn AckSink>, ReliabilityConfig);
+pub(crate) type Reliable = (Arc<Acker>, ReliabilityConfig);
 
 /// A spout tuple awaiting the completion of its tree.
 struct PendingRoot<T> {
@@ -190,7 +190,7 @@ fn sample_new_tree<T>(emitter: &TaskEmitter<T>, root: u64) -> Option<(u64, u64)>
 fn emit_tree<T: Clone>(
     emitter: &mut TaskEmitter<T>,
     msg: T,
-    root: Option<(u64, &dyn AckSink)>,
+    root: Option<(u64, &Acker)>,
     sampled: Option<(u64, u64)>,
     kind: SpanKind,
     retries: u32,

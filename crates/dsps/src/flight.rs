@@ -83,30 +83,6 @@ impl FlightKind {
             FlightKind::Custom => "custom",
         }
     }
-
-    /// The inverse of [`name`](FlightKind::name) — how events shipped
-    /// across the wire by their stable name resolve back to a kind.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "task_restart" => FlightKind::TaskRestart,
-            "snapshot" => FlightKind::Snapshot,
-            "restore" => FlightKind::Restore,
-            "changelog_truncated" => FlightKind::ChangelogTruncated,
-            "migration_requested" => FlightKind::MigrationRequested,
-            "migration_draining" => FlightKind::MigrationDraining,
-            "migration_deposited" => FlightKind::MigrationDeposited,
-            "migration_aborted" => FlightKind::MigrationAborted,
-            "migration_completed" => FlightKind::MigrationCompleted,
-            "rebalance_cycle" => FlightKind::RebalanceCycle,
-            "rebalance_decision" => FlightKind::RebalanceDecision,
-            "stats_refresh" => FlightKind::StatsRefresh,
-            "chaos_panic" => FlightKind::ChaosPanic,
-            "eos" => FlightKind::Eos,
-            "chained" => FlightKind::Chained,
-            "custom" => FlightKind::Custom,
-            _ => return None,
-        })
-    }
 }
 
 /// One recorded control-plane event.
@@ -190,37 +166,6 @@ impl FlightRecorder {
         let event = FlightEvent {
             seq,
             at_ns: self.now_ns(),
-            kind,
-            component: component.to_string(),
-            task,
-            detail: detail.into(),
-        };
-        let mut inner = self.inner.lock();
-        if inner.ring.len() >= self.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(event);
-        seq
-    }
-
-    /// Merges an event recorded by another process (a remote worker's
-    /// report), assigning it a fresh local sequence number but keeping
-    /// its own timestamp. Worker epochs start at their own process boot,
-    /// so cross-process timestamps are comparable only per worker —
-    /// consumers group by worker before ordering by time.
-    pub fn ingest(
-        &self,
-        at_ns: u64,
-        kind: FlightKind,
-        component: &str,
-        task: i64,
-        detail: impl Into<String>,
-    ) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = FlightEvent {
-            seq,
-            at_ns,
             kind,
             component: component.to_string(),
             task,

@@ -75,9 +75,9 @@ pub fn hash_key<K: std::hash::Hash>(key: &K) -> u64 {
 ///
 /// `std`'s `DefaultHasher` happens to be the same algorithm today, but its
 /// documentation explicitly reserves the right to change between releases —
-/// useless for anything that must hash identically across processes or
-/// binary versions (stable routing of unknown regions, the multi-process
-/// workers of ROADMAP item 2). This implementation is pinned by the
+/// useless for anything that must hash identically across runs or binary
+/// versions (stable routing of unknown regions, keys whose task restores
+/// durable state on a resubmit). This implementation is pinned by the
 /// `stable_sip_hash_values_are_pinned` test: the bytes-to-u64 mapping is
 /// part of the crate's public contract and may never change.
 #[derive(Clone, Debug)]

@@ -1,4 +1,4 @@
-//! A distributed stream processing runtime — the from-scratch stand-in for
+//! A stream processing runtime — the from-scratch, single-process stand-in for
 //! Apache Storm (Section 2.1.1 of the paper, Figure 1).
 //!
 //! Applications are *topologies*: directed acyclic graphs whose nodes are
@@ -7,12 +7,12 @@
 //! (shuffle, fields, all, or direct). Each component runs as a number of
 //! **tasks** (instances of the user code) executed by a number of
 //! **executors** (threads); when `tasks > executors` the extra tasks share
-//! an executor pseudo-parallelly, exactly as in Figure 1. Executors are
-//! packed into **worker processes**, which a round-robin scheduler places
-//! on the **nodes** of a (simulated) cluster — the paper follows \[35\] in
-//! using one worker per node, which is this crate's default.
+//! an executor pseudo-parallelly, exactly as in Figure 1. A round-robin
+//! scheduler records which worker slot of which (simulated) node each
+//! executor would occupy — the paper follows \[35\] in using one worker
+//! per node, which is this crate's default.
 //!
-//! The runtime executes everything in-process with real threads and
+//! The runtime executes everything in one process with real threads and
 //! bounded channels (so saturation behaves like a real deployment's
 //! backpressure) and terminates by end-of-stream propagation once every
 //! spout is exhausted. A bolt whose one input is a shuffle edge from a
@@ -54,7 +54,6 @@ pub mod flight;
 pub mod grouping;
 pub mod lineage;
 pub mod metrics;
-pub mod net;
 pub mod runtime;
 pub mod scheduler;
 pub mod topology;
@@ -76,7 +75,6 @@ pub use metrics::{
     AtomicHistogram, ComponentWindow, LatencyHistogram, MetricsHub, MonitorConfig, ProfileSource,
     RuleProfile,
 };
-pub use net::DistributedCluster;
 pub use runtime::{Emitter, LocalCluster, ReliabilityConfig, RuntimeConfig, TopologyHandle};
 pub use topology::{Bolt, BoltContext, Parallelism, Spout, Topology, TopologyBuilder};
 pub use transport::{FrameDecoder, WireCodec, WireReader};

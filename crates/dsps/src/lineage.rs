@@ -611,29 +611,6 @@ impl TraceCollector {
         inner.spans.extend(fresh);
     }
 
-    /// Merges spans recorded by another process (a remote worker's
-    /// report): folds each into the critical-path attribution and retains
-    /// it for export, exactly like locally drained spans. Task names
-    /// fall back to `task{t}` for tasks not registered in this process —
-    /// remote task ids are global, so cross-worker attribution still
-    /// aggregates by span kind and task id.
-    pub fn ingest_spans(&self, spans: &[Span]) {
-        if spans.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let names: HashMap<u32, String> = inner
-            .rings
-            .iter()
-            .map(|(&t, (name, _))| (t, name.clone()))
-            .collect();
-        let name_of = |t: u32| names.get(&t).cloned().unwrap_or_else(|| format!("task{t}"));
-        for span in spans {
-            inner.path.fold(span, &name_of);
-        }
-        inner.spans.extend_from_slice(spans);
-    }
-
     /// Spans lost to full rings so far.
     pub fn dropped_spans(&self) -> u64 {
         self.inner.lock().rings.values().map(|(_, r)| r.dropped()).sum()

@@ -637,9 +637,6 @@ pub struct MetricsHub {
     retention: usize,
     /// End of the previous sample — the next window's start.
     last_end: Mutex<Duration>,
-    /// Latest cumulative totals pushed by each remote worker process
-    /// (multi-process runs only; empty in a single-process topology).
-    remote: Mutex<BTreeMap<usize, Vec<ComponentWindow>>>,
 }
 
 impl Default for MetricsHub {
@@ -669,7 +666,6 @@ impl MetricsHub {
             history: Mutex::new(VecDeque::new()),
             retention: retention.max(1),
             last_end: Mutex::new(Duration::ZERO),
-            remote: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -857,47 +853,16 @@ impl MetricsHub {
             .collect()
     }
 
-    /// Replaces worker `worker`'s totals with a fresh cumulative snapshot
-    /// (multi-process runs: workers push cumulative totals, so the latest
-    /// snapshot supersedes earlier ones).
-    pub fn ingest_remote_totals(&self, worker: usize, totals: Vec<ComponentWindow>) {
-        self.remote.lock().insert(worker, totals);
-    }
-
-    /// Whole-topology totals: this process's components plus the latest
-    /// totals each remote worker pushed. The worker id is `None` on every
-    /// row of a single-process run (the common case) and `Some(id)` on
-    /// every row of a multi-process run (`Some(0)` = the coordinator's own
-    /// components), so expositions can label series without perturbing
-    /// single-process output.
-    pub fn merged_totals(&self) -> Vec<(Option<usize>, ComponentWindow)> {
-        let remote = self.remote.lock();
-        let local_tag = if remote.is_empty() { None } else { Some(0) };
-        let mut out: Vec<(Option<usize>, ComponentWindow)> =
-            self.totals().into_iter().map(|w| (local_tag, w)).collect();
-        for (&worker, totals) in remote.iter() {
-            out.extend(totals.iter().cloned().map(|w| (Some(worker), w)));
-        }
-        out
-    }
-
     /// Renders the current lifetime totals in the Prometheus text
     /// exposition format (version 0.0.4), dependency-free. Histograms
     /// follow the cumulative `_bucket`/`_sum`/`_count` contract with
     /// `le` upper bounds in seconds; only non-empty buckets plus `+Inf`
-    /// are emitted. In a multi-process run every series additionally
-    /// carries a `worker` label; single-process output is unchanged.
+    /// are emitted.
     pub fn render_prometheus(&self) -> String {
         let totals: Vec<(String, ComponentWindow)> = self
-            .merged_totals()
+            .totals()
             .into_iter()
-            .map(|(who, w)| {
-                let mut labels = format!("component=\"{}\"", escape_label(&w.component));
-                if let Some(id) = who {
-                    labels.push_str(&format!(",worker=\"{id}\""));
-                }
-                (labels, w)
-            })
+            .map(|w| (format!("component=\"{}\"", escape_label(&w.component)), w))
             .collect();
         let mut out = String::with_capacity(4096);
 
@@ -1051,26 +1016,19 @@ impl MetricsHub {
     }
 
     /// Renders the current lifetime totals as a JSON snapshot (one object
-    /// per component, rule profiles nested), dependency-free. In a
-    /// multi-process run each component object additionally carries a
-    /// `worker` key; single-process output is unchanged.
+    /// per component, rule profiles nested), dependency-free.
     pub fn render_json(&self) -> String {
-        let totals = self.merged_totals();
+        let totals = self.totals();
         let mut out = String::with_capacity(2048);
         out.push_str("{\"uptime_s\":");
         out.push_str(&format!("{:.3}", self.started.elapsed().as_secs_f64()));
         out.push_str(",\"components\":[");
-        for (i, (who, w)) in totals.iter().enumerate() {
+        for (i, w) in totals.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            if let Some(id) = who {
-                out.push_str(&format!("{{\"worker\":{id},"));
-            } else {
-                out.push('{');
-            }
             out.push_str(&format!(
-                "\"component\":{},\"processed\":{},\"emitted\":{},\"avg_latency_ns\":{},\
+                "{{\"component\":{},\"processed\":{},\"emitted\":{},\"avg_latency_ns\":{},\
                  \"dropped\":{},\"misrouted\":{},\"acked\":{},\"failed\":{},\"replayed\":{},\
                  \"restarted\":{},\
                  \"injected_panics\":{},\"injected_latency\":{},\"injected_drops\":{},\

@@ -45,7 +45,7 @@
 //! Replays mean *duplicates are possible*: exactly-once is the consumer's
 //! job (dedup on a message key), as in Storm 0.8 without Trident.
 
-use crate::ack::{AckSink, Acker};
+use crate::ack::Acker;
 use crate::durability::{DurabilityConfig, StateStore};
 pub use crate::emitter::Emitter;
 use crate::emitter::{Packet, Route, TaskEmitter};
@@ -58,7 +58,7 @@ use crate::flight::{FlightKind, FlightRecorder};
 use crate::lineage::TraceCollector;
 use crate::grouping::Grouping;
 use crate::metrics::{MetricsHub, MonitorConfig};
-use crate::scheduler::{assign, Assignment, ClusterSpec};
+use crate::scheduler::{assign, pack_tasks, Assignment, ClusterSpec};
 use crate::topology::{BoltContext, Parallelism, Topology};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::collections::HashMap;
@@ -139,55 +139,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// A local task's wire ingress point: where the net layer injects
-/// packets that arrived from a remote worker.
-pub(crate) struct LocalIngress<T> {
-    /// The task's input channel (the same one local producers use, so
-    /// per-link FIFO and EOS quorum counting are location-independent).
-    pub(crate) tx: Sender<Packet<T>>,
-    /// The task's occupancy gauge (under a monitor); the ingress bumps it
-    /// exactly like a local producer would.
-    pub(crate) depth: Option<Arc<AtomicI64>>,
-}
-
-/// The runtime's seam to the multi-process wire layer.
-///
-/// `submit_inner` resolves every (route, task) target at build time:
-/// local targets keep their channel, remote targets get a *relay*
-/// channel from this plane — bounded like a task input channel, so
-/// backpressure propagates across the process boundary. The plane drains
-/// relays onto peer links and injects arriving packets through the
-/// registered ingress map.
-pub(crate) trait RemoteDataPlane<T>: Send + Sync {
-    /// The relay channel feeding remote task `dest_global` on `worker`.
-    /// Called once per (worker, task) during topology build; all local
-    /// producers share the returned sender via clone.
-    fn remote_sender(&self, worker: usize, dest_global: u32, capacity: usize) -> Sender<Packet<T>>;
-
-    /// Hands the plane this process's ingress map (global task id →
-    /// input channel) before any executor starts.
-    fn register_ingress(&self, map: HashMap<u32, LocalIngress<T>>);
-}
-
-/// Distribution context for one process of a multi-process topology;
-/// `None` in [`LocalCluster::submit`] keeps the single-process runtime
-/// byte-identical (no relays, no plane, the concrete [`Acker`]).
-pub(crate) struct DistCtx<T> {
-    /// This process's worker id (0 = coordinator).
-    pub(crate) worker: usize,
-    /// The coordinator-computed assignment every process agrees on.
-    pub(crate) assignment: Assignment,
-    /// The wire layer's data plane.
-    pub(crate) plane: Arc<dyn RemoteDataPlane<T>>,
-    /// Builds the ack sink (reliability mode): the real acker on the
-    /// coordinator, a forwarder on workers. Receives the spout completion
-    /// senders (spouts are pinned to the coordinator, so only the real
-    /// acker ever uses them).
-    #[allow(clippy::type_complexity)]
-    pub(crate) make_ack:
-        Box<dyn FnOnce(Vec<Sender<(u64, Instant)>>) -> Arc<dyn AckSink> + Send>,
-}
-
 /// A local, threaded stand-in for a Storm cluster.
 pub struct LocalCluster {
     spec: ClusterSpec,
@@ -211,22 +162,6 @@ impl LocalCluster {
         topology: Topology<T>,
         config: RuntimeConfig,
     ) -> Result<TopologyHandle, DspsError> {
-        self.submit_inner(topology, config, None)
-    }
-
-    /// The real submit: builds channels, routes and executors for the
-    /// tasks this process owns. With `dist: None` (the public
-    /// [`submit`](LocalCluster::submit)) every task is local and the body
-    /// reduces to the original single-process runtime — no relay
-    /// channels, no plane calls, no extra syscalls or threads. With a
-    /// [`DistCtx`], remote targets resolve to the plane's relay channels
-    /// and only the local executor slice is spawned.
-    pub(crate) fn submit_inner<T: Clone + Send + Sync + 'static>(
-        &self,
-        topology: Topology<T>,
-        config: RuntimeConfig,
-        dist: Option<DistCtx<T>>,
-    ) -> Result<TopologyHandle, DspsError> {
         let components: Vec<(&str, usize, usize)> = topology
             .spouts
             .iter()
@@ -238,14 +173,7 @@ impl LocalCluster {
                     .map(|b| (b.name.as_str(), b.parallelism.tasks, b.parallelism.executors)),
             )
             .collect();
-        let (my_worker, dist_assignment, plane, make_ack) = match dist {
-            Some(d) => (Some(d.worker), Some(d.assignment), Some(d.plane), Some(d.make_ack)),
-            None => (None, None, None, None),
-        };
-        let assignment = match dist_assignment {
-            Some(a) => a,
-            None => assign(&components, self.spec, self.spec.default_workers())?,
-        };
+        let assignment = assign(&components, self.spec, self.spec.default_workers())?;
 
         let metrics = Arc::new(MetricsHub::new());
         let done = Arc::new(AtomicBool::new(false));
@@ -278,24 +206,6 @@ impl LocalCluster {
         let spout_task_total: usize =
             topology.spouts.iter().map(|s| s.parallelism.tasks).sum();
 
-        // ---- Task ownership (multi-process mode) --------------------------
-        // Which worker owns each global task, derived from the shared
-        // assignment so every process resolves locality identically. In
-        // single-process mode everything is local and the vector is unused.
-        let owner: Vec<usize> = {
-            let mut owner = vec![0usize; next_global];
-            if my_worker.is_some() {
-                for p in &assignment.placements {
-                    let base = global_base[p.component.as_str()];
-                    for &t in &p.tasks {
-                        owner[base + t] = p.worker;
-                    }
-                }
-            }
-            owner
-        };
-        let is_local = |global: usize| my_worker.is_none_or(|w| owner[global] == w);
-
         // ---- Acker + completion channels (reliability mode) ---------------
         // Completion channels are unbounded so completing a tree can never
         // block a bolt executor against a stalled spout.
@@ -307,15 +217,11 @@ impl LocalCluster {
                 txs.push(tx);
                 completion_rxs.push(rx);
             }
-            let acker: Arc<dyn AckSink> = match make_ack {
-                Some(f) => f(txs),
-                None => Arc::new(Acker::new(txs)),
-            };
-            (acker, rel)
+            (Arc::new(Acker::new(txs)), rel)
         });
 
         // ---- Chains -------------------------------------------------------
-        let chained = chain_plan(&topology, my_worker.is_none());
+        let chained = chain_plan(&topology);
         if let Some(c) = &collector {
             for (bi, upstream) in chained.iter().enumerate() {
                 if let Some(u) = *upstream {
@@ -328,29 +234,21 @@ impl LocalCluster {
         // Under a monitor each channel gets an occupancy counter the hub
         // reads as a gauge; the hub holds only the counter, never a channel
         // handle (that would defeat disconnect detection when a task dies).
-        //
-        // Multi-process mode: a *remote* task's slot holds the plane's
-        // relay sender instead — emitters stay oblivious, routing simply
-        // resolves to a channel that happens to cross a socket. Remote
-        // slots get no gauge (the owning process tracks the occupancy).
         let mut senders_by_bolt: Vec<Vec<Sender<Packet<T>>>> =
             Vec::with_capacity(topology.bolts.len());
         let mut depths_by_bolt: Vec<Vec<Option<Arc<AtomicI64>>>> =
             Vec::with_capacity(topology.bolts.len());
-        // Local tasks' `(task index, receiver, gauge)`, in task order.
+        // Every channel's `(receiver, gauge)`, in task order.
         #[allow(clippy::type_complexity)]
-        let mut inputs_by_bolt: Vec<Vec<(usize, Receiver<Packet<T>>, Option<Arc<AtomicI64>>)>> =
+        let mut inputs_by_bolt: Vec<Vec<(Receiver<Packet<T>>, Option<Arc<AtomicI64>>)>> =
             Vec::with_capacity(topology.bolts.len());
-        let mut ingress: HashMap<u32, LocalIngress<T>> = HashMap::new();
         for (bi, b) in topology.bolts.iter().enumerate() {
             let mut senders = Vec::with_capacity(b.parallelism.tasks);
             let mut depths = Vec::with_capacity(b.parallelism.tasks);
             let mut inputs = Vec::new();
-            for ti in 0..b.parallelism.tasks {
-                let global = global_base[b.name.as_str()] + ti;
-                if chained[bi].is_some() {
-                    // Its upstream task's emitter calls it: no channel.
-                } else if is_local(global) {
+            // A chained bolt's upstream task's emitter calls it: no channel.
+            if chained[bi].is_none() {
+                for _ in 0..b.parallelism.tasks {
                     let (tx, rx) = bounded(config.channel_capacity.max(1));
                     let depth = config.monitor.map(|_| {
                         let depth = Arc::new(AtomicI64::new(0));
@@ -361,31 +259,14 @@ impl LocalCluster {
                         );
                         depth
                     });
-                    if my_worker.is_some() {
-                        ingress.insert(
-                            global as u32,
-                            LocalIngress { tx: tx.clone(), depth: depth.clone() },
-                        );
-                    }
                     senders.push(tx);
                     depths.push(depth.clone());
-                    inputs.push((ti, rx, depth));
-                } else {
-                    let plane = plane.as_ref().expect("remote task implies a data plane");
-                    senders.push(plane.remote_sender(
-                        owner[global],
-                        global as u32,
-                        config.channel_capacity.max(1),
-                    ));
-                    depths.push(None);
+                    inputs.push((rx, depth));
                 }
             }
             senders_by_bolt.push(senders);
             depths_by_bolt.push(depths);
             inputs_by_bolt.push(inputs);
-        }
-        if let Some(plane) = plane.as_ref() {
-            plane.register_ingress(ingress);
         }
 
         let wiring = Wiring {
@@ -422,43 +303,23 @@ impl LocalCluster {
         // their pending trees instead of replaying them into a dead task.
         let failed = Arc::new(AtomicBool::new(false));
 
-        // Executor → task packing. Single-process: the scheduler's packing
-        // directly (exactly as before). Multi-process: this process's
-        // executor slice of the shared assignment, which used the same
-        // packing — so a task's executor grouping is identical everywhere;
-        // only *where* the executor thread runs changes.
-        let executor_slices = |name: &str, tasks: usize, executors: usize| -> Vec<Vec<usize>> {
-            match my_worker {
-                None => crate::scheduler::pack_tasks(tasks, executors),
-                Some(w) => assignment
-                    .placements
-                    .iter()
-                    .filter(|p| p.component == name && p.worker == w)
-                    .map(|p| p.tasks.clone())
-                    .collect(),
-            }
-        };
-
         // ---- Spout executors ----------------------------------------------
         // Completion receivers are in global task order, and spouts hold
         // the first globals.
         let mut completion_rxs = completion_rxs.into_iter();
         for s in &topology.spouts {
-            let packing =
-                executor_slices(&s.name, s.parallelism.tasks, s.parallelism.executors);
+            let packing = pack_tasks(s.parallelism.tasks, s.parallelism.executors);
             let slot = executor_of(&packing, s.parallelism.tasks);
             let mut executors: Vec<Vec<SpoutTask<T>>> =
                 packing.iter().map(|_| Vec::new()).collect();
             for (ti, &e) in slot.iter().enumerate() {
-                let completions = completion_rxs.next();
-                let Some(e) = e else { continue };
                 let global = global_base[s.name.as_str()] + ti;
                 executors[e].push(SpoutTask::new(
                     (*s.factory)(ti),
                     wiring.emitter(&s.name, ti)?,
                     ti,
                     global,
-                    completions,
+                    completion_rxs.next(),
                 ));
             }
             for (task_ids, tasks) in packing.iter().zip(executors) {
@@ -477,14 +338,12 @@ impl LocalCluster {
             if chained[bi].is_some() {
                 continue;
             }
-            let packing =
-                executor_slices(&b.name, b.parallelism.tasks, b.parallelism.executors);
+            let packing = pack_tasks(b.parallelism.tasks, b.parallelism.executors);
             let slot = executor_of(&packing, b.parallelism.tasks);
             let mut executors: Vec<Vec<InputTask<T>>> =
                 packing.iter().map(|_| Vec::new()).collect();
-            for (ti, rx, depth) in inputs {
-                let Some(e) = slot[ti] else { continue };
-                executors[e].push(InputTask::new(wiring.bolt_task(bi, ti)?, rx, depth));
+            for (ti, (rx, depth)) in inputs.into_iter().enumerate() {
+                executors[slot[ti]].push(InputTask::new(wiring.bolt_task(bi, ti)?, rx, depth));
             }
             let expected = expected_eos[bi];
             for (task_ids, tasks) in packing.iter().zip(executors) {
@@ -612,13 +471,12 @@ fn spawn_executor(
         })
 }
 
-/// Which executor of `packing` runs each of a component's `tasks`; `None`
-/// for a task no slice lists (another process owns it).
-fn executor_of(packing: &[Vec<usize>], tasks: usize) -> Vec<Option<usize>> {
-    let mut slot = vec![None; tasks];
+/// Which executor of `packing` runs each of a component's `tasks`.
+fn executor_of(packing: &[Vec<usize>], tasks: usize) -> Vec<usize> {
+    let mut slot = vec![0; tasks];
     for (e, task_ids) in packing.iter().enumerate() {
         for &ti in task_ids {
-            slot[ti] = Some(e);
+            slot[ti] = e;
         }
     }
     slot
@@ -638,19 +496,14 @@ fn executor_of(packing: &[Vec<usize>], tasks: usize) -> Vec<Option<usize>> {
 /// `localOrShuffleGrouping` makes the same substitution), and a chain
 /// inherits its head's balance. A bolt that needs a key subscribes by
 /// `fields`, and a `fields`, `all` or `direct` edge never chains.
-///
-/// In-process only: a multi-process run ([`DistributedCluster`]) places
-/// executors per component, so with `in_process` false nothing chains.
-///
-/// [`DistributedCluster`]: crate::net::DistributedCluster
-pub(crate) fn chain_plan<T>(topology: &Topology<T>, in_process: bool) -> Vec<Option<usize>> {
+fn chain_plan<T>(topology: &Topology<T>) -> Vec<Option<usize>> {
     let one_to_one = |p: Parallelism| p.tasks == p.executors;
     topology
         .bolts
         .iter()
         .map(|b| {
             let [sub] = b.subscriptions.as_slice() else { return None };
-            if !in_process || !matches!(sub.grouping, Grouping::Shuffle) {
+            if !matches!(sub.grouping, Grouping::Shuffle) {
                 return None;
             }
             let ui = topology.bolts.iter().position(|u| u.name == sub.source)?;
@@ -771,8 +624,9 @@ impl<T: Clone + Send + Sync + 'static> Wiring<'_, T> {
 /// format, `GET /json` (or `/`) the JSON snapshot, `GET /trace` the
 /// Chrome `trace_event` export (`/trace.jsonl` the span log) when lineage
 /// is on, and `GET /events` the flight-recorder ring; anything else is a
-/// 404 carrying the route index. One short-lived blocking read/write per
-/// connection with a hard timeout so a stalled scraper cannot wedge the
+/// 404 carrying the route index. Reading the request and writing the
+/// response each get one [`SCRAPE_DEADLINE`] in all, however the client
+/// spaces its bytes, so a stalled or trickling scraper cannot wedge the
 /// monitor thread.
 fn serve_scrapes(
     listener: &std::net::TcpListener,
@@ -788,13 +642,14 @@ fn serve_scrapes(
             Err(_) => return,
         };
         let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-        // Read until the end of the request head (or timeout/cap); only
-        // the request line matters.
+        // Read until the end of the request head (or the deadline/cap);
+        // only the request line matters.
+        let deadline = Instant::now() + SCRAPE_DEADLINE;
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 512];
         while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
+            let Some(left) = time_left(deadline) else { break };
+            let _ = stream.set_read_timeout(Some(left));
             match stream.read(&mut chunk) {
                 Ok(0) => break,
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -829,14 +684,31 @@ fn serve_scrapes(
             "/events" => ("200 OK", "application/json", flight.render_json()),
             _ => ("404 Not Found", "text/plain; charset=utf-8", ROUTES.into()),
         };
-        let _ = stream.write_all(
-            format!(
-                "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
+        let response = format!(
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
         );
+        let deadline = Instant::now() + SCRAPE_DEADLINE;
+        let mut unsent = response.as_bytes();
+        while !unsent.is_empty() {
+            let Some(left) = time_left(deadline) else { break };
+            let _ = stream.set_write_timeout(Some(left));
+            match stream.write(unsent) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => unsent = &unsent[n..],
+            }
+        }
     }
+}
+
+/// How long one scrape connection may take to send its request, and
+/// again to take its response.
+const SCRAPE_DEADLINE: Duration = Duration::from_millis(500);
+
+/// The time until `deadline`; `None` once it has passed (a zero socket
+/// timeout would mean "block forever").
+fn time_left(deadline: Instant) -> Option<Duration> {
+    Some(deadline.saturating_duration_since(Instant::now())).filter(|d| !d.is_zero())
 }
 
 /// The next absolute sample deadline, as an offset from the monitor's
@@ -1694,7 +1566,6 @@ mod tests {
         up: Parallelism,
         down: Parallelism,
         inputs: Vec<(&str, Grouping<Msg>)>,
-        in_process: bool,
     ) -> Vec<Option<usize>> {
         let t = TopologyBuilder::new("t")
             .add_spout("src", Parallelism::of(2), |_| Box::new(RangeSpout { next: 0, end: 0 }))
@@ -1702,7 +1573,7 @@ mod tests {
             .add_map_bolt("down", down, inputs, |m: Msg| Some(m))
             .build()
             .unwrap();
-        chain_plan(&t, in_process)
+        chain_plan(&t)
     }
 
     #[test]
@@ -1710,21 +1581,20 @@ mod tests {
         let two = Parallelism::of(2);
         let shared = Parallelism { tasks: 2, executors: 1 };
         let shuffle = || vec![("up", Grouping::Shuffle)];
-        assert_eq!(plan(two, two, shuffle(), true), vec![None, Some(0)], "the chaining case");
+        assert_eq!(plan(two, two, shuffle()), vec![None, Some(0)], "the chaining case");
         // `up` itself never chains: its one input comes from a spout.
-        let unchained: [(&str, Vec<Option<usize>>); 9] = [
-            ("fields", plan(two, two, vec![("up", Grouping::fields(|m: &Msg| m.key))], true)),
-            ("all", plan(two, two, vec![("up", Grouping::All)], true)),
-            ("direct", plan(two, two, vec![("up", Grouping::Direct)], true)),
-            ("unequal tasks", plan(two, Parallelism::of(3), shuffle(), true)),
-            ("shared downstream executor", plan(two, shared, shuffle(), true)),
-            ("shared upstream executor", plan(shared, two, shuffle(), true)),
+        let unchained: [(&str, Vec<Option<usize>>); 8] = [
+            ("fields", plan(two, two, vec![("up", Grouping::fields(|m: &Msg| m.key))])),
+            ("all", plan(two, two, vec![("up", Grouping::All)])),
+            ("direct", plan(two, two, vec![("up", Grouping::Direct)])),
+            ("unequal tasks", plan(two, Parallelism::of(3), shuffle())),
+            ("shared downstream executor", plan(two, shared, shuffle())),
+            ("shared upstream executor", plan(shared, two, shuffle())),
             (
                 "two inputs",
-                plan(two, two, vec![("up", Grouping::Shuffle), ("src", Grouping::Shuffle)], true),
+                plan(two, two, vec![("up", Grouping::Shuffle), ("src", Grouping::Shuffle)]),
             ),
-            ("spout source", plan(two, two, vec![("src", Grouping::Shuffle)], true)),
-            ("multi-process", plan(two, two, shuffle(), false)),
+            ("spout source", plan(two, two, vec![("src", Grouping::Shuffle)])),
         ];
         for (case, got) in unchained {
             assert_eq!(got, vec![None, None], "{case} must not chain");

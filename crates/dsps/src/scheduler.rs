@@ -151,37 +151,6 @@ pub fn assign(
     Ok(Assignment { placements, workers, nodes: cluster.nodes })
 }
 
-/// [`assign`] with per-component worker pins: every executor of a pinned
-/// component lands on its pinned worker; unpinned components round-robin
-/// over the remaining rotation exactly as in [`assign`].
-///
-/// The multi-process runtime ([`net`](crate::net)) uses this to pin spout
-/// components (and with them the acker's registration path) to the
-/// coordinator process. With an empty `pins` map the result is identical
-/// to [`assign`].
-pub fn assign_pinned(
-    components: &[(&str, usize, usize)],
-    cluster: ClusterSpec,
-    workers: usize,
-    pins: &std::collections::HashMap<String, usize>,
-) -> Result<Assignment, DspsError> {
-    let mut assignment = assign(components, cluster, workers)?;
-    for (component, &worker) in pins {
-        if worker >= workers {
-            return Err(DspsError::InvalidCluster {
-                reason: format!(
-                    "component {component} pinned to worker {worker} but only {workers} workers exist"
-                ),
-            });
-        }
-        for p in assignment.placements.iter_mut().filter(|p| &p.component == component) {
-            p.worker = worker;
-            p.node = worker % cluster.nodes;
-        }
-    }
-    Ok(assignment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,30 +205,6 @@ mod tests {
         let ok = ClusterSpec::default();
         assert!(matches!(
             assign(&[], ok, 0),
-            Err(DspsError::InvalidCluster { .. })
-        ));
-    }
-
-    #[test]
-    fn pinned_assignment_overrides_only_pinned_components() {
-        let cluster = ClusterSpec { nodes: 2, slots_per_node: 2, cores_per_node: 1 };
-        let comps = [("spout", 2, 2), ("bolt", 3, 3)];
-        let mut pins = std::collections::HashMap::new();
-        pins.insert("spout".to_string(), 0usize);
-        let pinned = assign_pinned(&comps, cluster, 2, &pins).unwrap();
-        for p in pinned.component_placements("spout") {
-            assert_eq!(p.worker, 0);
-        }
-        // Unpinned components keep the plain round-robin placement.
-        let plain = assign(&comps, cluster, 2).unwrap();
-        assert_eq!(pinned.component_placements("bolt"), plain.component_placements("bolt"));
-        // Empty pins: identical to assign().
-        let no_pins = assign_pinned(&comps, cluster, 2, &Default::default()).unwrap();
-        assert_eq!(no_pins, plain);
-        // A pin past the worker count is a config error.
-        pins.insert("spout".to_string(), 9);
-        assert!(matches!(
-            assign_pinned(&comps, cluster, 2, &pins),
             Err(DspsError::InvalidCluster { .. })
         ));
     }

@@ -1,7 +1,6 @@
 //! The one serialiser: the value codec ([`WireCodec`]) and the frame
-//! around every byte string that leaves a task — a message on a worker
-//! link ([`net`](crate::net)), a snapshot or changelog record on disk
-//! ([`durability`](crate::durability)).
+//! around every byte string that leaves a task — a snapshot or changelog
+//! record on disk ([`durability`](crate::durability)).
 //!
 //! # Frame format
 //!
@@ -17,33 +16,29 @@
 //! # Zero-copy discipline
 //!
 //! Encoding writes header + tag + payload into one [`BytesMut`] and
-//! freezes it: the writer thread sends that view with a single
-//! `write_all` and hands the allocation back to a [`BufferPool`], so the
-//! steady state allocates nothing per frame. Decoding accumulates socket
-//! reads in a [`BytesMut`] and yields each payload as a [`Bytes`] *view*
-//! into the receive buffer ([`BytesMut::split_to`]) — torn and coalesced
-//! reads reassemble without ever copying a payload byte.
+//! freezes it, so the payload is encoded once and written with a single
+//! `write_all`. Decoding accumulates reads in a [`BytesMut`] and yields
+//! each payload as a [`Bytes`] *view* into the receive buffer
+//! ([`BytesMut::split_to`]) — torn and coalesced reads reassemble without
+//! ever copying a payload byte.
 //!
 //! # Robustness
 //!
 //! A corrupt length field cannot be distinguished from a corrupt stream,
 //! so the decoder rejects frames whose length is zero or exceeds
 //! [`MAX_FRAME`] with a typed [`DspsError::Frame`] instead of attempting
-//! resynchronization (TCP gives us no record boundaries to resync on; the
-//! session layer tears the link down and lets the reliability layer
-//! heal). CRC mismatches are rejected the same way.
+//! resynchronization (a byte stream has no record boundaries to resync
+//! on; the durability layer treats everything from the bad frame on as a
+//! torn tail). CRC mismatches are rejected the same way.
 
 use crate::error::DspsError;
 use bytes::{Bytes, BytesMut};
 
-pub use bytes::BufferPool;
-
 /// Upper bound on the body (`tag + payload`) of a single frame: 64 MiB.
 ///
-/// Large enough for any packet the runtime ships (an edge buffer is
-/// sent at `TURN_FLUSH_CAP` tuples, see `emitter.rs`), small enough that
-/// a corrupt length field cannot make the decoder buffer gigabytes before
-/// the CRC exposes the corruption.
+/// Large enough for any bolt snapshot the runtime persists, small enough
+/// that a corrupt length field cannot make the decoder buffer gigabytes
+/// before the CRC exposes the corruption.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Bytes of frame header preceding the body: `len` + `crc`.
@@ -62,12 +57,11 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Encodes one frame into `buf` (which must be empty — acquire it from a
-/// [`BufferPool`]) and freezes it into an immutable view ready for a
-/// single `write_all`. `fill` writes the payload; the header is patched
-/// in afterwards, so the payload is encoded exactly once and never
-/// copied. A body over [`MAX_FRAME`] is an error: no decoder would read
-/// it back.
+/// Encodes one frame into `buf` (which must be empty) and freezes it
+/// into an immutable view ready for a single `write_all`. `fill` writes
+/// the payload; the header is patched in afterwards, so the payload is
+/// encoded exactly once and never copied. A body over [`MAX_FRAME`] is an
+/// error: no decoder would read it back.
 pub fn try_encode_frame(
     mut buf: BytesMut,
     tag: u8,
@@ -91,17 +85,16 @@ pub fn try_encode_frame(
     Ok(buf.freeze())
 }
 
-/// [`try_encode_frame`] for the runtime's own messages, whose size the
-/// runtime bounds.
+/// [`try_encode_frame`] for a body whose size the caller bounds.
 ///
 /// # Panics
 /// When the body exceeds [`MAX_FRAME`] — an encoder-side bug, not a
-/// network condition.
+/// condition of the input.
 pub fn encode_frame(buf: BytesMut, tag: u8, fill: impl FnOnce(&mut BytesMut)) -> Bytes {
     try_encode_frame(buf, tag, fill).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// One decoded frame: the session-layer tag and a zero-copy payload view
+/// One decoded frame: the writer's tag and a zero-copy payload view
 /// into the receive buffer.
 #[derive(Debug)]
 pub struct Frame {
@@ -111,11 +104,11 @@ pub struct Frame {
 
 /// Incremental frame decoder over an accumulating receive buffer.
 ///
-/// Feed it socket reads with [`push`](FrameDecoder::push) in whatever
-/// sizes the kernel hands back; [`next`](FrameDecoder::next) yields
-/// complete frames in order, `Ok(None)` when more bytes are needed, and a
-/// typed error on corruption (after which the decoder is poisoned — the
-/// session layer must drop the link).
+/// Feed it reads with [`push`](FrameDecoder::push) in whatever sizes
+/// they arrive; [`next`](FrameDecoder::next) yields complete frames in
+/// order, `Ok(None)` when more bytes are needed, and a typed error on
+/// corruption (after which the decoder is poisoned — the reader must
+/// stop there).
 pub struct FrameDecoder {
     buf: BytesMut,
     max_frame: usize,
@@ -126,7 +119,7 @@ impl FrameDecoder {
         FrameDecoder { buf: BytesMut::new(), max_frame: MAX_FRAME }
     }
 
-    /// Appends raw socket bytes to the receive buffer.
+    /// Appends raw bytes to the receive buffer.
     pub fn push(&mut self, data: &[u8]) {
         self.buf.put_slice(data);
     }
@@ -229,9 +222,8 @@ impl<'a> WireReader<'a> {
 /// Manual wire encoding for a value.
 ///
 /// The vendored serde shim can neither parse nor derive, so everything
-/// that crosses a worker link or reaches the disk implements this by
-/// hand: fixed-width LE numbers, `u32` length prefixes, field order is
-/// the format.
+/// that reaches the disk implements this by hand: fixed-width LE numbers,
+/// `u32` length prefixes, field order is the format.
 pub trait WireCodec: Sized {
     fn encode(&self, buf: &mut BytesMut);
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DspsError>;
@@ -374,12 +366,6 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
     }
 }
 
-/// Encodes a value as a standalone frame payload (convenience for
-/// control messages that are a single codec value).
-pub fn encode_value_frame<T: WireCodec>(pool: &BufferPool, tag: u8, value: &T) -> Bytes {
-    encode_frame(pool.acquire(), tag, |buf| value.encode(buf))
-}
-
 /// Encodes a value on its own, the inverse of [`decode_value`] (a bolt's
 /// snapshot bytes).
 pub fn encode_value<T: WireCodec>(value: &T) -> Vec<u8> {
@@ -499,9 +485,8 @@ mod tests {
 
     #[test]
     fn value_codecs_roundtrip() {
-        let pool = BufferPool::default();
         let v: Vec<(u64, String)> = vec![(1, "a".into()), (2, "bb".into())];
-        let f = encode_value_frame(&pool, 9, &v);
+        let f = encode_frame(BytesMut::new(), 9, |b| b.put_slice(&encode_value(&v)));
         let mut dec = FrameDecoder::new();
         dec.push(&f);
         let got = dec.next().unwrap().unwrap();
@@ -549,19 +534,6 @@ mod tests {
         );
         assert_eq!(Option::<u64>::decode(&mut r).unwrap(), None);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn pooled_encode_recycles_after_write() {
-        let pool = BufferPool::new(8);
-        let f = encode_value_frame(&pool, 1, &42u64);
-        // "Written to the socket": the view drains, the allocation goes
-        // back on the shelf.
-        assert!(pool.recycle(f));
-        assert_eq!(pool.idle(), 1);
-        let f2 = encode_value_frame(&pool, 1, &43u64);
-        assert_eq!(pool.idle(), 0, "encode reused the pooled allocation");
-        drop(f2);
     }
 
     /// Decodes the whole byte stream fed in the given chunks.

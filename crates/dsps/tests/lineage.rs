@@ -394,8 +394,29 @@ fn scrape_routes_serve_concurrently_and_survive_hanging_clients() {
     let addr = handle.scrape_addr().expect("expose binds");
 
     // A client that connects and never sends a request: the 500 ms read
-    // timeout must cut it off instead of wedging the monitor thread.
+    // deadline must cut it off instead of wedging the monitor thread.
     let hang = TcpStream::connect(addr).expect("hang client connects");
+    // A client that trickles a request one byte every 200 ms and never
+    // ends its head: each byte arrives well inside a per-read timeout,
+    // so only a deadline on the whole request cuts it off. It stops on
+    // the first failed write (the server closed on it) or after 30 s.
+    let trickler = {
+        let mut s = TcpStream::connect(addr).expect("trickle client connects");
+        std::thread::spawn(move || {
+            let began = Instant::now();
+            let head = b"GET /json HTTP/1.1\r\n".iter().chain(b"X-Pad: 0\r\n".iter().cycle());
+            for byte in head {
+                if began.elapsed() > Duration::from_secs(30) {
+                    return false;
+                }
+                if s.write_all(&[*byte]).is_err() {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            unreachable!("the pad cycles forever")
+        })
+    };
 
     let started = Instant::now();
     let workers: Vec<_> = ["/metrics", "/json", "/trace", "/trace.jsonl", "/events"]
@@ -421,10 +442,15 @@ fn scrape_routes_serve_concurrently_and_survive_hanging_clients() {
             _ => {}
         }
     }
+    // The hanging and the trickling client take one 500 ms deadline
+    // each; rendering five routes mid-run takes well under a second more.
+    let answered = started.elapsed();
+    let cut_off = trickler.join().unwrap();
     assert!(
-        started.elapsed() < Duration::from_secs(20),
-        "a hanging client must not wedge the scrape loop"
+        answered < Duration::from_secs(5),
+        "a hanging or trickling client must not wedge the scrape loop: {answered:?}"
     );
+    assert!(cut_off, "the server must close on the trickling client");
     drop(hang);
     let collector = handle.trace_collector().expect("lineage on").clone();
     handle.join().unwrap();

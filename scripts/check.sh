@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: release build, every crate's tests, the vendored
-# channel's, buffer pool's and locks' tests, the elastic suite in release, the
+# channel's, byte buffers' and locks' tests, the elastic suite in release, the
 # argument-free examples, the snapshot guards, the pipeline benchmark's own
 # tests and smoke run, the one-serialiser gate, strict clippy, warning-free
 # rustdoc.
@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 # `vendor/` is outside the workspace, and the channel under every hand-off,
-# the pool framing every cross-process packet and the locks around every
+# the buffers under every durable record and the locks around every
 # shared structure are in-repo code: their tests run here or nowhere.
 cargo test -q --manifest-path vendor/crossbeam/Cargo.toml
 cargo test -q --manifest-path vendor/bytes/Cargo.toml
@@ -30,9 +30,8 @@ cargo run --release -p tms-bench --bin experiments -- guard all
 cargo test --release --locked --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
 # One serialiser: outside the test modules, byte order is spelled only in
-# `transport.rs` (the value codec and the frame) and in the two hashers,
-# which hash and do not serialise (`grouping.rs`'s key hasher and the
-# `h.write(..)` lines of `net.rs`'s `topology_fingerprint`).
+# `transport.rs` (the value codec and the frame) and in `grouping.rs`'s
+# key hasher, which hashes and does not serialise.
 second_serialiser=$(
     find crates/*/src -name '*.rs' \
         ! -path crates/dsps/src/transport.rs ! -path crates/dsps/src/grouping.rs |
@@ -40,8 +39,7 @@ second_serialiser=$(
             awk -v file="$file" '
                 test_attr && /^mod tests/ { exit }
                 { test_attr = /^#\[cfg\(test\)\]/ }
-                /to_le_bytes|from_le_bytes|to_bits\(\)\.to_le/ &&
-                    !(file == "crates/dsps/src/net.rs" && /h\.write\(/) {
+                /to_le_bytes|from_le_bytes|to_bits\(\)\.to_le/ {
                     print file ":" FNR ":" $0
                 }' "$file"
         done
