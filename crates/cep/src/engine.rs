@@ -16,7 +16,7 @@ use crate::share::{
     self, AggSrc, ArrivalMemo, ArrivalScratch, ClusterInfo, SharedJoinShape, SharingReport,
     ThresholdIndex, WindowKey,
 };
-use crate::window::{InsertOutcome, SourceWindow, WindowDelta, WindowSpec};
+use crate::window::{InsertOutcome, SourceWindow, WindowSpec, WindowView};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,17 +28,20 @@ pub struct StatementId(pub u64);
 /// Listener invoked with the rows a statement fired for one event.
 pub type Listener = Box<dyn FnMut(StatementId, &[OutputRow]) + Send>;
 
-/// One window in the engine's slot arena. Statements reference slots by
-/// index; the sharing planner points several statement sources at one
-/// slot when their window fingerprints match and their contents are
-/// identical, so each arrival is inserted (and its panes folded) once per
-/// distinct window instead of once per statement.
+/// One window in the engine's slot arena. Statements reference a view of
+/// a slot; the sharing planner points several statement sources at one
+/// slot when their window fingerprints match and the slot is still
+/// pristine, so each arrival is inserted once per distinct window instead
+/// of once per statement, and once for all the lengths read over one
+/// stream and group field.
 struct WindowSlot {
-    /// The sharing fingerprint (stream, spec, groupwin field).
+    /// The sharing fingerprint (stream, groupwin field, and the spec of a
+    /// window that is not a length window).
     key: WindowKey,
     window: SourceWindow,
-    /// Referencing statement sources; 0 marks a free (tombstoned) slot.
-    refs: usize,
+    /// Referencing statement sources per view of `window`; empty marks a
+    /// free (tombstoned) slot.
+    refs: Vec<usize>,
     /// Outcome of the latest insert into this slot.
     last_outcome: InsertOutcome,
     /// Keyed hash indexes over this window — one per distinct join-key
@@ -47,13 +50,30 @@ struct WindowSlot {
 }
 
 impl WindowSlot {
+    /// Whether a statement source reads the slot.
+    fn live(&self) -> bool {
+        !self.refs.is_empty()
+    }
+
     /// Frees the slot for reuse, dropping all window and cluster state.
     fn tombstone(&mut self) {
-        self.refs = 0;
-        self.window = SourceWindow::new(WindowSpec::LastEvent, None)
-            .expect("lastevent windows are always valid");
+        self.refs.clear();
+        self.window = SourceWindow::new(WindowSpec::Length(1), None)
+            .expect("length-1 windows are always valid");
         self.tindexes.clear();
     }
+}
+
+/// What one statement source reads: one view of one slot's window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SourceRef {
+    slot: usize,
+    view: usize,
+}
+
+/// The view a source reads.
+fn source_view(slots: &[WindowSlot], source: SourceRef) -> WindowView<'_> {
+    slots[source.slot].window.view(source.view)
 }
 
 /// How a statement's evaluations are served: chosen once, when the
@@ -61,7 +81,7 @@ impl WindowSlot {
 enum Exec {
     /// A pane shape: O(1) from the accumulators of the pane the arrival's
     /// group is and (for three-source statements) the threshold index —
-    /// shared with every statement reading the same slots. A single-source
+    /// shared with every statement reading the same views. A single-source
     /// aggregate is the shape with no anchor and no threshold side.
     Join {
         shape: SharedJoinShape,
@@ -94,8 +114,8 @@ impl Exec {
 struct Runtime {
     id: StatementId,
     compiled: CompiledStatement,
-    /// Slot-arena indices, one per FROM source.
-    slots: Vec<usize>,
+    /// The view each FROM source reads.
+    sources: Vec<SourceRef>,
     cache: JoinCache,
     /// The chosen evaluation path.
     exec: Exec,
@@ -201,7 +221,8 @@ pub struct StatementProfile {
     pub path_anchor: u64,
     /// Evaluations that rescanned the full window state.
     pub path_rescan: u64,
-    /// Current occupancy summed over the statement's source windows.
+    /// Current occupancy summed over the views the statement's sources
+    /// read.
     pub window_len: usize,
 }
 
@@ -273,8 +294,6 @@ pub struct Engine {
     slots: Vec<WindowSlot>,
     /// Per-arrival scratch space of [`Engine::send_event`].
     arrival: ArrivalScratch,
-    /// What an insert pushed out of a window, dropped at the next insert.
-    delta: WindowDelta,
     next_id: u64,
     stats: EngineStats,
     /// Whether single-source aggregates over their panes and the anchor
@@ -314,7 +333,6 @@ impl Engine {
             statements: Vec::new(),
             slots: Vec::new(),
             arrival: ArrivalScratch::default(),
-            delta: WindowDelta::new(),
             next_id: 0,
             stats: EngineStats::default(),
             incremental_enabled: true,
@@ -387,35 +405,44 @@ impl Engine {
         // Window planning: with sharing on, attach each source to an
         // existing fingerprint-identical slot when doing so is invisible —
         // the slot must be pristine (never written), so both statements
-        // observe exactly the window history they would have privately.
+        // observe exactly the window history they would have privately. A
+        // source reads the slot's view of its length, added if new.
         // Non-pristine candidates stay private for the statement's life.
-        let mut slot_ids = Vec::with_capacity(compiled.sources.len());
+        let mut sources = Vec::with_capacity(compiled.sources.len());
         for src in &compiled.sources {
             let key = WindowKey::of(src);
             let found = if self.sharing_enabled {
                 self.slots
                     .iter()
-                    .position(|sl| sl.refs > 0 && sl.key == key && sl.window.version() == 0)
+                    .position(|sl| sl.live() && sl.key == key && sl.window.version() == 0)
             } else {
                 None
             };
-            let sid = match found {
-                Some(sid) => {
-                    self.slots[sid].refs += 1;
-                    sid
+            let source = match found {
+                Some(slot) => {
+                    let sl = &mut self.slots[slot];
+                    let view = sl.window.view_of(src.window)?;
+                    if view == sl.refs.len() {
+                        sl.refs.push(0);
+                    }
+                    sl.refs[view] += 1;
+                    SourceRef { slot, view }
                 }
-                None => push_slot(&mut self.slots, key, src.make_window()?),
+                None => {
+                    let slot = push_slot(&mut self.slots, key, src.make_window()?);
+                    SourceRef { slot, view: 0 }
+                }
             };
-            slot_ids.push(sid);
+            sources.push(source);
         }
         let id = StatementId(self.next_id);
         self.next_id += 1;
         let cache = JoinCache::for_statement(&compiled);
-        let exec = self.plan_exec(&compiled, &slot_ids)?;
+        let exec = self.plan_exec(&compiled, &sources)?;
         self.statements.push(Runtime {
             id,
             compiled,
-            slots: slot_ids,
+            sources,
             cache,
             exec,
             listener,
@@ -437,7 +464,7 @@ impl Engine {
     fn plan_exec(
         &mut self,
         compiled: &CompiledStatement,
-        slots: &[usize],
+        sources: &[SourceRef],
     ) -> Result<Exec, CepError> {
         let shape = share::shared_join_shape(compiled).filter(|shape| {
             if shape.pane == 0 {
@@ -448,7 +475,7 @@ impl Engine {
         });
         Ok(if let Some(shape) = shape {
             let (aggs, tindex) =
-                ensure_join_state(&mut self.slots, slots, &shape, &compiled.agg_calls)?;
+                ensure_join_state(&mut self.slots, sources, &shape, &compiled.agg_calls)?;
             Exec::Join { shape, aggs, tindex }
         } else if self.incremental_enabled
             && compiled.anchor_fast_eligible()
@@ -461,8 +488,10 @@ impl Engine {
     }
 
     /// Removes a statement (dynamic rule management). Its listener is
-    /// dropped; windows it shared live on for the remaining cluster
-    /// members, windows it owned alone are freed.
+    /// dropped; windows and views it shared live on for the remaining
+    /// cluster members, views it read alone are dropped (a length ring
+    /// then keeps only what its other views read), and windows it owned
+    /// alone are freed.
     pub fn remove_statement(&mut self, id: StatementId) -> Result<(), CepError> {
         let idx = self
             .statements
@@ -470,11 +499,23 @@ impl Engine {
             .position(|r| r.id == id)
             .ok_or_else(|| CepError::Semantic { reason: format!("no statement {id:?}") })?;
         let rt = self.statements.remove(idx);
-        for &sid in &rt.slots {
-            let slot = &mut self.slots[sid];
-            slot.refs -= 1;
-            if slot.refs == 0 {
-                slot.tombstone();
+        for src in &rt.sources {
+            self.slots[src.slot].refs[src.view] -= 1;
+        }
+        for sid in rt.sources.iter().map(|src| src.slot) {
+            while let Some(view) = self.slots[sid].refs.iter().rposition(|&r| r == 0) {
+                let slot = &mut self.slots[sid];
+                if slot.refs.len() == 1 {
+                    slot.tombstone();
+                    continue;
+                }
+                slot.refs.remove(view);
+                slot.window.remove_view(view);
+                for src in self.statements.iter_mut().flat_map(|r| &mut r.sources) {
+                    if src.slot == sid && src.view > view {
+                        src.view -= 1;
+                    }
+                }
             }
         }
         self.rebuild_routing();
@@ -500,7 +541,7 @@ impl Engine {
             }
         }
         for (sid, slot) in self.slots.iter().enumerate() {
-            if slot.refs > 0 {
+            if slot.live() {
                 let stream = self.streams.get_mut(&slot.key.stream).expect("compiled against it");
                 stream.slots.push(sid);
             }
@@ -517,7 +558,7 @@ impl Engine {
         }
         let mut statements = std::mem::take(&mut self.statements);
         let result = statements.iter_mut().try_for_each(|rt| {
-            rt.exec = self.plan_exec(&rt.compiled, &rt.slots)?;
+            rt.exec = self.plan_exec(&rt.compiled, &rt.sources)?;
             Ok(())
         });
         self.statements = statements;
@@ -590,11 +631,12 @@ impl Engine {
     /// The chosen sharing plan: shared vs private window counts and the
     /// clusters with their bank/index occupancy.
     pub fn sharing_report(&self) -> SharingReport {
-        let shared_windows = self.slots.iter().filter(|s| s.refs > 1).count();
-        let private_windows = self.slots.iter().filter(|s| s.refs == 1).count();
-        /// Pane slot and, for three-source statements, the threshold slot
+        let refs = |s: &WindowSlot| s.refs.iter().sum::<usize>();
+        let shared_windows = self.slots.iter().filter(|s| refs(s) > 1).count();
+        let private_windows = self.slots.iter().filter(|s| refs(s) == 1).count();
+        /// Pane view and, for three-source statements, the threshold slot
         /// and index.
-        type ClusterKey = (usize, Option<(usize, usize)>);
+        type ClusterKey = (SourceRef, Option<(usize, usize)>);
         let mut clusters: Vec<(ClusterKey, ClusterInfo)> = Vec::new();
         let mut shared_statements = 0;
         for rt in &self.statements {
@@ -604,11 +646,11 @@ impl Engine {
                 _ => continue,
             };
             shared_statements += 1;
-            let key = (rt.slots[1], tindex.map(|t| (rt.slots[2], t)));
+            let key = (rt.sources[1], tindex.map(|t| (rt.sources[2].slot, t)));
             let info = match clusters.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, info)) => info,
                 None => {
-                    let pane = &self.slots[rt.slots[1]].window;
+                    let pane = source_view(&self.slots, key.0);
                     let threshold_entries =
                         key.1.map_or(0, |(s2, t)| self.slots[s2].tindexes[t].entry_count());
                     clusters.push((
@@ -667,7 +709,7 @@ impl Engine {
                     path_incremental: p.path_incremental,
                     path_anchor: p.path_anchor,
                     path_rescan: p.path_rescan,
-                    window_len: rt.slots.iter().map(|&sid| self.slots[sid].window.len()).sum(),
+                    window_len: rt.sources.iter().map(|&s| source_view(&self.slots, s).len()).sum(),
                 })
             })
             .collect()
@@ -696,7 +738,7 @@ impl Engine {
         if depth >= MAX_FEEDBACK_DEPTH {
             return Err(CepError::FeedbackCycle { stream: event.event_type().to_string() });
         }
-        let Engine { streams, statements, slots, arrival, delta, stats, .. } = self;
+        let Engine { streams, statements, slots, arrival, stats, .. } = self;
         let Some(stream) = streams.get(event.event_type()) else {
             return Err(CepError::UnknownStream(event.event_type().to_string()));
         };
@@ -704,15 +746,16 @@ impl Engine {
         arrival.reset();
 
         // Phase 1: insert into every live slot fed by this stream — once
-        // per distinct window, however many statements read it. A pane
-        // window folds the change into its group's aggregates in the same
-        // visit and remembers the pane, which is the arrival's group in
-        // phase 2; the arrival's group key is derived once per group field,
-        // however many windows group by it. The outcome stays on the slot.
+        // per distinct window, however many statements and lengths read
+        // it. A window folds the change into each view's aggregates of the
+        // arrival's pane in the same visit and remembers the pane, which is
+        // the arrival's group in phase 2; the arrival's group key is
+        // derived once per group field, however many windows group by it.
+        // The outcome stays on the slot.
         for &sid in &stream.slots {
             let slot = &mut slots[sid];
             let key = slot.window.group_field().map(|field| arrival.field_key(&event, field));
-            slot.last_outcome = slot.window.insert_keyed(&event, key, delta)?;
+            slot.last_outcome = slot.window.insert_keyed(&event, key)?;
             // A threshold window is a keepall: the arrival is all it gains.
             for ti in &mut slot.tindexes {
                 ti.insert(&event)?;
@@ -736,7 +779,7 @@ impl Engine {
                     // reached — profiles stay comparable across plans.
                     p.events_in += 1;
                 }
-                if !fed.iter().any(|&pos| slots[rt.slots[pos]].last_outcome.evaluate) {
+                if !fed.iter().any(|&pos| slots[rt.sources[pos].slot].last_outcome.evaluate) {
                     continue;
                 }
                 let t0 = rt.profile.is_some().then(Instant::now);
@@ -745,9 +788,9 @@ impl Engine {
                         &rt.compiled,
                         shape,
                         aggs,
-                        &slots[rt.slots[0]].window,
-                        &slots[rt.slots[shape.pane]].window,
-                        tindex.map(|t| &slots[rt.slots[2]].tindexes[t]),
+                        source_view(slots, rt.sources[0]),
+                        source_view(slots, rt.sources[shape.pane]),
+                        tindex.map(|t| &slots[rt.sources[2].slot].tindexes[t]),
                         fed[0] != 0,
                         &mut memo,
                     )?,
@@ -755,12 +798,13 @@ impl Engine {
                     Exec::Rescan => {
                         // A released batch is evaluated whole, with no anchor.
                         let batch_release = fed.iter().any(|&pos| {
-                            let slot = &slots[rt.slots[pos]];
-                            slot.last_outcome.evaluate && slot.window.spec().is_batch()
+                            let src = rt.sources[pos];
+                            slots[src.slot].last_outcome.evaluate
+                                && source_view(slots, src).spec().is_batch()
                         });
                         let anchor = if batch_release { None } else { Some(&event) };
-                        let windows: Vec<&SourceWindow> =
-                            rt.slots.iter().map(|&sid| &slots[sid].window).collect();
+                        let windows: Vec<WindowView<'_>> =
+                            rt.sources.iter().map(|&src| source_view(slots, src)).collect();
                         rt.compiled.evaluate(&windows, anchor, &mut rt.cache)?
                     }
                 };
@@ -810,12 +854,13 @@ impl Engine {
     /// the handoff is safely deposited, so an aborted migration leaves the
     /// source intact.
     ///
-    /// Several slots on one stream hold *suffixes* of the same arrival
-    /// sequence (a shorter window retains a subset of a longer one), so
-    /// per matching key the longest per-slot sequence is shipped; the
-    /// destination re-inserts under each of its own windows' specs, which
-    /// re-derive their own suffixes. Rows come back merged across keys in
-    /// timestamp order.
+    /// A length ring holds each event once, however many views read it,
+    /// and is shipped once. Several slots on one stream still hold
+    /// *suffixes* of the same arrival sequence (an ungrouped anchor ring
+    /// retains a subset of a grouped one), so per matching key the longest
+    /// per-slot sequence is shipped; the destination re-inserts under each
+    /// of its own windows, whose views re-derive their own suffixes. Rows
+    /// come back merged across keys in timestamp order.
     pub fn collect_partition(
         &self,
         stream: &str,
@@ -936,7 +981,7 @@ impl Engine {
     /// Advances event time for every time window (evicting expired events)
     /// without sending an event.
     pub fn advance_time(&mut self, now_ms: u64) {
-        for slot in self.slots.iter_mut().filter(|slot| slot.refs > 0) {
+        for slot in self.slots.iter_mut().filter(|slot| slot.live()) {
             slot.window.advance_time(now_ms);
         }
     }
@@ -946,8 +991,8 @@ impl Engine {
 /// tombstoned slot when one exists.
 fn push_slot(slots: &mut Vec<WindowSlot>, key: WindowKey, window: SourceWindow) -> usize {
     let last_outcome = InsertOutcome { evaluate: false };
-    let slot = WindowSlot { key, window, refs: 1, last_outcome, tindexes: Vec::new() };
-    match slots.iter().position(|s| s.refs == 0) {
+    let slot = WindowSlot { key, window, refs: vec![1], last_outcome, tindexes: Vec::new() };
+    match slots.iter().position(|s| !s.live()) {
         Some(sid) => {
             slots[sid] = slot;
             sid
@@ -959,35 +1004,38 @@ fn push_slot(slots: &mut Vec<WindowSlot>, key: WindowKey, window: SourceWindow) 
     }
 }
 
-/// Ensures the statement's pane window aggregates and — when the shape
+/// Ensures the statement's pane view aggregates and — when the shape
 /// has a threshold side — a threshold index on its threshold slot cover
 /// one statement's aggregate fields, rebuilding from window contents when
 /// the unions widen over non-empty windows. Returns the statement's
 /// resolved aggregate sources and the index position.
 fn ensure_join_state(
     slots: &mut [WindowSlot],
-    stmt_slots: &[usize],
+    sources: &[SourceRef],
     shape: &SharedJoinShape,
     agg_calls: &[AggCall],
 ) -> Result<(Vec<AggSrc>, Option<usize>), CepError> {
     let mut pane_pos: HashMap<usize, usize> = HashMap::new();
     {
-        let pane = &mut slots[stmt_slots[shape.pane]].window;
+        let SourceRef { slot, view } = sources[shape.pane];
+        let pane = &mut slots[slot].window;
         let mut widened = false;
         for &f in &shape.pane_agg_fields {
-            let (pos, w) = pane.track_field(f);
+            let (pos, w) = pane.track_field(view, f);
             pane_pos.insert(f, pos);
             widened |= w;
         }
-        if widened && !pane.is_empty() {
-            pane.recompute_aggregates()?;
+        if widened && !pane.view(view).is_empty() {
+            pane.recompute_aggregates(view)?;
         }
     }
     let mut thr_pos: HashMap<usize, usize> = HashMap::new();
     let tindex = match &shape.threshold {
         None => None,
         Some(join) => {
-            let WindowSlot { window, tindexes, .. } = &mut slots[stmt_slots[2]];
+            let SourceRef { slot, view } = sources[2];
+            let WindowSlot { window, tindexes, .. } = &mut slots[slot];
+            let window = window.view(view);
             let serves = |t: &ThresholdIndex| {
                 t.key_fields == join.right_fields && t.probe_fields == join.left_fields
             };
@@ -1509,14 +1557,18 @@ mod tests {
         assert_eq!(profile_bucket(u64::MAX), PROFILE_BUCKETS - 1);
     }
 
-    const LISTING1_EPL: &str = "SELECT bd2.location AS loc, avg(bd2.delay) AS mean_delay \
-         FROM bus.std:lastevent() AS bd, \
-              bus.std:groupwin(location).win:length(3) AS bd2, \
-              thresholdLocation.win:keepall() AS thresholds \
-         WHERE bd.hour = thresholds.hour AND bd.day = thresholds.day \
-           AND bd.location = thresholds.location AND bd.location = bd2.location \
-         GROUP BY bd2.location \
-         HAVING avg(bd2.delay) > avg(thresholds.attribute)";
+    fn listing1(len: usize) -> String {
+        format!(
+            "SELECT bd2.location AS loc, avg(bd2.delay) AS mean_delay \
+             FROM bus.std:lastevent() AS bd, \
+                  bus.std:groupwin(location).win:length({len}) AS bd2, \
+                  thresholdLocation.win:keepall() AS thresholds \
+             WHERE bd.hour = thresholds.hour AND bd.day = thresholds.day \
+               AND bd.location = thresholds.location AND bd.location = bd2.location \
+             GROUP BY bd2.location \
+             HAVING avg(bd2.delay) > avg(thresholds.attribute)"
+        )
+    }
 
     fn threshold_event(ty: &EventType, loc: &str, thr: f64) -> Event {
         Event::from_pairs(
@@ -1534,18 +1586,32 @@ mod tests {
 
     #[test]
     fn partition_migration_matches_never_migrated_run() {
-        // Source serves R1+R2; R2 migrates mid-stream to a fresh engine.
-        // A reference engine that saw the whole R2 history in place must
-        // fire identically to the migrated destination.
-        let mut source = engine();
-        let mut dest = engine();
-        let mut reference = engine();
-        let (ssink, sl) = capture();
-        let (dsink, dl) = capture();
-        let (rsink, rl) = capture();
-        source.create_statement(LISTING1_EPL, sl).unwrap();
-        dest.create_statement(LISTING1_EPL, dl).unwrap();
-        reference.create_statement(LISTING1_EPL, rl).unwrap();
+        // One rule, and three whose lengths are views of one pane ring.
+        for lengths in [&[3][..], &[1, 3, 10]] {
+            migrate_and_compare(lengths);
+        }
+    }
+
+    /// Source serves R1+R2 under one Listing-1 rule per length; R2
+    /// migrates mid-stream to a fresh engine. A reference engine that saw
+    /// the whole R2 history in place must fire identically to the migrated
+    /// destination, rule by rule.
+    fn migrate_and_compare(lengths: &[usize]) {
+        let mut engines = [engine(), engine(), engine()];
+        let sinks: Vec<Vec<_>> = engines
+            .iter_mut()
+            .map(|eng| {
+                let mut sinks = Vec::new();
+                for &len in lengths {
+                    let (sink, l) = capture();
+                    eng.create_statement(&listing1(len), l).unwrap();
+                    sinks.push(sink);
+                }
+                sinks
+            })
+            .collect();
+        let [source, dest, reference] = &mut engines;
+        let [ssinks, dsinks, rsinks] = &sinks[..] else { unreachable!() };
         let tty = threshold_type();
         for (loc, thr) in [("R1", 50.0), ("R2", 30.0)] {
             source.send_event(threshold_event(&tty, loc, thr)).unwrap();
@@ -1553,23 +1619,38 @@ mod tests {
                 reference.send_event(threshold_event(&tty, loc, thr)).unwrap();
             }
         }
-        // Pre-migration traffic; R2 stays at/below its threshold so far.
-        for (ts, d) in [(1u64, 20.0), (2, 40.0)] {
-            source.send_event(bus_event(&source, ts, 9, "R2", d, 8)).unwrap();
-            reference.send_event(bus_event(&reference, ts, 9, "R2", d, 8)).unwrap();
+        // Pre-migration traffic: twelve R2 arrivals, more than any length.
+        let mut r2 = Vec::new();
+        for (i, d) in [20.0, 40.0, 10.0, 35.0, 25.0, 50.0, 5.0, 30.0, 45.0, 15.0, 28.0, 33.0]
+            .into_iter()
+            .enumerate()
+        {
+            let ts = 1 + 2 * i as u64;
+            r2.push(bus_event(source, ts, 9, "R2", d, 8));
+            source.send_event(r2[i].clone()).unwrap();
+            reference.send_event(bus_event(reference, ts, 9, "R2", d, 8)).unwrap();
+            source.send_event(bus_event(source, ts + 1, 1, "R1", 10.0, 8)).unwrap();
         }
-        source.send_event(bus_event(&source, 3, 1, "R1", 60.0, 8)).unwrap();
-        assert_eq!(ssink.lock().len(), 1, "R1 fired at the source");
-        assert_eq!(rsink.lock().len(), 0);
+        let r1_rows = |sink: &Mutex<Vec<OutputRow>>| {
+            sink.lock().iter().filter(|r| r.get("loc") == Some(&FieldValue::from("R1"))).count()
+        };
+        source.send_event(bus_event(source, 30, 1, "R1", 600.0, 8)).unwrap();
+        assert_eq!(r1_rows(&ssinks[0]), 1, "R1 fired at the source");
 
         // Migrate R2: ship window + threshold state, evict, absorb.
         let vals = [FieldValue::from("R2")];
         let bus_state = source.collect_partition("bus", "location", &vals).unwrap();
         let thr_state =
             source.collect_partition("thresholdLocation", "location", &vals).unwrap();
-        assert_eq!(bus_state.len(), 2, "both retained R2 bus events ship");
+        // The ring holds each retained event once: the longest view's rows.
+        let longest = *lengths.iter().max().unwrap();
+        let want: Vec<_> = r2[r2.len() - longest..]
+            .iter()
+            .map(|e| (e.timestamp_ms(), e.values().to_vec()))
+            .collect();
+        assert_eq!(bus_state.rows, want, "R2's newest {longest} ship, each once");
         assert_eq!(thr_state.len(), 1, "R2's threshold row ships");
-        assert!(source.evict_partition("bus", "location", &vals).unwrap() >= 2);
+        assert!(source.evict_partition("bus", "location", &vals).unwrap() >= longest);
         source.evict_partition("thresholdLocation", "location", &vals).unwrap();
         assert!(
             source.collect_partition("bus", "location", &vals).unwrap().is_empty(),
@@ -1577,20 +1658,23 @@ mod tests {
         );
         dest.absorb_partition(&bus_state).unwrap();
         dest.absorb_partition(&thr_state).unwrap();
-        assert_eq!(dsink.lock().len(), 0, "absorption must not fire listeners");
+        assert!(dsinks.iter().all(|s| s.lock().is_empty()), "absorption must not fire listeners");
+        let before: Vec<usize> = rsinks.iter().map(|s| s.lock().len()).collect();
 
         // Post-migration R2 traffic runs at the destination; firings must
         // match the engine that never migrated, row for row.
-        for (ts, d) in [(4u64, 40.0), (5, 45.0)] {
-            dest.send_event(bus_event(&dest, ts, 9, "R2", d, 8)).unwrap();
-            reference.send_event(bus_event(&reference, ts, 9, "R2", d, 8)).unwrap();
+        for (ts, d) in [(40u64, 40.0), (41, 45.0), (42, 12.0), (43, 60.0), (44, 2.0)] {
+            dest.send_event(bus_event(dest, ts, 9, "R2", d, 8)).unwrap();
+            reference.send_event(bus_event(reference, ts, 9, "R2", d, 8)).unwrap();
         }
-        assert_eq!(*dsink.lock(), *rsink.lock());
-        assert!(!dsink.lock().is_empty(), "the scenario must actually fire");
+        for ((d, r), from) in dsinks.iter().zip(rsinks).zip(before) {
+            assert_eq!(*d.lock(), r.lock()[from..]);
+        }
+        assert!(dsinks.iter().all(|s| !s.lock().is_empty()), "the scenario must actually fire");
 
         // The source keeps serving R1 undisturbed.
-        source.send_event(bus_event(&source, 6, 1, "R1", 70.0, 8)).unwrap();
-        assert_eq!(ssink.lock().len(), 2);
+        source.send_event(bus_event(source, 50, 1, "R1", 700.0, 8)).unwrap();
+        assert_eq!(r1_rows(&ssinks[0]), 2);
     }
 
     #[test]

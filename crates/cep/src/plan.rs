@@ -20,7 +20,7 @@ use crate::ast::{
 use crate::error::CepError;
 use crate::event::{Event, EventType, FieldValue, JoinKey};
 use crate::expr::eval;
-use crate::window::{SourceWindow, WindowSpec};
+use crate::window::{SourceWindow, WindowSpec, WindowView};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -420,10 +420,20 @@ fn compile_views(
                 })?;
                 group_field = Some(idx);
             }
-            ("std", "lastevent") => set_window(&mut window, WindowSpec::LastEvent, &full, v)?,
+            ("std", "lastevent") | ("win", "keepall") => {
+                if !v.args.is_empty() {
+                    return Err(CepError::BadView {
+                        view: full,
+                        reason: "view takes no arguments".into(),
+                    });
+                }
+                let spec =
+                    if v.name == "lastevent" { WindowSpec::Length(1) } else { WindowSpec::KeepAll };
+                set_window(&mut window, spec, &full)?;
+            }
             ("std", "unique") => {
                 // `std:unique(f)`: most recent event per distinct value of
-                // f — a grouped last-event window.
+                // f — a grouped length-1 window.
                 let [ViewArg::Field(fname)] = v.args.as_slice() else {
                     return Err(CepError::BadView {
                         view: full,
@@ -447,15 +457,15 @@ fn compile_views(
                         reason: "more than one data window in the chain".into(),
                     });
                 }
-                window = Some(WindowSpec::LastEvent);
+                window = Some(WindowSpec::Length(1));
             }
             ("win", "length") => {
                 let n = int_arg(v, &full)?;
-                set_window(&mut window, WindowSpec::Length(n), &full, v)?;
+                set_window(&mut window, WindowSpec::Length(n), &full)?;
             }
             ("win", "length_batch") => {
                 let n = int_arg(v, &full)?;
-                set_window(&mut window, WindowSpec::LengthBatch(n), &full, v)?;
+                set_window(&mut window, WindowSpec::LengthBatch(n), &full)?;
             }
             ("win", "time") | ("win", "time_batch") => {
                 let secs = match v.args.as_slice() {
@@ -474,9 +484,8 @@ fn compile_views(
                 } else {
                     WindowSpec::TimeBatchMs(ms)
                 };
-                set_window(&mut window, spec, &full, v)?;
+                set_window(&mut window, spec, &full)?;
             }
-            ("win", "keepall") => set_window(&mut window, WindowSpec::KeepAll, &full, v)?,
             _ => {
                 return Err(CepError::BadView {
                     view: full,
@@ -485,25 +494,14 @@ fn compile_views(
             }
         }
     }
-    // A bare stream (no data window) behaves as lastevent: each arriving
-    // event is visible until the next one — Esper's default for a stream
-    // without a view is "all events" (keepall-ish istream); we pick
+    // A bare stream (no data window) behaves as lastevent, length 1: each
+    // arriving event is visible until the next one — Esper's default for a
+    // stream without a view is "all events" (keepall-ish istream); we pick
     // lastevent, which is what plain `FROM stream` means in push mode.
-    Ok((window.unwrap_or(WindowSpec::LastEvent), group_field))
+    Ok((window.unwrap_or(WindowSpec::Length(1)), group_field))
 }
 
-fn set_window(
-    slot: &mut Option<WindowSpec>,
-    spec: WindowSpec,
-    full: &str,
-    v: &ViewSpec,
-) -> Result<(), CepError> {
-    if matches!(spec, WindowSpec::LastEvent | WindowSpec::KeepAll) && !v.args.is_empty() {
-        return Err(CepError::BadView {
-            view: full.to_string(),
-            reason: "view takes no arguments".into(),
-        });
-    }
+fn set_window(slot: &mut Option<WindowSpec>, spec: WindowSpec, full: &str) -> Result<(), CepError> {
     if slot.is_some() {
         return Err(CepError::BadView {
             view: full.to_string(),
@@ -710,7 +708,7 @@ impl CompiledStatement {
     #[allow(clippy::type_complexity)] // the signature is the public contract
     pub fn evaluate(
         &self,
-        windows: &[&SourceWindow],
+        windows: &[WindowView<'_>],
         anchor: Option<&Event>,
         cache: &mut JoinCache,
     ) -> Result<Vec<OutputRow>, CepError> {

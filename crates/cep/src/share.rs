@@ -7,16 +7,18 @@
 //! sharing planner composes at statement-install time:
 //!
 //! * [`WindowKey`] — the fingerprint under which two FROM sources may
-//!   share one [`SourceWindow`] (stream, window spec, groupwin field).
-//!   A source joins a window only while that window has seen no event,
-//!   which makes sharing semantically invisible: every statement observes
-//!   exactly the window state it would have owned privately.
+//!   share one [`SourceWindow`]: stream, groupwin field, and the spec of
+//!   any window but a length window. Every `win:length(L)` over one stream
+//!   and groupwin field is a view of one ring; sources of one length read
+//!   one view. A source joins a window only while that window has seen no
+//!   event, which makes sharing semantically invisible: every statement
+//!   observes exactly the window state it would have owned privately.
 //! * [`SharedJoinShape`] — recognition of the Listing-1 family
 //!   (`lastevent` anchor × grouped pane, optionally × `keepall`
 //!   threshold stream) that covers every rule form the paper generates,
 //!   and of the single-source aggregates whose groups are their panes.
 //! * The pane bank and [`ThresholdIndex`] — per-group running aggregates
-//!   over a shared pane window (a superset of the cluster's aggregate
+//!   over a shared pane view (a superset of the cluster's aggregate
 //!   fields; they live with the panes, see
 //!   [`SourceWindow::track_field`]) and one keyed hash index over a
 //!   threshold stream, both maintained as events arrive. With these,
@@ -31,15 +33,18 @@
 //! Exactness: a pane accumulator is finalized under the join multiplicity
 //! via [`Accumulator::scaled`]; for integer-valued samples the result is
 //! bit-identical to the rescan path (enforced by the differential suite). On
-//! non-integer samples subtract-on-evict drifts; a pane bounds that by
-//! recomputing from its events once its evictions since the last
+//! non-integer samples subtract-on-evict drifts; each view of a pane bounds
+//! that by recomputing from its own rows once its evictions since the last
 //! recompute reach its row count.
+//!
+//! [`SourceWindow`]: crate::window::SourceWindow
+//! [`SourceWindow::track_field`]: crate::window::SourceWindow::track_field
 
 use crate::agg::Accumulator;
 use crate::error::CepError;
 use crate::event::{Event, JoinKey};
 use crate::plan::{CompiledStatement, OutputRow};
-use crate::window::{SourceWindow, WindowSpec};
+use crate::window::{WindowSpec, WindowView};
 use std::collections::HashMap;
 
 /// Fingerprint under which two FROM sources are window-compatible.
@@ -47,8 +52,9 @@ use std::collections::HashMap;
 pub struct WindowKey {
     /// Stream (event type) name.
     pub stream: String,
-    /// Data window spec.
-    pub spec: WindowSpec,
+    /// Data window spec; `None` for a length window, whose views read any
+    /// length.
+    pub spec: Option<WindowSpec>,
     /// `std:groupwin` field, if grouped.
     pub group_field: Option<usize>,
 }
@@ -56,18 +62,15 @@ pub struct WindowKey {
 impl WindowKey {
     /// The fingerprint of one compiled source.
     pub fn of(source: &crate::plan::CompiledSource) -> WindowKey {
-        WindowKey {
-            stream: source.stream.clone(),
-            spec: source.window,
-            group_field: source.group_field,
-        }
+        let spec = Some(source.window).filter(|s| !matches!(s, WindowSpec::Length(_)));
+        WindowKey { stream: source.stream.clone(), spec, group_field: source.group_field }
     }
 }
 
 /// The recognized pane shapes. The Listing-1 family:
 ///
 /// ```text
-/// FROM A.std:lastevent()                    AS anchor,   -- source 0
+/// FROM A.std:lastevent()                    AS anchor,   -- source 0 (length 1)
 ///      A.std:groupwin(g).<non-batch window> AS pane      -- source 1
 ///   [, B.win:keepall()                      AS thresholds -- source 2]
 /// WHERE anchor.k0 = pane.g  [AND  anchor.t* = thresholds.t*]
@@ -144,7 +147,7 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
     };
     let (anchor, pane) = (&stmt.sources[0], &stmt.sources[pane_at]);
     // Pane: a non-batch FIFO window (batch windows change the
-    // anchor-participation story; lastevent panes are legal but trivial).
+    // anchor-participation story).
     if !matches!(pane.window, WindowSpec::Length(_) | WindowSpec::TimeMs(_) | WindowSpec::KeepAll) {
         return None;
     }
@@ -157,9 +160,9 @@ pub fn shared_join_shape(stmt: &CompiledStatement) -> Option<SharedJoinShape> {
         }
         pane.group_field
     } else {
-        // Anchor: bare lastevent over the same stream as the grouped pane.
+        // Anchor: ungrouped length 1 (`lastevent`) over the pane's stream.
         let pane_group_field = pane.group_field?;
-        if anchor.window != WindowSpec::LastEvent
+        if anchor.window != WindowSpec::Length(1)
             || anchor.group_field.is_some()
             || anchor.stream != pane.stream
         {
@@ -312,7 +315,7 @@ impl ThresholdIndex {
 
     /// Rebuilds from a window's full contents (in insertion order, so
     /// `last` matches the rescan path's last-row binding).
-    pub fn rebuild(&mut self, window: &SourceWindow) -> Result<(), CepError> {
+    pub fn rebuild(&mut self, window: WindowView<'_>) -> Result<(), CepError> {
         self.entries.clear();
         for e in window.iter() {
             self.insert(e)?;
@@ -416,7 +419,7 @@ impl<'s, 'e> ArrivalMemo<'s, 'e> {
 /// statements only), the aggregates and HAVING; the binding and the output
 /// row are built for a group that fires. Byte-identical to
 /// [`CompiledStatement::evaluate`] for eligible statements under
-/// integer-valued samples. `pane` is the window of source `shape.pane`;
+/// integer-valued samples. `pane` is the view of source `shape.pane`;
 /// `tindex` is `Some` exactly when the shape has a threshold side;
 /// `on_threshold` says the arrival came in on it.
 #[allow(clippy::too_many_arguments)]
@@ -424,14 +427,14 @@ pub fn evaluate_shared_join<'s>(
     stmt: &CompiledStatement,
     shape: &SharedJoinShape,
     aggs: &[AggSrc],
-    source0: &SourceWindow,
-    pane: &'s SourceWindow,
+    source0: WindowView<'_>,
+    pane: WindowView<'s>,
     tindex: Option<&'s ThresholdIndex>,
     on_threshold: bool,
     memo: &mut ArrivalMemo<'s, '_>,
 ) -> Result<Vec<OutputRow>, CepError> {
     let (a, group, entry) = if on_threshold {
-        // The source-0 binding is whatever the lastevent window holds.
+        // The source-0 binding is whatever the length-1 anchor holds.
         let Some(a) = source0.iter().next() else { return Ok(Vec::new()) };
         if !stmt.passes_first_filter(a)? {
             return Ok(Vec::new());
@@ -510,7 +513,7 @@ pub fn evaluate_shared_join<'s>(
 }
 
 /// One cluster in the chosen plan: the statements (one or more) fanned
-/// out from one pane window's aggregates and, for three-source rules, one
+/// out from one pane view's aggregates and, for three-source rules, one
 /// threshold index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterInfo {
@@ -531,7 +534,8 @@ pub struct ClusterInfo {
 /// in the per-statement profiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharingReport {
-    /// Window slots referenced by more than one statement source.
+    /// Window slots referenced by more than one statement source (through
+    /// one view or several).
     pub shared_windows: usize,
     /// Window slots referenced by exactly one statement source.
     pub private_windows: usize,

@@ -383,3 +383,51 @@ fn rule_removal_mid_migration_keeps_sibling_shared_state_intact() {
     assert_eq!(*ref_sink.lock(), *sink_a.lock(), "sibling output diverged");
     assert_eq!(sink_b.lock().len(), fired_b, "removed rules stay silent");
 }
+
+#[test]
+fn mixed_lengths_share_one_ring() {
+    // Table 6's shape: one rule per length over one stream and group
+    // field. The lengths are views of one pane ring, one cluster each.
+    let lengths = [1, 3, 10];
+    let mut e = engine(true);
+    let mut sinks = Vec::new();
+    let mut ids = Vec::new();
+    for l in lengths {
+        let (sink, listener) = capture();
+        ids.push(e.create_statement(&epl(l), listener).unwrap().id);
+        sinks.push(sink);
+    }
+    let report = e.sharing_report();
+    // The anchor, the pane ring and the thresholds, each read by all three.
+    assert_eq!(report.shared_windows, 3);
+    assert_eq!(report.private_windows, 0);
+    assert_eq!(report.shared_statements, 3);
+    let clusters: Vec<_> = report.clusters.iter().map(|c| c.statements.clone()).collect();
+    assert_eq!(clusters, ids.iter().map(|&id| vec![id]).collect::<Vec<_>>(), "one per length");
+
+    let (mut alone, alone_sinks): (Vec<_>, Vec<_>) = lengths
+        .iter()
+        .map(|&l| {
+            let mut eng = engine(true);
+            let (sink, listener) = capture();
+            eng.create_statement(&epl(l), listener).unwrap();
+            (eng, sink)
+        })
+        .unzip();
+    for eng in std::iter::once(&mut e).chain(&mut alone) {
+        send_threshold(eng, 0, "R1", 4.0);
+        send_threshold(eng, 1, "R2", 6.0);
+        for i in 0..40u64 {
+            let loc = if i % 3 == 0 { "R2" } else { "R1" };
+            send_bus(eng, 10 + i, loc, ((i * 7) % 11) as f64 + 0.5);
+        }
+    }
+    for (l, (shared, alone)) in lengths.iter().zip(sinks.iter().zip(&alone_sinks)) {
+        assert!(!alone.lock().is_empty(), "length {l} must fire");
+        assert_eq!(*shared.lock(), *alone.lock(), "length {l} diverged from running alone");
+    }
+    let profile = e.profile();
+    let occupancy: Vec<usize> = profile.iter().map(|p| p.window_len).collect();
+    // Anchor 1 + this length's rows of R1 and R2 + two thresholds.
+    assert_eq!(occupancy, [1 + 2 + 2, 1 + 6 + 2, 1 + 20 + 2], "each view counts its own rows");
+}
