@@ -51,6 +51,8 @@ pub mod error;
 mod executor;
 pub mod fault;
 pub mod flight;
+#[cfg(test)]
+mod golden_exposition;
 pub mod grouping;
 pub mod lineage;
 pub mod metrics;
