@@ -25,7 +25,7 @@ use crate::fault::FaultConfig;
 use crate::flight::FlightRecorder;
 use crate::grouping::Grouping;
 use crate::lineage::{SpanKind, SpanSink};
-use crate::metrics::TaskCounters;
+use crate::metrics::{Counter, TaskCounters};
 use crossbeam::channel::Sender;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -333,9 +333,7 @@ impl<T: Clone> TaskEmitter<T> {
         if self.routes[ri].senders[ti].send_weighted(packet, n).is_err() {
             // The receiving task died (its channel tore down): the tuples
             // are lost — count them instead of vanishing silently.
-            for _ in 0..n {
-                self.counters.record_dropped();
-            }
+            self.counters.add(Counter::Dropped, n as u64);
         } else if let Some(depth) = &self.routes[ri].depths[ti] {
             // Only deliveries that actually entered the channel occupy it.
             depth.fetch_add(n as i64, Ordering::Relaxed);
@@ -376,7 +374,7 @@ impl<T: Clone> TaskEmitter<T> {
             // direct edge): not an emission, and nothing to track.
             return;
         }
-        self.counters.record_emit();
+        self.counters.add(Counter::Emitted, 1);
         let n = self.targets.len();
         let targets = std::mem::take(&mut self.targets);
         let tracked = self.acker.is_some() && !self.anchors.is_empty();
@@ -430,8 +428,8 @@ impl<T: Clone> TaskEmitter<T> {
         let tracked = tid != 0;
         if let Some((p, rng)) = &mut self.drop_fault {
             if rng.random_bool(*p) {
-                self.counters.record_dropped();
-                self.counters.record_injected_drop();
+                self.counters.add(Counter::Dropped, 1);
+                self.counters.add(Counter::InjectedDrops, 1);
                 return;
             }
         }
@@ -507,8 +505,8 @@ impl<T: Clone> Emitter<T> for TaskEmitter<T> {
                 }
             }
         }
-        for _ in 0..misrouted {
-            self.counters.record_misrouted();
+        if misrouted > 0 {
+            self.counters.add(Counter::Misrouted, misrouted);
         }
         self.dispatch(msg);
     }

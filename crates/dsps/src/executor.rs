@@ -22,7 +22,7 @@ use crate::emitter::{Emitter, Envelope, Packet, TaskEmitter};
 use crate::error::DspsError;
 use crate::flight::FlightKind;
 use crate::lineage::SpanKind;
-use crate::metrics::TaskCounters;
+use crate::metrics::{Counter, TaskCounters};
 use crate::runtime::ReliabilityConfig;
 use crate::topology::{Bolt, BoltContext, BoltFactory, Spout};
 use crossbeam::channel::{Receiver, TryRecvError};
@@ -245,10 +245,11 @@ pub(crate) fn run_spout_executor<T: Clone>(
             if let Some(rx) = &t.completions {
                 while let Ok((root, completed_at)) = rx.try_recv() {
                     if let Some(p) = t.pending.remove(&root) {
-                        t.emitter.counters.record_acked();
+                        t.emitter.counters.add(Counter::Acked, 1);
                         t.emitter
                             .counters
-                            .record_completion(completed_at.saturating_duration_since(p.first_emit));
+                            .e2e
+                            .record(completed_at.saturating_duration_since(p.first_emit));
                         if let Some(l) = &mut t.emitter.lineage {
                             if let Some((trace, parent)) = p.trace {
                                 // The tree is done at the acker's completion
@@ -289,7 +290,7 @@ pub(crate) fn run_spout_executor<T: Clone>(
                             .expect("due roots were just collected from `pending`");
                         acker.abandon(root);
                         if p.retries >= rel.max_retries {
-                            t.emitter.counters.record_failed();
+                            t.emitter.counters.add(Counter::Failed, 1);
                             continue;
                         }
                         let retries = p.retries + 1;
@@ -319,7 +320,7 @@ pub(crate) fn run_spout_executor<T: Clone>(
                                 trace,
                             },
                         );
-                        t.emitter.counters.record_replayed();
+                        t.emitter.counters.add(Counter::Replayed, 1);
                         progressed = true;
                     }
                 }
@@ -419,7 +420,7 @@ pub(crate) fn run_spout_executor<T: Clone>(
             if let Some((acker, _)) = &reliable {
                 for (root, _) in t.pending.drain() {
                     acker.abandon(root);
-                    t.emitter.counters.record_failed();
+                    t.emitter.counters.add(Counter::Failed, 1);
                 }
             }
             t.emitter.send_eos();
@@ -629,9 +630,8 @@ pub(crate) fn run_chained<T: Clone>(
     sender: &TaskCounters,
 ) {
     if t.done {
-        for _ in buf.drain(..) {
-            sender.record_dropped();
-        }
+        sender.add(Counter::Dropped, buf.len() as u64);
+        buf.clear();
         return;
     }
     if let Err(e) = deliver(t, buf.drain(..)) {
@@ -710,7 +710,7 @@ fn process_envelope<T: Clone>(t: &mut BoltTask<T>, env: Envelope<T>) -> Result<(
     // cannot reach the counters): drain the executor-thread tallies.
     let (injected_panics, injected_latency) = crate::fault::take_injections();
     if injected_panics > 0 {
-        t.emitter.counters.record_injected_panics(injected_panics);
+        t.emitter.counters.add(Counter::InjectedPanics, injected_panics);
         t.emitter.flight.record(
             FlightKind::ChaosPanic,
             &t.emitter.component,
@@ -719,7 +719,7 @@ fn process_envelope<T: Clone>(t: &mut BoltTask<T>, env: Envelope<T>) -> Result<(
         );
     }
     if injected_latency > 0 {
-        t.emitter.counters.record_injected_latency(injected_latency);
+        t.emitter.counters.add(Counter::InjectedLatency, injected_latency);
     }
     if let Some(l) = &mut t.emitter.lineage {
         if let Some((trace, q, pid, start_ns, root_ns)) = proc_ctx {
@@ -740,7 +740,8 @@ fn process_envelope<T: Clone>(t: &mut BoltTask<T>, env: Envelope<T>) -> Result<(
                 l.sink.record(trace, pid, SpanKind::Completion, 0, end, 0);
                 t.emitter
                     .counters
-                    .record_completion(Duration::from_nanos(end.saturating_sub(root_ns)));
+                    .e2e
+                    .record(Duration::from_nanos(end.saturating_sub(root_ns)));
             }
         }
         l.active = None;
@@ -789,7 +790,7 @@ fn process_envelope<T: Clone>(t: &mut BoltTask<T>, env: Envelope<T>) -> Result<(
                     Ok((bolt, state)) => {
                         t.bolt = bolt;
                         t.restarts += 1;
-                        t.emitter.counters.record_restarted();
+                        t.emitter.counters.add(Counter::Restarted, 1);
                         t.emitter.flight.record(
                             FlightKind::TaskRestart,
                             &t.emitter.component,

@@ -13,6 +13,7 @@
 //! near the failure); `dropped` counts evictions. On an executor's fatal
 //! panic the runtime dumps the ring to stderr.
 
+use crate::metrics::json_string;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,9 +223,9 @@ impl FlightRecorder {
                 e.seq,
                 e.at_ns,
                 e.kind.name(),
-                json_str(&e.component),
+                json_string(&e.component),
                 e.task,
-                json_str(&e.detail),
+                json_string(&e.detail),
             ));
         }
         out.push_str("]}");
@@ -253,24 +254,6 @@ impl FlightRecorder {
             );
         }
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! rings, reassembles the trees, exports Chrome `trace_event` JSON and a
 //! JSONL span log, and folds every span into a [`CriticalPathReport`] that
 //! decomposes end-to-end latency into queue-wait vs compute vs replay per
-//! component and names the bottleneck.
+//! component and names the bottleneck. Both exports escape their strings
+//! with the one JSON escaper the metrics and flight renderings use too.
 //!
 //! Design constraints, in order:
 //! 1. lineage **off** must not touch the hot path at all (the runtime only
@@ -22,6 +23,7 @@
 //!    is two atomic loads, one slot write, one release store, and a full
 //!    ring drops the newest span (counting it) rather than blocking.
 
+use crate::metrics::json_string;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -685,7 +687,7 @@ impl TraceCollector {
                 s.id,
                 s.parent,
                 s.kind.name(),
-                json_str(comp),
+                json_string(comp),
                 s.task,
                 s.other,
                 s.start_ns,
@@ -714,7 +716,7 @@ pub fn render_chrome_trace(spans: &[Span], names: &HashMap<u32, String>) -> Stri
         out.push_str(&format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{task},\
              \"args\":{{\"name\":{}}}}}",
-            json_str(name)
+            json_string(name)
         ));
     }
     for s in spans {
@@ -727,7 +729,7 @@ pub fn render_chrome_trace(spans: &[Span], names: &HashMap<u32, String>) -> Stri
             "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
              \"pid\":0,\"tid\":{},\"args\":{{\"trace\":\"{:#018x}\",\
              \"span\":\"{:#x}\",\"parent\":\"{:#x}\",\"other\":{}}}}}",
-            json_str(&format!("{}:{}", comp, s.kind.name())),
+            json_string(&format!("{}:{}", comp, s.kind.name())),
             s.kind.name(),
             s.start_ns as f64 / 1_000.0,
             s.dur_ns as f64 / 1_000.0,
@@ -739,26 +741,6 @@ pub fn render_chrome_trace(spans: &[Span], names: &HashMap<u32, String>) -> Stri
         ));
     }
     out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaper (the metrics module has its own; lineage
-/// stays dependency-free too).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -19,6 +19,14 @@
 //! [`LatencyHistogram`] with p50/p95/p99: spout emit → tuple-tree
 //! completion for every acked root in reliability mode, spout emit →
 //! terminal bolt for the lineage-sampled trees in at-most-once mode.
+//!
+//! Every per-component quantity is declared once, as a row of one table
+//! (Prometheus name, JSON key, help text, window field); a task counter
+//! is a [`Counter`] variant whose row says which field it sums into.
+//! Recording ([`TaskCounters::add`]), window deltas, lifetime totals,
+//! `/metrics` and `/json` all iterate that table, so a quantity cannot
+//! reach one route and miss the other. Rule profiles have the same kind
+//! of table. The one JSON string escaper of the crate lives here too.
 
 use crate::lineage::LineageConfig;
 use parking_lot::Mutex;
@@ -210,37 +218,51 @@ impl LatencyHistogram {
     }
 }
 
-/// Atomic counters owned by one task.
-#[derive(Debug, Default)]
-pub struct TaskCounters {
+/// A task counter. Each task adds to its own [`TaskCounters`] with one
+/// relaxed `fetch_add`; windows and totals sum a counter over a
+/// component's tasks into one [`ComponentWindow`] field. Declaring one is
+/// a variant here, its row in the families table (Prometheus name, JSON
+/// key, help text, window field) and that field; windows, totals and both
+/// scrape renderings follow from the row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
     /// Tuples processed by the task's `process` call (bolts only; spout
-    /// emission is accounted separately under `emitted`).
-    pub processed: AtomicU64,
+    /// emission is accounted separately under `Emitted`).
+    Processed,
     /// Tuples emitted downstream.
-    pub emitted: AtomicU64,
-    /// Cumulative processing time in nanoseconds.
-    pub busy_ns: AtomicU64,
+    Emitted,
     /// Deliveries lost in transit: sends to a closed channel (the
     /// receiving task died) plus injected fault drops.
-    pub dropped: AtomicU64,
+    Dropped,
     /// Direct emissions whose target task index was out of range for the
     /// edge: a routing bug in the emitting bolt (the delivery is dropped
     /// on that edge instead of aliasing onto `task % count`).
-    pub misrouted: AtomicU64,
+    Misrouted,
     /// Spout roots whose whole tuple tree completed (at-least-once mode).
-    pub acked: AtomicU64,
+    Acked,
     /// Spout roots abandoned after exhausting their replay budget.
-    pub failed: AtomicU64,
+    Failed,
     /// Replays emitted after an ack timeout.
-    pub replayed: AtomicU64,
+    Replayed,
     /// Supervised restarts of this task after a panic.
-    pub restarted: AtomicU64,
+    Restarted,
     /// Fault-injection panics that fired in this task ([`fault`](crate::fault)).
-    pub injected_panics: AtomicU64,
+    InjectedPanics,
     /// Fault-injection latency sleeps that fired in this task.
-    pub injected_latency: AtomicU64,
+    InjectedLatency,
     /// Fault-injection deliveries dropped on this task's outbound edges.
-    pub injected_drops: AtomicU64,
+    InjectedDrops,
+}
+
+/// How many [`Counter`]s there are.
+const COUNTERS: usize = Counter::InjectedDrops as usize + 1;
+
+/// Atomic counters owned by one task.
+#[derive(Debug, Default)]
+pub struct TaskCounters {
+    counts: [AtomicU64; COUNTERS],
+    /// Cumulative processing time in nanoseconds.
+    busy_ns: AtomicU64,
     /// End-to-end completion latency: spout emit → tuple-tree completion
     /// (recorded by the spout for every acked root in reliability mode) or
     /// spout emit → sink processing (recorded by terminal bolts for the
@@ -251,63 +273,14 @@ pub struct TaskCounters {
 impl TaskCounters {
     /// Records the processing of one tuple that took `elapsed`.
     pub fn record(&self, elapsed: Duration) {
-        self.processed.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Processed, 1);
         self.busy_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Records one downstream emission.
-    pub fn record_emit(&self) {
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one delivery lost in transit.
-    pub fn record_dropped(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one out-of-range direct emission.
-    pub fn record_misrouted(&self) {
-        self.misrouted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fully-acked spout root.
-    pub fn record_acked(&self) {
-        self.acked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one spout root given up on.
-    pub fn record_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one replayed spout root.
-    pub fn record_replayed(&self) {
-        self.replayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one supervised task restart.
-    pub fn record_restarted(&self) {
-        self.restarted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` fault-injected panics observed in this task.
-    pub fn record_injected_panics(&self, n: u64) {
-        self.injected_panics.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` fault-injected latency sleeps observed in this task.
-    pub fn record_injected_latency(&self, n: u64) {
-        self.injected_latency.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one fault-injected outbound drop.
-    pub fn record_injected_drop(&self) {
-        self.injected_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one end-to-end completion latency sample.
-    pub fn record_completion(&self, latency: Duration) {
-        self.e2e.record(latency);
+    /// Adds `n` to one counter.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counts[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -347,7 +320,7 @@ impl Default for MonitorConfig {
 }
 
 /// One sampled window for one component, aggregated over its tasks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComponentWindow {
     /// The component's name.
     pub component: String,
@@ -443,22 +416,16 @@ impl RuleProfile {
     /// Counters and histogram recorded since `last` (per-window delta);
     /// gauges pass through unchanged. Saturates at zero if a counter went
     /// backwards (a restarted engine).
-    fn delta(&self, last: &RuleProfile) -> RuleProfile {
-        RuleProfile {
-            rule: self.rule.clone(),
-            engine: self.engine,
-            events_in: self.events_in.saturating_sub(last.events_in),
-            evals: self.evals.saturating_sub(last.evals),
-            firings: self.firings.saturating_sub(last.firings),
-            rows_out: self.rows_out.saturating_sub(last.rows_out),
-            eval: self.eval.delta(&last.eval),
-            path_shared: self.path_shared.saturating_sub(last.path_shared),
-            path_incremental: self.path_incremental.saturating_sub(last.path_incremental),
-            path_anchor: self.path_anchor.saturating_sub(last.path_anchor),
-            path_rescan: self.path_rescan.saturating_sub(last.path_rescan),
-            window_len: self.window_len,
-            threshold_age: self.threshold_age,
+    fn delta(mut self, last: &mut RuleProfile) -> RuleProfile {
+        for (.., counter, field) in RULE_FAMILIES {
+            if counter {
+                let was = *field(last);
+                let now = field(&mut self);
+                *now = now.saturating_sub(was);
+            }
         }
+        self.eval = self.eval.delta(&last.eval);
+        self
     }
 }
 
@@ -467,107 +434,125 @@ impl RuleProfile {
 /// Registered by engine-hosting bolts once their engines exist.
 pub type ProfileSource = Arc<dyn Fn() -> Vec<RuleProfile> + Send + Sync>;
 
+/// A field of a window or a rule profile: written when a window is
+/// assembled, read when one is rendered.
+type Field<T> = fn(&mut T) -> &mut u64;
+
+/// Where a per-component family's value lives in a window.
+#[derive(Clone, Copy)]
+enum Value {
+    /// A task counter, summed over the component's tasks into the field.
+    Sum(Counter, Field<ComponentWindow>),
+    /// A gauge or derived value, read off the assembled window.
+    Gauge(fn(&ComponentWindow) -> u64),
+}
+
+impl Value {
+    fn read(self, w: &mut ComponentWindow) -> u64 {
+        match self {
+            Value::Sum(_, field) => *field(w),
+            Value::Gauge(read) => read(w),
+        }
+    }
+}
+
+/// Every per-component family, in the order both scrape routes render
+/// them: (Prometheus name, JSON key, help text, value). A `_seconds`
+/// family's value is in nanoseconds; a `Sum` is a Prometheus counter, the
+/// rest are gauges.
+#[rustfmt::skip]
+const FAMILIES: [(&str, &str, &str, Value); 15] = {
+    use Counter::*;
+    use Value::{Gauge, Sum};
+    [
+        ("tms_processed_total", "processed", "Tuples processed",
+            Sum(Processed, |w| &mut w.throughput)),
+        ("tms_emitted_total", "emitted", "Tuples emitted downstream",
+            Sum(Emitted, |w| &mut w.emitted)),
+        ("tms_avg_latency_seconds", "avg_latency_ns", "Mean processing time per tuple",
+            Gauge(|w| w.avg_latency.map_or(0, |d| d.as_nanos() as u64))),
+        ("tms_dropped_total", "dropped", "Deliveries lost in transit",
+            Sum(Dropped, |w| &mut w.dropped)),
+        ("tms_misrouted_total", "misrouted", "Direct emissions to an out-of-range task index",
+            Sum(Misrouted, |w| &mut w.misrouted)),
+        ("tms_acked_total", "acked", "Spout roots fully acked",
+            Sum(Acked, |w| &mut w.acked)),
+        ("tms_failed_total", "failed", "Spout roots abandoned after exhausting replays",
+            Sum(Failed, |w| &mut w.failed)),
+        ("tms_replayed_total", "replayed", "Replays emitted after ack timeouts",
+            Sum(Replayed, |w| &mut w.replayed)),
+        ("tms_restarted_total", "restarted", "Supervised task restarts after panics",
+            Sum(Restarted, |w| &mut w.restarted)),
+        ("tms_injected_panics_total", "injected_panics", "Fault-injection panics fired",
+            Sum(InjectedPanics, |w| &mut w.injected_panics)),
+        ("tms_injected_latency_total", "injected_latency", "Fault-injection latency sleeps fired",
+            Sum(InjectedLatency, |w| &mut w.injected_latency)),
+        ("tms_injected_drops_total", "injected_drops", "Fault-injection deliveries dropped",
+            Sum(InjectedDrops, |w| &mut w.injected_drops)),
+        ("tms_queue_depth", "queue_depth", "Tuples buffered in the component's input channels",
+            Gauge(|w| w.queue_depth)),
+        ("tms_queue_depth_max", "queue_depth_max", "Deepest single input channel of the component",
+            Gauge(|w| w.queue_depth_max)),
+        ("tms_queue_capacity", "queue_capacity", "Total capacity of the component's input channels",
+            Gauge(|w| w.queue_capacity)),
+    ]
+};
+
+/// A rule profile's families, in rendering order: (Prometheus name, JSON
+/// key, help text, counter rather than gauge, field). Counters are
+/// windowed as deltas; gauges pass through.
+#[rustfmt::skip]
+const RULE_FAMILIES: [(&str, &str, &str, bool, Field<RuleProfile>); 9] = [
+    ("tms_rule_events_in_total", "events_in", "Events routed into the rule's windows", true,
+        |r| &mut r.events_in),
+    ("tms_rule_evals_total", "evals", "Condition evaluations performed", true, |r| &mut r.evals),
+    ("tms_rule_firings_total", "firings", "Evaluations that produced output rows", true,
+        |r| &mut r.firings),
+    ("tms_rule_rows_out_total", "rows_out", "Output rows produced", true, |r| &mut r.rows_out),
+    ("tms_rule_path_shared_total", "path_shared",
+        "Evals served from a pane bank (cluster of any size, one included)", true,
+        |r| &mut r.path_shared),
+    ("tms_rule_path_incremental_total", "path_incremental", "Evals on the incremental path", true,
+        |r| &mut r.path_incremental),
+    ("tms_rule_path_anchor_total", "path_anchor", "Evals on the anchor fast path", true,
+        |r| &mut r.path_anchor),
+    ("tms_rule_path_rescan_total", "path_rescan", "Evals that fell back to a full rescan", true,
+        |r| &mut r.path_rescan),
+    ("tms_rule_window_events", "window_events", "Events buffered in the rule's windows", false,
+        |r| &mut r.window_len),
+];
+
 /// The counter values a window is computed from.
 #[derive(Debug, Default, Clone)]
 struct Snapshot {
-    processed: u64,
-    emitted: u64,
+    counts: [u64; COUNTERS],
     busy_ns: u64,
-    dropped: u64,
-    misrouted: u64,
-    acked: u64,
-    failed: u64,
-    replayed: u64,
-    restarted: u64,
-    injected_panics: u64,
-    injected_latency: u64,
-    injected_drops: u64,
     e2e: LatencyHistogram,
 }
 
 impl Snapshot {
     fn read(counters: &TaskCounters) -> Self {
         Snapshot {
-            processed: counters.processed.load(Ordering::Relaxed),
-            emitted: counters.emitted.load(Ordering::Relaxed),
+            counts: std::array::from_fn(|i| counters.counts[i].load(Ordering::Relaxed)),
             busy_ns: counters.busy_ns.load(Ordering::Relaxed),
-            dropped: counters.dropped.load(Ordering::Relaxed),
-            misrouted: counters.misrouted.load(Ordering::Relaxed),
-            acked: counters.acked.load(Ordering::Relaxed),
-            failed: counters.failed.load(Ordering::Relaxed),
-            replayed: counters.replayed.load(Ordering::Relaxed),
-            restarted: counters.restarted.load(Ordering::Relaxed),
-            injected_panics: counters.injected_panics.load(Ordering::Relaxed),
-            injected_latency: counters.injected_latency.load(Ordering::Relaxed),
-            injected_drops: counters.injected_drops.load(Ordering::Relaxed),
             e2e: counters.e2e.snapshot(),
         }
     }
 
     fn delta(&self, last: &Snapshot) -> Snapshot {
         Snapshot {
-            processed: self.processed - last.processed,
-            emitted: self.emitted - last.emitted,
+            counts: std::array::from_fn(|i| self.counts[i] - last.counts[i]),
             busy_ns: self.busy_ns - last.busy_ns,
-            dropped: self.dropped - last.dropped,
-            misrouted: self.misrouted - last.misrouted,
-            acked: self.acked - last.acked,
-            failed: self.failed - last.failed,
-            replayed: self.replayed - last.replayed,
-            restarted: self.restarted - last.restarted,
-            injected_panics: self.injected_panics - last.injected_panics,
-            injected_latency: self.injected_latency - last.injected_latency,
-            injected_drops: self.injected_drops - last.injected_drops,
             e2e: self.e2e.delta(&last.e2e),
         }
     }
 
     fn add(&mut self, other: &Snapshot) {
-        self.processed += other.processed;
-        self.emitted += other.emitted;
-        self.busy_ns += other.busy_ns;
-        self.dropped += other.dropped;
-        self.misrouted += other.misrouted;
-        self.acked += other.acked;
-        self.failed += other.failed;
-        self.replayed += other.replayed;
-        self.restarted += other.restarted;
-        self.injected_panics += other.injected_panics;
-        self.injected_latency += other.injected_latency;
-        self.injected_drops += other.injected_drops;
-        self.e2e.merge(&other.e2e);
-    }
-
-    fn into_window(
-        self,
-        component: String,
-        at: Duration,
-        len: Duration,
-        partial: bool,
-    ) -> ComponentWindow {
-        ComponentWindow {
-            component,
-            at,
-            len,
-            partial,
-            throughput: self.processed,
-            avg_latency: self.busy_ns.checked_div(self.processed).map(Duration::from_nanos),
-            emitted: self.emitted,
-            dropped: self.dropped,
-            misrouted: self.misrouted,
-            acked: self.acked,
-            failed: self.failed,
-            replayed: self.replayed,
-            restarted: self.restarted,
-            injected_panics: self.injected_panics,
-            injected_latency: self.injected_latency,
-            injected_drops: self.injected_drops,
-            e2e: self.e2e,
-            queue_depth: 0,
-            queue_depth_max: 0,
-            queue_capacity: 0,
-            rules: Vec::new(),
+        for (sum, n) in self.counts.iter_mut().zip(other.counts) {
+            *sum += n;
         }
+        self.busy_ns += other.busy_ns;
+        self.e2e.merge(&other.e2e);
     }
 }
 
@@ -644,9 +629,6 @@ impl Default for MetricsHub {
         Self::new()
     }
 }
-
-/// One Prometheus counter family: (metric name, help text, field reader).
-type MetricSpec<T> = (&'static str, &'static str, fn(&T) -> u64);
 
 impl MetricsHub {
     /// Creates an empty hub with the default history retention.
@@ -734,14 +716,12 @@ impl MetricsHub {
             let current = (entry.source)();
             let dest = out.entry(entry.component.clone()).or_default();
             for p in current {
-                let key = (p.rule.clone(), p.engine);
                 if deltas {
-                    let windowed = match entry.last.get(&key) {
-                        Some(last) => p.delta(last),
-                        None => p.clone(),
-                    };
-                    entry.last.insert(key, p);
-                    dest.push(windowed);
+                    let key = (p.rule.clone(), p.engine);
+                    dest.push(match entry.last.insert(key, p.clone()) {
+                        Some(mut last) => p.delta(&mut last),
+                        None => p,
+                    });
                 } else {
                     dest.push(p);
                 }
@@ -763,52 +743,75 @@ impl MetricsHub {
         out
     }
 
+    /// One window per component over `at .. at + len`: its tasks' counters
+    /// summed (since the previous sample with `deltas`, advancing each
+    /// task's mark; over the whole run without), its queue gauges as they
+    /// read now, and its rule profiles.
+    fn windows(
+        &self,
+        deltas: bool,
+        at: Duration,
+        len: Duration,
+        partial: bool,
+    ) -> Vec<ComponentWindow> {
+        let mut gauges = self.queue_gauges();
+        let mut rules = self.rule_profiles(deltas);
+        let mut per_component: BTreeMap<String, Snapshot> = BTreeMap::new();
+        for t in self.tasks.lock().iter_mut() {
+            let now = Snapshot::read(&t.counters);
+            let sum = per_component.entry(t.component.clone()).or_default();
+            if deltas {
+                sum.add(&now.delta(&t.last));
+                t.last = now;
+            } else {
+                sum.add(&now);
+            }
+        }
+        per_component
+            .into_iter()
+            .map(|(component, snap)| {
+                let processed = snap.counts[Counter::Processed as usize];
+                let (queue_depth, queue_depth_max, queue_capacity) =
+                    gauges.remove(&component).unwrap_or_default();
+                let mut w = ComponentWindow {
+                    avg_latency: snap.busy_ns.checked_div(processed).map(Duration::from_nanos),
+                    rules: rules.remove(&component).unwrap_or_default(),
+                    component,
+                    at,
+                    len,
+                    partial,
+                    e2e: snap.e2e,
+                    queue_depth,
+                    queue_depth_max,
+                    queue_capacity,
+                    ..ComponentWindow::default()
+                };
+                for (.., value) in FAMILIES {
+                    if let Value::Sum(counter, field) = value {
+                        *field(&mut w) = snap.counts[counter as usize];
+                    }
+                }
+                w
+            })
+            .collect()
+    }
+
     /// Samples one window: per-component deltas since the previous sample.
     /// Appends to the history and returns the fresh windows.
     pub fn sample(&self) -> Vec<ComponentWindow> {
-        self.sample_inner(false)
+        self.sample_window(false)
     }
 
     /// Samples the final, possibly short window at shutdown; its windows
     /// are marked [`ComponentWindow::partial`].
     pub fn flush_sample(&self) -> Vec<ComponentWindow> {
-        self.sample_inner(true)
+        self.sample_window(true)
     }
 
-    fn sample_inner(&self, partial: bool) -> Vec<ComponentWindow> {
+    fn sample_window(&self, partial: bool) -> Vec<ComponentWindow> {
         let now = self.started.elapsed();
-        let at = {
-            let mut last_end = self.last_end.lock();
-            let at = *last_end;
-            *last_end = now;
-            at
-        };
-        let len = now.saturating_sub(at);
-        let gauges = self.queue_gauges();
-        let mut rules = self.rule_profiles(true);
-        let mut tasks = self.tasks.lock();
-        let mut per_component: BTreeMap<String, Snapshot> = BTreeMap::new();
-        for t in tasks.iter_mut() {
-            let now = Snapshot::read(&t.counters);
-            per_component.entry(t.component.clone()).or_default().add(&now.delta(&t.last));
-            t.last = now;
-        }
-        drop(tasks);
-        let windows: Vec<ComponentWindow> = per_component
-            .into_iter()
-            .map(|(component, snap)| {
-                let mut w = snap.into_window(component, at, len, partial);
-                if let Some(&(depth, max, cap)) = gauges.get(&w.component) {
-                    w.queue_depth = depth;
-                    w.queue_depth_max = max;
-                    w.queue_capacity = cap;
-                }
-                if let Some(r) = rules.remove(&w.component) {
-                    w.rules = r;
-                }
-                w
-            })
-            .collect();
+        let at = std::mem::replace(&mut *self.last_end.lock(), now);
+        let windows = self.windows(true, at, now.saturating_sub(at), partial);
         let mut history = self.history.lock();
         history.extend(windows.iter().cloned());
         while history.len() > self.retention {
@@ -825,32 +828,7 @@ impl MetricsHub {
     /// Lifetime totals per component (independent of windows): one
     /// whole-run window starting at zero.
     pub fn totals(&self) -> Vec<ComponentWindow> {
-        let len = self.started.elapsed();
-        let gauges = self.queue_gauges();
-        let mut rules = self.rule_profiles(false);
-        let tasks = self.tasks.lock();
-        let mut per_component: BTreeMap<String, Snapshot> = BTreeMap::new();
-        for t in tasks.iter() {
-            per_component
-                .entry(t.component.clone())
-                .or_default()
-                .add(&Snapshot::read(&t.counters));
-        }
-        per_component
-            .into_iter()
-            .map(|(component, snap)| {
-                let mut w = snap.into_window(component, Duration::ZERO, len, false);
-                if let Some(&(depth, max, cap)) = gauges.get(&w.component) {
-                    w.queue_depth = depth;
-                    w.queue_depth_max = max;
-                    w.queue_capacity = cap;
-                }
-                if let Some(r) = rules.remove(&w.component) {
-                    w.rules = r;
-                }
-                w
-            })
-            .collect()
+        self.windows(false, Duration::ZERO, self.started.elapsed(), false)
     }
 
     /// Renders the current lifetime totals in the Prometheus text
@@ -859,152 +837,62 @@ impl MetricsHub {
     /// `le` upper bounds in seconds; only non-empty buckets plus `+Inf`
     /// are emitted.
     pub fn render_prometheus(&self) -> String {
-        let totals: Vec<(String, ComponentWindow)> = self
+        let mut totals: Vec<(String, ComponentWindow)> = self
             .totals()
             .into_iter()
             .map(|w| (format!("component=\"{}\"", escape_label(&w.component)), w))
             .collect();
         let mut out = String::with_capacity(4096);
-
-        let counters: [MetricSpec<ComponentWindow>; 11] = [
-            ("tms_processed_total", "Tuples processed", |w| w.throughput),
-            ("tms_emitted_total", "Tuples emitted downstream", |w| w.emitted),
-            ("tms_dropped_total", "Deliveries lost in transit", |w| w.dropped),
-            ("tms_misrouted_total", "Direct emissions to an out-of-range task index", |w| {
-                w.misrouted
-            }),
-            ("tms_acked_total", "Spout roots fully acked", |w| w.acked),
-            ("tms_failed_total", "Spout roots abandoned after exhausting replays", |w| {
-                w.failed
-            }),
-            ("tms_replayed_total", "Replays emitted after ack timeouts", |w| w.replayed),
-            ("tms_restarted_total", "Supervised task restarts after panics", |w| w.restarted),
-            ("tms_injected_panics_total", "Fault-injection panics fired", |w| {
-                w.injected_panics
-            }),
-            ("tms_injected_latency_total", "Fault-injection latency sleeps fired", |w| {
-                w.injected_latency
-            }),
-            ("tms_injected_drops_total", "Fault-injection deliveries dropped", |w| {
-                w.injected_drops
-            }),
-        ];
-        for (name, help, read) in counters {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (labels, w) in &totals {
-                out.push_str(&format!("{name}{{{labels}}} {}\n", read(w)));
+        for (name, _, help, value) in FAMILIES {
+            let kind = if let Value::Sum(..) = value { "counter" } else { "gauge" };
+            family_header(&mut out, name, help, kind);
+            for (labels, w) in &mut totals {
+                let v = value.read(w);
+                if name.ends_with("_seconds") {
+                    out.push_str(&format!("{name}{{{labels}}} {}\n", v as f64 / 1e9));
+                } else {
+                    out.push_str(&format!("{name}{{{labels}}} {v}\n"));
+                }
             }
         }
-
-        out.push_str(
-            "# HELP tms_queue_depth Tuples buffered in the component's input channels\n\
-             # TYPE tms_queue_depth gauge\n",
-        );
-        for (labels, w) in &totals {
-            out.push_str(&format!("tms_queue_depth{{{labels}}} {}\n", w.queue_depth));
-        }
-        out.push_str(
-            "# HELP tms_queue_capacity Total capacity of the component's input channels\n\
-             # TYPE tms_queue_capacity gauge\n",
-        );
-        for (labels, w) in &totals {
-            out.push_str(&format!("tms_queue_capacity{{{labels}}} {}\n", w.queue_capacity));
-        }
-
-        out.push_str(
-            "# HELP tms_e2e_latency_seconds End-to-end tuple completion latency\n\
-             # TYPE tms_e2e_latency_seconds histogram\n",
-        );
+        let name = "tms_e2e_latency_seconds";
+        family_header(&mut out, name, "End-to-end tuple completion latency", "histogram");
         for (labels, w) in &totals {
             if !w.e2e.is_empty() {
-                render_histogram(&mut out, "tms_e2e_latency_seconds", labels, &w.e2e);
+                render_histogram(&mut out, name, labels, &w.e2e);
             }
         }
 
-        let rule_counters: [MetricSpec<RuleProfile>; 8] = [
-            ("tms_rule_events_in_total", "Events routed into the rule's windows", |r| {
-                r.events_in
-            }),
-            ("tms_rule_evals_total", "Condition evaluations performed", |r| r.evals),
-            ("tms_rule_firings_total", "Evaluations that produced output rows", |r| r.firings),
-            ("tms_rule_rows_out_total", "Output rows produced", |r| r.rows_out),
-            (
-                "tms_rule_path_shared_total",
-                "Evals served from a pane bank (cluster of any size, one included)",
-                |r| r.path_shared,
-            ),
-            ("tms_rule_path_incremental_total", "Evals on the incremental path", |r| {
-                r.path_incremental
-            }),
-            ("tms_rule_path_anchor_total", "Evals on the anchor fast path", |r| r.path_anchor),
-            ("tms_rule_path_rescan_total", "Evals that fell back to a full rescan", |r| {
-                r.path_rescan
-            }),
-        ];
-        for (name, help, read) in rule_counters {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (labels, w) in &totals {
-                for r in &w.rules {
-                    out.push_str(&format!(
-                        "{name}{{{labels},rule=\"{}\",engine=\"{}\"}} {}\n",
-                        escape_label(&r.rule),
-                        r.engine,
-                        read(r)
-                    ));
-                }
+        let mut rules: Vec<(String, RuleProfile)> = Vec::new();
+        for (labels, w) in &mut totals {
+            for r in std::mem::take(&mut w.rules) {
+                let rule = escape_label(&r.rule);
+                rules.push((format!("{labels},rule=\"{rule}\",engine=\"{}\"", r.engine), r));
             }
         }
-        out.push_str(
-            "# HELP tms_rule_window_events Events buffered in the rule's windows\n\
-             # TYPE tms_rule_window_events gauge\n",
-        );
-        for (labels, w) in &totals {
-            for r in &w.rules {
-                out.push_str(&format!(
-                    "tms_rule_window_events{{{labels},rule=\"{}\",engine=\"{}\"}} {}\n",
-                    escape_label(&r.rule),
-                    r.engine,
-                    r.window_len
-                ));
+        for (name, _, help, counter, field) in RULE_FAMILIES {
+            family_header(&mut out, name, help, if counter { "counter" } else { "gauge" });
+            for (labels, r) in &mut rules {
+                out.push_str(&format!("{name}{{{labels}}} {}\n", field(r)));
             }
         }
-        out.push_str(
-            "# HELP tms_rule_threshold_age_seconds Age of the thresholds the rule is using\n\
-             # TYPE tms_rule_threshold_age_seconds gauge\n",
-        );
-        for (labels, w) in &totals {
-            for r in &w.rules {
-                if let Some(age) = r.threshold_age {
-                    out.push_str(&format!(
-                        "tms_rule_threshold_age_seconds{{{labels},rule=\"{}\",engine=\"{}\"}} {}\n",
-                        escape_label(&r.rule),
-                        r.engine,
-                        age.as_secs_f64()
-                    ));
-                }
+        let name = "tms_rule_threshold_age_seconds";
+        family_header(&mut out, name, "Age of the thresholds the rule is using", "gauge");
+        for (labels, r) in &rules {
+            if let Some(age) = r.threshold_age {
+                out.push_str(&format!("{name}{{{labels}}} {}\n", age.as_secs_f64()));
             }
         }
-        out.push_str(
-            "# HELP tms_rule_eval_seconds Rule condition evaluation wall time\n\
-             # TYPE tms_rule_eval_seconds histogram\n",
-        );
-        for (labels, w) in &totals {
-            for r in &w.rules {
-                if !r.eval.is_empty() {
-                    let labels = format!(
-                        "{labels},rule=\"{}\",engine=\"{}\"",
-                        escape_label(&r.rule),
-                        r.engine
-                    );
-                    render_histogram(&mut out, "tms_rule_eval_seconds", &labels, &r.eval);
-                }
+        let name = "tms_rule_eval_seconds";
+        family_header(&mut out, name, "Rule condition evaluation wall time", "histogram");
+        for (labels, r) in &rules {
+            if !r.eval.is_empty() {
+                render_histogram(&mut out, name, labels, &r.eval);
             }
         }
 
         for (name, samples) in self.custom_gauges() {
-            out.push_str(&format!(
-                "# HELP tms_{name} Custom gauge\n# TYPE tms_{name} gauge\n"
-            ));
+            family_header(&mut out, &format!("tms_{name}"), "Custom gauge", "gauge");
             for (component, value) in samples {
                 out.push_str(&format!(
                     "tms_{name}{{component=\"{}\"}} {value}\n",
@@ -1018,62 +906,30 @@ impl MetricsHub {
     /// Renders the current lifetime totals as a JSON snapshot (one object
     /// per component, rule profiles nested), dependency-free.
     pub fn render_json(&self) -> String {
-        let totals = self.totals();
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"uptime_s\":");
-        out.push_str(&format!("{:.3}", self.started.elapsed().as_secs_f64()));
-        out.push_str(",\"components\":[");
-        for (i, w) in totals.iter().enumerate() {
+        let uptime = self.started.elapsed().as_secs_f64();
+        let mut out = format!("{{\"uptime_s\":{uptime:.3},\"components\":[");
+        for (i, mut w) in self.totals().into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"component\":{},\"processed\":{},\"emitted\":{},\"avg_latency_ns\":{},\
-                 \"dropped\":{},\"misrouted\":{},\"acked\":{},\"failed\":{},\"replayed\":{},\
-                 \"restarted\":{},\
-                 \"injected_panics\":{},\"injected_latency\":{},\"injected_drops\":{},\
-                 \"queue_depth\":{},\"queue_depth_max\":{},\"queue_capacity\":{},\
-                 \"e2e\":{},\"rules\":[",
-                json_string(&w.component),
-                w.throughput,
-                w.emitted,
-                w.avg_latency.map_or(0, |d| d.as_nanos()),
-                w.dropped,
-                w.misrouted,
-                w.acked,
-                w.failed,
-                w.replayed,
-                w.restarted,
-                w.injected_panics,
-                w.injected_latency,
-                w.injected_drops,
-                w.queue_depth,
-                w.queue_depth_max,
-                w.queue_capacity,
-                json_histogram(&w.e2e),
-            ));
-            for (j, r) in w.rules.iter().enumerate() {
+            out.push_str(&format!("{{\"component\":{}", json_string(&w.component)));
+            for (_, key, _, value) in FAMILIES {
+                out.push_str(&format!(",\"{key}\":{}", value.read(&mut w)));
+            }
+            out.push_str(&format!(",\"e2e\":{},\"rules\":[", json_histogram(&w.e2e)));
+            for (j, r) in w.rules.iter_mut().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
+                out.push_str(&format!("{{\"rule\":{},\"engine\":{}", json_string(&r.rule), r.engine));
+                for (_, key, _, _, field) in RULE_FAMILIES {
+                    out.push_str(&format!(",\"{key}\":{}", field(r)));
+                }
+                let age = r.threshold_age.map(|d| format!("{:.3}", d.as_secs_f64()));
                 out.push_str(&format!(
-                    "{{\"rule\":{},\"engine\":{},\"events_in\":{},\"evals\":{},\
-                     \"firings\":{},\"rows_out\":{},\"path_shared\":{},\"path_incremental\":{},\
-                     \"path_anchor\":{},\"path_rescan\":{},\"window_events\":{},\
-                     \"threshold_age_s\":{},\"eval\":{}}}",
-                    json_string(&r.rule),
-                    r.engine,
-                    r.events_in,
-                    r.evals,
-                    r.firings,
-                    r.rows_out,
-                    r.path_shared,
-                    r.path_incremental,
-                    r.path_anchor,
-                    r.path_rescan,
-                    r.window_len,
-                    r.threshold_age.map_or("null".to_string(), |d| format!("{:.3}", d.as_secs_f64())),
-                    json_histogram(&r.eval),
+                    ",\"threshold_age_s\":{},\"eval\":{}}}",
+                    age.as_deref().unwrap_or("null"),
+                    json_histogram(&r.eval)
                 ));
             }
             out.push_str("]}");
@@ -1099,13 +955,20 @@ impl MetricsHub {
     }
 }
 
+/// Appends a family's `# HELP` and `# TYPE` lines.
+fn family_header(out: &mut String, name: &str, help: &str, kind: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
 /// Escapes a Prometheus label value: backslash, double quote, newline.
 fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-/// Renders a quoted JSON string with backslash/quote/control escaping.
-fn json_string(s: &str) -> String {
+/// Renders a quoted JSON string with backslash/quote/control escaping:
+/// the one escaper of every JSON rendering in this crate (`/json`,
+/// `/events`, `/trace`, `/trace.jsonl`).
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1212,8 +1075,8 @@ mod tests {
     fn emitted_counter() {
         let hub = MetricsHub::new();
         let c = hub.register_task("b");
-        c.record_emit();
-        c.record_emit();
+        c.add(Counter::Emitted, 1);
+        c.add(Counter::Emitted, 1);
         let w = hub.sample();
         assert_eq!(w[0].emitted, 2);
     }
@@ -1222,12 +1085,12 @@ mod tests {
     fn reliability_counters_flow_into_windows() {
         let hub = MetricsHub::new();
         let c = hub.register_task("spout");
-        c.record_dropped();
-        c.record_acked();
-        c.record_acked();
-        c.record_failed();
-        c.record_replayed();
-        c.record_restarted();
+        c.add(Counter::Dropped, 1);
+        c.add(Counter::Acked, 1);
+        c.add(Counter::Acked, 1);
+        c.add(Counter::Failed, 1);
+        c.add(Counter::Replayed, 1);
+        c.add(Counter::Restarted, 1);
         let w = hub.sample();
         assert_eq!(w[0].dropped, 1);
         assert_eq!(w[0].acked, 2);
@@ -1240,6 +1103,19 @@ mod tests {
         let totals = hub.totals();
         assert_eq!(totals[0].acked, 2);
         assert_eq!(totals[0].dropped, 1);
+    }
+
+    #[test]
+    fn every_counter_has_one_family() {
+        let mut summed: Vec<usize> = FAMILIES
+            .iter()
+            .filter_map(|(.., value)| match value {
+                Value::Sum(counter, _) => Some(*counter as usize),
+                Value::Gauge(_) => None,
+            })
+            .collect();
+        summed.sort_unstable();
+        assert_eq!(summed, (0..COUNTERS).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1285,10 +1161,10 @@ mod tests {
         let a = hub.register_task("spout");
         let b = hub.register_task("spout");
         for _ in 0..5 {
-            a.record_completion(Duration::from_millis(1));
+            a.e2e.record(Duration::from_millis(1));
         }
         for _ in 0..5 {
-            b.record_completion(Duration::from_secs(1));
+            b.e2e.record(Duration::from_secs(1));
         }
         let w = hub.sample();
         assert_eq!(w[0].e2e.count(), 10, "both tasks' histograms merge");
@@ -1311,11 +1187,11 @@ mod tests {
     fn e2e_histograms_window_as_deltas() {
         let hub = MetricsHub::new();
         let c = hub.register_task("spout");
-        c.record_completion(Duration::from_millis(1));
-        c.record_completion(Duration::from_millis(1));
+        c.e2e.record(Duration::from_millis(1));
+        c.e2e.record(Duration::from_millis(1));
         let w1 = hub.sample();
         assert_eq!(w1[0].e2e.count(), 2);
-        c.record_completion(Duration::from_millis(8));
+        c.e2e.record(Duration::from_millis(8));
         let w2 = hub.sample();
         assert_eq!(w2[0].e2e.count(), 1, "windows carry only fresh samples");
         assert_eq!(hub.totals()[0].e2e.count(), 3, "totals carry everything");
@@ -1553,10 +1429,10 @@ mod tests {
         let hub = MetricsHub::new();
         let c = hub.register_task("esper");
         c.record(Duration::from_millis(1));
-        c.record_emit();
-        c.record_completion(Duration::from_nanos(3)); // bucket 1, le = 4e-9
-        c.record_completion(Duration::from_nanos(3));
-        c.record_completion(Duration::from_nanos(700)); // bucket 9, le = 1.024e-6
+        c.add(Counter::Emitted, 1);
+        c.e2e.record(Duration::from_nanos(3)); // bucket 1, le = 4e-9
+        c.e2e.record(Duration::from_nanos(3));
+        c.e2e.record(Duration::from_nanos(700)); // bucket 9, le = 1.024e-6
         let text = hub.render_prometheus();
         assert!(text.contains("# TYPE tms_processed_total counter"), "{text}");
         assert!(text.contains("tms_processed_total{component=\"esper\"} 1"), "{text}");

@@ -79,114 +79,12 @@ fn lineage_monitor() -> Option<MonitorConfig> {
     })
 }
 
-// ---- A minimal JSON well-formedness checker -------------------------------
-// The vendored serde_json is render-only, so the exported Chrome trace is
-// validated with a tiny recursive-descent parser: strict enough to catch
-// unbalanced brackets, bad escapes, trailing commas and bare tokens.
-
-fn json_value(b: &[u8], mut i: usize) -> Result<usize, String> {
-    i = skip_ws(b, i);
-    match b.get(i) {
-        Some(b'{') => {
-            i = skip_ws(b, i + 1);
-            if b.get(i) == Some(&b'}') {
-                return Ok(i + 1);
-            }
-            loop {
-                i = json_string(b, skip_ws(b, i))?;
-                i = skip_ws(b, i);
-                if b.get(i) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {i}"));
-                }
-                i = json_value(b, i + 1)?;
-                i = skip_ws(b, i);
-                match b.get(i) {
-                    Some(b',') => i += 1,
-                    Some(b'}') => return Ok(i + 1),
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            i = skip_ws(b, i + 1);
-            if b.get(i) == Some(&b']') {
-                return Ok(i + 1);
-            }
-            loop {
-                i = json_value(b, i)?;
-                i = skip_ws(b, i);
-                match b.get(i) {
-                    Some(b',') => i += 1,
-                    Some(b']') => return Ok(i + 1),
-                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                }
-            }
-        }
-        Some(b'"') => json_string(b, i),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = i;
-            while b.get(i).is_some_and(|c| {
-                c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                i += 1;
-            }
-            let tok = std::str::from_utf8(&b[start..i]).unwrap_or("");
-            tok.parse::<f64>().map_err(|_| format!("bad number {tok:?} at byte {start}"))?;
-            Ok(i)
-        }
-        _ => {
-            for lit in ["true", "false", "null"] {
-                if b[i..].starts_with(lit.as_bytes()) {
-                    return Ok(i + lit.len());
-                }
-            }
-            Err(format!("unexpected token at byte {i}"))
-        }
-    }
-}
-
-fn json_string(b: &[u8], i: usize) -> Result<usize, String> {
-    if b.get(i) != Some(&b'"') {
-        return Err(format!("expected string at byte {i}"));
-    }
-    let mut i = i + 1;
-    loop {
-        match b.get(i) {
-            Some(b'"') => return Ok(i + 1),
-            Some(b'\\') => {
-                match b.get(i + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
-                    Some(b'u') => i += 6,
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-            }
-            Some(_) => i += 1,
-            None => return Err("unterminated string".into()),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], mut i: usize) -> usize {
-    while b.get(i).is_some_and(|c| c.is_ascii_whitespace()) {
-        i += 1;
-    }
-    i
-}
-
+/// Panics unless `s` is one well-formed JSON document.
 fn assert_valid_json(s: &str) {
-    let b = s.as_bytes();
-    match json_value(b, 0) {
-        Ok(end) => assert_eq!(
-            skip_ws(b, end),
-            b.len(),
-            "trailing garbage after JSON document: {:?}",
-            &s[end.min(s.len())..]
-        ),
-        Err(e) => panic!("invalid JSON ({e}):\n{s}"),
+    if let Err(e) = serde_json::from_str(s) {
+        panic!("invalid JSON ({e}):\n{s}");
     }
 }
-
-// ---------------------------------------------------------------------------
 
 #[test]
 fn lineage_off_leaves_no_collector_and_trace_route_dark() {

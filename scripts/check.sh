@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
 # Full local gate: release build, every crate's tests, the vendored
-# channel's, byte buffers' and locks' tests, the elastic suite in release, the
-# argument-free examples, the snapshot guards, the pipeline benchmark's own
-# tests and smoke run, the one-serialiser gate, strict clippy, warning-free
-# rustdoc.
+# channel's, byte buffers', locks' and JSON parser's tests, the elastic
+# suite in release, the argument-free examples, the snapshot guards, the
+# pipeline benchmark's own tests and smoke run, the one-serialiser gate,
+# strict clippy, warning-free rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
 # `vendor/` is outside the workspace, and the channel under every hand-off,
-# the buffers under every durable record and the locks around every
-# shared structure are in-repo code: their tests run here or nowhere.
+# the buffers under every durable record, the locks around every shared
+# structure and the JSON parser under the snapshot reader and the trace
+# tests are in-repo code: their tests run here or nowhere.
 cargo test -q --manifest-path vendor/crossbeam/Cargo.toml
 cargo test -q --manifest-path vendor/bytes/Cargo.toml
 cargo test -q --manifest-path vendor/parking_lot/Cargo.toml
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml
 # The rebalancer scenarios are wall-clock driven; the optimized build is
 # the one that outruns them if their pacing ever breaks.
 cargo test -q --release -p tms-dsps --test elastic
