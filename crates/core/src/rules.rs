@@ -40,6 +40,21 @@ impl LocationSelector {
             LocationSelector::BusStops => quadtree.max_layer() + 1,
         }
     }
+
+    /// The selector's part of its rules' attribute stream name: rules of
+    /// one selector share a stream (and so one ring per location), and no
+    /// rule sees another selector's events.
+    fn stream_tag(&self) -> String {
+        match self {
+            LocationSelector::QuadtreeLayer(l) => format!("layer{l}"),
+            LocationSelector::QuadtreeLeaves => "leaves".into(),
+            LocationSelector::BusStops => "stops".into(),
+            LocationSelector::Area(bb) => {
+                let [a, b, c, d] = [bb.min_lat, bb.min_lon, bb.max_lat, bb.max_lon].map(f64::to_bits);
+                format!("area_{a:x}_{b:x}_{c:x}_{d:x}")
+            }
+        }
+    }
 }
 
 /// The spatial artifacts rules resolve against: the quadtree of
@@ -157,13 +172,15 @@ impl RuleSpec {
         RuleLoad { window: self.window_length, thresholds }
     }
 
-    /// Name of the per-attribute bus stream this rule reads. Attribute
-    /// values flow on dedicated streams (`bus_delay`, `bus_speed`, …) with
-    /// the schema `(location, hour, day, value, threshold)`; the
-    /// `threshold` field is only populated by the *join with database*
-    /// method, which attaches the looked-up threshold to each event.
+    /// Name of the bus stream this rule reads. Attribute values flow on
+    /// one stream per attribute and location selector (`bus_delay_leaves`,
+    /// `bus_speed_stops`, …) with the schema `(location, hour, day, value,
+    /// threshold)`, so a rule's statements see the events of its own
+    /// selector's locations only; the `threshold` field is only populated
+    /// by the *join with database* method, which attaches the looked-up
+    /// threshold to each event.
     pub fn bus_stream(&self) -> String {
-        format!("bus_{}", self.attribute.name())
+        format!("bus_{}_{}", self.attribute.name(), self.location.stream_tag())
     }
 
     /// Name of the per-attribute threshold stream (each rule joins its
@@ -344,7 +361,7 @@ mod tests {
             100,
         );
         let epl = rule.to_epl();
-        assert!(epl.contains("bus_delay.std:lastevent()"));
+        assert!(epl.contains("bus_delay_leaves.std:lastevent()"));
         assert!(epl.contains("win:length(100)"));
         assert!(epl.contains("thresholds_delay.win:keepall()"));
         assert!(epl.contains("HAVING avg(bd2.value) > avg(thresholds.threshold)"));
@@ -357,7 +374,7 @@ mod tests {
         let rule =
             RuleSpec::new("speed", Attribute::Speed, LocationSelector::BusStops, 10);
         let epl = rule.to_epl();
-        assert!(epl.contains("bus_speed"));
+        assert!(epl.contains("bus_speed_stops"));
         assert!(epl.contains("HAVING avg(bd2.value) < avg(thresholds.threshold)"));
         tms_cep::parse_statement(&epl).unwrap();
     }

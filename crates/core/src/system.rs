@@ -632,7 +632,19 @@ impl TrafficSystem {
                 .map(|regions| regions.iter().map(|r| partition_key(grouping, r)).collect())
                 .collect::<Result<_, _>>()?;
             let table = (offset..).zip(&keys).flat_map(|(e, ks)| ks.iter().map(move |k| (*k, e)));
-            routes.push(GroupingRoute { kind, table: table.collect() });
+            let table: HashMap<LocId, usize> = table.collect();
+            // A merged grouping's stop belongs to the engine of the region
+            // its centroid lies in, not to the engine of a tuple's region.
+            let mut stops = HashMap::new();
+            if partition_layer != stops_layer && grouping.layers.contains(&stops_layer) {
+                for sid in 0..spatial.stops.len() as u32 {
+                    let owner = self.stop_regions(sid).into_iter().find(|r| table.contains_key(r));
+                    if let Some(owner) = owner {
+                        stops.insert(SpatialContext::stop_id(sid), owner);
+                    }
+                }
+            }
+            routes.push(GroupingRoute { kind, table, stops });
 
             // Engine plan: each engine runs every rule of the grouping,
             // monitoring the rule's locations that fall under the engine's
@@ -693,20 +705,7 @@ impl TrafficSystem {
                     false
                 }
                 // A bus stop inside a quadtree grouping: locate its region.
-                // Recovered stop centroids can drift a few metres past the
-                // city bounding box (GPS noise); clamp before locating so
-                // every stop belongs to exactly one engine.
-                LocId::Stop(sid) => {
-                    let Some(stop) = spatial.stops.stop(sid) else { return false };
-                    let bb = quadtree.bbox();
-                    let p = tms_geo::GeoPoint {
-                        lat: stop.location.lat.clamp(bb.min_lat, bb.max_lat),
-                        lon: stop.location.lon.clamp(bb.min_lon, bb.max_lon),
-                    };
-                    quadtree
-                        .leaf_to_root(&p)
-                        .any(|r| owned.contains(&SpatialContext::region_id(r.id)))
-                }
+                LocId::Stop(sid) => self.stop_regions(sid).iter().any(|r| owned.contains(r)),
             }
         };
         spatial
@@ -714,6 +713,21 @@ impl TrafficSystem {
             .into_iter()
             .filter(|l| covered(l))
             .collect()
+    }
+
+    /// The regions holding a bus stop's centroid, leaf first; none for an
+    /// unknown stop. Recovered stop centroids can drift a few metres past
+    /// the city bounding box (GPS noise); the centroid is clamped before
+    /// locating, so every stop belongs to exactly one engine.
+    fn stop_regions(&self, sid: u32) -> Vec<LocId> {
+        let spatial = &self.artifacts.spatial;
+        let Some(stop) = spatial.stops.stop(sid) else { return Vec::new() };
+        let bb = spatial.quadtree.bbox();
+        let p = tms_geo::GeoPoint {
+            lat: stop.location.lat.clamp(bb.min_lat, bb.max_lat),
+            lon: stop.location.lon.clamp(bb.min_lon, bb.max_lon),
+        };
+        spatial.quadtree.leaf_to_root(&p).map(|r| SpatialContext::region_id(r.id)).collect()
     }
 
     /// The on-line component: replays the traces to completion through the

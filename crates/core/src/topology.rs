@@ -224,6 +224,12 @@ pub struct GroupingRoute {
     pub kind: GroupingKind,
     /// Location key → global Esper-task index.
     pub table: HashMap<LocId, usize>,
+    /// For a grouping that partitions by quadtree layer but monitors bus
+    /// stops too: stop → the routing key of the region its centroid lies
+    /// in, whose engine monitors the stop. A tuple near a partition
+    /// boundary can be at a stop another engine owns, so it reaches that
+    /// engine as well. Empty otherwise.
+    pub stops: HashMap<LocId, LocId>,
 }
 
 /// The Splitter's full plan: one route per grouping; each tuple is sent to
@@ -235,6 +241,18 @@ pub struct SplitPlan {
 }
 
 impl GroupingRoute {
+    /// The routing keys this grouping matches the trace under, each with
+    /// the engine owning it: the trace's own key, then the key owning its
+    /// stop when that is another one.
+    fn hits(&self, e: &EnrichedTrace) -> impl Iterator<Item = (LocId, usize)> {
+        let own = self.hit(e);
+        let stop = (e.bus_stop.as_ref())
+            .and_then(|stop| self.stops.get(stop))
+            .filter(|key| own.is_none_or(|(k, _)| k != **key))
+            .and_then(|key| self.table.get(key).map(|t| (*key, *t)));
+        own.into_iter().chain(stop)
+    }
+
     /// The routing key this grouping matches the trace under, and the
     /// engine owning it.
     fn hit(&self, e: &EnrichedTrace) -> Option<(LocId, usize)> {
@@ -279,7 +297,7 @@ impl SplitPlan {
         self.routes
             .iter()
             .enumerate()
-            .filter_map(move |(g, route)| route.hit(e).map(|(key, engine)| (g, key, engine)))
+            .flat_map(move |(g, route)| route.hits(e).map(move |(key, engine)| (g, key, engine)))
     }
 }
 
@@ -1054,10 +1072,12 @@ mod tests {
                 GroupingRoute {
                     kind: GroupingKind::QuadtreeLayer(1),
                     table: [(id("R1"), 0), (id("R2"), 1)].into(),
+                    stops: HashMap::new(),
                 },
                 GroupingRoute {
                     kind: GroupingKind::BusStops,
                     table: [(id("S5"), 2)].into(),
+                    stops: HashMap::new(),
                 },
             ],
         };
@@ -1081,6 +1101,7 @@ mod tests {
             routes: vec![GroupingRoute {
                 kind: GroupingKind::QuadtreeLayer(2),
                 table: [(id("R3"), 4)].into(),
+                stops: HashMap::new(),
             }],
         };
         let e = enriched(vec!["R0", "R3"], None);
@@ -1094,15 +1115,36 @@ mod tests {
                 GroupingRoute {
                     kind: GroupingKind::QuadtreeLayer(0),
                     table: [(id("R0"), 3)].into(),
+                    stops: HashMap::new(),
                 },
                 GroupingRoute {
                     kind: GroupingKind::QuadtreeLayer(1),
                     table: [(id("R1"), 3)].into(),
+                    stops: HashMap::new(),
                 },
             ],
         };
         let e = enriched(vec!["R0", "R1"], None);
         assert_eq!(plan.engines_for(&e), vec![3], "same engine listed once");
+    }
+
+    #[test]
+    fn a_merged_grouping_routes_a_stop_to_the_engine_owning_it() {
+        // Regions R1 and R2 on engines 0 and 1; stop S5's centroid lies in
+        // R2, so engine 1 monitors it.
+        let plan = SplitPlan {
+            routes: vec![GroupingRoute {
+                kind: GroupingKind::QuadtreeLayer(1),
+                table: [(id("R1"), 0), (id("R2"), 1)].into(),
+                stops: [(id("S5"), id("R2"))].into(),
+            }],
+        };
+        let boundary = enriched(vec!["R0", "R1"], Some("S5"));
+        assert_eq!(plan.engines_for(&boundary), vec![0, 1], "its region's engine and its stop's");
+        let inside = enriched(vec!["R0", "R2"], Some("S5"));
+        assert_eq!(plan.engines_for(&inside), vec![1]);
+        let hits: Vec<_> = plan.hits(&inside).collect();
+        assert_eq!(hits, vec![(0, id("R2"), 1)], "one key counted once");
     }
 
     #[test]
@@ -1252,6 +1294,7 @@ mod tests {
             routes: vec![GroupingRoute {
                 kind: GroupingKind::QuadtreeLayer(0),
                 table: [(id("R0"), 0), (id("R1"), 1)].into(),
+                stops: HashMap::new(),
             }],
         };
         let store = ThresholdStore::new(TableStore::new());

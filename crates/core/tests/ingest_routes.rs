@@ -182,7 +182,7 @@ impl Oracle {
         }
     }
 
-    /// The attribute streams of the rules a migration names, each once, in
+    /// The bus streams of the rules a migration names, each once, in
     /// installation order.
     fn streams_of(&self, migration: &RuleMigration) -> Vec<String> {
         let mut streams: Vec<String> = Vec::new();
@@ -220,38 +220,36 @@ impl Oracle {
 
     /// The interpreter `send_trace` replaced: every rule asks every
     /// candidate location of the trace whether it monitors it. One event
-    /// per (attribute stream, matched location); returns how many.
+    /// per (bus stream, matched location); returns how many.
     fn send_trace(&mut self, under_test: &RuleEngine, e: &EnrichedTrace) -> usize {
         self.clock.store(e.trace.timestamp_ms, Ordering::Relaxed);
         // The oracle stays on text, like the monitored sets it reads.
         let names: Vec<String> = e.areas.iter().chain(&e.bus_stop).map(LocId::to_string).collect();
         let candidates: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut per_attribute: Vec<(Attribute, f64, Vec<&str>)> = Vec::new();
+        let mut per_stream: Vec<(String, f64, Vec<&str>)> = Vec::new();
         for (spec, _) in &self.installed {
             let Some(value) = spec.attribute.value(e) else { continue };
             let monitored = under_test.monitored(&spec.name).expect("installed on both sides");
-            let at = per_attribute
-                .iter()
-                .position(|(a, _, _)| *a == spec.attribute)
-                .unwrap_or_else(|| {
-                    per_attribute.push((spec.attribute, value, Vec::new()));
-                    per_attribute.len() - 1
-                });
+            let stream = spec.bus_stream();
+            let at = per_stream.iter().position(|(s, _, _)| *s == stream).unwrap_or_else(|| {
+                per_stream.push((stream, value, Vec::new()));
+                per_stream.len() - 1
+            });
             for l in &candidates {
-                if monitored.contains(*l) && !per_attribute[at].2.contains(l) {
-                    per_attribute[at].2.push(l);
+                if monitored.contains(*l) && !per_stream[at].2.contains(l) {
+                    per_stream[at].2.push(l);
                 }
             }
         }
         let hour = i64::from(e.trace.hour_of_day());
         let day = DayType::from_weekday_index((e.trace.day_index() % 7) as u8);
         let mut sent = 0;
-        for (attribute, value, matched) in per_attribute {
+        for (stream, value, matched) in per_stream {
             for location in matched {
                 let event = self
                     .engine
                     .make_event(
-                        &format!("bus_{}", attribute.name()),
+                        &stream,
                         e.trace.timestamp_ms,
                         &[
                             ("location", FieldValue::from(location)),
