@@ -328,23 +328,22 @@ fn json_text_is_pinned() {
 }
 
 /// The spans behind `/trace` and `/trace.jsonl`: one tree over three
-/// tasks, a replay among them, components that need escaping.
+/// tasks, a replay among them, components that need escaping. The tasks
+/// register and record out of task order, and one drain takes them all:
+/// the retained order is task-id order, then recording order per task.
 fn collector() -> TraceCollector {
     let c = TraceCollector::new(LineageConfig::full(), Instant::now());
-    let mut spout = c.register_task(0, "src \"a\"");
-    let mut bolt = c.register_task(3, "esper\tx");
     let mut sink = c.register_task(4, "sink");
-    // A drain takes the rings in hash order: drain after each task so
-    // the retained order is the recording order.
-    let emit = spout.record(0xfeed, 0, SpanKind::SpoutEmit, 0, 1_000, 2_500);
-    spout.record(0xfeed, emit, SpanKind::Replay, 1, 9_000, 1_234);
-    c.drain();
-    let q = bolt.record(0xfeed, emit, SpanKind::Queue, 0, 3_500, 40_000);
-    let p = bolt.record(0xfeed, q, SpanKind::Process, 0, 43_500, 7_001);
+    let mut bolt = c.register_task(3, "esper\tx");
+    let mut spout = c.register_task(0, "src \"a\"");
+    let (emit, q, p) = (0x100_0000_0001, 0x400_0000_0001, 0x400_0000_0002);
+    let sq = sink.record(0xfeed, p, SpanKind::Queue, 3, 51_500, 10);
+    sink.record(0xfeed, sq, SpanKind::Completion, 0, 51_510, 0);
+    assert_eq!(bolt.record(0xfeed, emit, SpanKind::Queue, 0, 3_500, 40_000), q);
+    assert_eq!(bolt.record(0xfeed, q, SpanKind::Process, 0, 43_500, 7_001), p);
     bolt.record(0xfeed, p, SpanKind::BatchFlush, 4, 50_501, 999);
-    c.drain();
-    let q = sink.record(0xfeed, p, SpanKind::Queue, 3, 51_500, 10);
-    sink.record(0xfeed, q, SpanKind::Completion, 0, 51_510, 0);
+    assert_eq!(spout.record(0xfeed, 0, SpanKind::SpoutEmit, 0, 1_000, 2_500), emit);
+    spout.record(0xfeed, emit, SpanKind::Replay, 1, 9_000, 1_234);
     c.drain();
     c
 }

@@ -519,8 +519,9 @@ impl PathAccum {
 }
 
 struct CollectorInner {
-    /// task → (component name, ring).
-    rings: HashMap<u32, (String, Arc<SpanRing>)>,
+    /// task → (component name, ring), drained in task-id order so one
+    /// run lists its spans the same way in every process.
+    rings: BTreeMap<u32, (String, Arc<SpanRing>)>,
     /// Drained spans, retained for export.
     spans: Vec<Span>,
     path: PathAccum,
@@ -551,7 +552,7 @@ impl TraceCollector {
             epoch,
             config,
             inner: Mutex::new(CollectorInner {
-                rings: HashMap::new(),
+                rings: BTreeMap::new(),
                 spans: Vec::new(),
                 path: PathAccum::new(),
             }),
