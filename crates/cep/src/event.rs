@@ -264,18 +264,18 @@ impl Event {
         Ok(Event::wrap(event_type, timestamp_ms, values))
     }
 
-    /// [`Event::new`] from an array: one allocation for an event of at
-    /// most five fields, where `new` also frees the caller's vector.
-    pub fn from_array<const N: usize>(
+    /// [`Event::new`] from borrowed values: one allocation for an event of
+    /// at most five fields, where `new` also frees the caller's vector.
+    pub fn from_slice(
         event_type: &EventType,
         timestamp_ms: u64,
-        values: [FieldValue; N],
+        values: &[FieldValue],
     ) -> Result<Self, CepError> {
-        check(event_type, &values)?;
-        let values = if N > INLINE_FIELDS {
-            Fields::Heap(Vec::from(values))
+        check(event_type, values)?;
+        let values = if values.len() > INLINE_FIELDS {
+            Fields::Heap(values.to_vec())
         } else {
-            Fields::inline(values.into_iter())
+            Fields::inline(values.iter().cloned())
         };
         Ok(Event::wrap(event_type, timestamp_ms, values))
     }
@@ -346,9 +346,15 @@ impl Event {
     }
 }
 
+impl AsRef<[FieldValue]> for Event {
+    fn as_ref(&self) -> &[FieldValue] {
+        self.values()
+    }
+}
+
 /// Validates an event's values against its type: one value per field,
 /// each of the field's type (integers widen into float fields).
-fn check(event_type: &EventType, values: &[FieldValue]) -> Result<(), CepError> {
+pub(crate) fn check(event_type: &EventType, values: &[FieldValue]) -> Result<(), CepError> {
     if values.len() != event_type.fields.len() {
         return Err(CepError::EventMismatch {
             event_type: event_type.name.to_string(),
@@ -419,35 +425,35 @@ mod tests {
     }
 
     #[test]
-    fn an_event_from_an_array_is_the_event_from_its_vector() {
+    fn an_event_from_a_slice_is_the_event_from_its_vector() {
         let ty = bus_type();
         let same = |a: &Event, b: &Event| {
             (a.event_type(), a.timestamp_ms(), a.values())
                 == (b.event_type(), b.timestamp_ms(), b.values())
         };
         let values = [1i64.into(), 3i64.into(), "R1".into(), false.into()];
-        let from_array = Event::from_array(&ty, 9, values.clone()).unwrap();
-        assert!(same(&from_array, &Event::new(&ty, 9, values.to_vec()).unwrap()));
-        assert_eq!(from_array.value_at(4), None, "the unused inline slot is no field");
+        let from_slice = Event::from_slice(&ty, 9, &values).unwrap();
+        assert!(same(&from_slice, &Event::new(&ty, 9, values.to_vec()).unwrap()));
+        assert_eq!(from_slice.value_at(4), None, "the unused inline slot is no field");
         // Both validation errors, word for word.
         let short = [1i64.into()];
         assert_eq!(
-            Event::from_array(&ty, 0, short.clone()).unwrap_err(),
+            Event::from_slice(&ty, 0, &short).unwrap_err(),
             Event::new(&ty, 0, short.to_vec()).unwrap_err()
         );
         let mistyped = ["x".into(), 2.5.into(), "R1".into(), false.into()];
         assert_eq!(
-            Event::from_array(&ty, 0, mistyped.clone()).unwrap_err(),
+            Event::from_slice(&ty, 0, &mistyped).unwrap_err(),
             Event::new(&ty, 0, mistyped.to_vec()).unwrap_err()
         );
         // Wider than inline storage: the values move to the heap.
         let wide = EventType::new("wide", (0..7).map(|i| (format!("f{i}"), FieldType::Int)).collect())
             .unwrap();
         let values: [FieldValue; 7] = std::array::from_fn(|i| FieldValue::Int(i as i64));
-        let from_array = Event::from_array(&wide, 1, values.clone()).unwrap();
-        assert!(same(&from_array, &Event::new(&wide, 1, values.to_vec()).unwrap()));
-        assert_eq!(from_array.value_at(6), Some(&FieldValue::Int(6)));
-        assert_eq!(from_array.value_at(7), None);
+        let from_slice = Event::from_slice(&wide, 1, &values).unwrap();
+        assert!(same(&from_slice, &Event::new(&wide, 1, values.to_vec()).unwrap()));
+        assert_eq!(from_slice.value_at(6), Some(&FieldValue::Int(6)));
+        assert_eq!(from_slice.value_at(7), None);
     }
 
     #[test]

@@ -2,24 +2,25 @@
 
 use crate::ast::BinOp;
 use crate::error::CepError;
-use crate::event::{Event, FieldValue};
+use crate::event::FieldValue;
 use crate::plan::CExpr;
 
 /// Evaluates a compiled expression against a joined row.
 ///
-/// `row[i]` is the event bound at source `i`; `agg_values[k]` is the
-/// finalized value of the statement's `k`-th aggregate call (only present
-/// when evaluating HAVING / aggregated SELECT items).
-pub fn eval(
+/// `row[i]` holds the values of the row bound at source `i` (an event, or
+/// a pane's values); `agg_values[k]` is the finalized value of the
+/// statement's `k`-th aggregate call (only present when evaluating HAVING /
+/// aggregated SELECT items).
+pub fn eval<R: AsRef<[FieldValue]>>(
     expr: &CExpr,
-    row: &[Event],
+    row: &[R],
     agg_values: Option<&[f64]>,
 ) -> Result<FieldValue, CepError> {
     match expr {
         CExpr::Const(v) => Ok(v.clone()),
         CExpr::Field { source, field } => row
             .get(*source)
-            .and_then(|e| e.value_at(*field))
+            .and_then(|e| e.as_ref().get(*field))
             .cloned()
             .ok_or_else(|| CepError::TypeError {
                 reason: format!("unbound field reference ({source}, {field})"),
@@ -122,7 +123,7 @@ fn compare(l: &FieldValue, r: &FieldValue) -> Result<std::cmp::Ordering, CepErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventType, FieldType};
+    use crate::event::{Event, EventType, FieldType};
 
     fn ty() -> EventType {
         EventType::with_fields(
