@@ -511,15 +511,54 @@ pub struct TrafficSystem {
     pub config: SystemConfig,
 }
 
+/// Pins glibc's malloc thresholds to its own starting values, once per
+/// process: `M_MMAP_THRESHOLD` and `M_TRIM_THRESHOLD` at 128 KiB.
+///
+/// Left alone, glibc raises its mmap threshold to the size of each freed
+/// mmapped buffer (and its trim threshold to twice that), so after the
+/// statistics job frees its multi-MB buffers no arena returns free pages
+/// again, and every run's fresh threads leave a thread arena holding what
+/// they freed. Setting either threshold turns that adjustment off: large
+/// buffers are mmapped and unmapped, and arenas trim their free tops. The
+/// setting is process-wide and glibc-only; elsewhere this does nothing.
+fn pin_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        const THRESHOLD: i32 = 128 * 1024;
+        // SAFETY: `mallopt` is glibc's, with this exact C signature
+        // (`int mallopt(int param, int value)`).
+        unsafe extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        static PIN: std::sync::Once = std::sync::Once::new();
+        PIN.call_once(|| {
+            for param in [M_MMAP_THRESHOLD, M_TRIM_THRESHOLD] {
+                // SAFETY: both parameters take a byte count, and glibc allows
+                // `mallopt` at any time (it takes the main arena's lock). A
+                // rejected value (0 returned) leaves glibc's own in place.
+                unsafe { mallopt(param, THRESHOLD) };
+            }
+        });
+    }
+}
+
 impl TrafficSystem {
     /// Runs the off-line component over historical traces and boots the
     /// system (Figure 3 arrows 1–4).
+    ///
+    /// Before anything else it pins glibc's malloc thresholds for the whole
+    /// process (mmap and trim at 128 KiB, once, on linux-gnu only), so the
+    /// memory the off-line job and later runs free goes back to the system
+    /// instead of staying in idle thread arenas.
     pub fn bootstrap(
         bbox: tms_geo::BoundingBox,
         seeds: &[GeoPoint],
         history: &[BusTrace],
         config: SystemConfig,
     ) -> Result<Self, CoreError> {
+        pin_malloc_thresholds();
         let store = TableStore::new();
         let artifacts = run_offline(bbox, seeds, history, &store, &config.offline)?;
         Ok(TrafficSystem {
