@@ -263,6 +263,18 @@ impl IngestTable {
     }
 }
 
+/// The threshold snapshots one install batch or refresh read: one per
+/// attribute and `s` (`(attribute, s, rows)`), however many rules share it.
+type Snapshots = Vec<(Attribute, f64, Vec<ThresholdRow>)>;
+
+/// The snapshot `spec`'s statements read, when its method reads one.
+fn snapshot_of<'s>(snapshots: &'s Snapshots, spec: &RuleSpec) -> Option<&'s [ThresholdRow]> {
+    snapshots
+        .iter()
+        .find(|(attribute, s, _)| *attribute == spec.attribute && *s == spec.s)
+        .map(|(_, _, rows)| rows.as_slice())
+}
+
 /// A monitored location no trace can be at (its name is no [`LocId`]) would
 /// make a rule that silently never fires: refuse it by name.
 fn check_locations<'a>(
@@ -425,7 +437,9 @@ impl RuleEngine {
     /// `s`: a second rule on the attribute with another `s` would compare
     /// against the first one's thresholds (or, joined with both snapshots,
     /// their average). Refuses the first of `specs` that would, checked in
-    /// order against the installed rules and the specs before it.
+    /// order against the installed rules and the specs before it. This is
+    /// what lets install and refresh read and feed one snapshot per
+    /// attribute ([`Self::feed_threshold_rows`]).
     fn check_one_s_per_attribute<'a>(
         &self,
         specs: impl IntoIterator<Item = &'a RuleSpec>,
@@ -473,6 +487,13 @@ impl RuleEngine {
     /// first threshold event arrives — a rule installed alone later keeps
     /// its windows private.
     ///
+    /// The batch reads each attribute's threshold snapshot once and feeds
+    /// it once, over the batch's locations: the threshold stream gets one
+    /// row per monitored cell however many of `specs` join it. A later
+    /// call whose locations overlap an earlier batch's on one attribute
+    /// feeds those rows again, as a new Esper statement's `keepall` starts
+    /// empty: install rules whose locations overlap in one call.
+    ///
     /// All or nothing: every spec and location is checked and every
     /// snapshot read before the first statement is created, and an error
     /// after that removes the statements this call created. On `Err` no
@@ -488,8 +509,7 @@ impl RuleEngine {
             check_locations(&spec.name, &monitored)?;
         }
         self.check_one_s_per_attribute(specs)?;
-        let snapshots: Vec<Option<Vec<ThresholdRow>>> =
-            specs.iter().map(|spec| self.threshold_snapshot(spec, None)).collect::<Result<_, _>>()?;
+        let snapshots = self.threshold_snapshots(specs, None)?;
         let mut installed = Vec::with_capacity(specs.len());
         if let Err(e) = self.install_checked(specs, &monitored, &snapshots, &mut installed) {
             for id in installed.into_iter().flat_map(|r| r.statements) {
@@ -513,12 +533,12 @@ impl RuleEngine {
         &mut self,
         specs: &[RuleSpec],
         monitored: &HashSet<String>,
-        snapshots: &[Option<Vec<ThresholdRow>>],
+        snapshots: &Snapshots,
         installed: &mut Vec<InstalledRule>,
     ) -> Result<(), CoreError> {
-        for (spec, snapshot) in specs.iter().zip(snapshots) {
+        for spec in specs {
             let bus_type = self.ensure_bus_stream(spec)?;
-            let statements = self.create_statements(spec, monitored, snapshot.as_deref())?;
+            let statements = self.create_statements(spec, monitored, snapshot_of(snapshots, spec))?;
             installed.push(InstalledRule {
                 spec: spec.clone(),
                 bus_type,
@@ -527,10 +547,9 @@ impl RuleEngine {
                 thresholds_at: None,
             });
         }
-        for (spec, snapshot) in specs.iter().zip(snapshots) {
-            self.feed_threshold_rows(spec, monitored, snapshot.as_deref())?;
-        }
-        Ok(())
+        let rules: Vec<(&RuleSpec, &HashSet<String>)> =
+            specs.iter().map(|spec| (spec, monitored)).collect();
+        self.feed_threshold_rows(&rules, snapshots)
     }
 
     /// Ablation switch for the underlying engine's sharing planner (see
@@ -603,7 +622,7 @@ impl RuleEngine {
     }
 
     /// Creates a rule's statements; `snapshot` is what
-    /// [`Self::threshold_snapshot`] read for it. A Threshold-Stream rule's
+    /// [`Self::threshold_snapshots`] read for it. A Threshold-Stream rule's
     /// snapshot is fed by the caller once every statement of the batch
     /// stands, keeping windows pristine for the sharing planner.
     /// All-or-nothing: a failure midway (Multiple-Rules creates one
@@ -691,65 +710,84 @@ impl RuleEngine {
         Ok(())
     }
 
-    /// The rows a rule's statements need, under the methods that read a
-    /// snapshot (Threshold-Stream, Multiple-Rules); `None` under the
-    /// others. Read from the `carried` tables (one the publication lacks
-    /// has no rows), or else in one store round trip. Install and refresh
+    /// The rows the statements of `specs` need, under the methods that
+    /// read a snapshot (Threshold-Stream, Multiple-Rules; empty under the
+    /// others), each attribute and `s` read once however many specs share
+    /// them. Read from the `carried` tables (one the publication lacks has
+    /// no rows), or else in one store round trip each. Install and refresh
     /// read every snapshot before they change the engine, so a failed read
     /// changes nothing.
-    fn threshold_snapshot(
+    fn threshold_snapshots<'a>(
         &self,
-        spec: &RuleSpec,
+        specs: impl IntoIterator<Item = &'a RuleSpec>,
         carried: Option<&Publication>,
-    ) -> Result<Option<Vec<ThresholdRow>>, CoreError> {
+    ) -> Result<Snapshots, CoreError> {
         use RetrievalMethod::{MultipleRules, ThresholdStream};
+        let mut snapshots = Snapshots::new();
         if !matches!(self.method, ThresholdStream | MultipleRules) {
-            return Ok(None);
+            return Ok(snapshots);
         }
-        let query = ThresholdQuery { attribute: spec.attribute.name().into(), s: spec.s };
-        let rows = match (carried, &self.db) {
-            (Some(tables), _) => {
-                let table = tables.iter().find(|(a, _)| *a == spec.attribute);
-                ThresholdStore::thresholds_of(table.map_or(&[], |(_, records)| records), spec.s)
-            }
-            (None, Some(db)) => ThresholdStore::thresholds_remote(db, &query)?,
-            (None, None) => self.store.thresholds(&query)?,
-        };
-        Ok(Some(rows))
-    }
-
-    /// Under Threshold-Stream, feeds a rule's pre-fetched snapshot into
-    /// its threshold stream, filtered to the monitored locations; a no-op
-    /// under the other methods.
-    fn feed_threshold_rows(
-        &mut self,
-        spec: &RuleSpec,
-        monitored: &HashSet<String>,
-        snapshot: Option<&[ThresholdRow]>,
-    ) -> Result<(), CoreError> {
-        let (RetrievalMethod::ThresholdStream, Some(rows)) = (&self.method, snapshot) else {
-            return Ok(());
-        };
-        let ty = self
-            .engine
-            .event_type(&spec.threshold_stream())
-            .expect("threshold stream registered")
-            .clone();
-        for row in rows {
-            if !monitored.contains(&row.area_id) {
+        for spec in specs {
+            if snapshot_of(&snapshots, spec).is_some() {
                 continue;
             }
-            let ev = Event::from_pairs(
-                &ty,
-                0,
-                &[
-                    ("location", FieldValue::from(row.area_id.as_str())),
-                    ("hour", FieldValue::Int(i64::from(row.hour))),
-                    ("day", FieldValue::from(row.day_type.as_str())),
-                    ("threshold", FieldValue::Float(row.threshold)),
-                ],
-            )?;
-            self.engine.send_event(ev)?;
+            let query = ThresholdQuery { attribute: spec.attribute.name().into(), s: spec.s };
+            let rows = match (carried, &self.db) {
+                (Some(tables), _) => {
+                    let table = tables.iter().find(|(a, _)| *a == spec.attribute);
+                    ThresholdStore::thresholds_of(table.map_or(&[], |(_, records)| records), spec.s)
+                }
+                (None, Some(db)) => ThresholdStore::thresholds_remote(db, &query)?,
+                (None, None) => self.store.thresholds(&query)?,
+            };
+            snapshots.push((spec.attribute, spec.s, rows));
+        }
+        Ok(snapshots)
+    }
+
+    /// Under Threshold-Stream, feeds each attribute's pre-fetched snapshot
+    /// into its threshold stream once, filtered to the union of the
+    /// locations `rules` monitor on that attribute; a no-op under the
+    /// other methods. One row per cell is what the stream carries: every
+    /// statement joining it reads the same rows, so a shared `keepall`
+    /// fed once per rule would hold each cell once per rule, and a rule's
+    /// output would depend on its neighbours. Exact because
+    /// [`Self::check_one_s_per_attribute`] leaves one `s` per attribute.
+    fn feed_threshold_rows(
+        &mut self,
+        rules: &[(&RuleSpec, &HashSet<String>)],
+        snapshots: &Snapshots,
+    ) -> Result<(), CoreError> {
+        if self.method != RetrievalMethod::ThresholdStream {
+            return Ok(());
+        }
+        for (attribute, _, rows) in snapshots {
+            let mut sets: Vec<&HashSet<String>> = Vec::new();
+            let mut stream = None;
+            for (spec, monitored) in rules.iter().filter(|(spec, _)| spec.attribute == *attribute) {
+                stream.get_or_insert_with(|| spec.threshold_stream());
+                if !sets.iter().any(|set| std::ptr::eq(*set, *monitored)) {
+                    sets.push(monitored);
+                }
+            }
+            let Some(stream) = stream else { continue };
+            let ty = self.engine.event_type(&stream).expect("threshold stream registered").clone();
+            for row in rows {
+                if !sets.iter().any(|set| set.contains(&row.area_id)) {
+                    continue;
+                }
+                let ev = Event::from_pairs(
+                    &ty,
+                    0,
+                    &[
+                        ("location", FieldValue::from(row.area_id.as_str())),
+                        ("hour", FieldValue::Int(i64::from(row.hour))),
+                        ("day", FieldValue::from(row.day_type.as_str())),
+                        ("threshold", FieldValue::Float(row.threshold)),
+                    ],
+                )?;
+                self.engine.send_event(ev)?;
+            }
         }
         Ok(())
     }
@@ -777,25 +815,25 @@ impl RuleEngine {
 
     /// [`Self::refresh_thresholds`] from the statistics tables a refresh
     /// carried in the stream, or from the store when `carried` is `None`.
+    /// Each attribute's snapshot is read once and fed once, over the union
+    /// of the locations its rules monitor: one row per cell, as at install,
+    /// even where rules installed by separate calls overlap.
     pub(crate) fn refresh_from(&mut self, carried: Option<&Publication>) -> Result<(), CoreError> {
         let rules: Vec<(RuleSpec, HashSet<String>)> = self
             .rules
             .iter()
             .map(|r| (r.spec.clone(), r.monitored.clone()))
             .collect();
-        // Front-load the fallible reads: one snapshot per rule, taken
+        // Front-load the fallible reads: one snapshot per attribute, taken
         // while the engine is untouched.
-        let snapshots: Vec<Option<Vec<ThresholdRow>>> = rules
-            .iter()
-            .map(|(spec, _)| self.threshold_snapshot(spec, carried))
-            .collect::<Result<_, _>>()?;
+        let snapshots = self.threshold_snapshots(rules.iter().map(|(spec, _)| spec), carried)?;
         // Build the replacement statements while the old ones still
         // stand: our keepall windows cannot delete, so fresh statements
         // (fresh windows) pick up the new snapshot. A failure here
         // unwinds the partial build and leaves the engine untouched.
         let mut fresh: Vec<Vec<StatementId>> = Vec::new();
-        for ((spec, monitored), snapshot) in rules.iter().zip(&snapshots) {
-            match self.create_statements(spec, monitored, snapshot.as_deref()) {
+        for (spec, monitored) in &rules {
+            match self.create_statements(spec, monitored, snapshot_of(&snapshots, spec)) {
                 Ok(ids) => fresh.push(ids),
                 Err(e) => {
                     for id in fresh.into_iter().flatten() {
@@ -819,9 +857,9 @@ impl RuleEngine {
         for id in old {
             self.engine.remove_statement(id)?;
         }
-        for ((spec, monitored), snapshot) in rules.iter().zip(&snapshots) {
-            self.feed_threshold_rows(spec, monitored, snapshot.as_deref())?;
-        }
+        let rules: Vec<(&RuleSpec, &HashSet<String>)> =
+            rules.iter().map(|(spec, monitored)| (spec, monitored)).collect();
+        self.feed_threshold_rows(&rules, &snapshots)?;
         let thresholds_at = self.threshold_stamp();
         for r in &mut self.rules {
             r.thresholds_at = thresholds_at;
@@ -1710,6 +1748,93 @@ mod tests {
         // A refresh re-stamps to fresh, exactly like the live path.
         re.refresh_thresholds().unwrap();
         assert!(re.threshold_ages()[0].1.unwrap() < Duration::from_secs(1));
+    }
+
+    /// Delay statistics for R1, R2 and R3 at hours 7 and 8 on both day
+    /// types: four cells per location.
+    fn store_with_cells() -> (ThresholdStore, Vec<StatRecord>) {
+        let mut records = Vec::new();
+        for area_id in ["R1", "R2", "R3"] {
+            for hour in [7, 8] {
+                for day_type in [DayType::Weekday, DayType::Weekend] {
+                    let (area_id, mean) = (area_id.into(), 100.0 + f64::from(hour));
+                    let (stdv, count) = (5.0, 50);
+                    records.push(StatRecord { area_id, hour, day_type, mean, stdv, count });
+                }
+            }
+        }
+        let store = ThresholdStore::new(TableStore::new());
+        store.publish("delay", &records).unwrap();
+        (store, records)
+    }
+
+    /// Five Delay rules of one `s` on one selector, as Table 6 installs
+    /// them on an engine.
+    fn table6_batch() -> Vec<RuleSpec> {
+        let windows = [1, 10, 100, 1000, 1].into_iter().enumerate();
+        (windows.map(|(i, window)| RuleSpec { name: format!("delay-{i}"), ..rule(window) }))
+            .collect()
+    }
+
+    /// Per rule, the rows its windows hold: with no trace sent, its
+    /// threshold window's rows.
+    fn threshold_rows(re: &mut RuleEngine) -> Vec<u64> {
+        re.set_profiling_enabled(true);
+        re.rule_profiles(0).iter().map(|p| p.window_len).collect()
+    }
+
+    #[test]
+    fn a_batch_and_its_refreshes_feed_each_monitored_cell_once() {
+        let (store, records) = store_with_cells();
+        let publication: Publication = vec![(Attribute::Delay, records)];
+        for sharing in [true, false] {
+            let mut re = RuleEngine::new(RetrievalMethod::ThresholdStream, store.clone(), None);
+            re.set_sharing_enabled(sharing).unwrap();
+            re.install_rules(&table6_batch(), monitored()).unwrap();
+            // R1 and R2 are monitored, four cells each.
+            assert_eq!(threshold_rows(&mut re), [8; 5], "install, sharing {sharing}");
+            re.refresh_thresholds().unwrap();
+            assert_eq!(threshold_rows(&mut re), [8; 5], "store refresh, sharing {sharing}");
+            re.refresh_from(Some(&publication)).unwrap();
+            assert_eq!(threshold_rows(&mut re), [8; 5], "carried refresh, sharing {sharing}");
+        }
+    }
+
+    #[test]
+    fn a_later_overlapping_install_feeds_its_rows_again_until_a_refresh() {
+        let (store, _) = store_with_cells();
+        let mut re = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
+        let a = RuleSpec { name: "a".into(), ..rule(1) };
+        let b = RuleSpec { name: "b".into(), ..rule(3) };
+        re.install_rule(&a, monitored()).unwrap();
+        re.install_rule(&b, vec!["R2".to_string()]).unwrap();
+        // `b`'s statement starts with an empty `keepall`, so its R2 rows
+        // reach `a`'s window a second time.
+        assert_eq!(threshold_rows(&mut re), [12, 4]);
+        // A refresh rebuilds both and feeds the union of their locations once.
+        re.refresh_thresholds().unwrap();
+        assert_eq!(threshold_rows(&mut re), [8, 8]);
+    }
+
+    #[test]
+    fn a_migration_round_trip_keeps_one_row_per_cell() {
+        let (store, _) = store_with_cells();
+        let specs = table6_batch();
+        let mut source = RuleEngine::new(RetrievalMethod::ThresholdStream, store.clone(), None);
+        source.install_rules(&specs, monitored()).unwrap();
+        let migration = source.collect_migration(&["R2".to_string()]).unwrap();
+        assert_eq!(source.evict_migration(&migration).unwrap(), 4, "R2's cells leave");
+        // As a restored bolt does: the batch with no locations, then the state.
+        let mut dest = RuleEngine::new(RetrievalMethod::ThresholdStream, store, None);
+        dest.install_rules(&specs, std::iter::empty()).unwrap();
+        assert_eq!(threshold_rows(&mut dest), [0; 5], "no location, no feed");
+        dest.absorb_migration(&specs, &migration).unwrap();
+        assert_eq!(threshold_rows(&mut source), [4; 5]);
+        assert_eq!(threshold_rows(&mut dest), [4; 5]);
+        for re in [&mut source, &mut dest] {
+            re.refresh_thresholds().unwrap();
+            assert_eq!(threshold_rows(re), [4; 5]);
+        }
     }
 
     fn sample_state() -> EsperState {
