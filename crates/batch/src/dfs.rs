@@ -165,17 +165,15 @@ impl Dfs {
             .map_err(|_| BatchError::NotUtf8 { path: path.to_string() })
     }
 
-    /// The file split into **line-aligned chunks**, one per block: a line
-    /// crossing a block boundary belongs to the chunk where it started,
-    /// mirroring how Hadoop's `TextInputFormat` assigns records to splits.
-    pub fn read_line_splits(&self, path: &str) -> Result<Vec<String>, BatchError> {
-        let text = self.read_to_string(path)?;
+    /// A file's text (as [`Self::read_to_string`] returns it) split into
+    /// **line-aligned chunks**, one per block: a line crossing a block
+    /// boundary belongs to the chunk where it started, mirroring how
+    /// Hadoop's `TextInputFormat` assigns records to splits. The chunks
+    /// borrow the text; nothing is copied.
+    pub fn line_splits<'t>(&self, text: &'t str) -> Vec<&'t str> {
         let bs = self.config.block_size;
-        if text.is_empty() {
-            return Ok(Vec::new());
-        }
         let bytes = text.as_bytes();
-        let mut splits = Vec::new();
+        let mut splits = Vec::with_capacity(bytes.len().div_ceil(bs));
         let mut start = 0usize;
         while start < bytes.len() {
             let tentative_end = (start + bs).min(bytes.len());
@@ -184,10 +182,10 @@ impl Dfs {
                 Some(off) => tentative_end + off + 1,
                 None => bytes.len(),
             };
-            splits.push(text[start..end].to_string());
+            splits.push(&text[start..end]);
             start = end;
         }
-        Ok(splits)
+        splits
     }
 
     /// Deletes a file.
@@ -295,8 +293,11 @@ mod tests {
         let dfs = small_dfs();
         let text = "line one\nline two is longer\nthree\nand the fourth line\n";
         dfs.create("/t", text.as_bytes()).unwrap();
-        let splits = dfs.read_line_splits("/t").unwrap();
+        let file = dfs.read_to_string("/t").unwrap();
+        let splits = dfs.line_splits(&file);
         assert!(splits.len() > 1, "text spans multiple blocks");
+        // Each block's straddling line stays with the block it starts in.
+        assert_eq!(splits, ["line one\nline two is longer\n", "three\nand the fourth line\n"]);
         for s in &splits {
             assert!(s.ends_with('\n') || s == splits.last().unwrap());
             // No split starts mid-line.
@@ -308,7 +309,8 @@ mod tests {
     fn line_split_of_file_without_trailing_newline() {
         let dfs = small_dfs();
         dfs.create("/t", b"abcdefghijklmnopqrs no newline at all").unwrap();
-        let splits = dfs.read_line_splits("/t").unwrap();
+        let file = dfs.read_to_string("/t").unwrap();
+        let splits = dfs.line_splits(&file);
         assert_eq!(splits.len(), 1, "one giant line belongs to one split");
     }
 

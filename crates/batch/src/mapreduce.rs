@@ -2,8 +2,8 @@
 //!
 //! `map(k1, v1) → [k2, v2]`, `reduce(k2, [v2]) → [k3, v3]` — as in the
 //! paper's formulation. Input records are text lines read from the
-//! [`Dfs`]; each input split (one per DFS block) becomes
-//! one map task; intermediate pairs are hash-partitioned into `reducers`
+//! [`Dfs`], each input read once; each input split (one per DFS block, a
+//! `&str` of that text) becomes one map task; intermediate pairs are hash-partitioned into `reducers`
 //! partitions, and each partition becomes one reduce task, which sorts
 //! and groups its pairs by key itself. Map and reduce tasks run on a pool
 //! of worker threads.
@@ -13,16 +13,16 @@
 //! (map task, key) crosses the shuffle and no pair list is ever built.
 //!
 //! Determinism: a reduce task concatenates its partition's runs in
-//! map-task order and sorts them stably by key, so every key's values
-//! reach the reducer in (map task, emission) order however the tasks were
-//! scheduled — and with a combiner, each partial folded its values in
-//! record order. Float reductions repeat bit for bit.
+//! map-task order and orders them by key, ties by position, so every key's
+//! values reach the reducer in (map task, emission) order however the
+//! tasks were scheduled — and with a combiner, each partial folded its
+//! values in record order. Float reductions repeat bit for bit.
 
 use crate::dfs::Dfs;
 use crate::error::BatchError;
 use crossbeam::channel;
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 
 /// The map side of a job.
 ///
@@ -106,6 +106,40 @@ fn partition_of<K: Hash>(key: &K, reducers: usize) -> usize {
     (h.finish() % reducers as u64) as usize
 }
 
+/// Hashes a map task's keys with one multiply-rotate per integer written,
+/// in place of SipHash. The map-side table of partials is only a fold
+/// target: its iteration order decides the order of a task's pairs within
+/// a partition, and the reduce task's sort erases that order (a task holds
+/// one partial per key), so the hasher decides no output.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The output of a job: one `Vec` of `(key, value)` pairs per reduce
 /// partition, like Hadoop part files.
 pub type JobOutput<K, V> = Vec<Vec<(K, V)>>;
@@ -142,17 +176,16 @@ where
         return Err(BatchError::InvalidJobConfig { reason: "workers must be > 0".into() });
     }
 
-    // Input splits: one per DFS block, line-aligned.
-    let mut splits: Vec<String> = Vec::new();
-    for path in inputs {
-        splits.extend(dfs.read_line_splits(path)?);
-    }
+    // Input splits: one per DFS block, line-aligned, borrowed from each
+    // input's text, which is read once.
+    let texts = inputs.iter().map(|path| dfs.read_to_string(path)).collect::<Result<Vec<_>, _>>()?;
+    let splits: Vec<&str> = texts.iter().flat_map(|text| dfs.line_splits(text)).collect();
     let map_tasks = splits.len();
 
     // ---- Map phase -------------------------------------------------------
     // Workers pull splits from a channel; each task produces one run per
     // partition, tagged with the task's index.
-    let (split_tx, split_rx) = channel::unbounded::<(usize, String)>();
+    let (split_tx, split_rx) = channel::unbounded::<(usize, &str)>();
     for (i, s) in splits.into_iter().enumerate() {
         split_tx.send((i, s)).expect("channel open");
     }
@@ -167,7 +200,8 @@ where
                 let mut tasks = Vec::new();
                 let mut records = 0u64;
                 // Reused across this worker's tasks: drained per task.
-                let mut partials: HashMap<M::Key, M::Value> = HashMap::new();
+                let mut partials: HashMap<M::Key, M::Value, BuildHasherDefault<FoldHasher>> =
+                    HashMap::default();
                 while let Ok((task_id, split)) = split_rx.recv() {
                     let mut partitions: Vec<Vec<(M::Key, M::Value)>> =
                         (0..config.reducers).map(|_| Vec::new()).collect();
@@ -268,32 +302,32 @@ where
 }
 
 /// One reduce task: concatenates the partition's runs in map-task order,
-/// sorts the pairs stably by key — so a key's values stay in (map task,
-/// emission) order — and hands each key's values to the reducer.
+/// orders the pairs by key — ties by position, so a key's values stay in
+/// (map task, emission) order — and hands each key's values to the
+/// reducer. The sort moves positions, not pairs: a value can be large.
 fn reduce_partition<K: Ord, V, R: Reducer<K, V>>(
     reducer: &R,
     mut runs: Vec<Run<K, V>>,
 ) -> Vec<(R::OutKey, R::OutValue)> {
     runs.sort_unstable_by_key(|(task_id, _)| *task_id);
-    let mut pairs = Vec::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
-    for (_, run) in runs {
-        pairs.extend(run);
+    let len = runs.iter().map(|(_, run)| run.len()).sum();
+    let (mut keys, mut values) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    for (k, v) in runs.into_iter().flat_map(|(_, run)| run) {
+        keys.push(k);
+        values.push(Some(v));
     }
-    pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
+    let mut order: Vec<usize> = (0..len).collect();
+    order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
 
     let mut out = Vec::new();
-    let mut pairs = pairs.into_iter();
-    let Some((mut key, first)) = pairs.next() else { return out };
-    let mut values = vec![first];
-    for (k, v) in pairs {
-        if k != key {
-            reducer.reduce(&key, &values, &mut |ok, ov| out.push((ok, ov)));
-            values.clear();
-            key = k;
+    let mut group = Vec::new();
+    for positions in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
+        for &i in positions {
+            group.push(values[i].take().expect("each position is read once"));
         }
-        values.push(v);
+        reducer.reduce(&keys[positions[0]], &group, &mut |ok, ov| out.push((ok, ov)));
+        group.clear();
     }
-    reducer.reduce(&key, &values, &mut |ok, ov| out.push((ok, ov)));
     out
 }
 

@@ -12,8 +12,11 @@
 use crate::error::CoreError;
 use crate::partitioning::RegionRate;
 use crate::rules::{LocationSelector, SpatialContext};
+use crate::system::{pin_malloc_thresholds, release_free_memory};
+use crossbeam::channel;
 use std::collections::HashMap;
 use std::fmt::Write;
+use std::num::NonZero;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tms_batch::{run_job, Combiner, Dfs, JobConfig, Mapper, Reducer};
@@ -157,46 +160,120 @@ pub fn stop_observations(traces: &[BusTrace]) -> Vec<StopObservation> {
 
 /// Enriches raw traces (speed, actual delay, areas, bus stop) exactly as
 /// the on-line bolts would, and appends them to a DFS file as CSV — the
-/// historical data the statistics job consumes.
+/// historical data the statistics job consumes. The work is split over
+/// every core the process may use; the file does not depend on how many.
 pub fn enrich_and_store(
     traces: &[BusTrace],
     spatial: &SpatialContext,
     dfs: &Dfs,
     path: &str,
 ) -> Result<u64, CoreError> {
-    enrich_store_each(traces, spatial, dfs, path, |_| {})
+    pin_malloc_thresholds();
+    enrich_store_chunked(traces, spatial, dfs, path, ENRICH_CHUNK, available_workers())
+        .map(|(lines, _)| lines)
 }
 
-/// [`enrich_and_store`], handing each enriched trace to `each` once its
-/// line is written. One areas vector serves every trace and each line is
-/// written straight into the DFS buffer.
-fn enrich_store_each(
+/// Threads a set-up stage may use: the cores the process may run on.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZero::get)
+}
+
+/// Traces per enrichment chunk: a few hundred KiB of history text.
+const ENRICH_CHUNK: usize = 4096;
+
+/// Enriches `traces` in chunks of `chunk` traces on `workers` threads and
+/// appends each chunk's CSV text to `path` in chunk order, so the file
+/// holds the bytes, and [`Dfs::append`] cuts the blocks, that one pass in
+/// trace order would. A chunk's preprocessor is first fed each vehicle's
+/// last report before the chunk: that report is all the state the one
+/// pass would carry into it. At most two chunks per worker are in flight,
+/// each text buffer reused once its chunk is stored. Returns the line
+/// count and every location's hits.
+fn enrich_store_chunked(
     traces: &[BusTrace],
     spatial: &SpatialContext,
     dfs: &Dfs,
     path: &str,
-    mut each: impl FnMut(&EnrichedTrace),
-) -> Result<u64, CoreError> {
-    let mut pre = Preprocessor::new();
-    let mut buf = String::new();
-    let mut areas = Vec::new();
-    let mut n = 0u64;
-    for t in traces {
-        let e = enrich_into(&mut pre, spatial, *t, areas);
-        write_csv_line(&mut buf, &e);
-        buf.push('\n');
-        each(&e);
-        areas = e.areas;
-        n += 1;
-        if buf.len() > 1 << 20 {
-            dfs.append(path, buf.as_bytes())?;
-            buf.clear();
+    chunk: usize,
+    workers: usize,
+) -> Result<(u64, LocationHits), CoreError> {
+    let chunks: Vec<&[BusTrace]> = traces.chunks(chunk.max(1)).collect();
+    let workers = workers.clamp(1, chunks.len().max(1));
+    let in_flight = 2 * workers;
+    let mut hits = LocationHits::new(spatial);
+    std::thread::scope(|scope| -> Result<(), CoreError> {
+        // A task: the chunk's index, the trace index of each vehicle's last
+        // report before it, and the buffer its text goes into.
+        let (task_tx, task_rx) = channel::unbounded::<(usize, Vec<usize>, String)>();
+        let (done_tx, done_rx) = channel::unbounded::<(usize, String)>();
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                let (task_rx, done_tx) = (task_rx.clone(), done_tx.clone());
+                let chunks = &chunks;
+                scope.spawn(move || {
+                    let mut hits = LocationHits::new(spatial);
+                    let mut areas = Vec::new();
+                    while let Ok((k, seeds, mut text)) = task_rx.recv() {
+                        let mut pre = Preprocessor::new();
+                        for i in seeds {
+                            pre.enrich(traces[i]);
+                        }
+                        for t in chunks[k] {
+                            let e = enrich_into(&mut pre, spatial, *t, areas);
+                            write_csv_line(&mut text, &e);
+                            text.push('\n');
+                            let locations = e.areas.iter().copied().chain(e.bus_stop);
+                            hits.count(e.trace.timestamp_ms, locations);
+                            areas = e.areas;
+                        }
+                        if done_tx.send((k, text)).is_err() {
+                            break;
+                        }
+                    }
+                    hits
+                })
+            })
+            .collect();
+        drop(done_tx);
+
+        // Chunks are dispatched in order, so this holds each vehicle's last
+        // report before the chunk being dispatched.
+        let mut last_report: HashMap<u32, usize> = HashMap::new();
+        let mut dispatch = |k: usize, text: String| {
+            let seeds = last_report.values().copied().collect();
+            for (i, t) in (k * chunk..).zip(chunks[k]) {
+                last_report.insert(t.vehicle_id, i);
+            }
+            task_tx.send((k, seeds, text)).expect("the workers outlive the tasks");
+        };
+        let mut next = in_flight.min(chunks.len());
+        for k in 0..next {
+            dispatch(k, String::new());
         }
-    }
-    if !buf.is_empty() {
-        dfs.append(path, buf.as_bytes())?;
-    }
-    Ok(n)
+        // Chunks done out of order wait here, at their index modulo
+        // `in_flight`: no two chunks in flight share a slot.
+        let mut ready: Vec<Option<String>> = vec![None; in_flight];
+        let mut stored = 0;
+        while stored < chunks.len() {
+            let Ok((k, text)) = done_rx.recv() else { break }; // a worker died
+            ready[k % in_flight] = Some(text);
+            while let Some(mut text) = ready[stored % in_flight].take() {
+                dfs.append(path, text.as_bytes())?;
+                stored += 1;
+                if next < chunks.len() {
+                    text.clear();
+                    dispatch(next, text);
+                    next += 1;
+                }
+            }
+        }
+        drop(task_tx);
+        for worker in workers {
+            hits.merge(worker.join().expect("enrichment does not panic"));
+        }
+        Ok(())
+    })?;
+    Ok((traces.len() as u64, hits))
 }
 
 /// Applies the PreProcess + AreaTracker + BusStopsTracker logic to one
@@ -243,15 +320,81 @@ fn write_csv_line(out: &mut String, e: &EnrichedTrace) {
     if let Some(stop) = e.bus_stop {
         let _ = write!(out, "{stop}");
     }
-    let _ = write!(out, ",{:.3},", e.trace.delay_s);
+    out.push(',');
+    write_thousandths(out, e.trace.delay_s);
+    out.push(',');
     if let Some(v) = e.actual_delay_s {
-        let _ = write!(out, "{v:.3}");
+        write_thousandths(out, v);
     }
     out.push(',');
     if let Some(v) = e.speed_kmh {
-        let _ = write!(out, "{v:.3}");
+        write_thousandths(out, v);
     }
     let _ = write!(out, ",{}", e.trace.congestion);
+}
+
+/// Appends `v` as `format!("{v:.3}")` prints it, digit by digit from
+/// [`rounded_thousandths`]; NaN, the infinities and magnitudes beyond
+/// `u64::MAX` thousandths go through `{:.3}` itself.
+fn write_thousandths(out: &mut String, v: f64) {
+    let Some(thousandths) = rounded_thousandths(v) else {
+        let _ = write!(out, "{v:.3}");
+        return;
+    };
+    // Sign, up to 17 integer digits, the point and three decimals.
+    let mut text = [0u8; 22];
+    let decimals = (thousandths % 1000) as u16;
+    text[18..].copy_from_slice(&[
+        b'.',
+        b'0' + (decimals / 100) as u8,
+        b'0' + (decimals / 10 % 10) as u8,
+        b'0' + (decimals % 10) as u8,
+    ]);
+    let (mut integer, mut at) = (thousandths / 1000, 18);
+    loop {
+        at -= 1;
+        text[at] = b'0' + (integer % 10) as u8;
+        integer /= 10;
+        if integer == 0 {
+            break;
+        }
+    }
+    if v.is_sign_negative() {
+        at -= 1;
+        text[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&text[at..]).expect("ASCII digits"));
+}
+
+/// `|v| · 1000` rounded half to even, worked out exactly from the float's
+/// mantissa and exponent; `None` for NaN, the infinities and results
+/// beyond `u64::MAX`.
+fn rounded_thousandths(v: f64) -> Option<u64> {
+    if !v.is_finite() {
+        return None;
+    }
+    let bits = v.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    // |v| = mantissa · 2^power, exactly.
+    let (mantissa, power) = match exponent {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << 52, exponent - 1075),
+    };
+    let scaled = u128::from(mantissa) * 1000; // below 2^63
+    match power {
+        64.. => None,
+        0.. => u64::try_from(scaled << power).ok(),
+        -63..0 => {
+            let shift = power.unsigned_abs();
+            let (quotient, rest, half) =
+                (scaled >> shift, scaled & ((1 << shift) - 1), 1 << (shift - 1));
+            let up = rest > half || (rest == half && quotient & 1 == 1);
+            Some((quotient + u128::from(up)) as u64)
+        }
+        // 2^-power is at least 2^64, so `scaled` is below half of it.
+        _ => Some(0),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -262,21 +405,29 @@ fn write_csv_line(out: &mut String, e: &EnrichedTrace) {
 /// [`StatsBolt`](crate::kappa::StatsBolt) keys by, in the same order.
 type Cell = (Attribute, LocId, u8, DayType);
 
+/// The statistics job's key: a cell without its attribute.
+type Place = (LocId, u8, DayType);
+
 /// A cell's raw moments: (count, sum, sum of squares).
 type Moments = (u64, f64, f64);
 
+/// The moments of every attribute at one place, in [`Attribute::ALL`]
+/// order; an attribute without a sample has count 0.
+type PlaceMoments = [Moments; 4];
+
 /// Turns a cell's raw moments into its published row: the mean and the
-/// *population* stdv, or nothing below `min_samples` (thin cells make
-/// garbage thresholds). The batch job's reducer and
-/// [`StatsBolt`](crate::kappa::StatsBolt)'s publication both finish here,
-/// so the two agree bit for bit on the same samples in the same order: one
-/// DFS block, values at the CSV's three decimals (see [`crate::kappa`]).
+/// *population* stdv, or nothing for a cell without a sample or below
+/// `min_samples` (thin cells make garbage thresholds). The batch job's
+/// reducer and [`StatsBolt`](crate::kappa::StatsBolt)'s publication both
+/// finish here, so the two agree bit for bit on the same samples in the
+/// same order: one DFS block, values at the CSV's three decimals (see
+/// [`crate::kappa`]).
 pub(crate) fn stat_record(
     (location, hour, day_type): (LocId, u8, DayType),
     (count, sum, sum_sq): Moments,
     min_samples: u64,
 ) -> Option<StatRecord> {
-    if count < min_samples {
+    if count == 0 || count < min_samples {
         return None;
     }
     let n = count as f64;
@@ -295,14 +446,14 @@ pub(crate) fn stat_record(
 struct StatsMapper;
 
 impl Mapper for StatsMapper {
-    type Key = Cell;
-    type Value = Moments;
+    type Key = Place;
+    type Value = PlaceMoments;
 
-    /// Parses a history line once and emits one sample per (attribute
-    /// with a value, location id) pair. Malformed lines — wrong field
-    /// count, hour or day type — are skipped, as are locations that are
-    /// no [`LocId`] (no rule can monitor them).
-    fn map(&self, record: &str, emit: &mut dyn FnMut(Cell, Moments)) {
+    /// Parses a history line once and emits, per location id, one sample
+    /// of every attribute (count 0 where the line has no value). Malformed
+    /// lines — wrong field count, hour or day type — are skipped, as are
+    /// locations that are no [`LocId`] (no rule can monitor them).
+    fn map(&self, record: &str, emit: &mut dyn FnMut(Place, PlaceMoments)) {
         let mut fields = record.split(',');
         let [
             Some(hour), Some(day), Some(areas), Some(stop),
@@ -314,34 +465,42 @@ impl Mapper for StatsMapper {
         };
         let (Ok(hour), Ok(day)) = (hour.parse::<u8>(), DayType::parse(day)) else { return };
         let delay = delay.parse::<f64>().ok();
+        // In `Attribute::ALL` order.
         let values = [
-            (Attribute::Delay, delay),
-            (Attribute::ActualDelay, actual_delay.parse::<f64>().ok()),
-            (Attribute::Speed, speed.parse::<f64>().ok()),
-            (Attribute::DelayAndCongestion, delay.filter(|_| congestion == "true")),
+            delay,
+            actual_delay.parse::<f64>().ok(),
+            speed.parse::<f64>().ok(),
+            delay.filter(|_| congestion == "true"),
         ];
+        if values.iter().all(Option::is_none) {
+            return;
+        }
+        let sample = values.map(|value| value.map_or((0, 0.0, 0.0), |v| (1, v, v * v)));
         // An empty area list or stop parses as no location.
         let locations = areas.split(';').chain([stop]).filter_map(|l| l.parse::<LocId>().ok());
         for location in locations {
-            for (attribute, value) in values {
-                if let Some(v) = value {
-                    emit((attribute, location, hour, day), (1, v, v * v));
-                }
-            }
+            emit((location, hour, day), sample);
         }
     }
 }
 
+/// Folds a place's samples attribute by attribute, skipping attributes
+/// with count 0: each attribute's sums add exactly the terms, in exactly
+/// the order, of a job keyed by (attribute, place).
 struct MomentsCombiner;
 
-impl Combiner<Moments> for MomentsCombiner {
-    fn zero(&self) -> Moments {
-        (0, 0.0, 0.0)
+impl Combiner<PlaceMoments> for MomentsCombiner {
+    fn zero(&self) -> PlaceMoments {
+        [(0, 0.0, 0.0); 4]
     }
-    fn fold(&self, (count, sum, sum_sq): &mut Moments, value: Moments) {
-        *count += value.0;
-        *sum += value.1;
-        *sum_sq += value.2;
+    fn fold(&self, partial: &mut PlaceMoments, value: PlaceMoments) {
+        for ((count, sum, sum_sq), (n, s, s2)) in partial.iter_mut().zip(value) {
+            if n > 0 {
+                *count += n;
+                *sum += s;
+                *sum_sq += s2;
+            }
+        }
     }
 }
 
@@ -349,31 +508,43 @@ struct StatsReducer {
     min_samples: u64,
 }
 
-impl Reducer<Cell, Moments> for StatsReducer {
+impl Reducer<Place, PlaceMoments> for StatsReducer {
     type OutKey = Cell;
     type OutValue = StatRecord;
 
-    fn reduce(&self, cell: &Cell, partials: &[Moments], emit: &mut dyn FnMut(Cell, StatRecord)) {
+    fn reduce(
+        &self,
+        &(location, hour, day): &Place,
+        partials: &[PlaceMoments],
+        emit: &mut dyn FnMut(Cell, StatRecord),
+    ) {
         let mut total = MomentsCombiner.zero();
         for partial in partials {
             MomentsCombiner.fold(&mut total, *partial);
         }
-        let (_, location, hour, day) = *cell;
-        if let Some(record) = stat_record((location, hour, day), total, self.min_samples) {
-            emit(*cell, record);
+        for (attribute, moments) in Attribute::ALL.into_iter().zip(total) {
+            if let Some(record) = stat_record((location, hour, day), moments, self.min_samples) {
+                emit((attribute, location, hour, day), record);
+            }
         }
     }
 }
 
 /// Runs the statistics job over enriched-history files and publishes the
 /// resulting thresholds, one snapshot per attribute, each in cell order
-/// (location, hour, day type) — whatever the job's partitioning.
+/// (location, hour, day type) — whatever the job's partitioning. It pins
+/// glibc's malloc thresholds first, as [`TrafficSystem::bootstrap`] does,
+/// and hands the arenas' free pages back last: the job is the set-up's
+/// largest transient.
+///
+/// [`TrafficSystem::bootstrap`]: crate::system::TrafficSystem::bootstrap
 pub fn run_statistics_job(
     dfs: &Dfs,
     inputs: &[&str],
     store: &TableStore,
     config: &OfflineConfig,
 ) -> Result<HashMap<Attribute, usize>, CoreError> {
+    pin_malloc_thresholds();
     let (outputs, _stats) = run_job(
         dfs,
         inputs,
@@ -397,6 +568,7 @@ pub fn run_statistics_job(
             thresholds.publish(attribute.name(), &records)?;
         }
     }
+    release_free_memory();
     Ok(published)
 }
 
@@ -437,6 +609,17 @@ impl LocationHits {
         }
     }
 
+    /// Adds `other`'s counts and timestamp span to these.
+    fn merge(&mut self, other: LocationHits) {
+        for (mine, theirs) in [(&mut self.regions, other.regions), (&mut self.stops, other.stops)] {
+            for (n, m) in mine.iter_mut().zip(theirs) {
+                *n += m;
+            }
+        }
+        self.min_ts = self.min_ts.min(other.min_ts);
+        self.max_ts = self.max_ts.max(other.max_ts);
+    }
+
     /// Tuples/second per location id; locations never counted are absent.
     fn rates(self) -> HashMap<String, f64> {
         let span_s = ((self.max_ts.saturating_sub(self.min_ts)) as f64 / 1000.0).max(1.0);
@@ -467,7 +650,7 @@ pub fn region_rates(
 }
 
 /// Runs the whole off-line pipeline over a batch of historical traces.
-/// The region rates are counted from the enrichment pass's own areas and
+/// The region rates are counted from the enrichment's own areas and
 /// stops: the same locations [`region_rates`] finds, found once.
 pub fn run_offline(
     bbox: tms_geo::BoundingBox,
@@ -476,13 +659,18 @@ pub fn run_offline(
     store: &TableStore,
     config: &OfflineConfig,
 ) -> Result<OfflineArtifacts, CoreError> {
+    pin_malloc_thresholds();
     let observations = stop_observations(traces);
     let spatial = build_spatial(bbox, seeds, &observations, config)?;
     let dfs = Dfs::with_defaults();
-    let mut hits = LocationHits::new(&spatial);
-    enrich_store_each(traces, &spatial, &dfs, "/history/day0.csv", |e| {
-        hits.count(e.trace.timestamp_ms, e.areas.iter().copied().chain(e.bus_stop));
-    })?;
+    let (_, hits) = enrich_store_chunked(
+        traces,
+        &spatial,
+        &dfs,
+        "/history/day0.csv",
+        ENRICH_CHUNK,
+        available_workers(),
+    )?;
     run_statistics_job(&dfs, &["/history/day0.csv"], store, config)?;
     Ok(OfflineArtifacts::new(spatial, hits.rates(), ThresholdStore::new(store.clone())))
 }
@@ -809,6 +997,257 @@ mod tests {
         assert!(reference[..3].iter().all(|rows| rows.len() > 1_000), "three attributes publish");
         assert_eq!(tables(4, 4), reference, "reducers: 4, workers: 4");
         assert_eq!(tables(7, 2), reference, "reducers: 7, workers: 2");
+    }
+
+    /// A statistics table as published: every row, floats by their bits.
+    type RowBits = (String, u8, DayType, u64, u64, u64);
+
+    fn row_bits(r: &StatRecord) -> RowBits {
+        (r.area_id.clone(), r.hour, r.day_type, r.mean.to_bits(), r.stdv.to_bits(), r.count)
+    }
+
+    /// The statistics job as it was keyed before a place carried every
+    /// attribute: one pair per (attribute with a value, location) of a
+    /// line, each cell folded on its own.
+    struct CellMapper;
+
+    impl Mapper for CellMapper {
+        type Key = Cell;
+        type Value = Moments;
+
+        fn map(&self, record: &str, emit: &mut dyn FnMut(Cell, Moments)) {
+            let f: Vec<&str> = record.split(',').collect();
+            let [hour, day, areas, stop, delay, actual_delay, speed, congestion] = f[..] else {
+                return;
+            };
+            let (Ok(hour), Ok(day)) = (hour.parse::<u8>(), DayType::parse(day)) else { return };
+            let delay = delay.parse::<f64>().ok();
+            let values = [
+                (Attribute::Delay, delay),
+                (Attribute::ActualDelay, actual_delay.parse::<f64>().ok()),
+                (Attribute::Speed, speed.parse::<f64>().ok()),
+                (Attribute::DelayAndCongestion, delay.filter(|_| congestion == "true")),
+            ];
+            for location in areas.split(';').chain([stop]).filter_map(|l| l.parse::<LocId>().ok()) {
+                for (attribute, value) in values {
+                    if let Some(v) = value {
+                        emit((attribute, location, hour, day), (1, v, v * v));
+                    }
+                }
+            }
+        }
+    }
+
+    struct CellCombiner;
+
+    impl Combiner<Moments> for CellCombiner {
+        fn zero(&self) -> Moments {
+            (0, 0.0, 0.0)
+        }
+        fn fold(&self, (count, sum, sum_sq): &mut Moments, (n, s, s2): Moments) {
+            *count += n;
+            *sum += s;
+            *sum_sq += s2;
+        }
+    }
+
+    struct CellReducer(u64);
+
+    impl Reducer<Cell, Moments> for CellReducer {
+        type OutKey = Cell;
+        type OutValue = StatRecord;
+
+        fn reduce(
+            &self,
+            cell: &Cell,
+            partials: &[Moments],
+            emit: &mut dyn FnMut(Cell, StatRecord),
+        ) {
+            let mut total = CellCombiner.zero();
+            for partial in partials {
+                CellCombiner.fold(&mut total, *partial);
+            }
+            let (_, location, hour, day) = *cell;
+            if let Some(record) = stat_record((location, hour, day), total, self.0) {
+                emit(*cell, record);
+            }
+        }
+    }
+
+    #[test]
+    fn a_place_keyed_job_publishes_no_empty_cell_and_what_a_cell_keyed_job_does() {
+        let (traces, seeds) = day_of_traces();
+        let config = OfflineConfig { min_samples: 0, ..OfflineConfig::default() };
+        let spatial =
+            build_spatial(DUBLIN_BBOX, &seeds, &stop_observations(&traces), &config).unwrap();
+        let dfs = Dfs::with_defaults();
+        enrich_and_store(&traces, &spatial, &dfs, "/h.csv").unwrap();
+        let store = TableStore::new();
+        run_statistics_job(&dfs, &["/h.csv"], &store, &config).unwrap();
+
+        let by_cell = CellReducer(0);
+        let (outputs, _) =
+            run_job(&dfs, &["/h.csv"], &CellMapper, &by_cell, Some(&CellCombiner), config.job)
+                .unwrap();
+        let mut reference: Vec<(Cell, StatRecord)> = outputs.into_iter().flatten().collect();
+        reference.sort_unstable_by_key(|(cell, _)| *cell);
+        let thresholds = ThresholdStore::new(store);
+        for attribute in Attribute::ALL {
+            let rows = thresholds.statistics(attribute.name()).unwrap_or_default();
+            // A first report has no speed and this morning reports no
+            // congestion: places carry those attributes with count 0.
+            let congestion = attribute == Attribute::DelayAndCongestion;
+            assert!(congestion == rows.is_empty(), "{attribute:?}: {} rows", rows.len());
+            for row in &rows {
+                assert!(row.count > 0 && !row.mean.is_nan() && !row.stdv.is_nan(), "{row:?}");
+            }
+            // The store reads rows back in its own order: compare as sets.
+            let mut want: Vec<RowBits> = reference
+                .iter()
+                .filter(|((a, ..), _)| *a == attribute)
+                .map(|(_, r)| row_bits(r))
+                .collect();
+            let mut got: Vec<RowBits> = rows.iter().map(row_bits).collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert!(got == want, "{attribute:?}: the rows differ from a cell-keyed job's");
+        }
+    }
+
+    #[test]
+    fn the_shuffle_carries_one_pair_per_split_and_place() {
+        let (traces, seeds) = day_of_traces();
+        let config = OfflineConfig::default();
+        let spatial =
+            build_spatial(DUBLIN_BBOX, &seeds, &stop_observations(&traces), &config).unwrap();
+        let dfs = Dfs::with_defaults();
+        enrich_and_store(&traces, &spatial, &dfs, "/h.csv").unwrap();
+        let reducer = StatsReducer { min_samples: config.min_samples };
+        let (_, stats) =
+            run_job(&dfs, &["/h.csv"], &StatsMapper, &reducer, Some(&MomentsCombiner), config.job)
+                .unwrap();
+        // Count what crosses: the distinct places each split emits.
+        let text = dfs.read_to_string("/h.csv").unwrap();
+        let mut places = 0;
+        for split in dfs.line_splits(&text) {
+            let mut seen = std::collections::HashSet::new();
+            for line in split.lines() {
+                StatsMapper.map(line, &mut |place, _| {
+                    seen.insert(place);
+                });
+            }
+            places += seen.len() as u64;
+        }
+        assert_eq!(stats.intermediate_pairs, places);
+        let (_, by_cell) = run_job(
+            &dfs,
+            &["/h.csv"],
+            &CellMapper,
+            &CellReducer(0),
+            Some(&CellCombiner),
+            config.job,
+        )
+        .unwrap();
+        assert!(
+            stats.intermediate_pairs * 5 < by_cell.intermediate_pairs * 2,
+            "{} pairs by place, {} by cell",
+            stats.intermediate_pairs,
+            by_cell.intermediate_pairs
+        );
+    }
+
+    #[test]
+    fn the_history_file_does_not_depend_on_the_chunking() {
+        let (traces, seeds) = day_of_traces();
+        let config = OfflineConfig::default();
+        let spatial =
+            build_spatial(DUBLIN_BBOX, &seeds, &stop_observations(&traces), &config).unwrap();
+        // One pass in trace order, line by line.
+        let mut pre = Preprocessor::new();
+        let mut want = String::new();
+        for t in &traces {
+            want.push_str(&enriched_csv_line(&enrich(&mut pre, &spatial, *t)));
+            want.push('\n');
+        }
+        let bits = |rates: HashMap<String, f64>| -> std::collections::BTreeMap<String, u64> {
+            rates.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+        };
+        let want_rates = bits(region_rates(&traces, &spatial));
+        // Halving puts a chunk boundary inside a vehicle's run of reports.
+        let half = traces.len().div_ceil(2);
+        let first = traces[half];
+        assert!(traces[..half]
+            .iter()
+            .any(|t| t.vehicle_id == first.vehicle_id && t.timestamp_ms < first.timestamp_ms));
+        for (chunks, workers) in [(1, 1), (2, 2), (7, 2), (7, 7)] {
+            let dfs = Dfs::with_defaults();
+            let chunk = traces.len().div_ceil(chunks);
+            let (lines, hits) =
+                enrich_store_chunked(&traces, &spatial, &dfs, "/h.csv", chunk, workers).unwrap();
+            let case = format!("{chunks} chunks on {workers} workers");
+            assert_eq!(lines, traces.len() as u64, "{case}");
+            let text = dfs.read_to_string("/h.csv").unwrap();
+            assert!(text == want, "{case}: the file differs from one pass's");
+            let blocks = dfs.status("/h.csv").unwrap().blocks;
+            assert_eq!(blocks, want.len().div_ceil(dfs.config().block_size), "{case}");
+            assert_eq!(bits(hits.rates()), want_rates, "{case}");
+            // The report after the boundary got its speed and actual delay.
+            let line: Vec<&str> = text.lines().nth(half).unwrap().split(',').collect();
+            assert!(!line[5].is_empty() && !line[6].is_empty(), "{case}: {line:?}");
+        }
+    }
+
+    /// [`write_thousandths`]'s text.
+    fn printed(v: f64) -> String {
+        let mut text = String::new();
+        write_thousandths(&mut text, v);
+        text
+    }
+
+    #[test]
+    fn the_thousandths_writer_prints_what_format_prints_at_the_edges() {
+        // The largest magnitude with a `u64` of thousandths, and the next.
+        let limit = u64::MAX as f64 / 1000.0;
+        let below = f64::from_bits(limit.to_bits() - 1);
+        let edges = [
+            0.0, -0.0, -0.0004, 0.0004999, 0.0005, -0.0005, 0.0015, -2.5625, 2.5625, 0.0625,
+            0.1875, 0.9995, 999.9995, 1e15, -1e15, 1e17, 123_456_789.987_654, limit, below,
+            -below, 5e-324, f64::MIN_POSITIVE, f64::MAX, f64::MIN, f64::NAN, -f64::NAN,
+            f64::INFINITY, f64::NEG_INFINITY,
+        ];
+        assert!(below * 1000.0 < u64::MAX as f64 && limit * 1000.0 >= u64::MAX as f64);
+        for v in edges {
+            assert_eq!(printed(v), format!("{v:.3}"), "{v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    /// Cases per property below; a run of 10⁶ and more is a by-hand check.
+    const THOUSANDTHS_CASES: u32 = 20_000;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(THOUSANDTHS_CASES))]
+
+        #[test]
+        fn the_thousandths_writer_prints_what_format_prints_on_any_bits(bits in 0..u64::MAX) {
+            let v = f64::from_bits(bits);
+            proptest::prop_assert_eq!(printed(v), format!("{v:.3}"));
+        }
+
+        #[test]
+        fn the_thousandths_writer_rounds_ties_and_history_values_as_format_does(
+            odd in 0u64..1 << 40,
+            magnitude in 0u32..41,
+            negative in proptest::prelude::any::<bool>(),
+            plain in -1e7f64..1e7,
+            small in -1f64..1.0,
+        ) {
+            // The ties at the third decimal are the odd multiples of 1/16.
+            let tie = (2 * (odd >> magnitude) + 1) as f64 / 16.0;
+            let tie = if negative { -tie } else { tie };
+            for v in [tie, plain, small] {
+                proptest::prop_assert_eq!(printed(v), format!("{v:.3}"));
+            }
+        }
     }
 
     #[test]

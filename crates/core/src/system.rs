@@ -521,7 +521,7 @@ pub struct TrafficSystem {
 /// they freed. Setting either threshold turns that adjustment off: large
 /// buffers are mmapped and unmapped, and arenas trim their free tops. The
 /// setting is process-wide and glibc-only; elsewhere this does nothing.
-fn pin_malloc_thresholds() {
+pub(crate) fn pin_malloc_thresholds() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         const M_TRIM_THRESHOLD: i32 = -1;
@@ -541,6 +541,26 @@ fn pin_malloc_thresholds() {
                 unsafe { mallopt(param, THRESHOLD) };
             }
         });
+    }
+}
+
+/// Hands every arena's free pages back to the system (glibc's
+/// `malloc_trim(0)`); elsewhere this does nothing.
+///
+/// An arena trims its free top only when a free coalesces into it, so the
+/// thread arenas the statistics job's tasks leave behind can hold megabytes
+/// that nothing uses once their last frees were small: the set-up's threads
+/// exit, and the run inherits whatever their arenas kept.
+pub(crate) fn release_free_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        // SAFETY: `malloc_trim` is glibc's, with this exact C signature
+        // (`int malloc_trim(size_t pad)`); it takes each arena's lock.
+        unsafe extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: a pad of 0 only asks for as much as can be given back.
+        unsafe { malloc_trim(0) };
     }
 }
 

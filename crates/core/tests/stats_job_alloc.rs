@@ -1,13 +1,16 @@
 //! Allocation gate on the batch statistics job: `run_statistics_job` over
-//! the `FleetConfig::small(9)` morning, held to at most one allocation per
-//! history line.
+//! the `FleetConfig::small(9)` morning, held to the 24 404 allocations it
+//! makes for 36 000 history lines and 5 762 rows, plus a margin of 596
+//! (2.4 %): 25 000.
 //!
 //! The job's map and reduce tasks run on worker threads, so the counter is
 //! one process-wide atomic, not `alloc_ceiling.rs`'s thread-local: that is
-//! also why this binary holds exactly one test. What the budget leaves room
-//! for is per split, per cell and per published row (the row's location
-//! text and its table cells); one `format!` or `Vec` per line, or per
-//! (attribute, location) pair of a line, breaks it.
+//! also why this binary holds exactly one test. Nearly all of the budget is
+//! per published row (the row's location text and its table cells); the
+//! rest is per split, per task and per map-side table. One allocation per
+//! line, or per (attribute, location) pair of a line, breaks it. How many
+//! pairs cross the shuffle is pinned apart from allocations, by
+//! `offline`'s unit test `the_shuffle_carries_one_pair_per_split_and_place`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +56,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// What the job measured (24 404), plus the margin.
+const BUDGET: u64 = 25_000;
+
 #[test]
 fn the_statistics_job_allocates_less_than_once_per_history_line() {
     let generator = FleetGenerator::new(FleetConfig::small(9), 0).unwrap();
@@ -74,7 +80,7 @@ fn the_statistics_job_allocates_less_than_once_per_history_line() {
     let rows: usize = published.values().sum();
     assert!(lines == 36_000 && rows > 5_000, "the morning's job: {lines} lines, {rows} rows");
     assert!(
-        allocations <= lines,
+        allocations <= BUDGET,
         "run_statistics_job: {allocations} allocations for {lines} history lines"
     );
 }

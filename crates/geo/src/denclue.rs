@@ -206,8 +206,22 @@ impl Denclue {
         Ok(Denclue { config })
     }
 
-    /// Clusters the given points.
+    /// Clusters the given points. The hill climbs run on every core the
+    /// process may use; the result does not depend on how many that is.
     pub fn cluster(&self, points: &[GeoPoint]) -> Result<ClusteringResult, GeoError> {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.cluster_on(points, workers)
+    }
+
+    /// [`Self::cluster`] with the climbs split over `workers` threads: each
+    /// climbs one contiguous range of the points, and the ranges' results
+    /// are concatenated in index order. A climb reads only the grid and its
+    /// own start, so every attractor is the one a single thread finds.
+    fn cluster_on(
+        &self,
+        points: &[GeoPoint],
+        workers: usize,
+    ) -> Result<ClusteringResult, GeoError> {
         if points.is_empty() {
             return Err(GeoError::EmptyInput { what: "DENCLUE input points" });
         }
@@ -216,41 +230,21 @@ impl Denclue {
         // Kernel support: contributions beyond 4σ are < e^-8 ≈ 3e-4 and are
         // ignored; a 4σ grid cell means the 3×3 neighbourhood covers them.
         let grid = Grid::build(&xy, 4.0 * self.config.sigma_m);
-        let inv_2s2 = 1.0 / (2.0 * self.config.sigma_m * self.config.sigma_m);
-
-        let mut attractors = Vec::with_capacity(points.len());
-        let mut densities = Vec::with_capacity(points.len());
-        for &(sx, sy) in &xy {
-            let (mut x, mut y) = (sx, sy);
-            let mut density = 0.0;
-            for _ in 0..self.config.max_iterations {
-                // Mean-shift step: move to the kernel-weighted mean of the
-                // neighbourhood; fixed points of this map are the local
-                // maxima (density attractors) of the kernel sum.
-                let (mut wx, mut wy, mut w) = (0.0, 0.0, 0.0);
-                for j in grid.neighbours(x, y) {
-                    let (px, py) = xy[j];
-                    let d2 = (px - x) * (px - x) + (py - y) * (py - y);
-                    let k = (-d2 * inv_2s2).exp();
-                    wx += k * px;
-                    wy += k * py;
-                    w += k;
-                }
-                density = w;
-                if w <= f64::MIN_POSITIVE {
-                    break;
-                }
-                let (nx, ny) = (wx / w, wy / w);
-                let step2 = (nx - x) * (nx - x) + (ny - y) * (ny - y);
-                x = nx;
-                y = ny;
-                if step2.sqrt() < self.config.convergence_m {
-                    break;
-                }
+        let climb_range = |range: &[(f64, f64)]| -> Vec<((f64, f64), f64)> {
+            range.iter().map(|&start| self.climb(&grid, &xy, start)).collect()
+        };
+        let mut ranges = xy.chunks(xy.len().div_ceil(workers.max(1)));
+        let first = ranges.next().expect("points are non-empty");
+        let climbs: Vec<((f64, f64), f64)> = std::thread::scope(|scope| {
+            let rest: Vec<_> =
+                ranges.map(|range| scope.spawn(move || climb_range(range))).collect();
+            let mut climbs = climb_range(first);
+            for handle in rest {
+                climbs.extend(handle.join().expect("a climb does not panic"));
             }
-            attractors.push((x, y));
-            densities.push(density);
-        }
+            climbs
+        });
+        let (attractors, densities): (Vec<(f64, f64)>, Vec<f64>) = climbs.into_iter().unzip();
 
         // Merge attractors closer than merge_distance via union-find.
         let mut parent: Vec<usize> = (0..points.len()).collect();
@@ -322,6 +316,40 @@ impl Denclue {
         }
         noise.sort_unstable();
         Ok(ClusteringResult { clusters, noise })
+    }
+
+    /// Hill-climbs from `start` to its density attractor: the attractor and
+    /// the density there.
+    fn climb(&self, grid: &Grid, xy: &[(f64, f64)], start: (f64, f64)) -> ((f64, f64), f64) {
+        let inv_2s2 = 1.0 / (2.0 * self.config.sigma_m * self.config.sigma_m);
+        let (mut x, mut y) = start;
+        let mut density = 0.0;
+        for _ in 0..self.config.max_iterations {
+            // Mean-shift step: move to the kernel-weighted mean of the
+            // neighbourhood; fixed points of this map are the local
+            // maxima (density attractors) of the kernel sum.
+            let (mut wx, mut wy, mut w) = (0.0, 0.0, 0.0);
+            for j in grid.neighbours(x, y) {
+                let (px, py) = xy[j];
+                let d2 = (px - x) * (px - x) + (py - y) * (py - y);
+                let k = (-d2 * inv_2s2).exp();
+                wx += k * px;
+                wy += k * py;
+                w += k;
+            }
+            density = w;
+            if w <= f64::MIN_POSITIVE {
+                break;
+            }
+            let (nx, ny) = (wx / w, wy / w);
+            let step2 = (nx - x) * (nx - x) + (ny - y) * (ny - y);
+            x = nx;
+            y = ny;
+            if step2.sqrt() < self.config.convergence_m {
+                break;
+            }
+        }
+        ((x, y), density)
     }
 }
 
@@ -447,6 +475,45 @@ mod tests {
         for bad in [f64::NAN, 0.0, -0.05, f64::NEG_INFINITY] {
             assert!(rejected(DenclueConfig { convergence_m: bad, ..Default::default() }), "{bad}");
         }
+    }
+
+    #[test]
+    fn the_clustering_does_not_depend_on_the_worker_count() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut pts = Vec::new();
+        for i in 0..12 {
+            let (lat, lon) = (53.30 + 0.004 * f64::from(i), -6.30 + 0.003 * f64::from(i % 5));
+            let centre = GeoPoint::new_unchecked(lat, lon);
+            pts.extend(blob(&mut rng, centre, 20 + 7 * i as usize, 12.0 + f64::from(i)));
+        }
+        // Lone points far from any blob: noise under a density floor.
+        pts.extend((0..5).map(|i| GeoPoint::new_unchecked(53.45 + 0.01 * f64::from(i), -6.10)));
+        let config = DenclueConfig { min_density: 2.0, ..Default::default() };
+        let engine = Denclue::new(config).unwrap();
+        // Each cluster's attractor and density by their bits, its members;
+        // then the noise.
+        type Bits = (Vec<([u64; 3], Vec<usize>)>, Vec<usize>);
+        let bits = |r: &ClusteringResult| -> Bits {
+            let clusters = r
+                .clusters
+                .iter()
+                .map(|c| {
+                    let a = c.attractor;
+                    ([a.lat.to_bits(), a.lon.to_bits(), c.density.to_bits()], c.members.clone())
+                })
+                .collect();
+            (clusters, r.noise.clone())
+        };
+        let reference = bits(&engine.cluster_on(&pts, 1).unwrap());
+        assert!(reference.0.len() >= 10 && reference.1.len() == 5, "{reference:?}");
+        for workers in [2, 3, 7] {
+            let result = engine.cluster_on(&pts, workers).unwrap();
+            assert_eq!(bits(&result), reference, "{workers} workers");
+        }
+        // More workers than points: some ranges are a single point.
+        let few = &pts[..4];
+        let (one, seven) = (engine.cluster_on(few, 1).unwrap(), engine.cluster_on(few, 7).unwrap());
+        assert_eq!(bits(&seven), bits(&one));
     }
 
     #[test]
