@@ -965,7 +965,7 @@ mod tests {
 
     #[test]
     fn stored_tables_do_not_depend_on_the_job_sizing() {
-        use tms_storage::{thresholds::statistics_table_name, Value};
+        use tms_storage::{thresholds::statistics_table_name, ValueRef};
         let (traces, seeds) = day_of_traces();
         let config = OfflineConfig::default();
         let spatial =
@@ -973,8 +973,8 @@ mod tests {
         let dfs = Dfs::with_defaults();
         enrich_and_store(&traces, &spatial, &dfs, "/h.csv").unwrap();
         // Every attribute's table as stored: its rows in order, floats by bits.
-        let text = |v: &Value| match v {
-            Value::Float(f) => format!("{:016x}", f.to_bits()),
+        let text = |v: ValueRef| match v {
+            ValueRef::Float(f) => format!("{:016x}", f.to_bits()),
             other => format!("{other:?}"),
         };
         let tables = |reducers, workers| -> Vec<Vec<Vec<String>>> {

@@ -16,7 +16,7 @@ use tms_cep::CepError;
 use tms_dsps::transport::{decode_value, encode_value};
 use tms_dsps::{Bolt, BoltContext, DspsError, Emitter, MigrationCoordinator, RuleProfile, Spout};
 use tms_geo::{BusStopIndex, RegionQuadtree};
-use tms_storage::{RemoteDb, TableStore, ThresholdStore};
+use tms_storage::{RemoteDb, TableStore, ThresholdStore, ValueRef};
 use tms_traffic::{BusTrace, EnrichedTrace, LocId, Preprocessor};
 
 /// The message flowing through the topology.
@@ -988,15 +988,18 @@ impl EventsStorerBolt {
 impl Bolt<TrafficMessage> for EventsStorerBolt {
     fn process(&mut self, msg: TrafficMessage, _emitter: &mut dyn Emitter<TrafficMessage>) {
         if let TrafficMessage::Detection(d) = msg {
+            // Borrowed cells: a rule or location the table has seen is
+            // stored as its dictionary code, so a detection allocates
+            // nothing here beyond the columns' amortised growth.
             self.store
-                .insert(
+                .insert_ref(
                     "detected_events",
-                    vec![
-                        tms_storage::Value::from(d.rule.clone()),
-                        tms_storage::Value::from(d.location.clone()),
-                        tms_storage::Value::Float(d.observed),
-                        d.threshold.map(tms_storage::Value::Float).unwrap_or(tms_storage::Value::Null),
-                        tms_storage::Value::Int(d.timestamp_ms as i64),
+                    &[
+                        ValueRef::Str(&d.rule),
+                        ValueRef::Str(&d.location),
+                        ValueRef::Float(d.observed),
+                        d.threshold.map_or(ValueRef::Null, ValueRef::Float),
+                        ValueRef::Int(d.timestamp_ms as i64),
                     ],
                 )
                 .expect("detected_events table exists");

@@ -1,16 +1,19 @@
 //! Allocation gate on the batch statistics job: `run_statistics_job` over
-//! the `FleetConfig::small(9)` morning, held to the 24 404 allocations it
-//! makes for 36 000 history lines and 5 762 rows, plus a margin of 596
-//! (2.4 %): 25 000.
+//! the `FleetConfig::small(9)` morning, held to the 9 346–9 349
+//! allocations it makes for 36 000 history lines and 5 762 rows, plus a
+//! margin of 251 (2.7 %): 9 600.
 //!
 //! The job's map and reduce tasks run on worker threads, so the counter is
 //! one process-wide atomic, not `alloc_ceiling.rs`'s thread-local: that is
-//! also why this binary holds exactly one test. Nearly all of the budget is
-//! per published row (the row's location text and its table cells); the
-//! rest is per split, per task and per map-side table. One allocation per
-//! line, or per (attribute, location) pair of a line, breaks it. How many
-//! pairs cross the shuffle is pinned apart from allocations, by
-//! `offline`'s unit test `the_shuffle_carries_one_pair_per_split_and_place`.
+//! also why this binary holds exactly one test. Each published row's
+//! record costs one allocation, its location text (5 762). Storing the
+//! rows costs one per distinct location and table, not per row: a table
+//! keeps each string once, in its dictionary, and a row as fixed-width
+//! cells. The rest is per split, per task and per map-side table. One
+//! allocation per line, or per (attribute, location) pair of a line, or
+//! a `Vec` per stored row, breaks it. How many pairs cross the shuffle is
+//! pinned apart from allocations, by `offline`'s unit test
+//! `the_shuffle_carries_one_pair_per_split_and_place`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,8 +59,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// What the job measured (24 404), plus the margin.
-const BUDGET: u64 = 25_000;
+/// What the job measured (9 349 at most), plus the margin.
+const BUDGET: u64 = 9_600;
 
 #[test]
 fn the_statistics_job_allocates_less_than_once_per_history_line() {

@@ -49,8 +49,13 @@ pub fn write_table(table: &Table, w: &mut impl Write) -> Result<(), StorageError
     let header: Vec<&str> = table.schema().columns().iter().map(|c| c.name.as_str()).collect();
     writeln!(w, "{}", header.join(","))?;
     for row in table.scan() {
-        let fields: Vec<String> = row.iter().map(Value::to_csv_field).collect();
-        writeln!(w, "{}", fields.join(","))?;
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                w.write_all(b",")?;
+            }
+            write!(w, "{}", v.csv())?;
+        }
+        w.write_all(b"\n")?;
     }
     Ok(())
 }
@@ -112,7 +117,7 @@ pub fn read_table(
 mod tests {
     use super::*;
     use crate::table::Column;
-    use crate::value::ColumnType;
+    use crate::value::{ColumnType, ValueRef};
     use std::io::Cursor;
 
     fn sample_table() -> Table {
@@ -144,7 +149,13 @@ mod tests {
         write_table(&t, &mut buf).unwrap();
         let read =
             read_table("sample", t.schema().clone(), &mut Cursor::new(&buf)).unwrap();
-        assert_eq!(read.rows(), t.rows());
+        let rows = |t: &Table| -> Vec<Row> {
+            t.scan().map(|r| r.iter().map(ValueRef::to_value).collect()).collect()
+        };
+        assert_eq!(rows(&read), rows(&t));
+        let mut again = Vec::new();
+        write_table(&read, &mut again).unwrap();
+        assert_eq!(again, buf);
     }
 
     #[test]

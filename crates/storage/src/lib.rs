@@ -7,7 +7,8 @@
 //! as an embedded, typed, thread-safe table store:
 //!
 //! * [`value`] — dynamically typed cell values and column types;
-//! * [`table`] — schemas, rows and in-memory tables with filtered scans;
+//! * [`table`] — schemas, rows and in-memory tables stored by column,
+//!   each string once in a per-table dictionary;
 //! * [`store`] — a named-table catalogue behind a lock (the "server");
 //! * [`remote`] — a wrapper charging a configurable round-trip latency per
 //!   query, modelling the client↔server hop that makes the paper's
@@ -18,6 +19,8 @@
 //! * [`csv`] — CSV persistence for tables.
 
 pub mod csv;
+#[cfg(test)]
+mod differential;
 pub mod error;
 pub mod remote;
 pub mod sql;
@@ -30,6 +33,6 @@ pub use error::StorageError;
 pub use remote::RemoteDb;
 pub use sql::{parse_select, query, QueryResult};
 pub use store::TableStore;
-pub use table::{Column, Row, Schema, Table};
+pub use table::{Column, Row, RowRef, Schema, Table};
 pub use thresholds::{DayType, StatRecord, ThresholdQuery, ThresholdRow, ThresholdStore};
-pub use value::{ColumnType, Value};
+pub use value::{ColumnType, Value, ValueRef};

@@ -26,8 +26,8 @@
 //! paper does its joining too.
 
 use crate::error::StorageError;
-use crate::table::Table;
-use crate::value::Value;
+use crate::table::{RowRef, Schema, Table};
+use crate::value::{Value, ValueRef};
 
 /// The result of a query: named columns plus rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -357,23 +357,43 @@ pub fn parse_select(src: &str) -> Result<SelectStatement, StorageError> {
 // Execution
 // ---------------------------------------------------------------------------
 
-fn eval_expr(e: &SqlExpr, table: &Table, row: &[Value]) -> Result<Value, StorageError> {
+/// One row's cells by schema index, as the executor reads them.
+pub(crate) trait RowCells<'a> {
+    fn cell(&self, column: usize) -> ValueRef<'a>;
+}
+
+impl<'a, 't: 'a> RowCells<'a> for RowRef<'t> {
+    fn cell(&self, column: usize) -> ValueRef<'a> {
+        self.get(column)
+    }
+}
+
+/// What a statement reads a row against: the table's name (for errors)
+/// and its schema.
+struct Source<'s> {
+    name: &'s str,
+    schema: &'s Schema,
+}
+
+fn eval_expr<'a>(
+    e: &'a SqlExpr,
+    source: &Source<'_>,
+    row: &impl RowCells<'a>,
+) -> Result<ValueRef<'a>, StorageError> {
     match e {
-        SqlExpr::Number(v) => Ok(Value::Float(*v)),
-        SqlExpr::Str(s) => Ok(Value::Str(s.clone())),
+        SqlExpr::Number(v) => Ok(ValueRef::Float(*v)),
+        SqlExpr::Str(s) => Ok(ValueRef::Str(s)),
         SqlExpr::Column(name) => {
-            let idx = table.schema().index_of(name).ok_or_else(|| {
-                StorageError::ColumnNotFound {
-                    table: table.name().to_string(),
-                    column: name.clone(),
-                }
+            let idx = source.schema.index_of(name).ok_or_else(|| StorageError::ColumnNotFound {
+                table: source.name.to_string(),
+                column: name.clone(),
             })?;
-            Ok(row[idx].clone())
+            Ok(row.cell(idx))
         }
         SqlExpr::Bin(op, lhs, rhs) => {
-            let l = eval_expr(lhs, table, row)?.as_float()?;
-            let r = eval_expr(rhs, table, row)?.as_float()?;
-            Ok(Value::Float(match op {
+            let l = eval_expr(lhs, source, row)?.as_float()?;
+            let r = eval_expr(rhs, source, row)?.as_float()?;
+            Ok(ValueRef::Float(match op {
                 '+' => l + r,
                 '-' => l - r,
                 '*' => l * r,
@@ -384,12 +404,16 @@ fn eval_expr(e: &SqlExpr, table: &Table, row: &[Value]) -> Result<Value, Storage
     }
 }
 
-fn eval_cond(c: &Cond, table: &Table, row: &[Value]) -> Result<bool, StorageError> {
-    let l = eval_expr(&c.lhs, table, row)?;
-    let r = eval_expr(&c.rhs, table, row)?;
+fn eval_cond<'a>(
+    c: &'a Cond,
+    source: &Source<'_>,
+    row: &impl RowCells<'a>,
+) -> Result<bool, StorageError> {
+    let l = eval_expr(&c.lhs, source, row)?;
+    let r = eval_expr(&c.rhs, source, row)?;
     // Strings compare as strings; everything else numerically.
-    let cmp = match (&l, &r) {
-        (Value::Str(a), Value::Str(b)) => a.cmp(b),
+    let cmp = match (l, r) {
+        (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
         _ => l.as_float()?.total_cmp(&r.as_float()?),
     };
     Ok(match c.op {
@@ -412,40 +436,51 @@ fn default_name(e: &SqlExpr, i: usize) -> String {
 
 /// Executes a parsed statement against a table.
 pub fn execute(stmt: &SelectStatement, table: &Table) -> Result<QueryResult, StorageError> {
+    execute_rows(stmt, table.name(), table.schema(), table.scan())
+}
+
+/// [`execute`] over any source of rows laid out by `schema`.
+pub(crate) fn execute_rows<'a, R: RowCells<'a>>(
+    stmt: &'a SelectStatement,
+    name: &str,
+    schema: &Schema,
+    rows: impl Iterator<Item = R>,
+) -> Result<QueryResult, StorageError> {
+    let source = Source { name, schema };
     let columns: Vec<String> = match &stmt.items {
-        None => table.schema().columns().iter().map(|c| c.name.clone()).collect(),
+        None => schema.columns().iter().map(|c| c.name.clone()).collect(),
         Some(items) => items
             .iter()
             .enumerate()
             .map(|(i, (e, alias))| alias.clone().unwrap_or_else(|| default_name(e, i)))
             .collect(),
     };
-    let mut rows = Vec::new();
-    'rows: for row in table.scan() {
+    let mut out_rows = Vec::new();
+    'rows: for row in rows {
         for c in &stmt.conditions {
-            if !eval_cond(c, table, row)? {
+            if !eval_cond(c, &source, &row)? {
                 continue 'rows;
             }
         }
         let out = match &stmt.items {
-            None => row.clone(),
+            None => (0..schema.arity()).map(|i| row.cell(i).to_value()).collect(),
             Some(items) => items
                 .iter()
-                .map(|(e, _)| eval_expr(e, table, row))
+                .map(|(e, _)| eval_expr(e, &source, &row).map(ValueRef::to_value))
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        rows.push(out);
+        out_rows.push(out);
     }
     if stmt.distinct {
         // DISTINCT by rendered form: Value is not Hash (floats), and the
         // rendered form is exactly what a client would compare.
         let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| {
+        out_rows.retain(|r| {
             let key = r.iter().map(Value::to_csv_field).collect::<Vec<_>>().join("\u{1}");
             seen.insert(key)
         });
     }
-    Ok(QueryResult { columns, rows })
+    Ok(QueryResult { columns, rows: out_rows })
 }
 
 /// Parses and executes a statement against a table in one call.

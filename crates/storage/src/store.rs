@@ -3,6 +3,7 @@
 
 use crate::error::StorageError;
 use crate::table::{Schema, Table};
+use crate::value::ValueRef;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -93,6 +94,12 @@ impl TableStore {
     /// Inserts one row into the named table.
     pub fn insert(&self, table: &str, row: crate::table::Row) -> Result<(), StorageError> {
         self.with_table_mut(table, |t| t.insert(row))?
+    }
+
+    /// Inserts one row of borrowed cells into the named table (see
+    /// [`Table::insert_ref`]).
+    pub fn insert_ref(&self, table: &str, row: &[ValueRef<'_>]) -> Result<(), StorageError> {
+        self.with_table_mut(table, |t| t.insert_ref(row))?
     }
 
     /// Total rows across all tables (used by tests and the monitor).

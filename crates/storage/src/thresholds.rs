@@ -14,8 +14,8 @@
 use crate::error::StorageError;
 use crate::remote::RemoteDb;
 use crate::store::TableStore;
-use crate::table::{Column, Schema, Table};
-use crate::value::{ColumnType, Value};
+use crate::table::{Column, RowRef, Schema, Table};
+use crate::value::{ColumnType, ValueRef};
 use serde::{Deserialize, Serialize};
 
 /// Weekday vs weekend — the paper's `dateType` (traffic differs sharply
@@ -140,13 +140,13 @@ impl ThresholdStore {
     pub fn publish(&self, attribute: &str, records: &[StatRecord]) -> Result<(), StorageError> {
         let mut table = Table::new(statistics_table_name(attribute), statistics_schema());
         for r in records {
-            table.insert(vec![
-                Value::from(r.area_id.clone()),
-                Value::Int(i64::from(r.hour)),
-                Value::from(r.day_type.as_str()),
-                Value::Float(r.mean),
-                Value::Float(r.stdv),
-                Value::Int(r.count as i64),
+            table.insert_ref(&[
+                ValueRef::Str(&r.area_id),
+                ValueRef::Int(i64::from(r.hour)),
+                ValueRef::Str(r.day_type.as_str()),
+                ValueRef::Float(r.mean),
+                ValueRef::Float(r.stdv),
+                ValueRef::Int(r.count as i64),
             ])?;
         }
         self.store.replace_table(table);
@@ -251,33 +251,37 @@ impl ThresholdStore {
             day_type: r.day_type,
             threshold: r.mean + s * r.stdv,
         });
-        let mut out: Vec<ThresholdRow> = rows.collect();
-        // DISTINCT of Listing 2: the snapshot is keyed, but historical
-        // re-publishes could duplicate; dedupe on the full row.
-        out.sort_by(|a, b| {
-            (&a.area_id, a.hour, a.day_type)
-                .cmp(&(&b.area_id, b.hour, b.day_type))
-                .then(a.threshold.total_cmp(&b.threshold))
-        });
-        out.dedup();
-        out
+        distinct_sorted(rows.collect())
     }
 
+    /// Listing 2 over a statistics table: one `String` per row read, the
+    /// row's `area_id`.
     fn project(t: &Table, s: f64) -> Result<Vec<ThresholdRow>, StorageError> {
-        Ok(Self::thresholds_of(&Self::records(t)?, s))
+        let mut out = Vec::with_capacity(t.len());
+        for row in t.scan() {
+            let c = StatCells::read(row)?;
+            out.push(ThresholdRow {
+                area_id: c.area_id.to_string(),
+                hour: c.hour,
+                day_type: c.day_type,
+                threshold: c.mean + s * c.stdv,
+            });
+        }
+        Ok(distinct_sorted(out))
     }
 
     /// A statistics table's rows, sorted by `(area, hour, dayType)`.
     fn records(t: &Table) -> Result<Vec<StatRecord>, StorageError> {
         let mut out = Vec::with_capacity(t.len());
         for row in t.scan() {
+            let c = StatCells::read(row)?;
             out.push(StatRecord {
-                area_id: row[0].as_str()?.to_string(),
-                hour: row[1].as_int()? as u8,
-                day_type: DayType::parse(row[2].as_str()?)?,
-                mean: row[3].as_float()?,
-                stdv: row[4].as_float()?,
-                count: row[5].as_int()? as u64,
+                area_id: c.area_id.to_string(),
+                hour: c.hour,
+                day_type: c.day_type,
+                mean: c.mean,
+                stdv: c.stdv,
+                count: c.count,
             });
         }
         out.sort_by(|a, b| (&a.area_id, a.hour, a.day_type).cmp(&(&b.area_id, b.hour, b.day_type)));
@@ -292,15 +296,52 @@ impl ThresholdStore {
         day_type: DayType,
     ) -> Result<Option<f64>, StorageError> {
         for row in t.scan() {
-            if row[0].as_str()? == area_id
-                && row[1].as_int()? == i64::from(hour)
-                && row[2].as_str()? == day_type.as_str()
+            if row.get(0).as_str()? == area_id
+                && row.get(1).as_int()? == i64::from(hour)
+                && row.get(2).as_str()? == day_type.as_str()
             {
-                return Ok(Some(row[3].as_float()? + s * row[4].as_float()?));
+                return Ok(Some(row.get(3).as_float()? + s * row.get(4).as_float()?));
             }
         }
         Ok(None)
     }
+}
+
+/// One statistics row's cells, its location borrowed from the table.
+struct StatCells<'a> {
+    area_id: &'a str,
+    hour: u8,
+    day_type: DayType,
+    mean: f64,
+    stdv: f64,
+    count: u64,
+}
+
+impl<'a> StatCells<'a> {
+    /// Reads a row laid out by [`statistics_schema`].
+    fn read(row: RowRef<'a>) -> Result<Self, StorageError> {
+        Ok(StatCells {
+            area_id: row.get(0).as_str()?,
+            hour: row.get(1).as_int()? as u8,
+            day_type: DayType::parse(row.get(2).as_str()?)?,
+            mean: row.get(3).as_float()?,
+            stdv: row.get(4).as_float()?,
+            count: row.get(5).as_int()? as u64,
+        })
+    }
+}
+
+/// DISTINCT of Listing 2, in `(area, hour, dayType, threshold)` order: the
+/// snapshot is keyed, but historical re-publishes could duplicate, so
+/// duplicates of a full row go.
+fn distinct_sorted(mut out: Vec<ThresholdRow>) -> Vec<ThresholdRow> {
+    out.sort_by(|a, b| {
+        (&a.area_id, a.hour, a.day_type)
+            .cmp(&(&b.area_id, b.hour, b.day_type))
+            .then(a.threshold.total_cmp(&b.threshold))
+    });
+    out.dedup();
+    out
 }
 
 #[cfg(test)]

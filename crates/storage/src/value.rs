@@ -47,77 +47,39 @@ pub enum Value {
 impl Value {
     /// The column type this value belongs to, `None` for `Null`.
     pub fn column_type(&self) -> Option<ColumnType> {
-        match self {
-            Value::Int(_) => Some(ColumnType::Int),
-            Value::Float(_) => Some(ColumnType::Float),
-            Value::Str(_) => Some(ColumnType::Str),
-            Value::Bool(_) => Some(ColumnType::Bool),
-            Value::Null => None,
-        }
+        ValueRef::from(self).column_type()
     }
 
     /// Whether this value may be stored in a column of the given type.
     /// `Null` is storable anywhere; `Int` widens into `Float` columns.
     pub fn fits(&self, ty: ColumnType) -> bool {
-        match (self, ty) {
-            (Value::Null, _) => true,
-            (Value::Int(_), ColumnType::Float) => true,
-            (v, t) => v.column_type() == Some(t),
-        }
+        ValueRef::from(self).fits(ty)
     }
 
     /// Integer accessor.
     pub fn as_int(&self) -> Result<i64, StorageError> {
-        match self {
-            Value::Int(v) => Ok(*v),
-            other => Err(StorageError::TypeError { expected: "Int", got: format!("{other:?}") }),
-        }
+        ValueRef::from(self).as_int()
     }
 
     /// Float accessor; integers widen.
     pub fn as_float(&self) -> Result<f64, StorageError> {
-        match self {
-            Value::Float(v) => Ok(*v),
-            Value::Int(v) => Ok(*v as f64),
-            other => Err(StorageError::TypeError { expected: "Float", got: format!("{other:?}") }),
-        }
+        ValueRef::from(self).as_float()
     }
 
     /// String accessor.
     pub fn as_str(&self) -> Result<&str, StorageError> {
-        match self {
-            Value::Str(v) => Ok(v),
-            other => Err(StorageError::TypeError { expected: "Str", got: format!("{other:?}") }),
-        }
+        ValueRef::from(self).as_str()
     }
 
     /// Boolean accessor.
     pub fn as_bool(&self) -> Result<bool, StorageError> {
-        match self {
-            Value::Bool(v) => Ok(*v),
-            other => Err(StorageError::TypeError { expected: "Bool", got: format!("{other:?}") }),
-        }
+        ValueRef::from(self).as_bool()
     }
 
     /// Renders the value for CSV output. Strings are quoted only when they
     /// contain separators; `Null` renders as the empty field.
     pub fn to_csv_field(&self) -> String {
-        match self {
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => {
-                // Keep full round-trip precision.
-                format!("{v}")
-            }
-            Value::Str(v) => {
-                if v.contains(',') || v.contains('"') || v.contains('\n') {
-                    format!("\"{}\"", v.replace('"', "\"\""))
-                } else {
-                    v.clone()
-                }
-            }
-            Value::Bool(v) => v.to_string(),
-            Value::Null => String::new(),
-        }
+        ValueRef::from(self).csv().to_string()
     }
 
     /// Parses a CSV field into a value of the given column type. Empty
@@ -146,15 +108,146 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
+/// A cell as a table reads it: a [`Value`] whose string is borrowed (from
+/// the table's dictionary, or from the caller at insert), so reading or
+/// storing a row copies no text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// An integer cell.
+    Int(i64),
+    /// A float cell.
+    Float(f64),
+    /// A string cell.
+    Str(&'a str),
+    /// A boolean cell.
+    Bool(bool),
+    /// An absent value (fits any column).
+    Null,
+}
+
+impl<'a> ValueRef<'a> {
+    /// The column type this value belongs to, `None` for `Null`.
+    pub fn column_type(self) -> Option<ColumnType> {
+        match self {
+            ValueRef::Int(_) => Some(ColumnType::Int),
+            ValueRef::Float(_) => Some(ColumnType::Float),
+            ValueRef::Str(_) => Some(ColumnType::Str),
+            ValueRef::Bool(_) => Some(ColumnType::Bool),
+            ValueRef::Null => None,
+        }
+    }
+
+    /// Whether this value may be stored in a column of the given type.
+    /// `Null` is storable anywhere; `Int` widens into `Float` columns.
+    pub fn fits(self, ty: ColumnType) -> bool {
+        match (self, ty) {
+            (ValueRef::Null, _) => true,
+            (ValueRef::Int(_), ColumnType::Float) => true,
+            (v, t) => v.column_type() == Some(t),
+        }
+    }
+
+    /// Integer accessor.
+    pub fn as_int(self) -> Result<i64, StorageError> {
+        match self {
+            ValueRef::Int(v) => Ok(v),
+            other => Err(StorageError::TypeError { expected: "Int", got: format!("{other:?}") }),
+        }
+    }
+
+    /// Float accessor; integers widen.
+    pub fn as_float(self) -> Result<f64, StorageError> {
+        match self {
+            ValueRef::Float(v) => Ok(v),
+            ValueRef::Int(v) => Ok(v as f64),
+            other => Err(StorageError::TypeError { expected: "Float", got: format!("{other:?}") }),
+        }
+    }
+
+    /// String accessor.
+    pub fn as_str(self) -> Result<&'a str, StorageError> {
+        match self {
+            ValueRef::Str(v) => Ok(v),
+            other => Err(StorageError::TypeError { expected: "Str", got: format!("{other:?}") }),
+        }
+    }
+
+    /// Boolean accessor.
+    pub fn as_bool(self) -> Result<bool, StorageError> {
+        match self {
+            ValueRef::Bool(v) => Ok(v),
+            other => Err(StorageError::TypeError { expected: "Bool", got: format!("{other:?}") }),
+        }
+    }
+
+    /// The owned value (copies a string).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Str(v) => Value::Str(v.to_string()),
+            ValueRef::Bool(v) => Value::Bool(v),
+            ValueRef::Null => Value::Null,
+        }
+    }
+
+    /// The value's CSV field, rendered as it is written (see
+    /// [`Value::to_csv_field`]).
+    pub fn csv(self) -> impl fmt::Display + 'a {
+        CsvField(self)
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Str(v) => ValueRef::Str(v),
+            Value::Bool(v) => ValueRef::Bool(*v),
+            Value::Null => ValueRef::Null,
+        }
+    }
+}
+
+/// A value rendered as a CSV field.
+struct CsvField<'a>(ValueRef<'a>);
+
+impl fmt::Display for CsvField<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            ValueRef::Str(v) if v.contains([',', '"', '\n']) => {
+                f.write_str("\"")?;
+                for (i, part) in v.split('"').enumerate() {
+                    if i > 0 {
+                        f.write_str("\"\"")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_str("\"")
+            }
+            ValueRef::Null => Ok(()),
+            // Full round-trip precision for floats.
+            v => fmt::Display::fmt(&v, f),
+        }
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
-            Value::Null => write!(f, "NULL"),
+            ValueRef::Int(v) => write!(f, "{v}"),
+            ValueRef::Float(v) => write!(f, "{v}"),
+            ValueRef::Str(v) => write!(f, "{v}"),
+            ValueRef::Bool(v) => write!(f, "{v}"),
+            ValueRef::Null => write!(f, "NULL"),
         }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&ValueRef::from(self), f)
     }
 }
 
